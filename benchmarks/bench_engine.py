@@ -7,8 +7,8 @@ Three modes, timing schedulers on random trees:
   priority closure) against the unified engine's pure-Python reference
   backend, isolating what the PR-1 vectorization changed;
 * **``--compare-backends``** -- the engine's sweep backends against
-  each other (``python`` vs. every available compiled backend:
-  ``numba`` and/or ``c``), with the priority rank precomputed outside
+  each other (``python`` vs. the compiled ``c`` backend, when it
+  builds), with the priority rank precomputed outside
   the timed region so the measurement isolates the *event sweep*
   itself. All backends must produce the identical schedule (asserted);
 * **``--grid``** -- an (8-algorithm x 4-p) campaign grid over one tree,
@@ -18,13 +18,10 @@ Three modes, timing schedulers on random trees:
   Both paths must produce identical schedules (asserted); the ratio is
   the amortization win of the prepared-tree refactor.
 * **``--megabatch``** -- the same grid, per-scenario prepared calls vs.
-  one :func:`~repro.core.engine.sweep_batch` megabatch kernel call
-  (OpenMP/prange-threaded across scenarios in the compiled backends;
-  ``--threads`` controls the worker count, default
-  :func:`~repro.core.engine.default_threads`). Schedules must match the
-  per-scenario path bit for bit (asserted); the ratio is the win of
-  dropping per-scenario Python/ctypes dispatch and sweeping the grid
-  GIL-free in one call.
+  one :func:`~repro.core.engine.sweep_batch` megabatch kernel call.
+  Schedules must match the per-scenario path bit for bit (asserted);
+  the ratio is the win of dropping per-scenario Python/ctypes dispatch
+  and sweeping the grid GIL-free in one serial call.
 
 ``--smoke`` runs all modes at a small size (CI guard against bit-rot);
 ``--append`` appends the payload to an existing trajectory file instead
@@ -52,12 +49,7 @@ import time
 import numpy as np
 
 from repro import registry
-from repro.core.engine import (
-    SchedulerEngine,
-    available_backends,
-    default_threads,
-    sweep_batch,
-)
+from repro.core.engine import SchedulerEngine, available_backends, sweep_batch
 from repro.core.prepared import PreparedTree
 from repro.core.schedule import Schedule
 from repro.core.tree import NO_PARENT
@@ -155,10 +147,9 @@ def legacy_par_deepest_first(tree, p, order):
 # backend comparison: the event sweep itself, per engine backend
 # ----------------------------------------------------------------------
 def default_backends() -> list[str]:
-    """``python`` plus every available *compiled* backend (the
+    """``python`` plus the compiled ``c`` backend when it builds (the
     interpreted ``kernel`` backend is a testing aid, not a contender)."""
-    avail = available_backends()
-    return ["python"] + [b for b in ("numba", "c") if b in avail]
+    return ["python"] + (["c"] if "c" in available_backends() else [])
 
 
 def run_backend_bench(
@@ -169,8 +160,8 @@ def run_backend_bench(
     The priority rank and the engine are built outside the timed region,
     so the numbers isolate the sweep (plus each backend's per-run array
     preparation). One untimed warm-up run per backend produces the
-    reference schedule and absorbs one-time costs (numba JIT
-    compilation, the C kernel build); every backend's schedule must
+    reference schedule and absorbs one-time costs (the C kernel
+    build); every backend's schedule must
     match the pure-Python reference bit for bit.
     """
     backends = default_backends() if backends is None else backends
@@ -183,7 +174,7 @@ def run_backend_bench(
         ref = None
         for backend in backends:
             engine = SchedulerEngine(tree, p, rank, backend=backend)
-            got = engine.run()  # warm-up (JIT/compile) + reference schedule
+            got = engine.run()  # warm-up (compile) + reference schedule
             assert engine.backend_used == backend, (
                 f"{backend} fell back to {engine.backend_used}"
             )
@@ -256,7 +247,7 @@ def run_grid_bench(sizes, repeats: int, seed: int, backend: str | None = None) -
                 for name, params in GRID_ALGOS
             ]
 
-        ref = run_grid(tree)  # warm-up (JIT/compile) + reference schedules
+        ref = run_grid(tree)  # warm-up (compile) + reference schedules
         t_unprep, _ = best_of(lambda: run_grid(tree), repeats)
         t_prep, got = best_of(lambda: run_grid(PreparedTree(tree)), repeats)
         for a, b in zip(ref, got):
@@ -282,8 +273,7 @@ def run_grid_bench(sizes, repeats: int, seed: int, backend: str | None = None) -
 # megabatch comparison: per-scenario prepared calls vs. one kernel call
 # ----------------------------------------------------------------------
 def run_megabatch_bench(
-    sizes, repeats: int, seed: int, threads: int | None = None,
-    backend: str | None = None,
+    sizes, repeats: int, seed: int, backend: str | None = None
 ) -> list[dict]:
     """Time the (algorithm x p) grid per-scenario vs. one megabatch.
 
@@ -292,10 +282,8 @@ def run_megabatch_bench(
     per-scenario path calls ``registry.run`` once per grid cell, the
     megabatch path stacks every cell's :class:`BatchScenario` and makes
     a single :func:`sweep_batch` call -- one kernel invocation for the
-    whole grid, thread-parallel across scenarios in the compiled
-    backends. Schedules must match bit for bit (asserted).
+    whole grid. Schedules must match bit for bit (asserted).
     """
-    nthreads = default_threads() if threads is None else max(1, int(threads))
     rows = []
     for n in sizes:
         tree = random_weighted_tree(int(n), np.random.default_rng(seed))
@@ -314,11 +302,9 @@ def run_megabatch_bench(
             ]
 
         def run_batch():
-            return sweep_batch(
-                prepared, specs, backend=backend, threads=nthreads
-            ).schedules()
+            return sweep_batch(prepared, specs, backend=backend).schedules()
 
-        ref = run_single()  # warm-up (JIT/compile) + reference schedules
+        ref = run_single()  # warm-up (compile) + reference schedules
         run_batch()  # warm-up the batch entry point too
         t_single, _ = best_of(run_single, repeats)
         t_batch, got = best_of(run_batch, repeats)
@@ -329,13 +315,13 @@ def run_megabatch_bench(
             "n": int(n),
             "grid": f"{len(GRID_ALGOS)} algorithms x {len(GRID_PROCS)} p",
             "scenarios": len(GRID_ALGOS) * len(GRID_PROCS),
-            "threads": nthreads,
+            "threads": 1,
             "per_scenario_s": round(t_single, 6),
             "megabatch_s": round(t_batch, 6),
             "speedup": round(t_single / t_batch, 3),
         }
         print(
-            f"n={row['n']:>8d} grid {row['grid']} threads={nthreads}  "
+            f"n={row['n']:>8d} grid {row['grid']}  "
             f"per-scenario {t_single:8.4f}s  megabatch {t_batch:8.4f}s  "
             f"speedup {row['speedup']:5.2f}x"
         )
@@ -432,13 +418,6 @@ def main(argv=None) -> int:
         "sweep_batch kernel call",
     )
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="megabatch worker threads (default: REPRO_NUM_THREADS or "
-        "the usable core count)",
-    )
-    parser.add_argument(
         "--append",
         action="store_true",
         help="append to the output file instead of overwriting it",
@@ -473,9 +452,7 @@ def main(argv=None) -> int:
     if args.smoke or args.grid:
         payload["grid"] = run_grid_bench(args.sizes, args.repeats, args.seed)
     if args.smoke or args.megabatch:
-        payload["megabatch"] = run_megabatch_bench(
-            args.sizes, args.repeats, args.seed, args.threads
-        )
+        payload["megabatch"] = run_megabatch_bench(args.sizes, args.repeats, args.seed)
     write_payload(args.output, payload, args.append)
     print(f"wrote {args.output}")
     return 0

@@ -3,10 +3,7 @@
 The offline environment has setuptools but no ``wheel`` package, so
 PEP 660 editable installs (which build a wheel) fail; a plain
 ``setup.py`` keeps the legacy ``pip install -e .`` develop path working
-and is also what CI uses to install the optional compiled-backend
-extra: ``pip install '.[fast]'`` pulls in numba for the engine's
-``backend="numba"`` event-sweep kernel (see README, "Optional compiled
-backend").
+and is also what CI uses to install the optional extras.
 """
 
 from setuptools import find_packages, setup
@@ -27,10 +24,6 @@ setup(
         "networkx",
     ],
     extras_require={
-        # compiled event-sweep backend for repro.core.engine
-        # (backend="numba"); everything works without it, this is a
-        # pure speed upgrade -- schedules are bit-identical either way
-        "fast": ["numba>=0.57"],
         # parquet segments for the columnar record store (repro pack
         # --store parquet); the jsonl and npz backends need nothing
         "columnar": ["pyarrow"],

@@ -15,9 +15,8 @@ backend to the ones that declare ``backend``.
 
 On top of the grouping, each tree's engine-backed scenarios are swept
 in **one megabatch kernel call** (:func:`repro.core.engine.sweep_batch`):
-the stacked grid crosses the Python boundary once and the compiled
-backends thread across scenarios (OpenMP / numba ``prange``), GIL-free,
-with bit-identical per-scenario results for any thread count.
+the stacked grid crosses the Python boundary once and the C kernel
+sweeps it GIL-free, with bit-identical per-scenario results.
 
 Execution properties, all property-tested:
 
@@ -158,7 +157,6 @@ def _scenario_records(
     prepared: PreparedTree,
     scenarios: Sequence[Scenario],
     validate: bool,
-    threads: int | None = None,
     megabatch: bool = True,
 ) -> list[ScenarioRecord]:
     """Records of one scenario slice against one shared preparation.
@@ -170,8 +168,7 @@ def _scenario_records(
 
     With ``megabatch`` (the default) every scenario whose algorithm
     registers a sweep spec is swept in **one batched kernel call**
-    (thread-parallel across scenarios; see
-    :func:`repro.core.engine.sweep_batch`); the rest -- the
+    (see :func:`repro.core.engine.sweep_batch`); the rest -- the
     subtree-splitting family, sequential traversals -- run unbatched at
     their position in the slice. Records (and any scenario error) are
     emitted in slice order either way, so the stream is byte-identical
@@ -200,7 +197,7 @@ def _scenario_records(
             specs.append(spec)
             idxs.append(i)
         if idxs:
-            run = sweep_batch(prepared, specs, backend=backend, threads=threads)
+            run = sweep_batch(prepared, specs, backend=backend)
             outcomes = dict(zip(idxs, run.outcomes))
     records: list[ScenarioRecord] = []
     for i, sc in enumerate(scenarios):
@@ -248,7 +245,7 @@ def _prepared_cached(key: tuple, tree: TaskTree) -> PreparedTree:
 def _campaign_slice(payload: tuple) -> list[ScenarioRecord]:
     """Pool entry point: prepare the payload's tree once, run its slice."""
     if payload[0] == "shm":
-        _, shm_name, d, scenarios, validate, threads, megabatch = payload
+        _, shm_name, d, scenarios, validate, megabatch = payload
         shm = _shm_attach(shm_name)
         views = _shm_views(shm.buf, d["base"], d["n"])
         for v in views:  # the block is shared across workers: never writable
@@ -257,10 +254,10 @@ def _campaign_slice(payload: tuple) -> list[ScenarioRecord]:
         prepared = _prepared_cached((shm_name, d["base"]), tree)
         name = d["name"]
     else:
-        _, inst, scenarios, validate, threads, megabatch = payload
+        _, inst, scenarios, validate, megabatch = payload
         prepared = PreparedTree(inst.tree)
         name = inst.name
-    return _scenario_records(name, prepared, scenarios, validate, threads, megabatch)
+    return _scenario_records(name, prepared, scenarios, validate, megabatch)
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +416,6 @@ def run_campaign(
     chunksize: int = 1,
     progress: bool = False,
     shard_nodes: int | None = None,
-    threads: int | None = None,
     megabatch: bool = True,
     supervise: bool = False,
     retries: int = 2,
@@ -475,14 +471,9 @@ def run_campaign(
         pays off when the per-scenario work dominates the preparation
         -- very large trees, many scenarios). Record order is
         unchanged.
-    threads:
-        worker threads of the megabatch kernel call (default:
-        ``REPRO_NUM_THREADS`` or the usable core count). Never affects
-        results. With a worker pool, each worker threads its own
-        batches, so pick ``workers * threads <= cores``.
     megabatch:
-        sweep each tree's batchable scenarios in one thread-parallel
-        kernel call (default). ``False`` restores the per-scenario
+        sweep each tree's batchable scenarios in one kernel call
+        (default). ``False`` restores the per-scenario
         loop; the record stream is byte-identical either way.
     supervise:
         run the grid under the fault-tolerant worker pool of
@@ -490,8 +481,8 @@ def run_campaign(
         with crash/hang detection, per-scenario retries with
         exponential backoff, quarantine of poison scenarios as
         :class:`FailedRecord` stream entries, and per-worker backend
-        health probing with graceful degradation (c -> numba ->
-        python). Scenarios are dispatched one at a time (``megabatch``
+        health probing with graceful degradation (c -> python).
+        Scenarios are dispatched one at a time (``megabatch``
         and ``shard_nodes`` do not apply); the record stream -- and the
         checkpoint -- is byte-identical to the unsupervised modes.
     retries:
@@ -529,8 +520,7 @@ def run_campaign(
         in-process runs only: a ``TreeInstance -> PreparedTree``
         provider replacing the per-group ``PreparedTree(inst.tree)``
         construction -- the service plugs its process-wide LRU in
-        here. Results are unaffected (a PreparedTree is immutable
-        apart from its leased scratch rows).
+        here. Results are unaffected (a PreparedTree is immutable).
     abort:
         a ``threading.Event``; once set, the run stops between
         scenarios (supervised) or work units (in-process / pooled)
@@ -689,7 +679,6 @@ def run_campaign(
                         desc_of[gi],
                         tuple(chunk),
                         campaign.validate,
-                        threads,
                         megabatch,
                     )
                     for gi, chunk in units
@@ -706,7 +695,6 @@ def run_campaign(
                     instances[gi],
                     tuple(chunk),
                     campaign.validate,
-                    threads,
                     megabatch,
                 )
                 for gi, chunk in units
@@ -734,7 +722,6 @@ def run_campaign(
                     prepared,
                     chunk,
                     campaign.validate,
-                    threads,
                     megabatch,
                 )
 

@@ -154,7 +154,7 @@ def run_experiments(
         way (property-tested). The block is unlinked before returning.
     backend:
         engine sweep backend forwarded to every algorithm that declares
-        it (``"auto"``/``"python"``/``"numba"``/``"c"``); with
+        it (``"auto"``/``"python"``/``"c"``); with
         ``workers > 1`` each pool worker selects/compiles its backend
         independently, so parallel campaigns fan out compiled sweeps.
         All backends are bit-identical, so records do not depend on it.

@@ -21,7 +21,7 @@ behind the existing contract with three backends:
 * :class:`ParquetStore` -- the same layout with parquet segments, for
   interop with dataframe tooling. Import-guarded: ``pyarrow`` is an
   optional extra (``pip install '.[columnar]'``) and every other
-  backend works without it, mirroring the numba story.
+  backend works without it.
 
 Crash-safety of the columnar backend (the resume contract of
 :func:`repro.analysis.campaign.run_campaign` must hold verbatim):

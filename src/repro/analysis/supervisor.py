@@ -42,7 +42,7 @@ Backend degradation
 The first worker probes the backend chain at startup
 (:func:`repro.core.engine.probe_backend`): the requested backend is
 health-checked with a real two-node sweep and, on failure, the chain
-degrades c -> numba -> python. The decision is cached on the pool and
+degrades c -> python. The decision is cached on the pool and
 handed to every later spawn (respawns after a crash, extra workers,
 workers of later runs), which therefore skip the probe entirely; each
 worker's backend (with every skipped backend and its reason) is

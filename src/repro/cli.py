@@ -373,7 +373,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             shared_memory=args.shared_memory,
             shard_nodes=args.shard_nodes,
             progress=args.verbose,
-            threads=args.threads,
             megabatch=not args.no_megabatch,
             supervise=supervise,
             retries=args.retries,
@@ -546,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument(
             "--backend",
             default=None,
-            choices=("auto", "python", "numba", "c", "kernel"),
+            choices=("auto", "python", "c", "kernel"),
             help="event-sweep backend for the engine-based schedulers "
             "(default: auto = fastest available; all backends produce "
             "bit-identical schedules)",
@@ -611,14 +610,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="shard the scenario grid of trees with at least this many nodes "
         "across the worker pool",
-    )
-    sp.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker threads of each megabatch kernel call (default: "
-        "REPRO_NUM_THREADS or the usable core count; never affects results)",
     )
     sp.add_argument(
         "--no-megabatch",

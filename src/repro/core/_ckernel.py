@@ -1,36 +1,27 @@
 """C implementation of the event-sweep kernel spec (``backend="c"``).
 
-A line-for-line translation of :func:`repro.core._sweep._event_sweep`
+A line-for-line translation of :func:`repro.core._sweep.batch_sweep`
 into C, compiled on demand with the system toolchain (``cc``/``gcc``/
 ``clang``) into a shared library cached under the user cache directory
 (override with ``REPRO_KERNEL_CACHE``) and loaded via :mod:`ctypes`.
-Like the numba backend it is strictly optional: when no toolchain is
-available (or the compile attempts fail) :func:`available` returns
-False and the engine falls back cleanly.
+It is strictly optional: when no toolchain is available (or the
+compile fails) :func:`available` returns False and the engine falls
+back cleanly.
 
-The build is keyed by a hash of the C source **and the compiler
-flags**, so editing the kernel invalidates the cache automatically,
-an OpenMP build can never collide with a previously cached serial
-``.so`` (the two differ only in flags), and concurrent processes
-converge on the same artifact: the source is written to a unique
-temporary name and atomically renamed, the compile output likewise,
-and a stale-lock-tolerant ``.lock`` guard elects one builder while the
-others wait for the artifact to appear (a crashed builder's lock is
-broken once it goes stale, and a lock wait that times out simply
-compiles redundantly -- ``os.replace`` keeps that correct).
+The library exports one entry point, ``batch_event_sweep``: a serial
+loop over the scenarios of a grid against one tree, every scenario
+swept over the same malloc'd scratch arena (heaps plus a private
+``pending`` copy refilled per scenario). A single engine run is a grid
+of one. ctypes releases the GIL for the duration of the call.
 
-Besides the single-scenario ``event_sweep`` the library exports
-``batch_event_sweep``: the batched kernel spec
-(:func:`repro.core._sweep._batch_sweep`) with an OpenMP-parallel outer
-loop over scenarios. Each worker thread owns one scratch arena (heaps
-plus a private ``pending`` copy refilled per scenario), so any thread
-count produces bit-identical per-scenario results. The library is
-first built with ``-fopenmp``; when the toolchain lacks OpenMP support
-the build falls back to a serial translation of the same loop
-(``REPRO_NO_OPENMP=1`` forces the serial build, which is what the
-no-OpenMP CI leg exercises). :func:`openmp_enabled` reports which
-variant loaded; ctypes releases the GIL for the duration of the call
-either way.
+The build is keyed by a hash of the C source and the compiler flags, so
+editing the kernel invalidates the cache automatically and concurrent
+processes converge on the same artifact: the source is written to a
+unique temporary name and atomically renamed, the compile output
+likewise, and a stale-lock-tolerant ``.lock`` guard elects one builder
+while the others wait for the artifact to appear (a crashed builder's
+lock is broken once it goes stale, and a lock wait that times out
+simply compiles redundantly -- ``os.replace`` keeps that correct).
 
 The C side follows the exact kernel spec of :mod:`repro.core._sweep`
 (same argument order, same status codes, same bit-for-bit equivalence
@@ -50,25 +41,12 @@ import time
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-__all__ = [
-    "available",
-    "unavailable_reason",
-    "openmp_enabled",
-    "kernel",
-    "batch_kernel",
-    "cache_dir",
-]
-
-#: environment variable forcing the serial (no ``-fopenmp``) build
-NO_OPENMP_ENV_VAR = "REPRO_NO_OPENMP"
+__all__ = ["available", "unavailable_reason", "batch_kernel", "cache_dir"]
 
 _SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 /* array-based binary min-heaps; pop order == heapq pop order because
  * all keys are unique (ready entries are a rank permutation, running
@@ -174,11 +152,9 @@ static void pop_run(double *keys, int64_t *nodes, int64_t size,
     *out_v = top_v;
 }
 
-/* The event sweep over caller-provided scratch arenas (sized n, n, n,
- * n and >= p respectively): the batched entry point hands every worker
- * thread one arena reused across its scenarios, the single-scenario
- * wrapper below mallocs a fresh one. */
-static int64_t event_sweep_core(int64_t n, int64_t p,
+/* One event sweep over caller-provided scratch (heaps sized n and a
+ * free-processor stack sized >= p); returns status[0]. */
+static int64_t event_sweep(int64_t n, int64_t p,
                     const int64_t *parent, int64_t *pending,
                     const double *w,
                     const int64_t *rank, const int64_t *byrank,
@@ -307,57 +283,14 @@ static int64_t event_sweep_core(int64_t n, int64_t p,
     return status[0];
 }
 
-int64_t event_sweep(int64_t n, int64_t p,
-                    const int64_t *parent, int64_t *pending,
-                    const double *w,
-                    const int64_t *rank, const int64_t *byrank,
-                    int64_t mode, double cap_eps,
-                    const double *alloc, const double *free_on_end,
-                    const int64_t *sigma,
-                    double *start, double *end_out, int64_t *proc,
-                    int64_t *activation, double *mem_trace,
-                    int64_t *status, double *finals)
-{
-    int64_t *ready = malloc((size_t)n * sizeof(int64_t));
-    double *run_key = malloc((size_t)n * sizeof(double));
-    int64_t *run_node = malloc((size_t)n * sizeof(int64_t));
-    int64_t *skipped = malloc((size_t)n * sizeof(int64_t));
-    int64_t *free_stack = malloc((size_t)p * sizeof(int64_t));
-
-    if (!ready || !run_key || !run_node || !skipped || !free_stack) {
-        status[0] = 4; /* allocation failure */
-        status[1] = -1;
-    } else {
-        event_sweep_core(n, p, parent, pending, w, rank, byrank,
-                         mode, cap_eps, alloc, free_on_end, sigma,
-                         start, end_out, proc, activation, mem_trace,
-                         status, finals,
-                         ready, run_key, run_node, skipped, free_stack);
-    }
-    free(ready);
-    free(run_key);
-    free(run_node);
-    free(skipped);
-    free(free_stack);
-    return status[0];
-}
-
-int64_t openmp_compiled(void)
-{
-#ifdef _OPENMP
-    return 1;
-#else
-    return 0;
-#endif
-}
-
-/* One worker's share of a batched sweep: scenarios [lo, hi) with
- * stride, over one private scratch arena (heaps sized n, a
- * free-processor stack sized max_p, and a pending copy refilled from
- * the read-only pending0 per scenario). Scenarios never share mutable
- * state, so results are bit-identical for any thread count. */
-static int64_t batch_chunk(int64_t n, int64_t max_p,
-                    int64_t lo, int64_t hi, int64_t stride,
+/* The batched kernel spec (see repro.core._sweep.batch_sweep): one
+ * call sweeps every scenario of a grid against the same tree, in
+ * scenario order, over one scratch arena. Scenario s reads rank row
+ * rank_id[s] of the (R x n) ranks/byranks stacks and (when capped,
+ * sigma_id[s] >= 0) sigma row sigma_id[s] of the (K x n) sigmas stack,
+ * and writes row s of the (S x n) output stacks. Returns 1 when the
+ * scratch arena could not be allocated (every status row then says 4). */
+int64_t batch_event_sweep(int64_t n, int64_t nscen, int64_t max_p,
                     const int64_t *parent, const int64_t *pending0,
                     const double *w,
                     const int64_t *ranks, const int64_t *byranks,
@@ -378,26 +311,23 @@ static int64_t batch_chunk(int64_t n, int64_t max_p,
     int64_t *free_stack = malloc((size_t)max_p * sizeof(int64_t));
     int64_t ok = pending && ready && run_key && run_node &&
                  skipped && free_stack;
-    int64_t failed = 0;
     int64_t s;
-    for (s = lo; s < hi; s += stride) {
+    for (s = 0; s < nscen; s++) {
         if (!ok) {
             status[2 * s] = 4; /* allocation failure */
             status[2 * s + 1] = -1;
-            failed = 1;
             continue;
         }
         memcpy(pending, pending0, (size_t)n * sizeof(int64_t));
-        event_sweep_core(n, ps[s], parent, pending, w,
-                         ranks + rank_id[s] * n,
-                         byranks + rank_id[s] * n,
-                         modes[s], cap_eps[s], alloc, free_on_end,
-                         sigma_id[s] >= 0 ? sigmas + sigma_id[s] * n
-                                          : sigmas,
-                         start + s * n, end_out + s * n, proc + s * n,
-                         activation + s * n, mem_trace + s * n,
-                         status + 2 * s, finals + 2 * s,
-                         ready, run_key, run_node, skipped, free_stack);
+        event_sweep(n, ps[s], parent, pending, w,
+                    ranks + rank_id[s] * n,
+                    byranks + rank_id[s] * n,
+                    modes[s], cap_eps[s], alloc, free_on_end,
+                    sigma_id[s] >= 0 ? sigmas + sigma_id[s] * n : sigmas,
+                    start + s * n, end_out + s * n, proc + s * n,
+                    activation + s * n, mem_trace + s * n,
+                    status + 2 * s, finals + 2 * s,
+                    ready, run_key, run_node, skipped, free_stack);
     }
     free(pending);
     free(ready);
@@ -405,66 +335,17 @@ static int64_t batch_chunk(int64_t n, int64_t max_p,
     free(run_node);
     free(skipped);
     free(free_stack);
-    return failed;
-}
-
-/* The batched kernel spec (see repro.core._sweep._batch_sweep): one
- * call sweeps every scenario of a grid against the same tree, the
- * outer loop threaded with OpenMP when compiled in.  Scenario s reads
- * rank row rank_id[s] of the (R x n) ranks/byranks stacks and (when
- * capped, sigma_id[s] >= 0) sigma row sigma_id[s] of the (K x n)
- * sigmas stack, and writes row s of the (S x n) output stacks.
- *
- * threads <= 1 never touches the OpenMP runtime at all -- libgomp is
- * not fork-safe, so a forked worker process (the campaign pool) must
- * be able to batch serially without entering a parallel region. */
-int64_t batch_event_sweep(int64_t n, int64_t nscen, int64_t max_p,
-                    int64_t threads,
-                    const int64_t *parent, const int64_t *pending0,
-                    const double *w,
-                    const int64_t *ranks, const int64_t *byranks,
-                    const int64_t *rank_id,
-                    const int64_t *ps, const int64_t *modes,
-                    const double *cap_eps,
-                    const double *alloc, const double *free_on_end,
-                    const int64_t *sigmas, const int64_t *sigma_id,
-                    double *start, double *end_out, int64_t *proc,
-                    int64_t *activation, double *mem_trace,
-                    int64_t *status, double *finals)
-{
-    int64_t failed = 0;
-#ifdef _OPENMP
-    if (threads > 1) {
-#pragma omp parallel num_threads((int)threads) reduction(|:failed)
-        {
-            /* round-robin chunking: one arena per worker thread */
-            failed |= batch_chunk(n, max_p,
-                                  (int64_t)omp_get_thread_num(), nscen,
-                                  (int64_t)omp_get_num_threads(),
-                                  parent, pending0, w, ranks, byranks,
-                                  rank_id, ps, modes, cap_eps, alloc,
-                                  free_on_end, sigmas, sigma_id,
-                                  start, end_out, proc, activation,
-                                  mem_trace, status, finals);
-        }
-        return failed;
-    }
-#endif
-    (void)threads;
-    return batch_chunk(n, max_p, 0, nscen, 1,
-                       parent, pending0, w, ranks, byranks, rank_id,
-                       ps, modes, cap_eps, alloc, free_on_end,
-                       sigmas, sigma_id, start, end_out, proc,
-                       activation, mem_trace, status, finals);
+    return !ok;
 }
 """
 
 _F64 = ndpointer(dtype=np.float64, flags=("C_CONTIGUOUS",))
 _I64 = ndpointer(dtype=np.int64, flags=("C_CONTIGUOUS",))
 
-#: build cache: None = not attempted, else a tuple whose first two
-#: entries are (single-scenario fn or None, reason); successful builds
-#: append (batch fn, openmp flag). Tests may monkeypatch a 2-tuple.
+#: compiler flags of the one build
+_FLAGS = ["-O3", "-shared", "-fPIC"]
+
+#: build cache: None = not attempted, else ``(batch fn or None, reason)``
 _BUILD: tuple | None = None
 
 
@@ -479,26 +360,15 @@ def cache_dir() -> str:
     return os.path.join(xdg, "repro-trees")
 
 
-def _build_flags() -> list[list[str]]:
-    """Compiler flag sets to attempt, in order of preference.
-
-    The OpenMP build comes first (the batched kernel threads across
-    scenarios); a toolchain without OpenMP support falls back to the
-    serial flag set. ``REPRO_NO_OPENMP=1`` skips the OpenMP attempt
-    entirely (the no-OpenMP CI leg, proving the serial C path).
-    """
-    base = ["-O3", "-shared", "-fPIC"]
-    if os.environ.get(NO_OPENMP_ENV_VAR):
-        return [base]
-    return [base + ["-fopenmp"], base]
-
-
-def _cache_key(flags: list[str]) -> str:
-    """Cache key of one build: kernel source *and* compiler flags, so a
-    serial build can never shadow (or be shadowed by) an OpenMP build
-    of the same source."""
-    payload = _SOURCE + "\n// flags: " + " ".join(flags)
+def _cache_key() -> str:
+    """Cache key of the build: kernel source *and* compiler flags."""
+    payload = _SOURCE + "\n// flags: " + " ".join(_FLAGS)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _lib_path() -> str:
+    """Where the compiled library lives in :func:`cache_dir`."""
+    return os.path.join(cache_dir(), f"event_sweep_{_cache_key()}.so")
 
 
 #: a build lock untouched for this long is considered the residue of a
@@ -538,9 +408,8 @@ def _acquire_build_lock(lock_path: str) -> bool:
     return False
 
 
-def _compile_one(cc: str, flags: list[str], lib_path: str) -> str:
-    """Build ``lib_path`` with one flag set; returns an error string
-    (empty on success).
+def _compile_one(cc: str, lib_path: str) -> str:
+    """Build ``lib_path``; returns an error string (empty on success).
 
     Concurrent-safe: the source and the compiled library are both
     written to unique temporary names and atomically renamed into
@@ -579,7 +448,7 @@ def _compile_one(cc: str, flags: list[str], lib_path: str) -> str:
             fh.write(_SOURCE)
         fd, tmp_lib = tempfile.mkstemp(suffix=".so", dir=directory)
         os.close(fd)
-        cmd = [cc, *flags, "-o", tmp_lib, tmp_src]
+        cmd = [cc, *_FLAGS, "-o", tmp_lib, tmp_src]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             detail = (proc.stderr or proc.stdout).strip().splitlines()
@@ -608,63 +477,25 @@ def _compile_one(cc: str, flags: list[str], lib_path: str) -> str:
 
 
 def _compile() -> tuple:
-    """Build (or reuse) the shared library.
-
-    Returns ``(fn, reason, batch_fn, openmp)`` on success and
-    ``(None, reason)`` on failure.
-    """
+    """Build (or reuse) the shared library; ``(batch fn or None, reason)``."""
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
         return None, "no C compiler (cc/gcc/clang) on PATH"
-    error = ""
-    lib_path = None
-    for flags in _build_flags():
-        candidate = os.path.join(
-            cache_dir(), f"event_sweep_{_cache_key(flags)}.so"
-        )
-        if os.path.exists(candidate):
-            lib_path = candidate
-            break
-        error = _compile_one(cc, flags, candidate)
-        if not error:
-            lib_path = candidate
-            break
-    if lib_path is None:
-        return None, error or "kernel build failed"
+    lib_path = _lib_path()
+    if not os.path.exists(lib_path):
+        error = _compile_one(cc, lib_path)
+        if error:
+            return None, error
     try:
         lib = ctypes.CDLL(lib_path)
     except OSError as exc:  # pragma: no cover - corrupt cache entry
         return None, f"could not load {lib_path}: {exc}"
-    fn = lib.event_sweep
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [
-        ctypes.c_int64,  # n
-        ctypes.c_int64,  # p
-        _I64,  # parent
-        _I64,  # pending (mutated)
-        _F64,  # w
-        _I64,  # rank
-        _I64,  # byrank
-        ctypes.c_int64,  # mode
-        ctypes.c_double,  # cap_eps
-        _F64,  # alloc
-        _F64,  # free_on_end
-        _I64,  # sigma
-        _F64,  # start
-        _F64,  # end_out
-        _I64,  # proc
-        _I64,  # activation
-        _F64,  # mem_trace
-        _I64,  # status
-        _F64,  # finals
-    ]
     batch = lib.batch_event_sweep
     batch.restype = ctypes.c_int64
     batch.argtypes = [
         ctypes.c_int64,  # n
         ctypes.c_int64,  # nscen
         ctypes.c_int64,  # max_p
-        ctypes.c_int64,  # threads
         _I64,  # parent
         _I64,  # pending0 (read-only; copied per scenario in C)
         _F64,  # w
@@ -686,10 +517,7 @@ def _compile() -> tuple:
         _I64,  # status (S x 2)
         _F64,  # finals (S x 2)
     ]
-    probe = lib.openmp_compiled
-    probe.restype = ctypes.c_int64
-    probe.argtypes = []
-    return fn, "", batch, bool(probe())
+    return batch, ""
 
 
 def _ensure_built() -> tuple:
@@ -728,62 +556,6 @@ def unavailable_reason() -> str:
     return _ensure_built()[1]
 
 
-def openmp_enabled() -> bool:
-    """True when the loaded library was compiled with OpenMP (the
-    batched kernel then threads across scenarios; results are
-    bit-identical either way)."""
-    build = _ensure_built()
-    return len(build) > 3 and bool(build[3])
-
-
-def kernel(
-    parent,
-    pending,
-    w,
-    rank,
-    byrank,
-    p,
-    mode,
-    cap_eps,
-    alloc,
-    free_on_end,
-    sigma,
-    start,
-    end_out,
-    proc,
-    activation,
-    mem_trace,
-    status,
-    finals,
-):
-    """Invoke the C kernel with the spec's argument order (see _sweep)."""
-    build = _ensure_built()
-    fn = build[0]
-    if fn is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError(f"C kernel unavailable: {build[1]}")
-    fn(
-        parent.shape[0],
-        p,
-        parent,
-        pending,
-        w,
-        rank,
-        byrank,
-        mode,
-        cap_eps,
-        alloc,
-        free_on_end,
-        sigma,
-        start,
-        end_out,
-        proc,
-        activation,
-        mem_trace,
-        status,
-        finals,
-    )
-
-
 def batch_kernel(
     parent,
     pending0,
@@ -805,24 +577,20 @@ def batch_kernel(
     mem_trace,
     status,
     finals,
-    threads=1,
 ):
-    """Invoke the batched C kernel (argument order of
-    :func:`repro.core._sweep._batch_sweep`, plus ``threads``).
+    """Invoke the C kernel (argument order of
+    :func:`repro.core._sweep.batch_sweep`).
 
-    ``threads`` is the OpenMP team size (ignored by a serial build).
     ctypes releases the GIL for the duration, so the whole grid sweeps
     without re-entering Python.
     """
-    build = _ensure_built()
-    batch = build[2] if len(build) > 2 else None
+    batch, reason = _ensure_built()
     if batch is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError(f"C kernel unavailable: {build[1]}")
+        raise RuntimeError(f"C kernel unavailable: {reason}")
     batch(
         parent.shape[0],
         ps.shape[0],
         int(ps.max()) if ps.shape[0] else 1,
-        max(1, int(threads)),
         parent,
         pending0,
         w,

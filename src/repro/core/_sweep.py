@@ -4,14 +4,11 @@ This module pins down the *kernel spec* shared by every engine backend:
 one function over typed, C-contiguous numpy arrays that executes the
 whole event-driven list-scheduling sweep with **no Python objects in the
 hot loop** -- array-based binary heaps instead of ``heapq``, integer
-node ids instead of tuples. The same source is executed three ways:
+node ids instead of tuples. The same spec is executed two ways:
 
-* ``backend="kernel"`` -- the function below interpreted by CPython
+* ``backend="kernel"`` -- the functions below interpreted by CPython
   (slow; exists so the kernel *logic* is unit-testable even where no
   compiler is available);
-* ``backend="numba"``  -- the function below compiled by
-  ``numba.njit`` (import-guarded: numba is an optional dependency,
-  ``pip install repro-trees[fast]``);
 * ``backend="c"``      -- a line-for-line C translation
   (:mod:`repro.core._ckernel`) built on demand with the system
   toolchain.
@@ -50,8 +47,9 @@ Arrays out:
     (``mem_trace.max()`` is the schedule's peak for capped modes).
 ``status`` (``int64[2]``)
     ``status[0]``: 0 = ok, 1 = memory cap infeasible, 2 = strict-mode
-    rank/activation mismatch, 3 = deadlock (defensive);
-    ``status[1]``: the offending node for codes 1-2.
+    rank/activation mismatch, 3 = deadlock (defensive), 4 = scratch
+    allocation failure (C only); ``status[1]``: the offending node for
+    codes 1-2.
 ``finals`` (``float64[2]``)
     final simulation time (= makespan) and final resident memory.
 
@@ -80,20 +78,16 @@ the node id as tie-break -- so an array-based binary heap reproduces
 
 Batched spec
 ------------
-:func:`_batch_sweep` extends the kernel spec to a whole scenario grid
-over **one tree** in a single call: stacked per-scenario parameters in
-(``ps``/``modes``/``cap_eps`` per scenario, priority ranks and
-activation orders deduplicated into ``(R, n)`` / ``(K, n)`` stacks and
-referenced by ``rank_id`` / ``sigma_id``; ``sigma_id < 0`` means
-uncapped), stacked ``(S, n)`` result arrays out. Every scenario is an
-independent sweep against the same read-only tree columns -- the only
-mutable input, ``pending``, is copied per scenario from the pristine
-``pending0`` -- so the outer loop parallelises trivially:
-``numba.prange`` here, an OpenMP ``parallel for`` in the C translation
-(:mod:`repro.core._ckernel`), and a plain serial loop when interpreted.
-Per-scenario outputs are bit-identical to single calls of
-:func:`_event_sweep` regardless of thread count because no data is
-shared between scenarios.
+:func:`batch_sweep` is the entry point every kernel backend exposes:
+it extends the kernel spec to a whole scenario grid over **one tree**
+in a single call (a single engine run is a grid of one). Stacked
+per-scenario parameters go in (``ps``/``modes``/``cap_eps`` per
+scenario, priority ranks and activation orders deduplicated into
+``(R, n)`` / ``(K, n)`` stacks and referenced by ``rank_id`` /
+``sigma_id``; ``sigma_id < 0`` means uncapped), stacked ``(S, n)``
+result arrays come out. The read-only ``pending0`` child counts are
+copied privately per scenario, so scenarios are fully independent and
+sweep serially, one after another, in scenario order.
 """
 
 from __future__ import annotations
@@ -102,34 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "HAVE_NUMBA",
-    "PY_KERNEL",
-    "JIT_KERNEL",
-    "PY_BATCH",
-    "JIT_BATCH",
-    "SweepResult",
-    "sweep_arrays",
-    "batch_arrays",
-]
-
-try:  # numba is an optional dependency (``pip install repro-trees[fast]``)
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised on the without-numba CI leg
-    HAVE_NUMBA = False
-    prange = range
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        """No-op decorator standing in for ``numba.njit``."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(fn):
-            return fn
-
-        return decorate
+__all__ = ["SweepResult", "batch_arrays", "batch_sweep", "event_sweep"]
 
 
 @dataclass(frozen=True)
@@ -145,24 +112,11 @@ class SweepResult:
     mem: float
 
 
-def sweep_arrays(n: int) -> tuple[np.ndarray, ...]:
-    """Freshly initialised output arrays for one kernel invocation:
-    ``(start, end_out, proc, activation, mem_trace, status, finals)``."""
-    return (
-        np.full(n, -1.0, dtype=np.float64),
-        np.empty(n, dtype=np.float64),
-        np.full(n, -1, dtype=np.int64),
-        np.empty(n, dtype=np.int64),
-        np.empty(n, dtype=np.float64),
-        np.zeros(2, dtype=np.int64),
-        np.zeros(2, dtype=np.float64),
-    )
-
-
 def batch_arrays(nscen: int, n: int) -> tuple[np.ndarray, ...]:
     """Freshly initialised stacked output arrays for one batched kernel
-    invocation over ``nscen`` scenarios: the ``(S, n)`` counterparts of
-    :func:`sweep_arrays` (row ``s`` is scenario ``s``'s output)."""
+    invocation over ``nscen`` scenarios, ``(start, end_out, proc,
+    activation, mem_trace, status, finals)``: row ``s`` of each is
+    scenario ``s``'s output."""
     return (
         np.full((nscen, n), -1.0, dtype=np.float64),
         np.empty((nscen, n), dtype=np.float64),
@@ -266,7 +220,7 @@ def _pop_run(keys, nodes, size):
 # ----------------------------------------------------------------------
 # the event sweep itself
 # ----------------------------------------------------------------------
-def _event_sweep(
+def event_sweep(
     parent,
     pending,
     w,
@@ -401,9 +355,9 @@ def _event_sweep(
 
 
 # ----------------------------------------------------------------------
-# the batched sweep: one call per scenario grid, parallel over scenarios
+# the batched sweep: one call per scenario grid
 # ----------------------------------------------------------------------
-def _batch_sweep(
+def batch_sweep(
     parent,
     pending0,
     w,
@@ -427,17 +381,17 @@ def _batch_sweep(
 ):
     """Sweep every scenario of a grid against one tree (batched spec).
 
-    Scenario ``s`` runs :func:`_event_sweep` with priority rank row
+    Scenario ``s`` runs :func:`event_sweep` with priority rank row
     ``ranks[rank_id[s]]`` (inverse ``byranks[rank_id[s]]``), processor
     count ``ps[s]``, memory mode ``modes[s]`` / ``cap_eps[s]`` and
     activation order ``sigmas[sigma_id[s]]`` (``sigma_id[s] < 0`` =
     uncapped; ``sigmas`` always holds at least one row so the dummy
     empty slice types consistently). ``pending0`` is the pristine child
     counts, copied privately per scenario, so scenarios are fully
-    independent and the loop is safe under ``numba.prange``.
+    independent.
     """
     nscen = ps.shape[0]
-    for s in prange(nscen):
+    for s in range(nscen):
         pending = pending0.copy()
         rid = rank_id[s]
         sid = sigma_id[s]
@@ -445,7 +399,7 @@ def _batch_sweep(
             sigma = sigmas[sid]
         else:
             sigma = sigmas[0][:0]
-        _event_sweep(
+        event_sweep(
             parent,
             pending,
             w,
@@ -466,24 +420,3 @@ def _batch_sweep(
             finals[s],
         )
 
-
-if HAVE_NUMBA:
-    _push_int = njit(cache=True)(_push_int)
-    _pop_int = njit(cache=True)(_pop_int)
-    _push_run = njit(cache=True)(_push_run)
-    _pop_run = njit(cache=True)(_pop_run)
-    _event_sweep = njit(cache=True)(_event_sweep)
-    _batch_sweep = njit(cache=True, parallel=True)(_batch_sweep)
-    #: the compiled kernels (None when numba is absent)
-    JIT_KERNEL = _event_sweep
-    JIT_BATCH = _batch_sweep
-    # ``py_func`` keeps the interpreted spec callable for the "kernel"
-    # backend even when numba is installed (it calls the jitted heap
-    # helpers through their dispatchers, which is fine from CPython).
-    PY_KERNEL = _event_sweep.py_func
-    PY_BATCH = _batch_sweep.py_func
-else:
-    JIT_KERNEL = None
-    JIT_BATCH = None
-    PY_KERNEL = _event_sweep
-    PY_BATCH = _batch_sweep

@@ -23,13 +23,11 @@ Two design points make the engine fast on large trees:
   backend-neutral kernel spec (:mod:`repro.core._sweep`): typed numpy
   arrays in, typed numpy arrays out. ``backend="python"`` runs the
   reference heapq loop below (the CPython floor, ~1.5 us/task);
-  ``backend="numba"`` runs the same kernel compiled by ``numba.njit``
-  (optional dependency, ``pip install repro-trees[fast]``);
-  ``backend="c"`` runs a C translation built on demand with the system
-  toolchain (:mod:`repro.core._ckernel`); ``backend="kernel"`` runs
-  the kernel source interpreted (slow; for testing the kernel logic
-  without a compiler). ``backend="auto"`` (the default) picks the
-  fastest available and falls back cleanly to pure Python. **Every
+  ``backend="c"`` runs a serial C translation built on demand with the
+  system toolchain (:mod:`repro.core._ckernel`); ``backend="kernel"``
+  runs the kernel source interpreted (slow; for testing the kernel
+  logic without a compiler). ``backend="auto"`` (the default) picks C
+  when it builds and falls back cleanly to pure Python. **Every
   backend produces bit-identical schedules** -- pinned by the
   cross-backend golden tests, so perf work can never silently change
   paper results.
@@ -49,8 +47,8 @@ from typing import Callable
 import numpy as np
 
 from . import _sweep
-from ._sweep import SweepResult, batch_arrays, sweep_arrays
-from .prepared import PreparedTree, as_prepared
+from ._sweep import SweepResult, batch_arrays
+from .prepared import PreparedTree, as_prepared, stack_unique
 from .schedule import Schedule
 from .tree import TaskTree, NO_PARENT
 
@@ -74,56 +72,17 @@ __all__ = [
 #: environment variable overriding the default backend selection
 BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
 
-#: environment variable overriding the default batch-sweep thread count
-THREADS_ENV_VAR = "REPRO_NUM_THREADS"
-
 #: accepted values for ``SchedulerEngine(backend=...)``
-BACKENDS = ("auto", "python", "numba", "c", "kernel")
-
-
-# Thread-pool runtimes (libgomp, numba's threading layer) are not
-# fork-safe: a process that entered a parallel region and then forks
-# (the campaign worker pool) must not re-enter one in the child. The
-# pair of flags below tracks exactly that; children of a
-# parallel-tainted parent batch through the bit-identical per-scenario
-# kernel loop instead (see sweep_batch).
-_PARALLEL_USED = False
-_FORK_UNSAFE = False
-
-
-def _note_parallel_used() -> None:
-    global _PARALLEL_USED
-    _PARALLEL_USED = True
-
-
-def _after_fork_in_child() -> None:  # pragma: no cover - exercised via pools
-    global _FORK_UNSAFE
-    if _PARALLEL_USED:
-        _FORK_UNSAFE = True
-
-
-if hasattr(os, "register_at_fork"):  # POSIX
-    os.register_at_fork(after_in_child=_after_fork_in_child)
+BACKENDS = ("auto", "python", "c", "kernel")
 
 
 def default_threads() -> int:
-    """Worker-thread count for batched sweeps.
+    """Threads a batched sweep runs on: always 1.
 
-    Reads ``REPRO_NUM_THREADS`` when set, else the usable core count
-    (CPU affinity aware). Thread count never affects results -- each
-    scenario sweeps independently over private scratch -- so this is a
-    pure throughput knob.
+    Every kernel sweeps its scenarios serially in one thread; worker
+    processes are the parallel unit. Kept so run reports can state it.
     """
-    env = os.environ.get(THREADS_ENV_VAR, "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
+    return 1
 
 
 class MemoryCapError(RuntimeError):
@@ -137,13 +96,10 @@ class BackendUnavailableError(RuntimeError):
 def available_backends() -> tuple[str, ...]:
     """The concrete backends usable in this environment, fastest first.
 
-    ``python`` and ``kernel`` are always present; ``numba`` requires the
-    optional dependency (``pip install repro-trees[fast]``); ``c``
-    requires a working C toolchain (first call compiles the kernel).
+    ``python`` and ``kernel`` are always present; ``c`` requires a
+    working C toolchain (first call compiles the kernel).
     """
     names = []
-    if _sweep.HAVE_NUMBA:
-        names.append("numba")
     from . import _ckernel
 
     if _ckernel.available():
@@ -157,30 +113,19 @@ def resolve_backend(backend: str | None = None) -> str:
     """Resolve a backend request to a concrete backend name.
 
     ``None`` reads the ``REPRO_ENGINE_BACKEND`` environment variable and
-    defaults to ``"auto"``. ``"auto"`` picks the fastest available
-    backend (numba, then the C kernel, then pure Python) and never
-    fails; explicitly requesting an unavailable backend raises
-    :class:`BackendUnavailableError` with the reason and the fix.
+    defaults to ``"auto"``. ``"auto"`` picks the C kernel when it builds,
+    else pure Python, and never fails; explicitly requesting an
+    unavailable backend raises :class:`BackendUnavailableError` with the
+    reason and the fix.
     """
     if backend is None:
         backend = os.environ.get(BACKEND_ENV_VAR, "") or "auto"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend == "auto":
-        if _sweep.HAVE_NUMBA:
-            return "numba"
         from . import _ckernel
 
-        if _ckernel.available():
-            return "c"
-        return "python"
-    if backend == "numba" and not _sweep.HAVE_NUMBA:
-        raise BackendUnavailableError(
-            "backend='numba' requested but numba is not installed; "
-            "install the optional extra (pip install 'repro-trees[fast]' "
-            "or pip install numba), or use backend='auto' to fall back "
-            "to the fastest available backend"
-        )
+        return "c" if _ckernel.available() else "python"
     if backend == "c":
         from . import _ckernel
 
@@ -212,10 +157,10 @@ def probe_backend(
     it *run*": each candidate executes a real two-node sweep, and the
     first one to produce a schedule wins. Candidates are tried in
     degradation order -- the requested backend first, then the
-    remaining concrete backends fastest-first (``numba``, ``c``,
-    ``python``), so an explicit ``backend="c"`` whose compile fails
-    (toolchain missing, or an injected ``compile_failure`` fault)
-    degrades ``c -> numba -> python`` instead of raising.
+    remaining concrete backends fastest-first (``c``, ``python``), so
+    an explicit ``backend="c"`` whose compile fails (toolchain missing,
+    or an injected ``compile_failure`` fault) degrades ``c -> python``
+    instead of raising.
 
     Returns ``(usable backend, skipped)`` where ``skipped`` lists the
     ``(backend, reason)`` pairs that failed the probe -- the supervised
@@ -250,7 +195,7 @@ def probe_backend(
         skipped.append((requested, str(exc)))
         first = None
     chain = ([first] if first is not None else []) + [
-        b for b in ("numba", "c", "python") if b != first
+        b for b in ("c", "python") if b != first
     ]
     probe_tree = TaskTree.from_parents([-1, 0], w=1.0, f=1.0, sizes=0.0)
     rank = np.arange(2, dtype=np.int64)
@@ -381,8 +326,8 @@ class SchedulerEngine:
         raising :class:`MemoryCapError`.
     backend:
         ``"auto"`` (default; also via the ``REPRO_ENGINE_BACKEND``
-        environment variable), ``"python"``, ``"numba"``, ``"c"`` or
-        ``"kernel"`` -- see the module docstring. All backends are
+        environment variable), ``"python"``, ``"c"`` or ``"kernel"`` --
+        see the module docstring. All backends are
         bit-identical; explicitly requesting an unavailable one raises
         :class:`BackendUnavailableError` at construction time.
     """
@@ -469,25 +414,25 @@ class SchedulerEngine:
         """
         if self.backend != "python" and self._kernel_exact:
             self.backend_used = self.backend
-            return self._run_kernel()
+            rows = _kernel_sweep(self.prepared, [self])
+            return self._finish_kernel(*(row[0] for row in rows))
         self.backend_used = "python"
         return self._run_python()
 
     # ------------------------------------------------------------------
-    def _mode_args(self) -> tuple[bool, int, float]:
-        """``(capped, mode code, cap_eps)`` for the kernel spec."""
-        capped = self.cap is not None
-        mode = 0 if not capped else (1 if self.mode == "strict" else 2)
-        cap_eps = (self.cap + 1e-9) if capped else 0.0
-        return capped, mode, cap_eps
+    def _mode_args(self) -> tuple[int, float]:
+        """``(mode code, cap_eps)`` for the kernel spec."""
+        if self.cap is None:
+            return 0, 0.0
+        return (1 if self.mode == "strict" else 2), self.cap + 1e-9
 
     def _finish_kernel(
         self, start, end, proc, activation, mem_trace, status, finals
     ) -> Schedule:
         """Interpret one kernel-spec result row: raise the exact error
         the reference loop would, or record the sweep and return the
-        schedule. Shared by the single-scenario and batched paths, so
-        both produce byte-identical outcomes *and* messages."""
+        schedule. Shared by single runs and :func:`sweep_batch`, so both
+        produce byte-identical outcomes *and* messages."""
         tree = self.tree
         n = tree.n
         capped = self.cap is not None
@@ -528,55 +473,6 @@ class SchedulerEngine:
             next_sigma=n if capped else 0,
         )
         return Schedule(tree, start, proc, self.p)
-
-    def _run_kernel(self) -> Schedule:
-        """Dispatch the sweep to the selected kernel-spec backend."""
-        tree = self.tree
-        n = tree.n
-        parent = tree.parent
-        # Run-invariant typed columns come from the prepared bundle; the
-        # kernels mutate ``pending``, so they lease a scratch slot for
-        # the duration of the sweep (refilled from the pristine counts,
-        # no allocation; exclusive per in-flight sweep, so one shared
-        # PreparedTree is safe under concurrent Python threads).
-        w = tree.w
-        capped, mode, cap_eps = self._mode_args()
-        alloc = self.prepared.alloc
-        free_on_end = self.prepared.free_on_end
-        sigma = self.order if capped else np.empty(0, dtype=np.int64)
-        start, end, proc, activation, mem_trace, status, finals = sweep_arrays(n)
-        with self.prepared.lease_scratch() as pending:
-            args = (
-                parent,
-                pending,
-                w,
-                self.rank,
-                self._byrank,
-                self.p,
-                mode,
-                cap_eps,
-                alloc,
-                free_on_end,
-                sigma,
-                start,
-                end,
-                proc,
-                activation,
-                mem_trace,
-                status,
-                finals,
-            )
-            if self.backend == "numba":
-                _sweep.JIT_KERNEL(*args)
-            elif self.backend == "c":
-                from . import _ckernel
-
-                _ckernel.kernel(*args)
-            else:  # "kernel": the interpreted spec
-                _sweep.PY_KERNEL(*args)
-        return self._finish_kernel(
-            start, end, proc, activation, mem_trace, status, finals
-        )
 
     # ------------------------------------------------------------------
     def _run_python(self) -> Schedule:
@@ -768,13 +664,14 @@ class BatchRun:
     or the exception its unbatched run would have raised (stored, not
     raised, so one infeasible cap cannot discard a whole grid);
     ``engines[i]`` is the fully-run engine (``.sweep``, ``.state``,
-    ``.backend_used`` populated exactly as after ``run()``).
+    ``.backend_used`` populated exactly as after ``run()``). ``threads``
+    is always 1: the kernels are serial.
     """
 
     engines: list[SchedulerEngine]
     outcomes: list[Schedule | Exception]
     backend: str
-    threads: int
+    threads: int = 1
 
     def schedules(self) -> list[Schedule]:
         """All schedules; re-raises the first stored scenario error."""
@@ -784,68 +681,70 @@ class BatchRun:
         return list(self.outcomes)
 
 
-def _batch_via_single(
-    resolved: str, kernel_idx: list[int], engines, prepared, args
-) -> None:
-    """Sweep the stacked batch through the single-scenario kernel.
+def _kernel_sweep(
+    prepared: PreparedTree, engines: list[SchedulerEngine]
+) -> tuple[np.ndarray, ...]:
+    """Sweep kernel-exact engines of one tree and one kernel backend in
+    a single batched kernel call.
 
-    The fork-safe fallback of :func:`sweep_batch`: same stacked inputs,
-    same output rows, one kernel call per scenario -- no thread runtime
-    touched, results bit-identical to the batched call.
+    Stacks the per-scenario parameters (p, memory mode, rank ids, sigma
+    ids) and returns the stacked ``(start, end, proc, activation,
+    mem_trace, status, finals)`` output arrays, row ``j`` belonging to
+    ``engines[j]`` (interpret it with :meth:`SchedulerEngine._finish_kernel`).
     """
-    (
-        parent,
-        pending0,
-        w,
+    n = prepared.tree.n
+    nscen = len(engines)
+    # Deduplicate rank stacks by array identity: scenarios of one grid
+    # typically share a handful of rank permutations (cached on the
+    # prepared bundle), so the stacks stay small. ``byrank`` is paired
+    # through the same id-keyed cache, keeping rows aligned.
+    rank_rows: list[np.ndarray] = []
+    byrank_rows: list[np.ndarray] = []
+    rank_map: dict[int, int] = {}
+    rank_id = np.empty(nscen, dtype=np.int64)
+    ps = np.empty(nscen, dtype=np.int64)
+    modes = np.empty(nscen, dtype=np.int64)
+    cap_eps = np.empty(nscen, dtype=np.float64)
+    for j, e in enumerate(engines):
+        rid = rank_map.get(id(e.rank))
+        if rid is None:
+            rid = len(rank_rows)
+            rank_map[id(e.rank)] = rid
+            rank_rows.append(e.rank)
+            byrank_rows.append(e._byrank)
+        rank_id[j] = rid
+        ps[j] = e.p
+        modes[j], cap_eps[j] = e._mode_args()
+    ranks = np.ascontiguousarray(np.stack(rank_rows))
+    byranks = np.ascontiguousarray(np.stack(byrank_rows))
+    # e.order is None exactly for uncapped scenarios, so stack_unique
+    # assigns them the -1 sentinel (the kernels never read their sigma)
+    # and deduplicates the shared activation orders.
+    sigmas, sigma_id = stack_unique([e.order for e in engines])
+    out = batch_arrays(nscen, n)
+    args = (
+        prepared.tree.parent,
+        prepared.pending0,
+        prepared.tree.w,
         ranks,
         byranks,
         rank_id,
         ps,
         modes,
         cap_eps,
-        alloc,
-        free_on_end,
+        prepared.alloc,
+        prepared.free_on_end,
         sigmas,
         sigma_id,
-        start,
-        end,
-        proc,
-        activation,
-        mem_trace,
-        status,
-        finals,
-    ) = args
-    if resolved == "c":
+        *out,
+    )
+    if engines[0].backend == "c":
         from . import _ckernel
 
-        fn = _ckernel.kernel
-    else:
-        fn = _sweep.JIT_KERNEL
-    empty = sigmas[0][:0]
-    for j in range(ps.shape[0]):
-        sid = int(sigma_id[j])
-        rid = int(rank_id[j])
-        with prepared.lease_scratch() as pending:
-            fn(
-                parent,
-                pending,
-                w,
-                ranks[rid],
-                byranks[rid],
-                int(ps[j]),
-                int(modes[j]),
-                float(cap_eps[j]),
-                alloc,
-                free_on_end,
-                sigmas[sid] if sid >= 0 else empty,
-                start[j],
-                end[j],
-                proc[j],
-                activation[j],
-                mem_trace[j],
-                status[j],
-                finals[j],
-            )
+        _ckernel.batch_kernel(*args)
+    else:  # "kernel": the interpreted spec
+        _sweep.batch_sweep(*args)
+    return out
 
 
 def sweep_batch(
@@ -853,30 +752,22 @@ def sweep_batch(
     scenarios: list[BatchScenario],
     *,
     backend: str | None = None,
-    threads: int | None = None,
 ) -> BatchRun:
     """Sweep a whole scenario grid against one tree in one kernel call.
 
     Stacks the per-scenario parameters (p, memory mode, rank ids, sigma
-    ids) and dispatches a single batched kernel call -- OpenMP-threaded
-    across scenarios in the C backend, ``numba.prange`` in the numba
-    backend, a plain loop over the single-scenario sweep in the
-    python/interpreted backends. Per-scenario results are
+    ids) and dispatches a single batched kernel call that sweeps the
+    scenarios one after another. Per-scenario results are
     **bit-identical** to running each scenario through
-    :class:`SchedulerEngine` individually, for every backend and any
-    thread count: scenarios share only read-only columns and each sweeps
-    over private scratch.
+    :class:`SchedulerEngine` individually, for every backend: scenarios
+    share only read-only columns and each sweeps over private scratch.
 
     Scenarios the kernel contract excludes -- ``backend="python"``, or
     integral weights >= 2**53 where float64 event keys lose exactness --
     fall back to the reference loop *per scenario*; the rest of the grid
     still goes through the compiled megabatch.
-
-    ``threads`` defaults to :func:`default_threads` (``REPRO_NUM_THREADS``
-    or the usable core count).
     """
     prepared = as_prepared(tree)
-    nthreads = default_threads() if threads is None else max(1, int(threads))
     engines = [
         SchedulerEngine(
             prepared,
@@ -903,110 +794,12 @@ def sweep_batch(
             except (MemoryCapError, ValueError, MemoryError) as exc:
                 outcomes[i] = exc
     if kernel_idx:
-        n = prepared.tree.n
-        nscen = len(kernel_idx)
-        # Deduplicate rank stacks by array identity: scenarios of one
-        # grid typically share a handful of rank permutations (cached on
-        # the prepared bundle), so the stacks stay small. ``byrank`` is
-        # paired through the same id-keyed cache, keeping rows aligned.
-        from .prepared import stack_unique
-
-        rank_rows: list[np.ndarray] = []
-        byrank_rows: list[np.ndarray] = []
-        rank_map: dict[int, int] = {}
-        rank_id = np.empty(nscen, dtype=np.int64)
-        ps = np.empty(nscen, dtype=np.int64)
-        modes = np.empty(nscen, dtype=np.int64)
-        cap_eps = np.empty(nscen, dtype=np.float64)
-        for j, i in enumerate(kernel_idx):
-            e = engines[i]
-            rid = rank_map.get(id(e.rank))
-            if rid is None:
-                rid = len(rank_rows)
-                rank_map[id(e.rank)] = rid
-                rank_rows.append(e.rank)
-                byrank_rows.append(e._byrank)
-            rank_id[j] = rid
-            _, mode, eps = e._mode_args()
-            ps[j] = e.p
-            modes[j] = mode
-            cap_eps[j] = eps
-        ranks = np.ascontiguousarray(np.stack(rank_rows))
-        byranks = np.ascontiguousarray(np.stack(byrank_rows))
-        # e.order is None exactly for uncapped scenarios, so stack_unique
-        # assigns them the -1 sentinel (the kernels never read their
-        # sigma) and deduplicates the shared activation orders.
-        sigmas, sigma_id = stack_unique([engines[i].order for i in kernel_idx])
-        start, end, proc, activation, mem_trace, status, finals = batch_arrays(
-            nscen, n
-        )
-        args = (
-            prepared.tree.parent,
-            prepared.pending0,
-            prepared.tree.w,
-            ranks,
-            byranks,
-            rank_id,
-            ps,
-            modes,
-            cap_eps,
-            prepared.alloc,
-            prepared.free_on_end,
-            sigmas,
-            sigma_id,
-            start,
-            end,
-            proc,
-            activation,
-            mem_trace,
-            status,
-            finals,
-        )
-        if _FORK_UNSAFE and resolved in ("numba", "c"):
-            # forked child of a parallel-tainted parent: re-entering the
-            # thread runtime could deadlock, so sweep the stacks through
-            # the single-scenario kernel instead -- same kernel, same
-            # rows, bit-identical results.
-            _batch_via_single(resolved, kernel_idx, engines, prepared, args)
-        elif resolved == "numba":
-            import numba
-
-            # numba threads are a process-global; clamp to the launch
-            # cap, restore afterwards so nested callers are unaffected.
-            old = numba.get_num_threads()
-            numba.set_num_threads(
-                max(1, min(nthreads, numba.config.NUMBA_NUM_THREADS))
-            )
-            try:
-                _sweep.JIT_BATCH(*args)
-            finally:
-                numba.set_num_threads(old)
-            # parallel=True engages the threading layer regardless of
-            # the thread count, so any fork from here on is tainted.
-            _note_parallel_used()
-        elif resolved == "c":
-            from . import _ckernel
-
-            _ckernel.batch_kernel(*args, threads=nthreads)
-            if nthreads > 1 and _ckernel.openmp_enabled():
-                _note_parallel_used()
-        else:  # "kernel": the interpreted spec, serial loop
-            _sweep.PY_BATCH(*args)
+        rows = _kernel_sweep(prepared, [engines[i] for i in kernel_idx])
         for j, i in enumerate(kernel_idx):
             e = engines[i]
             e.backend_used = e.backend
             try:
-                outcomes[i] = e._finish_kernel(
-                    start[j],
-                    end[j],
-                    proc[j],
-                    activation[j],
-                    mem_trace[j],
-                    status[j],
-                    finals[j],
-                )
+                outcomes[i] = e._finish_kernel(*(row[j] for row in rows))
             except (MemoryCapError, ValueError, MemoryError) as exc:
                 outcomes[i] = exc
-    return BatchRun(
-        engines=engines, outcomes=outcomes, backend=resolved, threads=nthreads
-    )
+    return BatchRun(engines=engines, outcomes=outcomes, backend=resolved)

@@ -4,7 +4,7 @@ The paper's experimental story sweeps many schedulers over the *same*
 tree while varying the processor count and the memory cap. Every one of
 those runs derives the identical state from the :class:`TaskTree`:
 
-* the CSR child counts the sweep kernels mutate (``pending``),
+* the CSR child counts the sweep kernels count down (``pending``),
 * the memory columns (``alloc = sizes + f`` acquired at start,
   ``completion_frees`` released at completion),
 * the memory-optimal sequential postorder (ParInnerFirst's leaf order,
@@ -39,8 +39,6 @@ once per worker, sweep many times.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from typing import Callable, Hashable
 
 import numpy as np
@@ -103,24 +101,14 @@ class PreparedTree:
     Notes
     -----
     The cached arrays are read-only and shared by reference across
-    runs; the one mutable piece of state -- the ``pending`` scratch
-    the sweep kernels consume -- is a per-*slot* row refilled from the
-    pristine ``pending0`` column at the start of every run, so runs
-    never observe each other. Single-threaded callers use the default
-    slot 0; a caller driving sweeps from multiple Python threads hands
-    each thread its own slot (one mutation scratch per thread slot, not
-    per tree). The batched kernels (:func:`repro.core.engine.sweep_batch`)
-    never touch the scratch at all -- they copy ``pending0`` into
-    per-worker arenas inside the kernel.
+    runs. The sweep kernels copy the pristine ``pending0`` column into
+    their own scratch inside each call, so runs never observe each
+    other and one bundle is safe to sweep from concurrent threads.
     """
 
     __slots__ = (
         "tree",
         "_pending0",
-        "_pending_scratch",
-        "_scratch_lock",
-        "_scratch_free",
-        "_scratch_next",
         "_alloc",
         "_optimal",
         "_sigma_rank",
@@ -137,17 +125,13 @@ class PreparedTree:
             raise TypeError(f"PreparedTree wraps a TaskTree, got {type(tree).__name__}")
         self.tree = tree
         self._pending0 = None
-        self._pending_scratch = None
-        self._scratch_lock = threading.Lock()
-        self._scratch_free: list[int] = []
-        self._scratch_next = 0
         self._alloc = None
         self._optimal = None
         self._sigma_rank = None
         self._wdepths = None
         self._exactness = None
         self._ranks: dict[Hashable, np.ndarray] = {}
-        self._byranks: dict[int, np.ndarray] = {}
+        self._byranks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._lists: dict[str, list] = {}
 
     # ------------------------------------------------------------------
@@ -161,69 +145,12 @@ class PreparedTree:
     @property
     def pending0(self) -> np.ndarray:
         """Pristine per-node child counts (``np.diff(child_ptr)``),
-        read-only; the sweep kernels mutate a scratch copy."""
+        read-only; the sweep kernels count down a private copy."""
         if self._pending0 is None:
             self._pending0 = _frozen(
                 np.ascontiguousarray(np.diff(self.tree.child_ptr))
             )
         return self._pending0
-
-    def pending_scratch(self, slot: int = 0) -> np.ndarray:
-        """The reusable ``pending`` buffer of mutation slot ``slot``,
-        refilled from :attr:`pending0` (one memcpy instead of a diff +
-        allocation per run). Valid until the next call with the same
-        slot; distinct slots are rows of one matrix and never alias, so
-        each Python thread of a multi-threaded driver can own a slot.
-        """
-        if slot < 0:
-            raise ValueError("slot must be non-negative")
-        cache = self._pending_scratch
-        if cache is None or len(cache) <= slot:
-            with self._scratch_lock:
-                cache = self._pending_scratch
-                if cache is None or len(cache) <= slot:
-                    matrix = np.empty((slot + 1, self.n), dtype=np.int64)
-                    # cache the row views so each slot hands back the same
-                    # buffer object run after run (grown matrices retire the
-                    # old ones, but live views keep their memory valid)
-                    cache = [matrix[i] for i in range(slot + 1)]
-                    self._pending_scratch = cache
-        row = cache[slot]
-        np.copyto(row, self.pending0)
-        return row
-
-    def acquire_scratch_slot(self) -> int:
-        """Claim exclusive ownership of a mutation-scratch slot.
-
-        The slot stays owned until :meth:`release_scratch_slot`; while
-        owned, no other caller is handed the same slot, so concurrent
-        sweeps from multiple Python threads each mutate a private
-        ``pending`` row. Prefer :meth:`lease_scratch`.
-        """
-        with self._scratch_lock:
-            if self._scratch_free:
-                return self._scratch_free.pop()
-            slot = self._scratch_next
-            self._scratch_next += 1
-            return slot
-
-    def release_scratch_slot(self, slot: int) -> None:
-        """Return a slot claimed by :meth:`acquire_scratch_slot`."""
-        with self._scratch_lock:
-            self._scratch_free.append(slot)
-
-    @contextmanager
-    def lease_scratch(self):
-        """Context manager yielding a refilled, exclusively-owned
-        ``pending`` scratch row (one mutation scratch per in-flight
-        sweep: the engine leases one around each kernel call, so a
-        shared :class:`PreparedTree` -- e.g. the scheduling service's
-        process-wide LRU -- is safe to sweep from concurrent threads)."""
-        slot = self.acquire_scratch_slot()
-        try:
-            yield self.pending_scratch(slot)
-        finally:
-            self.release_scratch_slot(slot)
 
     @property
     def alloc(self) -> np.ndarray:
@@ -351,18 +278,24 @@ class PreparedTree:
 
     def _adopt_rank(self, rank: np.ndarray) -> np.ndarray:
         """Register ``rank`` with the byrank cache (inverse permutation
-        computed once, keyed by object identity)."""
+        computed once, keyed by object identity).
+
+        The entry holds ``rank`` itself: two threads racing on a cold
+        cache may each adopt their own array, and the loser must stay
+        alive so that its id is never reused by an unrelated array.
+        """
         if id(rank) not in self._byranks:
             byrank = np.empty(self.tree.n, dtype=np.int64)
             byrank[rank] = np.arange(self.tree.n, dtype=np.int64)
-            self._byranks[id(rank)] = _frozen(byrank)
+            self._byranks[id(rank)] = (rank, _frozen(byrank))
         return rank
 
     def byrank_for(self, rank: np.ndarray) -> np.ndarray | None:
         """Cached inverse permutation of ``rank``, or None when ``rank``
         was not produced by this bundle (the engine then computes its
         own, exactly as before)."""
-        return self._byranks.get(id(rank))
+        entry = self._byranks.get(id(rank))
+        return None if entry is None else entry[1]
 
     # ------------------------------------------------------------------
     # pure-Python backend list caches

@@ -248,7 +248,7 @@ def _populate() -> None:
         )
 
     # The list schedulers all run on the unified engine, whose sweep
-    # backend ("auto"/"python"/"numba"/"c") is a tunable parameter --
+    # backend ("auto"/"python"/"c") is a tunable parameter --
     # declared here so `repro run --backend` and run_experiments can
     # discover which algorithms accept it. Each also registers its
     # megabatch sweep spec, so campaign grids collapse to one batched

@@ -147,8 +147,8 @@ def canonical_spec(spec: Any) -> dict:
     if not procs or any(p < 1 for p in procs):
         _fail("spec.campaign.processor_counts must be positive integers")
     backend = camp.get("backend")
-    if backend is not None and backend not in ("c", "numba", "python"):
-        _fail(f"spec.campaign.backend must be c|numba|python, got {backend!r}")
+    if backend is not None and backend not in ("c", "python"):
+        _fail(f"spec.campaign.backend must be c|python, got {backend!r}")
     validate = bool(camp.get("validate", False))
     canon_campaign = {
         "algorithms": list(algorithms),

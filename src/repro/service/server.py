@@ -6,9 +6,9 @@ Architecture
 :class:`~repro.service.jobs.JobStore` journal, a bounded admission
 queue, one executor thread, a persistent
 :class:`~repro.analysis.supervisor.SupervisorPool` for supervised jobs
-and a process-wide :class:`PreparedLRU` for in-process jobs (each
-sweep leases its own mutation scratch row, so concurrent use of one
-cached tree is safe). HTTP is a thin shell: every route reduces to
+and a process-wide :class:`PreparedLRU` for in-process jobs (a
+prepared tree is immutable, so concurrent use of one cached tree is
+safe). HTTP is a thin shell: every route reduces to
 :func:`dispatch`, which both the stdlib :mod:`http.server` handler and
 the ASGI adapter (:func:`build_asgi`, for ``uvicorn`` via the
 ``serve`` extra) call -- the wire behaviour is identical.
@@ -62,8 +62,8 @@ class PreparedLRU:
     Keyed by the content of the tree's four defining arrays, so equal
     trees posted by different jobs share one preparation (CSR counts,
     optimal traversal, rank permutations). Safe under concurrency: a
-    PreparedTree is immutable apart from its pending scratch, and
-    every sweep leases a private scratch row.
+    PreparedTree is immutable, and every sweep counts down a private
+    copy of its child counts.
     """
 
     def __init__(self, capacity: int = 32) -> None:

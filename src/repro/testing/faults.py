@@ -11,7 +11,7 @@ the runtime consults at well-defined seams:
   timeout sees a wedged worker and kills it).
 * ``compile_failure`` -- :mod:`repro.core._ckernel` reports the C
   backend unavailable, forcing the backend chain to degrade
-  (c -> numba -> python).
+  (c -> python).
 * ``truncate_write`` -- the ``record``-th JSONL checkpoint append of
   this process writes only a prefix of its line and then hard-exits:
   the power-loss shape the resume path must recover from.

@@ -198,7 +198,7 @@ class TestSupervisedEquivalence:
         assert rep.workers == 2
         assert len(rep.backends) >= 1
         for _wid, chosen, _skipped in rep.backends:
-            assert chosen in ("python", "numba", "c", "kernel")
+            assert chosen in ("python", "c", "kernel")
         assert rep.respawns == 0
         assert not rep.retried and not rep.quarantined
         assert "no retries, no quarantines" in rep.summary()

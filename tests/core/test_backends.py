@@ -1,7 +1,7 @@
 """Cross-backend golden equivalence for the event-sweep kernel spec.
 
 The engine now runs its sweep on pluggable backends (pure-Python
-reference, numba-jitted kernel, C kernel, interpreted kernel). The
+reference, C kernel, interpreted kernel). The
 acceptance contract of that refactor is *bit identity*: every backend
 must produce byte-for-byte the same :class:`~repro.core.schedule.Schedule`
 (and the same activation order / peak-memory trace) for every registered
@@ -9,10 +9,9 @@ heuristic and both memory modes -- so perf work can never silently
 change paper results. This suite pins that contract, plus the
 selection/fallback edge cases around optional dependencies.
 
-Which compiled backends exist depends on the environment (numba is an
-optional extra; the C kernel needs a toolchain). The interpreted
-``"kernel"`` backend is always available, so the kernel *logic* is
-covered everywhere; the CI matrix adds the with/without-numba legs.
+Whether the C backend exists depends on the environment (it needs a
+toolchain). The interpreted ``"kernel"`` backend is always available,
+so the kernel *logic* is covered everywhere.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import registry
-from repro.core import _sweep
 from repro.core.engine import (
     BACKENDS,
     BACKEND_ENV_VAR,
@@ -112,26 +110,31 @@ class TestSelection:
         monkeypatch.delenv(BACKEND_ENV_VAR)
         assert resolve_backend(None) == resolve_backend("auto")
 
-    def test_auto_prefers_numba_then_c_then_python(self, monkeypatch):
+    def test_auto_prefers_c_then_python(self, monkeypatch):
         from repro.core import _ckernel
 
-        if _sweep.HAVE_NUMBA:
-            assert resolve_backend("auto") == "numba"
-        monkeypatch.setattr(_sweep, "HAVE_NUMBA", False)
         expected = "c" if _ckernel.available() else "python"
         assert resolve_backend("auto") == expected
         monkeypatch.setattr(_ckernel, "_BUILD", (None, "simulated: no toolchain"))
         assert resolve_backend("auto") == "python"
 
-    @pytest.mark.skipif(_sweep.HAVE_NUMBA, reason="numba is installed here")
-    def test_numba_missing_raises_clear_error(self, star5):
-        with pytest.raises(BackendUnavailableError, match=r"repro-trees\[fast\]"):
+    def test_numba_is_no_longer_a_backend(self, star5):
+        assert "numba" not in BACKENDS
+        with pytest.raises(ValueError, match="unknown backend"):
             SchedulerEngine(star5, 2, np.arange(5), backend="numba")
 
-    @pytest.mark.skipif(not _sweep.HAVE_NUMBA, reason="numba not installed")
-    def test_numba_available_resolves(self):
-        assert resolve_backend("numba") == "numba"
-        assert resolve_backend("auto") == "numba"
+    def test_stale_numba_env_var_fails_loudly(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
+        with pytest.raises(ValueError, match="unknown backend 'numba'"):
+            resolve_backend(None)
+
+    def test_cli_rejects_numba_backend(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--algo", "ParDeepestFirst", "--backend", "numba"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_c_unavailable_raises_with_reason(self, star5, monkeypatch):
         from repro.core import _ckernel
@@ -171,9 +174,9 @@ class TestProbeBackend:
         assert skipped == []
 
     def test_probe_degrades_on_injected_compile_failure(self, monkeypatch):
-        """A broken C toolchain (injected) degrades c -> numba ->
-        python instead of failing the worker, and the skip reasons are
-        recorded for the run report."""
+        """A broken C toolchain (injected) degrades c -> python instead
+        of failing the worker, and the skip reasons are recorded for the
+        run report."""
         from repro.core.engine import probe_backend
         from repro.testing import faults
 
@@ -183,8 +186,7 @@ class TestProbeBackend:
             chosen, skipped = probe_backend("c")
         finally:
             faults.install(None)
-        assert chosen != "c"
-        assert chosen in ("numba", "python")
+        assert chosen == "python"
         reasons = {b: why for b, why in skipped}
         assert "injected compile failure" in reasons["c"]
 

@@ -1,18 +1,15 @@
 """Megabatch sweeps: one kernel call per scenario grid, bit-identical.
 
 The batched entry point (:func:`repro.core.engine.sweep_batch`) stacks
-an (algorithm x p x cap) grid into one kernel call, thread-parallel in
-the compiled backends. Its acceptance contract extends the backend
-golden tests: per-scenario results must be **byte-identical** to the
-unbatched path for every registered heuristic x backend x memory mode,
-independent of the thread count -- including error outcomes (an
-infeasible cap raises the same message at the same slice position) and
-the per-*scenario* integral-weight exactness fallback.
+an (algorithm x p x cap) grid into one serial kernel call. Its
+acceptance contract extends the backend golden tests: per-scenario
+results must be **byte-identical** to the unbatched path for every
+registered heuristic x backend x memory mode -- including error
+outcomes (an infeasible cap raises the same message at the same slice
+position) and the per-*scenario* integral-weight exactness fallback.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -20,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import registry
 from repro.core.engine import (
-    THREADS_ENV_VAR,
     MemoryCapError,
     SchedulerEngine,
     default_threads,
@@ -95,7 +91,7 @@ class TestBitIdentityMatrix:
         prepared = PreparedTree(tree_spread()[tree_index])
         specs, labels = grid(prepared)
         refs = reference_outcomes(prepared, labels)
-        run = sweep_batch(prepared, specs, backend=backend, threads=2)
+        run = sweep_batch(prepared, specs, backend=backend)
         assert run.backend == backend
         assert_outcomes_match(run, refs, labels)
 
@@ -105,7 +101,7 @@ class TestBitIdentityMatrix:
         schedule arrays."""
         prepared = PreparedTree(tree_spread()[4])
         specs, _ = grid(prepared)
-        run = sweep_batch(prepared, specs, backend=BEST_ALT, threads=2)
+        run = sweep_batch(prepared, specs, backend=BEST_ALT)
         for engine, spec, outcome in zip(run.engines, specs, run.outcomes):
             if isinstance(outcome, Exception):
                 continue
@@ -128,22 +124,30 @@ class TestBitIdentityMatrix:
             assert engine.sweep.mem == ref.sweep.mem
 
     def test_threads_do_not_change_results(self):
+        """Grids swept from several Python threads at once against one
+        shared PreparedTree (each kernel call on its own scratch) stay
+        byte-identical to a serial sweep."""
+        from concurrent.futures import ThreadPoolExecutor
+
         prepared = PreparedTree(tree_spread()[2])
-        specs, labels = grid(prepared)
-        baseline = sweep_batch(prepared, specs, backend=BEST_ALT, threads=1)
-        base_bytes = [
-            None if isinstance(o, Exception) else (o.start.tobytes(), o.proc.tobytes())
-            for o in baseline.outcomes
-        ]
-        for threads in (2, 8):
-            run = sweep_batch(prepared, specs, backend=BEST_ALT, threads=threads)
-            got = [
-                None
+        specs, _ = grid(prepared)
+
+        def digest(run) -> list:
+            return [
+                repr(o)
                 if isinstance(o, Exception)
                 else (o.start.tobytes(), o.proc.tobytes())
                 for o in run.outcomes
             ]
-            assert got == base_bytes  # byte-identical for any thread count
+
+        baseline = digest(sweep_batch(prepared, specs, backend=BEST_ALT))
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            runs = list(
+                ex.map(lambda _: sweep_batch(prepared, specs, backend=BEST_ALT), range(8))
+            )
+        for run in runs:
+            assert digest(run) == baseline
+        assert np.array_equal(prepared.pending0, np.diff(prepared.tree.child_ptr))
 
     def test_schedules_raises_the_stored_error(self):
         tree = tree_spread()[4]
@@ -174,7 +178,7 @@ class TestBitIdentityMatrix:
         prepared = PreparedTree(tree)
         specs, labels = grid(prepared)
         refs = reference_outcomes(prepared, labels)
-        run = sweep_batch(prepared, specs, backend=BEST_ALT, threads=3)
+        run = sweep_batch(prepared, specs, backend=BEST_ALT)
         assert_outcomes_match(run, refs, labels)
 
 
@@ -195,7 +199,7 @@ class TestExactnessFallback:
         specs = [
             registry.get("ParDeepestFirst").batch_spec(prepared, p) for p in (1, 2, 3)
         ]
-        run = sweep_batch(prepared, specs, backend=BEST_ALT, threads=2)
+        run = sweep_batch(prepared, specs, backend=BEST_ALT)
         for engine, p in zip(run.engines, (1, 2, 3)):
             assert engine.backend_used == "python"  # fell back, per scenario
         for schedule, p in zip(run.schedules(), (1, 2, 3)):
@@ -230,40 +234,41 @@ class TestStackingHelpers:
         assert ids.tolist() == [-1, -1]
         assert stack[0][:0].shape == (0,)  # the kernels' empty sigma slice
 
-    def test_pending_scratch_slots_never_alias(self, chain5):
-        prepared = PreparedTree(chain5)
-        row0 = prepared.pending_scratch(0)
-        row2 = prepared.pending_scratch(2)
-        row0[:] = -1
-        assert np.array_equal(row2, prepared.pending0)  # distinct buffers
-        assert prepared.pending_scratch(2) is row2  # stable per slot
-        assert np.array_equal(prepared.pending_scratch(0), prepared.pending0)
-
-    def test_pending_scratch_rejects_negative_slot(self, chain5):
-        with pytest.raises(ValueError, match="slot"):
-            PreparedTree(chain5).pending_scratch(-1)
-
 
 # ----------------------------------------------------------------------
-# threading knobs
+# one serial kernel
 # ----------------------------------------------------------------------
-class TestThreads:
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert default_threads() == 3
-        monkeypatch.setenv(THREADS_ENV_VAR, "0")
-        assert default_threads() == 1  # clamped to at least one thread
-        monkeypatch.setenv(THREADS_ENV_VAR, "not-a-number")
-        assert default_threads() >= 1  # falls through to the core count
-        monkeypatch.delenv(THREADS_ENV_VAR)
-        assert default_threads() >= 1
-
-    def test_batchrun_records_resolved_threads(self, star5):
+class TestSerialKernel:
+    def test_batchrun_reports_one_thread(self, star5):
         prepared = PreparedTree(star5)
         spec = registry.get("ParInnerFirst").batch_spec(prepared, 2)
-        run = sweep_batch(prepared, [spec], threads=5)
-        assert run.threads == 5
+        run = sweep_batch(prepared, [spec])
+        assert run.threads == default_threads() == 1
         assert len(run.schedules()) == 1
+
+    def test_empty_grid(self, star5):
+        run = sweep_batch(PreparedTree(star5), [])
+        assert run.engines == [] and run.schedules() == []
+
+    def test_kernel_source_has_one_serial_entry_point(self):
+        import re
+
+        from repro.core import _ckernel
+
+        exported = re.findall(r"^int64_t (\w+)\(", _ckernel._SOURCE, re.MULTILINE)
+        assert exported == ["batch_event_sweep"]
+        assert "#pragma omp" not in _ckernel._SOURCE
+        assert "-fopenmp" not in _ckernel._FLAGS
+
+    def test_kernel_leaves_pending0_untouched(self):
+        """Every kernel run counts down a private copy of the child
+        counts, so the shared read-only column stays pristine."""
+        prepared = PreparedTree(tree_spread()[4])
+        before = prepared.pending0.copy()
+        specs, _ = grid(prepared)
+        sweep_batch(prepared, specs, backend=BEST_ALT)
+        registry.run("ParDeepestFirst", prepared, 3, backend=BEST_ALT)
+        assert np.array_equal(prepared.pending0, before)
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +348,7 @@ class TestCampaignMegabatch:
         from repro.analysis.campaign import run_campaign
 
         instances, campaign = setup
-        batched = run_campaign(instances, campaign, megabatch=True, threads=2)
+        batched = run_campaign(instances, campaign, megabatch=True)
         unbatched = run_campaign(instances, campaign, megabatch=False)
         assert batched == unbatched
 
@@ -352,9 +357,7 @@ class TestCampaignMegabatch:
 
         instances, campaign = setup
         serial = run_campaign(instances, campaign, megabatch=True)
-        pooled = run_campaign(
-            instances, campaign, workers=2, megabatch=True, threads=2
-        )
+        pooled = run_campaign(instances, campaign, workers=2, megabatch=True)
         shm = run_campaign(
             instances, campaign, workers=2, shared_memory=True, megabatch=True
         )
@@ -391,65 +394,49 @@ class TestCampaignMegabatch:
 
 
 # ----------------------------------------------------------------------
-# C build cache keyed by flags + source (satellite: stale-cache hazard)
+# C build cache keyed by flags + source (stale-cache hazard)
 # ----------------------------------------------------------------------
 class TestCompileCacheKeys:
-    def test_cache_key_covers_flags(self):
+    def test_cache_key_names_the_artifact(self):
         from repro.core import _ckernel
 
-        serial = _ckernel._cache_key(["-O3", "-shared", "-fPIC"])
-        openmp = _ckernel._cache_key(["-O3", "-shared", "-fPIC", "-fopenmp"])
-        assert serial != openmp  # an OpenMP .so can never shadow a serial one
-        assert serial == _ckernel._cache_key(["-O3", "-shared", "-fPIC"])
+        key = _ckernel._cache_key()
+        assert key == _ckernel._cache_key()  # deterministic
+        assert _ckernel._lib_path().endswith(f"event_sweep_{key}.so")
 
-    def test_no_openmp_env_var_forces_serial_flags(self, monkeypatch):
+    def test_build_tuple_is_fn_and_reason(self):
+        """The build cache is a ``(batch fn or None, reason)`` pair, the
+        format the test suite monkeypatches to simulate no toolchain."""
         from repro.core import _ckernel
 
-        monkeypatch.delenv(_ckernel.NO_OPENMP_ENV_VAR, raising=False)
-        flag_sets = _ckernel._build_flags()
-        assert any("-fopenmp" in flags for flags in flag_sets)
-        assert flag_sets[-1] == ["-O3", "-shared", "-fPIC"]  # serial fallback
-        monkeypatch.setenv(_ckernel.NO_OPENMP_ENV_VAR, "1")
-        assert _ckernel._build_flags() == [["-O3", "-shared", "-fPIC"]]
+        fn, reason = _ckernel._ensure_built()
+        assert isinstance(reason, str)
+        assert (fn is None) == bool(reason)
 
-    @pytest.mark.skipif("c" not in AVAILABLE_ALT, reason="no C toolchain")
-    def test_serial_rebuild_lands_in_a_distinct_artifact(self, tmp_path, monkeypatch):
-        """REPRO_NO_OPENMP in a fresh cache dir compiles a second .so
-        under the serial flags' digest -- no collision, openmp off."""
-        import subprocess
-        import sys
-
-        code = (
-            "import os\n"
-            "from repro.core import _ckernel\n"
-            "assert _ckernel.available(), _ckernel.unavailable_reason()\n"
-            "assert not _ckernel.openmp_enabled()\n"
-            "libs = [f for f in os.listdir(_ckernel.cache_dir()) if f.endswith('.so')]\n"
-            "key = _ckernel._cache_key(['-O3', '-shared', '-fPIC'])\n"
-            "assert libs == [f'event_sweep_{key}.so'], libs\n"
-            "print('ok')\n"
-        )
-        src = os.path.abspath(
-            os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        )
-        env = dict(os.environ)
-        env["REPRO_NO_OPENMP"] = "1"
-        env["REPRO_KERNEL_CACHE"] = str(tmp_path / "cache")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
-
-    def test_build_tuple_keeps_legacy_indices(self):
-        """Monkeypatching _BUILD with a (None, reason) 2-tuple -- the
-        historical format used across the test suite -- must keep
-        working: fn at [0], reason at [1], batch/openmp length-gated."""
+    def test_cache_key_covers_flags(self, monkeypatch):
+        """A change of compiler flags or of the kernel source moves the
+        artifact, so a stale .so can never shadow a rebuilt one."""
         from repro.core import _ckernel
 
-        build = _ckernel._ensure_built()
-        assert build[0] is None or callable(build[0])
-        assert isinstance(build[1], str)
-        if build[0] is not None:
-            assert len(build) == 4 and callable(build[2])
+        key = _ckernel._cache_key()
+        monkeypatch.setattr(_ckernel, "_FLAGS", [*_ckernel._FLAGS, "-g"])
+        flagged = _ckernel._cache_key()
+        assert flagged != key
+        monkeypatch.setattr(_ckernel, "_SOURCE", _ckernel._SOURCE + "\n")
+        assert _ckernel._cache_key() not in (key, flagged)
+        monkeypatch.undo()
+        assert _ckernel._cache_key() == key
+
+    def test_build_tuple_keeps_legacy_indices(self, monkeypatch):
+        """Monkeypatching _BUILD with a ``(None, reason)`` 2-tuple -- the
+        format used across the test suite -- reads fn at [0] and the
+        reason at [1] everywhere the backend is resolved."""
+        from repro.core import _ckernel
+        from repro.core.engine import BackendUnavailableError, resolve_backend
+
+        monkeypatch.setattr(_ckernel, "_BUILD", (None, "simulated: no toolchain"))
+        assert not _ckernel.available()
+        assert _ckernel.unavailable_reason() == "simulated: no toolchain"
+        assert resolve_backend("auto") == "python"
+        with pytest.raises(BackendUnavailableError, match="simulated: no toolchain"):
+            resolve_backend("c")

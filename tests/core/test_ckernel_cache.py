@@ -51,11 +51,10 @@ class TestBuildLock:
 
     def test_lock_released_after_build(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-        monkeypatch.setenv(_ckernel.NO_OPENMP_ENV_VAR, "1")
-        flags = _ckernel._build_flags()[0]
-        lib = str(tmp_path / f"event_sweep_{_ckernel._cache_key(flags)}.so")
+        lib = _ckernel._lib_path()
+        assert os.path.dirname(lib) == str(tmp_path)
         cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-        assert _ckernel._compile_one(cc, flags, lib) == ""
+        assert _ckernel._compile_one(cc, lib) == ""
         assert os.path.exists(lib)
         assert not os.path.exists(lib + ".lock")
 
@@ -71,7 +70,7 @@ sys.exit(0 if ok else 1)
 
 def _env(cache: str) -> dict:
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
-    env = {**os.environ, "REPRO_KERNEL_CACHE": cache, "REPRO_NO_OPENMP": "1"}
+    env = {**os.environ, "REPRO_KERNEL_CACHE": cache}
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
@@ -109,8 +108,7 @@ class TestConcurrentFirstCompile:
         compile proceeds instead of waiting out the full window."""
         cache = tmp_path / "cache"
         cache.mkdir()
-        flags = ["-O3", "-shared", "-fPIC"]  # the REPRO_NO_OPENMP flag set
-        lock = cache / f"event_sweep_{_ckernel._cache_key(flags)}.so.lock"
+        lock = cache / f"event_sweep_{_ckernel._cache_key()}.so.lock"
         lock.write_text("999999\n")
         past = time.time() - (_ckernel._LOCK_STALE_SECONDS + 10)
         os.utime(lock, (past, past))

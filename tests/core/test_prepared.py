@@ -69,13 +69,6 @@ class TestCaches:
         assert not prepared.pending0.flags.writeable
         assert not prepared.alloc.flags.writeable
 
-    def test_pending_scratch_refills(self, prepared):
-        scratch = prepared.pending_scratch()
-        scratch[:] = -7
-        again = prepared.pending_scratch()
-        assert again is scratch  # reused buffer...
-        assert np.array_equal(again, prepared.pending0)  # ...pristine content
-
     def test_optimal_computed_once(self, tree, prepared):
         res = prepared.optimal()
         assert prepared.optimal() is res
@@ -171,8 +164,8 @@ class TestEngineIntegration:
             assert same_schedule(got, ref)
 
     def test_engine_reuse_across_runs(self, prepared):
-        # repeated runs against one bundle: the pending scratch must be
-        # refilled, so every run sees the pristine counts
+        # repeated runs against one bundle: every run must see the
+        # pristine child counts
         rank = par_deepest_first_rank(prepared)
         first = SchedulerEngine(prepared, 4, rank).run()
         second = SchedulerEngine(prepared, 4, rank).run()
@@ -253,8 +246,9 @@ class TestRegistryIntegration:
 class TestScratchConcurrency:
     def test_concurrent_sweeps_share_one_prepared(self, tree, prepared):
         # many threads run the engine against ONE shared PreparedTree;
-        # each kernel call leases its own scratch row, so every result
-        # must be bit-identical to a serial run on a fresh bundle
+        # each kernel call counts down its own copy of the child counts,
+        # so every result must be bit-identical to a serial run on a
+        # fresh bundle
         from concurrent.futures import ThreadPoolExecutor
 
         grid = [
@@ -274,16 +268,17 @@ class TestScratchConcurrency:
         with ThreadPoolExecutor(max_workers=8) as ex:
             for job, got in ex.map(one, grid * 4):
                 assert same_schedule(got, ref[job])
+        assert np.array_equal(prepared.pending0, np.diff(tree.child_ptr))
 
-        # every leased slot came back: the free list covers all rows
-        assert len(prepared._scratch_free) == prepared._scratch_next
-        assert prepared._scratch_next <= 8
+    def test_adopted_rank_outlives_its_caller(self, prepared):
+        # threads racing on a cold rank cache may each adopt their own
+        # array; the byrank cache is keyed by id, so a dropped loser must
+        # stay alive or a later array at its address gets its inverse
+        import weakref
 
-    def test_lease_scratch_is_exclusive_and_refilled(self, prepared):
-        with prepared.lease_scratch() as a:
-            with prepared.lease_scratch() as b:
-                assert a is not b
-                a[0] = -99
-        with prepared.lease_scratch() as c:
-            # refilled on lease, not polluted by the previous tenant
-            assert c[0] == prepared.pending0[0]
+        rank = np.arange(prepared.n, dtype=np.int64)[::-1].copy()
+        prepared._adopt_rank(rank)
+        alive = weakref.ref(rank)
+        del rank
+        assert alive() is not None
+        assert np.array_equal(prepared.byrank_for(alive())[alive()], np.arange(prepared.n))

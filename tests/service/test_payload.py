@@ -82,6 +82,7 @@ class TestValidation:
              "does not expand"),
             (lambda s: s["campaign"].update(processor_counts=[0]), "positive"),
             (lambda s: s["campaign"].update(backend="fortran"), "backend"),
+            (lambda s: s["campaign"].update(backend="numba"), "c|python"),
             (lambda s: s.update(run={"retries": -1}), "retries"),
             (lambda s: s.update(extra=1), "unknown"),
         ],

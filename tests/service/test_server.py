@@ -144,7 +144,7 @@ class TestLifecycle:
         assert h["ok"] and not h["draining"]
         assert h["prepared_cache"]["capacity"] > 0
         r = harness.client.ready()
-        assert r["ready"] and r["backend"] in ("c", "numba", "python")
+        assert r["ready"] and r["backend"] in ("c", "python")
 
 
 class TestBackpressure:
