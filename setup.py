@@ -24,9 +24,6 @@ setup(
         "networkx",
     ],
     extras_require={
-        # parquet segments for the columnar record store (repro pack
-        # --store parquet); the jsonl and npz backends need nothing
-        "columnar": ["pyarrow"],
         # production event loop for the scheduling service: `repro
         # serve` itself is pure stdlib (http.server); this extra adds
         # uvicorn for running the bundled ASGI app

@@ -13,7 +13,6 @@ from .store import (
     RecordStore,
     JsonlStore,
     ColumnarStore,
-    ParquetStore,
     open_store,
     pack_store,
     merge_stores,
@@ -53,7 +52,6 @@ __all__ = [
     "RecordStore",
     "JsonlStore",
     "ColumnarStore",
-    "ParquetStore",
     "open_store",
     "pack_store",
     "merge_stores",

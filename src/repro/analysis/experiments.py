@@ -7,24 +7,20 @@ Every table and figure of the paper is a pure function of these records,
 implemented in :mod:`repro.analysis.metrics` /
 :mod:`repro.analysis.tables` / :mod:`repro.analysis.figures`.
 
-:func:`run_experiments` is now a thin configuration of the declarative
-campaign runner (:mod:`repro.analysis.campaign`): the scenario grid is
-grouped by tree, each worker builds one
-:class:`~repro.core.prepared.PreparedTree` per tree and runs its whole
-slice of the grid against the shared preparation. Fanning across a
-``multiprocessing`` pool (``workers=N``) dispatches groups in order, so
-the parallel run produces **byte-identical** records to the serial one
-(property-tested). With ``shared_memory=True`` the trees' numpy arrays
-are placed in one ``multiprocessing.shared_memory`` block and workers
-attach zero-copy views instead of unpickling per-tree copies. Records
-can be streamed to JSONL as each tree completes (``stream_to=...``),
-which bounds memory on large campaigns and leaves a resumable on-disk
-trail (see :func:`repro.analysis.campaign.run_campaign` for resuming);
-``save_records`` / ``load_records`` support both the historical JSON
-array format and append-friendly JSON Lines, and both write paths are
-crash-safe: array writes go through a temp file plus atomic rename,
-JSONL appends flush after every record, and ``load_records`` recovers
-from a truncated final line.
+:func:`run_experiments` is a thin configuration of the declarative
+campaign runner (:mod:`repro.analysis.campaign`) for the paper's grid:
+the scenario grid is grouped by tree, and each tree is prepared once
+(one :class:`~repro.core.prepared.PreparedTree`) for its whole slice of
+the grid. ``workers=N`` runs the tree groups on the supervised worker
+pool and produces **byte-identical** records to the in-process run
+(property-tested). Records can be streamed to JSONL as they complete
+(``stream_to=...``), which bounds memory on large campaigns and leaves
+a resumable on-disk trail (see :func:`repro.analysis.campaign.
+run_campaign` for resuming); ``save_records`` / ``load_records``
+support both the historical JSON array format and append-friendly JSON
+Lines, and both write paths are crash-safe: array writes go through a
+temp file plus atomic rename, JSONL appends flush after every record,
+and ``load_records`` recovers from a truncated final line.
 """
 
 from __future__ import annotations
@@ -108,18 +104,13 @@ def run_experiments(
     progress: bool = False,
     workers: int = 1,
     stream_to: str | None = None,
-    chunksize: int = 1,
-    shared_memory: bool = False,
     backend: str | None = None,
-    supervise: bool = False,
-    retries: int = 2,
-    timeout: float | None = None,
 ) -> list[ScenarioRecord]:
     """Run the full cross product of the paper's Section 6 campaign.
 
     A thin configuration of :func:`repro.analysis.campaign.run_campaign`
-    (which adds cap-factor grids, resumable checkpoints and intra-tree
-    sharding on top); kept for the historical call sites and the paper's
+    (the full API: cap-factor grids, resumable checkpoints, retries and
+    timeouts); kept for the historical call sites and the paper's
     default grid.
 
     Parameters
@@ -134,36 +125,18 @@ def run_experiments(
     progress:
         print one line per completed tree.
     workers:
-        size of the ``multiprocessing`` pool; 1 (default) runs in
-        process. Results are identical for any ``workers`` value --
-        trees are dispatched and collected in order, and each worker
-        prepares a tree once for its whole slice of the grid.
+        worker processes; 1 (default) runs in process, more run the
+        tree groups on the supervised pool. Results are identical for
+        any ``workers`` value.
     stream_to:
         optional ``.jsonl`` path; each tree's records are appended as
         soon as they are available (the file is truncated first), with
         a flush after every record so an interrupted campaign leaves at
         most one truncated line behind.
-    chunksize:
-        work units per pool task (larger values amortise IPC on big
-        grids).
-    shared_memory:
-        place every tree's arrays in one
-        ``multiprocessing.shared_memory`` block; workers attach
-        zero-copy views instead of unpickling per-tree copies. Only
-        engaged when ``workers > 1``; results are byte-identical either
-        way (property-tested). The block is unlinked before returning.
     backend:
         engine sweep backend forwarded to every algorithm that declares
-        it (``"auto"``/``"python"``/``"c"``); with
-        ``workers > 1`` each pool worker selects/compiles its backend
-        independently, so parallel campaigns fan out compiled sweeps.
-        All backends are bit-identical, so records do not depend on it.
-    supervise, retries, timeout:
-        run under the fault-tolerant supervised worker pool (crash and
-        hang detection, bounded retries with backoff, quarantine of
-        poison scenarios, per-worker backend degradation); see
-        :func:`repro.analysis.campaign.run_campaign`. The record
-        stream stays byte-identical to the unsupervised modes.
+        it (``"auto"``/``"python"``/``"c"``). All backends are
+        bit-identical, so records do not depend on it.
     """
     from .campaign import Campaign, run_campaign
 
@@ -179,12 +152,7 @@ def run_experiments(
         campaign,
         workers=workers,
         checkpoint=stream_to,
-        shared_memory=shared_memory,
-        chunksize=chunksize,
         progress=progress,
-        supervise=supervise,
-        retries=retries,
-        timeout=timeout,
     )
 
 
@@ -244,7 +212,7 @@ def save_records(
 
 
 def _is_store_dir(path: str) -> bool:
-    """True when ``path`` is a directory record store (columnar/parquet
+    """True when ``path`` is a directory record store (the columnar
     manifest layout; see :mod:`repro.analysis.store`)."""
     return os.path.exists(os.path.join(str(path), "manifest.json"))
 
@@ -282,7 +250,7 @@ def load_records(
     keeps seeing only measured records; pass ``include_failed=True`` to
     get them interleaved at their stream positions.
 
-    Directory record stores (columnar / parquet; see
+    Directory record stores (columnar; see
     :mod:`repro.analysis.store`) load transparently -- any path written
     by a ``--store columnar`` campaign reads back through the same
     function, with identical record streams.

@@ -1,14 +1,28 @@
-"""Supervised campaign execution: a fault-tolerant worker pool.
+"""Supervised campaign execution: the fault-tolerant worker pool.
 
-The plain pool path of :func:`repro.analysis.campaign.run_campaign`
-trusts its workers: a crashed or wedged process hangs the whole
-``pool.imap`` collection loop and loses every record after the last
-flushed chunk. This module replaces that trust with supervision. Each
-worker is a dedicated ``multiprocessing.Process`` with its **own task
-queue** and a shared result queue; the supervisor assigns exactly one
-scenario to a worker at a time, so when a worker dies its in-flight
-casualty is known precisely, and when it wedges past the per-scenario
-timeout it is killed and its scenario re-queued.
+Every multi-process campaign runs here: :func:`repro.analysis.campaign.
+run_campaign` stays in process for ``workers <= 1`` and hands anything
+else to a :class:`SupervisorPool`. Each worker is a dedicated
+``multiprocessing.Process`` with its **own task queue** and its own
+result pipe. The supervisor hands a worker one **work
+unit** at a time -- a tree group of the scenario stream, prepared once
+and swept in one megabatch by the same record generator as the
+in-process path -- and the worker reports every scenario of the unit
+in order. So when a worker dies, the scenario it was on is known
+exactly, and when it wedges past the per-scenario timeout it is killed
+and the unit's unfinished scenarios are re-queued.
+
+Work units
+----------
+A unit is a maximal run of one tree in the stream. Only when fewer
+trees than workers remain is the next tree split into ``workers``
+contiguous units, so a short tail (or a single large tree) still keeps
+every worker busy. After a crash or timeout, the unit's first
+unfinished scenario is charged one attempt, and each of the unit's
+other unfinished scenarios is re-dispatched as a unit of its own,
+without a charge. Attempts, quarantine and the fault plan's
+``(scenario, index, attempt)`` matching therefore stay exact per
+scenario.
 
 Failure policy
 --------------
@@ -30,12 +44,19 @@ Determinism
 -----------
 Schedulers are deterministic and all sweep backends are bit-identical,
 so a scenario's record does not depend on which worker (or which
-attempt) produced it. The supervisor exploits this: results are
-accepted even from workers that were already killed for a timeout, and
-records are emitted strictly in the campaign's scenario-stream order
-through a write cursor -- which is what makes a supervised run's
-checkpoint **byte-identical** to the plain pool's, faults or not
-(property-tested by the chaos suite).
+attempt) produced it. Records are emitted strictly in the campaign's
+scenario-stream order through a write cursor -- which is what makes a
+supervised run's checkpoint **byte-identical** to the in-process one,
+faults or not (property-tested by the chaos suite).
+
+Waiting
+-------
+The supervisor never sleeps: it blocks in
+``multiprocessing.connection.wait`` on every worker's result pipe and
+process sentinel, so a result or a death wakes it at once.
+The wait times out at the earliest worker deadline, retry eligibility
+or ready timeout, and at most after :data:`_ABORT_CHECK` seconds, so an
+``abort`` event set by another thread is seen promptly.
 
 Backend degradation
 -------------------
@@ -66,22 +87,23 @@ once, tear it down.
 
 from __future__ import annotations
 
+import itertools
 import os
 import queue as queue_mod
+import select
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from typing import Any, Callable, Sequence
 
 from repro import registry
 from repro.core.engine import MemoryCapError, probe_backend
 from repro.core.prepared import PreparedTree
-from repro.core.simulator import simulate
-from repro.core.tree import TaskTree
 from repro.testing import faults
 from repro.workloads.dataset import TreeInstance
 
-from .experiments import FailedRecord, ScenarioRecord
+from .experiments import FailedRecord
 
 __all__ = [
     "AttemptLog",
@@ -100,6 +122,10 @@ _DETERMINISTIC = (MemoryCapError, ValueError, TypeError, KeyError)
 #: supervisor declares it stillborn (first startup may compile the C
 #: kernel, so this is generous).
 _READY_TIMEOUT = 300.0
+
+#: longest single wait of the supervisor loop, so that an ``abort``
+#: event set from another thread is noticed within this many seconds.
+_ABORT_CHECK = 0.05
 
 
 class CampaignAborted(RuntimeError):
@@ -142,7 +168,7 @@ class RunReport:
     )  # (worker id, chosen backend, skipped [(backend, reason), ...])
     scenarios: list[ScenarioReport] = field(default_factory=list)
     respawns: int = 0
-    probes: int = 0  # workers that ran a live backend probe this run
+    probes: int = 0  # workers spawned this run that probe the backends
     elapsed: float = 0.0
 
     @property
@@ -185,56 +211,47 @@ class RunReport:
 # worker side
 # ----------------------------------------------------------------------
 def _prepared_for(
-    transport: tuple, gi: int, cache: "OrderedDict[int, tuple]"
-) -> tuple[PreparedTree, str, float]:
-    """The (prepared tree, name, memory lower bound) of group ``gi``,
-    cached per worker (campaign streams are grouped by tree, so a tiny
-    LRU keeps the preparation cost at one per (tree, worker))."""
-    ent = cache.get(gi)
-    if ent is None:
-        if transport[0] == "shm":
-            from .campaign import _shm_attach, _shm_views
-
-            _, shm_name, descriptors = transport
-            d = descriptors[gi]
-            shm = _shm_attach(shm_name)
-            views = _shm_views(shm.buf, d["base"], d["n"])
-            for v in views:  # shared across workers: never writable
-                v.setflags(write=False)
-            prepared = PreparedTree(TaskTree(*views))
-            name = d["name"]
-        else:
-            inst = transport[1][gi]
-            prepared = PreparedTree(inst.tree)
-            name = inst.name
-        ent = (prepared, name, prepared.optimal().peak_memory)
-        cache[gi] = ent
+    inst: TreeInstance, gi: int, cache: "OrderedDict[int, PreparedTree]"
+) -> PreparedTree:
+    """The prepared tree of group ``gi``, cached per worker (a unit is
+    one group, and a split or re-dispatched group comes back in pieces,
+    so a tiny LRU keeps the preparation cost at one per (tree, worker))."""
+    prepared = cache.get(gi)
+    if prepared is None:
+        prepared = PreparedTree(inst.tree)
+        prepared.optimal()  # fail here, not halfway through the unit
+        cache[gi] = prepared
         while len(cache) > 2:
             cache.popitem(last=False)
     else:
         cache.move_to_end(gi)
-    return ent
+    return prepared
+
 
 def _worker_main(
     wid: int,
     task_q,
-    result_q,
+    results,
     backend_request: str | None,
     plan_json: str | None,
     probed: tuple | None,
 ) -> None:
     """Supervised worker: probe (or adopt the pool's cached probe),
-    then run scenarios until the ``None`` sentinel.
+    then run work units until the ``None`` sentinel.
 
-    The task queue interleaves ``("begin", epoch, transport, validate)``
+    The task queue interleaves ``("begin", epoch, validate, timed)``
     control messages -- one per run, resetting the prepared cache --
-    with ``("task", epoch, seq, gi, sc, attempt)`` assignments. Every
-    message is ``put`` *before* the next blocking ``get`` on the task
-    queue, and the supervisor only assigns the next scenario after
-    consuming the previous result -- so an injected crash (which fires
-    before any message of its scenario) can never tear a message of an
-    earlier scenario out of the queue's feeder thread.
+    with ``("task", epoch, gi, instance, seqs, scenarios, attempts)``
+    units. Each scenario of a unit sends ``ok`` or ``err`` (preceded by
+    ``start`` when the run is ``timed``, which arms its deadline), in
+    stream order, each written synchronously to the worker's own pipe:
+    an injected crash (which fires before any message of its scenario)
+    can only land *between* two messages, never tear one.
     """
+    from .campaign import _scenario_records
+
+    put = results.send
+
     faults.install(faults.FaultPlan.from_json(plan_json) if plan_json else None)
     if probed is not None:
         chosen, skipped = probed[0], [tuple(s) for s in probed[1]]
@@ -243,14 +260,13 @@ def _worker_main(
         try:
             chosen, skipped = probe_backend(backend_request)
         except Exception as exc:  # no usable backend at all: abort the run
-            result_q.put(("fatal", wid, f"{type(exc).__name__}: {exc}"))
+            put(("fatal", wid, f"{type(exc).__name__}: {exc}"))
             return
         did_probe = True
-    result_q.put(("ready", wid, chosen, skipped, did_probe))
+    put(("ready", wid, chosen, skipped, did_probe))
     epoch = 0
-    transport: tuple = ("inst", [])
-    validate = False
-    cache: "OrderedDict[int, tuple]" = OrderedDict()
+    validate = timed = False
+    cache: "OrderedDict[int, PreparedTree]" = OrderedDict()
     parent = os.getppid()
     while True:
         try:
@@ -266,46 +282,37 @@ def _worker_main(
         if msg is None:
             return
         if msg[0] == "begin":
-            _, epoch, transport, validate = msg
+            _, epoch, validate, timed = msg
             cache.clear()  # group indices are per-run
             continue
-        _, ep, seq, gi, sc, attempt = msg
-        key = faults.scenario_key(sc.tree, sc.label, sc.p)
-        faults.maybe_crash(key, seq, attempt)
-        result_q.put(("start", wid, ep, seq, attempt))
-        faults.maybe_slow(key, seq, attempt)
-        t0 = time.monotonic()
+        _, ep, gi, inst, seqs, scenarios, attempts = msg
         try:
-            prepared, name, mem_lb = _prepared_for(transport, gi, cache)
-            params = registry.apply_backend(sc.algorithm, dict(sc.params), chosen)
-            schedule = registry.run(sc.algorithm, prepared, sc.p, **params)
-            result = simulate(schedule, validate=validate)
-            record = ScenarioRecord(
-                tree=name,
-                n=prepared.n,
-                p=sc.p,
-                heuristic=sc.label,
-                makespan=result.makespan,
-                memory=result.peak_memory,
-                memory_lb=mem_lb,
-                makespan_lb=prepared.makespan_lower_bound(sc.p),
-            )
-            result_q.put(
-                ("ok", wid, ep, seq, attempt, record, time.monotonic() - t0)
-            )
+            pinned = [
+                replace(sc, params=tuple(
+                    registry.apply_backend(sc.algorithm, dict(sc.params), chosen).items()
+                ))
+                for sc in scenarios
+            ]
+            prepared = _prepared_for(inst, gi, cache)
         except Exception as exc:
-            result_q.put(
-                (
-                    "err",
-                    wid,
-                    ep,
-                    seq,
-                    attempt,
-                    f"{type(exc).__name__}: {exc}",
-                    isinstance(exc, _DETERMINISTIC),
-                    time.monotonic() - t0,
-                )
-            )
+            outs = itertools.repeat(exc)
+        else:
+            outs = _scenario_records(inst.name, prepared, pinned, validate)
+        for seq, sc, attempt in zip(seqs, scenarios, attempts):
+            key = faults.scenario_key(sc.tree, sc.label, sc.p)
+            faults.maybe_crash(key, seq, attempt)
+            if timed:
+                put(("start", wid, ep, seq))
+            faults.maybe_slow(key, seq, attempt)
+            t0 = time.monotonic()
+            out = next(outs)
+            seconds = time.monotonic() - t0
+            if isinstance(out, Exception):
+                detail = f"{type(out).__name__}: {out}"
+                put(("err", wid, ep, seq, attempt, detail,
+                     isinstance(out, _DETERMINISTIC), seconds))
+            else:
+                put(("ok", wid, ep, seq, attempt, out, seconds))
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +325,10 @@ class _Worker:
         "wid",
         "proc",
         "task_q",
+        "results",
         "ready",
-        "busy",
+        "unit",
+        "held",
         "deadline",
         "timed_out",
         "born",
@@ -327,17 +336,33 @@ class _Worker:
         "skipped",
     )
 
-    def __init__(self, wid: int, proc, task_q, now: float) -> None:
+    def __init__(self, wid: int, proc, task_q, results, now: float) -> None:
         self.wid = wid
         self.proc = proc
         self.task_q = task_q
+        self.results = results
         self.ready = False
-        self.busy: int | None = None  # seq currently assigned
+        self.unit: deque[int] = deque()  # seqs handed out, not yet reported
+        self.held: deque[int] = deque()  # last seq of each unit handed out
         self.deadline: float | None = None
-        self.timed_out = False
+        self.timed_out: int | None = None  # the seq it was killed on
         self.born = now
         self.chosen: str | None = None
         self.skipped: list[tuple[str, str]] = []
+
+    def release(self) -> None:
+        """Reap the exited process and close its channels."""
+        self.proc.join()
+        self.results.close()
+        self.task_q.close()
+        self.task_q.cancel_join_thread()
+
+
+def _split(seqs: list[int], parts: int) -> list[list[int]]:
+    """``seqs`` in ``parts`` contiguous near-equal chunks (no empty one)."""
+    parts = min(parts, len(seqs))
+    bounds = [len(seqs) * k // parts for k in range(parts + 1)]
+    return [seqs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class SupervisorPool:
@@ -358,7 +383,6 @@ class SupervisorPool:
         workers: int = 1,
         backend: str | None = None,
         fault_plan: "faults.FaultPlan | None" = None,
-        poll: float = 0.05,
     ) -> None:
         import multiprocessing
 
@@ -369,18 +393,8 @@ class SupervisorPool:
         self._ctx = ctx
         self.workers = max(1, workers)
         self.backend = backend
-        self.poll = poll
         plan = fault_plan if fault_plan is not None else faults.active_plan()
         self._plan_json = plan.to_json() if plan is not None else None
-        # SimpleQueue, deliberately: a regular mp.Queue sends through a
-        # background feeder thread that holds the queue's shared write
-        # lock while flushing -- an injected os._exit in the worker's
-        # main thread can kill the process at the exact instant its
-        # feeder holds that lock, leaking the semaphore and wedging
-        # every later worker's messages (a respawn's "ready" included).
-        # SimpleQueue writes synchronously in the calling thread, and a
-        # single-threaded worker can only crash *between* puts.
-        self._result_q = ctx.SimpleQueue()
         self._pool: list[_Worker] = []
         self._spawned = 0  # lifetime spawn counter (worker ids)
         self._epoch = 0
@@ -410,22 +424,24 @@ class SupervisorPool:
             w.proc.join(timeout=max(0.0, deadline - time.monotonic()))
             if w.proc.is_alive():  # pragma: no cover - stragglers
                 w.proc.kill()
-                w.proc.join()
-            w.task_q.close()
-            w.task_q.cancel_join_thread()
+            w.release()
         self._pool = []
-        self._result_q.close()
 
     def _spawn(self) -> _Worker:
         wid = self._spawned
         self._spawned += 1
         task_q = self._ctx.Queue()
+        # Results go through a pipe of the worker's own, written in its
+        # main thread: no mp.Queue feeder thread and no lock shared with
+        # other workers, so a worker killed mid-message tears only its
+        # own pipe and can never leave a lock held for the others.
+        results, results_w = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
                 wid,
                 task_q,
-                self._result_q,
+                results_w,
                 self.backend,
                 self._plan_json,
                 self._probed,
@@ -433,7 +449,8 @@ class SupervisorPool:
             daemon=True,
         )
         proc.start()
-        return _Worker(wid, proc, task_q, time.monotonic())
+        results_w.close()
+        return _Worker(wid, proc, task_q, results, time.monotonic())
 
     # -- one run --------------------------------------------------------
     def run(
@@ -445,18 +462,21 @@ class SupervisorPool:
         retries: int = 2,
         timeout: float | None = None,
         backoff: float = 0.25,
-        shared_memory: bool = False,
-        emit: Callable[[int, Any], None],
+        emit: Callable[[int, list], None],
         abort=None,
     ) -> RunReport:
         """Run ``tasks`` (a ``(group index, Scenario)`` stream) supervised.
 
-        ``emit(gi, record)`` is called once per scenario **in stream
-        order** with a :class:`ScenarioRecord` or (for quarantined
-        scenarios) a :class:`FailedRecord`. ``abort`` is an optional
-        ``threading.Event``; once set, the run raises
+        ``emit(gi, records)`` receives every scenario's record **in
+        stream order**, a :class:`ScenarioRecord` or (for quarantined
+        scenarios) a :class:`FailedRecord`: each call hands over the
+        settled records of one tree group that a loop turn collected,
+        so a checkpoint pays one append per batch. ``timeout`` is a
+        per-scenario wall-clock budget in seconds (the first scenario
+        of a unit also carries the unit's batched sweep). ``abort`` is
+        an optional ``threading.Event``; once set, the run raises
         :class:`CampaignAborted` at the next loop turn (in-flight
-        workers finish their scenario in the background and the epoch
+        workers finish their unit in the background and the epoch
         filter discards the stale results). Returns the
         :class:`RunReport`. Raises ``RuntimeError`` if no worker can
         find a usable backend or the respawn budget is exhausted.
@@ -468,7 +488,6 @@ class SupervisorPool:
         self._epoch += 1
         epoch = self._epoch
         workers = self.workers
-        poll = self.poll
 
         report = RunReport(workers=workers)
         report.scenarios = [
@@ -482,17 +501,16 @@ class SupervisorPool:
         eligible = [0.0] * n  # monotonic time a retry becomes runnable
         cursor = 0  # next seq to emit
 
-        shm = None
-        if shared_memory and n:
-            from .campaign import _shm_pack
+        # Work units in stream order: (seqs, whole tree group?).
+        pending: list[tuple[list[int], bool]] = []
+        for seq, (gi, _) in enumerate(tasks):
+            if pending and tasks[pending[-1][0][0]][0] == gi:
+                pending[-1][0].append(seq)
+            else:
+                pending.append(([seq], True))
+        groups_left = len(pending)
 
-            need = sorted({gi for gi, _ in tasks})
-            shm, descriptors = _shm_pack([instances[gi] for gi in need])
-            transport: tuple = ("shm", shm.name, dict(zip(need, descriptors)))
-        else:
-            transport = ("inst", list(instances))
-        begin = ("begin", epoch, transport, validate)
-
+        begin = ("begin", epoch, validate, timeout is not None)
         spawned_this_run = 0
         max_spawns = workers + n * (retries + 1) + 8
 
@@ -505,26 +523,22 @@ class SupervisorPool:
                     "can be charged for it"
                 )
             spawned_this_run += 1
+            if self._probed is None:
+                report.probes += 1  # this worker will probe the backends
             w = self._spawn()
             w.task_q.put(begin)
             return w
 
-        def charge(w: _Worker, status: str, detail: str, seconds: float = 0.0) -> None:
-            """Charge the worker's in-flight scenario with a failed attempt."""
-            seq = w.busy
-            w.busy = None
-            w.deadline = None
-            if seq is None or outcome[seq] is not None:
-                return  # a stale casualty: the scenario already has a result
+        def charge(
+            seq: int, wid: int, status: str, detail: str,
+            seconds: float = 0.0, deterministic: bool = False,
+        ) -> None:
+            """Charge ``seq`` one failed attempt: quarantine it, or queue
+            its retry behind the backoff."""
             attempts_used[seq] += 1
             report.scenarios[seq].attempts.append(
-                AttemptLog(attempts_used[seq] - 1, w.wid, status, detail, seconds)
+                AttemptLog(attempts_used[seq] - 1, wid, status, detail, seconds)
             )
-            deterministic = status == "error" and detail.startswith("_det:")
-            if deterministic:
-                detail = detail[len("_det:"):]
-                report.scenarios[seq].attempts[-1].detail = detail
-            now = time.monotonic()
             if deterministic or attempts_used[seq] > retries:
                 gi, sc = tasks[seq]
                 outcome[seq] = FailedRecord(
@@ -537,20 +551,29 @@ class SupervisorPool:
                 )
                 report.scenarios[seq].status = "failed"
             else:
-                eligible[seq] = now + backoff * (2 ** (attempts_used[seq] - 1))
+                eligible[seq] = time.monotonic() + backoff * (2 ** (attempts_used[seq] - 1))
+                requeue([seq])
 
-        result_q = self._result_q
+        def requeue(seqs: list[int]) -> None:
+            """Queue each of ``seqs`` as a one-scenario unit, in stream order."""
+            pending.extend(([s], False) for s in seqs)
+            pending.sort(key=lambda unit: unit[0][0])
+
         pool = self._pool
         try:
             # Re-enlist the survivors of previous runs and top the pool
             # up; every live worker gets this run's "begin" first.
+            for w in pool:
+                if not w.proc.is_alive():
+                    w.release()
             pool = [w for w in pool if w.proc.is_alive()]
             self._pool = pool
             now = time.monotonic()
             for w in pool:
-                w.busy = None
+                w.unit.clear()
+                w.held.clear()
                 w.deadline = None
-                w.timed_out = False
+                w.timed_out = None
                 w.born = now  # a held-over worker is not stillborn
                 w.task_q.put(begin)
                 if w.ready:  # its "ready" was consumed by an earlier run
@@ -558,7 +581,6 @@ class SupervisorPool:
             while len(pool) < min(workers, n):
                 pool.append(spawn())
 
-            next_probe = 0  # lowest seq that might still need dispatching
             while cursor < n:
                 if abort is not None and abort.is_set():
                     raise CampaignAborted(
@@ -566,37 +588,59 @@ class SupervisorPool:
                     )
                 now = time.monotonic()
 
-                # 1. assign runnable scenarios to ready idle workers
-                idle = [w for w in pool if w.ready and w.busy is None]
-                if idle:
-                    in_flight = {w.busy for w in pool if w.busy is not None}
-                    seq = next_probe
-                    for w in idle:
-                        while seq < n and (
-                            outcome[seq] is not None
-                            or seq in in_flight
-                            or eligible[seq] > now
-                        ):
-                            seq += 1
-                        if seq >= n:
+                # 1. hand each ready worker a runnable unit, and a second
+                #    one queued behind it while at least `workers` units
+                #    wait, so no worker idles waiting for this loop
+                for depth in (0, 1):
+                    for w in pool:
+                        if not w.ready or len(w.held) != depth:
+                            continue
+                        if depth and len(pending) < workers:
                             break
-                        gi, sc = tasks[seq]
-                        w.busy = seq
-                        w.deadline = None  # armed on the "start" message
-                        w.timed_out = False
-                        w.task_q.put(("task", epoch, seq, gi, sc, attempts_used[seq]))
-                        in_flight.add(seq)
-                        seq += 1
-                    # advance the probe past the settled prefix only
-                    while next_probe < n and outcome[next_probe] is not None:
-                        next_probe += 1
+                        k = next(
+                            (k for k, (u, _) in enumerate(pending) if eligible[u[0]] <= now),
+                            None,
+                        )
+                        if k is None:
+                            break
+                        seqs, whole = pending.pop(k)
+                        if whole:
+                            groups_left -= 1
+                            if groups_left + 1 < workers:  # fewer trees than workers
+                                seqs, *rest = _split(seqs, workers)
+                                pending[k:k] = [(chunk, False) for chunk in rest]
+                        w.unit.extend(seqs)
+                        w.held.append(seqs[-1])
+                        gi = tasks[seqs[0]][0]
+                        w.task_q.put((
+                            "task", epoch, gi, instances[gi], seqs,
+                            [tasks[s][1] for s in seqs],
+                            [attempts_used[s] for s in seqs],
+                        ))
 
-                # 2. drain the result queue (wait one poll tick, slurp)
+                # 2. block until a message, a worker death or a timer
+                timers = [w.deadline for w in pool if w.deadline is not None]
+                timers += [w.born + _READY_TIMEOUT for w in pool if not w.ready]
+                timers += [eligible[u[0]] for u, _ in pending if eligible[u[0]] > now]
+                wait_s = min([_ABORT_CHECK, *(t - now for t in timers)])
+                ready = wait(
+                    [*(w.results for w in pool), *(w.proc.sentinel for w in pool)],
+                    max(0.0, wait_s),
+                )
+                # Snapshot the dead *before* draining: everything a dead
+                # worker wrote is then already in the pipe, so its
+                # casualty is charged only after its last reports.
+                dead = [w for w in pool if w.proc.sentinel in ready]
                 msgs = []
-                if result_q.empty():
-                    time.sleep(poll)
-                while not result_q.empty():
-                    msgs.append(result_q.get())
+                for w in pool:
+                    if w.results in ready or w in dead:
+                        drain = select.poll()  # far cheaper than Connection.poll
+                        drain.register(w.results, select.POLLIN)
+                        try:
+                            while drain.poll(0):
+                                msgs.append(w.results.recv())
+                        except (EOFError, OSError):
+                            pass  # a dead worker's closed (or torn) pipe
                 by_wid = {w.wid: w for w in pool}
                 for msg in msgs:
                     kind, wid = msg[0], msg[1]
@@ -605,95 +649,81 @@ class SupervisorPool:
                         raise RuntimeError(f"worker {wid}: {msg[2]}")
                     if kind == "ready":
                         _, _, chosen, skipped, did_probe = msg
-                        if did_probe:
-                            report.probes += 1
-                            if self._probed is None:
-                                # later spawns skip the two-node probe
-                                self._probed = (chosen, tuple(map(tuple, skipped)))
+                        if did_probe and self._probed is None:
+                            # later spawns skip the two-node probe
+                            self._probed = (chosen, tuple(map(tuple, skipped)))
                         report.backends.append((wid, chosen, list(skipped)))
                         if w is not None:
                             w.ready = True
                             w.chosen = chosen
                             w.skipped = list(skipped)
                         continue
-                    ep = msg[2]
-                    if ep != epoch:
-                        continue  # stale result from an aborted earlier run
+                    if msg[2] != epoch or w is None or not w.unit or w.unit[0] != msg[3]:
+                        continue  # stale: an aborted earlier run's unit
+                    seq = msg[3]
                     if kind == "start":
-                        _, _, _, seq, attempt = msg
-                        if w is not None and w.busy == seq and timeout is not None:
-                            w.deadline = time.monotonic() + timeout
-                    elif kind == "ok":
-                        _, _, _, seq, attempt, record, seconds = msg
-                        if outcome[seq] is None:  # accept even from killed workers
-                            outcome[seq] = record
-                            attempts_used[seq] = attempt + 1
-                            report.scenarios[seq].attempts.append(
-                                AttemptLog(attempt, wid, "ok", "", seconds)
-                            )
-                        if w is not None and w.busy == seq:
-                            w.busy = None
-                            w.deadline = None
-                    elif kind == "err":
-                        _, _, _, seq, attempt, detail, deterministic, seconds = msg
-                        if w is not None and w.busy == seq:
-                            charge(
-                                w,
-                                "error",
-                                ("_det:" + detail) if deterministic else detail,
-                                seconds,
-                            )
+                        w.deadline = time.monotonic() + timeout
+                        continue
+                    w.unit.popleft()
+                    if seq == w.held[0]:
+                        w.held.popleft()
+                    w.deadline = None  # re-armed by the next "start"
+                    if kind == "ok":
+                        _, _, _, _, attempt, record, seconds = msg
+                        outcome[seq] = record
+                        attempts_used[seq] = attempt + 1
+                        report.scenarios[seq].attempts.append(
+                            AttemptLog(attempt, wid, "ok", "", seconds)
+                        )
+                    else:
+                        _, _, _, _, _, detail, deterministic, seconds = msg
+                        charge(seq, wid, "error", detail, seconds, deterministic)
 
                 # 3. wedged workers: past their per-scenario deadline -> kill
                 now = time.monotonic()
                 for w in pool:
-                    if w.deadline is not None and now > w.deadline and w.proc.is_alive():
-                        w.timed_out = True
+                    if w.deadline is not None and now > w.deadline and w not in dead:
+                        w.timed_out = w.unit[0]
+                        w.deadline = None
                         w.proc.kill()
 
-                # 4. dead workers: charge the in-flight casualty, respawn
-                for i, w in enumerate(pool):
-                    if w.proc.is_alive():
-                        if not w.ready and now - w.born > _READY_TIMEOUT:
-                            raise RuntimeError(
-                                f"worker {w.wid} produced no ready message within "
-                                f"{_READY_TIMEOUT:.0f}s"
-                            )
-                        continue
-                    if w.timed_out:
-                        charge(w, "timeout", f"exceeded {timeout:g}s; worker killed")
-                    else:
-                        code = w.proc.exitcode
-                        charge(w, "crash", f"worker died (exit code {code})")
-                    w.proc.join()
-                    w.task_q.close()
-                    w.task_q.cancel_join_thread()
-                    remaining = sum(1 for o in outcome if o is None)
-                    live = sum(1 for ww in pool if ww.proc.is_alive())
-                    if remaining > 0 and live < min(workers, remaining):
-                        pool[i] = spawn()
+                # 4. dead workers: charge the casualty, re-queue the rest
+                for w in dead:
+                    w.proc.join()  # sets the exit code
+                    if w.unit:
+                        head, *rest = w.unit
+                        if w.timed_out is None:
+                            code = w.proc.exitcode
+                            charge(head, w.wid, "crash", f"worker died (exit code {code})")
+                        elif w.timed_out == head:
+                            charge(head, w.wid, "timeout",
+                                   f"exceeded {timeout:g}s; worker killed")
+                        else:  # its timed-out scenario finished before the kill
+                            rest.insert(0, head)
+                        requeue(rest)
+                    pool.remove(w)
+                    w.release()
+                for w in pool:
+                    if not w.ready and now - w.born > _READY_TIMEOUT:
+                        raise RuntimeError(
+                            f"worker {w.wid} produced no ready message within "
+                            f"{_READY_TIMEOUT:.0f}s"
+                        )
+                if dead:
+                    while len(pool) < min(workers, outcome.count(None)):
+                        pool.append(spawn())
                         report.respawns += 1
-                    else:
-                        pool[i] = _Worker(w.wid, w.proc, w.task_q, now)  # tombstone
 
-                pool = [w for w in pool if w.proc.is_alive()]
-                self._pool = pool
-                if not pool and any(o is None for o in outcome):
-                    pool.append(spawn())
-                    report.respawns += 1
-
-                # 5. advance the write cursor: emit settled prefix in order
+                # 5. advance the write cursor: emit the settled prefix in
+                #    order, one call per tree group it spans
                 while cursor < n and outcome[cursor] is not None:
-                    emit(tasks[cursor][0], outcome[cursor])
-                    cursor += 1
+                    gi, end = tasks[cursor][0], cursor + 1
+                    while end < n and outcome[end] is not None and tasks[end][0] == gi:
+                        end += 1
+                    emit(gi, outcome[cursor:end])
+                    cursor = end
         finally:
             self._pool = pool
-            if shm is not None:
-                # Mappings workers still hold stay valid after unlink
-                # (POSIX); their cached views are dropped at the next
-                # run's "begin" or at pool close.
-                shm.close()
-                shm.unlink()
 
         report.elapsed = time.monotonic() - t_run
         return report
@@ -710,18 +740,14 @@ def run_supervised(
     timeout: float | None = None,
     backoff: float = 0.25,
     fault_plan: "faults.FaultPlan | None" = None,
-    shared_memory: bool = False,
-    emit: Callable[[int, Any], None],
-    poll: float = 0.05,
+    emit: Callable[[int, list], None],
     abort=None,
 ) -> RunReport:
     """One-shot supervised run: build a pool, run once, tear it down.
 
     See :meth:`SupervisorPool.run` for the contract.
     """
-    pool = SupervisorPool(
-        workers=workers, backend=backend, fault_plan=fault_plan, poll=poll
-    )
+    pool = SupervisorPool(workers=workers, backend=backend, fault_plan=fault_plan)
     try:
         return pool.run(
             instances,
@@ -730,7 +756,6 @@ def run_supervised(
             retries=retries,
             timeout=timeout,
             backoff=backoff,
-            shared_memory=shared_memory,
             emit=emit,
             abort=abort,
         )

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from typing import Any, Iterable
 
 from repro.analysis.campaign import Campaign
@@ -105,10 +106,8 @@ def canonical_spec(spec: Any) -> dict:
             _fail(f"duplicate tree name {name!r}")
         seen.add(name)
         try:
-            parent = [int(x) for x in t["parent"]]
-            cols = {
-                key: [float(x) for x in t[key]] for key in ("w", "f", "sizes")
-            }
+            parent = _column(t["parent"], int)
+            cols = {key: _column(t[key], float) for key in ("w", "f", "sizes")}
         except (TypeError, ValueError) as exc:
             _fail(f"spec.trees[{k}]: {exc}")
         n = len(parent)
@@ -230,9 +229,34 @@ def run_config(spec: dict) -> dict:
     return cfg
 
 
+def _column(values, kind: type) -> list:
+    """``values`` as a list of ``kind``. A list that already is one is
+    kept as it is rather than copied (specs are read-only data)."""
+    if type(values) is list and all(type(x) is kind for x in values):
+        return values
+    return [kind(x) for x in values]
+
+
 # ----------------------------------------------------------------------
 # spec builders (client side)
 # ----------------------------------------------------------------------
+
+#: the columns of every live tree inlined so far, as JSON-ready lists,
+#: by ``id(tree)`` (a TaskTree is not hashable): a client sending many
+#: jobs over the same trees then holds one copy of each tree, not one
+#: per job. An entry goes when its tree is garbage-collected.
+_TREE_LISTS: dict[int, dict] = {}
+
+
+def _tree_lists(tree: TaskTree) -> dict:
+    lists = _TREE_LISTS.get(id(tree))
+    if lists is None:
+        lists = {key: getattr(tree, key).tolist() for key in ("parent", "w", "f", "sizes")}
+        _TREE_LISTS[id(tree)] = lists
+        weakref.finalize(tree, _TREE_LISTS.pop, id(tree), None)
+    return lists
+
+
 def spec_from_instances(
     instances: Iterable[TreeInstance],
     *,
@@ -243,18 +267,13 @@ def spec_from_instances(
     validate: bool = False,
     **run: Any,
 ) -> dict:
-    """Inline ``instances`` into a canonical job spec."""
+    """Inline ``instances`` into a canonical job spec.
+
+    Specs built from the same :class:`TaskTree` share its column lists;
+    treat a spec as read-only.
+    """
     spec = {
-        "trees": [
-            {
-                "name": inst.name,
-                "parent": inst.tree.parent.tolist(),
-                "w": inst.tree.w.tolist(),
-                "f": inst.tree.f.tolist(),
-                "sizes": inst.tree.sizes.tolist(),
-            }
-            for inst in instances
-        ],
+        "trees": [{"name": inst.name, **_tree_lists(inst.tree)} for inst in instances],
         "campaign": {
             "algorithms": list(algorithms),
             "processor_counts": list(processor_counts),

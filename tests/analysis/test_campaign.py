@@ -15,6 +15,7 @@ from repro.analysis.campaign import (
     run_campaign,
 )
 from repro.analysis.experiments import (
+    FailedRecord,
     ScenarioRecord,
     load_records,
     run_experiments,
@@ -110,26 +111,48 @@ class TestRunCampaign:
             # strict mode never exceeds the cap
             assert r.memory <= factor * r.memory_lb + 1e-9
 
-    def test_workers_shared_memory_and_sharding_byte_identical(
-        self, instances, campaign, tmp_path
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_split_single_tree_byte_identical(
+        self, instances, campaign, tmp_path, workers
     ):
-        serial = run_campaign(instances, campaign)
-        fanned = run_campaign(instances, campaign, workers=2)
-        shared = run_campaign(
-            instances, campaign, workers=2, shared_memory=True, shard_nodes=1
-        )
-        assert fanned == serial
-        assert shared == serial
-        a, b = str(tmp_path / "serial.json"), str(tmp_path / "shared.json")
+        """One tree, more workers than trees: the group is split into
+        contiguous units across the workers, same records, same bytes."""
+        serial = run_campaign(instances[:1], campaign)
+        split = run_campaign(instances[:1], campaign, workers=workers)
+        assert split == serial
+        a, b = str(tmp_path / "serial.json"), str(tmp_path / "split.json")
         save_records(serial, a)
-        save_records(shared, b)
+        save_records(split, b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_sharding_serial_is_noop(self, instances, campaign):
-        # shard_nodes only engages with workers > 1
-        assert run_campaign(instances, campaign, shard_nodes=1) == run_campaign(
-            instances, campaign
+    def test_one_worker_runs_in_process(self, instances, campaign, monkeypatch):
+        import repro.analysis.supervisor as supervisor_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("workers=1 must not start a worker pool")
+
+        ref = run_campaign(instances, campaign, workers=3)
+        monkeypatch.setattr(supervisor_mod.SupervisorPool, "__init__", boom)
+        assert run_campaign(instances, campaign, workers=1) == ref
+
+    def test_workers_quarantine_infeasible_cap_in_stream_position(self, instances):
+        """workers > 1 is supervised: a deterministic scenario error
+        becomes a FailedRecord at that scenario's stream position."""
+        camp = Campaign(
+            algorithms=("ParDeepestFirst", "MemoryBounded"),
+            processor_counts=(2, 4),
+            cap_factors=(0.05, 2.0),  # 0.05: far below the sequential optimum
         )
+        records = run_campaign(instances, camp, workers=2)
+        expected = [
+            sc.key() for inst in instances for sc in camp.scenarios_for(inst.name)
+        ]
+        assert [(r.tree, r.heuristic, r.p) for r in records] == expected
+        for r in records:
+            infeasible = r.heuristic == "MemoryBounded@cap0.05"
+            assert isinstance(r, FailedRecord) == infeasible
+            if infeasible:
+                assert "MemoryCapError" in r.error and r.attempts == 1
 
     def test_checkpoint_requires_jsonl(self, instances, campaign, tmp_path):
         with pytest.raises(ValueError, match="jsonl"):
@@ -226,7 +249,6 @@ class TestResume:
             checkpoint=part,
             resume=True,
             workers=2,
-            shared_memory=True,
         )
         assert resumed == records
         assert open(part, "rb").read() == blob

@@ -62,34 +62,34 @@ class TestBatchPipeline:
         save_records(fanned, b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_shared_memory_byte_identical(self, instances, tmp_path):
-        """shared_memory=True must reproduce the serial record stream
-        exactly -- same objects, same serialised bytes."""
+    def test_two_workers_paper_dataset_tier(self, tmp_path):
+        """The paper-campaign pipeline end to end: dataset tier trees on
+        two supervised workers, byte-identical to serial."""
+        from repro.workloads.dataset import build_dataset
+
+        instances = build_dataset(scale="tiny")[:6]
         serial = run_experiments(instances, processor_counts=(2, 4))
-        shared = run_experiments(
-            instances, processor_counts=(2, 4), workers=2, shared_memory=True
-        )
-        assert shared == serial
-        a, b = str(tmp_path / "serial.json"), str(tmp_path / "shared.json")
+        fanned = run_experiments(instances, processor_counts=(2, 4), workers=2)
+        assert fanned == serial
+        a, b = str(tmp_path / "serial.json"), str(tmp_path / "fanned.json")
         save_records(serial, a)
-        save_records(shared, b)
+        save_records(fanned, b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_shared_memory_paper_dataset_tier(self, tmp_path):
-        """The paper-campaign pipeline end to end: dataset tier trees
-        through the shared-memory pool, byte-identical to serial."""
+    def test_three_workers_paper_dataset_tier_streamed(self, tmp_path):
+        """Three workers streaming to JSONL: the stream and the returned
+        records both match the serial run."""
         from repro.workloads.dataset import build_dataset
 
         instances = build_dataset(scale="tiny")[:6]
         serial = run_experiments(instances, processor_counts=(2, 8))
-        shared = run_experiments(
+        fanned = run_experiments(
             instances,
             processor_counts=(2, 8),
             workers=3,
-            shared_memory=True,
             stream_to=str(tmp_path / "stream.jsonl"),
         )
-        assert shared == serial
+        assert fanned == serial
         assert load_records(str(tmp_path / "stream.jsonl")) == serial
 
     def test_registry_algorithms_accepted(self, instances):

@@ -35,6 +35,7 @@ from repro.analysis.experiments import (
     load_records,
     save_records,
 )
+import repro.analysis.supervisor as supervisor_mod
 from repro.analysis.supervisor import RunReport
 from repro.testing.faults import (
     CRASH_EXIT,
@@ -175,18 +176,30 @@ class TestSupervisedEquivalence:
         assert got == records
         assert filecmp.cmp(str(ref_path), str(path), shallow=False)
 
-    def test_fault_free_shared_memory_supervised(
-        self, instances, campaign, reference, tmp_path
+    def test_fault_free_single_tree_split(self, instances, campaign, tmp_path):
+        """One tree on three workers: its group is split into three
+        units, and the checkpoint is still the in-process one."""
+        ref = tmp_path / "ref.jsonl"
+        records = run_campaign(instances[:1], campaign, checkpoint=str(ref))
+        path = tmp_path / "split.jsonl"
+        got = run_campaign(instances[:1], campaign, checkpoint=str(path), workers=3)
+        assert got == records
+        assert filecmp.cmp(str(ref), str(path), shallow=False)
+
+    def test_supervisor_never_sleeps(
+        self, instances, campaign, reference, tmp_path, monkeypatch
     ):
+        """The supervisor blocks on the result pipe and the worker
+        sentinels instead of sleeping a poll tick between reads."""
         records, ref_path = reference
-        path = tmp_path / "shm.jsonl"
+
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds}s")
+
+        monkeypatch.setattr(supervisor_mod.time, "sleep", no_sleep)
+        path = tmp_path / "supervised.jsonl"
         got = run_campaign(
-            instances,
-            campaign,
-            checkpoint=str(path),
-            supervise=True,
-            workers=2,
-            shared_memory=True,
+            instances, campaign, checkpoint=str(path), supervise=True, workers=2
         )
         assert got == records
         assert filecmp.cmp(str(ref_path), str(path), shallow=False)
@@ -266,6 +279,40 @@ class TestChaosEquivalence:
             fault_plan=plan,
         )
         assert got == records
+
+
+    def test_crash_mid_unit_charges_only_its_scenario(
+        self, instances, tmp_path, monkeypatch
+    ):
+        """A crash on the 3rd scenario of a 6-scenario tree unit charges
+        that scenario alone; the two before it were already reported and
+        the three after it are re-dispatched without a charge."""
+        camp = Campaign(
+            algorithms=("ParSubtrees", "ParDeepestFirst", "ParInnerFirst"),
+            processor_counts=(2, 4),
+        )
+        ref = tmp_path / "ref.jsonl"
+        run_campaign(instances[:1], camp, checkpoint=str(ref))
+        monkeypatch.setattr(supervisor_mod.time, "sleep", lambda s: 1 / 0)
+        path = tmp_path / "crash.jsonl"
+        reports: list[RunReport] = []
+        run_campaign(
+            instances[:1],
+            camp,
+            checkpoint=str(path),
+            supervise=True,
+            workers=1,
+            backoff=0.02,
+            fault_plan=FaultPlan((Fault(kind="crash", index=2, attempts=(0,)),)),
+            report=reports,
+        )
+        (rep,) = reports
+        assert len(rep.scenarios) == 6
+        trails = [[(a.attempt, a.status) for a in s.attempts] for s in rep.scenarios]
+        assert trails[2] == [(0, "crash"), (1, "ok")]
+        assert trails[:2] + trails[3:] == [[(0, "ok")]] * 5
+        assert rep.respawns == 1
+        assert filecmp.cmp(str(ref), str(path), shallow=False)
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +477,7 @@ from repro.analysis.campaign import Campaign, run_campaign
 from repro.workloads.dataset import TreeInstance
 from repro.workloads.synthetic import random_weighted_tree
 
-def make_grid(sizes=(25, 35, 45), backend=None):
+def make_grid(sizes=(25, 35, 45), backend=None, procs=(2, 4)):
     rng = np.random.default_rng(20130520)
     instances = [
         TreeInstance(name=f"t{k}", tree=random_weighted_tree(n, rng),
@@ -438,7 +485,7 @@ def make_grid(sizes=(25, 35, 45), backend=None):
         for k, n in enumerate(sizes)
     ]
     campaign = Campaign(algorithms=("ParSubtrees", "ParDeepestFirst"),
-                        processor_counts=(2, 4), backend=backend)
+                        processor_counts=procs, backend=backend)
     return instances, campaign
 """
 
@@ -447,10 +494,10 @@ def make_grid(sizes=(25, 35, 45), backend=None):
 _SLOW_SIZES = (2000, 50000, 70000)
 
 
-def _grid(sizes=(25, 35, 45), backend=None):
+def _grid(**kwargs):
     namespace: dict = {}
     exec(_GRID_SRC, namespace)
-    return namespace["make_grid"](sizes=sizes, backend=backend)
+    return namespace["make_grid"](**kwargs)
 
 
 def _wait_for_lines(path, k, proc, deadline=120.0):
@@ -509,28 +556,42 @@ class TestKillResume:
     healed checkpoint must be byte-identical to an undisturbed run."""
 
     MODES = {
-        "megabatch-serial": {"workers": 1},
-        "pooled": {"workers": 2},
-        "shared-memory": {"workers": 2, "shared_memory": True},
+        "megabatch-serial": ({"workers": 1}, {"sizes": _SLOW_SIZES}),
+        "pooled": ({"workers": 2}, {"sizes": _SLOW_SIZES}),
+        # one tree split into two units; p = 4 and 8 give ParSubtrees
+        # the slow tail that keeps the run alive past its first record
+        "single-tree-split": (
+            {"workers": 2},
+            {"sizes": _SLOW_SIZES[-1:], "procs": (2, 4, 8, 16)},
+        ),
     }
 
     @pytest.fixture(scope="class")
-    def slow_reference(self, tmp_path_factory):
-        instances, campaign = _grid(sizes=_SLOW_SIZES, backend="python")
-        path = tmp_path_factory.mktemp("killref") / "ref.jsonl"
-        run_campaign(instances, campaign, checkpoint=str(path))
-        return path
+    def references(self, tmp_path_factory):
+        """The undisturbed checkpoint of each grid, computed once."""
+        cache: dict = {}
+
+        def reference(grid: dict):
+            key = repr(sorted(grid.items()))
+            if key not in cache:
+                instances, campaign = _grid(backend="python", **grid)
+                path = tmp_path_factory.mktemp("killref") / "ref.jsonl"
+                run_campaign(instances, campaign, checkpoint=str(path))
+                cache[key] = path
+            return cache[key]
+
+        return reference
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_sigkill_then_resume_is_byte_identical(
-        self, mode, slow_reference, tmp_path
+        self, mode, references, tmp_path
     ):
-        kwargs = self.MODES[mode]
+        kwargs, grid = self.MODES[mode]
         ck = tmp_path / "ck.jsonl"
         code = (
             _GRID_SRC
             + f"""
-instances, campaign = make_grid(sizes={_SLOW_SIZES!r}, backend="python")
+instances, campaign = make_grid(backend="python", **{grid!r})
 run_campaign(instances, campaign, checkpoint={str(ck)!r}, **{kwargs!r})
 """
         )
@@ -554,9 +615,9 @@ run_campaign(instances, campaign, checkpoint={str(ck)!r}, **{kwargs!r})
             "grid finished before the kill; grow _SLOW_SIZES"
         )
 
-        instances, campaign = _grid(sizes=_SLOW_SIZES, backend="python")
+        instances, campaign = _grid(backend="python", **grid)
         run_campaign(instances, campaign, checkpoint=str(ck), resume=True)
-        assert filecmp.cmp(str(slow_reference), str(ck), shallow=False)
+        assert filecmp.cmp(str(references(grid)), str(ck), shallow=False)
 
 
 def _pythonpath() -> str:

@@ -54,14 +54,6 @@ from repro.testing.faults import CRASH_EXIT, ENV_VAR, Fault, FaultPlan
 from repro.workloads.dataset import TreeInstance
 from repro.workloads.synthetic import random_weighted_tree
 
-try:  # optional extra: the parquet backend is skipped without it
-    import pyarrow  # noqa: F401
-
-    HAVE_PYARROW = True
-except ImportError:
-    HAVE_PYARROW = False
-
-
 def mixed_records() -> list[ScenarioRecord | FailedRecord]:
     """A small stream with FailedRecord rows interleaved mid-stream."""
     return [
@@ -430,26 +422,21 @@ class TestExperimentsDispatch:
 
 
 # ----------------------------------------------------------------------
-# parquet backend (optional extra)
+# the retired parquet backend
 # ----------------------------------------------------------------------
-class TestParquet:
-    @pytest.mark.skipif(not HAVE_PYARROW, reason="pyarrow not installed")
-    def test_round_trip_and_pack_byte_identity(self, tmp_path):
-        records = mixed_records()
-        ref = tmp_path / "ref.jsonl"
-        save_records(records, str(ref), append=True)
-        store = open_store(str(tmp_path / "p.store"), backend="parquet")
-        store.append(records)
-        store.finalize()
-        assert list(store.recover()) == records
-        assert open_store(str(tmp_path / "p.store")).backend == "parquet"
-        out = tmp_path / "packed.jsonl"
-        pack_store(str(tmp_path / "p.store"), str(out))
-        assert filecmp.cmp(str(ref), str(out), shallow=False)
+class TestParquetRetired:
+    def test_parquet_manifest_is_a_clear_error(self, tmp_path):
+        store = ColumnarStore(str(tmp_path / "p.store"))
+        store.reset()
+        manifest = json.load(open(store._manifest_path))
+        manifest["backend"] = "parquet"
+        with open(store._manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match="'parquet'"):
+            open_store(str(tmp_path / "p.store"))
 
-    @pytest.mark.skipif(HAVE_PYARROW, reason="pyarrow installed")
-    def test_missing_pyarrow_is_a_clear_error(self, tmp_path):
-        with pytest.raises(RuntimeError, match="pyarrow"):
+    def test_parquet_is_not_a_backend(self, tmp_path):
+        with pytest.raises(ValueError, match="'parquet'"):
             open_store(str(tmp_path / "p.store"), backend="parquet")
 
 

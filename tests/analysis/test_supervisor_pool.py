@@ -63,8 +63,8 @@ def tasks(instances):
 
 
 def collect(emitted):
-    def emit(gi, record):
-        emitted.append((gi, record))
+    def emit(gi, records):
+        emitted.extend((gi, record) for record in records)
 
     return emit
 
@@ -116,21 +116,25 @@ class TestPersistentPool:
                 pool.run(instances, tasks, emit=collect(got))
                 assert got == ref
 
-    def test_shared_memory_transport_per_run(self, instances, tasks):
+    def test_single_tree_split_across_workers(self, instances, tasks):
+        """One tree and two workers: the group is split into two units.
+        The first unit is held up, so the other worker takes the second."""
+        one = [(gi, sc) for gi, sc in tasks if gi == 0]
         ref: list = []
-        run_supervised(instances, tasks, emit=collect(ref))
-        with SupervisorPool(workers=2) as pool:
-            a: list = []
-            pool.run(instances, tasks, shared_memory=True, emit=collect(a))
-            b: list = []
-            pool.run(instances, tasks, shared_memory=True, emit=collect(b))
-        assert a == ref and b == ref
+        run_supervised(instances, one, emit=collect(ref))
+        plan = FaultPlan((Fault(kind="slow", index=0, seconds=1.0),))
+        with SupervisorPool(workers=2, fault_plan=plan) as pool:
+            got: list = []
+            report = pool.run(instances, one, emit=collect(got))
+        assert got == ref
+        workers = [s.attempts[0].worker for s in report.scenarios]
+        assert workers[0] == workers[1] != workers[2] == workers[3]
 
     def test_closed_pool_rejects_runs(self, instances, tasks):
         pool = SupervisorPool(workers=1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.run(instances, tasks, emit=lambda gi, r: None)
+            pool.run(instances, tasks, emit=lambda gi, rs: None)
         pool.close()  # idempotent
 
 
@@ -142,9 +146,9 @@ class TestAbort:
             stop = threading.Event()
             emitted: list = []
 
-            def emit(gi, record):
-                emitted.append((gi, record))
-                if len(emitted) == 3:
+            def emit(gi, records):
+                emitted.extend((gi, record) for record in records)
+                if len(emitted) >= 3:
                     stop.set()
 
             with pytest.raises(CampaignAborted):

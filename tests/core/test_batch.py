@@ -344,51 +344,66 @@ class TestCampaignMegabatch:
         )
         return instances, campaign
 
+    @staticmethod
+    def reference_records(instances, campaign):
+        """Per-scenario ``registry.run`` + ``simulate`` on the bare tree:
+        no preparation, no batching."""
+        from repro.analysis.experiments import ScenarioRecord
+        from repro.core import memory_lower_bound, simulate
+        from repro.core.bounds import makespan_lower_bound
+
+        out = []
+        for inst in instances:
+            mem_lb = memory_lower_bound(inst.tree)
+            for sc in campaign.scenarios_for(inst.name):
+                schedule = registry.run(sc.algorithm, inst.tree, sc.p, **dict(sc.params))
+                result = simulate(schedule)
+                out.append(ScenarioRecord(
+                    tree=inst.name, n=inst.tree.n, p=sc.p, heuristic=sc.label,
+                    makespan=result.makespan, memory=result.peak_memory,
+                    memory_lb=mem_lb,
+                    makespan_lb=makespan_lower_bound(inst.tree, sc.p),
+                ))
+        return out
+
     def test_megabatch_records_byte_identical(self, setup):
         from repro.analysis.campaign import run_campaign
 
         instances, campaign = setup
-        batched = run_campaign(instances, campaign, megabatch=True)
-        unbatched = run_campaign(instances, campaign, megabatch=False)
-        assert batched == unbatched
+        batched = run_campaign(instances, campaign)
+        assert batched == self.reference_records(instances, campaign)
 
     def test_megabatch_with_worker_pool(self, setup):
         from repro.analysis.campaign import run_campaign
 
         instances, campaign = setup
-        serial = run_campaign(instances, campaign, megabatch=True)
-        pooled = run_campaign(instances, campaign, workers=2, megabatch=True)
-        shm = run_campaign(
-            instances, campaign, workers=2, shared_memory=True, megabatch=True
-        )
-        assert pooled == serial
-        assert shm == serial
+        serial = run_campaign(instances, campaign)
+        assert run_campaign(instances, campaign, workers=2) == serial
+        assert run_campaign(instances, campaign, workers=3) == serial
 
     def test_megabatch_checkpoint_bytes_identical(self, setup, tmp_path):
         from repro.analysis.campaign import run_campaign
+        from repro.analysis.experiments import save_records
 
         instances, campaign = setup
         on = str(tmp_path / "on.jsonl")
-        off = str(tmp_path / "off.jsonl")
-        r1 = run_campaign(instances, campaign, checkpoint=on, megabatch=True)
-        r2 = run_campaign(instances, campaign, checkpoint=off, megabatch=False)
-        assert r1 == r2
-        assert open(on, "rb").read() == open(off, "rb").read()
+        ref = str(tmp_path / "ref.jsonl")
+        run_campaign(instances, campaign, checkpoint=on)
+        save_records(self.reference_records(instances, campaign), ref)
+        assert open(on, "rb").read() == open(ref, "rb").read()
 
     def test_megabatch_resume_is_byte_identical(self, setup, tmp_path):
         from repro.analysis.campaign import run_campaign
 
         instances, campaign = setup
         full = str(tmp_path / "full.jsonl")
-        records = run_campaign(instances, campaign, checkpoint=full, megabatch=True)
+        records = run_campaign(instances, campaign, checkpoint=full)
         blob = open(full, "rb").read()
         part = str(tmp_path / "part.jsonl")
         lines = blob.splitlines()
         with open(part, "wb") as fh:
             fh.write(b"\n".join(lines[:5]) + b"\n")
-        resumed = run_campaign(
-            instances, campaign, checkpoint=part, resume=True, megabatch=True
-        )
+        resumed = run_campaign(instances, campaign, checkpoint=part, resume=True)
         assert resumed == records
         assert open(part, "rb").read() == blob
 

@@ -135,3 +135,30 @@ class TestRoundTrip:
         spec = spec_from_dataset(scale="tiny", limit=1)
         assert canonical_spec(spec) == spec
         assert len(spec["trees"]) == 1
+
+    def test_specs_over_one_tree_share_its_columns(self):
+        """Many jobs over one tree hold one copy of its columns: the
+        lists are built once per live tree and canonicalising an already
+        canonical spec copies nothing."""
+        import gc
+
+        from repro.service import payload
+
+        tree = random_weighted_tree(30, np.random.default_rng(4))
+        specs = [
+            spec_from_instances(
+                [TreeInstance(name=f"job{k}", tree=tree, matrix_name="synthetic",
+                              ordering="none", amalgamation=1)],
+                algorithms=["ParSubtrees"], processor_counts=[2],
+            )
+            for k in range(2)
+        ]
+        a, b = (spec["trees"][0] for spec in specs)
+        for col in ("parent", "w", "f", "sizes"):
+            assert a[col] is b[col]
+            assert a[col] == getattr(tree, col).tolist()
+        assert canonical_spec(specs[0])["trees"][0]["w"] is a["w"]
+        key = id(tree)
+        del tree, specs, a, b
+        gc.collect()
+        assert key not in payload._TREE_LISTS
