@@ -11,8 +11,15 @@ those runs derives the identical state from the :class:`TaskTree`:
   ParDeepestFirst's tie-break, the capped modes' activation order, and
   the memory lower bound of every record),
 * the per-algorithm priority rank permutations (one ``lex_rank`` sweep
-  each -- identical for every ``p`` and every cap), and
-* the pure-Python backend's list conversions of the per-node arrays.
+  each -- identical for every ``p`` and every cap),
+* the pure-Python backend's list conversions of the per-node arrays, and
+* the subtree family's state (ParSubtrees, ParSubtreesOptim,
+  MemoryAwareSubtrees): the subtree work ``W_i``, Algorithm 2's
+  splitting per ``p`` (its ``p``-independent pop sequence computed
+  once), and one descending-tie optimal postorder whose contiguous
+  slices are every subtree's optimal postorder, with every subtree's
+  optimal peak -- in place of extracting each subtree and re-running
+  the traversal on it.
 
 :class:`PreparedTree` computes each of these **once** (lazily, on first
 use) and hands the same typed, read-only buffers to every subsequent
@@ -25,10 +32,10 @@ unprepared path -- pinned by the golden tests in
 
 Every engine entry point (:class:`~repro.core.engine.SchedulerEngine`,
 ``list_schedule``, the list heuristics, ``memory_bounded_schedule``,
-``registry.Algorithm.run``) accepts either a :class:`TaskTree` or a
-:class:`PreparedTree`; :func:`as_prepared` / :func:`tree_of` are the
-two conversion helpers they share. Algorithms that do not understand
-the prepared wrapper (the subtree-splitting family, the sequential
+``registry.Algorithm.run``) and the subtree family accept either a
+:class:`TaskTree` or a :class:`PreparedTree`; :func:`as_prepared` /
+:func:`tree_of` are the two conversion helpers they share. Algorithms
+that do not understand the prepared wrapper (the sequential
 traversals) transparently receive the underlying tree.
 
 A :class:`PreparedTree` is cheap to construct (everything is lazy); it
@@ -98,6 +105,15 @@ class PreparedTree:
         quantity is computed lazily on first use and cached for the
         lifetime of the bundle.
 
+    Caches: the sweep columns (:attr:`pending0`, :attr:`alloc`,
+    :attr:`free_on_end`), the exactness flags, :meth:`optimal` (with its
+    per-subtree peaks), :meth:`sigma_rank`, :meth:`weighted_depths`,
+    the priority ranks of :meth:`rank_for` with their inverses, the
+    reference backend's lists, and for the subtree family
+    :meth:`subtree_work`, :meth:`split` (one plan, one result per
+    ``p``) and the descending-tie optimal postorder behind
+    :meth:`subtree_order` / :meth:`subtree_peak`.
+
     Notes
     -----
     The cached arrays are read-only and shared by reference across
@@ -111,6 +127,7 @@ class PreparedTree:
         "_pending0",
         "_alloc",
         "_optimal",
+        "_peaks",
         "_sigma_rank",
         "_wdepths",
         "_exactness",
@@ -118,6 +135,12 @@ class PreparedTree:
         "_byranks",
         "_lists",
         "_ready_leaf_ranks_cache",
+        "_work",
+        "_subtree_peaks",
+        "_subtree_pos",
+        "_subtree_order",
+        "_split_plan",
+        "_splits",
     )
 
     def __init__(self, tree: TaskTree) -> None:
@@ -127,12 +150,19 @@ class PreparedTree:
         self._pending0 = None
         self._alloc = None
         self._optimal = None
+        self._peaks = None
         self._sigma_rank = None
         self._wdepths = None
         self._exactness = None
         self._ranks: dict[Hashable, np.ndarray] = {}
         self._byranks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._lists: dict[str, list] = {}
+        self._work = None
+        self._subtree_peaks = None
+        self._subtree_pos = None
+        self._subtree_order = None
+        self._split_plan = None
+        self._splits: dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # typed sweep columns (shared read-only across runs)
@@ -207,9 +237,11 @@ class PreparedTree:
         every experiment record.
         """
         if self._optimal is None:
-            from repro.sequential.postorder import optimal_postorder
+            from repro.sequential.postorder import postorder_from_peaks, postorder_peaks
 
-            self._optimal = optimal_postorder(self.tree)
+            # optimal_postorder(tree), keeping its peaks for the subtree family
+            self._peaks = _frozen(postorder_peaks(self.tree))
+            self._optimal = postorder_from_peaks(self.tree, self._peaks)
         return self._optimal
 
     @property
@@ -254,6 +286,76 @@ class PreparedTree:
         if p < 1:
             raise ValueError("p must be positive")
         return max(float(self.tree.w.sum()) / p, float(self.weighted_depths().max()))
+
+    # ------------------------------------------------------------------
+    # subtree family (ParSubtrees, ParSubtreesOptim, MemoryAwareSubtrees)
+    # ------------------------------------------------------------------
+    def subtree_work(self) -> np.ndarray:
+        """Total work ``W_i`` of every subtree (cached, read-only)."""
+        if self._work is None:
+            self._work = _frozen(self.tree.subtree_work())
+        return self._work
+
+    def _subtree_postorder(self) -> None:
+        """The descending-tie optimal postorder (see
+        :func:`~repro.sequential.postorder.postorder_from_peaks`): its
+        peaks and order serve every subtree of the tree.
+
+        Tie order only changes the float summation order of the memory
+        weights; when they are non-negative integers with a total below
+        2**52, every sum is exact and the ascending-tie peaks cached by
+        :meth:`optimal` are reused instead of a second bottom-up pass.
+        """
+        from repro.sequential.postorder import postorder_from_peaks, postorder_peaks
+
+        self.optimal()
+        tree = self.tree
+        mem = np.concatenate((tree.f, tree.sizes))
+        if (
+            np.all(np.floor(mem) == mem)
+            and not np.any(np.signbit(mem))
+            and float(mem.sum()) < 2.0**52
+        ):
+            peaks = self._peaks
+        else:
+            peaks = _frozen(postorder_peaks(tree, descending_ties=True))
+        order = postorder_from_peaks(tree, peaks, descending_ties=True).order
+        pos = np.empty(tree.n, dtype=np.int64)
+        pos[order] = np.arange(tree.n, dtype=np.int64)
+        # the order is what subtree_order() tests, so it is published last
+        self._subtree_peaks = peaks
+        self._subtree_pos = _frozen(pos)
+        self._subtree_order = _frozen(order)
+
+    def subtree_order(self, r: int) -> np.ndarray:
+        """Optimal postorder of the subtree rooted at ``r``, in original
+        node indices: exactly ``nodes[optimal_postorder(sub).order]``
+        for ``sub, nodes = tree.subtree(r)``, served as a read-only
+        slice of one cached global order instead of an extraction."""
+        if self._subtree_order is None:
+            self._subtree_postorder()
+        end = int(self._subtree_pos[r]) + 1
+        return self._subtree_order[end - int(self.tree.subtree_sizes(copy=False)[r]) : end]
+
+    def subtree_peak(self, r: int) -> float:
+        """Optimal postorder peak of the subtree rooted at ``r`` (equal to
+        ``optimal_postorder(tree.subtree(r)[0]).peak_memory``)."""
+        if self._subtree_peaks is None:
+            self._subtree_postorder()
+        return float(self._subtree_peaks[r])
+
+    def split(self, p: int):
+        """Algorithm 2's minimum-cost splitting for ``p`` processors
+        (:class:`~repro.parallel.split_subtrees.SplitResult`), cached per
+        ``p``; the ``p``-independent pop sequence is computed once."""
+        res = self._splits.get(p)
+        if res is None:
+            from repro.parallel.split_subtrees import SplitPlan
+
+            if self._split_plan is None:
+                self._split_plan = SplitPlan(self.tree, self.subtree_work())
+            res = self._splits[p] = self._split_plan.split(p)
+        return res
 
     # ------------------------------------------------------------------
     # per-algorithm priority-rank cache

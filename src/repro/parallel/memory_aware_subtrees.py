@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.prepared import PreparedTree, as_prepared
 from repro.core.schedule import Schedule
 from repro.core.simulator import peak_memory
 from repro.core.tree import TaskTree
@@ -27,53 +28,54 @@ from .memory_bounded import MemoryCapError
 from .par_subtrees import (
     SequentialOrder,
     _default_order,
+    _orders,
     _pack_schedule,
     _restricted_order,
 )
-from .split_subtrees import split_subtrees
 
 __all__ = ["par_subtrees_memory_aware", "predicted_parallel_memory"]
 
 
-def predicted_parallel_memory(tree: TaskTree, roots: list[int], q: int) -> float:
+def predicted_parallel_memory(
+    tree: TaskTree | PreparedTree, roots: list[int], q: int
+) -> float:
     """Optimistic phase-1 peak predictor for ``q``-way concurrency.
 
     The ``q`` concurrently active subtrees need at least the sum of the
-    ``q`` *smallest* sequential subtree peaks; any concurrency level
-    whose prediction already exceeds the cap cannot fit and is pruned
-    without building the schedule.
+    ``q`` *smallest* sequential subtree peaks (each subtree's optimal
+    postorder peak, read from the prepared tree's cached peaks); any
+    concurrency level whose prediction already exceeds the cap cannot
+    fit and is pruned without building the schedule.
     """
-    from repro.sequential.postorder import optimal_postorder
-
-    peaks = []
-    for r in roots:
-        sub, _ = tree.subtree(r)
-        peaks.append(optimal_postorder(sub).peak_memory)
-    peaks.sort()
+    prepared = as_prepared(tree)
+    peaks = sorted(prepared.subtree_peak(r) for r in roots)
     return float(sum(peaks[:q]))
 
 
-def _build(tree, p, q, roots, work, sequential_order):
+def _build(prepared, p, q, roots, order_of, full_order):
+    work = prepared.subtree_work()
     chosen = sorted(roots, key=lambda r: float(work[r]), reverse=True)[:q]
-    keep = np.zeros(tree.n, dtype=bool)
+    keep = np.zeros(prepared.n, dtype=bool)
     per_proc: list[list[np.ndarray]] = [[] for _ in range(p)]
     for k, r in enumerate(chosen):
-        sub, nodes = tree.subtree(r)
-        sub_order = sequential_order(sub)
-        per_proc[k].append(nodes[sub_order])
-        keep[nodes] = True
-    full_order = sequential_order(tree)
+        order = order_of(r)
+        per_proc[k].append(order)
+        keep[order] = True
     seq_order = _restricted_order(full_order, ~keep)
-    return _pack_schedule(tree, p, per_proc, seq_order)
+    return _pack_schedule(prepared.tree, p, per_proc, seq_order)
 
 
 def par_subtrees_memory_aware(
-    tree: TaskTree,
+    tree: TaskTree | PreparedTree,
     p: int,
     cap: float,
     sequential_order: SequentialOrder = _default_order,
 ) -> Schedule:
     """ParSubtrees constrained to a memory budget (see module docstring).
+
+    ``tree`` may be bare or prepared; the splitting, the subtree peaks
+    and (for the default ``sequential_order``) the subtree orders come
+    from the prepared caches.
 
     Raises
     ------
@@ -83,17 +85,16 @@ def par_subtrees_memory_aware(
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    split = split_subtrees(tree, p)
-    roots = list(split.frontier_roots)
-    work = tree.subtree_work()
+    prepared = as_prepared(tree)
+    roots = list(prepared.split(p).frontier_roots)
+    order_of, full_order = _orders(prepared, sequential_order)
     for q in range(min(p, len(roots)), 1, -1):
-        if predicted_parallel_memory(tree, roots, q) > cap:
+        if predicted_parallel_memory(prepared, roots, q) > cap:
             continue
-        schedule = _build(tree, p, q, roots, work, sequential_order)
+        schedule = _build(prepared, p, q, roots, order_of, full_order)
         if peak_memory(schedule) <= cap + 1e-9:
             return schedule
-    order = sequential_order(tree)
-    schedule = Schedule.sequential(tree, order, p)
+    schedule = Schedule.sequential(prepared.tree, full_order, p)
     peak = peak_memory(schedule)
     if peak > cap + 1e-9:
         raise MemoryCapError(

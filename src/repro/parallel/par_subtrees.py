@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.prepared import PreparedTree, as_prepared
 from repro.core.schedule import Schedule
 from repro.core.tree import TaskTree
-from .split_subtrees import SplitResult, split_subtrees
 
 __all__ = ["par_subtrees", "par_subtrees_optim"]
 
@@ -42,6 +42,27 @@ def _default_order(tree: TaskTree) -> np.ndarray:
     return optimal_postorder(tree).order
 
 
+def _orders(
+    prepared: PreparedTree, sequential_order: SequentialOrder
+) -> tuple[Callable[[int], np.ndarray], np.ndarray]:
+    """``(order_of, full_order)``: the ``sequential_order`` of the subtree
+    rooted at ``r`` (in original node indices) and of the whole tree.
+
+    The default order reads both from the prepared caches (each subtree
+    order is a slice of one global postorder); any other order runs on
+    every extracted subtree.
+    """
+    if sequential_order is _default_order:
+        return prepared.subtree_order, prepared.optimal().order
+    tree = prepared.tree
+
+    def order_of(r: int) -> np.ndarray:
+        sub, nodes = tree.subtree(r)
+        return nodes[sequential_order(sub)]
+
+    return order_of, np.asarray(sequential_order(tree), dtype=np.int64)
+
+
 def _restricted_order(full_order: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Subsequence of ``full_order`` restricted to the ``keep`` mask.
 
@@ -49,7 +70,7 @@ def _restricted_order(full_order: np.ndarray, keep: np.ndarray) -> np.ndarray:
     induced sub-forest, and restricting the memory-optimal order keeps
     its locality, which is why both phases use it.
     """
-    return np.asarray([i for i in full_order if keep[i]], dtype=np.int64)
+    return full_order[keep[full_order]]
 
 
 def _pack_schedule(
@@ -66,63 +87,64 @@ def _pack_schedule(
     """
     start = np.empty(tree.n, dtype=np.float64)
     proc = np.empty(tree.n, dtype=np.int64)
+
+    def back_to_back(nodes: np.ndarray, q: int, t: float) -> float:
+        # np.cumsum accumulates left to right: the same float additions
+        # as placing the nodes one by one with ``t += w``.
+        ends = np.cumsum(np.concatenate(([t], tree.w[nodes])))
+        start[nodes] = ends[:-1]
+        proc[nodes] = q
+        return float(ends[-1])
+
     phase1_end = 0.0
     for q, orders in enumerate(per_proc_orders):
-        t = 0.0
-        for order in orders:
-            for node in order:
-                start[node] = t
-                proc[node] = q
-                t += float(tree.w[node])
-        phase1_end = max(phase1_end, t)
-    t = phase1_end
-    for node in seq_nodes_order:
-        start[node] = t
-        proc[node] = 0
-        t += float(tree.w[node])
+        if orders:
+            phase1_end = max(phase1_end, back_to_back(np.concatenate(orders), q, 0.0))
+    back_to_back(seq_nodes_order, 0, phase1_end)
     return Schedule(tree, start, proc, p)
 
 
 def par_subtrees(
-    tree: TaskTree,
+    tree: TaskTree | PreparedTree,
     p: int,
     sequential_order: SequentialOrder = _default_order,
-    split: SplitResult | None = None,
 ) -> Schedule:
     """Algorithm 1: ParSubtrees.
 
     Parameters
     ----------
     tree, p:
-        the instance.
+        the instance; ``tree`` may be bare or a
+        :class:`~repro.core.prepared.PreparedTree` (the schedule is
+        bit-identical either way; a prepared tree shares its caches
+        across calls).
     sequential_order:
         the memory-minimizing sequential algorithm used for each subtree
         and for the remainder (default: optimal postorder, as in the
-        paper's experiments; pass Liu's exact algorithm for the O(n^2)
-        variant).
-    split:
-        an optional precomputed splitting (shared with
-        :func:`par_subtrees_optim` in the benchmark harness).
+        paper's experiments, read from the prepared caches; pass Liu's
+        exact algorithm for the O(n^2) variant, which runs on every
+        extracted subtree).
+
+    The splitting is the prepared tree's cached ``split(p)``, which
+    :func:`par_subtrees_optim` and ``MemoryAwareSubtrees`` share.
     """
-    if split is None:
-        split = split_subtrees(tree, p)
-    full_order = sequential_order(tree)
-    keep = np.zeros(tree.n, dtype=bool)
+    prepared = as_prepared(tree)
+    split = prepared.split(p)
+    order_of, full_order = _orders(prepared, sequential_order)
+    keep = np.zeros(prepared.n, dtype=bool)
     per_proc: list[list[np.ndarray]] = [[] for _ in range(p)]
     for q, r in enumerate(split.parallel_roots):
-        sub, nodes = tree.subtree(r)
-        sub_order = sequential_order(sub)
-        per_proc[q].append(nodes[sub_order])
-        keep[nodes] = True
+        order = order_of(r)
+        per_proc[q].append(order)
+        keep[order] = True
     seq_order = _restricted_order(full_order, ~keep)
-    return _pack_schedule(tree, p, per_proc, seq_order)
+    return _pack_schedule(prepared.tree, p, per_proc, seq_order)
 
 
 def par_subtrees_optim(
-    tree: TaskTree,
+    tree: TaskTree | PreparedTree,
     p: int,
     sequential_order: SequentialOrder = _default_order,
-    split: SplitResult | None = None,
 ) -> Schedule:
     """ParSubtreesOptim: allocate *all* subtrees to processors (LPT).
 
@@ -131,20 +153,18 @@ def par_subtrees_optim(
     subtrees back-to-back (each internally in memory-optimal order). The
     split nodes are processed sequentially afterwards.
     """
-    if split is None:
-        split = split_subtrees(tree, p)
-    full_order = sequential_order(tree)
-    work = tree.subtree_work()
-    roots = sorted(split.frontier_roots, key=lambda r: float(work[r]), reverse=True)
-    loads = np.zeros(p, dtype=np.float64)
-    keep = np.zeros(tree.n, dtype=bool)
+    prepared = as_prepared(tree)
+    order_of, full_order = _orders(prepared, sequential_order)
+    work = prepared.subtree_work()
+    roots = sorted(prepared.split(p).frontier_roots, key=lambda r: float(work[r]), reverse=True)
+    loads = [0.0] * p
+    keep = np.zeros(prepared.n, dtype=bool)
     per_proc: list[list[np.ndarray]] = [[] for _ in range(p)]
     for r in roots:
-        q = int(np.argmin(loads))
-        sub, nodes = tree.subtree(r)
-        sub_order = sequential_order(sub)
-        per_proc[q].append(nodes[sub_order])
+        q = loads.index(min(loads))  # the first least-loaded processor
+        order = order_of(r)
+        per_proc[q].append(order)
         loads[q] += float(work[r])
-        keep[nodes] = True
+        keep[order] = True
     seq_order = _restricted_order(full_order, ~keep)
-    return _pack_schedule(tree, p, per_proc, seq_order)
+    return _pack_schedule(prepared.tree, p, per_proc, seq_order)

@@ -14,9 +14,20 @@ nodes, plus the surplus subtrees beyond the ``p`` heaviest. The splitting
 with minimum cost is returned; Lemma 1 of the paper proves it is optimal
 for ParSubtrees.
 
-The frontier is maintained with a *top-p + rest* two-heap structure so
-each step costs :math:`O(p + \\log n)` and the whole routine
-:math:`O(n (p + \\log n))`, matching the paper's complexity analysis.
+Complexity. The pop sequence (always the heaviest frontier subtree),
+the stopping step and the sequential work ``seq_w`` do not depend on
+``p``; only the surplus term does. :class:`SplitPlan` computes the pop
+sequence **once per tree** with a max-heap of frontier ranks
+(:math:`O(n \\log n)`). :meth:`SplitPlan.split` then runs only the
+*top-p + rest* bookkeeping **per p** -- a sorted list of the ``p``
+heaviest frontier entries plus a heap of the others, :math:`O(p +
+\\log n)` per step as in the paper's complexity analysis -- with the
+same float operations in the same order as the incremental algorithm,
+so every ``cost`` is bit-identical. It stops early once no later step's
+lower bound ``W_head + seq_w`` can beat the best cost so far, and reads
+the selected frontier off a mask of the popped nodes.
+:meth:`repro.core.prepared.PreparedTree.split` caches the plan and each
+``p``'s result.
 """
 
 from __future__ import annotations
@@ -27,65 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.prepared import PreparedTree, as_prepared
 from repro.core.tree import TaskTree
 
-__all__ = ["SplitResult", "split_subtrees"]
-
-# Frontier entries sort by (W_i, w_i, -index): non-increasing subtree work,
-# ties by non-increasing node work (as in the paper), then by node index
-# for determinism.
-_Key = tuple[float, float, int]
-
-
-class _TopP:
-    """Frontier of subtree roots with O(p + log n) access to the p largest.
-
-    ``top`` is a sorted list (ascending) of at most ``p`` keys -- the
-    largest elements; ``rest`` is a max-heap of the others. ``p`` is at
-    most a few dozen in all experiments, so list insertion in ``top`` is
-    cheap.
-    """
-
-    def __init__(self, p: int) -> None:
-        self.p = p
-        self.top: list[_Key] = []
-        self.rest: list[_Key] = []  # negated keys (max-heap)
-        self.sum_top = 0.0  # total W over `top`
-        self.sum_all = 0.0  # total W over the whole frontier
-
-    def __len__(self) -> int:
-        return len(self.top) + len(self.rest)
-
-    def insert(self, key: _Key) -> None:
-        self.sum_all += key[0]
-        if len(self.top) < self.p:
-            insort(self.top, key)
-            self.sum_top += key[0]
-        elif key > self.top[0]:
-            insort(self.top, key)
-            self.sum_top += key[0]
-            demoted = self.top.pop(0)
-            self.sum_top -= demoted[0]
-            heapq.heappush(self.rest, tuple(-v for v in demoted))
-        else:
-            heapq.heappush(self.rest, tuple(-v for v in key))
-
-    def pop_max(self) -> _Key:
-        key = self.top.pop()
-        self.sum_top -= key[0]
-        self.sum_all -= key[0]
-        if self.rest:
-            promoted = tuple(-v for v in heapq.heappop(self.rest))
-            insort(self.top, promoted)
-            self.sum_top += promoted[0]
-        return key
-
-    def head(self) -> _Key:
-        return self.top[-1]
-
-    def surplus_work(self) -> float:
-        """Total W of the frontier beyond the p largest subtrees."""
-        return self.sum_all - self.sum_top
+__all__ = ["SplitPlan", "SplitResult", "split_subtrees"]
 
 
 @dataclass(frozen=True)
@@ -117,60 +73,173 @@ class SplitResult:
     steps: int
 
 
-def split_subtrees(tree: TaskTree, p: int) -> SplitResult:
-    """Run Algorithm 2 and reconstruct the minimum-cost splitting.
+class SplitPlan:
+    """The ``p``-independent part of Algorithm 2 for one tree.
 
-    The loop records the sequence of popped nodes; after selecting the
-    best step ``x``, the splitting is rebuilt by replaying the first
-    ``x`` pops (the pop order is deterministic).
+    Frontier entries are ranked by ``(W_i, w_i, -i)`` ascending:
+    non-increasing subtree work first, ties by non-increasing node work
+    (as in the paper), then by node index for determinism. The plan
+    holds the pop sequence (the heaviest entry is popped until the head
+    subtree cannot be split further), the ranks of each popped node's
+    children in child-index order, and after each pop ``W_head +
+    seq_w`` and the total frontier work, accumulated in the same order
+    as an incremental frontier would.
     """
-    if p < 1:
-        raise ValueError("p must be positive")
-    work = tree.subtree_work()
 
-    def key(i: int) -> _Key:
-        return (float(work[i]), float(tree.w[i]), -i)
+    __slots__ = (
+        "tree",
+        "by_rank",
+        "root_rank",
+        "rank_work",
+        "popped",
+        "kid_ptr",
+        "kid_ranks",
+        "head_seq",
+        "sum_all",
+        "later",
+    )
 
-    frontier = _TopP(p)
-    frontier.insert(key(tree.root))
-    popped: list[int] = []
-    seq_w = 0.0
-    costs: list[float] = [float(work[tree.root])]  # Cost(0) = W_root
-    while True:
-        head = frontier.head()
-        head_node = -head[2]
-        # Loop condition of Algorithm 2: continue while W_head > w_head.
+    def __init__(self, tree: TaskTree, work: np.ndarray) -> None:
+        self.tree = tree
+        n = tree.n
+        by_rank = np.lexsort((-np.arange(n), tree.w, work))
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_rank] = np.arange(n, dtype=np.int64)
+        self.by_rank = by_rank
+        self.rank_work = work[by_rank]
+        self.root_rank = int(rank[tree.root])
+        # Loop condition of Algorithm 2: split while W_head > w_head.
         # Equality means the head subtree is a single node (a leaf, or an
         # inner node whose whole subtree has zero extra work) and further
         # splitting cannot reduce the parallel time.
-        if tree.is_leaf(head_node) or head[0] <= float(tree.w[head_node]) * (1 + 1e-12) + 1e-12:
-            break
-        node = -frontier.pop_max()[2]
-        popped.append(node)
-        seq_w += float(tree.w[node])
-        for c in tree.children(node):
-            frontier.insert(key(c))
-        costs.append(float(frontier.head()[0]) + seq_w + frontier.surplus_work())
-    best_step = int(np.argmin(costs))
+        stop = tree.leaf_mask() | (work <= tree.w * (1 + 1e-12) + 1e-12)
+        cidx = tree.child_idx
+        ptr = tree.child_ptr
+        heads = self._heads(rank, stop)
+        popped = self.popped = heads[:-1]
+        m = popped.shape[0]
 
-    # Replay the first `best_step` pops to rebuild that frontier.
-    frontier = _TopP(p)
-    frontier.insert(key(tree.root))
-    for node in popped[:best_step]:
-        frontier.pop_max()
-        for c in tree.children(node):
-            frontier.insert(key(c))
-    all_roots = [-k[2] for k in frontier.top] + [k[2] for k in frontier.rest]
-    all_roots.sort(key=lambda i: key(i), reverse=True)
-    parallel_roots = tuple(all_roots[:p])
-    in_parallel = np.zeros(tree.n, dtype=bool)
-    for r in parallel_roots:
-        in_parallel[tree.subtree_nodes(r)] = True
-    seq_nodes = tuple(int(i) for i in range(tree.n) if not in_parallel[i])
-    return SplitResult(
-        parallel_roots=parallel_roots,
-        frontier_roots=tuple(all_roots),
-        seq_nodes=seq_nodes,
-        cost=float(costs[best_step]),
-        steps=len(costs),
-    )
+        cnt = ptr[popped + 1] - ptr[popped]
+        kid_ptr = self.kid_ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(cnt, out=kid_ptr[1:])
+        # the popped nodes' children, pop by pop, each in child-index order
+        kids = cidx[np.repeat(ptr[popped] - kid_ptr[:-1], cnt) + np.arange(kid_ptr[-1])]
+        self.kid_ranks = rank[kids]
+        # The total frontier work: W_root, then per pop -W_popped and +W
+        # of each child, as one sequential float stream (np.cumsum
+        # accumulates left to right, exactly like ``+=`` / ``-=``).
+        pop_at = kid_ptr[:-1] + np.arange(m)
+        events = work[np.insert(kids, kid_ptr[:-1], popped)]
+        events[pop_at] = -events[pop_at]
+        stream = np.cumsum(np.concatenate(([0.0, work[tree.root]], events)))
+        self.sum_all = stream[2 + pop_at + cnt]
+        seq_w = np.cumsum(np.concatenate(([0.0], tree.w[popped])))[1:]
+        self.head_seq = work[heads[1:]] + seq_w
+        # later[k] bounds the cost of every step after k from below: the
+        # surplus term is >= 0 in exact arithmetic and its float value is
+        # off by at most one rounding (2**-53 relative) per operation on
+        # running sums below 2 W_root -- at most 3(m + K) + 4 of them,
+        # K the number of inserted children. The margin is twice that.
+        margin = (3 * (m + kid_ptr[-1]) + 8) * 2.0**-51 * float(work[tree.root])
+        self.later = np.full(m, np.inf)
+        self.later[:-1] = np.minimum.accumulate(self.head_seq[:0:-1])[::-1] - margin
+
+    def _heads(self, rank: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """The successive frontier heads, from a max-heap of frontier
+        ranks; the last head is the one that stops the splitting."""
+        tree = self.tree
+        by_rank = self.by_rank.tolist()
+        heap = [-self.root_rank]
+        heads = []
+        while True:
+            node = by_rank[-heap[0]]
+            heads.append(node)
+            if stop[node]:
+                return np.asarray(heads, dtype=np.int64)
+            heapq.heappop(heap)
+            for r in rank[tree.children(node)].tolist():
+                heapq.heappush(heap, -r)
+
+    def split(self, p: int) -> SplitResult:
+        """The minimum-cost splitting for ``p`` processors.
+
+        Replays the top-``p`` bookkeeping over the pop sequence: ``top``
+        is a sorted (ascending) list of the ranks of the at most ``p``
+        heaviest frontier entries, ``rest`` a max-heap of the others, and
+        ``sum_top`` their work, updated in the order an incremental
+        frontier does. The replay stops once every later step's ``W_head +
+        seq_w`` (a lower bound on its cost, less a float-error margin)
+        exceeds the best cost so far: none of them can be the first
+        minimum, so the result is that of the full replay.
+        """
+        if p < 1:
+            raise ValueError("p must be positive")
+        # zero-copy views: indexing yields the same Python floats / ints
+        # as lists would, without an O(n) conversion per call
+        W = memoryview(self.rank_work)
+        kid_ranks = memoryview(self.kid_ranks)
+        kid_ptr = memoryview(self.kid_ptr)
+        sum_all = memoryview(self.sum_all)
+        head_seq = memoryview(self.head_seq)
+        later = memoryview(self.later)
+        top = [self.root_rank]
+        rest: list[int] = []
+        sum_top = 0.0 + W[self.root_rank]
+        costs = [W[self.root_rank]]  # Cost(0) = W_root
+        best = costs[0]
+        for k in range(len(head_seq)):
+            r = top.pop()
+            sum_top -= W[r]
+            if rest:
+                r = -heapq.heappop(rest)
+                insort(top, r)
+                sum_top += W[r]
+            for r in kid_ranks[kid_ptr[k] : kid_ptr[k + 1]]:
+                if len(top) < p:
+                    insort(top, r)
+                    sum_top += W[r]
+                elif r > top[0]:
+                    insort(top, r)
+                    sum_top += W[r]
+                    r = top.pop(0)
+                    sum_top -= W[r]
+                    heapq.heappush(rest, -r)
+                else:
+                    heapq.heappush(rest, -r)
+            cost = head_seq[k] + (sum_all[k] - sum_top)
+            costs.append(cost)
+            best = min(best, cost)
+            if later[k] > best:
+                break
+        best_step = int(np.argmin(costs))
+
+        tree = self.tree
+        if best_step == 0:
+            ranks = np.array([self.root_rank])
+        else:
+            ranks = self.kid_ranks[: kid_ptr[best_step]]
+            split_mask = np.zeros(tree.n, dtype=bool)
+            split_mask[self.popped[:best_step]] = True
+            ranks = np.sort(ranks[~split_mask[self.by_rank[ranks]]])[::-1]
+        all_roots = self.by_rank[ranks].tolist()
+        parallel_roots = tuple(all_roots[:p])
+        in_parallel = np.zeros(tree.n, dtype=bool)
+        for r in parallel_roots:
+            in_parallel[tree.subtree_nodes(r)] = True
+        return SplitResult(
+            parallel_roots=parallel_roots,
+            frontier_roots=tuple(all_roots),
+            seq_nodes=tuple(np.flatnonzero(~in_parallel).tolist()),
+            cost=float(costs[best_step]),
+            steps=len(head_seq) + 1,
+        )
+
+
+def split_subtrees(tree: TaskTree | PreparedTree, p: int) -> SplitResult:
+    """Run Algorithm 2 and return the minimum-cost splitting.
+
+    ``tree`` is a :class:`TaskTree` or a
+    :class:`~repro.core.prepared.PreparedTree`; the latter caches the
+    plan and the result per ``p``.
+    """
+    return as_prepared(tree).split(p)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.core.prepared import PreparedTree, tree_of
+from repro.core.prepared import PreparedTree, as_prepared, tree_of
 from repro.core.schedule import Schedule
 from repro.core.tree import TaskTree
 
@@ -67,10 +67,15 @@ class Algorithm:
         one-line description shown by ``repro algos``.
     accepts_prepared:
         True when ``fn`` understands a
-        :class:`~repro.core.prepared.PreparedTree` first argument (the
-        engine-based schedulers); others transparently receive the
-        underlying :class:`TaskTree`, so ``run`` works uniformly with
-        either input form -- which is what gives every catalogued
+        :class:`~repro.core.prepared.PreparedTree` first argument: every
+        built-in parallel algorithm -- the engine-based schedulers, which
+        share its sweep columns and rank caches, and the subtree family
+        (ParSubtrees, ParSubtreesOptim, MemoryAwareSubtrees), which
+        shares its per-``p`` splittings, subtree work, and subtree
+        orders and peaks. Others (the sequential traversals, any
+        third-party registration left at False) transparently receive
+        the underlying :class:`TaskTree`, so ``run`` works uniformly
+        with either input form -- which is what gives every catalogued
         algorithm campaign-grid support for free.
     sweep_spec:
         optional builder ``(prepared, p, **params) ->``
@@ -139,8 +144,6 @@ class Algorithm:
             )
         merged = {**self.params, **overrides}
         merged.pop("backend", None)
-        from repro.core.prepared import as_prepared
-
         return self.sweep_spec(as_prepared(tree), p, **merged)
 
 
@@ -184,13 +187,10 @@ def _memory_aware_subtrees(
     """ParSubtrees constrained to ``cap_factor`` x the sequential peak."""
     from repro.parallel.memory_aware_subtrees import par_subtrees_memory_aware
 
-    if isinstance(tree, PreparedTree):
-        peak = tree.optimal().peak_memory
-    else:
-        from repro.sequential.postorder import optimal_postorder
-
-        peak = optimal_postorder(tree).peak_memory
-    return par_subtrees_memory_aware(tree_of(tree), p, cap_factor * peak)
+    prepared = as_prepared(tree)
+    return par_subtrees_memory_aware(
+        prepared, p, cap_factor * prepared.optimal().peak_memory
+    )
 
 
 def _populate() -> None:
@@ -219,7 +219,9 @@ def _populate() -> None:
         ("ParSubtrees", par_subtrees, "split into subtrees, one per processor (Section 5.1)"),
         ("ParSubtreesOptim", par_subtrees_optim, "ParSubtrees with work-packing optimisation"),
     ):
-        register(Algorithm(name=name, kind="parallel", fn=fn, doc=doc))
+        register(
+            Algorithm(name=name, kind="parallel", fn=fn, doc=doc, accepts_prepared=True)
+        )
 
     def _rank_spec(rank_fn):
         """Sweep spec of an uncapped list heuristic: its rank, cached on

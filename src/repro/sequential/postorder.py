@@ -50,10 +50,17 @@ from repro.core.tree import (
 )
 from .traversal import TraversalResult
 
-__all__ = ["optimal_postorder", "postorder_peaks", "natural_postorder"]
+__all__ = [
+    "optimal_postorder",
+    "postorder_from_peaks",
+    "postorder_peaks",
+    "natural_postorder",
+]
 
 
-def _postorder_peaks_loop(tree: TaskTree, peaks: np.ndarray) -> np.ndarray:
+def _postorder_peaks_loop(
+    tree: TaskTree, peaks: np.ndarray, descending_ties: bool
+) -> np.ndarray:
     """Per-node fallback (the historical loop) for deep, narrow trees."""
     f = tree.f
     sizes = tree.sizes
@@ -61,9 +68,10 @@ def _postorder_peaks_loop(tree: TaskTree, peaks: np.ndarray) -> np.ndarray:
     for i in tree.postorder().tolist():
         if leaf[i]:
             continue
-        ordered = sorted(
-            tree.children(i).tolist(), key=lambda j: peaks[j] - f[j], reverse=True
-        )
+        kids = tree.children(i).tolist()
+        if descending_ties:
+            kids.reverse()
+        ordered = sorted(kids, key=lambda j: peaks[j] - f[j], reverse=True)
         acc = 0.0
         best = 0.0
         for j in ordered:
@@ -74,11 +82,16 @@ def _postorder_peaks_loop(tree: TaskTree, peaks: np.ndarray) -> np.ndarray:
     return peaks
 
 
-def postorder_peaks(tree: TaskTree) -> np.ndarray:
+def postorder_peaks(tree: TaskTree, descending_ties: bool = False) -> np.ndarray:
     """Optimal postorder peak memory ``M_i`` of every subtree.
 
     ``M_i`` is computed bottom-up with the recurrence above; the value at
-    the root is the optimal postorder peak of the whole tree.
+    the root is the optimal postorder peak of the whole tree. Siblings
+    with equal ``M_j - f_j`` are visited in ascending node order, or in
+    descending order with ``descending_ties=True`` -- the order in which
+    :meth:`TaskTree.subtree` numbers them, so ``M_r`` then equals the
+    peak of the extracted subtree rooted at ``r`` bit for bit (ties only
+    change the float accumulation order of the input sizes).
     """
     n = tree.n
     f = tree.f
@@ -91,7 +104,7 @@ def postorder_peaks(tree: TaskTree) -> np.ndarray:
     depth = tree.depths()
     height = int(depth.max())
     if not use_level_sweeps(height, n):
-        return _postorder_peaks_loop(tree, peaks)
+        return _postorder_peaks_loop(tree, peaks, descending_ties)
 
     ptr = tree.child_ptr
     cidx = tree.child_idx
@@ -118,7 +131,10 @@ def postorder_peaks(tree: TaskTree) -> np.ndarray:
         # segment, secondary -key; np.lexsort is stable, so equal keys
         # keep ascending node order -- identical tie-breaking to the
         # historical stable ``sorted(..., reverse=True)`` per node.
-        kids = kids[np.lexsort((-key, seg))]
+        if descending_ties:
+            kids = kids[np.lexsort((-kids, -key, seg))]
+        else:
+            kids = kids[np.lexsort((-key, seg))]
         f_k = f[kids]
         m_k = peaks[kids]
         # The recurrence's running sums, bucketed by degree class so the
@@ -167,20 +183,37 @@ def optimal_postorder(tree: TaskTree) -> TraversalResult:
     sizes)`` -- all integer arithmetic, bit-identical to the historical
     stack-based emission.
     """
-    peaks = postorder_peaks(tree)
+    return postorder_from_peaks(tree, postorder_peaks(tree))
+
+
+def postorder_from_peaks(
+    tree: TaskTree, peaks: np.ndarray, descending_ties: bool = False
+) -> TraversalResult:
+    """The optimal postorder built on precomputed ``peaks`` (the output
+    of ``postorder_peaks(tree, descending_ties)``), with its peak.
+
+    Lets a caller that caches the peaks (the prepared tree) emit the
+    order without a second bottom-up pass.
+
+    ``descending_ties=True`` visits tied siblings in descending node
+    order (see :func:`postorder_peaks`). Every subtree then occupies a
+    contiguous slice of the order that is exactly the optimal postorder
+    of the extracted subtree, mapped back to the original node indices
+    (what :meth:`repro.core.prepared.PreparedTree.subtree_order` serves).
+    """
     n = tree.n
-    if n == 1:
-        return TraversalResult(
-            order=np.zeros(1, dtype=np.int64), peak_memory=float(peaks[0])
+    order = np.zeros(n, dtype=np.int64)
+    if n > 1:
+        cidx = tree.child_idx
+        key = peaks[cidx] - tree.f[cidx]
+        if descending_ties:
+            sorted_cidx = cidx[np.lexsort((-cidx, -key, tree.parent[cidx]))]
+        else:
+            sorted_cidx = cidx[np.lexsort((-key, tree.parent[cidx]))]
+        post = postorder_positions_from_sibling_order(
+            tree.parent, tree.child_ptr, sorted_cidx, tree.subtree_sizes(copy=False), tree.depths()
         )
-    cidx = tree.child_idx
-    key = peaks[cidx] - tree.f[cidx]
-    sorted_cidx = cidx[np.lexsort((-key, tree.parent[cidx]))]
-    post = postorder_positions_from_sibling_order(
-        tree.parent, tree.child_ptr, sorted_cidx, tree.subtree_sizes(copy=False), tree.depths()
-    )
-    order = np.empty(n, dtype=np.int64)
-    order[post] = np.arange(n, dtype=np.int64)
+        order[post] = np.arange(n, dtype=np.int64)
     return TraversalResult(order=order, peak_memory=float(peaks[tree.root]))
 
 

@@ -220,16 +220,20 @@ class TestRegistryIntegration:
             assert same_schedule(got, ref), (name, p)
 
     def test_prepared_flag_matches_catalogue(self):
-        engine_based = {
+        # every parallel algorithm: the engine-based schedulers and the
+        # subtree family; only the sequential traversals take bare trees
+        prepared_aware = {
             "ParInnerFirst",
             "ParDeepestFirst",
             "ParInnerFirst/naiveO",
             "ParDeepestFirst/hops",
             "MemoryBounded",
+            "ParSubtrees",
+            "ParSubtreesOptim",
             "MemoryAwareSubtrees",
         }
         for algo in registry.algorithms():
-            assert algo.accepts_prepared == (algo.name in engine_based), algo.name
+            assert algo.accepts_prepared == (algo.name in prepared_aware), algo.name
 
     def test_p_sweep_reuses_preparation(self, tree, prepared):
         # after one run, a later p only pays the sweep: the optimal

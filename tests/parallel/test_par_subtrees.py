@@ -2,6 +2,8 @@
 
 from hypothesis import given, settings
 
+from repro import registry
+from repro.core.prepared import PreparedTree
 from repro.core.simulator import simulate
 from repro.core.tree import TaskTree
 from repro.core.validation import validate_schedule
@@ -21,10 +23,10 @@ class TestParSubtrees:
 
     def test_makespan_matches_split_cost(self, paper_example):
         """The realised makespan equals Algorithm 2's cost prediction."""
+        prepared = PreparedTree(paper_example)
         for p in (1, 2, 3):
-            split = split_subtrees(paper_example, p)
-            sch = par_subtrees(paper_example, p, split=split)
-            assert abs(sch.makespan - split.cost) < 1e-9
+            sch = par_subtrees(prepared, p)
+            assert abs(sch.makespan - split_subtrees(prepared, p).cost) < 1e-9
 
     def test_fork_worst_case(self):
         """Figure 3: makespan p(k-1)+2 on the fork."""
@@ -64,6 +66,25 @@ class TestMemoryGuarantee:
             validate_schedule(par_subtrees(tree, p))
 
 
+class TestPaperBoundsGenerated:
+    """The paper's bounds on generated trees of up to a few hundred
+    nodes (integer weights, so every sum is exact)."""
+
+    @given(task_trees(min_nodes=2, max_nodes=300))
+    @settings(max_examples=30, deadline=None)
+    def test_memory_and_makespan_bounds(self, tree):
+        prepared = PreparedTree(tree)
+        mseq = optimal_postorder(tree).peak_memory
+        fmax = float(tree.f.max())
+        for p in (2, 4, 8):
+            lower = max(tree.total_work() / p, tree.critical_path())
+            for name in ("ParSubtrees", "ParSubtreesOptim", "MemoryAwareSubtrees"):
+                sim = simulate(registry.run(name, prepared, p))
+                assert sim.makespan >= lower, (name, p)
+                if name == "ParSubtrees":
+                    assert sim.peak_memory <= (p + 1) * mseq + p * fmax + 1e-6
+
+
 class TestParSubtreesOptim:
     def test_improves_fork_makespan(self):
         """On the fork, LPT allocation of all subtrees restores k+1."""
@@ -87,8 +108,8 @@ class TestParSubtreesOptim:
         """LPT over the same splitting cannot exceed the plain two-phase
         makespan (it only moves surplus subtrees off the critical
         sequential phase)."""
+        prepared = PreparedTree(tree)
         for p in (2, 4):
-            split = split_subtrees(tree, p)
-            plain = par_subtrees(tree, p, split=split).makespan
-            optim = par_subtrees_optim(tree, p, split=split).makespan
+            plain = par_subtrees(prepared, p).makespan
+            optim = par_subtrees_optim(prepared, p).makespan
             assert optim <= plain + 1e-9
