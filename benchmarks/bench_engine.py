@@ -4,13 +4,14 @@ Three modes, timing schedulers on random trees:
 
 * **default (legacy comparison)** -- the seed implementation (embedded
   verbatim below: a heapq event loop driven by a per-node Python
-  priority closure) against the unified engine's pure-Python reference
-  backend, isolating what the PR-1 vectorization changed;
-* **``--compare-backends``** -- the engine's sweep backends against
-  each other (``python`` vs. the compiled ``c`` backend, when it
-  builds), with the priority rank precomputed outside
-  the timed region so the measurement isolates the *event sweep*
-  itself. All backends must produce the identical schedule (asserted);
+  priority closure) against the unified engine, isolating what the
+  vectorized priorities changed;
+* **``--compare-backends``** -- the engine's two sweeps against each
+  other: ``SchedulerEngine.run_reference`` (the pure-Python reference
+  loop) vs. ``SchedulerEngine.run`` (the C kernel, when it builds),
+  with the priority rank precomputed outside the timed region so the
+  measurement isolates the *event sweep* itself. Both must produce the
+  identical schedule (asserted);
 * **``--grid``** -- an (8-algorithm x 4-p) campaign grid over one tree,
   unprepared (every scenario re-derives the tree state, the historical
   behaviour) vs. prepared (one
@@ -49,7 +50,7 @@ import time
 import numpy as np
 
 from repro import registry
-from repro.core.engine import SchedulerEngine, available_backends, sweep_batch
+from repro.core.engine import SchedulerEngine, resolve_backend, sweep_batch
 from repro.core.prepared import PreparedTree
 from repro.core.schedule import Schedule
 from repro.core.tree import NO_PARENT
@@ -144,47 +145,38 @@ def legacy_par_deepest_first(tree, p, order):
 
 
 # ----------------------------------------------------------------------
-# backend comparison: the event sweep itself, per engine backend
+# sweep comparison: the reference loop vs. the dispatched (C) sweep
 # ----------------------------------------------------------------------
-def default_backends() -> list[str]:
-    """``python`` plus the compiled ``c`` backend when it builds (the
-    interpreted ``kernel`` backend is a testing aid, not a contender)."""
-    return ["python"] + (["c"] if "c" in available_backends() else [])
-
-
-def run_backend_bench(
-    sizes, p: int, repeats: int, seed: int, backends: list[str] | None = None
-) -> list[dict]:
-    """Time ``SchedulerEngine.run`` per backend on identical instances.
+def run_backend_bench(sizes, p: int, repeats: int, seed: int) -> list[dict]:
+    """Time ``SchedulerEngine.run_reference`` against ``run`` on
+    identical instances.
 
     The priority rank and the engine are built outside the timed region,
-    so the numbers isolate the sweep (plus each backend's per-run array
-    preparation). One untimed warm-up run per backend produces the
-    reference schedule and absorbs one-time costs (the C kernel
-    build); every backend's schedule must
-    match the pure-Python reference bit for bit.
+    so the numbers isolate the sweep (plus each path's per-run array
+    preparation). One untimed warm-up run of each produces the schedules
+    and absorbs one-time costs (the C kernel build); they must match bit
+    for bit. ``run`` is timed under the name of the sweep it dispatches
+    to: ``c``, or nothing extra where the kernel does not build (``run``
+    is then the reference loop itself).
     """
-    backends = default_backends() if backends is None else backends
+    dispatched = resolve_backend()
+    backends = ["python"] + (["c"] if dispatched == "c" else [])
     rows = []
     for n in sizes:
         tree = random_weighted_tree(int(n), np.random.default_rng(seed))
         order = optimal_postorder(tree).order  # shared preprocessing, untimed
         rank = par_deepest_first_rank(tree, order)
-        seconds: dict[str, float] = {}
-        ref = None
-        for backend in backends:
-            engine = SchedulerEngine(tree, p, rank, backend=backend)
-            got = engine.run()  # warm-up (compile) + reference schedule
-            assert engine.backend_used == backend, (
-                f"{backend} fell back to {engine.backend_used}"
-            )
-            if ref is None:
-                ref = got
-            else:
-                assert np.array_equal(got.start, ref.start), "backends diverged"
-                assert np.array_equal(got.proc, ref.proc), "backends diverged"
-            t, _ = best_of(engine.run, repeats)
-            seconds[backend] = round(t, 6)
+        engine = SchedulerEngine(tree, p, rank)
+        ref = engine.run_reference()
+        got = engine.run()  # warm-up (compile)
+        assert engine.backend_used == dispatched, (
+            f"{dispatched} fell back to {engine.backend_used}"
+        )
+        assert np.array_equal(got.start, ref.start), "sweeps diverged"
+        assert np.array_equal(got.proc, ref.proc), "sweeps diverged"
+        seconds = {"python": round(best_of(engine.run_reference, repeats)[0], 6)}
+        if dispatched == "c":
+            seconds["c"] = round(best_of(engine.run, repeats)[0], 6)
         row = {
             "n": int(n),
             "p": p,
@@ -226,7 +218,7 @@ GRID_ALGOS: list[tuple[str, dict]] = [
 GRID_PROCS = (2, 4, 8, 16)
 
 
-def run_grid_bench(sizes, repeats: int, seed: int, backend: str | None = None) -> list[dict]:
+def run_grid_bench(sizes, repeats: int, seed: int) -> list[dict]:
     """Time a full (algorithm x p) grid, unprepared vs. prepared.
 
     The unprepared path calls ``registry.run(name, tree, p)`` per
@@ -242,7 +234,7 @@ def run_grid_bench(sizes, repeats: int, seed: int, backend: str | None = None) -
 
         def run_grid(target):
             return [
-                registry.run(name, target, p, backend=backend, **params)
+                registry.run(name, target, p, **params)
                 for p in GRID_PROCS
                 for name, params in GRID_ALGOS
             ]
@@ -272,9 +264,7 @@ def run_grid_bench(sizes, repeats: int, seed: int, backend: str | None = None) -
 # ----------------------------------------------------------------------
 # megabatch comparison: per-scenario prepared calls vs. one kernel call
 # ----------------------------------------------------------------------
-def run_megabatch_bench(
-    sizes, repeats: int, seed: int, backend: str | None = None
-) -> list[dict]:
+def run_megabatch_bench(sizes, repeats: int, seed: int) -> list[dict]:
     """Time the (algorithm x p) grid per-scenario vs. one megabatch.
 
     Both paths share one pre-built :class:`PreparedTree` (its
@@ -296,13 +286,13 @@ def run_megabatch_bench(
 
         def run_single():
             return [
-                registry.run(name, prepared, p, backend=backend, **params)
+                registry.run(name, prepared, p, **params)
                 for p in GRID_PROCS
                 for name, params in GRID_ALGOS
             ]
 
         def run_batch():
-            return sweep_batch(prepared, specs, backend=backend).schedules()
+            return sweep_batch(prepared, specs).schedules()
 
         ref = run_single()  # warm-up (compile) + reference schedules
         run_batch()  # warm-up the batch entry point too
@@ -395,15 +385,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--compare-backends",
         action="store_true",
-        help="compare the engine's sweep backends (python vs. available "
-        "compiled ones) instead of the legacy-vs-vectorized comparison",
-    )
-    parser.add_argument(
-        "--backends",
-        nargs="+",
-        default=None,
-        help="backends for --compare-backends (default: python + "
-        "available compiled backends)",
+        help="compare the engine's reference loop with its dispatched "
+        "(C) sweep instead of the legacy-vs-vectorized comparison",
     )
     parser.add_argument(
         "--grid",
@@ -447,7 +430,7 @@ def main(argv=None) -> int:
         )
     if args.smoke or args.compare_backends:
         payload["backends"] = run_backend_bench(
-            args.sizes, args.processors, args.repeats, args.seed, args.backends
+            args.sizes, args.processors, args.repeats, args.seed
         )
     if args.smoke or args.grid:
         payload["grid"] = run_grid_bench(args.sizes, args.repeats, args.seed)

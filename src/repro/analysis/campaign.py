@@ -10,8 +10,7 @@ the per-tree preparation (CSR counts, memory columns, the optimal
 postorder, every priority-rank permutation) is paid once per tree
 instead of once per scenario. Every algorithm in
 :mod:`repro.registry` gets grid support for free: cap factors apply to
-the algorithms that declare a ``cap_factor`` parameter, the engine
-backend to the ones that declare ``backend``.
+the algorithms that declare a ``cap_factor`` parameter.
 
 On top of the grouping, each tree's engine-backed scenarios are swept
 in **one megabatch kernel call** (:func:`repro.core.engine.sweep_batch`):
@@ -97,9 +96,6 @@ class Campaign:
         Applied to every algorithm that declares a ``cap_factor``
         parameter (``MemoryBounded``, ``MemoryAwareSubtrees``); other
         algorithms run once per ``p`` regardless.
-    backend:
-        engine sweep backend forwarded to every algorithm that declares
-        ``backend`` (bit-identical results either way).
     validate:
         re-check schedule validity inside the simulator (slower).
     """
@@ -107,7 +103,6 @@ class Campaign:
     algorithms: tuple[str, ...]
     processor_counts: tuple[int, ...] = PROCESSOR_COUNTS
     cap_factors: tuple[float, ...] = ()
-    backend: str | None = None
     validate: bool = False
 
     def scenarios_for(self, tree_name: str) -> list[Scenario]:
@@ -117,9 +112,6 @@ class Campaign:
         for p in self.processor_counts:
             for name in self.algorithms:
                 algo = registry.get(name)  # fails fast on unknown names
-                base: dict[str, Any] = {}
-                if self.backend is not None and "backend" in algo.params:
-                    base["backend"] = self.backend
                 if self.cap_factors and "cap_factor" in algo.params:
                     for factor in self.cap_factors:
                         out.append(
@@ -127,9 +119,7 @@ class Campaign:
                                 tree=tree_name,
                                 algorithm=name,
                                 p=int(p),
-                                params=tuple(
-                                    {**base, "cap_factor": float(factor)}.items()
-                                ),
+                                params=(("cap_factor", float(factor)),),
                                 label=f"{name}@cap{factor:g}",
                             )
                         )
@@ -139,7 +129,6 @@ class Campaign:
                             tree=tree_name,
                             algorithm=name,
                             p=int(p),
-                            params=tuple(base.items()),
                             label=name,
                         )
                     )
@@ -177,25 +166,14 @@ def _scenario_records(
         mem_lb = prepared.optimal().peak_memory
         specs = []
         idxs: list[int] = []
-        backend: str | None = None
         for i, sc in enumerate(scenarios):
-            params = dict(sc.params)
-            spec = registry.get(sc.algorithm).batch_spec(prepared, sc.p, **params)
-            if spec is None:
-                continue
-            b = params.get("backend")
-            if not idxs:
-                backend = b
-            elif b != backend:
-                # mixed per-scenario backends (hand-built slices only):
-                # batch the leading backend, run the rest unbatched.
-                continue
-            specs.append(spec)
-            idxs.append(i)
+            spec = registry.get(sc.algorithm).batch_spec(prepared, sc.p, **dict(sc.params))
+            if spec is not None:
+                specs.append(spec)
+                idxs.append(i)
         outcomes: dict[int, Any] = {}
         if idxs:
-            run = sweep_batch(prepared, specs, backend=backend)
-            outcomes = dict(zip(idxs, run.outcomes))
+            outcomes = dict(zip(idxs, sweep_batch(prepared, specs).outcomes))
     except Exception as exc:
         for _ in scenarios:
             yield exc
@@ -429,13 +407,18 @@ def run_campaign(
 
     if workers <= 1 and not supervise and pool is None:
         # In process: one preparation and one megabatch per tree group.
+        seq = 0  # dispatch-stream index, as in the supervised workers
         for gi, inst in enumerate(instances):
             rest = groups[gi][done[gi]:]
             if not rest:
                 continue
             prepared = prepare(inst) if prepare is not None else PreparedTree(inst.tree)
             recs = []
-            for out in _scenario_records(inst.name, prepared, rest, campaign.validate):
+            outs = _scenario_records(inst.name, prepared, rest, campaign.validate)
+            for sc in rest:
+                faults.maybe_slow(faults.scenario_key(sc.tree, sc.label, sc.p), seq, 0)
+                seq += 1
+                out = next(outs)
                 if isinstance(out, Exception):
                     raise out
                 recs.append(out)
@@ -467,7 +450,6 @@ def run_campaign(
                 run_report = run_supervised(
                     instances,
                     tasks,
-                    backend=campaign.backend,
                     workers=max(1, workers),
                     fault_plan=fault_plan,
                     **kwargs,

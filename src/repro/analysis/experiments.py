@@ -104,7 +104,6 @@ def run_experiments(
     progress: bool = False,
     workers: int = 1,
     stream_to: str | None = None,
-    backend: str | None = None,
 ) -> list[ScenarioRecord]:
     """Run the full cross product of the paper's Section 6 campaign.
 
@@ -133,10 +132,6 @@ def run_experiments(
         soon as they are available (the file is truncated first), with
         a flush after every record so an interrupted campaign leaves at
         most one truncated line behind.
-    backend:
-        engine sweep backend forwarded to every algorithm that declares
-        it (``"auto"``/``"python"``/``"c"``). All backends are
-        bit-identical, so records do not depend on it.
     """
     from .campaign import Campaign, run_campaign
 
@@ -144,7 +139,6 @@ def run_experiments(
     campaign = Campaign(
         algorithms=names,
         processor_counts=tuple(processor_counts),
-        backend=backend,
         validate=validate,
     )
     return run_campaign(

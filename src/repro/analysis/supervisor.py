@@ -42,9 +42,9 @@ Failure policy
 
 Determinism
 -----------
-Schedulers are deterministic and all sweep backends are bit-identical,
-so a scenario's record does not depend on which worker (or which
-attempt) produced it. Records are emitted strictly in the campaign's
+Schedulers are deterministic and both sweeps (the C kernel and the
+reference loop) are bit-identical, so a scenario's record does not
+depend on which worker (or which attempt) produced it. Records are emitted strictly in the campaign's
 scenario-stream order through a write cursor -- which is what makes a
 supervised run's checkpoint **byte-identical** to the in-process one,
 faults or not (property-tested by the chaos suite).
@@ -60,15 +60,15 @@ or ready timeout, and at most after :data:`_ABORT_CHECK` seconds, so an
 
 Backend degradation
 -------------------
-The first worker probes the backend chain at startup
-(:func:`repro.core.engine.probe_backend`): the requested backend is
-health-checked with a real two-node sweep and, on failure, the chain
-degrades c -> python. The decision is cached on the pool and
-handed to every later spawn (respawns after a crash, extra workers,
-workers of later runs), which therefore skip the probe entirely; each
-worker's backend (with every skipped backend and its reason) is
-recorded in the :class:`RunReport`, and pinned into every scenario of
-algorithms that declare a ``backend`` parameter.
+The first worker probes the sweep at startup
+(:func:`repro.core.engine.probe_backend`): the C kernel is
+health-checked with a real two-node sweep and, when it does not build
+or fails, the worker degrades to the reference loop. The decision is
+cached on the pool and handed to every later spawn (respawns after a
+crash, extra workers, workers of later runs), which adopt it as their
+own dispatch decision and therefore skip the probe entirely. Each
+worker's sweep (with the skipped kernel and its reason) is recorded in
+the :class:`RunReport`.
 
 Persistent pools
 ----------------
@@ -93,12 +93,12 @@ import queue as queue_mod
 import select
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import Any, Callable, Sequence
 
-from repro import registry
-from repro.core.engine import MemoryCapError, probe_backend
+from repro.core import engine
+from repro.core.engine import MemoryCapError
 from repro.core.prepared import PreparedTree
 from repro.testing import faults
 from repro.workloads.dataset import TreeInstance
@@ -232,7 +232,6 @@ def _worker_main(
     wid: int,
     task_q,
     results,
-    backend_request: str | None,
     plan_json: str | None,
     probed: tuple | None,
 ) -> None:
@@ -255,11 +254,14 @@ def _worker_main(
     faults.install(faults.FaultPlan.from_json(plan_json) if plan_json else None)
     if probed is not None:
         chosen, skipped = probed[0], [tuple(s) for s in probed[1]]
+        # adopt the pool's decision as this process's dispatch (engine
+        # runs read it from the probe cache; a fault plan bypasses it)
+        engine._PROBE_CACHE[os.getpid()] = (chosen, tuple(map(tuple, skipped)))
         did_probe = False
     else:
         try:
-            chosen, skipped = probe_backend(backend_request)
-        except Exception as exc:  # no usable backend at all: abort the run
+            chosen, skipped = engine.probe_backend()
+        except Exception as exc:  # no usable sweep at all: abort the run
             put(("fatal", wid, f"{type(exc).__name__}: {exc}"))
             return
         did_probe = True
@@ -287,17 +289,11 @@ def _worker_main(
             continue
         _, ep, gi, inst, seqs, scenarios, attempts = msg
         try:
-            pinned = [
-                replace(sc, params=tuple(
-                    registry.apply_backend(sc.algorithm, dict(sc.params), chosen).items()
-                ))
-                for sc in scenarios
-            ]
             prepared = _prepared_for(inst, gi, cache)
         except Exception as exc:
             outs = itertools.repeat(exc)
         else:
-            outs = _scenario_records(inst.name, prepared, pinned, validate)
+            outs = _scenario_records(inst.name, prepared, scenarios, validate)
         for seq, sc, attempt in zip(seqs, scenarios, attempts):
             key = faults.scenario_key(sc.tree, sc.label, sc.p)
             faults.maybe_crash(key, seq, attempt)
@@ -381,7 +377,6 @@ class SupervisorPool:
         self,
         *,
         workers: int = 1,
-        backend: str | None = None,
         fault_plan: "faults.FaultPlan | None" = None,
     ) -> None:
         import multiprocessing
@@ -392,7 +387,6 @@ class SupervisorPool:
             ctx = multiprocessing.get_context()
         self._ctx = ctx
         self.workers = max(1, workers)
-        self.backend = backend
         plan = fault_plan if fault_plan is not None else faults.active_plan()
         self._plan_json = plan.to_json() if plan is not None else None
         self._pool: list[_Worker] = []
@@ -442,7 +436,6 @@ class SupervisorPool:
                 wid,
                 task_q,
                 results_w,
-                self.backend,
                 self._plan_json,
                 self._probed,
             ),
@@ -734,7 +727,6 @@ def run_supervised(
     tasks: Sequence[tuple[int, Any]],
     *,
     validate: bool = False,
-    backend: str | None = None,
     workers: int = 1,
     retries: int = 2,
     timeout: float | None = None,
@@ -747,7 +739,7 @@ def run_supervised(
 
     See :meth:`SupervisorPool.run` for the contract.
     """
-    pool = SupervisorPool(workers=workers, backend=backend, fault_plan=fault_plan)
+    pool = SupervisorPool(workers=workers, fault_plan=fault_plan)
     try:
         return pool.run(
             instances,

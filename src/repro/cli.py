@@ -82,7 +82,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             processor_counts,
             progress=args.verbose,
             workers=args.workers,
-            backend=args.backend,
         )
     stats = compute_table1_stats(records)
     print(render_table1(stats))
@@ -107,7 +106,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         instances,
         tuple(args.processors),
         workers=args.workers,
-        backend=args.backend,
     )
     data = figure_data(records, args.which)
     titles = {
@@ -250,7 +248,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             instances,
             tuple(args.processors),
             workers=args.workers,
-            backend=args.backend,
         )
     text = build_report(records, instances)
     if args.output:
@@ -273,9 +270,7 @@ def _cmd_memory_cap(args: argparse.Namespace) -> int:
     for inst in instances:
         mseq = memory_lower_bound(inst.tree)
         for factor in (1.0, 1.5, 2.0, 4.0):
-            sch = memory_bounded_schedule(
-                inst.tree, p, cap=factor * mseq, backend=args.backend
-            )
+            sch = memory_bounded_schedule(inst.tree, p, cap=factor * mseq)
             sim = simulate(sch)
             print(
                 f"{inst.name:<28s} {factor:>9.1f} {sim.makespan:>12.5g} "
@@ -302,7 +297,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             algorithms=algos,
             processor_counts=procs,
             cap_factors=caps,
-            backend=args.backend,
             validate=args.verbose,
         )
         # fail fast on unknown algorithm names, before building the data set
@@ -484,17 +478,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{'tree':<28s} {'p':>3s} {'makespan':>12s} {'Cmax/LB':>8s} "
         f"{'memory':>12s} {'mem/Mseq':>9s}"
     )
-    # Forward the sweep backend only to algorithms that declare it (the
-    # engine-based list schedulers); schedules are backend-independent.
-    overrides = (
-        {"backend": args.backend}
-        if args.backend is not None and "backend" in algo.params
-        else {}
-    )
     for inst in instances:
         mseq = memory_lower_bound(inst.tree)
         for p in counts:
-            sim = simulate(algo.run(inst.tree, p, **overrides), validate=args.verbose)
+            sim = simulate(algo.run(inst.tree, p), validate=args.verbose)
             cmax_lb = makespan_lower_bound(inst.tree, p)
             print(
                 f"{inst.name:<28s} {p:>3d} {sim.makespan:>12.5g} "
@@ -531,14 +518,6 @@ def main(argv: list[str] | None = None) -> int:
             default=1,
             help="worker processes for the experiment sweep (more than 1 "
             "runs on the supervised pool; records are identical)",
-        )
-        sp.add_argument(
-            "--backend",
-            default=None,
-            choices=("auto", "python", "c", "kernel"),
-            help="event-sweep backend for the engine-based schedulers "
-            "(default: auto = fastest available; all backends produce "
-            "bit-identical schedules)",
         )
         sp.add_argument("--verbose", action="store_true")
 

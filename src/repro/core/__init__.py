@@ -4,11 +4,8 @@ from .tree import TaskTree, NO_PARENT
 from .prepared import PreparedTree, as_prepared, tree_of
 from .schedule import Schedule, ScheduledTask
 from .engine import (
-    BackendUnavailableError,
-    EngineState,
     MemoryCapError,
     SchedulerEngine,
-    available_backends,
     lex_rank,
     rank_from_callable,
     resolve_backend,
@@ -33,11 +30,8 @@ __all__ = [
     "tree_of",
     "Schedule",
     "ScheduledTask",
-    "BackendUnavailableError",
-    "EngineState",
     "MemoryCapError",
     "SchedulerEngine",
-    "available_backends",
     "lex_rank",
     "rank_from_callable",
     "resolve_backend",

@@ -1,12 +1,15 @@
-"""C implementation of the event-sweep kernel spec (``backend="c"``).
+"""The C event-sweep kernel of :class:`repro.core.engine.SchedulerEngine`.
 
-A line-for-line translation of :func:`repro.core._sweep.batch_sweep`
-into C, compiled on demand with the system toolchain (``cc``/``gcc``/
-``clang``) into a shared library cached under the user cache directory
-(override with ``REPRO_KERNEL_CACHE``) and loaded via :mod:`ctypes`.
-It is strictly optional: when no toolchain is available (or the
-compile fails) :func:`available` returns False and the engine falls
-back cleanly.
+A line-for-line C translation of the engine's pure-Python reference
+loop (:meth:`~repro.core.engine.SchedulerEngine.run_reference`) over
+typed, C-contiguous numpy arrays -- array-based binary heaps instead of
+``heapq``, integer node ids instead of tuples, no Python objects in the
+hot loop. It is compiled on demand with the system toolchain
+(``cc``/``gcc``/``clang``) into a shared library cached under the user
+cache directory (override with ``REPRO_KERNEL_CACHE``) and loaded via
+:mod:`ctypes`. It is strictly optional: when no toolchain is available
+(or the compile fails) :func:`available` returns False and the engine
+sweeps on the reference loop instead.
 
 The library exports one entry point, ``batch_event_sweep``: a serial
 loop over the scenarios of a grid against one tree, every scenario
@@ -14,6 +17,85 @@ swept over the same malloc'd scratch arena (heaps plus a private
 ``pending`` copy refilled per scenario). A single engine run is a grid
 of one. ctypes releases the GIL for the duration of the call.
 
+Kernel spec
+-----------
+The arguments of :func:`batch_kernel`, grouped by role (its signature
+gives the order). Tree columns (C-contiguous ``int64``/``float64``,
+read-only):
+
+``parent``
+    in-tree parent vector (root = -1).
+``pending0``
+    per-node count of incomplete children, i.e. ``np.diff(child_ptr)``
+    of the CSR children structure; copied privately per scenario.
+``w``
+    task durations.
+``alloc`` / ``free_on_end``
+    memory acquired at start / released at completion per node.
+
+Stacked per-scenario parameters (``S`` scenarios):
+
+``ranks`` / ``byranks`` / ``rank_id``
+    ``(R, n)`` stacks of priority permutations and their inverses
+    (``byrank[rank[i]] == i``); scenario ``s`` reads row ``rank_id[s]``.
+``ps``
+    processor counts.
+``modes`` / ``cap_eps``
+    0 = no memory cap; 1 = strict activation order; 2 = opportunistic.
+    ``cap_eps`` is the cap plus the engine's feasibility epsilon.
+``sigmas`` / ``sigma_id``
+    ``(K, n)`` stack of activation orders; scenario ``s`` reads row
+    ``sigma_id[s]``, or none when uncapped (``sigma_id[s] < 0``;
+    ``sigmas`` always holds at least one row).
+
+Stacked outputs, row ``s`` belonging to scenario ``s``
+(:func:`repro.core.engine.batch_arrays` allocates them):
+
+``start`` / ``end_out`` / ``proc``
+    start time, completion time and processor of every task
+    (``start``/``proc`` must be initialised to -1).
+``activation``
+    the k-th entry is the k-th task to *start* (chronological, ties
+    resolved exactly as the reference loop resolves them).
+``mem_trace``
+    resident memory immediately after each start, aligned with
+    ``activation`` -- the peak-memory trace of the sweep.
+``status`` (``int64[2]`` per scenario)
+    ``status[0]``: 0 = ok, 1 = memory cap infeasible, 2 = strict-mode
+    rank/activation mismatch, 3 = deadlock (defensive), 4 = scratch
+    allocation failure; ``status[1]``: the offending node for codes 1-2.
+``finals`` (``float64[2]`` per scenario)
+    final simulation time (= makespan) and final resident memory.
+
+Scenarios share only the read-only columns and sweep serially, one
+after another, in scenario order.
+
+Equivalence contract
+--------------------
+The kernel must produce **bit-identical** outputs to the reference
+loop; any behavioural change must be made in both and is pinned by
+``tests/core/test_backends.py``. Floating point makes this subtle in
+two places, both resolved by construction:
+
+* *Event keys.* The reference loop encodes events of integral-weight
+  trees as exact integers ``end * n + node``; the kernel always uses a
+  ``(float64 end, int64 node)`` pair heap. The two orders coincide
+  whenever every completion time is exactly representable as a float64,
+  which the engine checks before dispatching here (it keeps the
+  reference loop for integral weights whose total reaches 2**53; see
+  ``PreparedTree.kernel_exact``).
+* *Memory accounting.* ``mem`` is accumulated with the same
+  adds/subtracts in the same chronological order as the reference loop,
+  so capped-mode feasibility decisions (and ``mem_trace``) match bit
+  for bit.
+
+Heap pop order is determined by the key order alone -- ready entries
+are bare ranks (a permutation, hence unique) and running entries carry
+the node id as tie-break -- so an array-based binary heap reproduces
+``heapq`` exactly without mimicking its internals.
+
+Build cache
+-----------
 The build is keyed by a hash of the C source and the compiler flags, so
 editing the kernel invalidates the cache automatically and concurrent
 processes converge on the same artifact: the source is written to a
@@ -22,10 +104,6 @@ likewise, and a stale-lock-tolerant ``.lock`` guard elects one builder
 while the others wait for the artifact to appear (a crashed builder's
 lock is broken once it goes stale, and a lock wait that times out
 simply compiles redundantly -- ``os.replace`` keeps that correct).
-
-The C side follows the exact kernel spec of :mod:`repro.core._sweep`
-(same argument order, same status codes, same bit-for-bit equivalence
-contract with the pure-Python reference backend).
 """
 
 from __future__ import annotations
@@ -283,7 +361,7 @@ static int64_t event_sweep(int64_t n, int64_t p,
     return status[0];
 }
 
-/* The batched kernel spec (see repro.core._sweep.batch_sweep): one
+/* The batched kernel spec (see the module docstring): one
  * call sweeps every scenario of a grid against the same tree, in
  * scenario order, over one scratch arena. Scenario s reads rank row
  * rank_id[s] of the (R x n) ranks/byranks stacks and (when capped,
@@ -460,7 +538,7 @@ def _compile_one(cc: str, lib_path: str) -> str:
         return ""
     except (OSError, subprocess.SubprocessError) as exc:
         # a hung or broken toolchain must degrade to "unavailable",
-        # never crash engine construction out of backend="auto"
+        # never crash an engine run
         return f"kernel build failed: {exc}"
     finally:
         for leftover in (tmp_lib, tmp_src):
@@ -531,9 +609,9 @@ def _injected_failure() -> bool:
     """True when a fault plan forces a compile failure (chaos testing).
 
     The hook sits here -- not in the engine -- so every consumer of the
-    C backend (``resolve_backend``, ``available_backends``, the worker
-    health probe) sees the same degraded world. A no-op without an
-    active :mod:`repro.testing.faults` plan.
+    C kernel (the engine's ``probe_backend`` and so every dispatch)
+    sees the same degraded world. A no-op without an active
+    :mod:`repro.testing.faults` plan.
     """
     try:
         from repro.testing import faults
@@ -578,8 +656,8 @@ def batch_kernel(
     status,
     finals,
 ):
-    """Invoke the C kernel (argument order of
-    :func:`repro.core._sweep.batch_sweep`).
+    """Invoke the C kernel (argument order of the kernel spec in the
+    module docstring).
 
     ctypes releases the GIL for the duration, so the whole grid sweeps
     without re-entering Python.

@@ -19,48 +19,41 @@ Two design points make the engine fast on large trees:
   then holds plain integer ranks, so the event loop performs O(log n)
   integer heap operations only -- no closure calls, no float tuple
   comparisons, no numpy scalar indexing.
-* **Pluggable sweep backends.** The sweep itself exists as a
-  backend-neutral kernel spec (:mod:`repro.core._sweep`): typed numpy
-  arrays in, typed numpy arrays out. ``backend="python"`` runs the
-  reference heapq loop below (the CPython floor, ~1.5 us/task);
-  ``backend="c"`` runs a serial C translation built on demand with the
-  system toolchain (:mod:`repro.core._ckernel`); ``backend="kernel"``
-  runs the kernel source interpreted (slow; for testing the kernel
-  logic without a compiler). ``backend="auto"`` (the default) picks C
-  when it builds and falls back cleanly to pure Python. **Every
-  backend produces bit-identical schedules** -- pinned by the
-  cross-backend golden tests, so perf work can never silently change
-  paper results.
+* **One sweep dispatch.** The sweep runs on the C kernel
+  (:mod:`repro.core._ckernel`, built on demand with the system
+  toolchain) when it builds and passes a two-node health probe in this
+  process (:func:`probe_backend`) and the tree is kernel-exact;
+  otherwise on the pure-Python reference loop
+  (:meth:`SchedulerEngine.run_reference`, the CPython floor, ~1.5
+  us/task), which defines the schedule semantics. The engine makes
+  this choice itself; nothing overrides it. **Both produce
+  bit-identical schedules** -- pinned by ``tests/core/test_backends.py``,
+  so perf work can never silently change paper results.
 
 Complexity is :math:`O(n \\log n)` (binary heaps for both the running
 set and the ready queue), matching the paper's analysis; the constant
-factor is what the backends change.
+factor is what the C kernel changes.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import _sweep
-from ._sweep import SweepResult, batch_arrays
 from .prepared import PreparedTree, as_prepared, stack_unique
 from .schedule import Schedule
 from .tree import TaskTree, NO_PARENT
 
 __all__ = [
-    "BACKENDS",
-    "BackendUnavailableError",
     "BatchRun",
     "BatchScenario",
-    "EngineState",
     "MemoryCapError",
     "SchedulerEngine",
-    "available_backends",
+    "SweepResult",
     "default_threads",
     "lex_rank",
     "probe_backend",
@@ -68,12 +61,6 @@ __all__ = [
     "resolve_backend",
     "sweep_batch",
 ]
-
-#: environment variable overriding the default backend selection
-BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
-
-#: accepted values for ``SchedulerEngine(backend=...)``
-BACKENDS = ("auto", "python", "c", "kernel")
 
 
 def default_threads() -> int:
@@ -89,129 +76,73 @@ class MemoryCapError(RuntimeError):
     """Raised when no task fits under the cap and none is running."""
 
 
-class BackendUnavailableError(RuntimeError):
-    """An explicitly requested sweep backend cannot run here."""
+#: memoised :func:`probe_backend` decisions, keyed by pid. The pid key
+#: makes the cache fork-safe for free: a forked child (a fresh
+#: supervisor worker) sees a miss and probes for itself, while repeated
+#: lookups inside one process (every engine run, the scheduling
+#: service's ``/readyz``) hit the cache instead of re-paying the
+#: two-node sweep.
+_PROBE_CACHE: dict[int, tuple[str, tuple[tuple[str, str], ...]]] = {}
+
+#: the two-node instance every probe sweeps, prepared once at import so
+#: that a probe never prepares a tree inside a caller's run
+_PROBE_TREE = PreparedTree(TaskTree.from_parents([-1, 0], w=1.0, f=1.0, sizes=0.0))
 
 
-def available_backends() -> tuple[str, ...]:
-    """The concrete backends usable in this environment, fastest first.
+def probe_backend(*, refresh: bool = False) -> tuple[str, list[tuple[str, str]]]:
+    """Health-probe the sweep kernels; return this process's decision.
 
-    ``python`` and ``kernel`` are always present; ``c`` requires a
-    working C toolchain (first call compiles the kernel).
-    """
-    names = []
-    from . import _ckernel
-
-    if _ckernel.available():
-        names.append("c")
-    names.append("python")
-    names.append("kernel")
-    return tuple(names)
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a backend request to a concrete backend name.
-
-    ``None`` reads the ``REPRO_ENGINE_BACKEND`` environment variable and
-    defaults to ``"auto"``. ``"auto"`` picks the C kernel when it builds,
-    else pure Python, and never fails; explicitly requesting an
-    unavailable backend raises :class:`BackendUnavailableError` with the
-    reason and the fix.
-    """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR, "") or "auto"
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == "auto":
-        from . import _ckernel
-
-        return "c" if _ckernel.available() else "python"
-    if backend == "c":
-        from . import _ckernel
-
-        if not _ckernel.available():
-            raise BackendUnavailableError(
-                "backend='c' requested but the compiled kernel is "
-                f"unavailable ({_ckernel.unavailable_reason()}); use "
-                "backend='auto' to fall back to the fastest available backend"
-            )
-    return backend
-
-
-#: memoised :func:`probe_backend` decisions, keyed by
-#: ``(backend request, pid)``. The pid key makes the cache fork-safe
-#: for free: a forked child (a fresh supervisor worker) sees a miss and
-#: probes for itself, while repeated probes inside one process (the
-#: scheduling service's ``/readyz``, a supervisor respawning in-process
-#: state) hit the cache instead of re-paying the two-node sweep.
-_PROBE_CACHE: dict[tuple[str, int], tuple[str, tuple[tuple[str, str], ...]]] = {}
-
-
-def probe_backend(
-    backend: str | None = None, *, refresh: bool = False
-) -> tuple[str, list[tuple[str, str]]]:
-    """Health-probe the sweep-backend chain; return what actually works.
-
-    :func:`resolve_backend` answers "is the backend nominally present"
-    (module importable, artifact compiled); this function answers "does
-    it *run*": each candidate executes a real two-node sweep, and the
-    first one to produce a schedule wins. Candidates are tried in
-    degradation order -- the requested backend first, then the
-    remaining concrete backends fastest-first (``c``, ``python``), so
-    an explicit ``backend="c"`` whose compile fails (toolchain missing,
-    or an injected ``compile_failure`` fault) degrades ``c -> python``
-    instead of raising.
-
-    Returns ``(usable backend, skipped)`` where ``skipped`` lists the
-    ``(backend, reason)`` pairs that failed the probe -- the supervised
-    campaign runtime probes once per worker at pool startup, caches the
-    decision for the worker's lifetime, and records ``skipped`` in the
+    The C kernel is chosen when it builds
+    (:func:`repro.core._ckernel.available`) and a real two-node sweep on
+    it succeeds; otherwise the pure-Python reference loop, after the
+    same two-node sweep. Returns ``(chosen, skipped)``: ``chosen`` is
+    ``"c"`` or ``"python"``, and ``skipped`` lists the ``(kernel,
+    reason)`` pairs that failed -- the supervised campaign runtime
+    records them per worker in its
     :class:`~repro.analysis.supervisor.RunReport`. Results never depend
-    on the outcome: every backend is bit-identical.
+    on the outcome: both sweeps are bit-identical.
 
-    The decision is memoised per ``(backend request, pid)``, so
-    repeated probes in one process (health endpoints, pool restarts)
-    cost a dict lookup. The cache is bypassed -- never read, never
-    written -- while a fault plan is active (injected compile failures
-    must keep degrading the probe), and ``refresh=True`` forces a live
-    probe.
+    The decision is memoised per pid, so every later engine run (and a
+    health endpoint) costs a dict lookup. The cache is bypassed -- never
+    read, never written -- while a fault plan is active (an injected
+    ``compile_failure`` must keep degrading the decision), and
+    ``refresh=True`` forces a live probe.
     """
     from repro.testing import faults
 
-    key = (
-        backend or os.environ.get(BACKEND_ENV_VAR, "") or "auto",
-        os.getpid(),
-    )
+    pid = os.getpid()
     cacheable = faults.active_plan() is None
     if cacheable and not refresh:
-        hit = _PROBE_CACHE.get(key)
+        hit = _PROBE_CACHE.get(pid)
         if hit is not None:
-            return hit[0], [tuple(s) for s in hit[1]]
+            return hit[0], list(hit[1])
+    from . import _ckernel
+
     skipped: list[tuple[str, str]] = []
-    try:
-        first: str | None = resolve_backend(backend)
-    except BackendUnavailableError as exc:
-        requested = backend or os.environ.get(BACKEND_ENV_VAR, "") or "auto"
-        skipped.append((requested, str(exc)))
-        first = None
-    chain = ([first] if first is not None else []) + [
-        b for b in ("c", "python") if b != first
-    ]
-    probe_tree = TaskTree.from_parents([-1, 0], w=1.0, f=1.0, sizes=0.0)
-    rank = np.arange(2, dtype=np.int64)
-    for candidate in chain:
+    for name, sweep in (
+        ("c", SchedulerEngine._run_kernel),
+        ("python", SchedulerEngine.run_reference),
+    ):
+        if name == "c" and not _ckernel.available():
+            skipped.append((name, _ckernel.unavailable_reason()))
+            continue
         try:
-            resolve_backend(candidate)
-            SchedulerEngine(probe_tree, 1, rank, backend=candidate).run()
-            if cacheable:
-                _PROBE_CACHE[key] = (candidate, tuple(map(tuple, skipped)))
-            return candidate, skipped
+            sweep(SchedulerEngine(_PROBE_TREE, 1, np.arange(2, dtype=np.int64)))
         except Exception as exc:
-            skipped.append((candidate, f"{type(exc).__name__}: {exc}"))
+            skipped.append((name, f"{type(exc).__name__}: {exc}"))
+            continue
+        if cacheable:
+            _PROBE_CACHE[pid] = (name, tuple(skipped))
+        return name, skipped
     raise RuntimeError(
-        "no usable sweep backend: "
-        + "; ".join(f"{b}: {reason}" for b, reason in skipped)
+        "no usable sweep: " + "; ".join(f"{b}: {reason}" for b, reason in skipped)
     )
+
+
+def resolve_backend() -> str:
+    """The sweep this process dispatches to, ``"c"`` or ``"python"``
+    (the decision of :func:`probe_backend`)."""
+    return probe_backend()[0]
 
 
 def lex_rank(*keys: np.ndarray) -> np.ndarray:
@@ -253,47 +184,22 @@ def rank_from_callable(tree: TaskTree, priority: Callable[[int], tuple]) -> np.n
     return rank
 
 
-@dataclass
-class EngineState:
-    """Mutable state of one :class:`SchedulerEngine` run.
+@dataclass(frozen=True)
+class SweepResult:
+    """The output arrays of one completed sweep (either path)."""
 
-    Attributes
-    ----------
-    ready:
-        heap of bare integer ranks (node = position of the rank in the
-        engine's priority permutation): tasks whose children all
-        completed but that have not started yet.
-    running:
-        heap of ``(completion time, node)`` pairs: the event set.
-    pending:
-        per-node count of children that have not completed yet; a node
-        becomes ready when its counter reaches zero. (Populated by the
-        pure-Python backend only; kernel backends keep their state in
-        typed arrays and report the summary fields below.)
-    free_procs:
-        idle processor indices (popped from the tail, so processor 0 is
-        assigned first).
-    now / started:
-        current simulation time and number of started tasks.
-    mem / next_sigma:
-        memory accounting (resident size and the first index of the
-        activation order not yet started); only meaningful when the
-        engine was configured with a cap.
-    """
-
-    ready: list = field(default_factory=list)
-    running: list = field(default_factory=list)
-    pending: list = field(default_factory=list)
-    free_procs: list = field(default_factory=list)
-    now: float = 0.0
-    mem: float = 0.0
-    started: int = 0
-    next_sigma: int = 0
+    start: np.ndarray
+    end: np.ndarray
+    proc: np.ndarray
+    activation: np.ndarray
+    mem_trace: np.ndarray
+    now: float
+    mem: float
 
 
 class SchedulerEngine:
-    """Event-driven list scheduler with pluggable priorities, sweep
-    backends, and an optional peak-memory cap.
+    """Event-driven list scheduler with pluggable priorities and an
+    optional peak-memory cap.
 
     Parameters
     ----------
@@ -324,12 +230,10 @@ class SchedulerEngine:
         ``"opportunistic"`` -- any ready task that fits may start,
         preferring the smallest rank; a tight cap may become infeasible,
         raising :class:`MemoryCapError`.
-    backend:
-        ``"auto"`` (default; also via the ``REPRO_ENGINE_BACKEND``
-        environment variable), ``"python"``, ``"c"`` or ``"kernel"`` --
-        see the module docstring. All backends are
-        bit-identical; explicitly requesting an unavailable one raises
-        :class:`BackendUnavailableError` at construction time.
+
+    :meth:`run` sweeps on the C kernel or the reference loop (see the
+    module docstring); afterwards ``sweep`` holds the
+    :class:`SweepResult` and ``backend_used`` names the sweep that ran.
     """
 
     def __init__(
@@ -341,7 +245,6 @@ class SchedulerEngine:
         cap: float | None = None,
         order: np.ndarray | None = None,
         mode: str = "strict",
-        backend: str | None = None,
     ) -> None:
         if p < 1:
             raise ValueError("p must be positive")
@@ -376,7 +279,8 @@ class SchedulerEngine:
         self.rank = rank
         self.cap = None if cap is None else float(cap)
         self.mode = mode
-        self.backend = resolve_backend(backend)
+        # the cap plus the feasibility epsilon, shared by both sweeps
+        self._cap_eps = None if self.cap is None else self.cap + 1e-9
         if self.cap is not None:
             if order is None:
                 order = prepared.optimal().order
@@ -387,17 +291,7 @@ class SchedulerEngine:
         else:
             self.order = None
         self._byrank = byrank
-        # Integral weights (the paper's data sets and the Pebble-Game
-        # regime) let the reference backend use exact integer event keys
-        # ``end * n + node``; the kernel backends always use a
-        # (float64 end, node) pair heap, whose order coincides as long
-        # as every completion time is exactly representable in a
-        # float64 (total weight below 2**53). Both flags are pure
-        # functions of the weight column, cached on the prepared bundle.
-        self._int_keys = prepared.int_keys
-        self._kernel_exact = prepared.kernel_exact
         self.backend_used: str | None = None  # populated by run()
-        self.state: EngineState | None = None  # populated by run()
         self.sweep: SweepResult | None = None  # populated by run()
 
     # ------------------------------------------------------------------
@@ -406,25 +300,40 @@ class SchedulerEngine:
 
         Both :func:`repro.parallel.list_schedule` and
         :func:`repro.parallel.memory_bounded_schedule` end up here. The
-        kernel backends are only engaged when their float64 event keys
-        are exactly equivalent to the reference backend's integer
-        encoding (always true except for integral weights totalling
-        >= 2**53, where the sweep silently falls back to the reference
-        loop so the bit-identity contract holds unconditionally).
+        C kernel runs when this process chose it (:func:`resolve_backend`)
+        and the tree is kernel-exact: integral weights let the reference
+        loop use exact integer event keys ``end * n + node``, while the
+        kernel's (float64 end, node) pairs order identically only while
+        every completion time is exactly representable (total weight
+        below 2**53; ``PreparedTree.kernel_exact``). Otherwise this falls
+        back to :meth:`run_reference`, so the bit-identity contract
+        holds unconditionally.
         """
-        if self.backend != "python" and self._kernel_exact:
-            self.backend_used = self.backend
-            rows = _kernel_sweep(self.prepared, [self])
-            return self._finish_kernel(*(row[0] for row in rows))
-        self.backend_used = "python"
-        return self._run_python()
+        if self.prepared.kernel_exact and resolve_backend() == "c":
+            return self._run_kernel()
+        return self.run_reference()
 
     # ------------------------------------------------------------------
     def _mode_args(self) -> tuple[int, float]:
         """``(mode code, cap_eps)`` for the kernel spec."""
-        if self.cap is None:
+        if self._cap_eps is None:
             return 0, 0.0
-        return (1 if self.mode == "strict" else 2), self.cap + 1e-9
+        return (1 if self.mode == "strict" else 2), self._cap_eps
+
+    def _cap_error(self, node: int, mem: float) -> MemoryCapError:
+        """The infeasible-cap error of both sweeps: ``node`` is the next
+        task of the activation order, ``mem`` the resident memory."""
+        return MemoryCapError(
+            f"cap {self.cap:g} infeasible: task {node} needs "
+            f"{mem + float(self.prepared.alloc[node]):g} with nothing running "
+            f"(mode={self.mode}; sequential peak of the activation "
+            f"order is a feasible cap in strict mode)"
+        )
+
+    def _run_kernel(self) -> Schedule:
+        """Sweep this one engine on the C kernel."""
+        rows = _kernel_sweep(self.prepared, [self])
+        return self._finish_kernel(*(row[0] for row in rows))
 
     def _finish_kernel(
         self, start, end, proc, activation, mem_trace, status, finals
@@ -433,27 +342,17 @@ class SchedulerEngine:
         the reference loop would, or record the sweep and return the
         schedule. Shared by single runs and :func:`sweep_batch`, so both
         produce byte-identical outcomes *and* messages."""
-        tree = self.tree
-        n = tree.n
-        capped = self.cap is not None
-        alloc = self.prepared.alloc
+        self.backend_used = "c"
         code = int(status[0])
         if code == 1:
-            node = int(status[1])
-            mem = float(finals[1])
-            raise MemoryCapError(
-                f"cap {self.cap:g} infeasible: task {node} needs "
-                f"{mem + alloc[node]:g} with nothing running "
-                f"(mode={self.mode}; sequential peak of the activation "
-                f"order is a feasible cap in strict mode)"
-            )
+            raise self._cap_error(int(status[1]), float(finals[1]))
         if code == 2:
             raise ValueError(
                 "strict mode requires rank to follow the activation order"
             )
         if code == 4:  # pragma: no cover - C kernel scratch malloc failed
             raise MemoryError(
-                f"C sweep kernel could not allocate scratch heaps for n={n}"
+                f"C sweep kernel could not allocate scratch heaps for n={self.tree.n}"
             )
         if code != 0:  # pragma: no cover - defensive
             raise RuntimeError("deadlock: tasks left but no event pending")
@@ -466,21 +365,20 @@ class SchedulerEngine:
             now=float(finals[0]),
             mem=float(finals[1]),
         )
-        self.state = EngineState(
-            now=float(finals[0]),
-            mem=float(finals[1]),
-            started=n,
-            next_sigma=n if capped else 0,
-        )
-        return Schedule(tree, start, proc, self.p)
+        return Schedule(self.tree, start, proc, self.p)
 
     # ------------------------------------------------------------------
-    def _run_python(self) -> Schedule:
-        """The pure-Python reference backend: a heapq event loop over
-        Python lists (numpy scalar indexing inside a tight loop costs
-        ~100ns per access, so all per-node arrays are converted to
-        lists once). This loop *defines* the schedule semantics; the
-        kernel backends mirror it statement for statement."""
+    def run_reference(self) -> Schedule:
+        """Sweep on the pure-Python reference loop, the path :meth:`run`
+        falls back to (and the test oracle of the C kernel).
+
+        A heapq event loop over Python lists (numpy scalar indexing
+        inside a tight loop costs ~100ns per access, so all per-node
+        arrays are converted to lists once). This loop *defines* the
+        schedule semantics; the C kernel mirrors it statement for
+        statement.
+        """
+        self.backend_used = "python"
         tree = self.tree
         n = tree.n
         prepared = self.prepared
@@ -489,7 +387,7 @@ class SchedulerEngine:
         # reads the same lists (``pending`` is mutated below, hence the
         # fresh tolist per run).
         parent = prepared.parent_list()
-        int_keys = self._int_keys
+        int_keys = prepared.int_keys
         w = prepared.w_list()
         rank = self.rank.tolist()
         byrank = self._byrank.tolist()
@@ -502,24 +400,17 @@ class SchedulerEngine:
         alloc = prepared.alloc_list()
         free_on_end = prepared.free_list()
         if capped:
-            cap_eps = self.cap + 1e-9
+            cap_eps = self._cap_eps
             sigma = self.order.tolist()
 
         start = [-1.0] * n
         proc = [-1] * n
         activation = [-1] * n
         mem_trace = [0.0] * n
-        state = EngineState(
-            ready=ready_init,
-            running=[],
-            pending=pending,
-            free_procs=list(range(self.p - 1, -1, -1)),  # pop() yields proc 0 first
-        )
-        self.state = state
-        heapq.heapify(state.ready)
-        ready = state.ready
-        running = state.running
-        free_procs = state.free_procs
+        ready = ready_init
+        heapq.heapify(ready)
+        running: list = []
+        free_procs = list(range(self.p - 1, -1, -1))  # pop() yields proc 0 first
         free_pop = free_procs.pop
         free_push = free_procs.append
         push = heapq.heappush
@@ -574,13 +465,7 @@ class SchedulerEngine:
                 if started >= n:
                     break
                 if capped:
-                    node = sigma[next_sigma]
-                    raise MemoryCapError(
-                        f"cap {self.cap:g} infeasible: task {node} needs "
-                        f"{mem + alloc[node]:g} with nothing running "
-                        f"(mode={self.mode}; sequential peak of the activation "
-                        f"order is a feasible cap in strict mode)"
-                    )
+                    raise self._cap_error(sigma[next_sigma], mem)
                 raise RuntimeError(  # pragma: no cover - defensive
                     "deadlock: tasks left but no event pending"
                 )
@@ -616,10 +501,6 @@ class SchedulerEngine:
                     node = pop(running)[1]
                 else:
                     break
-        state.now = now
-        state.mem = mem
-        state.started = started
-        state.next_sigma = next_sigma
         start_arr = np.asarray(start, dtype=np.float64)
         self.sweep = SweepResult(
             start=start_arr,
@@ -663,9 +544,10 @@ class BatchRun:
     ``outcomes[i]`` is scenario *i*'s :class:`~repro.core.schedule.Schedule`
     or the exception its unbatched run would have raised (stored, not
     raised, so one infeasible cap cannot discard a whole grid);
-    ``engines[i]`` is the fully-run engine (``.sweep``, ``.state``,
-    ``.backend_used`` populated exactly as after ``run()``). ``threads``
-    is always 1: the kernels are serial.
+    ``engines[i]`` is the fully-run engine (``.sweep`` and
+    ``.backend_used`` populated exactly as after ``run()``); ``backend``
+    names the sweep that ran the grid. ``threads`` is always 1: the
+    kernel is serial.
     """
 
     engines: list[SchedulerEngine]
@@ -681,11 +563,26 @@ class BatchRun:
         return list(self.outcomes)
 
 
+def batch_arrays(nscen: int, n: int) -> tuple[np.ndarray, ...]:
+    """Freshly initialised stacked output arrays for one batched kernel
+    call over ``nscen`` scenarios, ``(start, end_out, proc, activation,
+    mem_trace, status, finals)``: row ``s`` of each is scenario ``s``'s
+    output."""
+    return (
+        np.full((nscen, n), -1.0, dtype=np.float64),
+        np.empty((nscen, n), dtype=np.float64),
+        np.full((nscen, n), -1, dtype=np.int64),
+        np.empty((nscen, n), dtype=np.int64),
+        np.empty((nscen, n), dtype=np.float64),
+        np.zeros((nscen, 2), dtype=np.int64),
+        np.zeros((nscen, 2), dtype=np.float64),
+    )
+
+
 def _kernel_sweep(
     prepared: PreparedTree, engines: list[SchedulerEngine]
 ) -> tuple[np.ndarray, ...]:
-    """Sweep kernel-exact engines of one tree and one kernel backend in
-    a single batched kernel call.
+    """Sweep engines of one kernel-exact tree in a single C kernel call.
 
     Stacks the per-scenario parameters (p, memory mode, rank ids, sigma
     ids) and returns the stacked ``(start, end, proc, activation,
@@ -722,7 +619,9 @@ def _kernel_sweep(
     # and deduplicates the shared activation orders.
     sigmas, sigma_id = stack_unique([e.order for e in engines])
     out = batch_arrays(nscen, n)
-    args = (
+    from . import _ckernel
+
+    _ckernel.batch_kernel(
         prepared.tree.parent,
         prepared.pending0,
         prepared.tree.w,
@@ -738,68 +637,42 @@ def _kernel_sweep(
         sigma_id,
         *out,
     )
-    if engines[0].backend == "c":
-        from . import _ckernel
-
-        _ckernel.batch_kernel(*args)
-    else:  # "kernel": the interpreted spec
-        _sweep.batch_sweep(*args)
     return out
 
 
 def sweep_batch(
-    tree: TaskTree | PreparedTree,
-    scenarios: list[BatchScenario],
-    *,
-    backend: str | None = None,
+    tree: TaskTree | PreparedTree, scenarios: list[BatchScenario]
 ) -> BatchRun:
     """Sweep a whole scenario grid against one tree in one kernel call.
 
     Stacks the per-scenario parameters (p, memory mode, rank ids, sigma
-    ids) and dispatches a single batched kernel call that sweeps the
+    ids) and dispatches a single batched C kernel call that sweeps the
     scenarios one after another. Per-scenario results are
     **bit-identical** to running each scenario through
-    :class:`SchedulerEngine` individually, for every backend: scenarios
-    share only read-only columns and each sweeps over private scratch.
+    :class:`SchedulerEngine` individually: scenarios share only
+    read-only columns and each sweeps over private scratch.
 
-    Scenarios the kernel contract excludes -- ``backend="python"``, or
-    integral weights >= 2**53 where float64 event keys lose exactness --
-    fall back to the reference loop *per scenario*; the rest of the grid
-    still goes through the compiled megabatch.
+    Where :meth:`SchedulerEngine.run` would take the reference loop --
+    the process chose it, or the tree's integral weights reach 2**53 and
+    float64 event keys lose exactness -- every scenario runs
+    :meth:`SchedulerEngine.run_reference` instead.
     """
     prepared = as_prepared(tree)
     engines = [
         SchedulerEngine(
-            prepared,
-            sc.p,
-            sc.rank,
-            cap=sc.cap,
-            order=sc.order,
-            mode=sc.mode,
-            backend=backend,
+            prepared, sc.p, sc.rank, cap=sc.cap, order=sc.order, mode=sc.mode
         )
         for sc in scenarios
     ]
-    resolved = engines[0].backend if engines else resolve_backend(backend)
-    outcomes: list[Schedule | Exception] = [None] * len(engines)  # type: ignore[list-item]
-    kernel_idx: list[int] = []
-    for i, e in enumerate(engines):
-        if e.backend != "python" and e._kernel_exact:
-            kernel_idx.append(i)
-        else:
-            # per-scenario exactness/backend fallback: run() takes the
-            # reference loop for exactly these scenarios, as unbatched.
-            try:
-                outcomes[i] = e.run()
-            except (MemoryCapError, ValueError, MemoryError) as exc:
-                outcomes[i] = exc
-    if kernel_idx:
-        rows = _kernel_sweep(prepared, [engines[i] for i in kernel_idx])
-        for j, i in enumerate(kernel_idx):
-            e = engines[i]
-            e.backend_used = e.backend
-            try:
-                outcomes[i] = e._finish_kernel(*(row[j] for row in rows))
-            except (MemoryCapError, ValueError, MemoryError) as exc:
-                outcomes[i] = exc
-    return BatchRun(engines=engines, outcomes=outcomes, backend=resolved)
+    backend = "c" if prepared.kernel_exact and resolve_backend() == "c" else "python"
+    rows = _kernel_sweep(prepared, engines) if backend == "c" and engines else None
+    outcomes: list[Schedule | Exception] = []
+    for j, e in enumerate(engines):
+        try:
+            if rows is None:
+                outcomes.append(e.run_reference())
+            else:
+                outcomes.append(e._finish_kernel(*(row[j] for row in rows)))
+        except (MemoryCapError, ValueError, MemoryError) as exc:
+            outcomes.append(exc)
+    return BatchRun(engines=engines, outcomes=outcomes, backend=backend)

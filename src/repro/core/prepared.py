@@ -12,7 +12,7 @@ those runs derives the identical state from the :class:`TaskTree`:
   the memory lower bound of every record),
 * the per-algorithm priority rank permutations (one ``lex_rank`` sweep
   each -- identical for every ``p`` and every cap),
-* the pure-Python backend's list conversions of the per-node arrays, and
+* the reference loop's list conversions of the per-node arrays, and
 * the subtree family's state (ParSubtrees, ParSubtreesOptim,
   MemoryAwareSubtrees): the subtree work ``W_i``, Algorithm 2's
   splitting per ``p`` (its ``p``-independent pop sequence computed
@@ -109,7 +109,7 @@ class PreparedTree:
     :attr:`free_on_end`), the exactness flags, :meth:`optimal` (with its
     per-subtree peaks), :meth:`sigma_rank`, :meth:`weighted_depths`,
     the priority ranks of :meth:`rank_for` with their inverses, the
-    reference backend's lists, and for the subtree family
+    reference loop's lists, and for the subtree family
     :meth:`subtree_work`, :meth:`split` (one plan, one result per
     ``p``) and the descending-tie optimal postorder behind
     :meth:`subtree_order` / :meth:`subtree_peak`.
@@ -214,14 +214,14 @@ class PreparedTree:
 
     @property
     def int_keys(self) -> bool:
-        """True when the reference backend can use exact integer event
+        """True when the reference loop can use exact integer event
         keys (integral weights, total * n below 2**62)."""
         return self._exactness_flags()[0]
 
     @property
     def kernel_exact(self) -> bool:
-        """True when the kernel backends' float64 event keys are exactly
-        equivalent to the reference backend's encoding."""
+        """True when the C kernel's float64 event keys are exactly
+        equivalent to the reference loop's encoding."""
         return self._exactness_flags()[1]
 
     # ------------------------------------------------------------------
@@ -400,7 +400,7 @@ class PreparedTree:
         return None if entry is None else entry[1]
 
     # ------------------------------------------------------------------
-    # pure-Python backend list caches
+    # reference-loop list caches
     # ------------------------------------------------------------------
     def _list(self, key: str, make: Callable[[], list]) -> list:
         lst = self._lists.get(key)
@@ -411,7 +411,7 @@ class PreparedTree:
 
     def parent_list(self) -> list:
         """``tree.parent.tolist()``, converted once (the reference
-        backend reads per-node arrays as Python lists)."""
+        loop reads per-node arrays as Python lists)."""
         return self._list("parent", self.tree.parent.tolist)
 
     def w_list(self) -> list:

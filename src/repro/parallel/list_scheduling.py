@@ -47,8 +47,6 @@ def list_schedule(
     tree: TaskTree | PreparedTree,
     p: int,
     priority: PriorityKey | np.ndarray,
-    *,
-    backend: str | None = None,
 ) -> Schedule:
     """Schedule ``tree`` on ``p`` processors by list scheduling.
 
@@ -63,10 +61,6 @@ def list_schedule(
         either an integer rank array (one rank per node, smallest rank
         runs first) or a legacy key function over node indices. Keys
         are fixed per node; both forms yield the identical schedule.
-    backend:
-        sweep backend passed through to
-        :class:`~repro.core.engine.SchedulerEngine` (default: auto
-        selection; all backends are bit-identical).
 
     Returns
     -------
@@ -80,7 +74,7 @@ def list_schedule(
         rank = rank_from_callable(tree_of(tree), priority)
     else:
         rank = np.asarray(priority, dtype=np.int64)
-    return SchedulerEngine(tree, p, rank, backend=backend).run()
+    return SchedulerEngine(tree, p, rank).run()
 
 
 def postorder_ranks(

@@ -41,8 +41,6 @@ def memory_bounded_schedule(
     cap: float,
     order: np.ndarray | None = None,
     mode: str = "strict",
-    *,
-    backend: str | None = None,
 ) -> Schedule:
     """Schedule ``tree`` on ``p`` processors under a peak-memory cap.
 
@@ -60,10 +58,6 @@ def memory_bounded_schedule(
         feasible.
     mode:
         ``"strict"`` or ``"opportunistic"`` (see module docstring).
-    backend:
-        sweep backend passed through to
-        :class:`~repro.core.engine.SchedulerEngine` (default: auto
-        selection; all backends are bit-identical).
 
     Raises
     ------
@@ -93,6 +87,4 @@ def memory_bounded_schedule(
         # The ready queue is prioritised by sigma rank in both modes.
         rank = np.empty(tree_of(tree).n, dtype=np.int64)
         rank[order] = np.arange(tree_of(tree).n)
-    return SchedulerEngine(
-        tree, p, rank, cap=cap, order=order, mode=mode, backend=backend
-    ).run()
+    return SchedulerEngine(tree, p, rank, cap=cap, order=order, mode=mode).run()

@@ -64,7 +64,6 @@ def par_deepest_first(
     tree: TaskTree | PreparedTree,
     p: int,
     order: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> Schedule:
     """Schedule ``tree`` on ``p`` processors with ParDeepestFirst.
 
@@ -75,7 +74,5 @@ def par_deepest_first(
     order:
         the reference sequential order ``O`` used to break ties among
         equal-depth leaves (default: Liu's optimal postorder).
-    backend:
-        engine sweep backend (default: auto; bit-identical either way).
     """
-    return list_schedule(tree, p, par_deepest_first_rank(tree, order), backend=backend)
+    return list_schedule(tree, p, par_deepest_first_rank(tree, order))

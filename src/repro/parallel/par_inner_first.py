@@ -65,7 +65,6 @@ def par_inner_first(
     tree: TaskTree | PreparedTree,
     p: int,
     order: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> Schedule:
     """Schedule ``tree`` on ``p`` processors with ParInnerFirst.
 
@@ -76,7 +75,5 @@ def par_inner_first(
     order:
         the reference sequential order ``O`` (default: Liu's optimal
         postorder, as in the paper).
-    backend:
-        engine sweep backend (default: auto; bit-identical either way).
     """
-    return list_schedule(tree, p, par_inner_first_rank(tree, order), backend=backend)
+    return list_schedule(tree, p, par_inner_first_rank(tree, order))

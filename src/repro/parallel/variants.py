@@ -46,16 +46,12 @@ def par_inner_first_naive_rank(tree: TaskTree | PreparedTree) -> np.ndarray:
     return build()
 
 
-def par_inner_first_naive_order(
-    tree: TaskTree | PreparedTree, p: int, backend: str | None = None
-) -> Schedule:
+def par_inner_first_naive_order(tree: TaskTree | PreparedTree, p: int) -> Schedule:
     """ParInnerFirst with a naive (index-order) postorder as ``O``."""
-    return list_schedule(tree, p, par_inner_first_naive_rank(tree), backend=backend)
+    return list_schedule(tree, p, par_inner_first_naive_rank(tree))
 
 
-def par_hop_deepest_first(
-    tree: TaskTree | PreparedTree, p: int, backend: str | None = None
-) -> Schedule:
+def par_hop_deepest_first(tree: TaskTree | PreparedTree, p: int) -> Schedule:
     """ParDeepestFirst with hop-count depth instead of w-weighted depth.
 
     An inner node counts one hop deeper than its edge depth: hop depth
@@ -68,7 +64,7 @@ def par_hop_deepest_first(
     wins the tie. (An earlier revision computed this term as
     ``0 if leaf else 0`` -- a no-op; pinned by a regression test.)
     """
-    return list_schedule(tree, p, par_hop_deepest_first_rank(tree), backend=backend)
+    return list_schedule(tree, p, par_hop_deepest_first_rank(tree))
 
 
 def par_hop_deepest_first_rank(tree: TaskTree | PreparedTree) -> np.ndarray:

@@ -37,7 +37,6 @@ from repro.core.tree import TaskTree
 
 __all__ = [
     "Algorithm",
-    "apply_backend",
     "register",
     "get",
     "names",
@@ -130,9 +129,7 @@ class Algorithm:
         scenario through :func:`~repro.core.engine.sweep_batch` is
         bit-identical to the unbatched call. Algorithms without a
         registered ``sweep_spec`` return None (callers fall back to
-        :meth:`run`). The ``backend`` parameter, when declared, is a
-        dispatch knob of the whole batch rather than one scenario, so
-        it is stripped here; pass it to ``sweep_batch`` instead.
+        :meth:`run`).
         """
         if self.sweep_spec is None:
             return None
@@ -143,7 +140,6 @@ class Algorithm:
                 f"got unknown {sorted(unknown)}"
             )
         merged = {**self.params, **overrides}
-        merged.pop("backend", None)
         return self.sweep_spec(as_prepared(tree), p, **merged)
 
 
@@ -164,7 +160,6 @@ def _memory_bounded(
     p: int,
     cap_factor: float = 2.0,
     mode: str = "strict",
-    backend: str | None = None,
 ):
     """Memory-capped list scheduling at ``cap_factor`` x the sequential
     optimal-postorder peak (the natural scale-free parameterisation)."""
@@ -177,7 +172,7 @@ def _memory_bounded(
 
         res = optimal_postorder(tree)
     return memory_bounded_schedule(
-        tree, p, cap_factor * res.peak_memory, order=res.order, mode=mode, backend=backend
+        tree, p, cap_factor * res.peak_memory, order=res.order, mode=mode
     )
 
 
@@ -249,12 +244,9 @@ def _populate() -> None:
             mode=mode,
         )
 
-    # The list schedulers all run on the unified engine, whose sweep
-    # backend ("auto"/"python"/"c") is a tunable parameter --
-    # declared here so `repro run --backend` and run_experiments can
-    # discover which algorithms accept it. Each also registers its
-    # megabatch sweep spec, so campaign grids collapse to one batched
-    # kernel call per tree (see repro.core.engine.sweep_batch).
+    # The list schedulers all run on the unified engine. Each registers
+    # its megabatch sweep spec, so campaign grids collapse to one
+    # batched kernel call per tree (see repro.core.engine.sweep_batch).
     for name, fn, rank_fn, doc in (
         ("ParInnerFirst", par_inner_first, par_inner_first_rank,
          "parallel postorder: inner nodes first (Section 5.2)"),
@@ -270,7 +262,6 @@ def _populate() -> None:
                 name=name,
                 kind="parallel",
                 fn=fn,
-                params={"backend": None},
                 doc=doc,
                 accepts_prepared=True,
                 sweep_spec=_rank_spec(rank_fn),
@@ -281,7 +272,7 @@ def _populate() -> None:
             name="MemoryBounded",
             kind="parallel",
             fn=_memory_bounded,
-            params={"cap_factor": 2.0, "mode": "strict", "backend": None},
+            params={"cap_factor": 2.0, "mode": "strict"},
             doc="event scheduler under a peak-memory cap (future-work extension)",
             accepts_prepared=True,
             sweep_spec=_memory_bounded_spec,
@@ -332,21 +323,3 @@ def run(name: str, tree: TaskTree, p: int = 1, **params: Any) -> Schedule:
     """Run registry algorithm ``name`` on ``(tree, p)``."""
     return get(name).run(tree, p, **params)
 
-
-def apply_backend(
-    name: str, params: Mapping[str, Any], backend: str | None
-) -> dict[str, Any]:
-    """``params`` with the sweep backend forced, when ``name`` declares one.
-
-    The supervised campaign runtime health-probes the backend chain once
-    per worker (:func:`repro.core.engine.probe_backend`) and pins every
-    scenario of that worker to the surviving backend through this
-    helper; algorithms that do not declare a ``backend`` parameter (the
-    subtree-splitting family, sequential traversals) pass through
-    untouched. Schedules are backend-independent, so the override never
-    changes a record.
-    """
-    merged = dict(params)
-    if backend is not None and "backend" in get(name).params:
-        merged["backend"] = backend
-    return merged

@@ -12,7 +12,6 @@ A job spec is one JSON object::
         "algorithms": ["ParSubtrees", "ParDeepestFirst"],
         "processor_counts": [2, 4],        # default: the paper's five
         "cap_factors": [],                  # optional
-        "backend": null,                    # optional engine backend
         "validate": false
       },
       "run": {                              # all optional
@@ -128,9 +127,12 @@ def canonical_spec(spec: Any) -> dict:
     camp = spec.get("campaign")
     if not isinstance(camp, dict):
         _fail("spec.campaign must be an object")
-    unknown = set(camp) - {
-        "algorithms", "processor_counts", "cap_factors", "backend", "validate",
-    }
+    if "backend" in camp:
+        _fail(
+            "spec.campaign.backend was removed: the engine picks the sweep "
+            "itself (the C kernel when it builds, else the reference loop)"
+        )
+    unknown = set(camp) - {"algorithms", "processor_counts", "cap_factors", "validate"}
     if unknown:
         _fail(f"unknown spec.campaign key(s): {sorted(unknown)}")
     algorithms = camp.get("algorithms")
@@ -145,15 +147,11 @@ def canonical_spec(spec: Any) -> dict:
         _fail(f"spec.campaign: {exc}")
     if not procs or any(p < 1 for p in procs):
         _fail("spec.campaign.processor_counts must be positive integers")
-    backend = camp.get("backend")
-    if backend is not None and backend not in ("c", "python"):
-        _fail(f"spec.campaign.backend must be c|python, got {backend!r}")
     validate = bool(camp.get("validate", False))
     canon_campaign = {
         "algorithms": list(algorithms),
         "processor_counts": procs,
         "cap_factors": caps,
-        "backend": backend,
         "validate": validate,
     }
     try:  # expand one grid row: unknown algorithm names fail here
@@ -218,7 +216,6 @@ def to_campaign(spec: dict) -> Campaign:
         algorithms=tuple(camp["algorithms"]),
         processor_counts=tuple(camp["processor_counts"]),
         cap_factors=tuple(camp.get("cap_factors", ())),
-        backend=camp.get("backend"),
         validate=bool(camp.get("validate", False)),
     )
 
@@ -263,7 +260,6 @@ def spec_from_instances(
     algorithms: Iterable[str],
     processor_counts: Iterable[int] = PROCESSOR_COUNTS,
     cap_factors: Iterable[float] = (),
-    backend: str | None = None,
     validate: bool = False,
     **run: Any,
 ) -> dict:
@@ -278,7 +274,6 @@ def spec_from_instances(
             "algorithms": list(algorithms),
             "processor_counts": list(processor_counts),
             "cap_factors": list(cap_factors),
-            "backend": backend,
             "validate": validate,
         },
         "run": run,

@@ -6,12 +6,14 @@ the runtime consults at well-defined seams:
 * ``crash`` -- the worker process calls ``os._exit`` immediately before
   running a matching scenario (a hard crash: no cleanup, no queue
   flush; what an OOM kill looks like from the supervisor's side).
-* ``slow`` -- the worker sleeps ``seconds`` before sweeping a matching
-  scenario (after announcing the scenario start, so a supervisor
-  timeout sees a wedged worker and kills it).
+* ``slow`` -- the process running a matching scenario sleeps
+  ``seconds`` before sweeping it (in a supervised worker after
+  announcing the scenario start, so a supervisor timeout sees a wedged
+  worker and kills it; an in-process campaign sleeps at the same
+  stream positions).
 * ``compile_failure`` -- :mod:`repro.core._ckernel` reports the C
-  backend unavailable, forcing the backend chain to degrade
-  (c -> python).
+  kernel unavailable, forcing the engine to degrade to the reference
+  loop (c -> python).
 * ``truncate_write`` -- the ``record``-th JSONL checkpoint append of
   this process writes only a prefix of its line and then hard-exits:
   the power-loss shape the resume path must recover from.

@@ -45,7 +45,6 @@ def campaign():
         algorithms=("ParDeepestFirst", "ParSubtrees", "MemoryBounded"),
         processor_counts=(2, 4),
         cap_factors=(1.5, 2.0),
-        backend="python",
     )
 
 
@@ -63,22 +62,15 @@ class TestGridExpansion:
         ]
 
     def test_caps_only_for_cap_algorithms(self, campaign):
+        # a cap factor is the only per-scenario parameter a grid sets
         scenarios = campaign.scenarios_for("tree")
         for sc in scenarios:
             params = dict(sc.params)
             if sc.algorithm == "MemoryBounded":
+                assert list(params) == ["cap_factor"]
                 assert params["cap_factor"] in (1.5, 2.0)
             else:
-                assert "cap_factor" not in params
-
-    def test_backend_only_for_engine_algorithms(self, campaign):
-        scenarios = campaign.scenarios_for("tree")
-        for sc in scenarios:
-            params = dict(sc.params)
-            if sc.algorithm == "ParSubtrees":
-                assert "backend" not in params
-            else:
-                assert params["backend"] == "python"
+                assert params == {}
 
     def test_unknown_algorithm_fails_fast(self):
         camp = Campaign(algorithms=("NoSuchAlgorithm",), processor_counts=(2,))

@@ -257,7 +257,7 @@ class TestChaosEquivalence:
         statuses = {a.status for s in rep.scenarios for a in s.attempts}
         assert "crash" in statuses and "timeout" in statuses
         assert not rep.quarantined  # everything recovered
-        # the injected compile failure forced the chain off the C backend
+        # the injected compile failure forced the workers off the C kernel
         for _wid, chosen, _skipped in rep.backends:
             assert chosen != "c"
 
@@ -477,7 +477,7 @@ from repro.analysis.campaign import Campaign, run_campaign
 from repro.workloads.dataset import TreeInstance
 from repro.workloads.synthetic import random_weighted_tree
 
-def make_grid(sizes=(25, 35, 45), backend=None, procs=(2, 4)):
+def make_grid(sizes=(25, 35, 45), procs=(2, 4)):
     rng = np.random.default_rng(20130520)
     instances = [
         TreeInstance(name=f"t{k}", tree=random_weighted_tree(n, rng),
@@ -485,13 +485,13 @@ def make_grid(sizes=(25, 35, 45), backend=None, procs=(2, 4)):
         for k, n in enumerate(sizes)
     ]
     campaign = Campaign(algorithms=("ParSubtrees", "ParDeepestFirst"),
-                        processor_counts=procs, backend=backend)
+                        processor_counts=procs)
     return instances, campaign
 """
 
-#: sizes that keep a python-backend run alive for a few seconds, with
-#: the small first tree delivering early checkpoint lines to gate on
-_SLOW_SIZES = (2000, 50000, 70000)
+#: stretches every scenario of the child run so the SIGKILL lands
+#: mid-grid in every mode; slow faults never change records
+_SLOW_PLAN = FaultPlan((Fault(kind="slow", seconds=0.25),))
 
 
 def _grid(**kwargs):
@@ -556,14 +556,10 @@ class TestKillResume:
     healed checkpoint must be byte-identical to an undisturbed run."""
 
     MODES = {
-        "megabatch-serial": ({"workers": 1}, {"sizes": _SLOW_SIZES}),
-        "pooled": ({"workers": 2}, {"sizes": _SLOW_SIZES}),
-        # one tree split into two units; p = 4 and 8 give ParSubtrees
-        # the slow tail that keeps the run alive past its first record
-        "single-tree-split": (
-            {"workers": 2},
-            {"sizes": _SLOW_SIZES[-1:], "procs": (2, 4, 8, 16)},
-        ),
+        "megabatch-serial": ({"workers": 1}, {}),
+        "pooled": ({"workers": 2}, {}),
+        # one tree split into two units of four scenarios each
+        "single-tree-split": ({"workers": 2}, {"sizes": (45,), "procs": (2, 4, 8, 16)}),
     }
 
     @pytest.fixture(scope="class")
@@ -574,7 +570,7 @@ class TestKillResume:
         def reference(grid: dict):
             key = repr(sorted(grid.items()))
             if key not in cache:
-                instances, campaign = _grid(backend="python", **grid)
+                instances, campaign = _grid(**grid)
                 path = tmp_path_factory.mktemp("killref") / "ref.jsonl"
                 run_campaign(instances, campaign, checkpoint=str(path))
                 cache[key] = path
@@ -591,11 +587,11 @@ class TestKillResume:
         code = (
             _GRID_SRC
             + f"""
-instances, campaign = make_grid(backend="python", **{grid!r})
+instances, campaign = make_grid(**{grid!r})
 run_campaign(instances, campaign, checkpoint={str(ck)!r}, **{kwargs!r})
 """
         )
-        env = {**os.environ, "PYTHONPATH": _pythonpath()}
+        env = {**os.environ, ENV_VAR: _SLOW_PLAN.to_json(), "PYTHONPATH": _pythonpath()}
         proc = subprocess.Popen(
             [sys.executable, "-c", code],
             env=env,
@@ -612,10 +608,10 @@ run_campaign(instances, campaign, checkpoint={str(ck)!r}, **{kwargs!r})
             if proc.poll() is None:  # pragma: no cover - safety net
                 os.killpg(proc.pid, signal.SIGKILL)
         assert proc.returncode == -signal.SIGKILL, (
-            "grid finished before the kill; grow _SLOW_SIZES"
+            "grid finished before the kill; lengthen _SLOW_PLAN"
         )
 
-        instances, campaign = _grid(backend="python", **grid)
+        instances, campaign = _grid(**grid)
         run_campaign(instances, campaign, checkpoint=str(ck), resume=True)
         assert filecmp.cmp(str(references(grid)), str(ck), shallow=False)
 

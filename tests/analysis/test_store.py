@@ -536,7 +536,7 @@ from repro.analysis.campaign import Campaign, run_campaign
 from repro.workloads.dataset import TreeInstance
 from repro.workloads.synthetic import random_weighted_tree
 
-def make_grid(sizes=(25, 35, 45), backend=None):
+def make_grid(sizes=(25, 35, 45)):
     rng = np.random.default_rng(20130520)
     instances = [
         TreeInstance(name=f"t{k}", tree=random_weighted_tree(n, rng),
@@ -544,7 +544,7 @@ def make_grid(sizes=(25, 35, 45), backend=None):
         for k, n in enumerate(sizes)
     ]
     campaign = Campaign(algorithms=("ParSubtrees", "ParDeepestFirst"),
-                        processor_counts=(2, 4), backend=backend)
+                        processor_counts=(2, 4))
     return instances, campaign
 """
 

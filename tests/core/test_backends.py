@@ -1,17 +1,18 @@
-"""Cross-backend golden equivalence for the event-sweep kernel spec.
+"""Golden equivalence of the engine's two sweeps: C kernel vs reference.
 
-The engine now runs its sweep on pluggable backends (pure-Python
-reference, C kernel, interpreted kernel). The
-acceptance contract of that refactor is *bit identity*: every backend
-must produce byte-for-byte the same :class:`~repro.core.schedule.Schedule`
-(and the same activation order / peak-memory trace) for every registered
-heuristic and both memory modes -- so perf work can never silently
-change paper results. This suite pins that contract, plus the
-selection/fallback edge cases around optional dependencies.
+The engine sweeps on the compiled C kernel when it builds and passes
+its health probe, and on the pure-Python reference loop
+(:meth:`SchedulerEngine.run_reference`) otherwise. The contract is *bit
+identity*: ``run()`` must produce byte-for-byte the same
+:class:`~repro.core.schedule.Schedule` (and the same activation order /
+peak-memory trace) as ``run_reference()`` for every registered heuristic
+and both memory modes -- so perf work can never silently change paper
+results. This suite pins that contract, plus the dispatch decision and
+its degradation when the kernel cannot build.
 
-Whether the C backend exists depends on the environment (it needs a
-toolchain). The interpreted ``"kernel"`` backend is always available,
-so the kernel *logic* is covered everywhere.
+Where the C kernel does not build (or a ``compile_failure`` fault plan
+is active), ``run()`` is the reference loop itself and the equivalence
+tests hold trivially; the dispatch tests below clear any ambient plan.
 """
 
 from __future__ import annotations
@@ -21,46 +22,50 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import registry
+from repro.core import _ckernel
+from repro.core import engine as engine_mod
 from repro.core.engine import (
-    BACKENDS,
-    BACKEND_ENV_VAR,
-    BackendUnavailableError,
     MemoryCapError,
     SchedulerEngine,
-    available_backends,
+    probe_backend,
     resolve_backend,
 )
+from repro.core.prepared import PreparedTree, tree_of
+from repro.core.schedule import Schedule
 from repro.core.tree import TaskTree
 from repro.parallel.memory_bounded import memory_bounded_schedule
 from repro.parallel.par_deepest_first import par_deepest_first_rank
 from repro.sequential.postorder import optimal_postorder
-from repro.workloads.synthetic import random_weighted_tree
+from repro.testing import faults
+from repro.workloads.synthetic import (
+    caterpillar,
+    complete_kary_tree,
+    deep_tree,
+    flat_tree,
+    random_weighted_tree,
+)
 
 from tests.conftest import task_trees
 
-#: every backend other than the reference, available or not
-ALT_BACKENDS = [b for b in BACKENDS if b not in ("auto", "python")]
-#: the ones that can actually run here ("kernel" always can)
-AVAILABLE_ALT = [b for b in ALT_BACKENDS if b in available_backends()]
-#: the fastest compiled backend available (used by the property test)
-BEST_ALT = AVAILABLE_ALT[0]
-
+#: every registered algorithm that sweeps on the engine
 ENGINE_HEURISTICS = [
-    name
-    for name in registry.names("parallel")
-    if "backend" in registry.get(name).params and name != "MemoryBounded"
+    a.name for a in registry.algorithms("parallel") if a.sweep_spec is not None
 ]
+
+#: the uncapped ones (the capped one is pinned per cap and mode below)
+LIST_HEURISTICS = [name for name in ENGINE_HEURISTICS if name != "MemoryBounded"]
 
 
 def tree_spread() -> list[TaskTree]:
-    """A deterministic spread of shapes and weight regimes, n <= 200."""
+    """A deterministic spread of shapes and weight regimes, n <= 200
+    (the first eight random, the rest structured)."""
     rng = np.random.default_rng(20130520)
     trees = []
     for n, bias in [(1, 0.0), (7, 0.0), (60, 4.0), (120, -4.0), (200, 0.0)]:
         trees.append(random_weighted_tree(n, rng, bias=bias))
     # heavy duplicate weights: ties in every priority key column
     trees.append(random_weighted_tree(80, rng, max_w=2, max_f=1, max_size=0))
-    # fractional durations (the reference backend's float event keys)
+    # fractional durations (the reference loop's float event keys)
     frac = random_weighted_tree(80, rng)
     trees.append(frac.with_weights(w=frac.w + rng.uniform(0.0, 1.0, frac.n)))
     # zero-weight tasks: completion and start events at the same instant
@@ -69,10 +74,40 @@ def tree_spread() -> list[TaskTree]:
     w = zw.w.copy()
     w[rng.random(zw.n) < 0.4] = 0.0
     trees.append(zw.with_weights(w=w))
+    # structured shapes the random attachment above rarely reaches
+    for parent in [
+        np.arange(-1, 59),  # a 60-node chain: never two tasks ready at once
+        np.r_[-1, np.zeros(149, dtype=np.int64)],  # a 150-leaf fork
+        deep_tree(120, rng),
+        flat_tree(150, rng),
+        caterpillar(20, 4),
+        complete_kary_tree(6, 2),
+    ]:
+        trees.append(shaped_tree(parent, rng))
+    # the Pebble Game (w = f = 1, no execution files) on a complete
+    # 3-ary tree: every task of a level ties on every priority key
+    pebble = complete_kary_tree(4, 3)
+    ones = np.ones(len(pebble))
+    trees.append(TaskTree(pebble, ones, ones, np.zeros(len(pebble))))
     return trees
 
 
-@pytest.fixture(scope="module", params=range(8))
+def shaped_tree(parent: np.ndarray, rng: np.random.Generator) -> TaskTree:
+    """``parent``'s shape with random integer weights."""
+    n = len(parent)
+    return TaskTree(
+        parent,
+        rng.integers(1, 11, n).astype(np.float64),
+        rng.integers(1, 11, n).astype(np.float64),
+        rng.integers(0, 6, n).astype(np.float64),
+    )
+
+
+#: how many trees :func:`tree_spread` returns
+N_TREES = len(tree_spread())
+
+
+@pytest.fixture(scope="module", params=range(N_TREES))
 def tree(request):
     return tree_spread()[request.param]
 
@@ -83,285 +118,257 @@ def assert_same_schedule(got, ref):
     assert got.p == ref.p
 
 
+def reference_run(name: str, tree, p: int, **params) -> Schedule:
+    """``registry.run(name, tree, p, **params)`` swept on the reference
+    loop (through the algorithm's registered sweep spec)."""
+    spec = registry.get(name).batch_spec(tree, p, **params)
+    return SchedulerEngine(
+        tree, spec.p, spec.rank, cap=spec.cap, order=spec.order, mode=spec.mode
+    ).run_reference()
+
+
+def reference_capped(tree, p: int, cap: float, order, mode: str) -> Schedule:
+    """``memory_bounded_schedule(tree, p, cap, order, mode)`` swept on
+    the reference loop."""
+    order = np.asarray(order, dtype=np.int64)
+    rank = np.empty(tree_of(tree).n, dtype=np.int64)
+    rank[order] = np.arange(tree_of(tree).n)
+    return SchedulerEngine(
+        tree, p, rank, cap=cap, order=order, mode=mode
+    ).run_reference()
+
+
+@pytest.fixture
+def fresh_probe(monkeypatch):
+    """No ambient fault plan and an empty probe cache (restored after),
+    so the test sees this process's live dispatch decision."""
+    monkeypatch.delenv(faults.ENV_VAR, raising=False)
+    monkeypatch.setattr(engine_mod, "_PROBE_CACHE", {})
+
+
 # ----------------------------------------------------------------------
-# selection / availability
+# the dispatch decision
 # ----------------------------------------------------------------------
 class TestSelection:
-    def test_reference_backends_always_available(self):
-        avail = available_backends()
-        assert "python" in avail and "kernel" in avail
+    def test_decision_is_c_or_python(self):
+        assert resolve_backend() in ("c", "python")
+        assert resolve_backend() == probe_backend()[0]
 
-    def test_available_backends_are_constructible(self, star5):
-        for b in available_backends():
-            engine = SchedulerEngine(star5, 2, np.arange(5), backend=b)
-            assert engine.backend == b
+    def test_c_when_it_builds(self, fresh_probe):
+        chosen, skipped = probe_backend()
+        if _ckernel.available():
+            assert (chosen, skipped) == ("c", [])
+        else:  # no toolchain here: the skip reason is the build error
+            assert chosen == "python"
+            assert skipped == [("c", _ckernel.unavailable_reason())]
 
-    def test_unknown_backend_rejected(self, star5):
-        with pytest.raises(ValueError, match="unknown backend"):
-            SchedulerEngine(star5, 2, np.arange(5), backend="fortran")
+    def test_stale_env_var_is_ignored(self, fresh_probe, monkeypatch):
+        """``REPRO_ENGINE_BACKEND`` no longer selects anything."""
+        expected = resolve_backend()
+        monkeypatch.setattr(engine_mod, "_PROBE_CACHE", {})
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "python")
+        assert resolve_backend() == expected
 
-    def test_auto_resolves_to_an_available_backend(self):
-        assert resolve_backend("auto") in available_backends()
-        assert resolve_backend("auto") != "kernel"  # never the slow path
+    def test_backend_keyword_is_gone(self, star5):
+        with pytest.raises(TypeError, match="backend"):
+            SchedulerEngine(star5, 2, np.arange(5), backend="c")
+        with pytest.raises(TypeError, match="backend"):
+            engine_mod.sweep_batch(star5, [], backend="c")
 
-    def test_env_var_is_the_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert resolve_backend(None) == "python"
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert resolve_backend(None) == resolve_backend("auto")
-
-    def test_auto_prefers_c_then_python(self, monkeypatch):
-        from repro.core import _ckernel
-
-        expected = "c" if _ckernel.available() else "python"
-        assert resolve_backend("auto") == expected
-        monkeypatch.setattr(_ckernel, "_BUILD", (None, "simulated: no toolchain"))
-        assert resolve_backend("auto") == "python"
-
-    def test_numba_is_no_longer_a_backend(self, star5):
-        assert "numba" not in BACKENDS
-        with pytest.raises(ValueError, match="unknown backend"):
-            SchedulerEngine(star5, 2, np.arange(5), backend="numba")
-
-    def test_stale_numba_env_var_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        with pytest.raises(ValueError, match="unknown backend 'numba'"):
-            resolve_backend(None)
-
-    def test_cli_rejects_numba_backend(self, capsys):
+    def test_cli_has_no_backend_flag(self, capsys):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as info:
-            main(["run", "--algo", "ParDeepestFirst", "--backend", "numba"])
+            main(["run", "--algo", "ParDeepestFirst", "--backend", "c"])
         assert info.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
-    def test_c_unavailable_raises_with_reason(self, star5, monkeypatch):
-        from repro.core import _ckernel
-
+    def test_c_unavailable_falls_back_with_reason(self, star5, fresh_probe, monkeypatch):
         monkeypatch.setattr(_ckernel, "_BUILD", (None, "simulated: no toolchain"))
-        with pytest.raises(BackendUnavailableError, match="simulated: no toolchain"):
-            SchedulerEngine(star5, 2, np.arange(5), backend="c")
+        engine = SchedulerEngine(star5, 2, np.arange(5))
+        engine.run()
+        assert engine.backend_used == "python"
+        assert probe_backend()[1] == [("c", "simulated: no toolchain")]
 
 
 # ----------------------------------------------------------------------
-# startup health probe: the supervised runtime's degradation chain
+# startup health probe: the supervised runtime's degradation story
 # ----------------------------------------------------------------------
 class TestProbeBackend:
-    @pytest.fixture(autouse=True)
-    def _fresh_probe_cache(self):
-        """Probe decisions are memoised per (backend, pid); these tests
-        pin the *live* probe behaviour, so each starts uncached."""
-        from repro.core import engine as engine_mod
-
-        engine_mod._PROBE_CACHE.clear()
-        yield
-        engine_mod._PROBE_CACHE.clear()
-
-    def test_probe_picks_a_working_backend(self, monkeypatch):
-        from repro.core.engine import probe_backend
-
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        chosen, skipped = probe_backend(None)
-        assert chosen in available_backends()
+    def test_probe_picks_a_working_backend(self, fresh_probe):
+        chosen, skipped = probe_backend()
+        assert chosen in ("c", "python")
         assert all(isinstance(b, str) and isinstance(why, str) for b, why in skipped)
 
-    def test_probe_honours_explicit_working_backend(self):
-        from repro.core.engine import probe_backend
-
-        chosen, skipped = probe_backend("python")
-        assert chosen == "python"
-        assert skipped == []
-
-    def test_probe_degrades_on_injected_compile_failure(self, monkeypatch):
-        """A broken C toolchain (injected) degrades c -> python instead
-        of failing the worker, and the skip reasons are recorded for the
-        run report."""
-        from repro.core.engine import probe_backend
-        from repro.testing import faults
-
-        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+    def test_probe_degrades_on_injected_compile_failure(self, fresh_probe):
+        """A broken C toolchain (injected) degrades to the reference
+        loop instead of failing the worker, and the skip reason is
+        recorded for the run report."""
         faults.install(faults.FaultPlan((faults.Fault(kind="compile_failure"),)))
         try:
-            chosen, skipped = probe_backend("c")
+            chosen, skipped = probe_backend()
         finally:
             faults.install(None)
         assert chosen == "python"
-        reasons = {b: why for b, why in skipped}
-        assert "injected compile failure" in reasons["c"]
+        assert "injected compile failure" in dict(skipped)["c"]
 
-    def test_probe_runs_a_real_sweep(self, monkeypatch):
-        """Backends that resolve but cannot *run* are skipped too: the
+    def test_injected_compile_failure_degrades_dispatch(self, star5, fresh_probe):
+        """The engine follows the probe: under the fault, every run and
+        every batch sweeps on the reference loop."""
+        faults.install(faults.FaultPlan((faults.Fault(kind="compile_failure"),)))
+        try:
+            engine = SchedulerEngine(star5, 2, np.arange(5))
+            engine.run()
+            spec = registry.get("ParDeepestFirst").batch_spec(star5, 2)
+            run = engine_mod.sweep_batch(star5, [spec])
+        finally:
+            faults.install(None)
+        assert engine.backend_used == "python"
+        assert run.backend == "python"
+        assert run.engines[0].backend_used == "python"
+
+    def test_probe_runs_a_real_sweep(self, fresh_probe, monkeypatch):
+        """A kernel that builds but cannot *run* is skipped too: the
         probe executes a real two-node sweep, not just a lookup."""
-        from repro.core import engine as engine_mod
-        from repro.core.engine import probe_backend
 
-        real_init = engine_mod.SchedulerEngine.__init__
+        def sabotaged(self):
+            raise RuntimeError("sabotaged C kernel")
 
-        def sabotaged(self, *a, **kw):
-            if kw.get("backend") == "python":
-                raise RuntimeError("sabotaged python backend")
-            return real_init(self, *a, **kw)
+        monkeypatch.setattr(_ckernel, "available", lambda: True)
+        monkeypatch.setattr(SchedulerEngine, "_run_kernel", sabotaged)
+        chosen, skipped = probe_backend()
+        assert chosen == "python"
+        assert skipped == [("c", "RuntimeError: sabotaged C kernel")]
 
-        monkeypatch.setattr(engine_mod.SchedulerEngine, "__init__", sabotaged)
-        chosen, skipped = probe_backend("python")
-        assert chosen != "python"
-        assert any("sabotaged" in why for _b, why in skipped)
-
-    def test_probe_memoised_per_backend_and_pid(self, monkeypatch):
-        """Repeated probes in one process (health endpoints, supervisor
-        pool restarts) are served from the (backend, pid) cache instead
-        of re-running the two-node sweep; refresh=True forces a live
+    def test_probe_memoised_per_pid(self, fresh_probe, monkeypatch):
+        """Repeated probes in one process (every engine run, health
+        endpoints) are served from the pid-keyed cache instead of
+        re-running the two-node sweep; refresh=True forces a live
         probe."""
-        from repro.core import engine as engine_mod
-        from repro.core.engine import probe_backend
-
         sweeps = []
-        real_init = engine_mod.SchedulerEngine.__init__
+        for name in ("_run_kernel", "run_reference"):
+            real = getattr(SchedulerEngine, name)
 
-        def counting(self, *a, **kw):
-            sweeps.append(kw.get("backend"))
-            return real_init(self, *a, **kw)
+            def counting(self, _real=real):
+                sweeps.append(self.tree.n)
+                return _real(self)
 
-        monkeypatch.setattr(engine_mod.SchedulerEngine, "__init__", counting)
-        first = probe_backend("python")
+            monkeypatch.setattr(SchedulerEngine, name, counting)
+        first = probe_backend()
         live = len(sweeps)
         assert live >= 1
-        assert probe_backend("python") == first
+        assert probe_backend() == first
         assert len(sweeps) == live  # cache hit: no new sweep
-        assert probe_backend("python", refresh=True) == first
+        assert probe_backend(refresh=True) == first
         assert len(sweeps) > live  # forced live probe
 
-    def test_probe_cache_bypassed_under_fault_plan(self, monkeypatch):
+    def test_probe_cache_bypassed_under_fault_plan(self, fresh_probe):
         """An active fault plan must keep degrading live probes: cached
         decisions are neither read nor written while one is installed."""
-        from repro.core.engine import probe_backend
-        from repro.testing import faults
-
-        monkeypatch.delenv(faults.ENV_VAR, raising=False)
-        warm = probe_backend("c")  # cached (whatever the chain picked)
+        warm = probe_backend()  # cached (whatever the probe picked)
         faults.install(faults.FaultPlan((faults.Fault(kind="compile_failure"),)))
         try:
-            chosen, skipped = probe_backend("c")
+            chosen, skipped = probe_backend()
         finally:
             faults.install(None)
-        assert chosen != "c"
+        assert chosen == "python"
         assert "injected compile failure" in dict(skipped)["c"]
         # and the plan-era decision did not poison the cache
-        assert probe_backend("c") == warm
+        assert probe_backend() == warm
 
-    def test_apply_backend_only_touches_declaring_algorithms(self):
-        assert registry.apply_backend("ParDeepestFirst", {}, "python") == {
-            "backend": "python"
-        }
-        # explicit scenario params are overridden by the probed backend
-        assert registry.apply_backend(
-            "ParDeepestFirst", {"backend": "c"}, "python"
-        ) == {"backend": "python"}
-        # no declared backend parameter: params pass through untouched
-        assert registry.apply_backend("ParSubtrees", {}, "python") == {}
-        # no probed decision: params pass through untouched
-        assert registry.apply_backend("ParDeepestFirst", {"backend": "c"}, None) == {
-            "backend": "c"
-        }
+    def test_no_algorithm_declares_backend(self):
+        for algo in registry.algorithms():
+            assert "backend" not in algo.params, algo.name
+        with pytest.raises(TypeError, match="unknown"):
+            registry.run("ParDeepestFirst", tree_spread()[1], 2, backend="python")
 
 
 # ----------------------------------------------------------------------
-# golden equivalence: every heuristic, both memory modes, all backends
+# golden equivalence: every heuristic, both memory modes
 # ----------------------------------------------------------------------
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("name", sorted(ENGINE_HEURISTICS))
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
-    def test_heuristics_bit_identical(self, tree, name, backend):
+    @pytest.mark.parametrize("name", sorted(LIST_HEURISTICS))
+    def test_heuristics_bit_identical(self, tree, name):
         for p in (1, 2, 4, 8):
-            ref = registry.run(name, tree, p, backend="python")
-            got = registry.run(name, tree, p, backend=backend)
+            ref = reference_run(name, tree, p)
+            got = registry.run(name, tree, p)
             assert_same_schedule(got, ref)
 
     @pytest.mark.parametrize("mode", ["strict", "opportunistic"])
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
-    def test_memory_modes_bit_identical(self, tree, mode, backend):
+    def test_memory_modes_bit_identical(self, tree, mode):
         res = optimal_postorder(tree)
         for p in (1, 2, 4):
             for factor in (1.0, 1.5, 3.0):
                 cap = factor * res.peak_memory
                 try:
-                    ref = memory_bounded_schedule(
-                        tree, p, cap, order=res.order, mode=mode, backend="python"
-                    )
+                    ref = reference_capped(tree, p, cap, res.order, mode)
                 except MemoryCapError as exc:
                     with pytest.raises(MemoryCapError, match="infeasible") as info:
-                        memory_bounded_schedule(
-                            tree, p, cap, order=res.order, mode=mode, backend=backend
-                        )
+                        memory_bounded_schedule(tree, p, cap, order=res.order, mode=mode)
                     # identical failure point, identical message
                     assert str(info.value) == str(exc)
                     continue
-                got = memory_bounded_schedule(
-                    tree, p, cap, order=res.order, mode=mode, backend=backend
-                )
+                got = memory_bounded_schedule(tree, p, cap, order=res.order, mode=mode)
                 assert_same_schedule(got, ref)
 
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
-    def test_sweep_spec_outputs_bit_identical(self, tree, backend):
+    def test_sweep_spec_outputs_bit_identical(self, tree):
         """activation order and peak-memory trace match the reference
-        backend exactly (the kernel spec's extra output arrays)."""
+        loop exactly (the kernel spec's extra output arrays)."""
         rank = par_deepest_first_rank(tree)
         for cap in (None, 2.0 * optimal_postorder(tree).peak_memory):
             # ranks must follow sigma in strict mode, so the capped case
             # uses the opportunistic policy (which may be infeasible --
-            # then both backends must fail identically)
+            # then both sweeps must fail identically)
             mode = "strict" if cap is None else "opportunistic"
-            ref_eng = SchedulerEngine(tree, 4, rank, backend="python", cap=cap, mode=mode)
-            got_eng = SchedulerEngine(tree, 4, rank, backend=backend, cap=cap, mode=mode)
+            ref_eng = SchedulerEngine(tree, 4, rank, cap=cap, mode=mode)
+            got_eng = SchedulerEngine(tree, 4, rank, cap=cap, mode=mode)
             try:
-                ref_schedule = ref_eng.run()
+                ref_schedule = ref_eng.run_reference()
             except MemoryCapError as exc:
                 with pytest.raises(MemoryCapError) as info:
                     got_eng.run()
                 assert str(info.value) == str(exc)
                 continue
-            assert_same_schedule(got_eng.run(), ref_schedule)
+            schedule = got_eng.run()
+            assert_same_schedule(schedule, ref_schedule)
             ref, got = ref_eng.sweep, got_eng.sweep
             assert np.array_equal(got.activation, ref.activation)
             assert np.array_equal(got.mem_trace, ref.mem_trace)
             assert np.array_equal(got.end, ref.end)
             assert got.now == ref.now and got.mem == ref.mem
+            assert got.now == schedule.makespan
             # the activation order is chronological and complete
             assert sorted(got.activation.tolist()) == list(range(tree.n))
 
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
-    def test_engine_state_summary(self, star5, backend):
-        engine = SchedulerEngine(star5, 2, np.arange(5), backend=backend)
-        schedule = engine.run()
-        assert engine.backend_used == backend
-        assert engine.state.started == 5
-        assert engine.state.ready == [] and engine.state.running == []
-        assert engine.state.now == schedule.makespan
-
 
 # ----------------------------------------------------------------------
-# prepared-path golden equivalence: every heuristic, every backend,
-# both memory modes (the PreparedTree refactor's acceptance contract)
+# prepared-path golden equivalence: every heuristic, both memory modes
+# (the PreparedTree refactor's acceptance contract)
 # ----------------------------------------------------------------------
 class TestPreparedEquivalence:
-    @pytest.mark.parametrize("name", sorted(registry.names("parallel")))
-    @pytest.mark.parametrize("backend", ["python"] + AVAILABLE_ALT)
-    def test_heuristics_bit_identical(self, tree, name, backend):
-        from repro.core.prepared import PreparedTree
+    """Bare vs prepared tree, on each sweep: ``run`` (the C kernel where
+    it builds) and ``reference`` (the reference loop, which reads the
+    prepared bundle's list caches instead of its typed columns)."""
 
+    @pytest.mark.parametrize("name", sorted(registry.names("parallel")))
+    def test_heuristics_bit_identical(self, tree, name):
         prepared = PreparedTree(tree)  # one preparation, swept over p
-        kw = {"backend": backend} if "backend" in registry.get(name).params else {}
         for p in (1, 2, 4, 8):
-            ref = registry.run(name, tree, p, **kw)
-            got = registry.run(name, prepared, p, **kw)
+            ref = registry.run(name, tree, p)
+            got = registry.run(name, prepared, p)
             assert_same_schedule(got, ref)
 
-    @pytest.mark.parametrize("mode", ["strict", "opportunistic"])
-    @pytest.mark.parametrize("backend", ["python"] + AVAILABLE_ALT)
-    def test_memory_modes_bit_identical(self, tree, mode, backend):
-        from repro.core.prepared import PreparedTree
+    @pytest.mark.parametrize("name", sorted(ENGINE_HEURISTICS))
+    def test_heuristics_reference_bit_identical(self, tree, name):
+        prepared = PreparedTree(tree)
+        for p in (1, 2, 4, 8):
+            ref = reference_run(name, tree, p)
+            assert_same_schedule(reference_run(name, prepared, p), ref)
+            assert_same_schedule(registry.run(name, prepared, p), ref)
 
+    @pytest.mark.parametrize("sweep", ["run", "reference"])
+    @pytest.mark.parametrize("mode", ["strict", "opportunistic"])
+    def test_memory_modes_bit_identical(self, tree, mode, sweep):
         prepared = PreparedTree(tree)
         res = optimal_postorder(tree)
         for p in (1, 2, 4):
@@ -370,25 +377,24 @@ class TestPreparedEquivalence:
                 outcomes = []
                 for target in (tree, prepared):
                     try:
-                        s = memory_bounded_schedule(
-                            target, p, cap, mode=mode, backend=backend
-                        )
+                        if sweep == "reference":
+                            s = reference_capped(target, p, cap, res.order, mode)
+                        else:
+                            s = memory_bounded_schedule(target, p, cap, mode=mode)
                         outcomes.append(("ok", s.start.tobytes(), s.proc.tobytes()))
                     except MemoryCapError as exc:
                         outcomes.append(("err", str(exc)))
                 assert outcomes[0] == outcomes[1], (mode, p, factor)
 
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
-    def test_sweep_spec_outputs_bit_identical(self, tree, backend):
+    @pytest.mark.parametrize("sweep", ["run", "reference"])
+    def test_sweep_spec_outputs_bit_identical(self, tree, sweep):
         """activation order / peak-memory trace / finals also match when
         the engine runs against a shared preparation."""
-        from repro.core.prepared import PreparedTree
-
+        run = SchedulerEngine.run if sweep == "run" else SchedulerEngine.run_reference
         prepared = PreparedTree(tree)
-        rank = par_deepest_first_rank(tree)
-        ref_eng = SchedulerEngine(tree, 4, rank, backend=backend)
-        got_eng = SchedulerEngine(prepared, 4, par_deepest_first_rank(prepared), backend=backend)
-        assert_same_schedule(got_eng.run(), ref_eng.run())
+        ref_eng = SchedulerEngine(tree, 4, par_deepest_first_rank(tree))
+        got_eng = SchedulerEngine(prepared, 4, par_deepest_first_rank(prepared))
+        assert_same_schedule(run(got_eng), run(ref_eng))
         ref, got = ref_eng.sweep, got_eng.sweep
         assert np.array_equal(got.activation, ref.activation)
         assert np.array_equal(got.mem_trace, ref.mem_trace)
@@ -401,26 +407,24 @@ class TestPreparedEquivalence:
 # ----------------------------------------------------------------------
 class TestExactnessFallback:
     def huge_int_tree(self) -> TaskTree:
-        # integral weights in the reference backend's integer-key regime
+        # integral weights in the reference loop's integer-key regime
         # (total * n < 2**62) whose completion times exceed 2**53: the
-        # kernels' float64 event keys cannot represent them exactly, so
-        # kernel backends must step aside
+        # kernel's float64 event keys cannot represent them exactly, so
+        # the engine must keep the reference loop
         w = np.full(3, float(2**52))
         return TaskTree(np.asarray([-1, 0, 0]), w, np.ones(3), np.ones(3))
 
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
-    def test_huge_integral_weights_fall_back_to_python(self, backend):
+    def test_huge_integral_weights_fall_back_to_python(self):
         tree = self.huge_int_tree()
-        engine = SchedulerEngine(tree, 2, np.arange(3), backend=backend)
-        ref = SchedulerEngine(tree, 2, np.arange(3), backend="python")
-        assert_same_schedule(engine.run(), ref.run())
-        assert engine.backend == backend  # selection is unchanged...
-        assert engine.backend_used == "python"  # ...the sweep fell back
+        engine = SchedulerEngine(tree, 2, np.arange(3))
+        ref = SchedulerEngine(tree, 2, np.arange(3))
+        assert_same_schedule(engine.run(), ref.run_reference())
+        assert engine.backend_used == "python"  # the sweep fell back
 
     def test_normal_trees_do_not_fall_back(self, star5):
-        engine = SchedulerEngine(star5, 2, np.arange(5), backend=AVAILABLE_ALT[0])
+        engine = SchedulerEngine(star5, 2, np.arange(5))
         engine.run()
-        assert engine.backend_used == AVAILABLE_ALT[0]
+        assert engine.backend_used == resolve_backend()
 
 
 # ----------------------------------------------------------------------
@@ -430,12 +434,12 @@ class TestPropertyEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(tree=task_trees(max_nodes=40, max_w=3, max_f=3), p=st.integers(1, 5))
     def test_python_and_compiled_backends_agree(self, tree, p):
-        """The reference and the best compiled backend agree on random
+        """The reference loop and the dispatched sweep agree on random
         trees whose tiny weight ranges force ties in every priority key
         column (resolved inside lex_rank by node index)."""
         rank = par_deepest_first_rank(tree)
-        ref = SchedulerEngine(tree, p, rank, backend="python").run()
-        got = SchedulerEngine(tree, p, rank, backend=BEST_ALT).run()
+        ref = SchedulerEngine(tree, p, rank).run_reference()
+        got = SchedulerEngine(tree, p, rank).run()
         assert_same_schedule(got, ref)
 
     @settings(max_examples=40, deadline=None)
@@ -444,30 +448,19 @@ class TestPropertyEquivalence:
         res = optimal_postorder(tree)
         cap = 1.2 * res.peak_memory
         try:
-            ref = memory_bounded_schedule(
-                tree, p, cap, order=res.order, mode="opportunistic", backend="python"
-            )
+            ref = reference_capped(tree, p, cap, res.order, "opportunistic")
         except MemoryCapError:
             with pytest.raises(MemoryCapError):
                 memory_bounded_schedule(
-                    tree, p, cap, order=res.order, mode="opportunistic", backend=BEST_ALT
+                    tree, p, cap, order=res.order, mode="opportunistic"
                 )
             return
-        got = memory_bounded_schedule(
-            tree, p, cap, order=res.order, mode="opportunistic", backend=BEST_ALT
-        )
+        got = memory_bounded_schedule(tree, p, cap, order=res.order, mode="opportunistic")
         assert_same_schedule(got, ref)
 
 
-def _worker_resolve(override: str | None) -> tuple[str, str]:
-    """Pool worker probe: what the environment default resolves to, and
-    what a per-call ``backend=`` override resolves to (top-level so the
-    fork pool can pickle it)."""
-    return resolve_backend(None), resolve_backend(override)
-
-
 # ----------------------------------------------------------------------
-# plumbing: experiments pipeline and registry forwarding
+# plumbing: the experiments pipeline on either sweep
 # ----------------------------------------------------------------------
 class TestPipelinePlumbing:
     def instances(self):
@@ -485,72 +478,38 @@ class TestPipelinePlumbing:
             for i in range(3)
         ]
 
-    def test_run_experiments_backend_is_byte_identical(self):
+    def test_run_experiments_same_on_both_sweeps(self, monkeypatch):
         from repro.analysis.experiments import run_experiments
 
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
         instances = self.instances()
         names = ("ParDeepestFirst", "ParSubtrees", "MemoryBounded")
-        ref = run_experiments(instances, (2, 4), heuristics=names, backend="python")
-        got = run_experiments(instances, (2, 4), heuristics=names, backend=BEST_ALT)
+        got = run_experiments(instances, (2, 4), heuristics=names)
+        faults.install(faults.FaultPlan((faults.Fault(kind="compile_failure"),)))
+        try:
+            ref = run_experiments(instances, (2, 4), heuristics=names)
+        finally:
+            faults.install(None)
         assert got == ref
 
-    def test_env_backend_propagates_to_pool_workers(self, monkeypatch):
-        """REPRO_ENGINE_BACKEND set in the parent is inherited by fork
-        pool workers (their ``resolve_backend(None)`` sees it), while a
-        per-call ``backend=`` override still wins inside the worker."""
-        import multiprocessing
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "kernel")  # never auto-selected
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=2) as pool:
-            results = pool.map(_worker_resolve, [None, "python", None])
-        assert results[0] == ("kernel", "kernel")
-        assert results[1] == ("kernel", "python")  # override beats the env
-        assert results[2] == ("kernel", "kernel")
-
-    def test_env_default_with_per_call_override_in_workers(self, monkeypatch):
-        """run_experiments: env backend in the parent + an explicit
-        ``backend=`` override fanned to pool workers are byte-identical
-        to the serial reference (the override reaches the children)."""
+    def test_degraded_pool_workers_match_serial(self, monkeypatch):
+        """run_experiments on supervised workers that inherit a
+        ``compile_failure`` plan (so every worker sweeps on the
+        reference loop) is byte-identical to the serial run."""
         from repro.analysis.experiments import run_experiments
 
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
         instances = self.instances()
         names = ("ParDeepestFirst", "MemoryBounded")
         ref = run_experiments(instances, (2, 4), heuristics=names)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "kernel")
-        env_only = run_experiments(
-            instances, (2, 4), heuristics=names, workers=2
-        )
-        overridden = run_experiments(
-            instances, (2, 4), heuristics=names, workers=2, backend="python"
-        )
-        assert env_only == ref
-        assert overridden == ref
+        monkeypatch.setenv(faults.ENV_VAR, '{"faults": [{"kind": "compile_failure"}]}')
+        degraded = run_experiments(instances, (2, 4), heuristics=names, workers=2)
+        assert degraded == ref
 
-    def test_registry_rejects_backend_for_non_engine_algorithms(self):
-        tree = random_weighted_tree(10, np.random.default_rng(1))
-        with pytest.raises(TypeError, match="backend"):
-            registry.run("ParSubtrees", tree, 2, backend="python")
-
-    def test_cli_backend_flag(self, capsys):
+    def test_cli_run(self, capsys):
         from repro.cli import main
 
-        assert (
-            main(
-                [
-                    "run",
-                    "--algo",
-                    "ParDeepestFirst",
-                    "--scale",
-                    "tiny",
-                    "--limit",
-                    "1",
-                    "--processors",
-                    "2",
-                    "--backend",
-                    "python",
-                ]
-            )
-            == 0
-        )
+        argv = ["run", "--algo", "ParDeepestFirst", "--scale", "tiny",
+                "--limit", "1", "--processors", "2"]
+        assert main(argv) == 0
         assert "ParDeepestFirst" not in capsys.readouterr().err

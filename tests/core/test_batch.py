@@ -2,11 +2,13 @@
 
 The batched entry point (:func:`repro.core.engine.sweep_batch`) stacks
 an (algorithm x p x cap) grid into one serial kernel call. Its
-acceptance contract extends the backend golden tests: per-scenario
-results must be **byte-identical** to the unbatched path for every
-registered heuristic x backend x memory mode -- including error
-outcomes (an infeasible cap raises the same message at the same slice
-position) and the per-*scenario* integral-weight exactness fallback.
+acceptance contract extends the golden tests of ``test_backends.py``:
+per-scenario results must be **byte-identical** to the unbatched
+reference loop for every registered heuristic x memory mode, whether
+the grid sweeps on the C kernel or (the kernel unavailable) on the
+reference loop -- including error outcomes (an infeasible cap raises
+the same message at the same slice position) and the integral-weight
+exactness fallback.
 """
 
 from __future__ import annotations
@@ -20,22 +22,21 @@ from repro.core.engine import (
     MemoryCapError,
     SchedulerEngine,
     default_threads,
+    resolve_backend,
     sweep_batch,
 )
 from repro.core.prepared import PreparedTree, stack_unique
 from repro.core.tree import TaskTree
+from repro.testing import faults
 from repro.workloads.synthetic import random_weighted_tree
 
 from tests.conftest import task_trees
 from tests.core.test_backends import (
-    AVAILABLE_ALT,
-    BEST_ALT,
+    N_TREES,
     assert_same_schedule,
+    reference_run,
     tree_spread,
 )
-
-#: the megabatch matrix: reference loop + every compiled backend here
-BATCH_BACKENDS = ["python"] + AVAILABLE_ALT
 
 #: algorithms with a registered sweep spec (every engine-backed one)
 BATCHABLE = [a.name for a in registry.algorithms("parallel") if a.sweep_spec]
@@ -66,10 +67,26 @@ def reference_outcomes(prepared: PreparedTree, labels: list) -> list:
     out = []
     for name, p, kw in labels:
         try:
-            out.append(registry.run(name, prepared, p, backend="python", **kw))
+            out.append(reference_run(name, prepared, p, **kw))
         except MemoryCapError as exc:
             out.append(exc)
     return out
+
+
+@pytest.fixture(params=["dispatched", "reference"])
+def sweep(request, monkeypatch):
+    """The sweep a grid runs on: the process's own decision, or the
+    reference loop (an injected ``compile_failure``, the world where
+    the C kernel does not build)."""
+    monkeypatch.delenv(faults.ENV_VAR, raising=False)
+    if request.param == "dispatched":
+        yield resolve_backend()
+        return
+    faults.install(faults.FaultPlan((faults.Fault(kind="compile_failure"),)))
+    try:
+        yield "python"
+    finally:
+        faults.install(None)
 
 
 def assert_outcomes_match(run, refs, labels) -> None:
@@ -82,17 +99,16 @@ def assert_outcomes_match(run, refs, labels) -> None:
 
 
 # ----------------------------------------------------------------------
-# the bit-identity matrix: heuristic x backend x memory mode
+# the bit-identity matrix: heuristic x sweep x memory mode
 # ----------------------------------------------------------------------
 class TestBitIdentityMatrix:
-    @pytest.mark.parametrize("backend", BATCH_BACKENDS)
-    @pytest.mark.parametrize("tree_index", range(8))
-    def test_batched_equals_unbatched(self, backend, tree_index):
+    @pytest.mark.parametrize("tree_index", range(N_TREES))
+    def test_batched_equals_unbatched(self, sweep, tree_index):
         prepared = PreparedTree(tree_spread()[tree_index])
         specs, labels = grid(prepared)
         refs = reference_outcomes(prepared, labels)
-        run = sweep_batch(prepared, specs, backend=backend)
-        assert run.backend == backend
+        run = sweep_batch(prepared, specs)
+        assert run.backend == sweep
         assert_outcomes_match(run, refs, labels)
 
     def test_engines_expose_full_sweep_state(self):
@@ -101,11 +117,11 @@ class TestBitIdentityMatrix:
         schedule arrays."""
         prepared = PreparedTree(tree_spread()[4])
         specs, _ = grid(prepared)
-        run = sweep_batch(prepared, specs, backend=BEST_ALT)
+        run = sweep_batch(prepared, specs)
         for engine, spec, outcome in zip(run.engines, specs, run.outcomes):
             if isinstance(outcome, Exception):
                 continue
-            assert engine.backend_used == BEST_ALT
+            assert engine.backend_used == run.backend == resolve_backend()
             ref = SchedulerEngine(
                 prepared,
                 spec.p,
@@ -113,9 +129,8 @@ class TestBitIdentityMatrix:
                 cap=spec.cap,
                 order=spec.order,
                 mode=spec.mode,
-                backend="python",
             )
-            ref.run()
+            ref.run_reference()
             for fld in ("start", "end", "proc", "activation", "mem_trace"):
                 np.testing.assert_array_equal(
                     getattr(engine.sweep, fld), getattr(ref.sweep, fld)
@@ -140,11 +155,9 @@ class TestBitIdentityMatrix:
                 for o in run.outcomes
             ]
 
-        baseline = digest(sweep_batch(prepared, specs, backend=BEST_ALT))
+        baseline = digest(sweep_batch(prepared, specs))
         with ThreadPoolExecutor(max_workers=4) as ex:
-            runs = list(
-                ex.map(lambda _: sweep_batch(prepared, specs, backend=BEST_ALT), range(8))
-            )
+            runs = list(ex.map(lambda _: sweep_batch(prepared, specs), range(8)))
         for run in runs:
             assert digest(run) == baseline
         assert np.array_equal(prepared.pending0, np.diff(prepared.tree.child_ptr))
@@ -157,7 +170,7 @@ class TestBitIdentityMatrix:
             algo.batch_spec(prepared, 2),
             algo.batch_spec(prepared, 4, cap_factor=1.0, mode="opportunistic"),
         ]
-        run = sweep_batch(prepared, specs, backend=BEST_ALT)
+        run = sweep_batch(prepared, specs)
         try:
             registry.run(
                 "MemoryBounded", prepared, 4, cap_factor=1.0, mode="opportunistic"
@@ -178,17 +191,17 @@ class TestBitIdentityMatrix:
         prepared = PreparedTree(tree)
         specs, labels = grid(prepared)
         refs = reference_outcomes(prepared, labels)
-        run = sweep_batch(prepared, specs, backend=BEST_ALT)
+        run = sweep_batch(prepared, specs)
         assert_outcomes_match(run, refs, labels)
 
 
 # ----------------------------------------------------------------------
-# per-scenario exactness fallback (integral weights >= 2**53)
+# exactness fallback (integral weights >= 2**53)
 # ----------------------------------------------------------------------
 class TestExactnessFallback:
     def test_huge_integral_weights_fall_back_per_scenario(self):
         # 3 integral weights of 2**52 sum past 2**53: float64 event keys
-        # can no longer represent every completion time exactly, so each
+        # can no longer represent every completion time exactly, so every
         # scenario of the batch must take the reference loop -- and stay
         # bit-identical to the unbatched path.
         tree = TaskTree.from_parents(
@@ -199,21 +212,29 @@ class TestExactnessFallback:
         specs = [
             registry.get("ParDeepestFirst").batch_spec(prepared, p) for p in (1, 2, 3)
         ]
-        run = sweep_batch(prepared, specs, backend=BEST_ALT)
+        run = sweep_batch(prepared, specs)
+        assert run.backend == "python"
         for engine, p in zip(run.engines, (1, 2, 3)):
             assert engine.backend_used == "python"  # fell back, per scenario
         for schedule, p in zip(run.schedules(), (1, 2, 3)):
             assert_same_schedule(
-                schedule, registry.run("ParDeepestFirst", prepared, p, backend="python")
+                schedule, reference_run("ParDeepestFirst", prepared, p)
             )
 
-    def test_python_backend_batches_through_reference_loop(self):
+    def test_python_backend_batches_through_reference_loop(self, monkeypatch):
+        """Where the C kernel does not build (here: an injected
+        ``compile_failure``), a grid sweeps on the reference loop."""
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
         prepared = PreparedTree(tree_spread()[3])
         specs, _ = grid(prepared)
-        run = sweep_batch(prepared, specs, backend="python")
-        for engine, outcome in zip(run.engines, run.outcomes):
-            if not isinstance(outcome, Exception):
-                assert engine.backend_used == "python"
+        faults.install(faults.FaultPlan((faults.Fault(kind="compile_failure"),)))
+        try:
+            run = sweep_batch(prepared, specs)
+        finally:
+            faults.install(None)
+        assert run.backend == "python"
+        for engine in run.engines:
+            assert engine.backend_used == "python"
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +287,8 @@ class TestSerialKernel:
         prepared = PreparedTree(tree_spread()[4])
         before = prepared.pending0.copy()
         specs, _ = grid(prepared)
-        sweep_batch(prepared, specs, backend=BEST_ALT)
-        registry.run("ParDeepestFirst", prepared, 3, backend=BEST_ALT)
+        sweep_batch(prepared, specs)
+        registry.run("ParDeepestFirst", prepared, 3)
         assert np.array_equal(prepared.pending0, before)
 
 
@@ -292,9 +313,12 @@ class TestRegistrySpecs:
         with pytest.raises(TypeError, match="unknown"):
             registry.get("MemoryBounded").batch_spec(prepared, 2, bogus=1)
 
-    def test_batch_spec_strips_backend(self):
+    def test_batch_spec_rejects_backend(self):
+        """``backend`` is no parameter of any algorithm any more."""
         prepared = PreparedTree(tree_spread()[1])
-        spec = registry.get("ParInnerFirst").batch_spec(prepared, 2, backend="python")
+        with pytest.raises(TypeError, match="unknown"):
+            registry.get("ParInnerFirst").batch_spec(prepared, 2, backend="python")
+        spec = registry.get("ParInnerFirst").batch_spec(prepared, 2)
         assert spec.p == 2 and spec.cap is None
 
     def test_specs_share_prepared_rank_arrays(self):
@@ -445,13 +469,16 @@ class TestCompileCacheKeys:
     def test_build_tuple_keeps_legacy_indices(self, monkeypatch):
         """Monkeypatching _BUILD with a ``(None, reason)`` 2-tuple -- the
         format used across the test suite -- reads fn at [0] and the
-        reason at [1] everywhere the backend is resolved."""
+        reason at [1] everywhere the dispatch is decided."""
         from repro.core import _ckernel
-        from repro.core.engine import BackendUnavailableError, resolve_backend
+        from repro.core import engine as engine_mod
 
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        monkeypatch.setattr(engine_mod, "_PROBE_CACHE", {})
         monkeypatch.setattr(_ckernel, "_BUILD", (None, "simulated: no toolchain"))
         assert not _ckernel.available()
         assert _ckernel.unavailable_reason() == "simulated: no toolchain"
-        assert resolve_backend("auto") == "python"
-        with pytest.raises(BackendUnavailableError, match="simulated: no toolchain"):
-            resolve_backend("c")
+        assert engine_mod.probe_backend() == (
+            "python", [("c", "simulated: no toolchain")]
+        )
+        assert resolve_backend() == "python"

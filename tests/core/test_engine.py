@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.engine import (
-    EngineState,
     MemoryCapError,
     SchedulerEngine,
+    SweepResult,
     lex_rank,
     rank_from_callable,
 )
@@ -117,10 +117,10 @@ class TestEngineRun:
         engine = SchedulerEngine(star5, 2, np.arange(5))
         schedule = engine.run()
         validate_schedule(schedule)
-        assert isinstance(engine.state, EngineState)
-        assert engine.state.started == 5
-        assert engine.state.ready == [] and engine.state.running == []
-        assert engine.state.now == schedule.makespan
+        assert isinstance(engine.sweep, SweepResult)
+        assert sorted(engine.sweep.activation.tolist()) == list(range(5))
+        assert engine.sweep.now == schedule.makespan
+        assert engine.backend_used in ("c", "python")
 
     def test_rank_order_respected_serially(self):
         tree = TaskTree.from_parents([-1, 0, 0, 0], w=1.0, f=1.0)

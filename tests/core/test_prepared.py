@@ -3,7 +3,7 @@
 The bundle's contract: everything it caches is a pure function of the
 tree, derived once and shared by reference across runs, and the
 prepared path is bit-identical to the unprepared path everywhere (the
-cross-heuristic x cross-backend matrix lives in
+cross-heuristic x kernel-vs-reference matrix lives in
 ``tests/core/test_backends.py``; these are the bundle-level unit
 tests).
 """

@@ -39,7 +39,7 @@ class TestCanonical:
     def test_defaults_filled_and_stable(self):
         c = canonical_spec(tiny_spec())
         assert c["campaign"]["cap_factors"] == []
-        assert c["campaign"]["backend"] is None
+        assert "backend" not in c["campaign"]
         assert c["run"] == {
             "supervise": True, "retries": 2, "timeout": None, "backoff": 0.25,
         }
@@ -81,8 +81,8 @@ class TestValidation:
             (lambda s: s["campaign"].update(algorithms=["NoSuchAlgo"]),
              "does not expand"),
             (lambda s: s["campaign"].update(processor_counts=[0]), "positive"),
-            (lambda s: s["campaign"].update(backend="fortran"), "backend"),
-            (lambda s: s["campaign"].update(backend="numba"), "c|python"),
+            (lambda s: s["campaign"].update(backend="c"), "backend was removed"),
+            (lambda s: s["campaign"].update(backend=None), "picks the sweep itself"),
             (lambda s: s.update(run={"retries": -1}), "retries"),
             (lambda s: s.update(extra=1), "unknown"),
         ],
@@ -162,3 +162,62 @@ class TestRoundTrip:
         del tree, specs, a, b
         gc.collect()
         assert key not in payload._TREE_LISTS
+
+
+class TestRemovedBackendKey:
+    """``spec.campaign.backend`` is gone: the engine picks the sweep."""
+
+    def test_posted_spec_with_backend_is_a_400(self, tmp_path):
+        from repro.service.server import SchedulerService
+
+        spec = tiny_spec()
+        spec["campaign"]["backend"] = "python"
+        service = SchedulerService(str(tmp_path / "svc"))
+        status, body = service.submit(spec)
+        assert status == 400
+        assert "spec.campaign.backend was removed" in body["error"]
+        assert service.jobs.ids() == []  # nothing journaled
+
+    def test_old_journal_with_backend_key_resumes(self, tmp_path):
+        """A job journaled while the key existed (its spec.json holds
+        ``"backend": null``) is recovered and resumed from its
+        checkpoint to the same bytes as a fresh campaign."""
+        import json
+        import os
+        import time
+
+        from repro.analysis.campaign import run_campaign
+        from repro.service.server import SchedulerService
+
+        spec = canonical_spec(tiny_spec(supervise=False))
+        spec["campaign"]["processor_counts"] = [2, 4, 8]
+        ref = tmp_path / "ref.jsonl"
+        run_campaign(to_instances(spec), to_campaign(spec), checkpoint=str(ref))
+        lines = ref.read_bytes().splitlines(keepends=True)
+
+        old = json.loads(json.dumps(spec))
+        old["campaign"]["backend"] = None  # the old canonical form
+        job_dir = tmp_path / "svc" / "jobs" / "0123456789abcdef01234567"
+        job_dir.mkdir(parents=True)
+        (job_dir / "spec.json").write_text(
+            json.dumps(old, sort_keys=True, separators=(",", ":"))
+        )
+        now = time.time()
+        (job_dir / "state.json").write_text(json.dumps(
+            {"state": "running", "created": now, "updated": now,
+             "error": "", "detail": {}}
+        ))
+        (job_dir / "records.jsonl").write_bytes(lines[0])  # interrupted
+
+        service = SchedulerService(str(tmp_path / "svc"))
+        try:
+            assert service.start() == [job_dir.name]
+            for _ in range(600):
+                if service.status(job_dir.name)[1]["state"] in ("done", "failed"):
+                    break
+                time.sleep(0.05)
+        finally:
+            service.drain()
+        assert service.status(job_dir.name)[1]["state"] == "done"
+        assert (job_dir / "records.jsonl").read_bytes() == ref.read_bytes()
+        assert os.path.getsize(job_dir / "records.jsonl") > len(lines[0])
