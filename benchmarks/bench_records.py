@@ -1,23 +1,23 @@
-"""Record-store benchmark: columnar segments vs. flat JSONL at scale.
+"""Record benchmark: JSONL checkpoint write/load and vectorised analysis.
 
 Synthesizes a campaign-shaped record stream (a (trees x heuristics x p)
 grid with ~1% quarantined ``FailedRecord`` rows) at 1e5..1e6 records
-and times, per backend:
+and times:
 
-* **write** -- persisting the stream (``save_records`` line-by-line vs.
-  one sealed npz segment per store);
+* **write** -- persisting the stream as a JSONL checkpoint
+  (``save_records(..., append=True)``: flush per record, one fsync);
 * **load** -- materialising :class:`~repro.analysis.store.RecordColumns`
-  (a million ``json.loads`` calls vs. ``np.load`` of the segments);
-* **analyze** -- the end-to-end consumer path: load the store, then run
+  from the file (``JsonlStore.columns``);
+* **analyze** -- the end-to-end consumer path: load the file, then run
   the vectorised groupby (:func:`~repro.analysis.metrics.group_stats`)
   and Table 1 (:func:`~repro.analysis.metrics.compute_table1_stats`).
-  ``legacy_analyze`` is the historical path (``load_records`` into
-  dataclass objects + the per-record reference loop), timed at the
-  smallest size as the trajectory baseline.
+  ``legacy_table1`` is the historical path (``load_records`` into
+  dataclass objects + the per-record reference loop), timed up to
+  ``legacy_max`` records as the baseline.
 
-Loaded columns are asserted equal across backends before any timing is
-reported, and the vectorised Table 1 is asserted equal to the reference
-loop -- the speedup is never allowed to change a single statistic.
+The vectorised Table 1 is asserted equal to the reference loop before
+any timing is reported -- the speedup is never allowed to change a
+single statistic.
 
 A separate ``--pareto`` mode times the per-point Pareto front /
 hypervolume loops against their column fast paths (equality asserted).
@@ -36,7 +36,6 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import sys
 import tempfile
 import time
@@ -59,11 +58,7 @@ from repro.analysis.pareto import (  # noqa: E402
     pareto_front,
     pareto_front_columns,
 )
-from repro.analysis.store import (  # noqa: E402
-    ColumnarStore,
-    RecordColumns,
-    open_store,
-)
+from repro.analysis.store import RecordColumns, open_store  # noqa: E402
 
 _HEURISTICS = (
     "ParSubtrees",
@@ -122,15 +117,6 @@ def timeit(fn, repeats: int):
     return best, result
 
 
-def _assert_columns_equal(a: RecordColumns, b: RecordColumns) -> None:
-    for name, arr in a.arrays().items():
-        got = getattr(b, name)
-        if arr.dtype.kind == "f":
-            assert np.array_equal(arr, got, equal_nan=True), f"column {name} diverged"
-        else:
-            assert np.array_equal(arr, got), f"column {name} diverged"
-
-
 def _load_groupby(path: str):
     return group_stats(open_store(path).columns(include_failed=False))
 
@@ -139,7 +125,7 @@ def _load_table1(path: str):
     return compute_table1_stats(open_store(path).columns(include_failed=False))
 
 
-def run_store_bench(
+def run_records_bench(
     sizes, repeats: int, seed: int, legacy_max: int = 200_000
 ) -> list[dict]:
     rows = []
@@ -147,74 +133,46 @@ def run_store_bench(
         cols = synth_columns(int(n), seed)
         n = len(cols)
         records = cols.to_records(include_failed=True)  # untimed setup
-        work = tempfile.mkdtemp(prefix="bench-records-")
-        try:
+        with tempfile.TemporaryDirectory(prefix="bench-records-") as work:
             jsonl = os.path.join(work, "records.jsonl")
-            store_dir = os.path.join(work, "records.store")
 
             def write_jsonl():
                 if os.path.exists(jsonl):
                     os.unlink(jsonl)
                 save_records(records, jsonl, append=True)
 
-            def write_columnar():
-                store = ColumnarStore(store_dir)
-                store.reset()
-                store.extend_columns(cols)
-
-            t_jw, _ = timeit(write_jsonl, repeats)
-            t_cw, _ = timeit(write_columnar, repeats)
-
-            t_jl, from_jsonl = timeit(
+            t_w, _ = timeit(write_jsonl, repeats)
+            t_l, _ = timeit(
                 lambda: open_store(jsonl).columns(include_failed=True), repeats
             )
-            t_cl, from_col = timeit(
-                lambda: open_store(store_dir).columns(include_failed=True), repeats
-            )
-            _assert_columns_equal(from_jsonl, from_col)
-
-            t_jg, groups_j = timeit(lambda: _load_groupby(jsonl), repeats)
-            t_cg, groups_c = timeit(lambda: _load_groupby(store_dir), repeats)
-            assert groups_j == groups_c, "groupby diverged across backends"
-            t_jt, table1_j = timeit(lambda: _load_table1(jsonl), repeats)
-            t_ct, table1_c = timeit(lambda: _load_table1(store_dir), repeats)
-            assert table1_j == table1_c, "Table 1 diverged across backends"
+            t_g, _ = timeit(lambda: _load_groupby(jsonl), repeats)
+            t_t, table1 = timeit(lambda: _load_table1(jsonl), repeats)
             row = {
                 "records": n,
-                "jsonl_write_s": round(t_jw, 4),
-                "columnar_write_s": round(t_cw, 4),
-                "jsonl_load_s": round(t_jl, 4),
-                "columnar_load_s": round(t_cl, 4),
-                "jsonl_groupby_s": round(t_jg, 4),
-                "columnar_groupby_s": round(t_cg, 4),
-                "jsonl_table1_s": round(t_jt, 4),
-                "columnar_table1_s": round(t_ct, 4),
-                "write_speedup": round(t_jw / t_cw, 2),
-                "load_speedup": round(t_jl / t_cl, 2),
-                "groupby_speedup": round(t_jg / t_cg, 2),
-                "table1_speedup": round(t_jt / t_ct, 2),
+                "jsonl_write_s": round(t_w, 4),
+                "jsonl_load_s": round(t_l, 4),
+                "load_groupby_s": round(t_g, 4),
+                "load_table1_s": round(t_t, 4),
             }
             if n <= legacy_max:
-                # the historical object path, as the trajectory baseline
+                # the historical object path, as the baseline
                 def legacy():
-                    objs = load_records(jsonl)
-                    return compute_table1_stats_reference(objs)
+                    return compute_table1_stats_reference(load_records(jsonl))
 
                 t_legacy, ref_stats = timeit(legacy, repeats)
-                assert table1_c == ref_stats, "vectorised Table 1 diverged"
+                assert table1 == ref_stats, "vectorised Table 1 diverged"
                 row["legacy_table1_s"] = round(t_legacy, 4)
-                row["legacy_table1_speedup"] = round(t_legacy / t_ct, 2)
+                row["legacy_table1_speedup"] = round(t_legacy / t_t, 2)
             print(
-                f"n={n:>8d}  write jsonl {t_jw:7.3f}s col {t_cw:7.3f}s "
-                f"({row['write_speedup']:5.1f}x)  load {t_jl:7.3f}s vs "
-                f"{t_cl:7.3f}s ({row['load_speedup']:5.1f}x)  "
-                f"load+groupby {t_jg:7.3f}s vs {t_cg:7.3f}s "
-                f"({row['groupby_speedup']:5.1f}x)  load+table1 "
-                f"{t_jt:7.3f}s vs {t_ct:7.3f}s ({row['table1_speedup']:5.1f}x)"
+                f"n={n:>8d}  write {t_w:7.3f}s  load {t_l:7.3f}s  "
+                f"load+groupby {t_g:7.3f}s  load+table1 {t_t:7.3f}s"
+                + (
+                    f"  legacy table1 {row['legacy_table1_s']:7.3f}s"
+                    if "legacy_table1_s" in row
+                    else ""
+                )
             )
             rows.append(row)
-        finally:
-            shutil.rmtree(work, ignore_errors=True)
     return rows
 
 
@@ -286,7 +244,7 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "seed": args.seed,
         "smoke": bool(args.smoke),
-        "store": run_store_bench(args.sizes, args.repeats, args.seed),
+        "records": run_records_bench(args.sizes, args.repeats, args.seed),
     }
     if args.smoke or args.pareto:
         payload["pareto"] = run_pareto_bench(args.sizes, args.repeats, args.seed)

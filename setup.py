@@ -24,11 +24,6 @@ setup(
         "networkx",
     ],
     extras_require={
-        # production event loop for the scheduling service: `repro
-        # serve` itself is pure stdlib (http.server); this extra adds
-        # uvicorn for running the bundled ASGI app
-        # (repro.service.server.build_asgi) instead
-        "serve": ["uvicorn>=0.20"],
         "dev": ["pytest", "hypothesis", "ruff"],
     },
     entry_points={"console_scripts": ["repro-trees=repro.cli:main"]},

@@ -8,17 +8,8 @@ from .experiments import (
     load_records,
     iter_records,
 )
-from .store import (
-    RecordColumns,
-    RecordStore,
-    JsonlStore,
-    ColumnarStore,
-    open_store,
-    pack_store,
-    merge_stores,
-    STORE_BACKENDS,
-)
-from .campaign import Campaign, Scenario, run_campaign, recover_checkpoint
+from .store import RecordColumns, JsonlStore, open_store
+from .campaign import Campaign, Scenario, run_campaign
 from .supervisor import RunReport, run_supervised
 from .metrics import (
     HeuristicStats,
@@ -49,17 +40,11 @@ __all__ = [
     "load_records",
     "iter_records",
     "RecordColumns",
-    "RecordStore",
     "JsonlStore",
-    "ColumnarStore",
     "open_store",
-    "pack_store",
-    "merge_stores",
-    "STORE_BACKENDS",
     "Campaign",
     "Scenario",
     "run_campaign",
-    "recover_checkpoint",
     "RunReport",
     "run_supervised",
     "HeuristicStats",

@@ -31,14 +31,11 @@ Execution properties, all property-tested:
   in-process and supervised runs with any number of workers are
   byte-identical.
 * **Resumable checkpoints.** With ``checkpoint=path`` every record is
-  appended to a record store (flushed per record) -- the historical
-  JSONL file, or a columnar segment store with ``store="columnar"``
-  (:mod:`repro.analysis.store`). ``resume=True`` streams the store
-  back, drops torn crash residue, verifies the prefix against the
-  campaign's expected scenario stream, and only runs what is missing
-  -- a resumed JSONL file is byte-for-byte identical to an
-  uninterrupted run, and a resumed columnar store packs to the same
-  bytes.
+  appended to a JSONL file (flushed per record; see
+  :mod:`repro.analysis.store`). ``resume=True`` streams the file back,
+  drops torn crash residue, verifies the prefix against the campaign's
+  expected scenario stream, and only runs what is missing -- a resumed
+  file is byte-for-byte identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -53,10 +50,10 @@ from repro.testing import faults
 from repro.workloads.dataset import TreeInstance, PROCESSOR_COUNTS
 
 from .experiments import FailedRecord, ScenarioRecord
-from .store import RecordStore, open_store
+from .store import JsonlStore
 from .supervisor import CampaignAborted
 
-__all__ = ["Campaign", "Scenario", "run_campaign", "recover_checkpoint"]
+__all__ = ["Campaign", "Scenario", "run_campaign"]
 
 
 @dataclass(frozen=True)
@@ -201,47 +198,6 @@ def _scenario_records(
         )
 
 
-# ----------------------------------------------------------------------
-# resumable checkpoints
-# ----------------------------------------------------------------------
-def recover_checkpoint(path: str) -> tuple[list[ScenarioRecord | FailedRecord], int]:
-    """Read a (possibly crash-truncated) JSONL checkpoint.
-
-    Returns the complete records and the byte offset of the valid
-    prefix. Only whole lines terminated by a newline count: a final
-    line without its newline is the residue of an interrupted flush and
-    is dropped (resuming truncates the file there, so the appended
-    continuation stays byte-identical to an uninterrupted run). A
-    malformed *complete* line cannot be crash residue and raises
-    ``ValueError``. Quarantined scenarios come back as
-    :class:`FailedRecord` at their stream positions.
-    """
-    import json
-
-    with open(path, "rb") as fh:
-        data = fh.read()
-    records: list[ScenarioRecord | FailedRecord] = []
-    pos = 0
-    size = len(data)
-    while pos < size:
-        nl = data.find(b"\n", pos)
-        if nl < 0:
-            break  # unterminated final line: crash residue, drop it
-        line = data[pos:nl].strip()
-        if line:
-            try:
-                row = json.loads(line)
-                record = FailedRecord(**row) if row.get("failed") else ScenarioRecord(**row)
-            except (ValueError, TypeError, AttributeError) as exc:
-                raise ValueError(
-                    f"{path}: malformed record on a complete line "
-                    f"(not a truncated tail; the checkpoint is corrupt): {exc}"
-                ) from None
-            records.append(record)
-        pos = nl + 1
-    return records, pos
-
-
 def run_campaign(
     instances: Iterable[TreeInstance],
     campaign: Campaign,
@@ -249,7 +205,6 @@ def run_campaign(
     workers: int = 1,
     checkpoint: str | None = None,
     resume: bool = False,
-    store: "str | RecordStore | None" = None,
     progress: bool = False,
     supervise: bool = False,
     retries: int = 2,
@@ -275,23 +230,16 @@ def run_campaign(
         :mod:`repro.analysis.supervisor`, one tree group per work
         unit. Any value yields the identical record stream.
     checkpoint:
-        JSONL path receiving every record as soon as it exists (flushed
-        per record). Without ``resume`` the file is truncated first.
+        ``.jsonl`` path receiving every record as soon as it exists
+        (flushed per record). Without ``resume`` the file is truncated
+        first.
     resume:
         continue a previous run of the *same* campaign from
         ``checkpoint``: completed records are loaded (a truncated final
         line is dropped and overwritten), verified against the expected
         scenario stream, and only missing scenarios are executed. The
-        finished file is byte-identical to an uninterrupted run.
-    store:
-        record-store backend for the checkpoint: ``"jsonl"`` (default
-        for ``.jsonl`` paths) or ``"columnar"`` (directory of npz
-        column segments + JSONL tail; see :mod:`repro.analysis.store`),
-        or a ready :class:`~repro.analysis.store.RecordStore` instance
-        (then ``checkpoint`` may be omitted). Both backends honour the
-        same crash-safe resume contract, and the record *stream* is
-        identical across backends (property-tested) -- columnar runs
-        pack back to byte-identical JSONL.
+        finished file is byte-identical to an uninterrupted run. A
+        complete line that is not a record raises ``ValueError``.
     progress:
         print one line per completed tree.
     supervise:
@@ -350,16 +298,7 @@ def run_campaign(
     done = [0] * len(groups)
     loaded: list[list[ScenarioRecord | FailedRecord]] = [[] for _ in groups]
 
-    ckstore: RecordStore | None = None
-    if isinstance(store, RecordStore):
-        ckstore = store
-    elif checkpoint is not None:
-        ckstore = open_store(checkpoint, backend=store or "auto")
-    elif store not in (None, "auto"):
-        raise ValueError(
-            "store=... names a backend and therefore needs a checkpoint "
-            "path; pass a RecordStore instance to omit the path"
-        )
+    ckstore = JsonlStore(checkpoint) if checkpoint is not None else None
 
     if ckstore is not None:
         if resume and ckstore.exists():
@@ -460,8 +399,6 @@ def run_campaign(
         if report is not None:
             report.append(run_report)
 
-    if ckstore is not None:
-        ckstore.finalize()  # columnar: seal the tail for pure-array reads
     records: list[ScenarioRecord | FailedRecord] = []
     for gi in range(len(groups)):
         records.extend(loaded[gi])

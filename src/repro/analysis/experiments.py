@@ -96,6 +96,10 @@ class FailedRecord:
     failed: bool = True
 
 
+def _record_of_row(row: dict) -> ScenarioRecord | FailedRecord:
+    return FailedRecord(**row) if row.get("failed") else ScenarioRecord(**row)
+
+
 def run_experiments(
     instances: Iterable[TreeInstance],
     processor_counts: Sequence[int] = PROCESSOR_COUNTS,
@@ -164,14 +168,6 @@ def save_records(
     truncated final line (which :func:`load_records` and the campaign
     resume path recover from).
     """
-    if _is_store_dir(path):
-        from .store import open_store
-
-        store = open_store(path)
-        if not append:
-            store.reset()
-        store.append(records)
-        return
     jsonl = str(path).endswith(".jsonl")
     if not jsonl and append:
         raise ValueError("append mode requires a .jsonl path")
@@ -205,12 +201,6 @@ def save_records(
         raise
 
 
-def _is_store_dir(path: str) -> bool:
-    """True when ``path`` is a directory record store (the columnar
-    manifest layout; see :mod:`repro.analysis.store`)."""
-    return os.path.exists(os.path.join(str(path), "manifest.json"))
-
-
 def _fsync_dir(path: str) -> None:
     """fsync the directory containing ``path``, so the atomic rename
     itself is durable (best-effort: directory fds are a POSIX notion)."""
@@ -232,73 +222,36 @@ def load_records(
 ) -> list[ScenarioRecord | FailedRecord]:
     """Load records written by :func:`save_records` (JSON or JSONL).
 
-    JSONL files recover from a truncated *final* line -- the possible
-    residue of a crashed streaming run: writes always emit
-    ``record + "\\n"`` in one buffer, so crash residue is exactly an
-    *unterminated* trailing line, which is dropped. A malformed line
-    anywhere else (including a newline-terminated final line) cannot be
-    crash residue and raises ``ValueError``.
+    ``.jsonl`` files are read by the one JSONL scanner of
+    :mod:`repro.analysis.store`: a truncated *final* line -- the
+    possible residue of a crashed streaming run -- is dropped, and a
+    complete line that is not a record raises ``ValueError``. Any other
+    path holds the historical JSON array.
 
     Quarantined scenarios (:class:`FailedRecord` rows, marked by their
     ``failed`` key) are skipped by default so every analysis consumer
     keeps seeing only measured records; pass ``include_failed=True`` to
     get them interleaved at their stream positions.
-
-    Directory record stores (columnar; see
-    :mod:`repro.analysis.store`) load transparently -- any path written
-    by a ``--store columnar`` campaign reads back through the same
-    function, with identical record streams.
     """
-    if _is_store_dir(path):
-        from .store import open_store
-
-        return list(open_store(path).iter_records(include_failed=include_failed))
-    with open(path) as fh:
-        text = fh.read()
-    if text.lstrip().startswith("["):
-        rows = json.loads(text)
-    else:
-        terminated = text.endswith("\n")
-        lines = [line for line in text.splitlines() if line.strip()]
-        rows = []
-        for k, line in enumerate(lines):
-            try:
-                rows.append(json.loads(line))
-            except ValueError:
-                if k == len(lines) - 1 and not terminated:
-                    break  # truncated final line: recoverable crash residue
-                raise ValueError(
-                    f"{path}: malformed record on line {k + 1} "
-                    "(not a truncated tail; the file is corrupt)"
-                ) from None
-    out: list[ScenarioRecord | FailedRecord] = []
-    for row in rows:
-        if row.get("failed"):
-            if include_failed:
-                out.append(FailedRecord(**row))
-        else:
-            out.append(ScenarioRecord(**row))
-    return out
+    return list(iter_records(path, include_failed=include_failed))
 
 
 def iter_records(path: str, include_failed: bool = False):
     """Stream records from ``path`` without materialising the file.
 
     The generator twin of :func:`load_records` (same recovery and
-    ``include_failed`` semantics) for JSONL checkpoints and directory
-    record stores; the campaign resume/prefix-verify and report paths
-    run on it, so resuming a million-record checkpoint never builds the
-    full list in memory. Historical JSON-array files fall back to a
-    whole-file parse (the format is not line-delimited).
+    ``include_failed`` semantics): a JSONL checkpoint streams line by
+    line and never builds the full list in memory. Historical
+    JSON-array files fall back to a whole-file parse (the format is not
+    line-delimited).
     """
-    if _is_store_dir(path):
-        from .store import open_store
+    from .store import open_store
 
+    if str(path).endswith(".jsonl") or os.path.isdir(path):
         yield from open_store(path).iter_records(include_failed=include_failed)
         return
-    if not str(path).endswith(".jsonl"):
-        yield from load_records(path, include_failed=include_failed)
-        return
-    from .store import JsonlStore
-
-    yield from JsonlStore(path).iter_records(include_failed=include_failed)
+    with open(path) as fh:
+        rows = json.load(fh)
+    for row in rows:
+        if include_failed or not row.get("failed"):
+            yield _record_of_row(row)

@@ -23,7 +23,8 @@ reference loop's accumulation order exactly -- so the results are
 :func:`compute_table1_stats_reference` and pinned by a golden test),
 while running ~2 orders of magnitude faster at 1e6 records. Plain
 record lists are converted on entry; columns loaded straight from a
-columnar store skip the conversion entirely.
+checkpoint (:meth:`~repro.analysis.store.JsonlStore.columns`) skip the
+conversion entirely.
 
 :func:`group_stats` is the campaign-scale groupby: per
 (algorithm, n, p, cap) cell -- the cap parsed from ``name@capF``

@@ -35,8 +35,8 @@ Failure policy
   fail identically on every retry and are quarantined immediately.
 * A scenario that exhausts ``retries + 1`` attempts is **quarantined**:
   a structured :class:`~repro.analysis.experiments.FailedRecord` takes
-  its position in the record stream (and the checkpoint store --
-  JSONL or columnar, written parent-side by the campaign's emit), so a
+  its position in the record stream (and the JSONL checkpoint,
+  written parent-side by the campaign's emit), so a
   resumed campaign deterministically skips it -- or heals it with
   ``retry_failed=True``.
 

@@ -13,10 +13,7 @@ Examples
    python -m repro.cli memory-cap --scale tiny
    python -m repro.cli campaign --algos ParDeepestFirst,MemoryBounded \
        --procs 2,4,8 --caps 1.5,2.0 --resume out.jsonl --workers 4
-   python -m repro.cli campaign --scale small --store columnar --resume out.store
-   python -m repro.cli pack out.store out.jsonl
-   python -m repro.cli merge all.store shard0.store shard1.store
-   python -m repro.cli table1 --records out.store
+   python -m repro.cli table1 --records out.jsonl
 """
 
 from __future__ import annotations
@@ -240,7 +237,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.records:
         from repro.analysis import open_store
 
-        # columns straight from the store: every section (table 1,
+        # columns straight from the file: every section (table 1,
         # groupby, figures) runs on the vectorised paths
         records = open_store(args.records).columns(include_failed=False)
     else:
@@ -329,11 +326,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.limit:
         instances = instances[: args.limit]
     per_tree = len(campaign.scenarios_for("-"))
-    dir_store = args.store == "columnar"
     checkpoint = args.resume or (
-        args.output
-        if args.output and (args.output.endswith(".jsonl") or dir_store)
-        else None
+        args.output if args.output and args.output.endswith(".jsonl") else None
     )
     print(
         f"campaign: {len(instances)} trees x {per_tree} scenarios/tree = "
@@ -361,7 +355,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             workers=args.workers,
             checkpoint=checkpoint,
             resume=bool(args.resume),
-            store=args.store,
             progress=args.verbose,
             supervise=supervise,
             retries=args.retries,
@@ -415,22 +408,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
         save_records(records, args.output)
         print(f"wrote {args.output}", file=sys.stderr)
-    return 0
-
-
-def _cmd_pack(args: argparse.Namespace) -> int:
-    from repro.analysis import pack_store
-
-    n = pack_store(args.src, args.dst, backend=args.store)
-    print(f"packed {n} records: {args.src} -> {args.dst}")
-    return 0
-
-
-def _cmd_merge(args: argparse.Namespace) -> int:
-    from repro.analysis import merge_stores
-
-    n = merge_stores(args.dst, args.src, backend=args.store)
-    print(f"merged {n} records from {len(args.src)} shard(s) -> {args.dst}")
     return 0
 
 
@@ -560,18 +537,9 @@ def main(argv: list[str] | None = None) -> int:
         "--resume",
         default=None,
         metavar="PATH",
-        help="checkpoint path (.jsonl file or columnar store directory): "
-        "records stream here and a re-run of the same command continues "
-        "where the checkpoint stops (byte-identical result)",
-    )
-    sp.add_argument(
-        "--store",
-        default="auto",
-        choices=("auto", "jsonl", "columnar"),
-        help="checkpoint backend for --resume/--output: jsonl streams one "
-        "line per record, columnar seals numpy .npz segments behind a "
-        "manifest (same records, ~10x faster million-record analysis); "
-        "auto infers from the path (default)",
+        help="checkpoint path (.jsonl file): records stream here and a "
+        "re-run of the same command continues where the checkpoint stops "
+        "(byte-identical result)",
     )
     sp.add_argument("--limit", type=int, default=0, help="number of trees (0 = all)")
     sp.add_argument(
@@ -622,8 +590,8 @@ def main(argv: list[str] | None = None) -> int:
         "--records",
         default=None,
         metavar="PATH",
-        help="consume an existing campaign checkpoint (.jsonl or columnar "
-        "store directory) instead of re-running the experiments",
+        help="consume an existing campaign checkpoint (.jsonl file) "
+        "instead of re-running the experiments",
     )
     sp.set_defaults(func=_cmd_table1)
 
@@ -656,38 +624,10 @@ def main(argv: list[str] | None = None) -> int:
         "--records",
         default=None,
         metavar="PATH",
-        help="consume an existing campaign checkpoint (.jsonl or columnar "
-        "store directory) instead of re-running the experiments",
+        help="consume an existing campaign checkpoint (.jsonl file) "
+        "instead of re-running the experiments",
     )
     sp.set_defaults(func=_cmd_report)
-
-    sp = sub.add_parser(
-        "pack",
-        help="convert a record store between backends (jsonl <-> columnar)",
-    )
-    sp.add_argument("src", help="source store (.jsonl file or store directory)")
-    sp.add_argument("dst", help="destination store path")
-    sp.add_argument(
-        "--store",
-        default="auto",
-        choices=("auto", "jsonl", "columnar"),
-        help="destination backend (auto: jsonl for .jsonl paths, else columnar)",
-    )
-    sp.set_defaults(func=_cmd_pack)
-
-    sp = sub.add_parser(
-        "merge",
-        help="merge campaign record shards into one store",
-    )
-    sp.add_argument("dst", help="destination store path")
-    sp.add_argument("src", nargs="+", help="source shards, merged in order")
-    sp.add_argument(
-        "--store",
-        default="auto",
-        choices=("auto", "jsonl", "columnar"),
-        help="destination backend (auto: jsonl for .jsonl paths, else columnar)",
-    )
-    sp.set_defaults(func=_cmd_merge)
 
     sp = sub.add_parser(
         "serve",

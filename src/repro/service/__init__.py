@@ -2,9 +2,8 @@
 supervised campaign runtime.
 
 ``repro serve`` exposes the campaign engine as a small JSON HTTP
-service (stdlib :mod:`http.server`; an ASGI adapter for the optional
-``serve`` extra): submit a grid with ``POST /jobs``, poll
-``GET /jobs/<id>``, fetch the record stream with
+service (stdlib :mod:`http.server`): submit a grid with
+``POST /jobs``, poll ``GET /jobs/<id>``, fetch the record stream with
 ``GET /jobs/<id>/records``. Every job is journaled to an on-disk job
 directory with atomic state transitions and a per-record-flushed
 checkpoint, so a ``kill -9`` of the server resumes every interrupted

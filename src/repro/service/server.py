@@ -1,4 +1,4 @@
-"""The scheduling service: job queue, executor, and HTTP front ends.
+"""The scheduling service: job queue, executor, and HTTP front end.
 
 Architecture
 ------------
@@ -9,9 +9,7 @@ queue, one executor thread, a persistent
 and a process-wide :class:`PreparedLRU` for in-process jobs (a
 prepared tree is immutable, so concurrent use of one cached tree is
 safe). HTTP is a thin shell: every route reduces to
-:func:`dispatch`, which both the stdlib :mod:`http.server` handler and
-the ASGI adapter (:func:`build_asgi`, for ``uvicorn`` via the
-``serve`` extra) call -- the wire behaviour is identical.
+:func:`dispatch`, which the stdlib :mod:`http.server` handler calls.
 
 Crash safety
 ------------
@@ -53,7 +51,7 @@ from . import payload as payload_mod
 from .jobs import JobStore, TransitionError
 from .payload import SpecError
 
-__all__ = ["PreparedLRU", "SchedulerService", "build_asgi", "dispatch", "serve"]
+__all__ = ["PreparedLRU", "SchedulerService", "dispatch", "serve"]
 
 
 class PreparedLRU:
@@ -108,7 +106,7 @@ class PreparedLRU:
 
 
 class SchedulerService:
-    """The durable job runner behind every HTTP front end."""
+    """The durable job runner behind the HTTP front end."""
 
     def __init__(
         self,
@@ -374,7 +372,7 @@ class SchedulerService:
 
 
 # ----------------------------------------------------------------------
-# one dispatch, two front ends
+# one dispatch for the HTTP handler
 # ----------------------------------------------------------------------
 _JOB_ID = re.compile(r"^/jobs/([0-9a-f]{6,64})(/records|/cancel)?$")
 
@@ -532,69 +530,3 @@ def serve(
         httpd.server_close()
         service.drain()
     return 0
-
-
-# -- ASGI front end (the optional `serve` extra runs this under uvicorn)
-def build_asgi(service: SchedulerService):
-    """An ASGI 3 application over the same :func:`dispatch` table.
-
-    Needs no third-party code by itself; install the ``serve`` extra
-    and run ``uvicorn`` against the callable for a production-grade
-    event loop. Lifecycle (recovery, drain) follows the ASGI lifespan
-    protocol.
-    """
-
-    async def app(scope, receive, send):
-        if scope["type"] == "lifespan":
-            while True:
-                msg = await receive()
-                if msg["type"] == "lifespan.startup":
-                    service.start()
-                    await send({"type": "lifespan.startup.complete"})
-                elif msg["type"] == "lifespan.shutdown":
-                    service.drain()
-                    await send({"type": "lifespan.shutdown.complete"})
-                    return
-        if scope["type"] != "http":  # pragma: no cover - websockets etc.
-            raise RuntimeError(f"unsupported scope {scope['type']!r}")
-        body = b""
-        while True:
-            msg = await receive()
-            if msg["type"] == "http.request":
-                body += msg.get("body", b"")
-                if not msg.get("more_body"):
-                    break
-        status, headers, out = dispatch(
-            service, scope["method"], scope["path"], body
-        )
-        if isinstance(out, tuple) and out[0] == "file":
-            _, fpath, flen = out
-            await send({
-                "type": "http.response.start",
-                "status": status,
-                "headers": [
-                    (b"content-type", b"application/jsonl"),
-                    (b"content-length", str(flen).encode()),
-                ],
-            })
-            for piece in _iter_file(fpath, flen):
-                await send({
-                    "type": "http.response.body",
-                    "body": piece,
-                    "more_body": True,
-                })
-            await send({"type": "http.response.body", "body": b""})
-            return
-        payload = json.dumps(out).encode()
-        wire_headers = [
-            (b"content-type", b"application/json"),
-            (b"content-length", str(len(payload)).encode()),
-        ] + [(k.lower().encode(), v.encode()) for k, v in headers.items()]
-        await send({
-            "type": "http.response.start",
-            "status": status,
-            "headers": wire_headers,
-        })
-        await send({"type": "http.response.body", "body": payload})
-
-    return app

@@ -287,8 +287,8 @@ def maybe_truncate_write(fh, line: str) -> None:
     when a ``truncate_write`` fault names the current ordinal, only
     ``keep_bytes`` of ``line`` (default: half, never the newline) are
     written before a hard exit -- exactly the residue a power loss
-    mid-append leaves behind, which :func:`repro.analysis.campaign.
-    recover_checkpoint` must drop on resume.
+    mid-append leaves behind, which the campaign resume path
+    (:meth:`repro.analysis.store.JsonlStore.recover`) must drop.
     """
     plan = active_plan()
     if plan is None:

@@ -8,12 +8,7 @@ import os
 
 import pytest
 
-from repro.analysis.campaign import (
-    Campaign,
-    Scenario,
-    recover_checkpoint,
-    run_campaign,
-)
+from repro.analysis.campaign import Campaign, Scenario, run_campaign
 from repro.analysis.experiments import (
     FailedRecord,
     ScenarioRecord,
@@ -259,27 +254,6 @@ class TestResume:
         smaller = Campaign(algorithms=("ParSubtrees",), processor_counts=(2,))
         with pytest.raises(ValueError, match="not produced"):
             run_campaign(instances[:1], smaller, checkpoint=path, resume=True)
-
-    def test_recover_checkpoint_corrupt_interior_line(self, tmp_path):
-        path = str(tmp_path / "bad.jsonl")
-        good = json.dumps(
-            dict(
-                tree="t",
-                n=5,
-                p=2,
-                heuristic="H",
-                makespan=1.0,
-                memory=1.0,
-                memory_lb=1.0,
-                makespan_lb=1.0,
-            )
-        )
-        with open(path, "w") as fh:
-            fh.write(good + "\n")
-            fh.write("{broken\n")
-            fh.write(good + "\n")
-        with pytest.raises(ValueError, match="corrupt"):
-            recover_checkpoint(path)
 
 
 class TestCrashSafeSerialization:

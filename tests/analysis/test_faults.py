@@ -28,13 +28,14 @@ import time
 
 import pytest
 
-from repro.analysis.campaign import Campaign, recover_checkpoint, run_campaign
+from repro.analysis.campaign import Campaign, run_campaign
 from repro.analysis.experiments import (
     FailedRecord,
     ScenarioRecord,
     load_records,
     save_records,
 )
+from repro.analysis.store import JsonlStore
 import repro.analysis.supervisor as supervisor_mod
 from repro.analysis.supervisor import RunReport
 from repro.testing.faults import (
@@ -417,13 +418,12 @@ class TestQuarantine:
         (rep,) = reports
         assert rep.quarantined and len(rep.quarantined[0].attempts) == 1
 
-    def test_recover_checkpoint_round_trips_failed_records(self, tmp_path):
+    def test_recover_round_trips_failed_records(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         ok = ScenarioRecord("t", 5, 2, "A", 1.0, 2.0, 1.0, 1.0)
         bad = FailedRecord("t", 5, 2, "B", "MemoryCapError: infeasible", 1)
         save_records([ok, bad], str(path), append=True)
-        records, _pos = recover_checkpoint(str(path))
-        assert records == [ok, bad]
+        assert list(JsonlStore(str(path)).recover()) == [ok, bad]
 
     def test_load_records_filters_failed_by_default(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -541,8 +541,7 @@ run_campaign(instances, campaign, checkpoint={str(ck)!r})
         data = ck.read_bytes()
         assert data.count(b"\n") == 4  # four whole records survived
         assert not data.endswith(b"\n")  # ...plus the torn fifth line
-        records, pos = recover_checkpoint(str(ck))
-        assert len(records) == 4 and pos < len(data)
+        assert len(list(JsonlStore(str(ck)).recover())) == 4
 
         resumed = run_campaign(
             instances, campaign, checkpoint=str(ck), resume=True
@@ -672,5 +671,4 @@ class TestCliSignals:
         assert "interrupted by SIGTERM" in text
         assert f"--resume {ck}" in text
         # the flushed prefix is intact and resumable
-        records, _pos = recover_checkpoint(str(ck))
-        assert len(records) >= 2
+        assert len(list(JsonlStore(str(ck)).recover())) >= 2

@@ -1,10 +1,8 @@
-"""The service over real HTTP (in-process stdlib server) and the ASGI
-adapter: lifecycle, byte-identity, idempotency, backpressure, cancel,
-drain, health."""
+"""The service over real HTTP (in-process stdlib server): lifecycle,
+byte-identity, idempotency, backpressure, cancel, drain, health."""
 
 from __future__ import annotations
 
-import asyncio
 import json
 import threading
 import urllib.request
@@ -17,7 +15,7 @@ from repro.analysis.campaign import run_campaign
 from repro.service import payload as payload_mod
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.payload import spec_from_instances
-from repro.service.server import SchedulerService, _make_handler, build_asgi
+from repro.service.server import SchedulerService, _make_handler
 from repro.testing.faults import ENV_VAR, Fault, FaultPlan, install
 from repro.workloads.dataset import TreeInstance
 from repro.workloads.synthetic import random_weighted_tree
@@ -138,6 +136,9 @@ class TestLifecycle:
             harness.client.submit({"trees": []})
         assert exc.value.status == 400
         assert "trees" in str(exc.value)
+        with pytest.raises(ServiceError) as exc:
+            harness.client._request("GET", "/nope")
+        assert exc.value.status == 404
 
     def test_health_and_ready(self, harness):
         h = harness.client.health()
@@ -266,59 +267,3 @@ class TestJobTimeout:
         finally:
             install(None)
             h.close()
-
-
-class TestAsgiAdapter:
-    def _call(self, app, method, path, body=b""):
-        sent = []
-
-        async def run():
-            received = [
-                {"type": "http.request", "body": body, "more_body": False}
-            ]
-
-            async def receive():
-                return received.pop(0)
-
-            async def send(msg):
-                sent.append(msg)
-
-            await app(
-                {"type": "http", "method": method, "path": path},
-                receive,
-                send,
-            )
-
-        asyncio.run(run())
-        status = sent[0]["status"]
-        payload = b"".join(m.get("body", b"") for m in sent[1:])
-        return status, payload
-
-    def test_same_dispatch_without_uvicorn(self, tmp_path):
-        service = SchedulerService(str(tmp_path / "svc"))
-        service.start()
-        try:
-            app = build_asgi(service)
-            status, body = self._call(app, "GET", "/healthz")
-            assert status == 200 and json.loads(body)["ok"]
-            status, body = self._call(
-                app, "POST", "/jobs", json.dumps(make_spec(seed=61)).encode()
-            )
-            assert status == 201
-            jid = json.loads(body)["id"]
-            # wait in-process, then stream the records through ASGI
-            spec = make_spec(seed=61)
-            for _ in range(600):
-                status, body = self._call(app, "GET", f"/jobs/{jid}")
-                if json.loads(body)["state"] == "done":
-                    break
-                import time as _t
-                _t.sleep(0.05)
-            assert json.loads(body)["state"] == "done"
-            status, data = self._call(app, "GET", f"/jobs/{jid}/records")
-            assert status == 200
-            assert data.count(b"\n") == 8
-            status, _ = self._call(app, "GET", "/nope")
-            assert status == 404
-        finally:
-            service.drain()
