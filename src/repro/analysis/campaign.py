@@ -256,7 +256,8 @@ def run_campaign(
         before being quarantined; deterministic scheduler errors
         (infeasible caps, bad parameters) quarantine immediately.
     timeout:
-        supervised mode: per-scenario wall-clock budget in seconds;
+        supervised mode: per-scenario wall-clock budget in seconds
+        (None or > 0, else ``ValueError`` before any worker starts);
         a worker exceeding it is killed and the scenario retried.
     backoff:
         supervised mode: base of the exponential retry delay
@@ -293,6 +294,8 @@ def run_campaign(
         Everything already emitted is in the checkpoint, so a resumed
         run continues exactly where the aborted one stopped.
     """
+    if timeout is not None and not timeout > 0:
+        raise ValueError(f"timeout must be None or > 0 seconds, got {timeout}")
     instances = list(instances)
     groups = [campaign.scenarios_for(inst.name) for inst in instances]
     done = [0] * len(groups)

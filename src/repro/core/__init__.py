@@ -7,7 +7,6 @@ from .engine import (
     MemoryCapError,
     SchedulerEngine,
     lex_rank,
-    rank_from_callable,
     resolve_backend,
 )
 from .simulator import (
@@ -33,7 +32,6 @@ __all__ = [
     "MemoryCapError",
     "SchedulerEngine",
     "lex_rank",
-    "rank_from_callable",
     "resolve_backend",
     "SimulationResult",
     "simulate",

@@ -12,10 +12,9 @@ event loop, and both entry points are thin configurations of
 
 Two design points make the engine fast on large trees:
 
-* **Vectorized priorities.** Heuristics no longer supply a per-node
-  Python callable returning a sortable tuple; they supply numpy key
-  columns (structure of arrays) that :func:`lex_rank` collapses into a
-  single integer rank per node with one ``np.lexsort``. The ready heap
+* **Vectorized priorities.** Heuristics supply numpy key columns
+  (structure of arrays) that :func:`lex_rank` collapses into a single
+  integer rank per node with one ``np.lexsort``. The ready heap
   then holds plain integer ranks, so the event loop performs O(log n)
   integer heap operations only -- no closure calls, no float tuple
   comparisons, no numpy scalar indexing.
@@ -40,7 +39,6 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -57,7 +55,6 @@ __all__ = [
     "default_threads",
     "lex_rank",
     "probe_backend",
-    "rank_from_callable",
     "resolve_backend",
     "sweep_batch",
 ]
@@ -153,8 +150,7 @@ def lex_rank(*keys: np.ndarray) -> np.ndarray:
     ``0..n-1``: ``lex_rank(k0, k1)[i] < lex_rank(k0, k1)[j]`` exactly
     when the tuple ``(k0[i], k1[i], i)`` sorts before
     ``(k0[j], k1[j], j)``. Smaller rank is scheduled first (heapq
-    convention), so a rank array is a drop-in replacement for a
-    per-node priority-tuple callable.
+    convention).
     """
     cols = [np.asarray(k) for k in keys]
     if not cols:
@@ -166,21 +162,6 @@ def lex_rank(*keys: np.ndarray) -> np.ndarray:
     order = np.lexsort(tuple(reversed(cols)))
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
-    return rank
-
-
-def rank_from_callable(tree: TaskTree, priority: Callable[[int], tuple]) -> np.ndarray:
-    """Rank array equivalent to a legacy per-node priority callable.
-
-    The historical engines compared ``(priority(i), i)`` heap entries;
-    sorting all nodes by that exact key yields a total order, so the
-    resulting rank array reproduces the legacy schedule bit for bit
-    while letting the event loop stay integer-only.
-    """
-    n = tree.n
-    by_key = sorted(range(n), key=lambda i: (priority(i), i))
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_key] = np.arange(n, dtype=np.int64)
     return rank
 
 
@@ -205,16 +186,15 @@ class SchedulerEngine:
     ----------
     tree, p:
         the instance: task tree and number of identical processors.
-        ``tree`` may be a bare :class:`~repro.core.tree.TaskTree` or a
-        :class:`~repro.core.prepared.PreparedTree`; the prepared form
-        shares every run-invariant derivation (pending counts, memory
-        columns, exactness flags, rank inverses, list conversions)
-        across engine runs, which is what makes (algorithm x p x cap)
-        sweeps cheap. Schedules are bit-identical either way.
+        The engine runs on the :class:`~repro.core.prepared.PreparedTree`
+        (a bare tree is prepared on the fly), which shares every
+        run-invariant derivation (pending counts, memory columns,
+        exactness flags, rank inverses, list conversions) across engine
+        runs -- what makes (algorithm x p x cap) sweeps cheap.
     rank:
         integer priority rank per node (a permutation of ``0..n-1``,
-        e.g. from :func:`lex_rank` or :func:`rank_from_callable`); the
-        ready task with the smallest rank starts first.
+        e.g. from :func:`lex_rank`); the ready task with the smallest
+        rank starts first.
     cap:
         optional memory budget. When set, the engine accounts resident
         file sizes exactly as the simulator does and never starts a
@@ -536,6 +516,12 @@ class BatchScenario:
     order: np.ndarray | None = None
     mode: str = "strict"
 
+    def engine(self, tree: TaskTree | PreparedTree) -> SchedulerEngine:
+        """The :class:`SchedulerEngine` running this scenario on ``tree``."""
+        return SchedulerEngine(
+            tree, self.p, self.rank, cap=self.cap, order=self.order, mode=self.mode
+        )
+
 
 @dataclass
 class BatchRun:
@@ -658,12 +644,7 @@ def sweep_batch(
     :meth:`SchedulerEngine.run_reference` instead.
     """
     prepared = as_prepared(tree)
-    engines = [
-        SchedulerEngine(
-            prepared, sc.p, sc.rank, cap=sc.cap, order=sc.order, mode=sc.mode
-        )
-        for sc in scenarios
-    ]
+    engines = [sc.engine(prepared) for sc in scenarios]
     backend = "c" if prepared.kernel_exact and resolve_backend() == "c" else "python"
     rows = _kernel_sweep(prepared, engines) if backend == "c" and engines else None
     outcomes: list[Schedule | Exception] = []

@@ -26,17 +26,19 @@ use) and hands the same typed, read-only buffers to every subsequent
 engine run, so an (algorithm x p x cap) grid pays the per-tree
 preparation a single time and the per-scenario cost collapses to the
 event sweep itself. Everything cached here is a pure function of the
-tree, so prepared-path schedules are **bit-identical** to the
-unprepared path -- pinned by the golden tests in
-``tests/core/test_prepared.py`` / ``tests/core/test_backends.py``.
+tree, so a schedule never depends on how often its bundle was reused
+-- pinned by the golden tests in ``tests/core/test_prepared.py`` /
+``tests/core/test_backends.py``.
 
-Every engine entry point (:class:`~repro.core.engine.SchedulerEngine`,
-``list_schedule``, the list heuristics, ``memory_bounded_schedule``,
-``registry.Algorithm.run``) and the subtree family accept either a
-:class:`TaskTree` or a :class:`PreparedTree`; :func:`as_prepared` /
-:func:`tree_of` are the two conversion helpers they share. Algorithms
-that do not understand the prepared wrapper (the sequential
-traversals) transparently receive the underlying tree.
+:class:`PreparedTree` is the one input form of the parallel
+algorithms: every engine entry point
+(:class:`~repro.core.engine.SchedulerEngine`, ``list_schedule``, the
+list heuristics and their ranks, ``memory_bounded_schedule``) and the
+subtree family call :func:`as_prepared` once on their ``tree``
+argument (so a bare :class:`TaskTree` still works, prepared on the
+fly), and ``registry.Algorithm.run`` hands every parallel algorithm the
+prepared tree. The sequential traversals take the underlying tree
+(:func:`tree_of`).
 
 A :class:`PreparedTree` is cheap to construct (everything is lazy); it
 only pays off when reused, which is what the campaign runner
@@ -244,13 +246,6 @@ class PreparedTree:
             self._optimal = postorder_from_peaks(self.tree, self._peaks)
         return self._optimal
 
-    @property
-    def optimal_computed(self):
-        """The cached optimal-postorder result, or None when it has not
-        been computed yet (lets callers identity-check an explicit
-        ``order`` argument without forcing the computation)."""
-        return self._optimal
-
     def sigma_rank(self) -> np.ndarray:
         """Rank of every node in the optimal postorder (read-only).
 
@@ -447,9 +442,8 @@ class PreparedTree:
 
 def as_prepared(tree: TaskTree | PreparedTree) -> PreparedTree:
     """Wrap ``tree`` in a :class:`PreparedTree` (pass-through when it
-    already is one). A fresh wrapper shares no caches, so wrapping a
-    bare tree per call is exactly as much work as the historical
-    unprepared path."""
+    already is one). A fresh wrapper shares no caches: reuse one
+    prepared tree to amortize its derivations across calls."""
     if isinstance(tree, PreparedTree):
         return tree
     return PreparedTree(tree)

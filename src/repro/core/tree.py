@@ -187,6 +187,9 @@ class TaskTree:
             raise ValueError("parent indices out of range")
         if np.any(parent == np.arange(n)):
             raise ValueError("a node cannot be its own parent")
+        for name, col in (("w", w), ("f", f), ("sizes", sizes)):
+            if not np.all(np.isfinite(col)):
+                raise ValueError(f"weights must be finite, {name} is not")
         if np.any(w < 0) or np.any(f < 0) or np.any(sizes < 0):
             raise ValueError("weights must be non-negative")
         object.__setattr__(self, "parent", parent)

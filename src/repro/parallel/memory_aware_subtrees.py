@@ -73,9 +73,9 @@ def par_subtrees_memory_aware(
 ) -> Schedule:
     """ParSubtrees constrained to a memory budget (see module docstring).
 
-    ``tree`` may be bare or prepared; the splitting, the subtree peaks
-    and (for the default ``sequential_order``) the subtree orders come
-    from the prepared caches.
+    The splitting, the subtree peaks and (for the default
+    ``sequential_order``) the subtree orders come from the prepared
+    caches.
 
     Raises
     ------

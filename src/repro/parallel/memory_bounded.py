@@ -28,9 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine import MemoryCapError, SchedulerEngine
-from repro.core.prepared import PreparedTree, tree_of
+from repro.core.prepared import PreparedTree, as_prepared
 from repro.core.schedule import Schedule
 from repro.core.tree import TaskTree
+from .list_scheduling import postorder_ranks
 
 __all__ = ["MemoryCapError", "memory_bounded_schedule"]
 
@@ -47,14 +48,13 @@ def memory_bounded_schedule(
     Parameters
     ----------
     tree, p:
-        the instance (``tree`` bare or prepared; with a prepared tree
-        the default activation order and its rank permutation are
-        derived once and shared across every ``(p, cap)`` combination).
+        the instance.
     cap:
         the memory budget; the returned schedule's peak never exceeds it.
     order:
-        activation order :math:`\\sigma` (default: optimal postorder).
-        With ``mode="strict"`` any ``cap >= traversal peak of order`` is
+        activation order :math:`\\sigma` (default: optimal postorder,
+        served with its rank from the prepared tree's cache). With
+        ``mode="strict"`` any ``cap >= traversal peak of order`` is
         feasible.
     mode:
         ``"strict"`` or ``"opportunistic"`` (see module docstring).
@@ -65,26 +65,8 @@ def memory_bounded_schedule(
         if the scheduler gets stuck: no running task and no startable
         task fits under the cap.
     """
-    if isinstance(tree, PreparedTree) and (
-        order is None
-        or (
-            tree.optimal_computed is not None
-            and order is tree.optimal_computed.order
-        )
-    ):
-        # The sigma rank (and its inverse) comes from the prepared
-        # cache; the activation order is the shared optimal postorder.
-        # (A custom order never triggers the optimal computation: the
-        # identity check only consults the already-computed cache.)
-        order = np.asarray(tree.optimal().order, dtype=np.int64)
-        rank = tree.sigma_rank()
-    else:
-        if order is None:
-            from repro.sequential.postorder import optimal_postorder
-
-            order = optimal_postorder(tree_of(tree)).order
-        order = np.asarray(order, dtype=np.int64)
-        # The ready queue is prioritised by sigma rank in both modes.
-        rank = np.empty(tree_of(tree).n, dtype=np.int64)
-        rank[order] = np.arange(tree_of(tree).n)
-    return SchedulerEngine(tree, p, rank, cap=cap, order=order, mode=mode).run()
+    prepared = as_prepared(tree)
+    # The ready queue is prioritised by sigma rank in both modes; the
+    # engine defaults sigma itself to the optimal postorder.
+    rank = postorder_ranks(prepared, order)
+    return SchedulerEngine(prepared, p, rank, cap=cap, order=order, mode=mode).run()

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine import lex_rank
-from repro.core.prepared import PreparedTree, tree_of
+from repro.core.prepared import PreparedTree, as_prepared
 from repro.core.schedule import Schedule
 from repro.core.tree import TaskTree
 from .list_scheduling import list_schedule, postorder_ranks
@@ -33,16 +33,10 @@ from .list_scheduling import list_schedule, postorder_ranks
 __all__ = ["par_deepest_first", "par_deepest_first_rank"]
 
 
-def _build_rank(tree: TaskTree | PreparedTree, order: np.ndarray | None) -> np.ndarray:
-    ranks = postorder_ranks(tree, order)
-    t = tree_of(tree)
-    wdepth = (
-        tree.weighted_depths()
-        if isinstance(tree, PreparedTree)
-        else t.weighted_depths()
-    )
-    leaf = t.leaf_mask()
-    return lex_rank(-wdepth, leaf.astype(np.int64), ranks)
+def _build_rank(prepared: PreparedTree, order: np.ndarray | None) -> np.ndarray:
+    ranks = postorder_ranks(prepared, order)
+    leaf = prepared.tree.leaf_mask()
+    return lex_rank(-prepared.weighted_depths(), leaf.astype(np.int64), ranks)
 
 
 def par_deepest_first_rank(
@@ -51,13 +45,14 @@ def par_deepest_first_rank(
     """Priority rank of every node under the ParDeepestFirst order.
 
     Equivalent to the historical per-node key
-    ``(-wdepth, is_leaf, rank_in_O)``. With a prepared tree and the
-    default reference order the rank is built once and cached under the
+    ``(-wdepth, is_leaf, rank_in_O)``. With the default reference order
+    the rank is built once per prepared tree and cached under the
     priority spec ``"ParDeepestFirst"``.
     """
-    if isinstance(tree, PreparedTree) and order is None:
-        return tree.rank_for("ParDeepestFirst", lambda: _build_rank(tree, None))
-    return _build_rank(tree, order)
+    prepared = as_prepared(tree)
+    if order is None:
+        return prepared.rank_for("ParDeepestFirst", lambda: _build_rank(prepared, None))
+    return _build_rank(prepared, order)
 
 
 def par_deepest_first(
@@ -70,9 +65,10 @@ def par_deepest_first(
     Parameters
     ----------
     tree, p:
-        the instance (``tree`` bare or prepared).
+        the instance.
     order:
         the reference sequential order ``O`` used to break ties among
         equal-depth leaves (default: Liu's optimal postorder).
     """
-    return list_schedule(tree, p, par_deepest_first_rank(tree, order))
+    prepared = as_prepared(tree)
+    return list_schedule(prepared, p, par_deepest_first_rank(prepared, order))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine import lex_rank
-from repro.core.prepared import PreparedTree, tree_of
+from repro.core.prepared import PreparedTree, as_prepared
 from repro.core.schedule import Schedule
 from repro.core.tree import TaskTree
 from .list_scheduling import list_schedule, postorder_ranks
@@ -33,16 +33,15 @@ from .list_scheduling import list_schedule, postorder_ranks
 __all__ = ["par_inner_first", "par_inner_first_rank"]
 
 
-def _build_rank(tree: TaskTree | PreparedTree, order: np.ndarray | None) -> np.ndarray:
-    ranks = postorder_ranks(tree, order)
-    t = tree_of(tree)
+def _build_rank(prepared: PreparedTree, order: np.ndarray | None) -> np.ndarray:
+    ranks = postorder_ranks(prepared, order)
+    t = prepared.tree
     depth = t.depths()
     leaf = t.leaf_mask()
-    n = t.n
     return lex_rank(
         leaf.astype(np.int64),  # inner nodes before leaves
         np.where(leaf, ranks, -depth),  # leaves in O; inner by depth
-        np.where(leaf, np.arange(n, dtype=np.int64), ranks),
+        np.where(leaf, np.arange(t.n, dtype=np.int64), ranks),
     )
 
 
@@ -53,12 +52,13 @@ def par_inner_first_rank(
 
     Equivalent to the historical per-node key: leaves sort as
     ``(1, rank_in_O, node)``, inner nodes as ``(0, -depth, rank_in_O)``.
-    With a prepared tree and the default reference order the rank is
-    built once and cached under the priority spec ``"ParInnerFirst"``.
+    With the default reference order the rank is built once per
+    prepared tree and cached under the priority spec ``"ParInnerFirst"``.
     """
-    if isinstance(tree, PreparedTree) and order is None:
-        return tree.rank_for("ParInnerFirst", lambda: _build_rank(tree, None))
-    return _build_rank(tree, order)
+    prepared = as_prepared(tree)
+    if order is None:
+        return prepared.rank_for("ParInnerFirst", lambda: _build_rank(prepared, None))
+    return _build_rank(prepared, order)
 
 
 def par_inner_first(
@@ -71,9 +71,10 @@ def par_inner_first(
     Parameters
     ----------
     tree, p:
-        the instance (``tree`` bare or prepared).
+        the instance.
     order:
         the reference sequential order ``O`` (default: Liu's optimal
         postorder, as in the paper).
     """
-    return list_schedule(tree, p, par_inner_first_rank(tree, order))
+    prepared = as_prepared(tree)
+    return list_schedule(prepared, p, par_inner_first_rank(prepared, order))

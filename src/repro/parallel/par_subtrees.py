@@ -114,10 +114,8 @@ def par_subtrees(
     Parameters
     ----------
     tree, p:
-        the instance; ``tree`` may be bare or a
-        :class:`~repro.core.prepared.PreparedTree` (the schedule is
-        bit-identical either way; a prepared tree shares its caches
-        across calls).
+        the instance; a :class:`~repro.core.prepared.PreparedTree`
+        shares its caches across calls.
     sequential_order:
         the memory-minimizing sequential algorithm used for each subtree
         and for the remainder (default: optimal postorder, as in the

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.engine import lex_rank
-from repro.core.prepared import PreparedTree, tree_of
+from repro.core.prepared import PreparedTree, as_prepared
 from repro.core.schedule import Schedule
 from repro.core.tree import TaskTree
 from .list_scheduling import list_schedule, postorder_ranks
@@ -35,20 +35,20 @@ __all__ = [
 
 def par_inner_first_naive_rank(tree: TaskTree | PreparedTree) -> np.ndarray:
     """Priority rank of the naive-postorder ParInnerFirst variant
-    (cached on a prepared tree under the variant's registry key)."""
+    (cached on the prepared tree under the variant's registry key)."""
     from .par_inner_first import par_inner_first_rank
 
-    def build() -> np.ndarray:
-        return par_inner_first_rank(tree, tree_of(tree).postorder())
-
-    if isinstance(tree, PreparedTree):
-        return tree.rank_for("ParInnerFirst/naiveO", build)
-    return build()
+    prepared = as_prepared(tree)
+    return prepared.rank_for(
+        "ParInnerFirst/naiveO",
+        lambda: par_inner_first_rank(prepared, prepared.tree.postorder()),
+    )
 
 
 def par_inner_first_naive_order(tree: TaskTree | PreparedTree, p: int) -> Schedule:
     """ParInnerFirst with a naive (index-order) postorder as ``O``."""
-    return list_schedule(tree, p, par_inner_first_naive_rank(tree))
+    prepared = as_prepared(tree)
+    return list_schedule(prepared, p, par_inner_first_naive_rank(prepared))
 
 
 def par_hop_deepest_first(tree: TaskTree | PreparedTree, p: int) -> Schedule:
@@ -64,24 +64,22 @@ def par_hop_deepest_first(tree: TaskTree | PreparedTree, p: int) -> Schedule:
     wins the tie. (An earlier revision computed this term as
     ``0 if leaf else 0`` -- a no-op; pinned by a regression test.)
     """
-    return list_schedule(tree, p, par_hop_deepest_first_rank(tree))
+    prepared = as_prepared(tree)
+    return list_schedule(prepared, p, par_hop_deepest_first_rank(prepared))
 
 
 def par_hop_deepest_first_rank(tree: TaskTree | PreparedTree) -> np.ndarray:
     """Priority rank of the hop-depth ParDeepestFirst variant (cached
-    on a prepared tree under the variant's registry key)."""
+    on the prepared tree under the variant's registry key)."""
+    prepared = as_prepared(tree)
 
     def build() -> np.ndarray:
-        ranks = postorder_ranks(tree)
-        t = tree_of(tree)
-        depth = t.depths()
+        t = prepared.tree
         leaf = t.leaf_mask()
-        eff_depth = depth + np.where(leaf, 0, 1)
-        return lex_rank(-eff_depth, leaf.astype(np.int64), ranks)
+        eff_depth = t.depths() + np.where(leaf, 0, 1)
+        return lex_rank(-eff_depth, leaf.astype(np.int64), postorder_ranks(prepared))
 
-    if isinstance(tree, PreparedTree):
-        return tree.rank_for("ParDeepestFirst/hops", build)
-    return build()
+    return prepared.rank_for("ParDeepestFirst/hops", build)
 
 
 #: variant name -> (base heuristic name, variant callable)

@@ -11,10 +11,15 @@ Every entry is an :class:`Algorithm` with metadata (name, kind, tunable
 parameters with defaults, one-line doc) and a uniform ``run(tree, p)``
 entry point returning a :class:`~repro.core.schedule.Schedule`:
 
-* ``kind="parallel"`` algorithms are called as ``fn(tree, p, **params)``;
+* ``kind="parallel"`` algorithms always receive the
+  :class:`~repro.core.prepared.PreparedTree`: an algorithm with a
+  ``sweep_spec`` runs the :class:`~repro.core.engine.SchedulerEngine`
+  built from its spec, any other is called as
+  ``fn(prepared, p, **params)``;
 * ``kind="sequential"`` algorithms are traversals ``fn(tree, **params)``
-  returning a :class:`~repro.sequential.traversal.TraversalResult`,
-  wrapped into the back-to-back one-processor schedule.
+  of the bare :class:`~repro.core.tree.TaskTree`, returning a
+  :class:`~repro.sequential.traversal.TraversalResult` that is wrapped
+  into the back-to-back one-processor schedule.
 
 The registry is populated lazily on first access so that importing
 :mod:`repro.registry` never drags in the whole package (and so that the
@@ -55,47 +60,39 @@ class Algorithm:
         registry key (the paper's name for parallel heuristics, the
         function name for sequential traversals).
     kind:
-        ``"parallel"`` (``fn(tree, p, **params)`` -> Schedule) or
-        ``"sequential"`` (``fn(tree, **params)`` -> TraversalResult).
+        ``"parallel"`` (``fn(prepared, p, **params)`` -> Schedule, or a
+        ``sweep_spec``) or ``"sequential"`` (``fn(tree, **params)`` ->
+        TraversalResult).
     fn:
-        the underlying callable.
+        the underlying callable; optional for a parallel algorithm with
+        a ``sweep_spec``, which :meth:`run` uses instead.
     params:
         tunable keyword parameters with their defaults; ``run`` accepts
         overrides for exactly these keys.
     doc:
         one-line description shown by ``repro algos``.
-    accepts_prepared:
-        True when ``fn`` understands a
-        :class:`~repro.core.prepared.PreparedTree` first argument: every
-        built-in parallel algorithm -- the engine-based schedulers, which
-        share its sweep columns and rank caches, and the subtree family
-        (ParSubtrees, ParSubtreesOptim, MemoryAwareSubtrees), which
-        shares its per-``p`` splittings, subtree work, and subtree
-        orders and peaks. Others (the sequential traversals, any
-        third-party registration left at False) transparently receive
-        the underlying :class:`TaskTree`, so ``run`` works uniformly
-        with either input form -- which is what gives every catalogued
-        algorithm campaign-grid support for free.
     sweep_spec:
         optional builder ``(prepared, p, **params) ->``
-        :class:`~repro.core.engine.BatchScenario` describing the
-        algorithm as one scenario of a megabatch kernel call (every
-        engine-backed scheduler has one). Algorithms without a spec
-        (the subtree-splitting family, sequential traversals) simply
-        run unbatched; :meth:`batch_spec` is the public entry point.
+        :class:`~repro.core.engine.BatchScenario` describing a parallel
+        algorithm as one engine run (every engine-backed scheduler has
+        one): :meth:`run` sweeps it alone, campaign grids batch it into
+        one megabatch kernel call through :meth:`batch_spec`.
+        Algorithms without a spec (the subtree-splitting family,
+        sequential traversals) run their ``fn``.
     """
 
     name: str
     kind: str
-    fn: Callable[..., Any]
+    fn: Callable[..., Any] | None = None
     params: Mapping[str, Any] = field(default_factory=dict)
     doc: str = ""
-    accepts_prepared: bool = False
     sweep_spec: Callable[..., Any] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("sequential", "parallel"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if self.fn is None and (self.kind == "sequential" or self.sweep_spec is None):
+            raise ValueError(f"{self.name} needs an fn or a sweep_spec")
 
     def run(
         self, tree: TaskTree | PreparedTree, p: int = 1, **overrides: Any
@@ -104,21 +101,16 @@ class Algorithm:
 
         Sequential traversals execute back-to-back on processor 0 of the
         ``p``-processor platform. ``overrides`` must be a subset of the
-        registered ``params``. ``tree`` may be bare or prepared; the
-        schedule is bit-identical either way.
+        registered ``params``.
         """
-        unknown = set(overrides) - set(self.params)
-        if unknown:
-            raise TypeError(
-                f"{self.name} accepts params {sorted(self.params)}, "
-                f"got unknown {sorted(unknown)}"
-            )
-        merged = {**self.params, **overrides}
+        merged = self._merged(overrides)
         if self.kind == "sequential":
             result = self.fn(tree_of(tree), **merged)
             return Schedule.sequential(tree_of(tree), result.order, p=max(1, p))
-        target = tree if self.accepts_prepared else tree_of(tree)
-        return self.fn(target, p, **merged)
+        prepared = as_prepared(tree)
+        if self.sweep_spec is not None:
+            return self.sweep_spec(prepared, p, **merged).engine(prepared).run()
+        return self.fn(prepared, p, **merged)
 
     def batch_spec(self, tree: TaskTree | PreparedTree, p: int = 1, **overrides: Any):
         """The algorithm as one megabatch scenario, or None.
@@ -133,14 +125,18 @@ class Algorithm:
         """
         if self.sweep_spec is None:
             return None
+        return self.sweep_spec(as_prepared(tree), p, **self._merged(overrides))
+
+    def _merged(self, overrides: Mapping[str, Any]) -> dict[str, Any]:
+        """The registered params with ``overrides`` applied (which must
+        name registered params only)."""
         unknown = set(overrides) - set(self.params)
         if unknown:
             raise TypeError(
                 f"{self.name} accepts params {sorted(self.params)}, "
                 f"got unknown {sorted(unknown)}"
             )
-        merged = {**self.params, **overrides}
-        return self.sweep_spec(as_prepared(tree), p, **merged)
+        return {**self.params, **overrides}
 
 
 _REGISTRY: dict[str, Algorithm] = {}
@@ -153,27 +149,6 @@ def register(algorithm: Algorithm) -> Algorithm:
         raise ValueError(f"algorithm {algorithm.name!r} already registered")
     _REGISTRY[algorithm.name] = algorithm
     return algorithm
-
-
-def _memory_bounded(
-    tree: TaskTree | PreparedTree,
-    p: int,
-    cap_factor: float = 2.0,
-    mode: str = "strict",
-):
-    """Memory-capped list scheduling at ``cap_factor`` x the sequential
-    optimal-postorder peak (the natural scale-free parameterisation)."""
-    from repro.parallel.memory_bounded import memory_bounded_schedule
-
-    if isinstance(tree, PreparedTree):
-        res = tree.optimal()
-    else:
-        from repro.sequential.postorder import optimal_postorder
-
-        res = optimal_postorder(tree)
-    return memory_bounded_schedule(
-        tree, p, cap_factor * res.peak_memory, order=res.order, mode=mode
-    )
 
 
 def _memory_aware_subtrees(
@@ -214,9 +189,7 @@ def _populate() -> None:
         ("ParSubtrees", par_subtrees, "split into subtrees, one per processor (Section 5.1)"),
         ("ParSubtreesOptim", par_subtrees_optim, "ParSubtrees with work-packing optimisation"),
     ):
-        register(
-            Algorithm(name=name, kind="parallel", fn=fn, doc=doc, accepts_prepared=True)
-        )
+        register(Algorithm(name=name, kind="parallel", fn=fn, doc=doc))
 
     def _rank_spec(rank_fn):
         """Sweep spec of an uncapped list heuristic: its rank, cached on
@@ -227,12 +200,13 @@ def _populate() -> None:
 
         return spec
 
-    def _memory_bounded_spec(
+    def _capped_spec(
         tree: PreparedTree, p: int, cap_factor: float = 2.0, mode: str = "strict"
     ) -> BatchScenario:
-        # Mirrors _memory_bounded's prepared path exactly: the shared
-        # optimal postorder as sigma, its rank permutation as priority,
-        # the cap scaled off the sequential peak.
+        """Memory-capped list scheduling at ``cap_factor`` x the
+        sequential optimal-postorder peak (the natural scale-free
+        parameterisation): the shared optimal postorder as sigma, its
+        rank permutation as priority."""
         import numpy as np
 
         res = tree.optimal()
@@ -263,7 +237,6 @@ def _populate() -> None:
                 kind="parallel",
                 fn=fn,
                 doc=doc,
-                accepts_prepared=True,
                 sweep_spec=_rank_spec(rank_fn),
             )
         )
@@ -271,11 +244,9 @@ def _populate() -> None:
         Algorithm(
             name="MemoryBounded",
             kind="parallel",
-            fn=_memory_bounded,
             params={"cap_factor": 2.0, "mode": "strict"},
             doc="event scheduler under a peak-memory cap (future-work extension)",
-            accepts_prepared=True,
-            sweep_spec=_memory_bounded_spec,
+            sweep_spec=_capped_spec,
         )
     )
     register(
@@ -285,7 +256,6 @@ def _populate() -> None:
             fn=_memory_aware_subtrees,
             params={"cap_factor": 2.0},
             doc="ParSubtrees restricted to a memory budget",
-            accepts_prepared=True,
         )
     )
     for name, fn, doc in (
@@ -319,7 +289,7 @@ def algorithms(kind: str | None = None) -> list[Algorithm]:
     return [a for a in _REGISTRY.values() if kind is None or a.kind == kind]
 
 
-def run(name: str, tree: TaskTree, p: int = 1, **params: Any) -> Schedule:
+def run(name: str, tree: TaskTree | PreparedTree, p: int = 1, **params: Any) -> Schedule:
     """Run registry algorithm ``name`` on ``(tree, p)``."""
     return get(name).run(tree, p, **params)
 

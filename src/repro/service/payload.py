@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import weakref
 from typing import Any, Iterable
 
@@ -76,7 +78,11 @@ def canonical_spec(spec: Any) -> dict:
     Canonical means: every default filled in, every number normalised
     (ints for node indices and processor counts, floats for weights),
     unknown keys rejected -- so two specs describing the same work
-    always serialize to the same bytes.
+    always serialize to the same bytes. Values are checked, not
+    coerced: flags must be JSON booleans, integer fields integral
+    numbers (``2.0`` reads as 2; ``2.7`` and ``true`` are errors),
+    ``timeout`` null or positive, ``backoff`` non-negative, and cap
+    factors finite and positive.
     """
     if not isinstance(spec, dict):
         _fail("spec must be a JSON object")
@@ -141,13 +147,15 @@ def canonical_spec(spec: Any) -> dict:
     ):
         _fail("spec.campaign.algorithms must be a non-empty list of names")
     try:
-        procs = [int(p) for p in camp.get("processor_counts", PROCESSOR_COUNTS)]
+        procs = [_integer(p) for p in camp.get("processor_counts", PROCESSOR_COUNTS)]
         caps = [float(c) for c in camp.get("cap_factors", ())]
     except (TypeError, ValueError) as exc:
         _fail(f"spec.campaign: {exc}")
     if not procs or any(p < 1 for p in procs):
         _fail("spec.campaign.processor_counts must be positive integers")
-    validate = bool(camp.get("validate", False))
+    if not all(0 < c < math.inf for c in caps):
+        _fail("spec.campaign.cap_factors must be finite and positive")
+    validate = _flag(camp, "validate", False, "spec.campaign")
     canon_campaign = {
         "algorithms": list(algorithms),
         "processor_counts": procs,
@@ -168,9 +176,9 @@ def canonical_spec(spec: Any) -> dict:
     if unknown:
         _fail(f"unknown spec.run key(s): {sorted(unknown)}")
     canon_run = dict(_RUN_DEFAULTS)
-    canon_run["supervise"] = bool(run.get("supervise", True))
+    canon_run["supervise"] = _flag(run, "supervise", True, "spec.run")
     try:
-        canon_run["retries"] = int(run.get("retries", 2))
+        canon_run["retries"] = _integer(run.get("retries", 2))
         canon_run["backoff"] = float(run.get("backoff", 0.25))
         timeout = run.get("timeout")
         canon_run["timeout"] = None if timeout is None else float(timeout)
@@ -178,6 +186,10 @@ def canonical_spec(spec: Any) -> dict:
         _fail(f"spec.run: {exc}")
     if canon_run["retries"] < 0:
         _fail("spec.run.retries must be >= 0")
+    if not canon_run["backoff"] >= 0:
+        _fail("spec.run.backoff must be >= 0")
+    if canon_run["timeout"] is not None and not canon_run["timeout"] > 0:
+        _fail("spec.run.timeout must be null or > 0 seconds")
 
     return {"trees": canon_trees, "campaign": canon_campaign, "run": canon_run}
 
@@ -226,12 +238,30 @@ def run_config(spec: dict) -> dict:
     return cfg
 
 
+def _integer(x: Any) -> int:
+    """``x`` as an int: an integral number, never a boolean."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
+
+
+def _flag(section: dict, key: str, default: bool, where: str) -> bool:
+    """``section[key]`` (default ``default``), which must be a boolean."""
+    value = section.get(key, default)
+    if type(value) is not bool:
+        _fail(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def _column(values, kind: type) -> list:
-    """``values`` as a list of ``kind``. A list that already is one is
-    kept as it is rather than copied (specs are read-only data)."""
+    """``values`` as a list of ``kind`` (ints through :func:`_integer`).
+    A list that already is one is kept as it is rather than copied
+    (specs are read-only data)."""
     if type(values) is list and all(type(x) is kind for x in values):
         return values
-    return [kind(x) for x in values]
+    return [_integer(x) if kind is int else kind(x) for x in values]
 
 
 # ----------------------------------------------------------------------

@@ -88,6 +88,19 @@ class TestRunCampaign:
         )
         assert records == legacy
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_non_positive_timeout_rejected_before_any_worker(
+        self, instances, campaign, timeout, monkeypatch
+    ):
+        from repro.analysis import supervisor
+
+        def no_pool(*_a, **_k):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(supervisor, "run_supervised", no_pool)
+        with pytest.raises(ValueError, match="timeout"):
+            run_campaign(instances, campaign, supervise=True, timeout=timeout)
+
     def test_cap_grid_records(self, instances, campaign):
         records = run_campaign(instances, campaign)
         assert len(records) == 3 * len(campaign.scenarios_for("-"))

@@ -8,7 +8,6 @@ from repro.core.engine import (
     SchedulerEngine,
     SweepResult,
     lex_rank,
-    rank_from_callable,
 )
 from repro.core.tree import TaskTree
 from repro.core.validation import validate_schedule
@@ -46,34 +45,6 @@ class TestLexRank:
         rank = lex_rank(k0, k1)
         by_tuple = sorted(range(40), key=lambda i: (k0[i], k1[i], i))
         assert [int(np.flatnonzero(rank == r)[0]) for r in range(40)] == by_tuple
-
-
-class TestRankFromCallable:
-    def test_reproduces_tuple_order(self, paper_example):
-        depth = paper_example.depths()
-
-        def priority(i):
-            return (-int(depth[i]), i % 2)
-
-        rank = rank_from_callable(paper_example, priority)
-        order = sorted(
-            range(paper_example.n), key=lambda i: (priority(i), i)
-        )
-        assert [order[r] for r in range(paper_example.n)] == [
-            int(np.flatnonzero(rank == r)[0]) for r in range(paper_example.n)
-        ]
-
-    def test_variable_length_tuples(self, paper_example):
-        """Legacy closures returned tuples of different lengths per node
-        class (ParInnerFirst); the conversion must support that."""
-
-        def priority(i):
-            if paper_example.is_leaf(i):
-                return (1, i)
-            return (0,)
-
-        rank = rank_from_callable(paper_example, priority)
-        assert sorted(rank.tolist()) == list(range(paper_example.n))
 
 
 class TestEngineConfig:

@@ -251,21 +251,33 @@ class TestListHeuristicEquivalence:
 
 
 class TestMemoryBoundedEquivalence:
+    @pytest.mark.parametrize("target", ["memory_bounded_schedule", "registry"])
     @pytest.mark.parametrize("mode", ["strict", "opportunistic"])
-    def test_bit_identical_schedules(self, tree, mode):
+    def test_bit_identical_schedules(self, tree, mode, target):
+        """Both entry points -- the function and the registry's
+        ``MemoryBounded``, which runs its sweep spec -- equal the seed."""
         mseq = optimal_postorder(tree).peak_memory
         for p in PROCESSOR_COUNTS:
             for factor in (1.0, 1.5, 3.0):
                 cap = factor * mseq
+
+                def run():
+                    if target == "registry":
+                        return registry.run(
+                            "MemoryBounded", tree, p, cap_factor=factor, mode=mode
+                        )
+                    return memory_bounded_schedule(tree, p, cap, mode=mode)
+
                 try:
                     ref = seed_memory_bounded_schedule(tree, p, cap, mode=mode)
                 except MemoryCapError:
                     with pytest.raises(MemoryCapError):
-                        memory_bounded_schedule(tree, p, cap, mode=mode)
+                        run()
                     continue
-                assert_same_schedule(
-                    memory_bounded_schedule(tree, p, cap, mode=mode), ref
-                )
+                got = run()
+                assert_same_schedule(got, ref)
+                assert got.start.tobytes() == ref.start.tobytes()
+                assert got.proc.tobytes() == ref.proc.tobytes()
 
 
 class TestFullRegistryEquivalence:

@@ -171,13 +171,11 @@ class TestEngineIntegration:
         second = SchedulerEngine(prepared, 4, rank).run()
         assert same_schedule(first, second)
 
-    def test_list_schedule_and_callable_priority(self, tree, prepared):
+    def test_list_schedule(self, tree, prepared):
         rank = par_inner_first_rank(tree)
         ref = list_schedule(tree, 3, rank)
         got = list_schedule(prepared, 3, par_inner_first_rank(prepared))
         assert same_schedule(got, ref)
-        legacy = list_schedule(prepared, 3, lambda i: (int(rank[i]),))
-        assert same_schedule(legacy, ref)
 
     def test_memory_bounded_prepared(self, tree, prepared):
         from repro.core import MemoryCapError
@@ -203,7 +201,7 @@ class TestEngineIntegration:
         got = memory_bounded_schedule(prepared, 2, 1e18, order=order)
         assert same_schedule(got, ref)
         # a custom order must not force the optimal-postorder computation
-        assert prepared.optimal_computed is None
+        assert prepared._optimal is None
 
     def test_invalid_rank_still_rejected(self, prepared):
         bad = np.zeros(prepared.n, dtype=np.int64)
@@ -218,22 +216,6 @@ class TestRegistryIntegration:
             ref = registry.run(name, tree, p)
             got = registry.run(name, prepared, p)
             assert same_schedule(got, ref), (name, p)
-
-    def test_prepared_flag_matches_catalogue(self):
-        # every parallel algorithm: the engine-based schedulers and the
-        # subtree family; only the sequential traversals take bare trees
-        prepared_aware = {
-            "ParInnerFirst",
-            "ParDeepestFirst",
-            "ParInnerFirst/naiveO",
-            "ParDeepestFirst/hops",
-            "MemoryBounded",
-            "ParSubtrees",
-            "ParSubtreesOptim",
-            "MemoryAwareSubtrees",
-        }
-        for algo in registry.algorithms():
-            assert algo.accepts_prepared == (algo.name in prepared_aware), algo.name
 
     def test_p_sweep_reuses_preparation(self, tree, prepared):
         # after one run, a later p only pays the sweep: the optimal

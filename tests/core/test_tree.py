@@ -70,6 +70,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-negative"):
             TaskTree.from_parents([-1, 0], w=[-1.0, 1.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["w", "f", "sizes"])
+    def test_rejects_non_finite_weights(self, column, value):
+        with pytest.raises(ValueError, match=f"finite, {column} is not"):
+            TaskTree.from_parents([-1, 0, 0], **{column: [1.0, value, 1.0]})
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="same length"):
             TaskTree(np.array([-1, 0]), np.ones(3), np.ones(2), np.zeros(2))

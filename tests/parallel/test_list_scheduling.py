@@ -10,36 +10,37 @@ from repro.parallel.list_scheduling import list_schedule, postorder_ranks
 from tests.conftest import task_trees
 
 
-def fifo_priority(i: int) -> tuple:
-    return (i,)
+def fifo_priority(tree: TaskTree) -> np.ndarray:
+    """Ready tasks by ascending index (rank = node index)."""
+    return np.arange(tree.n)
 
 
 class TestBasics:
     def test_single_node(self):
         t = TaskTree.from_parents([-1], w=3.0)
-        sch = list_schedule(t, 2, fifo_priority)
+        sch = list_schedule(t, 2, fifo_priority(t))
         assert sch.makespan == 3.0
 
     def test_star_parallelism(self, star5):
-        sch = list_schedule(star5, 4, fifo_priority)
+        sch = list_schedule(star5, 4, fifo_priority(star5))
         validate_schedule(sch)
         assert sch.makespan == 2.0  # 4 leaves in parallel, then root
 
     def test_star_limited_processors(self, star5):
-        sch = list_schedule(star5, 2, fifo_priority)
+        sch = list_schedule(star5, 2, fifo_priority(star5))
         assert sch.makespan == 3.0  # 2+2 leaves, then root
 
     def test_chain_no_parallelism(self, chain5):
-        sch = list_schedule(chain5, 8, fifo_priority)
+        sch = list_schedule(chain5, 8, fifo_priority(chain5))
         assert sch.makespan == 5.0  # the critical path
 
     def test_rejects_bad_p(self, star5):
         with pytest.raises(ValueError):
-            list_schedule(star5, 0, fifo_priority)
+            list_schedule(star5, 0, fifo_priority(star5))
 
     def test_priority_respected(self, star5):
         # Reverse priority: leaf 4 should start at t=0 on one processor.
-        sch = list_schedule(star5, 1, lambda i: (-i,))
+        sch = list_schedule(star5, 1, np.arange(star5.n)[::-1])
         assert sch.start[4] == 0.0
         assert sch.start[1] == 3.0
 
@@ -54,7 +55,7 @@ class TestListSchedulingProperties:
         W = tree.total_work()
         CP = tree.critical_path()
         for p in (1, 2, 5):
-            sch = list_schedule(tree, p, fifo_priority)
+            sch = list_schedule(tree, p, fifo_priority(tree))
             validate_schedule(sch)
             assert sch.makespan <= W / p + (1 - 1 / p) * CP + 1e-9
 
@@ -62,7 +63,7 @@ class TestListSchedulingProperties:
     @settings(max_examples=30, deadline=None)
     def test_no_unforced_idleness(self, tree):
         """Work-conservation: with p=1 the schedule is back-to-back."""
-        sch = list_schedule(tree, 1, fifo_priority)
+        sch = list_schedule(tree, 1, fifo_priority(tree))
         assert sch.makespan == tree.total_work()
 
     @given(task_trees(min_nodes=2, max_nodes=30))
@@ -70,7 +71,7 @@ class TestListSchedulingProperties:
     def test_more_processors_never_hurt_much(self, tree):
         """Monotonic workload: makespan with 2p is at most that with p
         plus slack (list scheduling anomalies are bounded by Graham)."""
-        m_many = list_schedule(tree, 16, fifo_priority).makespan
+        m_many = list_schedule(tree, 16, fifo_priority(tree)).makespan
         assert m_many >= tree.critical_path() - 1e-9
 
 

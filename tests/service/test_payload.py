@@ -85,6 +85,21 @@ class TestValidation:
             (lambda s: s["campaign"].update(backend=None), "picks the sweep itself"),
             (lambda s: s.update(run={"retries": -1}), "retries"),
             (lambda s: s.update(extra=1), "unknown"),
+            # non-finite weights: TaskTree names the column
+            (lambda s: s["trees"][0].update(w=[1.0, float("nan"), 1.0]),
+             "valid task tree: weights must be finite, w is not"),
+            # scalars are checked, not coerced
+            (lambda s: s["campaign"].update(validate="false"), "validate must be true or false"),
+            (lambda s: s.update(run={"supervise": "false"}), "supervise must be true or false"),
+            (lambda s: s["campaign"].update(processor_counts=[2.7]), "not an integer"),
+            (lambda s: s["campaign"].update(processor_counts=[True]), "not an integer"),
+            (lambda s: s.update(run={"retries": 2.9}), "not an integer"),
+            (lambda s: s["trees"][0].update(parent=[-1, 0.7, 0]), "not an integer"),
+            (lambda s: s.update(run={"timeout": -1}), "timeout must be null or > 0"),
+            (lambda s: s.update(run={"timeout": 0}), "timeout must be null or > 0"),
+            (lambda s: s.update(run={"backoff": -0.5}), "backoff must be >= 0"),
+            (lambda s: s["campaign"].update(cap_factors=[0]), "finite and positive"),
+            (lambda s: s["campaign"].update(cap_factors=[float("inf")]), "finite and positive"),
         ],
     )
     def test_bad_specs_fail_with_context(self, mangle, msg):

@@ -46,6 +46,14 @@ class TestCatalogue:
         with pytest.raises(ValueError, match="unknown kind"):
             registry.Algorithm(name="x", kind="quantum", fn=lambda t: t)
 
+    @pytest.mark.parametrize(
+        "kind, spec", [("parallel", None), ("sequential", lambda t, p: None)]
+    )
+    def test_needs_fn_or_sweep_spec(self, kind, spec):
+        # only a parallel algorithm may be described by its sweep spec alone
+        with pytest.raises(ValueError, match="needs an fn or a sweep_spec"):
+            registry.Algorithm(name="x", kind=kind, sweep_spec=spec)
+
     def test_metadata_present(self):
         for algo in registry.algorithms():
             assert algo.doc
