@@ -45,6 +45,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from repro import registry
 from repro.core.prepared import PreparedTree
+from repro.core.schedule import processor_count
 from repro.core.simulator import simulate
 from repro.testing import faults
 from repro.workloads.dataset import TreeInstance, PROCESSOR_COUNTS
@@ -87,7 +88,8 @@ class Campaign:
         registry names (any kind; sequential traversals run on one
         processor of the ``p``-processor platform like ``repro run``).
     processor_counts:
-        the ``p`` sweep (default: the paper's five).
+        the ``p`` sweep (default: the paper's five); each a positive
+        integer (:func:`~repro.core.schedule.processor_count`).
     cap_factors:
         memory-cap sweep, as multiples of the sequential optimal peak.
         Applied to every algorithm that declares a ``cap_factor``
@@ -102,6 +104,13 @@ class Campaign:
     cap_factors: tuple[float, ...] = ()
     validate: bool = False
 
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "processor_counts",
+            tuple(processor_count(p) for p in self.processor_counts),
+        )
+
     def scenarios_for(self, tree_name: str) -> list[Scenario]:
         """Expand the grid for one tree (p-major, algorithm-minor,
         cap-innermost -- the historical record order)."""
@@ -115,7 +124,7 @@ class Campaign:
                             Scenario(
                                 tree=tree_name,
                                 algorithm=name,
-                                p=int(p),
+                                p=p,
                                 params=(("cap_factor", float(factor)),),
                                 label=f"{name}@cap{factor:g}",
                             )
@@ -125,7 +134,7 @@ class Campaign:
                         Scenario(
                             tree=tree_name,
                             algorithm=name,
-                            p=int(p),
+                            p=p,
                             label=name,
                         )
                     )

@@ -49,23 +49,19 @@ Stacked per-scenario parameters (``S`` scenarios):
     ``sigmas`` always holds at least one row).
 
 Stacked outputs, row ``s`` belonging to scenario ``s``
-(:func:`repro.core.engine.batch_arrays` allocates them):
+(:func:`repro.core.engine.batch_arrays` allocates them) -- the schedule
+itself, 16 bytes per (scenario, task), and nothing of how it was built:
 
-``start`` / ``end_out`` / ``proc``
-    start time, completion time and processor of every task
-    (``start``/``proc`` must be initialised to -1).
-``activation``
-    the k-th entry is the k-th task to *start* (chronological, ties
-    resolved exactly as the reference loop resolves them).
-``mem_trace``
-    resident memory immediately after each start, aligned with
-    ``activation`` -- the peak-memory trace of the sweep.
+``start`` / ``proc``
+    start time and processor of every task (both must be initialised
+    to -1).
 ``status`` (``int64[2]`` per scenario)
     ``status[0]``: 0 = ok, 1 = memory cap infeasible, 2 = strict-mode
     rank/activation mismatch, 3 = deadlock (defensive), 4 = scratch
     allocation failure; ``status[1]``: the offending node for codes 1-2.
-``finals`` (``float64[2]`` per scenario)
-    final simulation time (= makespan) and final resident memory.
+``resident`` (``float64`` per scenario)
+    resident memory when the sweep stopped (codes 0-1); the
+    infeasible-cap message reports it.
 
 Scenarios share only the read-only columns and sweep serially, one
 after another, in scenario order.
@@ -86,8 +82,7 @@ two places, both resolved by construction:
   ``PreparedTree.kernel_exact``).
 * *Memory accounting.* ``mem`` is accumulated with the same
   adds/subtracts in the same chronological order as the reference loop,
-  so capped-mode feasibility decisions (and ``mem_trace``) match bit
-  for bit.
+  so capped-mode feasibility decisions match bit for bit.
 
 Heap pop order is determined by the key order alone -- ready entries
 are bare ranks (a permutation, hence unique) and running entries carry
@@ -239,9 +234,8 @@ static int64_t event_sweep(int64_t n, int64_t p,
                     int64_t mode, double cap_eps,
                     const double *alloc, const double *free_on_end,
                     const int64_t *sigma,
-                    double *start, double *end_out, int64_t *proc,
-                    int64_t *activation, double *mem_trace,
-                    int64_t *status, double *finals,
+                    double *start, int64_t *proc,
+                    int64_t *status, double *resident,
                     int64_t *ready, double *run_key, int64_t *run_node,
                     int64_t *skipped, int64_t *free_stack)
 {
@@ -300,11 +294,8 @@ static int64_t event_sweep(int64_t n, int64_t p,
             start[node] = now;
             proc[node] = q;
             t_end = now + w[node];
-            end_out[node] = t_end;
             push_run(run_key, run_node, run_size++, t_end, node);
             mem += alloc[node];
-            activation[started] = node;
-            mem_trace[started] = mem;
             started++;
             if (mode != 0) {
                 while (next_sigma < n && start[sigma[next_sigma]] >= 0.0)
@@ -317,8 +308,7 @@ static int64_t event_sweep(int64_t n, int64_t p,
             if (mode != 0) {
                 status[0] = 1;
                 status[1] = sigma[next_sigma];
-                finals[0] = now;
-                finals[1] = mem;
+                *resident = mem;
                 return status[0];
             }
             status[0] = 3; /* deadlock (defensive) */
@@ -356,8 +346,7 @@ static int64_t event_sweep(int64_t n, int64_t p,
     }
     status[0] = 0;
     status[1] = n;
-    finals[0] = now;
-    finals[1] = mem;
+    *resident = mem;
     return status[0];
 }
 
@@ -366,8 +355,9 @@ static int64_t event_sweep(int64_t n, int64_t p,
  * scenario order, over one scratch arena. Scenario s reads rank row
  * rank_id[s] of the (R x n) ranks/byranks stacks and (when capped,
  * sigma_id[s] >= 0) sigma row sigma_id[s] of the (K x n) sigmas stack,
- * and writes row s of the (S x n) output stacks. Returns 1 when the
- * scratch arena could not be allocated (every status row then says 4). */
+ * and writes row s of the (S x n) start/proc stacks plus its status pair
+ * and resident memory. Returns 1 when the scratch arena could not be
+ * allocated (every status row then says 4). */
 int64_t batch_event_sweep(int64_t n, int64_t nscen, int64_t max_p,
                     const int64_t *parent, const int64_t *pending0,
                     const double *w,
@@ -377,9 +367,8 @@ int64_t batch_event_sweep(int64_t n, int64_t nscen, int64_t max_p,
                     const double *cap_eps,
                     const double *alloc, const double *free_on_end,
                     const int64_t *sigmas, const int64_t *sigma_id,
-                    double *start, double *end_out, int64_t *proc,
-                    int64_t *activation, double *mem_trace,
-                    int64_t *status, double *finals)
+                    double *start, int64_t *proc,
+                    int64_t *status, double *resident)
 {
     int64_t *pending = malloc((size_t)n * sizeof(int64_t));
     int64_t *ready = malloc((size_t)n * sizeof(int64_t));
@@ -402,9 +391,8 @@ int64_t batch_event_sweep(int64_t n, int64_t nscen, int64_t max_p,
                     byranks + rank_id[s] * n,
                     modes[s], cap_eps[s], alloc, free_on_end,
                     sigma_id[s] >= 0 ? sigmas + sigma_id[s] * n : sigmas,
-                    start + s * n, end_out + s * n, proc + s * n,
-                    activation + s * n, mem_trace + s * n,
-                    status + 2 * s, finals + 2 * s,
+                    start + s * n, proc + s * n,
+                    status + 2 * s, resident + s,
                     ready, run_key, run_node, skipped, free_stack);
     }
     free(pending);
@@ -588,12 +576,9 @@ def _compile() -> tuple:
         _I64,  # sigmas (K x n)
         _I64,  # sigma_id (S)
         _F64,  # start (S x n)
-        _F64,  # end_out (S x n)
         _I64,  # proc (S x n)
-        _I64,  # activation (S x n)
-        _F64,  # mem_trace (S x n)
         _I64,  # status (S x 2)
-        _F64,  # finals (S x 2)
+        _F64,  # resident (S)
     ]
     return batch, ""
 
@@ -649,12 +634,9 @@ def batch_kernel(
     sigmas,
     sigma_id,
     start,
-    end_out,
     proc,
-    activation,
-    mem_trace,
     status,
-    finals,
+    resident,
 ):
     """Invoke the C kernel (argument order of the kernel spec in the
     module docstring).
@@ -683,10 +665,7 @@ def batch_kernel(
         sigmas,
         sigma_id,
         start,
-        end_out,
         proc,
-        activation,
-        mem_trace,
         status,
-        finals,
+        resident,
     )

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prepared import PreparedTree, as_prepared, stack_unique
-from .schedule import Schedule
+from .schedule import Schedule, processor_count
 from .tree import TaskTree, NO_PARENT
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "BatchScenario",
     "MemoryCapError",
     "SchedulerEngine",
-    "SweepResult",
     "default_threads",
     "lex_rank",
     "probe_backend",
@@ -165,19 +164,6 @@ def lex_rank(*keys: np.ndarray) -> np.ndarray:
     return rank
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """The output arrays of one completed sweep (either path)."""
-
-    start: np.ndarray
-    end: np.ndarray
-    proc: np.ndarray
-    activation: np.ndarray
-    mem_trace: np.ndarray
-    now: float
-    mem: float
-
-
 class SchedulerEngine:
     """Event-driven list scheduler with pluggable priorities and an
     optional peak-memory cap.
@@ -185,7 +171,8 @@ class SchedulerEngine:
     Parameters
     ----------
     tree, p:
-        the instance: task tree and number of identical processors.
+        the instance: task tree and number of identical processors (a
+        positive integer, see :func:`~repro.core.schedule.processor_count`).
         The engine runs on the :class:`~repro.core.prepared.PreparedTree`
         (a bare tree is prepared on the fly), which shares every
         run-invariant derivation (pending counts, memory columns,
@@ -212,8 +199,11 @@ class SchedulerEngine:
         raising :class:`MemoryCapError`.
 
     :meth:`run` sweeps on the C kernel or the reference loop (see the
-    module docstring); afterwards ``sweep`` holds the
-    :class:`SweepResult` and ``backend_used`` names the sweep that ran.
+    module docstring) and returns only the :class:`Schedule`, the start
+    time and processor of every task; makespan and peak memory are
+    measured from it (:func:`~repro.core.simulator.simulate`), never
+    from the sweep's internal state. Afterwards ``backend_used`` names
+    the sweep that ran.
     """
 
     def __init__(
@@ -226,8 +216,7 @@ class SchedulerEngine:
         order: np.ndarray | None = None,
         mode: str = "strict",
     ) -> None:
-        if p < 1:
-            raise ValueError("p must be positive")
+        p = processor_count(p)
         if mode not in ("strict", "opportunistic"):
             raise ValueError(f"unknown mode {mode!r}")
         prepared = as_prepared(tree)
@@ -255,7 +244,7 @@ class SchedulerEngine:
             byrank[rank] = np.arange(tree.n, dtype=np.int64)
         self.prepared = prepared
         self.tree = tree
-        self.p = int(p)
+        self.p = p
         self.rank = rank
         self.cap = None if cap is None else float(cap)
         self.mode = mode
@@ -272,7 +261,6 @@ class SchedulerEngine:
             self.order = None
         self._byrank = byrank
         self.backend_used: str | None = None  # populated by run()
-        self.sweep: SweepResult | None = None  # populated by run()
 
     # ------------------------------------------------------------------
     def run(self) -> Schedule:
@@ -315,17 +303,15 @@ class SchedulerEngine:
         rows = _kernel_sweep(self.prepared, [self])
         return self._finish_kernel(*(row[0] for row in rows))
 
-    def _finish_kernel(
-        self, start, end, proc, activation, mem_trace, status, finals
-    ) -> Schedule:
+    def _finish_kernel(self, start, proc, status, resident) -> Schedule:
         """Interpret one kernel-spec result row: raise the exact error
-        the reference loop would, or record the sweep and return the
-        schedule. Shared by single runs and :func:`sweep_batch`, so both
-        produce byte-identical outcomes *and* messages."""
+        the reference loop would, or return the schedule. Shared by
+        single runs and :func:`sweep_batch`, so both produce
+        byte-identical outcomes *and* messages."""
         self.backend_used = "c"
         code = int(status[0])
         if code == 1:
-            raise self._cap_error(int(status[1]), float(finals[1]))
+            raise self._cap_error(int(status[1]), float(resident))
         if code == 2:
             raise ValueError(
                 "strict mode requires rank to follow the activation order"
@@ -336,15 +322,6 @@ class SchedulerEngine:
             )
         if code != 0:  # pragma: no cover - defensive
             raise RuntimeError("deadlock: tasks left but no event pending")
-        self.sweep = SweepResult(
-            start=start,
-            end=end,
-            proc=proc,
-            activation=activation,
-            mem_trace=mem_trace,
-            now=float(finals[0]),
-            mem=float(finals[1]),
-        )
         return Schedule(self.tree, start, proc, self.p)
 
     # ------------------------------------------------------------------
@@ -385,8 +362,6 @@ class SchedulerEngine:
 
         start = [-1.0] * n
         proc = [-1] * n
-        activation = [-1] * n
-        mem_trace = [0.0] * n
         ready = ready_init
         heapq.heapify(ready)
         running: list = []
@@ -435,8 +410,6 @@ class SchedulerEngine:
                 end = now + w[node]
                 push(running, end * n + node if int_keys else (end, node))
                 mem += alloc[node]
-                activation[started] = node
-                mem_trace[started] = mem
                 started += 1
                 if capped:
                     while next_sigma < n and start[sigma[next_sigma]] >= 0:
@@ -481,17 +454,12 @@ class SchedulerEngine:
                     node = pop(running)[1]
                 else:
                     break
-        start_arr = np.asarray(start, dtype=np.float64)
-        self.sweep = SweepResult(
-            start=start_arr,
-            end=start_arr + tree.w,
-            proc=np.asarray(proc, dtype=np.int64),
-            activation=np.asarray(activation, dtype=np.int64),
-            mem_trace=np.asarray(mem_trace, dtype=np.float64),
-            now=float(now),
-            mem=float(mem),
+        return Schedule(
+            tree,
+            np.asarray(start, dtype=np.float64),
+            np.asarray(proc, dtype=np.int64),
+            self.p,
         )
-        return Schedule(tree, self.sweep.start, self.sweep.proc, self.p)
 
 
 # ----------------------------------------------------------------------
@@ -529,14 +497,13 @@ class BatchRun:
 
     ``outcomes[i]`` is scenario *i*'s :class:`~repro.core.schedule.Schedule`
     or the exception its unbatched run would have raised (stored, not
-    raised, so one infeasible cap cannot discard a whole grid);
-    ``engines[i]`` is the fully-run engine (``.sweep`` and
-    ``.backend_used`` populated exactly as after ``run()``); ``backend``
-    names the sweep that ran the grid. ``threads`` is always 1: the
-    kernel is serial.
+    raised, so one infeasible cap cannot discard a whole grid). The
+    schedules are all a grid returns: on the C kernel they are row views
+    of one ``(S x n)`` start and one ``(S x n)`` proc stack, 16 bytes per
+    (scenario, task). ``backend`` names the sweep that ran the grid.
+    ``threads`` is always 1: the kernel is serial.
     """
 
-    engines: list[SchedulerEngine]
     outcomes: list[Schedule | Exception]
     backend: str
     threads: int = 1
@@ -550,18 +517,16 @@ class BatchRun:
 
 
 def batch_arrays(nscen: int, n: int) -> tuple[np.ndarray, ...]:
-    """Freshly initialised stacked output arrays for one batched kernel
-    call over ``nscen`` scenarios, ``(start, end_out, proc, activation,
-    mem_trace, status, finals)``: row ``s`` of each is scenario ``s``'s
-    output."""
+    """Freshly initialised output arrays for one batched kernel call over
+    ``nscen`` scenarios, ``(start, proc, status, resident)``: entry
+    ``s`` of each is scenario ``s``'s output (its schedule rows, status
+    pair and final resident memory; see the kernel spec in
+    :mod:`repro.core._ckernel`)."""
     return (
         np.full((nscen, n), -1.0, dtype=np.float64),
-        np.empty((nscen, n), dtype=np.float64),
         np.full((nscen, n), -1, dtype=np.int64),
-        np.empty((nscen, n), dtype=np.int64),
-        np.empty((nscen, n), dtype=np.float64),
         np.zeros((nscen, 2), dtype=np.int64),
-        np.zeros((nscen, 2), dtype=np.float64),
+        np.zeros(nscen, dtype=np.float64),
     )
 
 
@@ -571,9 +536,9 @@ def _kernel_sweep(
     """Sweep engines of one kernel-exact tree in a single C kernel call.
 
     Stacks the per-scenario parameters (p, memory mode, rank ids, sigma
-    ids) and returns the stacked ``(start, end, proc, activation,
-    mem_trace, status, finals)`` output arrays, row ``j`` belonging to
-    ``engines[j]`` (interpret it with :meth:`SchedulerEngine._finish_kernel`).
+    ids) and returns the :func:`batch_arrays` outputs ``(start, proc,
+    status, resident)``, entry ``j`` belonging to ``engines[j]``
+    (interpret it with :meth:`SchedulerEngine._finish_kernel`).
     """
     n = prepared.tree.n
     nscen = len(engines)
@@ -656,4 +621,4 @@ def sweep_batch(
                 outcomes.append(e._finish_kernel(*(row[j] for row in rows)))
         except (MemoryCapError, ValueError, MemoryError) as exc:
             outcomes.append(exc)
-    return BatchRun(engines=engines, outcomes=outcomes, backend=backend)
+    return BatchRun(outcomes=outcomes, backend=backend)

@@ -9,6 +9,7 @@ text rendering used by the examples.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -16,7 +17,19 @@ import numpy as np
 
 from .tree import TaskTree
 
-__all__ = ["Schedule", "ScheduledTask"]
+__all__ = ["Schedule", "ScheduledTask", "processor_count"]
+
+
+def processor_count(p) -> int:
+    """``p`` as a processor count: a positive integer (``numpy`` integers
+    included), never a float or a boolean. :class:`Schedule`, the
+    engine, the registry and campaigns all validate ``p`` here, so
+    ``2.5`` or ``True`` cannot silently run on 2 or 1 processors."""
+    if isinstance(p, numbers.Integral) and not isinstance(p, bool) and p >= 1:
+        return int(p)
+    raise ValueError(
+        f"p must be a positive integer (at least one processor), got {p!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -43,8 +56,8 @@ class Schedule:
     proc:
         ``proc[i]`` is the processor executing task ``i`` (0-based).
     p:
-        number of processors of the platform (``max(proc)+1`` may be
-        smaller when some processors stay idle).
+        number of processors of the platform, a positive integer
+        (``max(proc)+1`` may be smaller when some processors stay idle).
     """
 
     tree: TaskTree
@@ -57,8 +70,7 @@ class Schedule:
         proc = np.ascontiguousarray(np.asarray(self.proc, dtype=np.int64))
         if start.shape[0] != self.tree.n or proc.shape[0] != self.tree.n:
             raise ValueError("start/proc must have one entry per task")
-        if self.p < 1:
-            raise ValueError("need at least one processor")
+        object.__setattr__(self, "p", processor_count(self.p))
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "proc", proc)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.core.prepared import PreparedTree, as_prepared, tree_of
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, processor_count
 from repro.core.tree import TaskTree
 
 __all__ = [
@@ -100,13 +100,15 @@ class Algorithm:
         """Run the algorithm on ``(tree, p)`` and return its schedule.
 
         Sequential traversals execute back-to-back on processor 0 of the
-        ``p``-processor platform. ``overrides`` must be a subset of the
-        registered ``params``.
+        ``p``-processor platform. ``p`` must be a positive integer
+        (:func:`~repro.core.schedule.processor_count`); ``overrides`` must
+        be a subset of the registered ``params``.
         """
+        p = processor_count(p)
         merged = self._merged(overrides)
         if self.kind == "sequential":
             result = self.fn(tree_of(tree), **merged)
-            return Schedule.sequential(tree_of(tree), result.order, p=max(1, p))
+            return Schedule.sequential(tree_of(tree), result.order, p=p)
         prepared = as_prepared(tree)
         if self.sweep_spec is not None:
             return self.sweep_spec(prepared, p, **merged).engine(prepared).run()
@@ -123,6 +125,7 @@ class Algorithm:
         registered ``sweep_spec`` return None (callers fall back to
         :meth:`run`).
         """
+        p = processor_count(p)
         if self.sweep_spec is None:
             return None
         return self.sweep_spec(as_prepared(tree), p, **self._merged(overrides))

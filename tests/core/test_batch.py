@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro import registry
 from repro.core.engine import (
     MemoryCapError,
-    SchedulerEngine,
     default_threads,
     resolve_backend,
     sweep_batch,
@@ -111,33 +110,6 @@ class TestBitIdentityMatrix:
         assert run.backend == sweep
         assert_outcomes_match(run, refs, labels)
 
-    def test_engines_expose_full_sweep_state(self):
-        """Batch engines carry the same sweep/state as unbatched runs
-        (activation order, memory trace, final clock), not just the
-        schedule arrays."""
-        prepared = PreparedTree(tree_spread()[4])
-        specs, _ = grid(prepared)
-        run = sweep_batch(prepared, specs)
-        for engine, spec, outcome in zip(run.engines, specs, run.outcomes):
-            if isinstance(outcome, Exception):
-                continue
-            assert engine.backend_used == run.backend == resolve_backend()
-            ref = SchedulerEngine(
-                prepared,
-                spec.p,
-                spec.rank,
-                cap=spec.cap,
-                order=spec.order,
-                mode=spec.mode,
-            )
-            ref.run_reference()
-            for fld in ("start", "end", "proc", "activation", "mem_trace"):
-                np.testing.assert_array_equal(
-                    getattr(engine.sweep, fld), getattr(ref.sweep, fld)
-                )
-            assert engine.sweep.now == ref.sweep.now
-            assert engine.sweep.mem == ref.sweep.mem
-
     def test_threads_do_not_change_results(self):
         """Grids swept from several Python threads at once against one
         shared PreparedTree (each kernel call on its own scratch) stay
@@ -213,9 +185,7 @@ class TestExactnessFallback:
             registry.get("ParDeepestFirst").batch_spec(prepared, p) for p in (1, 2, 3)
         ]
         run = sweep_batch(prepared, specs)
-        assert run.backend == "python"
-        for engine, p in zip(run.engines, (1, 2, 3)):
-            assert engine.backend_used == "python"  # fell back, per scenario
+        assert run.backend == "python"  # fell back, every scenario
         for schedule, p in zip(run.schedules(), (1, 2, 3)):
             assert_same_schedule(
                 schedule, reference_run("ParDeepestFirst", prepared, p)
@@ -233,8 +203,6 @@ class TestExactnessFallback:
         finally:
             faults.install(None)
         assert run.backend == "python"
-        for engine in run.engines:
-            assert engine.backend_used == "python"
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +237,7 @@ class TestSerialKernel:
 
     def test_empty_grid(self, star5):
         run = sweep_batch(PreparedTree(star5), [])
-        assert run.engines == [] and run.schedules() == []
+        assert run.outcomes == [] and run.schedules() == []
 
     def test_kernel_source_has_one_serial_entry_point(self):
         import re
@@ -290,6 +258,42 @@ class TestSerialKernel:
         sweep_batch(prepared, specs)
         registry.run("ParDeepestFirst", prepared, 3)
         assert np.array_equal(prepared.pending0, before)
+
+
+# ----------------------------------------------------------------------
+# the output contract: a grid returns its schedules and nothing else
+# ----------------------------------------------------------------------
+class TestOutputContract:
+    def test_retained_memory_is_the_schedules(self, sweep):
+        """While the BatchRun lives it holds the schedules -- a start
+        time and a processor per (scenario, task), 16 B -- and no trace
+        of how they were built: the memory still allocated right after
+        ``sweep_batch`` returns stays within 17 B per (scenario, task)
+        on either sweep."""
+        import tracemalloc
+
+        prepared = PreparedTree(
+            random_weighted_tree(20_000, np.random.default_rng(1813))
+        )
+        specs = [
+            registry.get(name).batch_spec(prepared, p)
+            for name in BATCHABLE
+            for p in (2, 4, 8)
+        ]
+        assert len(specs) >= 12
+        # warm-up: builds every lazy cache of the prepared bundle (the
+        # reference loop's list conversions, rank inverses) outside the
+        # measured window
+        sweep_batch(prepared, specs)
+        tracemalloc.start()
+        try:
+            run = sweep_batch(prepared, specs)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run.backend == sweep
+        assert len(run.schedules()) == len(specs)
+        assert retained / (len(specs) * prepared.tree.n) <= 17
 
 
 # ----------------------------------------------------------------------

@@ -90,6 +90,54 @@ class TestRun:
             registry.run("ParSubtrees", tree, 2, cap_factor=2.0)
 
 
+#: processor counts every entry point must reject: a fraction, a
+#: boolean (an int subclass) and zero
+BAD_P = [2.5, True, 0]
+
+
+class TestProcessorCount:
+    """``p`` is a positive integer everywhere, rejected with one
+    ValueError instead of being truncated (2.5 -> 2, True -> 1) or
+    failing deep inside an algorithm."""
+
+    @pytest.mark.parametrize("p", BAD_P, ids=repr)
+    @pytest.mark.parametrize("name", registry.names("parallel"))
+    def test_algorithms_reject(self, tree, name, p):
+        algo = registry.get(name)
+        with pytest.raises(ValueError, match="positive integer"):
+            algo.run(tree, p)
+        with pytest.raises(ValueError, match="positive integer"):
+            algo.batch_spec(tree, p)
+
+    @pytest.mark.parametrize("p", BAD_P, ids=repr)
+    def test_campaign_rejects(self, p):
+        from repro.analysis.campaign import Campaign
+
+        with pytest.raises(ValueError, match="positive integer"):
+            Campaign(algorithms=("ParDeepestFirst",), processor_counts=(2, p))
+
+    @pytest.mark.parametrize("p", BAD_P, ids=repr)
+    def test_schedule_and_engine_reject(self, tree, p):
+        from repro.core.engine import SchedulerEngine
+        from repro.core.schedule import Schedule
+
+        with pytest.raises(ValueError, match="positive integer"):
+            Schedule(tree, np.zeros(tree.n), np.zeros(tree.n, dtype=np.int64), p)
+        with pytest.raises(ValueError, match="positive integer"):
+            SchedulerEngine(tree, p, np.arange(tree.n))
+
+    def test_numpy_integers_accepted(self, tree):
+        from repro.analysis.campaign import Campaign
+
+        for name in registry.names("parallel"):
+            schedule = registry.run(name, tree, np.int64(3))
+            assert schedule.p == 3 and type(schedule.p) is int
+        campaign = Campaign(
+            algorithms=("ParDeepestFirst",), processor_counts=(np.int32(2),)
+        )
+        assert [type(sc.p) for sc in campaign.scenarios_for("t")] == [int]
+
+
 class TestCliRun:
     def test_algos_lists_registry(self, capsys):
         assert main(["algos"]) == 0
