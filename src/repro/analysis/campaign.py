@@ -20,8 +20,9 @@ sweeps it GIL-free, with bit-identical per-scenario results.
 There are two ways to execute a grid, and they share that per-group
 record generator: in process (``workers <= 1``), or on the supervised
 worker pool of :mod:`repro.analysis.supervisor` (``workers > 1``,
-``supervise=True`` or a live ``pool=``), which dispatches tree groups
-as work units and adds crash/hang detection, retries and quarantine.
+``supervise=True``, a live ``pool=`` or an ``abort=`` event), which
+dispatches tree groups as work units and adds crash/hang detection,
+retries, quarantine and a prompt abort.
 
 Execution properties, all property-tested:
 
@@ -40,6 +41,7 @@ Execution properties, all property-tested:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -52,7 +54,6 @@ from repro.workloads.dataset import TreeInstance, PROCESSOR_COUNTS
 
 from .experiments import FailedRecord, ScenarioRecord
 from .store import JsonlStore
-from .supervisor import CampaignAborted
 
 __all__ = ["Campaign", "Scenario", "run_campaign"]
 
@@ -91,10 +92,12 @@ class Campaign:
         the ``p`` sweep (default: the paper's five); each a positive
         integer (:func:`~repro.core.schedule.processor_count`).
     cap_factors:
-        memory-cap sweep, as multiples of the sequential optimal peak.
-        Applied to every algorithm that declares a ``cap_factor``
-        parameter (``MemoryBounded``, ``MemoryAwareSubtrees``); other
-        algorithms run once per ``p`` regardless.
+        memory-cap sweep, as multiples of the sequential optimal peak;
+        each a finite positive number (stored as ``float``, else
+        ``ValueError``). Applied to every algorithm that declares a
+        ``cap_factor`` parameter (``MemoryBounded``,
+        ``MemoryAwareSubtrees``); other algorithms run once per ``p``
+        regardless.
     validate:
         re-check schedule validity inside the simulator (slower).
     """
@@ -110,6 +113,13 @@ class Campaign:
             "processor_counts",
             tuple(processor_count(p) for p in self.processor_counts),
         )
+        caps = tuple(float(c) for c in self.cap_factors)
+        bad = [c for c in caps if not 0 < c < math.inf]
+        if bad:
+            raise ValueError(
+                f"cap factors must be finite and positive, got {bad[0]!r}"
+            )
+        object.__setattr__(self, "cap_factors", caps)
 
     def scenarios_for(self, tree_name: str) -> list[Scenario]:
         """Expand the grid for one tree (p-major, algorithm-minor,
@@ -125,7 +135,7 @@ class Campaign:
                                 tree=tree_name,
                                 algorithm=name,
                                 p=p,
-                                params=(("cap_factor", float(factor)),),
+                                params=(("cap_factor", factor),),
                                 label=f"{name}@cap{factor:g}",
                             )
                         )
@@ -223,7 +233,6 @@ def run_campaign(
     retry_failed: bool = False,
     report: list | None = None,
     pool: "SupervisorPool | None" = None,
-    prepare: "Callable[[TreeInstance], PreparedTree] | None" = None,
     abort: "threading.Event | None" = None,
 ) -> list[ScenarioRecord | FailedRecord]:
     """Execute a campaign grid, optionally resuming a checkpoint.
@@ -233,8 +242,9 @@ def run_campaign(
     instances, campaign:
         the trees and the declarative grid to run over them.
     workers:
-        worker processes. With ``workers <= 1`` (and neither
-        ``supervise`` nor ``pool``) the grid runs in this process;
+        worker processes. With ``workers <= 1`` (and none of
+        ``supervise``, ``pool`` or ``abort``) the grid runs in this
+        process;
         anything more runs on the supervised pool of
         :mod:`repro.analysis.supervisor`, one tree group per work
         unit. Any value yields the identical record stream.
@@ -291,14 +301,9 @@ def run_campaign(
         backend choice and fault plan are reused across campaigns, so
         a long-lived caller (the scheduling service) pays spawn +
         probe + kernel warm-up once, not once per job.
-    prepare:
-        in-process runs only: a ``TreeInstance -> PreparedTree``
-        provider replacing the per-group ``PreparedTree(inst.tree)``
-        construction -- the service plugs its process-wide LRU in
-        here. Results are unaffected (a PreparedTree is immutable).
     abort:
-        a ``threading.Event``; once set, the run stops between
-        scenarios (supervised) or tree groups (in-process) by raising
+        a ``threading.Event`` (implies ``supervise``); once set, the
+        run stops between scenarios by raising
         :class:`~repro.analysis.supervisor.CampaignAborted`.
         Everything already emitted is in the checkpoint, so a resumed
         run continues exactly where the aborted one stopped.
@@ -356,16 +361,15 @@ def run_campaign(
         if progress and left[gi] == 0:  # pragma: no cover - cosmetic
             print(f"  done {instances[gi].name} (n={instances[gi].tree.n})")
 
-    if workers <= 1 and not supervise and pool is None:
+    if workers <= 1 and not supervise and pool is None and abort is None:
         # In process: one preparation and one megabatch per tree group.
         seq = 0  # dispatch-stream index, as in the supervised workers
         for gi, inst in enumerate(instances):
             rest = groups[gi][done[gi]:]
             if not rest:
                 continue
-            prepared = prepare(inst) if prepare is not None else PreparedTree(inst.tree)
             recs = []
-            outs = _scenario_records(inst.name, prepared, rest, campaign.validate)
+            outs = _scenario_records(inst.name, PreparedTree(inst.tree), rest, campaign.validate)
             for sc in rest:
                 faults.maybe_slow(faults.scenario_key(sc.tree, sc.label, sc.p), seq, 0)
                 seq += 1
@@ -373,10 +377,6 @@ def run_campaign(
                 if isinstance(out, Exception):
                     raise out
                 recs.append(out)
-            if abort is not None and abort.is_set():
-                raise CampaignAborted(
-                    f"campaign aborted with {inst.name} outstanding"
-                )
             emit(gi, recs)
     else:
         from .supervisor import run_supervised

@@ -287,9 +287,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         algos = tuple(registry.names("parallel"))
     else:
         algos = tuple(a for a in args.algos.replace(",", " ").split() if a)
-    procs = tuple(int(x) for x in args.procs.replace(",", " ").split())
-    caps = tuple(float(x) for x in args.caps.replace(",", " ").split()) if args.caps else ()
     try:
+        procs = tuple(int(x) for x in args.procs.replace(",", " ").split())
+        caps = tuple(float(x) for x in args.caps.replace(",", " ").split()) if args.caps else ()
         campaign = Campaign(
             algorithms=algos,
             processor_counts=procs,
@@ -300,6 +300,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         campaign.scenarios_for("-")
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
+        return 2
+    except ValueError as exc:  # a bad --procs or --caps value
+        print(f"campaign: {exc}", file=sys.stderr)
         return 2
     fault_plan = None
     if args.fault_plan:

@@ -139,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument("--limit", type=int, default=None)
     sp.add_argument("--algorithms", default="ParSubtrees,ParDeepestFirst")
     sp.add_argument("--procs", default="2,4")
-    sp.add_argument("--no-supervise", action="store_true")
 
     sb = sub.add_parser("submit", help="POST a spec file; prints the job id")
     sb.add_argument("spec")
@@ -174,7 +173,6 @@ def main(argv: list[str] | None = None) -> int:
             limit=args.limit,
             algorithms=[a for a in args.algorithms.split(",") if a],
             processor_counts=[int(p) for p in args.procs.split(",") if p],
-            supervise=not args.no_supervise,
         )
         with open(args.out, "w") as fh:
             json.dump(spec, fh)

@@ -15,17 +15,18 @@ A job spec is one JSON object::
         "validate": false
       },
       "run": {                              # all optional
-        "supervise": true,                  # default: true
         "retries": 2,
         "timeout": null,                    # per-scenario seconds
         "backoff": 0.25
       }
     }
 
-Trees travel inline as plain lists -- the service executes exactly
-what was posted, nothing is resolved against server-side state. The
-spec is canonicalized (defaults filled, keys sorted, no whitespace)
-before hashing, so the **job key is a pure function of the work**:
+Every job runs on the service's supervised worker pool; ``run``
+holds that pool's per-scenario retry policy. Trees travel inline as
+plain lists -- the service executes exactly what was posted, nothing
+is resolved against server-side state. The spec is canonicalized
+(defaults filled, keys sorted, no whitespace) before hashing, so the
+**job key is a pure function of the work**:
 re-posting the same grid -- a client retry after a lost response, a
 crashed submitter rerunning its script -- lands on the same job
 directory instead of a duplicate execution.
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import numbers
 import weakref
 from typing import Any, Iterable
@@ -61,7 +61,6 @@ class SpecError(ValueError):
 
 
 _RUN_DEFAULTS: dict[str, Any] = {
-    "supervise": True,
     "retries": 2,
     "timeout": None,
     "backoff": 0.25,
@@ -82,7 +81,7 @@ def canonical_spec(spec: Any) -> dict:
     coerced: flags must be JSON booleans, integer fields integral
     numbers (``2.0`` reads as 2; ``2.7`` and ``true`` are errors),
     ``timeout`` null or positive, ``backoff`` non-negative, and cap
-    factors finite and positive.
+    factors finite and positive (checked by :class:`Campaign`).
     """
     if not isinstance(spec, dict):
         _fail("spec must be a JSON object")
@@ -153,8 +152,6 @@ def canonical_spec(spec: Any) -> dict:
         _fail(f"spec.campaign: {exc}")
     if not procs or any(p < 1 for p in procs):
         _fail("spec.campaign.processor_counts must be positive integers")
-    if not all(0 < c < math.inf for c in caps):
-        _fail("spec.campaign.cap_factors must be finite and positive")
     validate = _flag(camp, "validate", False, "spec.campaign")
     canon_campaign = {
         "algorithms": list(algorithms),
@@ -172,11 +169,15 @@ def canonical_spec(spec: Any) -> dict:
     run = spec.get("run", {})
     if not isinstance(run, dict):
         _fail("spec.run must be an object")
+    if "supervise" in run:
+        _fail(
+            "spec.run.supervise was removed: every job runs on the "
+            "service's supervised worker pool"
+        )
     unknown = set(run) - set(_RUN_DEFAULTS)
     if unknown:
         _fail(f"unknown spec.run key(s): {sorted(unknown)}")
     canon_run = dict(_RUN_DEFAULTS)
-    canon_run["supervise"] = _flag(run, "supervise", True, "spec.run")
     try:
         canon_run["retries"] = _integer(run.get("retries", 2))
         canon_run["backoff"] = float(run.get("backoff", 0.25))

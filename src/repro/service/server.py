@@ -4,12 +4,11 @@ Architecture
 ------------
 :class:`SchedulerService` owns the durable pieces -- the
 :class:`~repro.service.jobs.JobStore` journal, a bounded admission
-queue, one executor thread, a persistent
-:class:`~repro.analysis.supervisor.SupervisorPool` for supervised jobs
-and a process-wide :class:`PreparedLRU` for in-process jobs (a
-prepared tree is immutable, so concurrent use of one cached tree is
-safe). HTTP is a thin shell: every route reduces to
-:func:`dispatch`, which the stdlib :mod:`http.server` handler calls.
+queue, one executor thread and a persistent
+:class:`~repro.analysis.supervisor.SupervisorPool` that runs every
+job (so a worker crash or OOM kill costs a retry, never the server).
+HTTP is a thin shell: every route reduces to :func:`dispatch`, which
+the stdlib :mod:`http.server` handler calls.
 
 Crash safety
 ------------
@@ -37,76 +36,30 @@ import multiprocessing.util
 import os
 import re
 import signal
+import sys
 import threading
 import time
-from collections import OrderedDict, deque
-from hashlib import sha256
+from collections import deque
 from typing import Any
 
 from repro.analysis.campaign import run_campaign
 from repro.analysis.supervisor import CampaignAborted, SupervisorPool
-from repro.core.prepared import PreparedTree
 
 from . import payload as payload_mod
 from .jobs import JobStore, TransitionError
 from .payload import SpecError
 
-__all__ = ["PreparedLRU", "SchedulerService", "dispatch", "serve"]
-
-
-class PreparedLRU:
-    """A process-wide ``tree bytes -> PreparedTree`` cache.
-
-    Keyed by the content of the tree's four defining arrays, so equal
-    trees posted by different jobs share one preparation (CSR counts,
-    optimal traversal, rank permutations). Safe under concurrency: a
-    PreparedTree is immutable, and every sweep counts down a private
-    copy of its child counts.
-    """
-
-    def __init__(self, capacity: int = 32) -> None:
-        self.capacity = max(1, capacity)
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, PreparedTree]" = OrderedDict()
-
-    @staticmethod
-    def key_of(tree) -> str:
-        h = sha256()
-        for col in (tree.parent, tree.w, tree.f, tree.sizes):
-            h.update(col.tobytes())
-        return h.hexdigest()
-
-    def prepare(self, inst) -> PreparedTree:
-        """The ``prepare=`` hook of :func:`run_campaign`."""
-        key = self.key_of(inst.tree)
-        with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return hit
-            self.misses += 1
-        prepared = PreparedTree(inst.tree)
-        with self._lock:
-            self._entries[key] = prepared
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return prepared
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+__all__ = ["SchedulerService", "dispatch", "serve"]
 
 
 class SchedulerService:
-    """The durable job runner behind the HTTP front end."""
+    """The durable job runner behind the HTTP front end.
+
+    ``workers`` sizes the supervised pool and ``queue_depth`` bounds
+    the admission queue (both at least 1); ``job_timeout`` is a per-job
+    wall-clock budget in seconds (None or > 0). A setting out of range
+    raises ``ValueError`` before anything touches ``root``.
+    """
 
     def __init__(
         self,
@@ -116,14 +69,20 @@ class SchedulerService:
         queue_depth: int = 16,
         job_timeout: float | None = None,
         retry_after: float = 2.0,
-        prepared_capacity: int = 32,
     ) -> None:
+        if not workers >= 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if not queue_depth >= 1:
+            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
+        if job_timeout is not None and not job_timeout > 0:
+            raise ValueError(
+                f"job_timeout must be None or > 0 seconds, got {job_timeout}"
+            )
         self.jobs = JobStore(root)
-        self.workers = max(1, workers)
-        self.queue_depth = max(1, queue_depth)
+        self.workers = workers
+        self.queue_depth = queue_depth
         self.job_timeout = job_timeout
         self.retry_after = retry_after
-        self.prepared = PreparedLRU(prepared_capacity)
         self.started = time.time()
         self.draining = False
         self._lock = threading.Lock()
@@ -242,7 +201,6 @@ class SchedulerService:
             "completed": self._done_jobs,
             "draining": self.draining,
             "workers": self.workers,
-            "prepared_cache": self.prepared.stats(),
         }
 
     def ready(self) -> tuple[int, dict]:
@@ -324,31 +282,28 @@ class SchedulerService:
         try:
             instances = payload_mod.to_instances(spec)
             campaign = payload_mod.to_campaign(spec)
-            kwargs: dict[str, Any] = dict(
+            reports: list = []
+            records = run_campaign(
+                instances,
+                campaign,
                 checkpoint=job.records_path,
                 resume=os.path.exists(job.records_path),
                 retries=int(cfg["retries"]),
                 timeout=cfg["timeout"],
                 backoff=float(cfg["backoff"]),
+                report=reports,
+                pool=self._pool_for(),
                 abort=abort,
             )
-            reports: list = []
-            if cfg["supervise"]:
-                kwargs["pool"] = self._pool_for()
-                kwargs["report"] = reports
-            else:
-                kwargs["prepare"] = self.prepared.prepare
-            records = run_campaign(instances, campaign, **kwargs)
             detail = {
                 "scenarios": len(records),
                 "failed_scenarios": sum(
                     1 for r in records if type(r).__name__ == "FailedRecord"
                 ),
                 "elapsed": time.monotonic() - t0,
+                "respawns": reports[0].respawns,
+                "retried": len(reports[0].retried),
             }
-            if reports:
-                detail["respawns"] = reports[0].respawns
-                detail["retried"] = len(reports[0].retried)
             self.jobs.transition(jid, "done", detail=detail)
             self._done_jobs += 1
         except CampaignAborted:
@@ -490,16 +445,22 @@ def serve(
     Prints (via ``announce``) one JSON line with the bound address
     once ready -- with ``port=0`` the kernel picks a free port, so
     parse that line rather than guessing. The same line is journaled
-    to ``<root>/service.json`` for tooling.
+    to ``<root>/service.json`` for tooling. A setting out of range
+    (see :class:`SchedulerService`) is printed to stderr and returns
+    2, before anything is journaled or bound.
     """
     from http.server import ThreadingHTTPServer
 
-    service = SchedulerService(
-        root,
-        workers=workers,
-        queue_depth=queue_depth,
-        job_timeout=job_timeout,
-    )
+    try:
+        service = SchedulerService(
+            root,
+            workers=workers,
+            queue_depth=queue_depth,
+            job_timeout=job_timeout,
+        )
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     recovered = service.start()
     httpd = ThreadingHTTPServer((host, port), _make_handler(service))
     httpd.daemon_threads = True

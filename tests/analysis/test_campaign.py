@@ -76,6 +76,20 @@ class TestGridExpansion:
         sc = Scenario(tree="t", algorithm="A", p=4, label="A@cap2")
         assert sc.key() == ("t", "A@cap2", 4)
 
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0, -1])
+    def test_cap_factors_must_be_finite_and_positive(self, cap):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Campaign(algorithms=("MemoryBounded",), processor_counts=(2,), cap_factors=(2.0, cap))
+
+    def test_cap_factors_are_floats(self):
+        camp = Campaign(algorithms=("MemoryBounded",), processor_counts=(2,), cap_factors=(2, 1.5))
+        assert camp.cap_factors == (2.0, 1.5)
+        assert all(type(c) is float for c in camp.cap_factors)
+        assert [sc.label for sc in camp.scenarios_for("t")] == [
+            "MemoryBounded@cap2",
+            "MemoryBounded@cap1.5",
+        ]
+
 
 class TestRunCampaign:
     def test_matches_run_experiments_for_plain_grid(self, instances):

@@ -196,46 +196,38 @@ class TestCampaignIntegration:
         assert reports[0].probes >= 1
         assert reports[1].probes == 0  # pool reuse: no second probe
 
-    def test_serial_prepare_hook(self, instances, grid):
-        from repro.analysis.campaign import run_campaign
-        from repro.core.prepared import PreparedTree
-
-        ref = run_campaign(instances, grid)
-        calls: list[str] = []
-
-        def provider(inst):
-            calls.append(inst.name)
-            return PreparedTree(inst.tree)
-
-        got = run_campaign(instances, grid, prepare=provider)
-        assert got == ref
-        assert calls == [inst.name for inst in instances]
-
     def test_abort_checkpoints_prefix_then_resume_heals(
-        self, instances, grid, tmp_path
+        self, instances, grid, tmp_path, monkeypatch
     ):
+        """``abort`` selects the supervised path even with one worker:
+        the run stops between scenarios, the checkpoint keeps the
+        records already emitted, and a resume heals it to the bytes of
+        an uninterrupted run."""
         from repro.analysis.campaign import run_campaign
+        from repro.analysis.store import JsonlStore
 
         ref_path = tmp_path / "ref.jsonl"
         ref = run_campaign(instances, grid, checkpoint=str(ref_path))
 
         stop = threading.Event()
+        append = JsonlStore.append
 
-        def provider(inst):
-            from repro.core.prepared import PreparedTree
+        def append_then_abort(self, records):
+            append(self, records)
+            stop.set()  # abort once the first batch is checkpointed
 
-            if inst.name == instances[1].name:  # abort before group 1 lands
-                stop.set()
-            return PreparedTree(inst.tree)
-
+        # group 1 is slow, so its records cannot land before the abort
+        slow = FaultPlan((Fault(kind="slow", seconds=0.5, scenario="t1|ParSubtrees|2"),))
         path = tmp_path / "ck.jsonl"
-        with pytest.raises(CampaignAborted):
+        with monkeypatch.context() as m, pytest.raises(CampaignAborted):
+            m.setattr(JsonlStore, "append", append_then_abort)
             run_campaign(
-                instances, grid, checkpoint=str(path),
-                prepare=provider, abort=stop,
+                instances, grid, checkpoint=str(path), fault_plan=slow, abort=stop,
             )
-        import filecmp
+        prefix = path.read_bytes()
+        assert prefix and len(prefix) < ref_path.stat().st_size
+        assert ref_path.read_bytes().startswith(prefix)
 
         resumed = run_campaign(instances, grid, checkpoint=str(path), resume=True)
         assert resumed == ref
-        assert filecmp.cmp(str(ref_path), str(path), shallow=False)
+        assert path.read_bytes() == ref_path.read_bytes()

@@ -40,9 +40,7 @@ class TestCanonical:
         c = canonical_spec(tiny_spec())
         assert c["campaign"]["cap_factors"] == []
         assert "backend" not in c["campaign"]
-        assert c["run"] == {
-            "supervise": True, "retries": 2, "timeout": None, "backoff": 0.25,
-        }
+        assert c["run"] == {"retries": 2, "timeout": None, "backoff": 0.25}
         assert canonical_bytes(tiny_spec()) == canonical_bytes(c)
 
     def test_key_ignores_representation_not_content(self):
@@ -90,7 +88,8 @@ class TestValidation:
              "valid task tree: weights must be finite, w is not"),
             # scalars are checked, not coerced
             (lambda s: s["campaign"].update(validate="false"), "validate must be true or false"),
-            (lambda s: s.update(run={"supervise": "false"}), "supervise must be true or false"),
+            (lambda s: s.update(run={"supervise": True}), "run.supervise was removed"),
+            (lambda s: s.update(run={"supervise": False}), "supervised worker pool"),
             (lambda s: s["campaign"].update(processor_counts=[2.7]), "not an integer"),
             (lambda s: s["campaign"].update(processor_counts=[True]), "not an integer"),
             (lambda s: s.update(run={"retries": 2.9}), "not an integer"),
@@ -100,6 +99,8 @@ class TestValidation:
             (lambda s: s.update(run={"backoff": -0.5}), "backoff must be >= 0"),
             (lambda s: s["campaign"].update(cap_factors=[0]), "finite and positive"),
             (lambda s: s["campaign"].update(cap_factors=[float("inf")]), "finite and positive"),
+            (lambda s: s["campaign"].update(cap_factors=[float("nan")]), "finite and positive"),
+            (lambda s: s["campaign"].update(cap_factors=[-1.5]), "finite and positive"),
         ],
     )
     def test_bad_specs_fail_with_context(self, mangle, msg):
@@ -194,9 +195,10 @@ class TestRemovedBackendKey:
         assert service.jobs.ids() == []  # nothing journaled
 
     def test_old_journal_with_backend_key_resumes(self, tmp_path):
-        """A job journaled while the key existed (its spec.json holds
-        ``"backend": null``) is recovered and resumed from its
-        checkpoint to the same bytes as a fresh campaign."""
+        """A job journaled while the keys existed (its spec.json holds
+        ``"backend": null`` and ``"supervise": false``) is recovered and
+        resumed on the supervised pool from its checkpoint to the same
+        bytes as a fresh in-process campaign."""
         import json
         import os
         import time
@@ -204,7 +206,7 @@ class TestRemovedBackendKey:
         from repro.analysis.campaign import run_campaign
         from repro.service.server import SchedulerService
 
-        spec = canonical_spec(tiny_spec(supervise=False))
+        spec = canonical_spec(tiny_spec())
         spec["campaign"]["processor_counts"] = [2, 4, 8]
         ref = tmp_path / "ref.jsonl"
         run_campaign(to_instances(spec), to_campaign(spec), checkpoint=str(ref))
@@ -212,6 +214,7 @@ class TestRemovedBackendKey:
 
         old = json.loads(json.dumps(spec))
         old["campaign"]["backend"] = None  # the old canonical form
+        old["run"]["supervise"] = False
         job_dir = tmp_path / "svc" / "jobs" / "0123456789abcdef01234567"
         job_dir.mkdir(parents=True)
         (job_dir / "spec.json").write_text(
@@ -236,3 +239,17 @@ class TestRemovedBackendKey:
         assert service.status(job_dir.name)[1]["state"] == "done"
         assert (job_dir / "records.jsonl").read_bytes() == ref.read_bytes()
         assert os.path.getsize(job_dir / "records.jsonl") > len(lines[0])
+
+
+class TestRemovedSuperviseKey:
+    """``spec.run.supervise`` is gone: every job runs on the pool."""
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_posted_spec_with_supervise_is_a_400(self, tmp_path, value):
+        from repro.service.server import SchedulerService
+
+        service = SchedulerService(str(tmp_path / "svc"))
+        status, body = service.submit(tiny_spec(supervise=value))
+        assert status == 400
+        assert "spec.run.supervise was removed" in body["error"]
+        assert service.jobs.ids() == []  # nothing journaled

@@ -29,7 +29,7 @@ def _no_ambient_plan(monkeypatch):
     install(None)
 
 
-def make_spec(seed=5, n=25, trees=2, supervise=True, **run):
+def make_spec(seed=5, n=25, trees=2, **run):
     rng = np.random.default_rng(seed)
     insts = [
         TreeInstance(
@@ -45,7 +45,6 @@ def make_spec(seed=5, n=25, trees=2, supervise=True, **run):
         insts,
         algorithms=["ParSubtrees", "ParDeepestFirst"],
         processor_counts=[2, 4],
-        supervise=supervise,
         **run,
     )
 
@@ -89,7 +88,7 @@ def harness(tmp_path):
 
 class TestLifecycle:
     def test_supervised_job_end_to_end_byte_identical(self, harness, tmp_path):
-        spec = make_spec(supervise=True)
+        spec = make_spec()
         job = harness.client.submit(spec)
         assert job["state"] in ("queued", "running", "done")
         st = harness.client.wait(job["id"], timeout=180)
@@ -97,27 +96,6 @@ class TestLifecycle:
         assert st["records"] == 8
         got = harness.client.fetch_records(job["id"])
         assert got == reference_bytes(spec, tmp_path)
-
-    def test_serial_job_uses_prepared_lru(self, harness, tmp_path):
-        spec = make_spec(supervise=False)
-        st = harness.client.wait(
-            harness.client.submit(spec)["id"], timeout=180
-        )
-        assert st["state"] == "done"
-        stats = harness.client.health()["prepared_cache"]
-        assert stats["misses"] >= 2  # one per tree
-        # same trees, different grid: a distinct job, but warm cache
-        spec2 = make_spec(supervise=False, retries=9)
-        st2 = harness.client.wait(
-            harness.client.submit(spec2)["id"], timeout=180
-        )
-        assert st2["state"] == "done"
-        stats2 = harness.client.health()["prepared_cache"]
-        assert stats2["hits"] >= 2
-        assert stats2["misses"] == stats["misses"]
-        assert harness.client.fetch_records(st2["id"]) == reference_bytes(
-            spec2, tmp_path
-        )
 
     def test_idempotent_resubmission(self, harness):
         spec = make_spec()
@@ -143,9 +121,26 @@ class TestLifecycle:
     def test_health_and_ready(self, harness):
         h = harness.client.health()
         assert h["ok"] and not h["draining"]
-        assert h["prepared_cache"]["capacity"] > 0
         r = harness.client.ready()
         assert r["ready"] and r["backend"] in ("c", "python")
+
+
+class TestSettings:
+    @pytest.mark.parametrize(
+        "kwargs, msg",
+        [
+            (dict(workers=0), "workers must be >= 1"),
+            (dict(workers=-2), "workers must be >= 1"),
+            (dict(queue_depth=0), "queue_depth must be >= 1"),
+            (dict(job_timeout=0), "job_timeout must be None or > 0"),
+            (dict(job_timeout=-1.0), "job_timeout must be None or > 0"),
+            (dict(job_timeout=float("nan")), "job_timeout must be None or > 0"),
+        ],
+    )
+    def test_out_of_range_settings_are_rejected(self, tmp_path, kwargs, msg):
+        with pytest.raises(ValueError, match=msg):
+            SchedulerService(str(tmp_path / "svc"), **kwargs)
+        assert not (tmp_path / "svc").exists()  # nothing journaled
 
 
 class TestBackpressure:
@@ -256,14 +251,21 @@ class TestCancelAndDrain:
 
 class TestJobTimeout:
     def test_wall_clock_budget_fails_the_job(self, tmp_path):
+        spec = make_spec(seed=51)
+        ref = reference_bytes(spec, tmp_path)  # at full speed, fault-free
         plan = FaultPlan((Fault(kind="slow", seconds=0.3),))
         install(plan)
         h = Harness(tmp_path, workers=1, job_timeout=0.5)
         try:
-            job = h.client.submit(make_spec(seed=51))
+            job = h.client.submit(spec)
             st = h.client.wait(job["id"], timeout=120)
             assert st["state"] == "failed"
             assert "wall-clock" in st["error"]
+            assert "partial records are checkpointed" in st["error"]
+            # ... and they are: a non-empty prefix of the full stream
+            got = (tmp_path / "svc" / "jobs" / job["id"] / "records.jsonl").read_bytes()
+            assert got and len(got) < len(ref)
+            assert ref.startswith(got)
         finally:
             install(None)
             h.close()

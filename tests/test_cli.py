@@ -1,5 +1,6 @@
 """Smoke tests for the command-line interface."""
 
+import pytest
 
 from repro.cli import main
 
@@ -215,3 +216,40 @@ class TestCli:
         assert "MemoryAwareSubtrees" in capsys.readouterr().out
         assert main(["campaign", "--scale", "tiny", "--algos", "Nope"]) == 2
         assert "unknown algorithm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, msg",
+        [
+            (["--caps", "nan"], "finite and positive"),
+            (["--caps", "0"], "finite and positive"),
+            (["--procs", "0"], "positive integer"),
+        ],
+    )
+    def test_campaign_bad_grid_is_one_line_exit_2(self, flags, msg, capsys, tmp_path):
+        out = tmp_path / "records.jsonl"
+        argv = ["campaign", "--scale", "tiny", "--algos", "MemoryBounded", "--procs", "2"]
+        assert main(argv + flags + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert msg in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, msg",
+        [
+            (["--workers", "0"], "workers must be >= 1"),
+            (["--queue-depth", "0"], "queue_depth must be >= 1"),
+            (["--job-timeout", "0"], "job_timeout must be None or > 0"),
+            (["--job-timeout", "-1"], "job_timeout must be None or > 0"),
+        ],
+    )
+    def test_serve_bad_setting_is_exit_2(self, flags, msg, capsys, tmp_path, monkeypatch):
+        from http.server import ThreadingHTTPServer
+
+        def never(self, *args, **kwargs):
+            raise AssertionError("a server with a bad setting started serving")
+
+        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", never)
+        root = tmp_path / "svc"
+        assert main(["serve", str(root), "--port", "0"] + flags) == 2
+        assert msg in capsys.readouterr().err
+        assert not root.exists()  # rejected before the journal or the port
