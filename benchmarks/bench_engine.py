@@ -223,8 +223,7 @@ def run_grid_bench(sizes, repeats: int, seed: int) -> list[dict]:
 
     The unprepared path calls ``registry.run(name, tree, p)`` per
     scenario -- every call re-derives the optimal postorder, the rank
-    permutation and the engine's typed columns, exactly what the
-    historical ``run_experiments`` did. The prepared path builds one
+    permutation and the engine's typed columns. The prepared path builds one
     :class:`PreparedTree` (timed, inside the loop) and runs the same
     scenarios against it. Schedules must match bit for bit.
     """

@@ -6,13 +6,13 @@ plus average deviations -- over the synthetic data set and the paper's
 processor sweep. The benchmark time is the cost of the whole campaign.
 """
 
-from repro.analysis import compute_table1_stats, render_table1, run_experiments, table1_csv
-from .conftest import bench_processors, save_artifact
+from repro.analysis import compute_table1_stats, render_table1, run_campaign, table1_csv
+from .conftest import paper_grid, save_artifact
 
 
 def test_table1(benchmark, dataset, artifact_dir):
     def campaign():
-        records = run_experiments(dataset, processor_counts=bench_processors())
+        records = run_campaign(dataset, paper_grid())
         return compute_table1_stats(records)
 
     stats = benchmark.pedantic(campaign, rounds=1, iterations=1)

@@ -32,6 +32,14 @@ def bench_processors() -> tuple[int, ...]:
     return (2, 4, 8, 16, 32)
 
 
+def paper_grid():
+    """The paper's Section 6 grid: the four heuristics x the sweep."""
+    from repro.analysis import Campaign
+    from repro.parallel import HEURISTICS
+
+    return Campaign(algorithms=tuple(HEURISTICS), processor_counts=bench_processors())
+
+
 @pytest.fixture(scope="session")
 def dataset():
     from repro.workloads import build_dataset
@@ -41,9 +49,9 @@ def dataset():
 
 @pytest.fixture(scope="session")
 def records(dataset):
-    from repro.analysis import run_experiments
+    from repro.analysis import run_campaign
 
-    return run_experiments(dataset, processor_counts=bench_processors())
+    return run_campaign(dataset, paper_grid())
 
 
 @pytest.fixture(scope="session")

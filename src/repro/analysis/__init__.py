@@ -3,7 +3,6 @@
 from .experiments import (
     FailedRecord,
     ScenarioRecord,
-    run_experiments,
     save_records,
     load_records,
     iter_records,
@@ -35,7 +34,6 @@ from .visualize import render_tree, render_memory_profile
 __all__ = [
     "FailedRecord",
     "ScenarioRecord",
-    "run_experiments",
     "save_records",
     "load_records",
     "iter_records",

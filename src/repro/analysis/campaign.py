@@ -3,7 +3,9 @@
 The paper's whole experimental section is one shape of computation:
 sweep a set of schedulers over a set of trees while varying the
 processor count (and, for the memory-capped extension, the cap). A
-:class:`Campaign` states that grid declaratively; :func:`run_campaign`
+:class:`Campaign` states that grid declaratively -- the paper's Table 1
+grid is ``Campaign(algorithms=tuple(HEURISTICS))``, and every experiment
+subcommand of :mod:`repro.cli` runs one -- and :func:`run_campaign`
 expands it into scenarios, **groups them by tree**, and executes each
 group against a single :class:`~repro.core.prepared.PreparedTree` -- so
 the per-tree preparation (CSR counts, memory columns, the optimal
@@ -26,11 +28,10 @@ retries, quarantine and a prompt abort.
 
 Execution properties, all property-tested:
 
-* **Deterministic order.** Scenarios expand p-major then
-  algorithm-major (then cap-major), matching the historical
-  ``run_experiments`` stream; records are emitted in stream order, so
-  in-process and supervised runs with any number of workers are
-  byte-identical.
+* **Deterministic order.** Each tree's scenarios expand p-major, then
+  algorithm, then cap factor; records are emitted tree by tree in
+  stream order, so in-process and supervised runs with any number of
+  workers are byte-identical.
 * **Resumable checkpoints.** With ``checkpoint=path`` every record is
   appended to a JSONL file (flushed per record; see
   :mod:`repro.analysis.store`). ``resume=True`` streams the file back,
@@ -87,7 +88,8 @@ class Campaign:
     ----------
     algorithms:
         registry names (any kind; sequential traversals run on one
-        processor of the ``p``-processor platform like ``repro run``).
+        processor of the ``p``-processor platform; ``repro run`` gives
+        them ``processor_counts=(1,)``).
     processor_counts:
         the ``p`` sweep (default: the paper's five); each a positive
         integer (:func:`~repro.core.schedule.processor_count`).

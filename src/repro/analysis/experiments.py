@@ -1,26 +1,21 @@
-"""Batch experiment pipeline: algorithms x trees x processor counts.
+"""Campaign records and their serialisation.
 
 One :class:`ScenarioRecord` per (tree, p, algorithm) holds the measured
 makespan and peak memory together with the two lower bounds of
 Section 6.3 (sequential-postorder memory; ``max(W/p, CP)`` makespan).
 Every table and figure of the paper is a pure function of these records,
 implemented in :mod:`repro.analysis.metrics` /
-:mod:`repro.analysis.tables` / :mod:`repro.analysis.figures`.
+:mod:`repro.analysis.tables` / :mod:`repro.analysis.figures`. The
+records themselves come from one runner,
+:func:`repro.analysis.campaign.run_campaign`; the paper's grid is
+``run_campaign(instances, Campaign(algorithms=tuple(HEURISTICS),
+processor_counts=...))``.
 
-:func:`run_experiments` is a thin configuration of the declarative
-campaign runner (:mod:`repro.analysis.campaign`) for the paper's grid:
-the scenario grid is grouped by tree, and each tree is prepared once
-(one :class:`~repro.core.prepared.PreparedTree`) for its whole slice of
-the grid. ``workers=N`` runs the tree groups on the supervised worker
-pool and produces **byte-identical** records to the in-process run
-(property-tested). Records can be streamed to JSONL as they complete
-(``stream_to=...``), which bounds memory on large campaigns and leaves
-a resumable on-disk trail (see :func:`repro.analysis.campaign.
-run_campaign` for resuming); ``save_records`` / ``load_records``
-support both the historical JSON array format and append-friendly JSON
-Lines, and both write paths are crash-safe: array writes go through a
-temp file plus atomic rename, JSONL appends flush after every record,
-and ``load_records`` recovers from a truncated final line.
+``save_records`` / ``load_records`` support both the historical JSON
+array format and append-friendly JSON Lines, and both write paths are
+crash-safe: array writes go through a temp file plus atomic rename,
+JSONL appends flush after every record, and ``load_records`` recovers
+from a truncated final line.
 """
 
 from __future__ import annotations
@@ -29,16 +24,13 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.parallel.heuristics import HEURISTICS
 from repro.testing import faults
-from repro.workloads.dataset import TreeInstance, PROCESSOR_COUNTS
 
 __all__ = [
     "FailedRecord",
     "ScenarioRecord",
-    "run_experiments",
     "save_records",
     "load_records",
     "iter_records",
@@ -98,60 +90,6 @@ class FailedRecord:
 
 def _record_of_row(row: dict) -> ScenarioRecord | FailedRecord:
     return FailedRecord(**row) if row.get("failed") else ScenarioRecord(**row)
-
-
-def run_experiments(
-    instances: Iterable[TreeInstance],
-    processor_counts: Sequence[int] = PROCESSOR_COUNTS,
-    heuristics: Sequence[str] | None = None,
-    validate: bool = False,
-    progress: bool = False,
-    workers: int = 1,
-    stream_to: str | None = None,
-) -> list[ScenarioRecord]:
-    """Run the full cross product of the paper's Section 6 campaign.
-
-    A thin configuration of :func:`repro.analysis.campaign.run_campaign`
-    (the full API: cap-factor grids, resumable checkpoints, retries and
-    timeouts); kept for the historical call sites and the paper's
-    default grid.
-
-    Parameters
-    ----------
-    instances, processor_counts:
-        the scenario grid (default processor sweep: the paper's five).
-    heuristics:
-        algorithm names from :mod:`repro.registry` (default: the four
-        paper heuristics, preserving the historical behaviour).
-    validate:
-        re-check schedule validity inside the simulator (slower).
-    progress:
-        print one line per completed tree.
-    workers:
-        worker processes; 1 (default) runs in process, more run the
-        tree groups on the supervised pool. Results are identical for
-        any ``workers`` value.
-    stream_to:
-        optional ``.jsonl`` path; each tree's records are appended as
-        soon as they are available (the file is truncated first), with
-        a flush after every record so an interrupted campaign leaves at
-        most one truncated line behind.
-    """
-    from .campaign import Campaign, run_campaign
-
-    names = tuple(heuristics) if heuristics is not None else tuple(HEURISTICS)
-    campaign = Campaign(
-        algorithms=names,
-        processor_counts=tuple(processor_counts),
-        validate=validate,
-    )
-    return run_campaign(
-        instances,
-        campaign,
-        workers=workers,
-        checkpoint=stream_to,
-        progress=progress,
-    )
 
 
 def save_records(

@@ -234,9 +234,29 @@ def _worker_main(
     results,
     plan_json: str | None,
     probed: tuple | None,
+    inherited: Sequence,
 ) -> None:
-    """Supervised worker: probe (or adopt the pool's cached probe),
-    then run work units until the ``None`` sentinel.
+    """Supervised worker process: close the ``inherited`` result-pipe
+    read ends (see :meth:`SupervisorPool._spawn`), then :func:`_serve`
+    until the supervisor says stop -- or is gone, which a send to its
+    pipe reports as ``BrokenPipeError``."""
+    for conn in inherited:
+        conn.close()
+    try:
+        _serve(wid, task_q, results, plan_json, probed)
+    except BrokenPipeError:
+        pass
+
+
+def _serve(
+    wid: int,
+    task_q,
+    results,
+    plan_json: str | None,
+    probed: tuple | None,
+) -> None:
+    """Probe (or adopt the pool's cached probe), then run work units
+    until the ``None`` sentinel.
 
     The task queue interleaves ``("begin", epoch, validate, timed)``
     control messages -- one per run, resetting the prepared cache --
@@ -430,6 +450,11 @@ class SupervisorPool:
         # other workers, so a worker killed mid-message tears only its
         # own pipe and can never leave a lock held for the others.
         results, results_w = self._ctx.Pipe(duplex=False)
+        # The fork copies the read ends of this pipe and of every older
+        # worker's; the child closes them. Left open, a pipe would keep a
+        # reader after the supervisor died, and a worker would block for
+        # good in `send` once the pipe buffer filled mid-unit.
+        readers = [results, *(w.results for w in self._pool if not w.results.closed)]
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -438,6 +463,7 @@ class SupervisorPool:
                 results_w,
                 self._plan_json,
                 self._probed,
+                readers,
             ),
             daemon=True,
         )

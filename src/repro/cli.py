@@ -1,5 +1,13 @@
 """Command-line interface for regenerating the paper's tables and figures.
 
+Every experiment subcommand (``run``, ``campaign``, ``table1``,
+``figure``, ``memory-cap``, ``pareto``, ``report``) runs one
+:class:`~repro.analysis.campaign.Campaign` over the data set through
+:func:`~repro.analysis.campaign.run_campaign` and only formats the
+records. A bad grid option (an unknown algorithm, ``p < 1``, a bad cap,
+``--limit < 0``, ``--workers < 1``, a foreign ``--resume`` checkpoint)
+prints one line on stderr and exits 2.
+
 Examples
 --------
 ::
@@ -12,7 +20,7 @@ Examples
    python -m repro.cli theory
    python -m repro.cli memory-cap --scale tiny
    python -m repro.cli campaign --algos ParDeepestFirst,MemoryBounded \
-       --procs 2,4,8 --caps 1.5,2.0 --resume out.jsonl --workers 4
+       --processors 2 4 8 --caps 1.5,2.0 --resume out.jsonl --workers 4
    python -m repro.cli table1 --records out.jsonl
 """
 
@@ -23,6 +31,11 @@ import sys
 
 __all__ = ["main"]
 
+#: memory-cap factors (x the sequential optimal peak) of ``memory-cap``
+#: and of the MemoryBounded points of ``pareto``
+_MEMORY_CAP_FACTORS = (1.0, 1.5, 2.0, 4.0)
+_PARETO_CAP_FACTORS = (1.0, 1.5, 2.0, 3.0)
+
 
 class _Interrupted(Exception):
     """Raised by the campaign signal handlers (SIGINT/SIGTERM) so the
@@ -32,6 +45,80 @@ class _Interrupted(Exception):
     def __init__(self, signum: int) -> None:
         super().__init__(signum)
         self.signum = signum
+
+
+class _BadInput(Exception):
+    """A bad grid option: :func:`main` prints it as one line and exits 2."""
+
+
+def _instances(args: argparse.Namespace) -> list:
+    """The data set of ``--scale``, cut to the first ``--limit`` trees
+    (0 = all) where the subcommand has a ``--limit``."""
+    from repro.workloads import build_dataset
+
+    instances = build_dataset(scale=args.scale)
+    limit = getattr(args, "limit", 0)
+    return instances[:limit] if limit else instances
+
+
+def _run_grid(
+    args: argparse.Namespace,
+    algorithms,
+    *,
+    cap_factors=(),
+    processor_counts=None,
+    instances=None,
+    note: str = "",
+    **run,
+) -> list:
+    """The CLI's one grid path: ``algorithms`` x ``--processors`` (or
+    ``processor_counts``) x ``cap_factors`` as one :class:`Campaign`
+    (``--verbose`` validates every schedule) over the data set of
+    ``--scale``/``--limit`` (or ``instances``), run by ``run_campaign``
+    with ``--workers`` and ``--verbose`` progress; ``run`` holds extra
+    ``run_campaign`` keywords. Bad input -- an option out of range, an
+    unknown algorithm, a checkpoint of another campaign -- raises
+    :class:`_BadInput`."""
+    from repro.analysis.campaign import Campaign, run_campaign
+
+    try:
+        limit = getattr(args, "limit", 0)
+        if limit < 0:
+            raise ValueError(f"--limit must be >= 0, got {limit}")
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        campaign = Campaign(
+            algorithms=tuple(algorithms),
+            processor_counts=tuple(processor_counts or args.processors),
+            cap_factors=tuple(cap_factors),
+            validate=args.verbose,
+        )
+        # fail fast on unknown algorithm names, before building the data set
+        per_tree = len(campaign.scenarios_for("-"))
+    except KeyError as exc:
+        raise _BadInput(exc.args[0]) from None
+    except ValueError as exc:
+        raise _BadInput(f"{args.command}: {exc}") from None
+    if instances is None:
+        instances = _instances(args)
+    print(
+        f"{args.command}: {len(instances)} trees x {per_tree} scenarios/tree = "
+        f"{len(instances) * per_tree} records{note}",
+        file=sys.stderr,
+    )
+    try:
+        return run_campaign(
+            instances, campaign, workers=args.workers, progress=args.verbose, **run
+        )
+    except ValueError as exc:  # a foreign or corrupt checkpoint, a bad --timeout
+        raise _BadInput(f"{args.command}: {exc}") from None
+
+
+def _heuristics() -> tuple[str, ...]:
+    """The paper's four Section 5 heuristics (Table 1, Figures 6-8)."""
+    from repro.parallel import HEURISTICS
+
+    return tuple(HEURISTICS)
 
 
 def _cmd_dataset(args: argparse.Namespace) -> int:
@@ -50,14 +137,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        compute_table1_stats,
-        render_table1,
-        run_experiments,
-        save_records,
-        table1_csv,
-    )
-    from repro.workloads import build_dataset
+    from repro.analysis import compute_table1_stats, render_table1, save_records, table1_csv
 
     if args.records:
         from repro.analysis import open_store
@@ -67,19 +147,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             f"loaded {len(records)} records from {args.records}", file=sys.stderr
         )
     else:
-        instances = build_dataset(scale=args.scale)
-        processor_counts = tuple(args.processors)
-        print(
-            f"running {len(instances)} trees x p in {processor_counts} "
-            f"x 4 heuristics ...",
-            file=sys.stderr,
-        )
-        records = run_experiments(
-            instances,
-            processor_counts,
-            progress=args.verbose,
-            workers=args.workers,
-        )
+        records = _run_grid(args, _heuristics())
     stats = compute_table1_stats(records)
     print(render_table1(stats))
     if args.output:
@@ -95,15 +163,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.analysis import figure_csv, figure_data, render_figure, run_experiments
-    from repro.workloads import build_dataset
+    from repro.analysis import figure_csv, figure_data, render_figure
 
-    instances = build_dataset(scale=args.scale)
-    records = run_experiments(
-        instances,
-        tuple(args.processors),
-        workers=args.workers,
-    )
+    records = _run_grid(args, _heuristics())
     data = figure_data(records, args.which)
     titles = {
         6: "Figure 6: comparison to lower bounds",
@@ -198,42 +260,33 @@ def _cmd_shapes(args: argparse.Namespace) -> int:
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
-    from repro.analysis import ParetoPoint, hypervolume, pareto_front
-    from repro.core import memory_lower_bound, simulate
-    from repro.parallel import HEURISTICS, memory_bounded_schedule
-    from repro.workloads import build_dataset
+    import itertools
 
-    instances = build_dataset(scale=args.scale)[: args.limit]
-    p = args.processors[0]
-    for inst in instances:
-        tree = inst.tree
-        mseq = memory_lower_bound(tree)
-        points = []
-        for name, fn in HEURISTICS.items():
-            r = simulate(fn(tree, p))
-            points.append(ParetoPoint(r.makespan, r.peak_memory, name))
-        for factor in (1.0, 1.5, 2.0, 3.0):
-            sch = memory_bounded_schedule(tree, p, factor * mseq)
-            r = simulate(sch)
-            points.append(ParetoPoint(r.makespan, r.peak_memory, f"cap x{factor:g}"))
-        front = pareto_front(points)
-        ref = ParetoPoint(
-            max(q.makespan for q in points) * 1.05,
-            max(q.memory for q in points) * 1.05,
-        )
-        print(f"\n{inst.name} (p={p}): front of {len(points)} schedules, "
-              f"hypervolume {hypervolume(points, ref):.4g}")
-        for q in front:
-            print(f"  makespan {q.makespan:>12.5g}  memory {q.memory:>12.5g}  {q.label}")
+    from repro.analysis import ParetoPoint, hypervolume, pareto_front
+
+    records = _run_grid(
+        args, _heuristics() + ("MemoryBounded",), cap_factors=_PARETO_CAP_FACTORS
+    )
+    for p in dict.fromkeys(args.processors):
+        block = (r for r in records if r.p == p)
+        for tree, group in itertools.groupby(block, key=lambda r: r.tree):
+            points = [ParetoPoint(r.makespan, r.memory, r.heuristic) for r in group]
+            front = pareto_front(points)
+            ref = ParetoPoint(
+                max(q.makespan for q in points) * 1.05,
+                max(q.memory for q in points) * 1.05,
+            )
+            print(f"\n{tree} (p={p}): front of {len(points)} schedules, "
+                  f"hypervolume {hypervolume(points, ref):.4g}")
+            for q in front:
+                print(f"  makespan {q.makespan:>12.5g}  memory {q.memory:>12.5g}  {q.label}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis import run_experiments
     from repro.analysis.report import build_report
-    from repro.workloads import build_dataset
 
-    instances = build_dataset(scale=args.scale)
+    instances = _instances(args)
     if args.records:
         from repro.analysis import open_store
 
@@ -241,11 +294,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         # groupby, figures) runs on the vectorised paths
         records = open_store(args.records).columns(include_failed=False)
     else:
-        records = run_experiments(
-            instances,
-            tuple(args.processors),
-            workers=args.workers,
-        )
+        records = _run_grid(args, _heuristics(), instances=instances)
     text = build_report(records, instances)
     if args.output:
         with open(args.output, "w") as fh:
@@ -257,21 +306,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_memory_cap(args: argparse.Namespace) -> int:
-    from repro.core import memory_lower_bound, simulate
-    from repro.parallel import memory_bounded_schedule
-    from repro.workloads import build_dataset
+    import itertools
 
-    instances = build_dataset(scale=args.scale)[: args.limit]
-    p = args.processors[0]
-    print(f"{'tree':<28s} {'cap/Mseq':>9s} {'makespan':>12s} {'peak/Mseq':>10s}")
-    for inst in instances:
-        mseq = memory_lower_bound(inst.tree)
-        for factor in (1.0, 1.5, 2.0, 4.0):
-            sch = memory_bounded_schedule(inst.tree, p, cap=factor * mseq)
-            sim = simulate(sch)
+    records = _run_grid(args, ("MemoryBounded",), cap_factors=_MEMORY_CAP_FACTORS)
+    counts = dict.fromkeys(args.processors)
+    for p in counts:
+        if len(counts) > 1:
+            print(f"p={p}")
+        print(f"{'tree':<28s} {'cap/Mseq':>9s} {'makespan':>12s} {'peak/Mseq':>10s}")
+        # each (tree, p) holds one record per cap factor, in factor order
+        block = (r for r in records if r.p == p)
+        for r, factor in zip(block, itertools.cycle(_MEMORY_CAP_FACTORS)):
             print(
-                f"{inst.name:<28s} {factor:>9.1f} {sim.makespan:>12.5g} "
-                f"{sim.peak_memory / mseq:>10.3f}"
+                f"{r.tree:<28s} {factor:>9.1f} {r.makespan:>12.5g} "
+                f"{r.memory_ratio:>10.3f}"
             )
     return 0
 
@@ -280,30 +328,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     import signal
 
     from repro import registry
-    from repro.analysis.campaign import Campaign, run_campaign
-    from repro.workloads import build_dataset
 
     if args.algos.strip().lower() == "all":
         algos = tuple(registry.names("parallel"))
     else:
         algos = tuple(a for a in args.algos.replace(",", " ").split() if a)
-    try:
-        procs = tuple(int(x) for x in args.procs.replace(",", " ").split())
-        caps = tuple(float(x) for x in args.caps.replace(",", " ").split()) if args.caps else ()
-        campaign = Campaign(
-            algorithms=algos,
-            processor_counts=procs,
-            cap_factors=caps,
-            validate=args.verbose,
-        )
-        # fail fast on unknown algorithm names, before building the data set
-        campaign.scenarios_for("-")
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    except ValueError as exc:  # a bad --procs or --caps value
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
     fault_plan = None
     if args.fault_plan:
         from repro.testing.faults import FaultPlan
@@ -315,8 +344,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         try:
             fault_plan = FaultPlan.from_json(text)
         except ValueError as exc:
-            print(f"--fault-plan: {exc}", file=sys.stderr)
-            return 2
+            raise _BadInput(f"--fault-plan: {exc}") from None
     supervise = bool(
         args.supervise
         or args.workers > 1
@@ -325,19 +353,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         or args.retry_failed
         or args.report
     )
-    instances = build_dataset(scale=args.scale)
-    if args.limit:
-        instances = instances[: args.limit]
-    per_tree = len(campaign.scenarios_for("-"))
     checkpoint = args.resume or (
         args.output if args.output and args.output.endswith(".jsonl") else None
     )
-    print(
-        f"campaign: {len(instances)} trees x {per_tree} scenarios/tree = "
-        f"{len(instances) * per_tree} records"
-        + (f" -> {checkpoint}" + (" (resumable)" if args.resume else "") if checkpoint else "")
-        + (" [supervised]" if supervise else ""),
-        file=sys.stderr,
+    note = (
+        (f" -> {checkpoint}" + (" (resumable)" if args.resume else "") if checkpoint else "")
+        + (" [supervised]" if supervise else "")
     )
 
     # Flush-and-exit on SIGINT/SIGTERM: the checkpoint is already
@@ -352,13 +373,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     }
     reports: list = []
     try:
-        records = run_campaign(
-            instances,
-            campaign,
-            workers=args.workers,
+        records = _run_grid(
+            args,
+            algos,
+            # parsed inside the grid path: a bad number is one error line
+            cap_factors=(float(x) for x in args.caps.replace(",", " ").split()),
+            note=note,
             checkpoint=checkpoint,
             resume=bool(args.resume),
-            progress=args.verbose,
             supervise=supervise,
             retries=args.retries,
             timeout=args.timeout,
@@ -440,34 +462,20 @@ def _cmd_algos(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro import registry
-    from repro.core import memory_lower_bound, simulate
-    from repro.core.bounds import makespan_lower_bound
-    from repro.workloads import build_dataset
 
-    try:
-        algo = registry.get(args.algo)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    instances = build_dataset(scale=args.scale)
-    if args.limit:
-        instances = instances[: args.limit]
     # Sequential traversals run on one processor regardless of the sweep.
-    counts = tuple(args.processors) if algo.kind == "parallel" else (1,)
+    sequential = args.algo in registry.names("sequential")
+    records = _run_grid(args, (args.algo,), processor_counts=(1,) if sequential else None)
     print(
         f"{'tree':<28s} {'p':>3s} {'makespan':>12s} {'Cmax/LB':>8s} "
         f"{'memory':>12s} {'mem/Mseq':>9s}"
     )
-    for inst in instances:
-        mseq = memory_lower_bound(inst.tree)
-        for p in counts:
-            sim = simulate(algo.run(inst.tree, p), validate=args.verbose)
-            cmax_lb = makespan_lower_bound(inst.tree, p)
-            print(
-                f"{inst.name:<28s} {p:>3d} {sim.makespan:>12.5g} "
-                f"{sim.makespan / cmax_lb:>8.3f} {sim.peak_memory:>12.5g} "
-                f"{sim.peak_memory / mseq:>9.3f}"
-            )
+    for r in records:
+        print(
+            f"{r.tree:<28s} {r.p:>3d} {r.makespan:>12.5g} "
+            f"{r.makespan_ratio:>8.3f} {r.memory:>12.5g} "
+            f"{r.memory_ratio:>9.3f}"
+        )
     return 0
 
 
@@ -480,18 +488,24 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser) -> None:
+    def add_scale(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(
             "--scale", default="small", choices=("tiny", "small", "medium", "large")
         )
+
+    def add_grid(
+        sp: argparse.ArgumentParser, processors=(2, 4, 8, 16, 32), limit=None
+    ) -> None:
+        """The options of the grid subcommands (see ``_run_grid``)."""
+        add_scale(sp)
         sp.add_argument(
             "--processors",
             type=int,
             nargs="+",
-            default=[2, 4, 8, 16, 32],
-            help="processor counts (paper: 2 4 8 16 32)",
+            default=list(processors),
+            help=f"processor counts (default: {' '.join(map(str, processors))}; "
+            "paper: 2 4 8 16 32)",
         )
-        sp.add_argument("--output", default=None, help="write CSV/JSON here")
         sp.add_argument(
             "--workers",
             type=int,
@@ -499,36 +513,52 @@ def main(argv: list[str] | None = None) -> int:
             help="worker processes for the experiment sweep (more than 1 "
             "runs on the supervised pool; records are identical)",
         )
-        sp.add_argument("--verbose", action="store_true")
+        sp.add_argument(
+            "--verbose",
+            action="store_true",
+            help="validate every schedule and print per-tree progress",
+        )
+        if limit is not None:
+            sp.add_argument(
+                "--limit", type=int, default=limit,
+                help=f"number of trees (0 = all; default {limit})",
+            )
+
+    def add_output(sp: argparse.ArgumentParser, what: str) -> None:
+        sp.add_argument("--output", default=None, help=f"write {what} here")
+
+    def add_records(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument(
+            "--records",
+            default=None,
+            metavar="PATH",
+            help="consume an existing campaign checkpoint (.jsonl file) "
+            "instead of re-running the experiments",
+        )
 
     sp = sub.add_parser("dataset", help="list the assembly-tree data set")
-    add_common(sp)
+    add_scale(sp)
     sp.set_defaults(func=_cmd_dataset)
 
     sp = sub.add_parser("algos", help="list the algorithm registry")
     sp.set_defaults(func=_cmd_algos)
 
     sp = sub.add_parser("run", help="run any registry algorithm on the data set")
-    add_common(sp)
+    add_grid(sp, limit=0)
     sp.add_argument("--algo", required=True, help="registry name (see `algos`)")
-    sp.add_argument("--limit", type=int, default=0, help="number of trees (0 = all)")
     sp.set_defaults(func=_cmd_run)
 
     sp = sub.add_parser(
         "campaign",
         help="run a declarative (algorithms x p x caps) grid, resumable",
     )
-    add_common(sp)
+    add_grid(sp, limit=0)
+    add_output(sp, "the records (.json, or .jsonl: also the checkpoint)")
     sp.add_argument(
         "--algos",
         default="all",
         help="comma-separated registry names, or 'all' for every parallel "
         "algorithm (default)",
-    )
-    sp.add_argument(
-        "--procs",
-        default="2,4,8,16,32",
-        help="comma-separated processor counts (default: the paper's five)",
     )
     sp.add_argument(
         "--caps",
@@ -544,7 +574,6 @@ def main(argv: list[str] | None = None) -> int:
         "re-run of the same command continues where the checkpoint stops "
         "(byte-identical result)",
     )
-    sp.add_argument("--limit", type=int, default=0, help="number of trees (0 = all)")
     sp.add_argument(
         "--supervise",
         action="store_true",
@@ -588,48 +617,36 @@ def main(argv: list[str] | None = None) -> int:
     sp.set_defaults(func=_cmd_campaign)
 
     sp = sub.add_parser("table1", help="regenerate Table 1")
-    add_common(sp)
-    sp.add_argument(
-        "--records",
-        default=None,
-        metavar="PATH",
-        help="consume an existing campaign checkpoint (.jsonl file) "
-        "instead of re-running the experiments",
-    )
+    add_grid(sp)
+    add_output(sp, "the records (.json) or the table (CSV)")
+    add_records(sp)
     sp.set_defaults(func=_cmd_table1)
 
     sp = sub.add_parser("figure", help="regenerate Figure 6, 7 or 8")
-    add_common(sp)
+    add_grid(sp)
+    add_output(sp, "the figure data (CSV)")
     sp.add_argument("--which", type=int, choices=(6, 7, 8), required=True)
     sp.set_defaults(func=_cmd_figure)
 
     sp = sub.add_parser("theory", help="verify Figures 1-5 / Theorems 1-2")
-    add_common(sp)
     sp.set_defaults(func=_cmd_theory)
 
     sp = sub.add_parser("memory-cap", help="memory-capped scheduling extension")
-    add_common(sp)
-    sp.add_argument("--limit", type=int, default=4, help="number of trees")
+    add_grid(sp, processors=(2,), limit=4)
     sp.set_defaults(func=_cmd_memory_cap)
 
     sp = sub.add_parser("shapes", help="data-set shape statistics vs the paper")
-    add_common(sp)
+    add_scale(sp)
     sp.set_defaults(func=_cmd_shapes)
 
     sp = sub.add_parser("pareto", help="per-tree Pareto fronts over all schedulers")
-    add_common(sp)
-    sp.add_argument("--limit", type=int, default=3, help="number of trees")
+    add_grid(sp, processors=(2,), limit=3)
     sp.set_defaults(func=_cmd_pareto)
 
     sp = sub.add_parser("report", help="generate the EXPERIMENTS.md body")
-    add_common(sp)
-    sp.add_argument(
-        "--records",
-        default=None,
-        metavar="PATH",
-        help="consume an existing campaign checkpoint (.jsonl file) "
-        "instead of re-running the experiments",
-    )
+    add_grid(sp)
+    add_output(sp, "the report (markdown)")
+    add_records(sp)
     sp.set_defaults(func=_cmd_report)
 
     sp = sub.add_parser(
@@ -666,7 +683,11 @@ def main(argv: list[str] | None = None) -> int:
     sp.set_defaults(func=_cmd_serve)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,6 @@ from repro.analysis.experiments import (
     FailedRecord,
     ScenarioRecord,
     load_records,
-    run_experiments,
     save_records,
 )
 from repro.workloads.dataset import TreeInstance
@@ -92,15 +91,25 @@ class TestGridExpansion:
 
 
 class TestRunCampaign:
-    def test_matches_run_experiments_for_plain_grid(self, instances):
-        camp = Campaign(
-            algorithms=("ParDeepestFirst", "ParInnerFirst"), processor_counts=(2, 4)
-        )
-        records = run_campaign(instances, camp)
-        legacy = run_experiments(
-            instances, (2, 4), heuristics=("ParDeepestFirst", "ParInnerFirst")
-        )
-        assert records == legacy
+    def test_matches_direct_scheduling_for_plain_grid(self, instances):
+        """Records equal a per-scenario loop of schedule + simulate +
+        the two lower bounds, in tree, p, algorithm order."""
+        from repro import registry
+        from repro.core import memory_lower_bound, simulate
+        from repro.core.bounds import makespan_lower_bound
+
+        algos = ("ParDeepestFirst", "ParInnerFirst")
+        camp = Campaign(algorithms=algos, processor_counts=(2, 4))
+        expected = []
+        for inst in instances:
+            for p in (2, 4):
+                for name in algos:
+                    sim = simulate(registry.run(name, inst.tree, p))
+                    expected.append(ScenarioRecord(
+                        inst.name, inst.tree.n, p, name, sim.makespan, sim.peak_memory,
+                        memory_lower_bound(inst.tree), makespan_lower_bound(inst.tree, p),
+                    ))
+        assert run_campaign(instances, camp) == expected
 
     @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
     def test_non_positive_timeout_rejected_before_any_worker(

@@ -1,15 +1,24 @@
-"""Tests for the experiment runner and record serialization."""
+"""Tests for the paper's campaign grid and record serialization."""
 
 import pytest
 
+from repro.analysis.campaign import Campaign, run_campaign
 from repro.analysis.experiments import (
     ScenarioRecord,
     load_records,
-    run_experiments,
     save_records,
 )
+from repro.parallel import HEURISTICS
 from repro.workloads.dataset import TreeInstance
 from repro.workloads.synthetic import random_weighted_tree
+
+
+def paper_grid(instances, processor_counts, algorithms=tuple(HEURISTICS), validate=False, **run):
+    """The paper's Section 6 grid (the four heuristics by default)."""
+    campaign = Campaign(
+        algorithms=tuple(algorithms), processor_counts=processor_counts, validate=validate
+    )
+    return run_campaign(instances, campaign, **run)
 
 
 @pytest.fixture
@@ -28,11 +37,11 @@ def instances(rng):
 
 class TestRunner:
     def test_record_count(self, instances):
-        records = run_experiments(instances, processor_counts=(2, 4))
+        records = paper_grid(instances, (2, 4))
         assert len(records) == 3 * 2 * 4  # trees x p x heuristics
 
     def test_lower_bounds_attached(self, instances):
-        records = run_experiments(instances, processor_counts=(2,), validate=True)
+        records = paper_grid(instances, (2,), validate=True)
         for r in records:
             assert r.memory >= r.memory_lb - 1e-9
             assert r.makespan >= r.makespan_lb - 1e-9
@@ -40,13 +49,11 @@ class TestRunner:
             assert r.makespan_ratio >= 1.0 - 1e-9
 
     def test_heuristic_subset(self, instances):
-        records = run_experiments(
-            instances, processor_counts=(2,), heuristics=("ParSubtrees",)
-        )
+        records = paper_grid(instances, (2,), algorithms=("ParSubtrees",))
         assert {r.heuristic for r in records} == {"ParSubtrees"}
 
     def test_memory_lb_constant_across_p(self, instances):
-        records = run_experiments(instances[:1], processor_counts=(2, 8))
+        records = paper_grid(instances[:1], (2, 8))
         lbs = {r.memory_lb for r in records}
         assert len(lbs) == 1
 
@@ -54,8 +61,8 @@ class TestRunner:
 class TestBatchPipeline:
     def test_parallel_records_byte_identical(self, instances, tmp_path):
         """workers=N must reproduce the serial record stream exactly."""
-        serial = run_experiments(instances, processor_counts=(2, 4))
-        fanned = run_experiments(instances, processor_counts=(2, 4), workers=3)
+        serial = paper_grid(instances, (2, 4))
+        fanned = paper_grid(instances, (2, 4), workers=3)
         assert fanned == serial
         a, b = str(tmp_path / "serial.json"), str(tmp_path / "fanned.json")
         save_records(serial, a)
@@ -68,8 +75,8 @@ class TestBatchPipeline:
         from repro.workloads.dataset import build_dataset
 
         instances = build_dataset(scale="tiny")[:6]
-        serial = run_experiments(instances, processor_counts=(2, 4))
-        fanned = run_experiments(instances, processor_counts=(2, 4), workers=2)
+        serial = paper_grid(instances, (2, 4))
+        fanned = paper_grid(instances, (2, 4), workers=2)
         assert fanned == serial
         a, b = str(tmp_path / "serial.json"), str(tmp_path / "fanned.json")
         save_records(serial, a)
@@ -82,21 +89,16 @@ class TestBatchPipeline:
         from repro.workloads.dataset import build_dataset
 
         instances = build_dataset(scale="tiny")[:6]
-        serial = run_experiments(instances, processor_counts=(2, 8))
-        fanned = run_experiments(
-            instances,
-            processor_counts=(2, 8),
-            workers=3,
-            stream_to=str(tmp_path / "stream.jsonl"),
+        serial = paper_grid(instances, (2, 8))
+        fanned = paper_grid(
+            instances, (2, 8), workers=3, checkpoint=str(tmp_path / "stream.jsonl")
         )
         assert fanned == serial
         assert load_records(str(tmp_path / "stream.jsonl")) == serial
 
     def test_registry_algorithms_accepted(self, instances):
-        records = run_experiments(
-            instances,
-            processor_counts=(2,),
-            heuristics=("ParDeepestFirst/hops", "MemoryBounded"),
+        records = paper_grid(
+            instances, (2,), algorithms=("ParDeepestFirst/hops", "MemoryBounded")
         )
         assert {r.heuristic for r in records} == {
             "ParDeepestFirst/hops",
@@ -105,36 +107,30 @@ class TestBatchPipeline:
 
     def test_streaming_jsonl(self, instances, tmp_path):
         path = str(tmp_path / "stream.jsonl")
-        records = run_experiments(
-            instances, processor_counts=(2,), workers=2, stream_to=path
-        )
+        records = paper_grid(instances, (2,), workers=2, checkpoint=path)
         assert load_records(path) == records
 
     def test_streaming_requires_jsonl(self, instances, tmp_path):
         with pytest.raises(ValueError, match="jsonl"):
-            run_experiments(
-                instances,
-                processor_counts=(2,),
-                stream_to=str(tmp_path / "stream.json"),
-            )
+            paper_grid(instances, (2,), checkpoint=str(tmp_path / "stream.json"))
 
 
 class TestSerialization:
     def test_roundtrip(self, instances, tmp_path):
-        records = run_experiments(instances, processor_counts=(2,))
+        records = paper_grid(instances, (2,))
         path = str(tmp_path / "records.json")
         save_records(records, path)
         loaded = load_records(path)
         assert loaded == records
 
     def test_jsonl_roundtrip(self, instances, tmp_path):
-        records = run_experiments(instances, processor_counts=(2,))
+        records = paper_grid(instances, (2,))
         path = str(tmp_path / "records.jsonl")
         save_records(records, path)
         assert load_records(path) == records
 
     def test_jsonl_append(self, instances, tmp_path):
-        records = run_experiments(instances, processor_counts=(2,))
+        records = paper_grid(instances, (2,))
         path = str(tmp_path / "records.jsonl")
         save_records(records[:3], path)
         save_records(records[3:], path, append=True)

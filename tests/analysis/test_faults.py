@@ -647,8 +647,9 @@ class TestCliSignals:
                 "2",
                 "--algos",
                 "ParSubtrees,ParDeepestFirst",
-                "--procs",
-                "2,4",
+                "--processors",
+                "2",
+                "4",
                 "--supervise",
                 "--resume",
                 str(ck),

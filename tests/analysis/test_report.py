@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.experiments import run_experiments
+from repro.analysis.campaign import Campaign, run_campaign
+from repro.parallel import HEURISTICS
 from repro.analysis.report import build_report
 from repro.workloads.dataset import build_dataset
 
@@ -10,7 +11,9 @@ from repro.workloads.dataset import build_dataset
 @pytest.fixture(scope="module")
 def report():
     instances = build_dataset(scale="tiny")[:8]
-    records = run_experiments(instances, processor_counts=(2,))
+    records = run_campaign(
+        instances, Campaign(algorithms=tuple(HEURISTICS), processor_counts=(2,))
+    )
     return build_report(records, instances), instances
 
 

@@ -349,11 +349,25 @@ _DIR_ENTRY_POINTS = {
     "cli-report-records": lambda d, *_: main(
         ["report", "--scale", "tiny", "--records", d]
     ),
-    "cli-campaign-resume": lambda d, *_: main(
+    "cli-campaign-resume": lambda d, *_: _exit_2_as_value_error(
         ["campaign", "--scale", "tiny", "--limit", "1", "--algos",
-         "ParSubtrees", "--procs", "2", "--resume", d]
+         "ParSubtrees", "--processors", "2", "--resume", d]
     ),
 }
+
+
+def _exit_2_as_value_error(argv):
+    """Run a grid subcommand, which reports a bad checkpoint as its last
+    stderr line and exit code 2; raise that line as ``ValueError``."""
+    import contextlib
+    import io
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        raise ValueError(err.getvalue().splitlines()[-1])
+    return code
 
 
 @pytest.mark.parametrize("entry", sorted(_DIR_ENTRY_POINTS))

@@ -231,3 +231,89 @@ class TestCampaignIntegration:
         resumed = run_campaign(instances, grid, checkpoint=str(path), resume=True)
         assert resumed == ref
         assert path.read_bytes() == ref_path.read_bytes()
+
+
+# A supervisor process for the orphan drill: one worker, one tree group
+# of 1000 MemoryBounded scenarios (~240 KB of "ok" messages, well past a
+# 64 KiB pipe buffer) and a 2 s slow fault on the second scenario. On
+# the first emitted record it prints its worker pids; the test then
+# SIGKILLs it while the worker still has the rest of the unit to send.
+_ORPHAN_SUPERVISOR = """
+import multiprocessing
+
+import numpy as np
+
+from repro.analysis.campaign import Campaign
+from repro.analysis.supervisor import SupervisorPool
+from repro.testing.faults import Fault, FaultPlan
+from repro.workloads.dataset import TreeInstance
+from repro.workloads.synthetic import random_weighted_tree
+
+inst = TreeInstance(
+    name="t", tree=random_weighted_tree(30, np.random.default_rng(0)),
+    matrix_name="synthetic", ordering="none", amalgamation=1,
+)
+grid = Campaign(
+    algorithms=("MemoryBounded",), processor_counts=(2,),
+    cap_factors=tuple(1 + k / 64 for k in range(1000)),
+)
+tasks = [(0, sc) for sc in grid.scenarios_for("t")]
+plan = FaultPlan((Fault(kind="slow", index=1, seconds=2.0),))
+
+
+def emit(gi, records):
+    print(*(c.pid for c in multiprocessing.active_children()), flush=True)
+
+
+with SupervisorPool(workers=1, fault_plan=plan) as pool:
+    pool.run([inst], tasks, emit=emit)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie nobody reaps counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestOrphanedWorkers:
+    def test_workers_exit_after_supervisor_sigkill_mid_unit(self):
+        """A worker whose supervisor was SIGKILLed mid-unit, with more
+        than a pipe buffer of results left to send, exits within 15 s
+        instead of blocking in ``send`` for good."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        env.pop(ENV_VAR, None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SUPERVISOR],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        pids: list[int] = []
+        try:
+            pids = [int(x) for x in proc.stdout.readline().split()]
+            assert pids, "the supervisor printed no worker pid"
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 15.0
+            while any(map(_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in pids if _alive(pid)]
+        finally:
+            if proc.poll() is None:  # pragma: no cover - safety net
+                proc.kill()
+                proc.wait()
+            for pid in pids:  # a leaked worker must not outlive the test
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -456,32 +456,37 @@ class TestPipelinePlumbing:
             for i in range(3)
         ]
 
-    def test_run_experiments_same_on_both_sweeps(self, monkeypatch):
-        from repro.analysis.experiments import run_experiments
+    def test_campaign_same_on_both_sweeps(self, monkeypatch):
+        from repro.analysis.campaign import Campaign, run_campaign
 
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
         instances = self.instances()
-        names = ("ParDeepestFirst", "ParSubtrees", "MemoryBounded")
-        got = run_experiments(instances, (2, 4), heuristics=names)
+        grid = Campaign(
+            algorithms=("ParDeepestFirst", "ParSubtrees", "MemoryBounded"),
+            processor_counts=(2, 4),
+        )
+        got = run_campaign(instances, grid)
         faults.install(faults.FaultPlan((faults.Fault(kind="compile_failure"),)))
         try:
-            ref = run_experiments(instances, (2, 4), heuristics=names)
+            ref = run_campaign(instances, grid)
         finally:
             faults.install(None)
         assert got == ref
 
     def test_degraded_pool_workers_match_serial(self, monkeypatch):
-        """run_experiments on supervised workers that inherit a
+        """A campaign on supervised workers that inherit a
         ``compile_failure`` plan (so every worker sweeps on the
         reference loop) is byte-identical to the serial run."""
-        from repro.analysis.experiments import run_experiments
+        from repro.analysis.campaign import Campaign, run_campaign
 
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
         instances = self.instances()
-        names = ("ParDeepestFirst", "MemoryBounded")
-        ref = run_experiments(instances, (2, 4), heuristics=names)
+        grid = Campaign(
+            algorithms=("ParDeepestFirst", "MemoryBounded"), processor_counts=(2, 4)
+        )
+        ref = run_campaign(instances, grid)
         monkeypatch.setenv(faults.ENV_VAR, '{"faults": [{"kind": "compile_failure"}]}')
-        degraded = run_experiments(instances, (2, 4), heuristics=names, workers=2)
+        degraded = run_campaign(instances, grid, workers=2)
         assert degraded == ref
 
     def test_cli_run(self, capsys):

@@ -2,7 +2,19 @@
 
 import pytest
 
+from repro import registry
 from repro.cli import main
+
+#: one argv per grid subcommand (the seven that run a Campaign)
+GRID_COMMANDS = {
+    "run": ["run", "--algo", "ParDeepestFirst", "--scale", "tiny", "--limit", "1"],
+    "campaign": ["campaign", "--scale", "tiny", "--algos", "ParSubtrees", "--limit", "1"],
+    "table1": ["table1", "--scale", "tiny"],
+    "figure": ["figure", "--which", "6", "--scale", "tiny"],
+    "memory-cap": ["memory-cap", "--scale", "tiny", "--limit", "1"],
+    "pareto": ["pareto", "--scale", "tiny", "--limit", "1"],
+    "report": ["report", "--scale", "tiny"],
+}
 
 
 class TestCli:
@@ -90,8 +102,9 @@ class TestCli:
             "tiny",
             "--algos",
             "ParDeepestFirst,MemoryBounded",
-            "--procs",
-            "2,4",
+            "--processors",
+            "2",
+            "4",
             "--caps",
             "1.5,2.0",
             "--limit",
@@ -123,7 +136,7 @@ class TestCli:
                     "tiny",
                     "--algos",
                     "ParSubtrees",
-                    "--procs",
+                    "--processors",
                     "2",
                     "--limit",
                     "1",
@@ -151,8 +164,9 @@ class TestCli:
             "tiny",
             "--algos",
             "ParDeepestFirst,ParSubtrees",
-            "--procs",
-            "2,4",
+            "--processors",
+            "2",
+            "4",
             "--limit",
             "2",
         ]
@@ -205,7 +219,7 @@ class TestCli:
                     "tiny",
                     "--algos",
                     "all",
-                    "--procs",
+                    "--processors",
                     "2",
                     "--limit",
                     "1",
@@ -222,12 +236,12 @@ class TestCli:
         [
             (["--caps", "nan"], "finite and positive"),
             (["--caps", "0"], "finite and positive"),
-            (["--procs", "0"], "positive integer"),
+            (["--processors", "0"], "positive integer"),
         ],
     )
     def test_campaign_bad_grid_is_one_line_exit_2(self, flags, msg, capsys, tmp_path):
         out = tmp_path / "records.jsonl"
-        argv = ["campaign", "--scale", "tiny", "--algos", "MemoryBounded", "--procs", "2"]
+        argv = ["campaign", "--scale", "tiny", "--algos", "MemoryBounded", "--processors", "2"]
         assert main(argv + flags + ["--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert msg in err and err.count("\n") == 1
@@ -253,3 +267,179 @@ class TestCli:
         assert main(["serve", str(root), "--port", "0"] + flags) == 2
         assert msg in capsys.readouterr().err
         assert not root.exists()  # rejected before the journal or the port
+
+
+# ----------------------------------------------------------------------
+# oracles: the hand-written scheduling loops the grid subcommands used to
+# run; the records of the one grid path must print the same numbers
+# ----------------------------------------------------------------------
+def _tiny(limit):
+    from repro.workloads import build_dataset
+
+    return build_dataset(scale="tiny")[:limit]
+
+
+def oracle_run(name, limit, processors):
+    from repro.core import memory_lower_bound, simulate
+    from repro.core.bounds import makespan_lower_bound
+
+    algo = registry.get(name)
+    counts = tuple(processors) if algo.kind == "parallel" else (1,)
+    lines = [
+        f"{'tree':<28s} {'p':>3s} {'makespan':>12s} {'Cmax/LB':>8s} "
+        f"{'memory':>12s} {'mem/Mseq':>9s}"
+    ]
+    for inst in _tiny(limit):
+        mseq = memory_lower_bound(inst.tree)
+        for p in counts:
+            sim = simulate(algo.run(inst.tree, p))
+            cmax_lb = makespan_lower_bound(inst.tree, p)
+            lines.append(
+                f"{inst.name:<28s} {p:>3d} {sim.makespan:>12.5g} "
+                f"{sim.makespan / cmax_lb:>8.3f} {sim.peak_memory:>12.5g} "
+                f"{sim.peak_memory / mseq:>9.3f}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def oracle_memory_cap(limit, processors):
+    from repro.core import memory_lower_bound, simulate
+    from repro.parallel import memory_bounded_schedule
+
+    lines = []
+    for p in processors:
+        if len(processors) > 1:
+            lines.append(f"p={p}")
+        lines.append(f"{'tree':<28s} {'cap/Mseq':>9s} {'makespan':>12s} {'peak/Mseq':>10s}")
+        for inst in _tiny(limit):
+            mseq = memory_lower_bound(inst.tree)
+            for factor in (1.0, 1.5, 2.0, 4.0):
+                sim = simulate(memory_bounded_schedule(inst.tree, p, cap=factor * mseq))
+                lines.append(
+                    f"{inst.name:<28s} {factor:>9.1f} {sim.makespan:>12.5g} "
+                    f"{sim.peak_memory / mseq:>10.3f}"
+                )
+    return "\n".join(lines) + "\n"
+
+
+def oracle_pareto(limit, processors):
+    from repro.analysis import ParetoPoint, hypervolume, pareto_front
+    from repro.core import memory_lower_bound, simulate
+    from repro.parallel import HEURISTICS, memory_bounded_schedule
+
+    lines = []
+    for p in processors:
+        for inst in _tiny(limit):
+            tree = inst.tree
+            mseq = memory_lower_bound(tree)
+            points = []
+            for name, fn in HEURISTICS.items():
+                r = simulate(fn(tree, p))
+                points.append(ParetoPoint(r.makespan, r.peak_memory, name))
+            for factor in (1.0, 1.5, 2.0, 3.0):
+                r = simulate(memory_bounded_schedule(tree, p, factor * mseq))
+                points.append(
+                    ParetoPoint(r.makespan, r.peak_memory, f"MemoryBounded@cap{factor:g}")
+                )
+            ref = ParetoPoint(
+                max(q.makespan for q in points) * 1.05,
+                max(q.memory for q in points) * 1.05,
+            )
+            lines.append(f"\n{inst.name} (p={p}): front of {len(points)} schedules, "
+                         f"hypervolume {hypervolume(points, ref):.4g}")
+            for q in pareto_front(points):
+                lines.append(
+                    f"  makespan {q.makespan:>12.5g}  memory {q.memory:>12.5g}  {q.label}"
+                )
+    return "\n".join(lines) + "\n"
+
+
+class TestSameNumbersAsHandLoops:
+    @pytest.mark.parametrize("name", registry.names())
+    def test_run(self, name, capsys):
+        argv = ["run", "--algo", name, "--scale", "tiny", "--limit", "2",
+                "--processors", "2", "4"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == oracle_run(name, 2, (2, 4))
+
+    @pytest.mark.parametrize("processors", [(2,), (2, 4)])
+    def test_memory_cap(self, processors, capsys):
+        argv = ["memory-cap", "--scale", "tiny", "--limit", "2",
+                "--processors", *map(str, processors)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == oracle_memory_cap(2, processors)
+
+    @pytest.mark.parametrize("processors", [(2,), (2, 4)])
+    def test_pareto(self, processors, capsys):
+        argv = ["pareto", "--scale", "tiny", "--limit", "2",
+                "--processors", *map(str, processors)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == oracle_pareto(2, processors)
+
+
+class TestOneGridPath:
+    def test_campaign_reads_processors(self, tmp_path, capsys):
+        out = tmp_path / "records.jsonl"
+        argv = GRID_COMMANDS["campaign"] + ["--processors", "3", "--output", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        from repro.analysis import load_records
+
+        assert {r.p for r in load_records(str(out))} == {3}
+
+    @pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+    def test_bad_processors_is_one_line_exit_2(self, command, capsys):
+        assert main(GRID_COMMANDS[command] + ["--processors", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "positive integer" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, msg",
+        [
+            (GRID_COMMANDS["run"] + ["--limit", "-1"], "--limit must be >= 0"),
+            (GRID_COMMANDS["pareto"] + ["--limit", "-2"], "--limit must be >= 0"),
+            (GRID_COMMANDS["campaign"] + ["--workers", "-3"], "--workers must be >= 1"),
+            (GRID_COMMANDS["table1"] + ["--workers", "0"], "--workers must be >= 1"),
+            (GRID_COMMANDS["campaign"] + ["--caps", "x"], "could not convert"),
+        ],
+    )
+    def test_bad_option_is_one_line_exit_2(self, argv, msg, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert msg in err and err.count("\n") == 1
+
+    def test_foreign_resume_checkpoint_is_exit_2(self, tmp_path, capsys):
+        """Rejected by run_campaign itself, after the one-line summary
+        of the grid: the error is the last stderr line, no traceback."""
+        ckpt = str(tmp_path / "a.jsonl")
+        assert main(GRID_COMMANDS["campaign"] + ["--resume", ckpt]) == 0
+        capsys.readouterr()
+        blob = open(ckpt, "rb").read()
+        other = ["campaign", "--scale", "tiny", "--algos", "ParDeepestFirst", "--limit", "1"]
+        assert main(other + ["--resume", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert "diverges from this campaign" in err.splitlines()[-1]
+        assert "Traceback" not in err and err.count("\n") == 2
+        assert open(ckpt, "rb").read() == blob
+
+    def test_bad_timeout_is_exit_2(self, capsys):
+        assert main(GRID_COMMANDS["campaign"] + ["--timeout", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "timeout must be None or > 0" in err.splitlines()[-1]
+        assert "Traceback" not in err and err.count("\n") == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theory", "--workers", "2"],
+            ["theory", "--output", "x.csv"],
+            ["dataset", "--processors", "2"],
+            ["memory-cap", "--output", "x.csv"],
+            ["campaign", "--procs", "2"],
+        ],
+    )
+    def test_removed_options_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

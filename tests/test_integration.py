@@ -7,7 +7,7 @@ check the paper's qualitative findings on a miniature data set.
 import numpy as np
 import pytest
 
-from repro.analysis import compute_table1_stats, figure_data, run_experiments
+from repro.analysis import Campaign, compute_table1_stats, figure_data, run_campaign
 from repro.core import memory_lower_bound, simulate
 from repro.core.validation import validate_schedule
 from repro.matrices import (
@@ -29,7 +29,9 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def records(dataset):
-    return run_experiments(dataset, processor_counts=(2, 8))
+    return run_campaign(
+        dataset, Campaign(algorithms=tuple(HEURISTICS), processor_counts=(2, 8))
+    )
 
 
 class TestPipeline:
