@@ -9,7 +9,7 @@ from .experiments import (
 )
 from .store import RecordColumns, JsonlStore, open_store
 from .campaign import Campaign, Scenario, run_campaign
-from .supervisor import RunReport, run_supervised
+from .supervisor import RunReport, SupervisorPool
 from .metrics import (
     HeuristicStats,
     GroupStats,
@@ -44,7 +44,7 @@ __all__ = [
     "Scenario",
     "run_campaign",
     "RunReport",
-    "run_supervised",
+    "SupervisorPool",
     "HeuristicStats",
     "GroupStats",
     "compute_table1_stats",

@@ -19,19 +19,22 @@ in **one megabatch kernel call** (:func:`repro.core.engine.sweep_batch`):
 the stacked grid crosses the Python boundary once and the C kernel
 sweeps it GIL-free, with bit-identical per-scenario results.
 
-There are two ways to execute a grid, and they share that per-group
-record generator: in process (``workers <= 1``), or on the supervised
-worker pool of :mod:`repro.analysis.supervisor` (``workers > 1``,
-``supervise=True``, a live ``pool=`` or an ``abort=`` event), which
-dispatches tree groups as work units and adds crash/hang detection,
-retries, quarantine and a prompt abort.
+A grid runs on one of two runtimes, chosen by ``runtime=``: in this
+process (``None``), or on a :class:`~repro.analysis.supervisor.
+SupervisorPool`, which dispatches tree groups as work units to worker
+processes and adds crash/hang detection, retries and a prompt abort.
+Both share the per-group record generator and **one failure rule**: a
+scenario that fails with a deterministic error (an infeasible cap, a
+bad parameter) is settled as a :class:`FailedRecord` at its stream
+position after one attempt; any other error is raised in process and
+retried on the pool.
 
 Execution properties, all property-tested:
 
 * **Deterministic order.** Each tree's scenarios expand p-major, then
   algorithm, then cap factor; records are emitted tree by tree in
-  stream order, so in-process and supervised runs with any number of
-  workers are byte-identical.
+  stream order, so the records and the checkpoint bytes are the same
+  on both runtimes and for any number of pool workers.
 * **Resumable checkpoints.** With ``checkpoint=path`` every record is
   appended to a JSONL file (flushed per record; see
   :mod:`repro.analysis.store`). ``resume=True`` streams the file back,
@@ -43,10 +46,12 @@ Execution properties, all property-tested:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro import registry
+from repro.core.engine import MemoryCapError
 from repro.core.prepared import PreparedTree
 from repro.core.schedule import processor_count
 from repro.core.simulator import simulate
@@ -56,7 +61,15 @@ from repro.workloads.dataset import TreeInstance, PROCESSOR_COUNTS
 from .experiments import FailedRecord, ScenarioRecord
 from .store import JsonlStore
 
+if TYPE_CHECKING:
+    from .supervisor import SupervisorPool
+
 __all__ = ["Campaign", "Scenario", "run_campaign"]
+
+#: errors that are a deterministic function of the scenario: another
+#: attempt cannot change the outcome, so on either runtime the scenario
+#: is settled at once as a :class:`FailedRecord` (see :func:`_failed`).
+_DETERMINISTIC = (MemoryCapError, ValueError, TypeError, KeyError)
 
 
 @dataclass(frozen=True)
@@ -156,9 +169,18 @@ class Campaign:
 # ----------------------------------------------------------------------
 # records of one tree group (in process, and inside supervised workers)
 # ----------------------------------------------------------------------
+def _failed(sc: Scenario, n: int, error: str, attempts: int = 1) -> FailedRecord:
+    """The record that settles a failed scenario at its stream position:
+    after one attempt for a :data:`_DETERMINISTIC` error (both runtimes),
+    after the last retry for any other failure (the supervised pool)."""
+    return FailedRecord(
+        tree=sc.tree, n=n, p=sc.p, heuristic=sc.label, error=error, attempts=attempts
+    )
+
+
 def _scenario_records(
     name: str,
-    prepared: PreparedTree,
+    prepare: Callable[[], PreparedTree],
     scenarios: Sequence[Scenario],
     validate: bool,
 ) -> Iterator[ScenarioRecord | Exception]:
@@ -166,8 +188,9 @@ def _scenario_records(
 
     Yields, in slice order, one :class:`ScenarioRecord` per scenario --
     or the exception that scenario raised, so one failing scenario
-    never hides the rest of the slice (the in-process run re-raises it,
-    a supervised worker reports it and goes on).
+    never hides the rest of the slice. When ``prepare()`` (the tree's
+    :class:`PreparedTree`) or the batched sweep fails, every scenario of
+    the slice yields that exception.
 
     The sequential memory lower bound is computed once per tree and
     shared across every scenario, exactly as in the paper (the bound
@@ -181,6 +204,7 @@ def _scenario_records(
     from repro.core.engine import sweep_batch
 
     try:
+        prepared = prepare()
         mem_lb = prepared.optimal().peak_memory
         specs = []
         idxs: list[int] = []
@@ -223,33 +247,36 @@ def run_campaign(
     instances: Iterable[TreeInstance],
     campaign: Campaign,
     *,
-    workers: int = 1,
+    runtime: "SupervisorPool | None" = None,
     checkpoint: str | None = None,
     resume: bool = False,
-    progress: bool = False,
-    supervise: bool = False,
-    retries: int = 2,
-    timeout: float | None = None,
-    backoff: float = 0.25,
-    fault_plan: "faults.FaultPlan | None" = None,
     retry_failed: bool = False,
-    report: list | None = None,
-    pool: "SupervisorPool | None" = None,
-    abort: "threading.Event | None" = None,
+    progress: bool = False,
 ) -> list[ScenarioRecord | FailedRecord]:
     """Execute a campaign grid, optionally resuming a checkpoint.
+
+    A scenario that raises a deterministic error (``MemoryCapError``
+    -- an infeasible cap -- ``ValueError``, ``TypeError``, ``KeyError``)
+    becomes a :class:`FailedRecord` (``error="<Type>: <message>"``,
+    ``attempts=1``) at its stream position, on either runtime. The
+    records and the checkpoint bytes do not depend on ``runtime``.
 
     Parameters
     ----------
     instances, campaign:
         the trees and the declarative grid to run over them.
-    workers:
-        worker processes. With ``workers <= 1`` (and none of
-        ``supervise``, ``pool`` or ``abort``) the grid runs in this
-        process;
-        anything more runs on the supervised pool of
-        :mod:`repro.analysis.supervisor`, one tree group per work
-        unit. Any value yields the identical record stream.
+    runtime:
+        ``None`` runs the grid in this process, one tree group after
+        the other; any other error than a deterministic one is raised.
+        A :class:`~repro.analysis.supervisor.SupervisorPool` runs it on
+        the pool's workers, one tree group per work unit, with the
+        pool's retry policy for crashes, timeouts and other errors,
+        its ``abort`` event, and its fault plan (also installed in this
+        process while the run lasts, so checkpoint appends see
+        truncate faults); the pool's ``report`` then holds the run's
+        :class:`~repro.analysis.supervisor.RunReport`. A pool is reused
+        across campaigns: a long-lived caller (the scheduling service)
+        pays spawn + probe + kernel warm-up once, not once per job.
     checkpoint:
         ``.jsonl`` path receiving every record as soon as it exists
         (flushed per record). Without ``resume`` the file is truncated
@@ -261,57 +288,15 @@ def run_campaign(
         scenario stream, and only missing scenarios are executed. The
         finished file is byte-identical to an uninterrupted run. A
         complete line that is not a record raises ``ValueError``.
-    progress:
-        print one line per completed tree.
-    supervise:
-        run on the supervised pool even with one worker: a dedicated
-        worker process with crash/hang detection, per-scenario retries
-        with exponential backoff, quarantine of poison scenarios as
-        :class:`FailedRecord` stream entries, and backend health
-        probing with graceful degradation (c -> python). ``workers >
-        1`` always runs supervised. The record stream -- and the
-        checkpoint -- is byte-identical to the in-process run.
-    retries:
-        supervised mode: how many times a scenario is *re*-tried after
-        an environmental failure (crash, timeout, transient error)
-        before being quarantined; deterministic scheduler errors
-        (infeasible caps, bad parameters) quarantine immediately.
-    timeout:
-        supervised mode: per-scenario wall-clock budget in seconds
-        (None or > 0, else ``ValueError`` before any worker starts);
-        a worker exceeding it is killed and the scenario retried.
-    backoff:
-        supervised mode: base of the exponential retry delay
-        (``backoff * 2**(attempt-1)`` seconds).
-    fault_plan:
-        deterministic fault injection
-        (:class:`repro.testing.faults.FaultPlan`) for the chaos tests
-        and the hidden ``--fault-plan`` CLI flag; default: the
-        ``REPRO_FAULT_PLAN`` environment variable, if set.
     retry_failed:
-        on resume, do not skip quarantined scenarios: the checkpoint
-        is truncated at the first :class:`FailedRecord` and everything
+        on resume, do not skip failed scenarios: the checkpoint is
+        truncated at the first :class:`FailedRecord` and everything
         from there is recomputed, healing the file to byte-identity
         with a fault-free run (when the fault is gone).
-    report:
-        optional mutable list; supervised runs append their
-        :class:`~repro.analysis.supervisor.RunReport` (per-scenario
-        attempts, backend fallbacks, respawns, timings).
-    pool:
-        a live :class:`~repro.analysis.supervisor.SupervisorPool` to
-        execute on (implies ``supervise``); the pool's workers,
-        backend choice and fault plan are reused across campaigns, so
-        a long-lived caller (the scheduling service) pays spawn +
-        probe + kernel warm-up once, not once per job.
-    abort:
-        a ``threading.Event`` (implies ``supervise``); once set, the
-        run stops between scenarios by raising
-        :class:`~repro.analysis.supervisor.CampaignAborted`.
-        Everything already emitted is in the checkpoint, so a resumed
-        run continues exactly where the aborted one stopped.
+    progress:
+        print one ``  done <tree> (n=...)`` line per completed tree on
+        stderr.
     """
-    if timeout is not None and not timeout > 0:
-        raise ValueError(f"timeout must be None or > 0 seconds, got {timeout}")
     instances = list(instances)
     groups = [campaign.scenarios_for(inst.name) for inst in instances]
     done = [0] * len(groups)
@@ -330,7 +315,7 @@ def run_campaign(
             keep = 0
             for k, record in enumerate(recovered):
                 if retry_failed and isinstance(record, FailedRecord):
-                    break  # recompute from the first quarantined scenario
+                    break  # recompute from the first failed scenario
                 if k >= len(expected):
                     total = k + 1 + sum(1 for _ in recovered)
                     raise ValueError(
@@ -360,10 +345,10 @@ def run_campaign(
         if ckstore is not None:
             ckstore.append(records)
         left[gi] -= len(records)
-        if progress and left[gi] == 0:  # pragma: no cover - cosmetic
-            print(f"  done {instances[gi].name} (n={instances[gi].tree.n})")
+        if progress and left[gi] == 0:
+            print(f"  done {instances[gi].name} (n={instances[gi].tree.n})", file=sys.stderr)
 
-    if workers <= 1 and not supervise and pool is None and abort is None:
+    if runtime is None:
         # In process: one preparation and one megabatch per tree group.
         seq = 0  # dispatch-stream index, as in the supervised workers
         for gi, inst in enumerate(instances):
@@ -371,47 +356,31 @@ def run_campaign(
             if not rest:
                 continue
             recs = []
-            outs = _scenario_records(inst.name, PreparedTree(inst.tree), rest, campaign.validate)
+            outs = _scenario_records(
+                inst.name, lambda: PreparedTree(inst.tree), rest, campaign.validate
+            )
             for sc in rest:
                 faults.maybe_slow(faults.scenario_key(sc.tree, sc.label, sc.p), seq, 0)
                 seq += 1
                 out = next(outs)
                 if isinstance(out, Exception):
-                    raise out
+                    if not isinstance(out, _DETERMINISTIC):
+                        raise out
+                    out = _failed(sc, inst.tree.n, f"{type(out).__name__}: {out}")
                 recs.append(out)
             emit(gi, recs)
     else:
-        from .supervisor import run_supervised
-
         tasks = [(gi, sc) for gi, grp in enumerate(groups) for sc in grp[done[gi]:]]
         # Install a programmatic plan parent-side too, so checkpoint
         # appends (which happen in this process) see truncate faults.
-        if fault_plan is not None:
-            faults.install(fault_plan)
-        kwargs: dict[str, Any] = dict(
-            validate=campaign.validate,
-            retries=retries,
-            timeout=timeout,
-            backoff=backoff,
-            emit=emit,
-            abort=abort,
-        )
+        plan = runtime.fault_plan
+        if plan is not None:
+            faults.install(plan)
         try:
-            if pool is not None:
-                run_report = pool.run(instances, tasks, **kwargs)
-            else:
-                run_report = run_supervised(
-                    instances,
-                    tasks,
-                    workers=max(1, workers),
-                    fault_plan=fault_plan,
-                    **kwargs,
-                )
+            runtime.run(instances, tasks, validate=campaign.validate, emit=emit)
         finally:
-            if fault_plan is not None:
+            if plan is not None:
                 faults.install(None)
-        if report is not None:
-            report.append(run_report)
 
     records: list[ScenarioRecord | FailedRecord] = []
     for gi in range(len(groups)):

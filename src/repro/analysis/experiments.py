@@ -67,12 +67,13 @@ class ScenarioRecord:
 
 @dataclass(frozen=True)
 class FailedRecord:
-    """A quarantined (poison) scenario in a supervised campaign.
+    """A failed (quarantined) scenario of a campaign, on either runtime.
 
     Written to the JSONL checkpoint at the scenario's stream position
-    when every attempt was exhausted (or the first attempt failed
-    deterministically), so the checkpoint stays a verifiable prefix of
-    the campaign's scenario stream. Shares the resume key fields
+    when the first attempt failed deterministically (in process or on
+    the worker pool), or when the pool exhausted every attempt, so the
+    checkpoint stays a verifiable prefix of the campaign's scenario
+    stream. Shares the resume key fields
     ``(tree, heuristic, p)`` with :class:`ScenarioRecord`; the
     ``failed`` marker is what tells the two apart on disk. A resumed
     campaign skips these by default and re-runs them (truncating the

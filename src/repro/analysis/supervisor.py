@@ -1,8 +1,10 @@
 """Supervised campaign execution: the fault-tolerant worker pool.
 
-Every multi-process campaign runs here: :func:`repro.analysis.campaign.
-run_campaign` stays in process for ``workers <= 1`` and hands anything
-else to a :class:`SupervisorPool`. Each worker is a dedicated
+A campaign runs here when :func:`repro.analysis.campaign.run_campaign`
+is given a :class:`SupervisorPool` as its ``runtime``. The pool owns
+everything only this runtime uses: its worker count, fault plan, retry
+policy (``retries``, ``timeout``, ``backoff``), ``abort`` event and the
+last run's :class:`RunReport`. Each worker is a dedicated
 ``multiprocessing.Process`` with its **own task queue** and its own
 result pipe. The supervisor hands a worker one **work
 unit** at a time -- a tree group of the scenario stream, prepared once
@@ -32,7 +34,9 @@ Failure policy
   (``backoff * 2**(attempt-1)`` seconds) on the next free worker.
 * **Deterministic scheduler errors** (``MemoryCapError`` -- an
   infeasible cap -- ``ValueError``/``TypeError``/``KeyError``) would
-  fail identically on every retry and are quarantined immediately.
+  fail identically on every retry and are quarantined immediately, by
+  the same rule as an in-process run (:func:`repro.analysis.campaign.
+  _failed`).
 * A scenario that exhausts ``retries + 1`` attempts is **quarantined**:
   a structured :class:`~repro.analysis.experiments.FailedRecord` takes
   its position in the record stream (and the JSONL checkpoint,
@@ -80,14 +84,13 @@ are told via a ``("begin", epoch, ...)`` control message (which also
 clears their per-run prepared-tree cache, since group indices are
 per-run), every task and result message carries the epoch, and the
 supervisor drops any result tagged with a stale epoch -- so a run
-aborted mid-flight can never leak records into the next one.
-:func:`run_supervised` remains the one-shot wrapper: build a pool, run
-once, tear it down.
+aborted mid-flight can never leak records into the next one. A
+one-off run is ``with SupervisorPool(...) as pool: run_campaign(...,
+runtime=pool)``.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import queue as queue_mod
 import select
@@ -98,12 +101,11 @@ from multiprocessing.connection import wait
 from typing import Any, Callable, Sequence
 
 from repro.core import engine
-from repro.core.engine import MemoryCapError
 from repro.core.prepared import PreparedTree
 from repro.testing import faults
 from repro.workloads.dataset import TreeInstance
 
-from .experiments import FailedRecord
+from .campaign import _DETERMINISTIC, _failed, _scenario_records
 
 __all__ = [
     "AttemptLog",
@@ -111,12 +113,7 @@ __all__ = [
     "RunReport",
     "ScenarioReport",
     "SupervisorPool",
-    "run_supervised",
 ]
-
-#: errors that are a deterministic function of the scenario: retrying
-#: cannot change the outcome, so the scenario is quarantined at once.
-_DETERMINISTIC = (MemoryCapError, ValueError, TypeError, KeyError)
 
 #: how long a worker gets from spawn to its "ready" message before the
 #: supervisor declares it stillborn (first startup may compile the C
@@ -267,8 +264,6 @@ def _serve(
     an injected crash (which fires before any message of its scenario)
     can only land *between* two messages, never tear one.
     """
-    from .campaign import _scenario_records
-
     put = results.send
 
     faults.install(faults.FaultPlan.from_json(plan_json) if plan_json else None)
@@ -308,12 +303,9 @@ def _serve(
             cache.clear()  # group indices are per-run
             continue
         _, ep, gi, inst, seqs, scenarios, attempts = msg
-        try:
-            prepared = _prepared_for(inst, gi, cache)
-        except Exception as exc:
-            outs = itertools.repeat(exc)
-        else:
-            outs = _scenario_records(inst.name, prepared, scenarios, validate)
+        outs = _scenario_records(
+            inst.name, lambda: _prepared_for(inst, gi, cache), scenarios, validate
+        )
         for seq, sc, attempt in zip(seqs, scenarios, attempts):
             key = faults.scenario_key(sc.tree, sc.label, sc.p)
             faults.maybe_crash(key, seq, attempt)
@@ -386,11 +378,39 @@ class SupervisorPool:
 
     Workers survive between :meth:`run` calls, so a sequence of runs
     (the scheduling service's job queue) pays spawn + backend probe +
-    kernel warm-up once per worker rather than once per run. The fault
-    plan is fixed at construction (``fault_plan=None`` adopts the
-    process's installed plan, e.g. from ``REPRO_FAULT_PLAN``) and is
-    re-installed into every respawned worker. Call :meth:`close` (or
-    use the pool as a context manager) to tear the workers down.
+    kernel warm-up once per worker rather than once per run. Call
+    :meth:`close` (or use the pool as a context manager) to tear the
+    workers down.
+
+    Settings (a value out of range raises ``ValueError`` here, before
+    any worker starts):
+
+    ``workers``
+        worker processes (>= 1).
+    ``fault_plan``
+        deterministic fault injection
+        (:class:`repro.testing.faults.FaultPlan`), fixed at
+        construction and re-installed into every respawned worker;
+        ``None`` adopts the process's installed plan (e.g. from
+        ``REPRO_FAULT_PLAN``).
+    ``retries``
+        how many times a scenario is *re*-tried after an environmental
+        failure (crash, timeout, transient error) before it is
+        quarantined (>= 0); deterministic errors quarantine at once.
+    ``timeout``
+        per-scenario wall-clock budget in seconds (None or > 0); a
+        worker exceeding it is killed and the scenario retried.
+    ``backoff``
+        base of the exponential retry delay, ``backoff *
+        2**(attempt-1)`` seconds (>= 0).
+    ``abort``
+        an optional ``threading.Event``; once set, a run stops between
+        scenarios by raising :class:`CampaignAborted`.
+
+    ``retries``, ``timeout``, ``backoff`` and ``abort`` are read at the
+    start of each run, so a caller that owns the pool (the scheduling
+    service) may set them between runs. ``report`` is the last run's
+    :class:`RunReport`.
     """
 
     def __init__(
@@ -398,15 +418,33 @@ class SupervisorPool:
         *,
         workers: int = 1,
         fault_plan: "faults.FaultPlan | None" = None,
+        retries: int = 2,
+        timeout: float | None = None,
+        backoff: float = 0.25,
+        abort=None,
     ) -> None:
         import multiprocessing
 
+        if not workers >= 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if not retries >= 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        if timeout is not None and not timeout > 0:
+            raise ValueError(f"timeout must be None or > 0 seconds, got {timeout}")
+        if not backoff >= 0:
+            raise ValueError(f"backoff must be >= 0 seconds, got {backoff}")
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = multiprocessing.get_context()
         self._ctx = ctx
-        self.workers = max(1, workers)
+        self.workers = workers
+        self.fault_plan = fault_plan
+        self.retries = retries
+        self.timeout = timeout
+        self.backoff = backoff
+        self.abort = abort
+        self.report: RunReport | None = None
         plan = fault_plan if fault_plan is not None else faults.active_plan()
         self._plan_json = plan.to_json() if plan is not None else None
         self._pool: list[_Worker] = []
@@ -478,11 +516,7 @@ class SupervisorPool:
         tasks: Sequence[tuple[int, Any]],
         *,
         validate: bool = False,
-        retries: int = 2,
-        timeout: float | None = None,
-        backoff: float = 0.25,
         emit: Callable[[int, list], None],
-        abort=None,
     ) -> RunReport:
         """Run ``tasks`` (a ``(group index, Scenario)`` stream) supervised.
 
@@ -490,15 +524,15 @@ class SupervisorPool:
         stream order**, a :class:`ScenarioRecord` or (for quarantined
         scenarios) a :class:`FailedRecord`: each call hands over the
         settled records of one tree group that a loop turn collected,
-        so a checkpoint pays one append per batch. ``timeout`` is a
-        per-scenario wall-clock budget in seconds (the first scenario
-        of a unit also carries the unit's batched sweep). ``abort`` is
-        an optional ``threading.Event``; once set, the run raises
-        :class:`CampaignAborted` at the next loop turn (in-flight
-        workers finish their unit in the background and the epoch
-        filter discards the stale results). Returns the
-        :class:`RunReport`. Raises ``RuntimeError`` if no worker can
-        find a usable backend or the respawn budget is exhausted.
+        so a checkpoint pays one append per batch. The pool's
+        ``timeout`` also covers the unit's batched sweep, which the
+        first scenario of a unit carries. Once the pool's ``abort`` is
+        set, the run raises :class:`CampaignAborted` at the next loop
+        turn (in-flight workers finish their unit in the background and
+        the epoch filter discards the stale results). Returns the
+        :class:`RunReport`, also kept as ``self.report``. Raises
+        ``RuntimeError`` if no worker can find a usable backend or the
+        respawn budget is exhausted.
         """
         if self._closed:
             raise RuntimeError("SupervisorPool is closed")
@@ -507,8 +541,9 @@ class SupervisorPool:
         self._epoch += 1
         epoch = self._epoch
         workers = self.workers
+        retries, timeout, backoff, abort = self.retries, self.timeout, self.backoff, self.abort
 
-        report = RunReport(workers=workers)
+        self.report = report = RunReport(workers=workers)
         report.scenarios = [
             ScenarioReport(key=faults.scenario_key(sc.tree, sc.label, sc.p))
             for _, sc in tasks
@@ -560,14 +595,7 @@ class SupervisorPool:
             )
             if deterministic or attempts_used[seq] > retries:
                 gi, sc = tasks[seq]
-                outcome[seq] = FailedRecord(
-                    tree=sc.tree,
-                    n=instances[gi].tree.n,
-                    p=sc.p,
-                    heuristic=sc.label,
-                    error=detail,
-                    attempts=attempts_used[seq],
-                )
+                outcome[seq] = _failed(sc, instances[gi].tree.n, detail, attempts_used[seq])
                 report.scenarios[seq].status = "failed"
             else:
                 eligible[seq] = time.monotonic() + backoff * (2 ** (attempts_used[seq] - 1))
@@ -747,35 +775,3 @@ class SupervisorPool:
         report.elapsed = time.monotonic() - t_run
         return report
 
-
-def run_supervised(
-    instances: Sequence[TreeInstance],
-    tasks: Sequence[tuple[int, Any]],
-    *,
-    validate: bool = False,
-    workers: int = 1,
-    retries: int = 2,
-    timeout: float | None = None,
-    backoff: float = 0.25,
-    fault_plan: "faults.FaultPlan | None" = None,
-    emit: Callable[[int, list], None],
-    abort=None,
-) -> RunReport:
-    """One-shot supervised run: build a pool, run once, tear it down.
-
-    See :meth:`SupervisorPool.run` for the contract.
-    """
-    pool = SupervisorPool(workers=workers, fault_plan=fault_plan)
-    try:
-        return pool.run(
-            instances,
-            tasks,
-            validate=validate,
-            retries=retries,
-            timeout=timeout,
-            backoff=backoff,
-            emit=emit,
-            abort=abort,
-        )
-    finally:
-        pool.close()

@@ -5,8 +5,9 @@ Every experiment subcommand (``run``, ``campaign``, ``table1``,
 :class:`~repro.analysis.campaign.Campaign` over the data set through
 :func:`~repro.analysis.campaign.run_campaign` and only formats the
 records. A bad grid option (an unknown algorithm, ``p < 1``, a bad cap,
-``--limit < 0``, ``--workers < 1``, a foreign ``--resume`` checkpoint)
-prints one line on stderr and exits 2.
+``--limit < 0``, ``--workers < 1``, a foreign ``--resume`` checkpoint,
+a missing or corrupt ``--records`` file) prints one line on stderr and
+exits 2.
 
 Examples
 --------
@@ -69,17 +70,21 @@ def _run_grid(
     processor_counts=None,
     instances=None,
     note: str = "",
+    pool: dict | None = None,
     **run,
 ) -> list:
     """The CLI's one grid path: ``algorithms`` x ``--processors`` (or
     ``processor_counts``) x ``cap_factors`` as one :class:`Campaign`
     (``--verbose`` validates every schedule) over the data set of
     ``--scale``/``--limit`` (or ``instances``), run by ``run_campaign``
-    with ``--workers`` and ``--verbose`` progress; ``run`` holds extra
-    ``run_campaign`` keywords. Bad input -- an option out of range, an
-    unknown algorithm, a checkpoint of another campaign -- raises
-    :class:`_BadInput`."""
+    with ``--verbose`` progress; ``run`` holds extra ``run_campaign``
+    keywords. With ``--workers`` > 1 or a ``pool`` (the settings of a
+    supervised run) the grid runs on a ``SupervisorPool`` of
+    ``--workers`` workers, and ``--report`` prints its run report. Bad
+    input -- an option out of range, an unknown algorithm, a checkpoint
+    of another campaign -- raises :class:`_BadInput`."""
     from repro.analysis.campaign import Campaign, run_campaign
+    from repro.analysis.supervisor import SupervisorPool
 
     try:
         limit = getattr(args, "limit", 0)
@@ -107,11 +112,28 @@ def _run_grid(
         file=sys.stderr,
     )
     try:
-        return run_campaign(
-            instances, campaign, workers=args.workers, progress=args.verbose, **run
-        )
+        if pool is None and args.workers == 1:
+            return run_campaign(instances, campaign, progress=args.verbose, **run)
+        with SupervisorPool(workers=args.workers, **(pool or {})) as runtime:
+            records = run_campaign(
+                instances, campaign, runtime=runtime, progress=args.verbose, **run
+            )
     except ValueError as exc:  # a foreign or corrupt checkpoint, a bad --timeout
         raise _BadInput(f"{args.command}: {exc}") from None
+    if getattr(args, "report", False):
+        print(runtime.report.summary())
+    return records
+
+
+def _records_file(args: argparse.Namespace):
+    """The measured records of the ``--records`` file, as columns; a
+    missing, corrupt or non-``.jsonl`` path raises :class:`_BadInput`."""
+    from repro.analysis import open_store
+
+    try:
+        return open_store(args.records).columns(include_failed=False)
+    except (OSError, ValueError) as exc:
+        raise _BadInput(f"{args.command}: --records: {exc}") from None
 
 
 def _heuristics() -> tuple[str, ...]:
@@ -140,9 +162,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.analysis import compute_table1_stats, render_table1, save_records, table1_csv
 
     if args.records:
-        from repro.analysis import open_store
-
-        records = open_store(args.records).columns(include_failed=False)
+        records = _records_file(args)
         print(
             f"loaded {len(records)} records from {args.records}", file=sys.stderr
         )
@@ -288,11 +308,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     instances = _instances(args)
     if args.records:
-        from repro.analysis import open_store
-
         # columns straight from the file: every section (table 1,
         # groupby, figures) runs on the vectorised paths
-        records = open_store(args.records).columns(include_failed=False)
+        records = _records_file(args)
     else:
         records = _run_grid(args, _heuristics(), instances=instances)
     text = build_report(records, instances)
@@ -350,7 +368,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         or args.workers > 1
         or args.timeout is not None
         or fault_plan is not None
-        or args.retry_failed
         or args.report
     )
     checkpoint = args.resume or (
@@ -371,7 +388,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     previous = {
         s: signal.signal(s, _on_signal) for s in (signal.SIGINT, signal.SIGTERM)
     }
-    reports: list = []
     try:
         records = _run_grid(
             args,
@@ -381,12 +397,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             note=note,
             checkpoint=checkpoint,
             resume=bool(args.resume),
-            supervise=supervise,
-            retries=args.retries,
-            timeout=args.timeout,
-            fault_plan=fault_plan,
             retry_failed=args.retry_failed,
-            report=reports,
+            pool=(
+                dict(retries=args.retries, timeout=args.timeout, fault_plan=fault_plan)
+                if supervise
+                else None
+            ),
         )
     except _Interrupted as exc:
         name = signal.Signals(exc.signum).name
@@ -425,9 +441,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "--retry-failed to heal)",
             file=sys.stderr,
         )
-    if args.report:
-        for rep in reports:
-            print(rep.summary())
     if args.output and args.output != checkpoint:
         from repro.analysis import save_records
 
@@ -605,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="on --resume, recompute quarantined scenarios instead of "
         "skipping them (truncates the checkpoint at the first failed "
-        "record; implies --supervise)",
+        "record)",
     )
     sp.add_argument(
         "--report",

@@ -282,18 +282,19 @@ class SchedulerService:
         try:
             instances = payload_mod.to_instances(spec)
             campaign = payload_mod.to_campaign(spec)
-            reports: list = []
+            # this thread is the pool's only user: the job's settings
+            # hold for exactly this run
+            pool = self._pool_for()
+            pool.retries = int(cfg["retries"])
+            pool.timeout = cfg["timeout"]
+            pool.backoff = float(cfg["backoff"])
+            pool.abort = abort
             records = run_campaign(
                 instances,
                 campaign,
+                runtime=pool,
                 checkpoint=job.records_path,
                 resume=os.path.exists(job.records_path),
-                retries=int(cfg["retries"]),
-                timeout=cfg["timeout"],
-                backoff=float(cfg["backoff"]),
-                report=reports,
-                pool=self._pool_for(),
-                abort=abort,
             )
             detail = {
                 "scenarios": len(records),
@@ -301,8 +302,8 @@ class SchedulerService:
                     1 for r in records if type(r).__name__ == "FailedRecord"
                 ),
                 "elapsed": time.monotonic() - t0,
-                "respawns": reports[0].respawns,
-                "retried": len(reports[0].retried),
+                "respawns": pool.report.respawns,
+                "retried": len(pool.report.retried),
             }
             self.jobs.transition(jid, "done", detail=detail)
             self._done_jobs += 1

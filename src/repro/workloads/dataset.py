@@ -69,8 +69,8 @@ def build_dataset(
     scale:
         collection scale (``tiny`` / ``small`` / ``medium`` / ``large``;
         the ``large`` tier builds much bigger random and multifrontal
-        assembly trees -- sized for supervised campaigns, i.e.
-        ``run_campaign(..., workers=N)``).
+        assembly trees -- sized for campaigns on a worker pool, i.e.
+        ``run_campaign(..., runtime=SupervisorPool(workers=N))``).
     orderings:
         subset of ``{"nd", "md", "rcm"}`` (default: the paper's two).
     amalgamations:

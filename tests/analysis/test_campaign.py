@@ -9,6 +9,7 @@ import os
 import pytest
 
 from repro.analysis.campaign import Campaign, Scenario, run_campaign
+from repro.analysis.supervisor import SupervisorPool
 from repro.analysis.experiments import (
     FailedRecord,
     ScenarioRecord,
@@ -111,18 +112,28 @@ class TestRunCampaign:
                     ))
         assert run_campaign(instances, camp) == expected
 
-    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
-    def test_non_positive_timeout_rejected_before_any_worker(
-        self, instances, campaign, timeout, monkeypatch
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"timeout": 0}, "timeout"),
+            ({"timeout": -1.0}, "timeout"),
+            ({"timeout": float("nan")}, "timeout"),
+            ({"workers": 0}, "workers must be >= 1"),
+            ({"workers": -2}, "workers must be >= 1"),
+            ({"retries": -1}, "retries must be >= 0"),
+            ({"backoff": -0.5}, "backoff must be >= 0"),
+            ({"backoff": float("nan")}, "backoff must be >= 0"),
+        ],
+    )
+    def test_bad_pool_setting_rejected_before_any_worker(
+        self, setting, match, monkeypatch
     ):
-        from repro.analysis import supervisor
+        def no_spawn(*_a, **_k):
+            raise AssertionError("a worker was started")
 
-        def no_pool(*_a, **_k):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(supervisor, "run_supervised", no_pool)
-        with pytest.raises(ValueError, match="timeout"):
-            run_campaign(instances, campaign, supervise=True, timeout=timeout)
+        monkeypatch.setattr(SupervisorPool, "_spawn", no_spawn)
+        with pytest.raises(ValueError, match=match):
+            SupervisorPool(**setting)
 
     def test_cap_grid_records(self, instances, campaign):
         records = run_campaign(instances, campaign)
@@ -141,32 +152,47 @@ class TestRunCampaign:
         """One tree, more workers than trees: the group is split into
         contiguous units across the workers, same records, same bytes."""
         serial = run_campaign(instances[:1], campaign)
-        split = run_campaign(instances[:1], campaign, workers=workers)
+        with SupervisorPool(workers=workers) as pool:
+            split = run_campaign(instances[:1], campaign, runtime=pool)
         assert split == serial
         a, b = str(tmp_path / "serial.json"), str(tmp_path / "split.json")
         save_records(serial, a)
         save_records(split, b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_one_worker_runs_in_process(self, instances, campaign, monkeypatch):
-        import repro.analysis.supervisor as supervisor_mod
+    def test_no_runtime_runs_in_process(self, instances, campaign, monkeypatch):
+        with SupervisorPool(workers=3) as pool:
+            ref = run_campaign(instances, campaign, runtime=pool)
 
         def boom(*args, **kwargs):
-            raise AssertionError("workers=1 must not start a worker pool")
+            raise AssertionError("runtime=None must not start a worker pool")
 
-        ref = run_campaign(instances, campaign, workers=3)
-        monkeypatch.setattr(supervisor_mod.SupervisorPool, "__init__", boom)
-        assert run_campaign(instances, campaign, workers=1) == ref
+        monkeypatch.setattr(SupervisorPool, "__init__", boom)
+        assert run_campaign(instances, campaign) == ref
 
-    def test_workers_quarantine_infeasible_cap_in_stream_position(self, instances):
-        """workers > 1 is supervised: a deterministic scenario error
-        becomes a FailedRecord at that scenario's stream position."""
+    @pytest.mark.parametrize("workers", [None, 2], ids=["in-process", "pool"])
+    def test_workers_quarantine_infeasible_cap_in_stream_position(
+        self, instances, tmp_path, workers
+    ):
+        """One failure rule on both runtimes: a deterministic scenario
+        error becomes a FailedRecord (one attempt) at that scenario's
+        stream position, with the records and the checkpoint bytes of
+        the other runtime."""
         camp = Campaign(
             algorithms=("ParDeepestFirst", "MemoryBounded"),
             processor_counts=(2, 4),
             cap_factors=(0.05, 2.0),  # 0.05: far below the sequential optimum
         )
-        records = run_campaign(instances, camp, workers=2)
+
+        def run(runtime_workers, name):
+            path = str(tmp_path / name)
+            if runtime_workers is None:
+                return run_campaign(instances, camp, checkpoint=path), path
+            with SupervisorPool(workers=runtime_workers) as pool:
+                return run_campaign(instances, camp, runtime=pool, checkpoint=path), path
+
+        records, path = run(workers, "records.jsonl")
+        other, other_path = run(2 if workers is None else None, "other.jsonl")
         expected = [
             sc.key() for inst in instances for sc in camp.scenarios_for(inst.name)
         ]
@@ -176,6 +202,49 @@ class TestRunCampaign:
             assert isinstance(r, FailedRecord) == infeasible
             if infeasible:
                 assert "MemoryCapError" in r.error and r.attempts == 1
+        assert records == other
+        assert open(path, "rb").read() == open(other_path, "rb").read()
+
+    def test_in_process_raises_other_errors(self, instances, campaign, monkeypatch):
+        """Only the deterministic error class is settled as a record;
+        anything else still propagates out of an in-process run."""
+        from repro.analysis import campaign as campaign_mod
+
+        def oom(*_a, **_k):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(campaign_mod, "simulate", oom)
+        with pytest.raises(MemoryError):
+            run_campaign(instances, campaign)
+
+    def test_prepare_failure_settles_its_group(self, instances, campaign, monkeypatch):
+        """A deterministic failure to prepare a tree settles every
+        scenario of that tree's group, and no other."""
+        from repro.analysis import campaign as campaign_mod
+
+        real = campaign_mod.PreparedTree
+
+        def prepare(tree):
+            if tree is instances[1].tree:
+                raise ValueError("unpreparable tree")
+            return real(tree)
+
+        monkeypatch.setattr(campaign_mod, "PreparedTree", prepare)
+        records = run_campaign(instances, campaign)
+        per_tree = len(campaign.scenarios_for("-"))
+        assert len(records) == 3 * per_tree
+        for r in records:
+            assert isinstance(r, FailedRecord) == (r.tree == "t1")
+            if r.tree == "t1":
+                assert r.error == "ValueError: unpreparable tree" and r.attempts == 1
+
+    def test_progress_lines_go_to_stderr(self, instances, campaign, capsys):
+        run_campaign(instances, campaign, progress=True)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"  done {inst.name} (n={inst.tree.n})" for inst in instances
+        ]
 
     def test_checkpoint_requires_jsonl(self, instances, campaign, tmp_path):
         with pytest.raises(ValueError, match="jsonl"):
@@ -185,7 +254,8 @@ class TestRunCampaign:
 
     def test_checkpoint_stream_matches_records(self, instances, campaign, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
-        records = run_campaign(instances, campaign, checkpoint=path, workers=2)
+        with SupervisorPool(workers=2) as pool:
+            records = run_campaign(instances, campaign, checkpoint=path, runtime=pool)
         assert load_records(path) == records
 
 
@@ -266,13 +336,14 @@ class TestResume:
         part = str(tmp_path / "part.jsonl")
         with open(part, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
-        resumed = run_campaign(
-            instances,
-            campaign,
-            checkpoint=part,
-            resume=True,
-            workers=2,
-        )
+        with SupervisorPool(workers=2) as pool:
+            resumed = run_campaign(
+                instances,
+                campaign,
+                checkpoint=part,
+                resume=True,
+                runtime=pool,
+            )
         assert resumed == records
         assert open(part, "rb").read() == blob
 

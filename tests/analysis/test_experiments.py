@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.campaign import Campaign, run_campaign
+from repro.analysis.supervisor import SupervisorPool
 from repro.analysis.experiments import (
     ScenarioRecord,
     load_records,
@@ -13,12 +14,18 @@ from repro.workloads.dataset import TreeInstance
 from repro.workloads.synthetic import random_weighted_tree
 
 
-def paper_grid(instances, processor_counts, algorithms=tuple(HEURISTICS), validate=False, **run):
-    """The paper's Section 6 grid (the four heuristics by default)."""
+def paper_grid(
+    instances, processor_counts, algorithms=tuple(HEURISTICS), validate=False, workers=None, **run
+):
+    """The paper's Section 6 grid (the four heuristics by default), in
+    process or on a pool of ``workers``."""
     campaign = Campaign(
         algorithms=tuple(algorithms), processor_counts=processor_counts, validate=validate
     )
-    return run_campaign(instances, campaign, **run)
+    if workers is None:
+        return run_campaign(instances, campaign, **run)
+    with SupervisorPool(workers=workers) as pool:
+        return run_campaign(instances, campaign, runtime=pool, **run)
 
 
 @pytest.fixture
@@ -60,7 +67,7 @@ class TestRunner:
 
 class TestBatchPipeline:
     def test_parallel_records_byte_identical(self, instances, tmp_path):
-        """workers=N must reproduce the serial record stream exactly."""
+        """A pool of N workers must reproduce the serial record stream exactly."""
         serial = paper_grid(instances, (2, 4))
         fanned = paper_grid(instances, (2, 4), workers=3)
         assert fanned == serial

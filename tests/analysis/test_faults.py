@@ -37,7 +37,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.store import JsonlStore
 import repro.analysis.supervisor as supervisor_mod
-from repro.analysis.supervisor import RunReport
+from repro.analysis.supervisor import SupervisorPool
 from repro.testing.faults import (
     CRASH_EXIT,
     ENV_VAR,
@@ -171,9 +171,8 @@ class TestSupervisedEquivalence:
     ):
         records, ref_path = reference
         path = tmp_path / "supervised.jsonl"
-        got = run_campaign(
-            instances, campaign, checkpoint=str(path), supervise=True, workers=workers
-        )
+        with SupervisorPool(workers=workers) as pool:
+            got = run_campaign(instances, campaign, checkpoint=str(path), runtime=pool)
         assert got == records
         assert filecmp.cmp(str(ref_path), str(path), shallow=False)
 
@@ -183,7 +182,8 @@ class TestSupervisedEquivalence:
         ref = tmp_path / "ref.jsonl"
         records = run_campaign(instances[:1], campaign, checkpoint=str(ref))
         path = tmp_path / "split.jsonl"
-        got = run_campaign(instances[:1], campaign, checkpoint=str(path), workers=3)
+        with SupervisorPool(workers=3) as pool:
+            got = run_campaign(instances[:1], campaign, checkpoint=str(path), runtime=pool)
         assert got == records
         assert filecmp.cmp(str(ref), str(path), shallow=False)
 
@@ -199,16 +199,15 @@ class TestSupervisedEquivalence:
 
         monkeypatch.setattr(supervisor_mod.time, "sleep", no_sleep)
         path = tmp_path / "supervised.jsonl"
-        got = run_campaign(
-            instances, campaign, checkpoint=str(path), supervise=True, workers=2
-        )
+        with SupervisorPool(workers=2) as pool:
+            got = run_campaign(instances, campaign, checkpoint=str(path), runtime=pool)
         assert got == records
         assert filecmp.cmp(str(ref_path), str(path), shallow=False)
 
     def test_report_records_backends_and_clean_run(self, instances, campaign):
-        reports: list[RunReport] = []
-        run_campaign(instances, campaign, supervise=True, workers=2, report=reports)
-        (rep,) = reports
+        with SupervisorPool(workers=2) as pool:
+            run_campaign(instances, campaign, runtime=pool)
+        rep = pool.report
         assert rep.workers == 2
         assert len(rep.backends) >= 1
         for _wid, chosen, _skipped in rep.backends:
@@ -238,22 +237,13 @@ class TestChaosEquivalence:
             )
         )
         path = tmp_path / "chaos.jsonl"
-        reports: list[RunReport] = []
-        got = run_campaign(
-            instances,
-            campaign,
-            checkpoint=str(path),
-            supervise=True,
-            workers=2,
-            retries=2,
-            timeout=1.0,
-            backoff=0.05,
-            fault_plan=plan,
-            report=reports,
-        )
+        with SupervisorPool(
+            workers=2, retries=2, timeout=1.0, backoff=0.05, fault_plan=plan
+        ) as pool:
+            got = run_campaign(instances, campaign, checkpoint=str(path), runtime=pool)
         assert got == records
         assert filecmp.cmp(str(ref_path), str(path), shallow=False)
-        (rep,) = reports
+        rep = pool.report
         assert rep.respawns >= 1  # the crashed worker was replaced
         statuses = {a.status for s in rep.scenarios for a in s.attempts}
         assert "crash" in statuses and "timeout" in statuses
@@ -270,15 +260,8 @@ class TestChaosEquivalence:
         plan = FaultPlan(
             tuple(Fault(kind="crash", index=i, attempts=(0,)) for i in (0, 4, 8, 11))
         )
-        got = run_campaign(
-            instances,
-            campaign,
-            supervise=True,
-            workers=2,
-            retries=1,
-            backoff=0.02,
-            fault_plan=plan,
-        )
+        with SupervisorPool(workers=2, retries=1, backoff=0.02, fault_plan=plan) as pool:
+            got = run_campaign(instances, campaign, runtime=pool)
         assert got == records
 
 
@@ -296,18 +279,13 @@ class TestChaosEquivalence:
         run_campaign(instances[:1], camp, checkpoint=str(ref))
         monkeypatch.setattr(supervisor_mod.time, "sleep", lambda s: 1 / 0)
         path = tmp_path / "crash.jsonl"
-        reports: list[RunReport] = []
-        run_campaign(
-            instances[:1],
-            camp,
-            checkpoint=str(path),
-            supervise=True,
+        with SupervisorPool(
             workers=1,
             backoff=0.02,
             fault_plan=FaultPlan((Fault(kind="crash", index=2, attempts=(0,)),)),
-            report=reports,
-        )
-        (rep,) = reports
+        ) as pool:
+            run_campaign(instances[:1], camp, checkpoint=str(path), runtime=pool)
+        rep = pool.report
         assert len(rep.scenarios) == 6
         trails = [[(a.attempt, a.status) for a in s.attempts] for s in rep.scenarios]
         assert trails[2] == [(0, "crash"), (1, "ok")]
@@ -329,17 +307,8 @@ class TestQuarantine:
         self, instances, campaign, tmp_path
     ):
         path = tmp_path / "poison.jsonl"
-        reports: list[RunReport] = []
-        got = run_campaign(
-            instances,
-            campaign,
-            checkpoint=str(path),
-            supervise=True,
-            retries=1,
-            backoff=0.02,
-            fault_plan=self.poison_plan(),
-            report=reports,
-        )
+        with SupervisorPool(retries=1, backoff=0.02, fault_plan=self.poison_plan()) as pool:
+            got = run_campaign(instances, campaign, checkpoint=str(path), runtime=pool)
         failed = [r for r in got if isinstance(r, FailedRecord)]
         assert len(failed) == 1
         (fr,) = failed
@@ -353,25 +322,20 @@ class TestQuarantine:
         ]
         assert [(r["tree"], r["heuristic"], r["p"]) for r in rows] == expected
         assert [bool(r.get("failed")) for r in rows].count(True) == 1
-        (rep,) = reports
+        rep = pool.report
         assert [s.key for s in rep.quarantined] == [self.POISON]
 
     def test_resume_skips_failed_records_by_default(
         self, instances, campaign, tmp_path
     ):
         path = tmp_path / "poison.jsonl"
-        first = run_campaign(
-            instances,
-            campaign,
-            checkpoint=str(path),
-            supervise=True,
-            retries=0,
-            fault_plan=self.poison_plan(),
-        )
+        with SupervisorPool(retries=0, fault_plan=self.poison_plan()) as pool:
+            first = run_campaign(instances, campaign, checkpoint=str(path), runtime=pool)
         before = path.read_bytes()
-        resumed = run_campaign(
-            instances, campaign, checkpoint=str(path), resume=True, supervise=True
-        )
+        with SupervisorPool() as pool:
+            resumed = run_campaign(
+                instances, campaign, checkpoint=str(path), resume=True, runtime=pool
+            )
         assert resumed == first  # nothing recomputed, failure preserved
         assert path.read_bytes() == before
 
@@ -380,22 +344,17 @@ class TestQuarantine:
     ):
         records, ref_path = reference
         path = tmp_path / "poison.jsonl"
-        run_campaign(
-            instances,
-            campaign,
-            checkpoint=str(path),
-            supervise=True,
-            retries=0,
-            fault_plan=self.poison_plan(),
-        )
-        healed = run_campaign(
-            instances,
-            campaign,
-            checkpoint=str(path),
-            resume=True,
-            supervise=True,
-            retry_failed=True,  # the fault is gone: recompute from there
-        )
+        with SupervisorPool(retries=0, fault_plan=self.poison_plan()) as pool:
+            run_campaign(instances, campaign, checkpoint=str(path), runtime=pool)
+        with SupervisorPool() as pool:
+            healed = run_campaign(
+                instances,
+                campaign,
+                checkpoint=str(path),
+                resume=True,
+                runtime=pool,
+                retry_failed=True,  # the fault is gone: recompute from there
+            )
         assert healed == records
         assert filecmp.cmp(str(ref_path), str(path), shallow=False)
 
@@ -407,15 +366,13 @@ class TestQuarantine:
             processor_counts=(2,),
             cap_factors=(0.05,),  # far below the sequential optimum
         )
-        reports: list[RunReport] = []
-        got = run_campaign(
-            instances[:1], camp, supervise=True, retries=3, report=reports
-        )
+        with SupervisorPool(retries=3) as pool:
+            got = run_campaign(instances[:1], camp, runtime=pool)
         (fr,) = got
         assert isinstance(fr, FailedRecord)
         assert fr.attempts == 1  # quarantined on first sight
         assert "MemoryCapError" in fr.error
-        (rep,) = reports
+        rep = pool.report
         assert rep.quarantined and len(rep.quarantined[0].attempts) == 1
 
     def test_recover_round_trips_failed_records(self, tmp_path):
@@ -555,10 +512,10 @@ class TestKillResume:
     healed checkpoint must be byte-identical to an undisturbed run."""
 
     MODES = {
-        "megabatch-serial": ({"workers": 1}, {}),
-        "pooled": ({"workers": 2}, {}),
+        "megabatch-serial": (None, {}),
+        "pooled": (2, {}),
         # one tree split into two units of four scenarios each
-        "single-tree-split": ({"workers": 2}, {"sizes": (45,), "procs": (2, 4, 8, 16)}),
+        "single-tree-split": (2, {"sizes": (45,), "procs": (2, 4, 8, 16)}),
     }
 
     @pytest.fixture(scope="class")
@@ -581,13 +538,17 @@ class TestKillResume:
     def test_sigkill_then_resume_is_byte_identical(
         self, mode, references, tmp_path
     ):
-        kwargs, grid = self.MODES[mode]
+        workers, grid = self.MODES[mode]
         ck = tmp_path / "ck.jsonl"
         code = (
             _GRID_SRC
             + f"""
+import contextlib
+from repro.analysis.supervisor import SupervisorPool
 instances, campaign = make_grid(**{grid!r})
-run_campaign(instances, campaign, checkpoint={str(ck)!r}, **{kwargs!r})
+workers = {workers!r}
+with SupervisorPool(workers=workers) if workers else contextlib.nullcontext() as runtime:
+    run_campaign(instances, campaign, checkpoint={str(ck)!r}, runtime=runtime)
 """
         )
         env = {**os.environ, ENV_VAR: _SLOW_PLAN.to_json(), "PYTHONPATH": _pythonpath()}

@@ -345,8 +345,8 @@ _DIR_ENTRY_POINTS = {
     "run_campaign": lambda d, instances, campaign: run_campaign(
         instances, campaign, checkpoint=d
     ),
-    "cli-table1-records": lambda d, *_: main(["table1", "--records", d]),
-    "cli-report-records": lambda d, *_: main(
+    "cli-table1-records": lambda d, *_: _exit_2_as_value_error(["table1", "--records", d]),
+    "cli-report-records": lambda d, *_: _exit_2_as_value_error(
         ["report", "--scale", "tiny", "--records", d]
     ),
     "cli-campaign-resume": lambda d, *_: _exit_2_as_value_error(
@@ -357,8 +357,9 @@ _DIR_ENTRY_POINTS = {
 
 
 def _exit_2_as_value_error(argv):
-    """Run a grid subcommand, which reports a bad checkpoint as its last
-    stderr line and exit code 2; raise that line as ``ValueError``."""
+    """Run a grid subcommand, which reports a bad checkpoint or records
+    file as its last stderr line and exit code 2; raise that line as
+    ``ValueError``."""
     import contextlib
     import io
 

@@ -1,6 +1,6 @@
 """Persistent :class:`SupervisorPool`: probe reuse, epochs, abort.
 
-The one-shot :func:`run_supervised` chaos behaviour is covered by
+The chaos behaviour of a supervised campaign is covered by
 ``test_faults.py``; this module pins the pool-level contracts the
 scheduling service depends on: one live backend probe per pool (every
 respawn and every later run adopts the cached decision), worker reuse
@@ -17,11 +17,7 @@ import pytest
 
 from repro.analysis.campaign import Campaign
 from repro.analysis.experiments import ScenarioRecord
-from repro.analysis.supervisor import (
-    CampaignAborted,
-    SupervisorPool,
-    run_supervised,
-)
+from repro.analysis.supervisor import CampaignAborted, SupervisorPool
 from repro.testing.faults import ENV_VAR, Fault, FaultPlan, install
 from repro.workloads.dataset import TreeInstance
 from repro.workloads.synthetic import random_weighted_tree
@@ -69,6 +65,12 @@ def collect(emitted):
     return emit
 
 
+def one_shot(instances, tasks, emit, **settings):
+    """One run on a fresh pool, closed afterwards."""
+    with SupervisorPool(**settings) as pool:
+        return pool.run(instances, tasks, emit=emit)
+
+
 class TestProbeReuse:
     def test_respawned_workers_skip_the_probe(self, instances, tasks):
         # one worker, crashed twice by the plan: the pool respawns it,
@@ -77,14 +79,14 @@ class TestProbeReuse:
             tuple(Fault(kind="crash", index=i, attempts=(0,)) for i in (1, 4))
         )
         emitted: list = []
-        report = run_supervised(
+        report = one_shot(
             instances,
             tasks,
+            collect(emitted),
             workers=1,
             retries=2,
             backoff=0.02,
             fault_plan=plan,
-            emit=collect(emitted),
         )
         assert report.respawns >= 2
         assert len(report.backends) >= 3  # the original + each respawn
@@ -109,7 +111,7 @@ class TestProbeReuse:
 class TestPersistentPool:
     def test_records_match_one_shot_runs(self, instances, tasks):
         ref: list = []
-        run_supervised(instances, tasks, emit=collect(ref))
+        one_shot(instances, tasks, collect(ref))
         with SupervisorPool(workers=2) as pool:
             for _ in range(3):
                 got: list = []
@@ -121,7 +123,7 @@ class TestPersistentPool:
         The first unit is held up, so the other worker takes the second."""
         one = [(gi, sc) for gi, sc in tasks if gi == 0]
         ref: list = []
-        run_supervised(instances, one, emit=collect(ref))
+        one_shot(instances, one, collect(ref))
         plan = FaultPlan((Fault(kind="slow", index=0, seconds=1.0),))
         with SupervisorPool(workers=2, fault_plan=plan) as pool:
             got: list = []
@@ -141,9 +143,9 @@ class TestPersistentPool:
 class TestAbort:
     def test_abort_stops_cleanly_and_pool_survives(self, instances, tasks):
         ref: list = []
-        run_supervised(instances, tasks, emit=collect(ref))
-        with SupervisorPool(workers=1) as pool:
-            stop = threading.Event()
+        one_shot(instances, tasks, collect(ref))
+        stop = threading.Event()
+        with SupervisorPool(workers=1, abort=stop) as pool:
             emitted: list = []
 
             def emit(gi, records):
@@ -152,7 +154,7 @@ class TestAbort:
                     stop.set()
 
             with pytest.raises(CampaignAborted):
-                pool.run(instances, tasks, emit=emit, abort=stop)
+                pool.run(instances, tasks, emit=emit)
             # the emitted prefix is the reference prefix, in order
             assert emitted == ref[: len(emitted)]
             assert len(emitted) < len(tasks)
@@ -160,6 +162,7 @@ class TestAbort:
             # the pool is still serviceable: a fresh run completes and
             # any stale in-flight result is dropped by the epoch filter
             again: list = []
+            pool.abort = None
             report = pool.run(instances, tasks, emit=collect(again))
             assert again == ref
             assert all(
@@ -171,9 +174,9 @@ class TestAbort:
         stop = threading.Event()
         stop.set()
         emitted: list = []
-        with SupervisorPool(workers=1) as pool:
+        with SupervisorPool(workers=1, abort=stop) as pool:
             with pytest.raises(CampaignAborted):
-                pool.run(instances, tasks, emit=collect(emitted), abort=stop)
+                pool.run(instances, tasks, emit=collect(emitted))
         assert emitted == []
 
 
@@ -190,8 +193,10 @@ class TestCampaignIntegration:
         ref = run_campaign(instances, grid)
         with SupervisorPool(workers=2) as pool:
             reports: list = []
-            a = run_campaign(instances, grid, pool=pool, report=reports)
-            b = run_campaign(instances, grid, pool=pool, report=reports)
+            a = run_campaign(instances, grid, runtime=pool)
+            reports.append(pool.report)
+            b = run_campaign(instances, grid, runtime=pool)
+            reports.append(pool.report)
         assert a == ref and b == ref
         assert reports[0].probes >= 1
         assert reports[1].probes == 0  # pool reuse: no second probe
@@ -199,8 +204,8 @@ class TestCampaignIntegration:
     def test_abort_checkpoints_prefix_then_resume_heals(
         self, instances, grid, tmp_path, monkeypatch
     ):
-        """``abort`` selects the supervised path even with one worker:
-        the run stops between scenarios, the checkpoint keeps the
+        """A pool's ``abort`` event, with one worker: the run stops
+        between scenarios, the checkpoint keeps the
         records already emitted, and a resume heals it to the bytes of
         an uninterrupted run."""
         from repro.analysis.campaign import run_campaign
@@ -219,11 +224,13 @@ class TestCampaignIntegration:
         # group 1 is slow, so its records cannot land before the abort
         slow = FaultPlan((Fault(kind="slow", seconds=0.5, scenario="t1|ParSubtrees|2"),))
         path = tmp_path / "ck.jsonl"
-        with monkeypatch.context() as m, pytest.raises(CampaignAborted):
+        with (
+            monkeypatch.context() as m,
+            SupervisorPool(workers=1, fault_plan=slow, abort=stop) as pool,
+            pytest.raises(CampaignAborted),
+        ):
             m.setattr(JsonlStore, "append", append_then_abort)
-            run_campaign(
-                instances, grid, checkpoint=str(path), fault_plan=slow, abort=stop,
-            )
+            run_campaign(instances, grid, checkpoint=str(path), runtime=pool)
         prefix = path.read_bytes()
         assert prefix and len(prefix) < ref_path.stat().st_size
         assert ref_path.read_bytes().startswith(prefix)

@@ -478,6 +478,7 @@ class TestPipelinePlumbing:
         ``compile_failure`` plan (so every worker sweeps on the
         reference loop) is byte-identical to the serial run."""
         from repro.analysis.campaign import Campaign, run_campaign
+        from repro.analysis.supervisor import SupervisorPool
 
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
         instances = self.instances()
@@ -486,7 +487,8 @@ class TestPipelinePlumbing:
         )
         ref = run_campaign(instances, grid)
         monkeypatch.setenv(faults.ENV_VAR, '{"faults": [{"kind": "compile_failure"}]}')
-        degraded = run_campaign(instances, grid, workers=2)
+        with SupervisorPool(workers=2) as pool:
+            degraded = run_campaign(instances, grid, runtime=pool)
         assert degraded == ref
 
     def test_cli_run(self, capsys):

@@ -403,11 +403,13 @@ class TestCampaignMegabatch:
 
     def test_megabatch_with_worker_pool(self, setup):
         from repro.analysis.campaign import run_campaign
+        from repro.analysis.supervisor import SupervisorPool
 
         instances, campaign = setup
         serial = run_campaign(instances, campaign)
-        assert run_campaign(instances, campaign, workers=2) == serial
-        assert run_campaign(instances, campaign, workers=3) == serial
+        for workers in (2, 3):
+            with SupervisorPool(workers=workers) as pool:
+                assert run_campaign(instances, campaign, runtime=pool) == serial
 
     def test_megabatch_checkpoint_bytes_identical(self, setup, tmp_path):
         from repro.analysis.campaign import run_campaign

@@ -428,6 +428,38 @@ class TestOneGridPath:
         assert "timeout must be None or > 0" in err.splitlines()[-1]
         assert "Traceback" not in err and err.count("\n") == 2
 
+    @pytest.mark.parametrize("command", ["table1", "report"])
+    @pytest.mark.parametrize(
+        "kind, msg",
+        [
+            ("missing", "No such file"),
+            ("corrupt", "malformed record"),
+            ("retired", "columnar record stores were removed"),
+        ],
+    )
+    def test_bad_records_file_is_one_line_exit_2(
+        self, command, kind, msg, tmp_path, capsys
+    ):
+        path = tmp_path / ("old.store" if kind == "retired" else "records.jsonl")
+        if kind == "corrupt":
+            path.write_text("{not a record}\n")
+        elif kind == "retired":
+            path.mkdir()
+        assert main([command, "--scale", "tiny", "--records", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert msg in err and "Traceback" not in err and err.count("\n") == 1
+
+    def test_infeasible_cap_same_checkpoint_on_both_runtimes(self, tmp_path, capsys):
+        """An infeasible cap is a quarantined scenario, not a crash, in
+        process and on the pool alike, with the same checkpoint bytes."""
+        argv = ["campaign", "--scale", "tiny", "--limit", "1", "--algos",
+                "ParDeepestFirst,MemoryBounded", "--caps", "0.5,2.0", "--processors", "2"]
+        paths = [tmp_path / "in-process.jsonl", tmp_path / "pool.jsonl"]
+        for path, extra in zip(paths, ([], ["--workers", "2"])):
+            assert main(argv + extra + ["--resume", str(path)]) == 0
+            assert "quarantined: 1 scenario(s)" in capsys.readouterr().err
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     @pytest.mark.parametrize(
         "argv",
         [
