@@ -33,7 +33,6 @@ Appends to the shared perf trajectory by default::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import sys
@@ -45,7 +44,6 @@ import numpy as np
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_engine import write_payload  # noqa: E402
 
-from repro.analysis.experiments import load_records, save_records  # noqa: E402
 from repro.analysis.metrics import (  # noqa: E402
     compute_table1_stats,
     compute_table1_stats_reference,
@@ -58,7 +56,12 @@ from repro.analysis.pareto import (  # noqa: E402
     pareto_front,
     pareto_front_columns,
 )
-from repro.analysis.store import RecordColumns, open_store  # noqa: E402
+from repro.analysis.store import (  # noqa: E402
+    RecordColumns,
+    load_records,
+    open_store,
+    save_records,
+)
 
 _HEURISTICS = (
     "ParSubtrees",

@@ -1,13 +1,15 @@
 """Experiment harness and statistics for Section 6's tables and figures."""
 
-from .experiments import (
+from .store import (
     FailedRecord,
     ScenarioRecord,
     save_records,
     load_records,
     iter_records,
+    RecordColumns,
+    JsonlStore,
+    open_store,
 )
-from .store import RecordColumns, JsonlStore, open_store
 from .campaign import Campaign, Scenario, run_campaign
 from .supervisor import RunReport, SupervisorPool
 from .metrics import (
@@ -18,7 +20,7 @@ from .metrics import (
     group_by_scenario,
     group_stats,
 )
-from .tables import render_table1, table1_csv, render_group_table, group_table_csv
+from .tables import render_table1, table1_csv, render_group_table
 from .figures import FigureSeries, Cross, figure_data, render_figure, figure_csv
 from .pareto import (
     ParetoPoint,
@@ -54,7 +56,6 @@ __all__ = [
     "render_table1",
     "table1_csv",
     "render_group_table",
-    "group_table_csv",
     "FigureSeries",
     "Cross",
     "figure_data",

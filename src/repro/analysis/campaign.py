@@ -58,8 +58,7 @@ from repro.core.simulator import simulate
 from repro.testing import faults
 from repro.workloads.dataset import TreeInstance, PROCESSOR_COUNTS
 
-from .experiments import FailedRecord, ScenarioRecord
-from .store import JsonlStore
+from .store import FailedRecord, JsonlStore, ScenarioRecord
 
 if TYPE_CHECKING:
     from .supervisor import SupervisorPool

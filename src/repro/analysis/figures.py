@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .experiments import ScenarioRecord
+from .store import ScenarioRecord
 from .metrics import _first_appearance_ids, _scenario_ids, group_by_scenario
 from .store import RecordColumns
 

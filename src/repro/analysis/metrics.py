@@ -40,7 +40,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .experiments import ScenarioRecord
+from .store import ScenarioRecord
 from .store import RecordColumns
 
 __all__ = [

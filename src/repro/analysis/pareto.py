@@ -4,7 +4,7 @@ Theorem 2 rules out a single schedule approximating both objectives; in
 practice one therefore navigates a *front* of trade-offs -- the four
 heuristics plus the capped scheduler swept over budgets. This module
 provides the standard multi-objective tooling over
-:class:`~repro.analysis.experiments.ScenarioRecord`-like points:
+:class:`~repro.analysis.store.ScenarioRecord`-like points:
 dominance tests, Pareto-front extraction, and the 2-D hypervolume
 indicator used to compare fronts.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 
-from repro.analysis.experiments import ScenarioRecord
+from repro.analysis.store import ScenarioRecord
 from repro.analysis.figures import figure_data
 from repro.analysis.metrics import compute_table1_stats, group_stats
 from repro.analysis.shape_stats import render_shape_table, summarize_shapes

@@ -38,7 +38,7 @@ Failure policy
   the same rule as an in-process run (:func:`repro.analysis.campaign.
   _failed`).
 * A scenario that exhausts ``retries + 1`` attempts is **quarantined**:
-  a structured :class:`~repro.analysis.experiments.FailedRecord` takes
+  a structured :class:`~repro.analysis.store.FailedRecord` takes
   its position in the record stream (and the JSONL checkpoint,
   written parent-side by the campaign's emit), so a
   resumed campaign deterministically skips it -- or heals it with
@@ -543,7 +543,7 @@ class SupervisorPool:
         workers = self.workers
         retries, timeout, backoff, abort = self.retries, self.timeout, self.backoff, self.abort
 
-        self.report = report = RunReport(workers=workers)
+        self.report = report = RunReport()
         report.scenarios = [
             ScenarioReport(key=faults.scenario_key(sc.tree, sc.label, sc.p))
             for _, sc in tasks
@@ -627,6 +627,7 @@ class SupervisorPool:
                     report.backends.append((w.wid, w.chosen, list(w.skipped)))
             while len(pool) < min(workers, n):
                 pool.append(spawn())
+            report.workers = len(pool)
 
             while cursor < n:
                 if abort is not None and abort.is_set():

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .metrics import GroupStats, HeuristicStats
 
-__all__ = ["render_table1", "table1_csv", "render_group_table", "group_table_csv"]
+__all__ = ["render_table1", "table1_csv", "render_group_table"]
 
 _PAPER_TABLE1 = {
     # heuristic: (best mem %, within5 mem %, avg dev seq mem %,
@@ -72,22 +72,6 @@ def render_group_table(stats: Sequence[GroupStats]) -> str:
         )
     lines.append(sep)
     return "\n".join(lines)
-
-
-def group_table_csv(stats: Sequence[GroupStats]) -> str:
-    """CSV form of the campaign groupby (one row per cell)."""
-    rows = [
-        "algorithm,n,p,cap,count,mean_makespan_ratio,max_makespan_ratio,"
-        "mean_memory_ratio,max_memory_ratio"
-    ]
-    for s in stats:
-        cap = f"{s.cap:g}" if s.cap is not None else ""
-        rows.append(
-            f"{s.algorithm},{s.n},{s.p},{cap},{s.count},"
-            f"{s.mean_makespan_ratio:.6g},{s.max_makespan_ratio:.6g},"
-            f"{s.mean_memory_ratio:.6g},{s.max_memory_ratio:.6g}"
-        )
-    return "\n".join(rows)
 
 
 def table1_csv(stats: Sequence[HeuristicStats]) -> str:

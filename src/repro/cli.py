@@ -127,13 +127,17 @@ def _run_grid(
 
 def _records_file(args: argparse.Namespace):
     """The measured records of the ``--records`` file, as columns; a
-    missing, corrupt or non-``.jsonl`` path raises :class:`_BadInput`."""
+    missing, corrupt or non-``.jsonl`` path, or one without a measured
+    record, raises :class:`_BadInput`."""
     from repro.analysis import open_store
 
     try:
-        return open_store(args.records).columns(include_failed=False)
+        records = open_store(args.records).columns(include_failed=False)
     except (OSError, ValueError) as exc:
         raise _BadInput(f"{args.command}: --records: {exc}") from None
+    if not len(records):
+        raise _BadInput(f"{args.command}: --records: {args.records} holds no measured record")
+    return records
 
 
 def _heuristics() -> tuple[str, ...]:

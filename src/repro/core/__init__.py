@@ -1,4 +1,12 @@
-"""Core model: trees, schedules, simulation, validation, and bounds."""
+"""Core model: trees, schedules, the scheduling engine, simulation,
+validation, and lower bounds.
+
+Everything here is reached from the scheduling path: the heuristics
+build on :class:`TaskTree`, :class:`PreparedTree` and the
+:class:`SchedulerEngine`, and the campaign measures their schedules
+with :func:`simulate` against :func:`memory_lower_bound` and
+:func:`makespan_lower_bound`.
+"""
 
 from .tree import TaskTree, NO_PARENT
 from .prepared import PreparedTree, as_prepared, tree_of
@@ -18,8 +26,6 @@ from .simulator import (
 )
 from .validation import InvalidScheduleError, validate_schedule, is_valid
 from .bounds import memory_lower_bound, makespan_lower_bound
-from .outofcore import OutOfCoreResult, simulate_out_of_core
-from .trace import TraceEvent, UtilizationStats, schedule_trace, utilization, trace_json
 
 __all__ = [
     "TaskTree",
@@ -43,11 +49,4 @@ __all__ = [
     "is_valid",
     "memory_lower_bound",
     "makespan_lower_bound",
-    "OutOfCoreResult",
-    "simulate_out_of_core",
-    "TraceEvent",
-    "UtilizationStats",
-    "schedule_trace",
-    "utilization",
-    "trace_json",
 ]

@@ -29,14 +29,13 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "TaskTree",
     "NO_PARENT",
-    "accumulate_to_root",
     "postorder_positions_from_sibling_order",
     "use_level_sweeps",
 ]
@@ -58,28 +57,6 @@ def use_level_sweeps(height: int, n: int) -> bool:
     return height + 1 <= max(64, n // 16)
 
 
-def accumulate_to_root(parent: np.ndarray, val: np.ndarray) -> np.ndarray:
-    """Sum ``val`` along every node's root path (node inclusive).
-
-    Pointer doubling: ``acc[i]`` always holds the sum of ``val`` over the
-    path from ``i`` (inclusive) to ``anc[i]`` (exclusive), where ``anc``
-    is the clamped :math:`2^k`-th ancestor. ``val[root]`` must be 0 so
-    the exclusive endpoint does not matter. O(n log height), fully
-    vectorized -- deep chains cost log-many numpy passes, not n Python
-    iterations.
-    """
-    n = parent.shape[0]
-    idx = np.arange(n, dtype=np.int64)
-    anc = np.where(parent == NO_PARENT, idx, parent)
-    acc = val.copy()
-    while True:
-        anc2 = anc[anc]
-        if np.array_equal(anc2, anc):
-            return acc
-        acc += acc[anc]
-        anc = anc2
-
-
 def postorder_positions_from_sibling_order(
     parent: np.ndarray,
     child_ptr: np.ndarray,
@@ -99,13 +76,24 @@ def postorder_positions_from_sibling_order(
     tree construction (index-ordered siblings) and by the memory-optimal
     postorder (siblings sorted by Liu's criterion).
     """
+    n = parent.shape[0]
     sz = size[ordered_children]
     incl = np.cumsum(sz)
     excl = incl - sz
     seg_start = child_ptr[parent[ordered_children]]
-    val = np.zeros(parent.shape[0], dtype=np.int64)
-    val[ordered_children] = 1 + (excl - excl[seg_start])
-    return accumulate_to_root(parent, val) - depth + size - 1
+    acc = np.zeros(n, dtype=np.int64)
+    acc[ordered_children] = 1 + (excl - excl[seg_start])
+    # Pointer doubling: acc[i] holds the sum over the path from i
+    # (inclusive) to anc[i] (exclusive), anc the clamped 2^k-th ancestor;
+    # acc[root] is 0, so the clamped endpoint does not matter.
+    idx = np.arange(n, dtype=np.int64)
+    anc = np.where(parent == NO_PARENT, idx, parent)
+    while True:
+        anc2 = anc[anc]
+        if np.array_equal(anc2, anc):
+            return acc - depth + size - 1
+        acc += acc[anc]
+        anc = anc2
 
 
 @dataclass(frozen=True)
@@ -312,23 +300,6 @@ class TaskTree:
         """Build a Pebble Game model tree (Section 4): ``f=1, n=0, w=1``."""
         return cls.from_parents(parent, w=1.0, f=1.0, sizes=0.0)
 
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[int, int]],
-        n: int,
-        w: Sequence[float] | float = 1.0,
-        f: Sequence[float] | float = 1.0,
-        sizes: Sequence[float] | float = 0.0,
-    ) -> "TaskTree":
-        """Build a tree from ``(child, parent)`` edges over nodes ``0..n-1``."""
-        parent = np.full(n, NO_PARENT, dtype=np.int64)
-        for c, p in edges:
-            if parent[c] != NO_PARENT:
-                raise ValueError(f"node {c} listed with two parents")
-            parent[c] = p
-        return cls.from_parents(parent, w, f, sizes)
-
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
@@ -402,10 +373,6 @@ class TaskTree:
         read-only cache; copy before mutating.
         """
         return self._postorder
-
-    def topological_order(self) -> np.ndarray:
-        """Alias for :meth:`postorder` (any child-before-parent order)."""
-        return self.postorder()
 
     def postorder_positions(self) -> np.ndarray:
         """Position of every node in :meth:`postorder` (read-only).
@@ -556,15 +523,6 @@ class TaskTree:
             object.__setattr__(self, "_completion_frees", arr)
         return self._completion_frees
 
-    def processing_memories(self) -> np.ndarray:
-        """Memory needed while each node executes (vectorized):
-        :math:`\\sum_{j\\in Children(i)} f_j + n_i + f_i`."""
-        return (self.input_sizes() + self.sizes) + self.f
-
-    def input_size(self, i: int) -> float:
-        """Total size of the input files of node ``i``."""
-        return float(self.input_sizes()[i])
-
     def processing_memory(self, i: int) -> float:
         """Memory needed while node ``i`` executes:
         :math:`\\sum_{j\\in Children(i)} f_j + n_i + f_i`."""
@@ -604,30 +562,6 @@ class TaskTree:
             self.f if f is None else np.asarray(f, dtype=np.float64),
             self.sizes if sizes is None else np.asarray(sizes, dtype=np.float64),
         )
-
-    def iter_nodes(self) -> Iterator[int]:
-        """Iterate over node indices ``0..n-1``."""
-        return iter(range(self.n))
-
-    # ------------------------------------------------------------------
-    # interoperability
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Export as a ``networkx.DiGraph`` with edges child -> parent.
-
-        Node attributes: ``w``, ``f``, ``size``; useful for plotting and
-        cross-checking with graph algorithms.
-        """
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for i in range(self.n):
-            g.add_node(i, w=float(self.w[i]), f=float(self.f[i]), size=float(self.sizes[i]))
-        for i in range(self.n):
-            p = self.parent[i]
-            if p != NO_PARENT:
-                g.add_edge(i, int(p))
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

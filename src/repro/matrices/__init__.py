@@ -22,16 +22,10 @@ from .ordering import (
     apply_ordering,
     ORDERINGS,
 )
-from .symbolic import SymbolicFactorization, symbolic_cholesky, dense_symbolic_cholesky
+from .symbolic import SymbolicFactorization, symbolic_cholesky
 from .weights import node_weights, assembly_weights
 from .amalgamation import AssemblyTree, amalgamate
 from .collection import MatrixInstance, default_collection, SCALES
-from .io import read_matrix_market, write_matrix_market, MatrixMarketError
-from .multifrontal import (
-    MultifrontalResult,
-    column_structures,
-    multifrontal_cholesky,
-)
 
 __all__ = [
     "grid2d",
@@ -51,7 +45,6 @@ __all__ = [
     "ORDERINGS",
     "SymbolicFactorization",
     "symbolic_cholesky",
-    "dense_symbolic_cholesky",
     "node_weights",
     "assembly_weights",
     "AssemblyTree",
@@ -59,10 +52,4 @@ __all__ = [
     "MatrixInstance",
     "default_collection",
     "SCALES",
-    "read_matrix_market",
-    "write_matrix_market",
-    "MatrixMarketError",
-    "MultifrontalResult",
-    "column_structures",
-    "multifrontal_cholesky",
 ]

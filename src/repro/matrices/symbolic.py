@@ -1,8 +1,6 @@
 """Symbolic Cholesky analysis: the ``symbfact`` equivalent.
 
-Combines the elimination tree and column counts into one result object,
-and provides a dense reference implementation (explicit fill propagation)
-used by the test suite to certify the sparse algorithms.
+Combines the elimination tree and column counts into one result object.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ import scipy.sparse as sp
 
 from .etree import elimination_tree, column_counts, etree_heights
 
-__all__ = ["SymbolicFactorization", "symbolic_cholesky", "dense_symbolic_cholesky"]
+__all__ = ["SymbolicFactorization", "symbolic_cholesky"]
 
 
 @dataclass(frozen=True)
@@ -60,23 +58,3 @@ def symbolic_cholesky(a: sp.spmatrix) -> SymbolicFactorization:
     parent = elimination_tree(a)
     counts = column_counts(a, parent)
     return SymbolicFactorization(parent=parent, counts=counts)
-
-
-def dense_symbolic_cholesky(a: sp.spmatrix) -> np.ndarray:
-    """Reference: dense boolean fill propagation, O(n^3).
-
-    Returns the dense boolean lower-triangular pattern of ``L``
-    (including the diagonal). Used in tests to certify
-    :func:`symbolic_cholesky` on small matrices.
-    """
-    dense = np.asarray(sp.csr_matrix(a).todense() != 0)
-    n = dense.shape[0]
-    pattern = np.tril(dense).copy()
-    np.fill_diagonal(pattern, True)
-    for k in range(n):
-        below = np.flatnonzero(pattern[:, k])
-        below = below[below > k]
-        # Eliminating column k fills in the clique among `below`.
-        for idx, i in enumerate(below):
-            pattern[below[idx + 1 :], i] = True
-    return pattern

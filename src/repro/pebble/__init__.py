@@ -6,8 +6,6 @@ from .three_partition import (
     random_yes_instance,
 )
 from .gadget import PebbleGadget, build_gadget, schedule_from_partition, decide_gadget
-from .game import PebbleGame, PebbleGameError, pebbling_from_schedule
-from .exact import exact_pareto_front, decide_bi_objective, EXACT_MAX_NODES
 from .counterexamples import (
     Fig2Tree,
     inapproximability_tree,
@@ -25,12 +23,6 @@ __all__ = [
     "build_gadget",
     "schedule_from_partition",
     "decide_gadget",
-    "PebbleGame",
-    "PebbleGameError",
-    "pebbling_from_schedule",
-    "exact_pareto_front",
-    "decide_bi_objective",
-    "EXACT_MAX_NODES",
     "Fig2Tree",
     "inapproximability_tree",
     "inapprox_ratio_lower_bound",

@@ -8,14 +8,6 @@ from .traversal import (
 )
 from .postorder import optimal_postorder, postorder_peaks, natural_postorder
 from .liu import liu_optimal_traversal, hill_valley_segments, Segment
-from .bruteforce import best_postorder_bruteforce, best_traversal_bruteforce
-from .reductions import (
-    OutTree,
-    out_tree_to_in_tree,
-    out_tree_peak_memory,
-    reverse_schedule,
-    schedule_out_tree,
-)
 
 __all__ = [
     "TraversalResult",
@@ -28,11 +20,4 @@ __all__ = [
     "liu_optimal_traversal",
     "hill_valley_segments",
     "Segment",
-    "best_postorder_bruteforce",
-    "best_traversal_bruteforce",
-    "OutTree",
-    "out_tree_to_in_tree",
-    "out_tree_peak_memory",
-    "reverse_schedule",
-    "schedule_out_tree",
 ]

@@ -32,7 +32,7 @@ hidden ``--fault-plan`` flag and the CI chaos-smoke leg). With no plan
 installed and the variable unset every hook is a cheap no-op.
 
 The module is dependency-free on purpose: the production seams
-(:mod:`repro.core._ckernel`, :mod:`repro.analysis.experiments`) import
+(:mod:`repro.core._ckernel`, :mod:`repro.analysis.store`) import
 it unconditionally.
 """
 

@@ -9,7 +9,6 @@ from .synthetic import (
     random_weighted_tree,
 )
 from .dataset import TreeInstance, build_dataset, PROCESSOR_COUNTS, AMALGAMATIONS
-from .trees_io import save_tree, load_tree, TreeFormatError
 
 __all__ = [
     "random_attachment_tree",
@@ -22,7 +21,4 @@ __all__ = [
     "build_dataset",
     "PROCESSOR_COUNTS",
     "AMALGAMATIONS",
-    "save_tree",
-    "load_tree",
-    "TreeFormatError",
 ]

@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis.campaign import Campaign, Scenario, run_campaign
 from repro.analysis.supervisor import SupervisorPool
-from repro.analysis.experiments import (
+from repro.analysis.store import (
     FailedRecord,
     ScenarioRecord,
     load_records,
@@ -384,12 +384,12 @@ class TestCrashSafeSerialization:
         path = str(tmp_path / "records.json")
         save_records([self.record()], path)
         before = open(path, "rb").read()
-        import repro.analysis.experiments as experiments_mod
+        import repro.analysis.store as store_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(experiments_mod.json, "dump", boom)
+        monkeypatch.setattr(store_mod.json, "dump", boom)
         with pytest.raises(RuntimeError, match="disk full"):
             save_records([self.record(makespan=99.0)], path)
         assert open(path, "rb").read() == before  # old file intact
@@ -399,12 +399,12 @@ class TestCrashSafeSerialization:
         path = str(tmp_path / "records.jsonl")
         save_records([self.record()], path)
         before = open(path, "rb").read()
-        import repro.analysis.experiments as experiments_mod
+        import repro.analysis.store as store_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(experiments_mod.json, "dumps", boom)
+        monkeypatch.setattr(store_mod.json, "dumps", boom)
         with pytest.raises(RuntimeError):
             save_records([self.record(makespan=99.0)], path)
         assert open(path, "rb").read() == before

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.campaign import Campaign, run_campaign
 from repro.analysis.supervisor import SupervisorPool
-from repro.analysis.experiments import (
+from repro.analysis.store import (
     ScenarioRecord,
     load_records,
     save_records,

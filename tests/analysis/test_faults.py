@@ -29,13 +29,13 @@ import time
 import pytest
 
 from repro.analysis.campaign import Campaign, run_campaign
-from repro.analysis.experiments import (
+from repro.analysis.store import (
     FailedRecord,
+    JsonlStore,
     ScenarioRecord,
     load_records,
     save_records,
 )
-from repro.analysis.store import JsonlStore
 import repro.analysis.supervisor as supervisor_mod
 from repro.analysis.supervisor import SupervisorPool
 from repro.testing.faults import (

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import ScenarioRecord
+from repro.analysis.store import ScenarioRecord
 from repro.analysis.figures import figure_csv, figure_data, render_figure
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.experiments import ScenarioRecord
+from repro.analysis.store import ScenarioRecord
 from repro.analysis.metrics import compute_table1_stats, group_by_scenario
 
 

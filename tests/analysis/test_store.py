@@ -20,13 +20,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.campaign import Campaign, run_campaign
-from repro.analysis.experiments import (
-    FailedRecord,
-    ScenarioRecord,
-    iter_records,
-    load_records,
-    save_records,
-)
 from repro.analysis.figures import figure_data
 from repro.analysis.metrics import (
     compute_table1_stats,
@@ -41,10 +34,20 @@ from repro.analysis.pareto import (
     pareto_front,
     pareto_front_columns,
 )
-from repro.analysis.store import JsonlStore, RecordColumns, open_store
+from repro.analysis.store import (
+    FailedRecord,
+    JsonlStore,
+    RecordColumns,
+    ScenarioRecord,
+    iter_records,
+    load_records,
+    open_store,
+    save_records,
+)
 from repro.cli import main
 from repro.workloads.dataset import TreeInstance
 from repro.workloads.synthetic import random_weighted_tree
+
 
 def mixed_records() -> list[ScenarioRecord | FailedRecord]:
     """A small stream with FailedRecord rows interleaved mid-stream."""

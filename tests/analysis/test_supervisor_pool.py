@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.campaign import Campaign
-from repro.analysis.experiments import ScenarioRecord
+from repro.analysis.store import ScenarioRecord
 from repro.analysis.supervisor import CampaignAborted, SupervisorPool
 from repro.testing.faults import ENV_VAR, Fault, FaultPlan, install
 from repro.workloads.dataset import TreeInstance
@@ -131,6 +131,16 @@ class TestPersistentPool:
         assert got == ref
         workers = [s.attempts[0].worker for s in report.scenarios]
         assert workers[0] == workers[1] != workers[2] == workers[3]
+
+    def test_report_counts_the_workers_that_took_part(self, instances, tasks):
+        # one scenario on a two-worker pool spawns one worker; a later
+        # run re-enlists the survivor and spawns the second
+        with SupervisorPool(workers=2) as pool:
+            r1 = pool.run(instances, tasks[:1], emit=collect([]))
+            r2 = pool.run(instances, tasks, emit=collect([]))
+        assert r1.workers == 1
+        assert r1.summary().startswith("supervised run: 1 scenarios, 1 worker(s)")
+        assert r2.workers == 2
 
     def test_closed_pool_rejects_runs(self, instances, tasks):
         pool = SupervisorPool(workers=1)

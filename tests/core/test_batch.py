@@ -376,7 +376,7 @@ class TestCampaignMegabatch:
     def reference_records(instances, campaign):
         """Per-scenario ``registry.run`` + ``simulate`` on the bare tree:
         no preparation, no batching."""
-        from repro.analysis.experiments import ScenarioRecord
+        from repro.analysis.store import ScenarioRecord
         from repro.core import memory_lower_bound, simulate
         from repro.core.bounds import makespan_lower_bound
 
@@ -413,7 +413,7 @@ class TestCampaignMegabatch:
 
     def test_megabatch_checkpoint_bytes_identical(self, setup, tmp_path):
         from repro.analysis.campaign import run_campaign
-        from repro.analysis.experiments import save_records
+        from repro.analysis.store import save_records
 
         instances, campaign = setup
         on = str(tmp_path / "on.jsonl")

@@ -1,8 +1,11 @@
 """Unit and property tests for the event-sweep simulator."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import registry
 from repro.core.schedule import Schedule
 from repro.core.simulator import (
     memory_profile,
@@ -10,9 +13,39 @@ from repro.core.simulator import (
     sequential_peak_memory,
     simulate,
 )
-from repro.core.tree import TaskTree
+from repro.core.tree import NO_PARENT, TaskTree
+from repro.parallel import par_deepest_first
 from repro.sequential.traversal import traversal_peak_memory
-from tests.conftest import task_trees
+from tests.conftest import random_tree, task_trees
+
+
+def resident_memory(schedule, t):
+    """Resident file size just after instant ``t``, summed file by file
+    from the model of Section 3.1: ``n_i`` lives in ``[start_i, end_i)``
+    and ``f_i`` in ``[start_i, end_parent(i))`` (the root's output to the
+    end). An oracle for the event sweep that sorts no events."""
+    tree = schedule.tree
+    start, end = schedule.start, schedule.end
+    parent_end = np.where(
+        tree.parent == NO_PARENT, np.inf, end[np.maximum(tree.parent, 0)]
+    )
+    execution = (start <= t) & (t < end)
+    output = (start <= t) & (t < parent_end)
+    return float(tree.sizes[execution].sum() + tree.f[output].sum())
+
+
+def assert_profile_matches_oracle(schedule):
+    times, mem = memory_profile(schedule)
+    assert np.array_equal(times, np.unique(np.concatenate([schedule.start, schedule.end])))
+    assert list(mem) == [resident_memory(schedule, t) for t in times]
+    assert peak_memory(schedule) == max(mem)
+
+
+ORACLE_CASES = [
+    pytest.param(name, p, id=f"{name}-p{p}")
+    for name in registry.names("parallel")
+    for p in (2, 4)
+] + [pytest.param(name, 1, id=name) for name in registry.names("sequential")]
 
 
 class TestSequentialAccounting:
@@ -113,3 +146,53 @@ class TestSimulateResult:
             simulate(sch, validate=True)
         sim = simulate(sch, validate=False)  # accounting still runs
         assert sim.peak_memory > 0
+
+
+class TestAgainstFileOracle:
+    """The event sweep equals the per-file residency of Section 3.1 at
+    every instant where the profile changes."""
+
+    @pytest.mark.parametrize("name,p", ORACLE_CASES)
+    def test_every_algorithm(self, name, p):
+        rng = np.random.default_rng(7)
+        for n, bias in ((30, 0.0), (60, 0.8)):
+            tree = random_tree(rng, n, bias)
+            # integral weights keep both sums exact in floating point
+            tree = TaskTree(
+                tree.parent, np.ceil(tree.w), np.ceil(tree.f), np.ceil(tree.sizes)
+            )
+            assert_profile_matches_oracle(registry.run(name, tree, p))
+
+    @given(task_trees(min_w=0))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_duration_tasks(self, tree):
+        """Tasks that start and end at the same instant hold no execution
+        file; their outputs appear at that instant."""
+        assert_profile_matches_oracle(par_deepest_first(tree, 3))
+
+    @given(task_trees(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_any_topological_order(self, tree, rnd):
+        """Not only postorders: any topological order, sequentially."""
+        waiting = [len(tree.children(i)) for i in range(tree.n)]
+        ready = [int(i) for i in tree.leaves()]
+        order = []
+        while ready:
+            i = ready.pop(rnd.randrange(len(ready)))
+            order.append(i)
+            if i != tree.root:
+                waiting[tree.parent[i]] -= 1
+                if waiting[tree.parent[i]] == 0:
+                    ready.append(int(tree.parent[i]))
+        schedule = Schedule.sequential(tree, order)
+        assert_profile_matches_oracle(schedule)
+        assert sequential_peak_memory(tree, order) == traversal_peak_memory(tree, order)
+
+    @given(task_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_memory_at_reads_the_profile(self, tree):
+        sim = simulate(par_deepest_first(tree, 2))
+        for k, t in enumerate(sim.times):
+            assert sim.memory_at(t) == sim.memory[k]
+            if k:
+                assert sim.memory_at((sim.times[k - 1] + t) / 2) == sim.memory[k - 1]

@@ -33,16 +33,6 @@ class TestConstruction:
         assert np.all(t.f == 3.0)
         assert np.all(t.sizes == 1.0)
 
-    def test_from_edges(self):
-        t = TaskTree.from_edges([(1, 0), (2, 0), (3, 1)], n=4)
-        assert t.root == 0
-        assert list(t.children(0)) == [1, 2]
-        assert list(t.children(1)) == [3]
-
-    def test_from_edges_duplicate_parent_rejected(self):
-        with pytest.raises(ValueError, match="two parents"):
-            TaskTree.from_edges([(1, 0), (1, 2)], n=3)
-
     def test_pebble_game_weights(self):
         t = TaskTree.pebble_game([-1, 0, 0])
         assert np.all(t.w == 1.0)
@@ -164,13 +154,6 @@ class TestDerivedTrees:
         assert t.w[0] == 5
         assert star5.w[0] == 1  # original untouched
 
-    def test_to_networkx(self, paper_example):
-        g = paper_example.to_networkx()
-        assert g.number_of_nodes() == 7
-        assert g.number_of_edges() == 6
-        assert g.has_edge(1, 0)
-        assert g.nodes[5]["w"] == 5.0
-
 
 class TestCSRRepresentation:
     """Invariants of the CSR children arrays and the derived caches.
@@ -212,10 +195,8 @@ class TestCSRRepresentation:
     @settings(max_examples=60, deadline=None)
     def test_vectorized_aggregates(self, tree):
         ins = tree.input_sizes()
-        pm = tree.processing_memories()
         for i in range(tree.n):
             assert ins[i] == sum(float(tree.f[j]) for j in tree.children(i))
-            assert pm[i] == tree.processing_memory(i)
 
     def test_root_cached_and_correct(self, paper_example):
         assert paper_example.root == 0
@@ -265,3 +246,79 @@ class TestPropertyInvariants:
         cp = tree.critical_path()
         assert cp <= tree.total_work() + 1e-9
         assert cp >= tree.w.max() - 1e-9
+
+
+def as_digraph(tree):
+    """The tree as a networkx graph with child -> parent edges, built
+    from the parent vector alone (an oracle independent of the CSR)."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(range(tree.n))
+    g.add_edges_from((i, int(p)) for i, p in enumerate(tree.parent) if p >= 0)
+    return g
+
+
+class TestAgainstNetworkx:
+    """The structural accessors agree with networkx's graph algorithms."""
+
+    @given(task_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_in_tree_children_and_leaves(self, tree):
+        import networkx as nx
+
+        g = as_digraph(tree)
+        assert nx.is_arborescence(g.reverse())
+        for i in range(tree.n):
+            assert sorted(g.predecessors(i)) == list(tree.children(i))
+            assert tree.degree(i) == g.in_degree(i)
+        assert sorted(i for i in g if g.in_degree(i) == 0) == list(tree.leaves())
+        assert tree.max_degree() == max(d for _, d in g.in_degree())
+
+    @given(task_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_depths_are_path_lengths(self, tree):
+        import networkx as nx
+
+        g = as_digraph(tree)
+        hops = nx.shortest_path_length(g, target=tree.root)
+        assert [hops[i] for i in range(tree.n)] == list(tree.depths())
+        assert tree.height() == max(hops.values())
+        weighted = nx.shortest_path_length(
+            g.reverse(), source=tree.root, weight=lambda u, v, _: tree.w[v]
+        )
+        for i in range(tree.n):
+            assert tree.weighted_depths()[i] == weighted[i] + tree.w[tree.root]
+
+    @given(task_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_subtree_nodes_are_ancestors_in_graph(self, tree):
+        import networkx as nx
+
+        g = as_digraph(tree)
+        for i in range(tree.n):
+            below = nx.ancestors(g, i) | {i}
+            assert set(tree.subtree_nodes(i).tolist()) == below
+            assert tree.subtree_sizes()[i] == len(below)
+            assert tree.subtree_work()[i] == sum(tree.w[j] for j in below)
+
+    @given(task_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_postorder_is_topological(self, tree):
+        g = as_digraph(tree)
+        pos = tree.postorder_positions()
+        assert all(pos[u] < pos[v] for u, v in g.edges)
+
+    @given(task_trees(min_nodes=2))
+    @settings(max_examples=40, deadline=None)
+    def test_subtree_extraction_is_induced_subgraph(self, tree):
+        import networkx as nx
+
+        g = as_digraph(tree)
+        i = int(tree.children(tree.root)[0])
+        sub, nodes = tree.subtree(i)
+        relabelled = nx.relabel_nodes(as_digraph(sub), dict(enumerate(nodes.tolist())))
+        assert nx.utils.graphs_equal(relabelled, g.subgraph(nodes.tolist()))
+        assert np.array_equal(sub.w, tree.w[nodes])
+        assert np.array_equal(sub.f, tree.f[nodes])
+        assert np.array_equal(sub.sizes, tree.sizes[nodes])

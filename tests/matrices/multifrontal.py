@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.schedule import Schedule
-from .etree import elimination_tree
+from repro.matrices.etree import elimination_tree
 
 __all__ = ["MultifrontalResult", "column_structures", "multifrontal_cholesky"]
 

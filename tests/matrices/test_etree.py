@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.matrices.etree import column_counts, elimination_tree, etree_heights
 from repro.matrices.generators import banded, grid2d, random_symmetric
-from repro.matrices.symbolic import dense_symbolic_cholesky
+from tests.matrices.dense_symbolic import dense_symbolic_cholesky
 
 
 def reference_etree_and_counts(a):

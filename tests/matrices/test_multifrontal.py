@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.matrices.etree import elimination_tree
 from repro.matrices.generators import banded, grid2d, random_symmetric
-from repro.matrices.multifrontal import (
+from tests.matrices.dense_symbolic import dense_symbolic_cholesky
+from tests.matrices.multifrontal import (
     column_structures,
     multifrontal_cholesky,
 )
-from repro.matrices.etree import elimination_tree
-from repro.matrices.symbolic import dense_symbolic_cholesky
 
 
 def make_spd(pattern: sp.csr_matrix, rng=None) -> sp.csr_matrix:

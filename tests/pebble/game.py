@@ -16,8 +16,8 @@ plus the bridge theorems to the scheduling model:
   into a strategy, and :meth:`PebbleGame.max_pebbles` then equals the
   simulator's peak (property-tested).
 
-Useful for teaching, for cross-checking the simulator's accounting on
-the unit-weight model, and for experimenting with game variants.
+The tests use it to cross-check the simulator's accounting on the
+unit-weight model.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from repro.core.simulator import simulate
 from repro.core.tree import TaskTree
 from repro.core.validation import validate_schedule
 from repro.parallel import run_all
-from repro.pebble.exact import (
+from tests.pebble.exact import (
     EXACT_MAX_NODES,
     decide_bi_objective,
     exact_pareto_front,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from repro.core.simulator import simulate
 from repro.core.tree import TaskTree
 from repro.parallel import par_deepest_first, par_inner_first
-from repro.pebble.game import PebbleGame, PebbleGameError, pebbling_from_schedule
+from tests.pebble.game import PebbleGame, PebbleGameError, pebbling_from_schedule
 from tests.conftest import pebble_trees
 
 

@@ -1,7 +1,6 @@
 """Exhaustive-search references for the sequential algorithms.
 
-These are exponential-time oracles used only in tests and small-scale
-experiments, to certify that
+These are exponential-time oracles that certify
 
 * :func:`repro.sequential.postorder.optimal_postorder` is optimal among
   postorders, and
@@ -16,7 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from repro.core.tree import TaskTree
-from .traversal import TraversalResult, traversal_peak_memory
+from repro.sequential.traversal import TraversalResult, traversal_peak_memory
 
 __all__ = ["best_postorder_bruteforce", "best_traversal_bruteforce"]
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.tree import TaskTree
-from repro.sequential.bruteforce import (
+from repro.sequential.traversal import check_topological, traversal_peak_memory
+from tests.conftest import task_trees
+from tests.sequential.bruteforce import (
     best_postorder_bruteforce,
     best_traversal_bruteforce,
 )
-from repro.sequential.traversal import check_topological, traversal_peak_memory
-from tests.conftest import task_trees
 
 
 class TestGuards:

@@ -3,11 +3,11 @@
 from hypothesis import given, settings
 
 from repro.core.tree import TaskTree
-from repro.sequential.bruteforce import best_traversal_bruteforce
 from repro.sequential.liu import Segment, hill_valley_segments, liu_optimal_traversal
 from repro.sequential.postorder import optimal_postorder
 from repro.sequential.traversal import check_topological, traversal_peak_memory
 from tests.conftest import task_trees
+from tests.sequential.bruteforce import best_traversal_bruteforce
 
 
 class TestHillValleySegments:

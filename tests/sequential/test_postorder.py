@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core.tree import TaskTree
-from repro.sequential.bruteforce import best_postorder_bruteforce
 from repro.sequential.postorder import natural_postorder, optimal_postorder, postorder_peaks
 from repro.sequential.traversal import check_topological, traversal_peak_memory
 from tests.conftest import task_trees
+from tests.sequential.bruteforce import best_postorder_bruteforce
 
 
 class TestKnownInstances:

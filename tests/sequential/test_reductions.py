@@ -8,7 +8,7 @@ from repro.core.schedule import Schedule
 from repro.core.simulator import peak_memory
 from repro.core.tree import NO_PARENT
 from repro.sequential.postorder import optimal_postorder
-from repro.sequential.reductions import (
+from tests.sequential.reductions import (
     OutTree,
     out_tree_peak_memory,
     out_tree_to_in_tree,

@@ -435,6 +435,8 @@ class TestOneGridPath:
             ("missing", "No such file"),
             ("corrupt", "malformed record"),
             ("retired", "columnar record stores were removed"),
+            ("empty", "holds no measured record"),
+            ("all-quarantined", "holds no measured record"),
         ],
     )
     def test_bad_records_file_is_one_line_exit_2(
@@ -445,9 +447,18 @@ class TestOneGridPath:
             path.write_text("{not a record}\n")
         elif kind == "retired":
             path.mkdir()
+        elif kind == "empty":
+            path.write_text("")
+        elif kind == "all-quarantined":  # the one scenario's cap is infeasible
+            argv = ["campaign", "--scale", "tiny", "--limit", "1", "--algos", "MemoryBounded",
+                    "--caps", "0.5", "--processors", "2", "--resume", str(path)]
+            assert main(argv) == 0
+            assert "quarantined: 1 scenario(s)" in capsys.readouterr().err
         assert main([command, "--scale", "tiny", "--records", str(path)]) == 2
         err = capsys.readouterr().err
         assert msg in err and "Traceback" not in err and err.count("\n") == 1
+        if kind in ("empty", "all-quarantined"):
+            assert str(path) in err
 
     def test_infeasible_cap_same_checkpoint_on_both_runtimes(self, tmp_path, capsys):
         """An infeasible cap is a quarantined scenario, not a crash, in
