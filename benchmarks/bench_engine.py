@@ -24,6 +24,14 @@ Three modes, timing schedulers on random trees:
   the ratio is the win of dropping per-scenario Python/ctypes dispatch
   and sweeping the grid GIL-free in one serial call.
 
+* **``--profile``** -- the exact memory profile of a schedule
+  (``simulate``'s and ``peak_memory``'s cost): the numpy reference
+  ``simulator._memory_profile_reference`` vs. the dispatched
+  ``memory_profile`` (the C library's export, when it builds), on
+  ParDeepestFirst schedules at n = 10^3, 10^5, 10^6 and on the 64
+  trees of the paper data set (``build_dataset("small")``). Profiles
+  must match byte for byte (asserted).
+
 ``--smoke`` runs all modes at a small size (CI guard against bit-rot);
 ``--append`` appends the payload to an existing trajectory file instead
 of overwriting it (the file then holds a JSON array of entries).
@@ -36,6 +44,7 @@ perf trajectory::
         --sizes 100000 1000000 --append
     PYTHONPATH=src python benchmarks/bench_engine.py --grid \
         --sizes 100000 --append
+    PYTHONPATH=src python benchmarks/bench_engine.py --profile --append
 """
 
 from __future__ import annotations
@@ -53,10 +62,12 @@ from repro import registry
 from repro.core.engine import SchedulerEngine, resolve_backend, sweep_batch
 from repro.core.prepared import PreparedTree
 from repro.core.schedule import Schedule
+from repro.core.simulator import _memory_profile_reference, memory_profile
 from repro.core.tree import NO_PARENT
 from repro.parallel.list_scheduling import postorder_ranks
 from repro.parallel.par_deepest_first import par_deepest_first, par_deepest_first_rank
 from repro.sequential.postorder import optimal_postorder
+from repro.workloads.dataset import build_dataset
 from repro.workloads.synthetic import random_weighted_tree
 
 
@@ -319,6 +330,58 @@ def run_megabatch_bench(sizes, repeats: int, seed: int) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
+# memory profile: the numpy reference vs. the dispatched (C) profile
+# ----------------------------------------------------------------------
+
+#: tree sizes of ``--profile`` when ``--sizes`` is not given
+PROFILE_SIZES = (10**3, 10**5, 10**6)
+
+
+def run_profile_bench(sizes, p: int, repeats: int, seed: int) -> list[dict]:
+    """Time ``_memory_profile_reference`` against ``memory_profile``.
+
+    One row per tree size (a ParDeepestFirst schedule on ``p``
+    processors, per-call seconds) and one for the 64 trees of the paper
+    data set (seconds for all 64 profiles). The schedules are built
+    outside the timed region; every profile must hold the reference's
+    bytes. ``dispatched`` names the path ``memory_profile`` took.
+    """
+    dispatched = resolve_backend()
+    cases = [
+        (str(int(n)), [par_deepest_first(
+            random_weighted_tree(int(n), np.random.default_rng(seed)), p
+        )])
+        for n in sizes
+    ]
+    small = [par_deepest_first(inst.tree, p) for inst in build_dataset("small")]
+    cases.append((f"small x{len(small)}", small))
+    rows = []
+    for label, schedules in cases:
+        for s in schedules:
+            got, want = memory_profile(s), _memory_profile_reference(s)
+            assert all(
+                a.tobytes() == b.tobytes() for a, b in zip(got, want)
+            ), "memory profiles diverged"
+        t_ref, _ = best_of(lambda: [_memory_profile_reference(s) for s in schedules], repeats)
+        t_got, _ = best_of(lambda: [memory_profile(s) for s in schedules], repeats)
+        row = {
+            "trees": label,
+            "n": int(sum(s.tree.n for s in schedules)),
+            "p": p,
+            "dispatched": dispatched,
+            "reference_s": round(t_ref, 6),
+            "dispatched_s": round(t_got, 6),
+            "speedup": round(t_ref / t_got, 3),
+        }
+        print(
+            f"profile {label:>10s} p={p}  reference {t_ref:8.4f}s  "
+            f"{dispatched} {t_got:8.4f}s  speedup {row['speedup']:5.2f}x"
+        )
+        rows.append(row)
+    return rows
+
+
+# ----------------------------------------------------------------------
 def best_of(fn, repeats: int) -> tuple[float, Schedule]:
     best = float("inf")
     result = None
@@ -375,7 +438,12 @@ def write_payload(path: str, payload: dict, append: bool) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--sizes", type=int, nargs="+", default=[10**3, 10**4, 10**5]
+        "--sizes",
+        type=int,
+        nargs="+",
+        default=None,
+        help="tree sizes (default 10^3 10^4 10^5; 10^3 10^5 10^6 for "
+        "--profile)",
     )
     parser.add_argument("--processors", type=int, default=32)
     parser.add_argument("--repeats", type=int, default=3)
@@ -400,6 +468,12 @@ def main(argv=None) -> int:
         "sweep_batch kernel call",
     )
     parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="compare the numpy memory profile with the dispatched (C) "
+        "one instead of the legacy-vs-vectorized comparison",
+    )
+    parser.add_argument(
         "--append",
         action="store_true",
         help="append to the output file instead of overwriting it",
@@ -413,7 +487,10 @@ def main(argv=None) -> int:
     if args.smoke:
         args.sizes = [2000]
         args.repeats = 1
+    elif args.sizes is None:
+        args.sizes = list(PROFILE_SIZES) if args.profile else [10**3, 10**4, 10**5]
     grid_mode = (args.grid or args.megabatch) and not args.compare_backends
+    modes = (args.compare_backends, args.grid, args.megabatch, args.profile)
     payload = {
         "benchmark": "engine",
         "algorithm": "grid" if grid_mode else "ParDeepestFirst",
@@ -423,7 +500,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "smoke": bool(args.smoke),
     }
-    if args.smoke or not (args.compare_backends or args.grid or args.megabatch):
+    if args.smoke or not any(modes):
         payload["results"] = run_bench(
             args.sizes, args.processors, args.repeats, args.seed
         )
@@ -435,6 +512,10 @@ def main(argv=None) -> int:
         payload["grid"] = run_grid_bench(args.sizes, args.repeats, args.seed)
     if args.smoke or args.megabatch:
         payload["megabatch"] = run_megabatch_bench(args.sizes, args.repeats, args.seed)
+    if args.smoke or args.profile:
+        payload["profile"] = run_profile_bench(
+            args.sizes, args.processors, args.repeats, args.seed
+        )
     write_payload(args.output, payload, args.append)
     print(f"wrote {args.output}")
     return 0

@@ -1,24 +1,31 @@
-"""The C event-sweep kernel of :class:`repro.core.engine.SchedulerEngine`.
+"""The compiled library: the C event sweep of
+:class:`repro.core.engine.SchedulerEngine` and the exact memory profile
+of :func:`repro.core.simulator.memory_profile`.
 
-A line-for-line C translation of the engine's pure-Python reference
-loop (:meth:`~repro.core.engine.SchedulerEngine.run_reference`) over
-typed, C-contiguous numpy arrays -- array-based binary heaps instead of
-``heapq``, integer node ids instead of tuples, no Python objects in the
-hot loop. It is compiled on demand with the system toolchain
-(``cc``/``gcc``/``clang``) into a shared library cached under the user
-cache directory (override with ``REPRO_KERNEL_CACHE``) and loaded via
-:mod:`ctypes`. It is strictly optional: when no toolchain is available
-(or the compile fails) :func:`available` returns False and the engine
-sweeps on the reference loop instead.
+The sweep is a line-for-line C translation of the engine's pure-Python
+reference loop (:meth:`~repro.core.engine.SchedulerEngine.run_reference`)
+over typed, C-contiguous numpy arrays -- array-based binary heaps
+instead of ``heapq``, integer node ids instead of tuples, no Python
+objects in the hot loop. The library is compiled on demand with the
+system toolchain (``cc``/``gcc``/``clang``) into a shared library cached
+under the user cache directory (override with ``REPRO_KERNEL_CACHE``)
+and loaded via :mod:`ctypes`. It is strictly optional: when no
+toolchain is available (or the compile fails) :func:`available` returns
+False and the engine sweeps on the reference loop instead, and the
+simulator measures on its numpy reference.
 
-The library exports one entry point, ``batch_event_sweep``: a serial
-loop over the scenarios of a grid against one tree, every scenario
-swept over the same malloc'd scratch arena (heaps plus a private
-``pending`` copy refilled per scenario). A single engine run is a grid
-of one. ctypes releases the GIL for the duration of the call.
+The library exports two entry points, both serial, and ctypes releases
+the GIL for the duration of either call:
 
-Kernel spec
------------
+* ``batch_event_sweep``: a loop over the scenarios of a grid against
+  one tree, every scenario swept over the same malloc'd scratch arena
+  (heaps plus a private ``pending`` copy refilled per scenario). A
+  single engine run is a grid of one.
+* ``memory_profile``: the piecewise-constant memory profile of one
+  schedule (see *Memory profile spec* below).
+
+Sweep kernel spec
+-----------------
 The arguments of :func:`batch_kernel`, grouped by role (its signature
 gives the order). Tree columns (C-contiguous ``int64``/``float64``,
 read-only):
@@ -66,6 +73,29 @@ itself, 16 bytes per (scenario, task), and nothing of how it was built:
 Scenarios share only the read-only columns and sweep serially, one
 after another, in scenario order.
 
+Memory profile spec
+-------------------
+``memory_profile(n, start, w, alloc, freed, times_out, levels_out) ->
+m`` (:func:`memory_profile` here wraps it). Task ``i`` allocates
+``alloc[i]`` (``n_i + f_i``) at ``start[i]`` and frees ``freed[i]``
+(``n_i`` plus its children's outputs) at ``end = start[i] + w[i]``,
+the double add of ``Schedule.end``. The library
+
+1. keys every start and every end by an order-preserving ``uint64``
+   (``-0.0`` folded into ``+0.0``, which numpy compares equal);
+2. radix-sorts the two lists of ``(key, delta)`` events stably (LSD,
+   digits of at most 11 bits, only the bits in which some key differs),
+   so equal instants keep ascending node order;
+3. merges them: per distinct instant, its frees in ascending node
+   index, then its allocations in ascending node index, ``level +=
+   delta`` one event at a time -- exactly ``np.cumsum`` over the stable
+   ``lexsort((phase, time))`` of the reference;
+4. writes one ``(instant, level)`` pair per instant into the ``2n``-
+   entry outputs and returns their number ``m``.
+
+It returns ``-1`` when its scratch cannot be allocated and ``-2`` on a
+non-finite start; the simulator then takes its numpy reference path.
+
 Equivalence contract
 --------------------
 The kernel must produce **bit-identical** outputs to the reference
@@ -83,6 +113,21 @@ two places, both resolved by construction:
 * *Memory accounting.* ``mem`` is accumulated with the same
   adds/subtracts in the same chronological order as the reference loop,
   so capped-mode feasibility decisions match bit for bit.
+
+The memory profile holds the bytes of the numpy reference
+(``simulator._memory_profile_reference``, pinned by
+``tests/core/test_simulator.py``) for the same reason: the same adds in
+the same order. Its ``level`` starts at ``-0.0``, the additive identity,
+so even a leading ``-0.0`` delta reproduces ``cumsum``'s first element.
+
+Both exports depend on every floating-point operation being rounded on
+its own, as numpy and CPython round it. ``_FLAGS`` therefore pins
+``-ffp-contract=off``: a compiler may otherwise fuse ``a * b + c`` into
+one fused multiply-add with a single rounding (GCC's default in GNU C
+mode is ``-ffp-contract=fast``, which fuses on any target with FMA
+instructions), which silently changes the last bit of a sum and with
+it a schedule or a peak. No fused operation may enter either
+export.
 
 Heap pop order is determined by the key order alone -- ready entries
 are bare ranks (a permutation, hence unique) and running entries carry
@@ -114,9 +159,16 @@ import time
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-__all__ = ["available", "unavailable_reason", "batch_kernel", "cache_dir"]
+__all__ = [
+    "available",
+    "unavailable_reason",
+    "batch_kernel",
+    "memory_profile",
+    "cache_dir",
+]
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -403,15 +455,189 @@ int64_t batch_event_sweep(int64_t n, int64_t nscen, int64_t max_p,
     free(free_stack);
     return !ok;
 }
+
+/* ---- the exact memory profile (see the module docstring) ---- */
+
+/* one event of the profile: the order-preserving key of its instant and
+ * the memory it allocates (start list) or frees (end list) */
+typedef struct {
+    uint64_t key;
+    double delta;
+} event_t;
+
+#define MAX_DIGIT_BITS 11
+#define ZERO_KEY 0x8000000000000000ULL
+
+/* Order-preserving unsigned key of a non-NaN double: a < b exactly when
+ * key(a) < key(b). -0.0 folds into +0.0 (ZERO_KEY): numpy compares them
+ * equal, so they are one instant. */
+static uint64_t time_key(double x)
+{
+    uint64_t u;
+    memcpy(&u, &x, sizeof u);
+    if ((u << 1) == 0)
+        u = 0;
+    return (u >> 63) ? ~u : (u | ZERO_KEY);
+}
+
+/* The double of a key other than ZERO_KEY (the key is a bijection there). */
+static double key_time(uint64_t k)
+{
+    uint64_t u = (k >> 63) ? (k & ~ZERO_KEY) : ~k;
+    double x;
+    memcpy(&x, &u, sizeof x);
+    return x;
+}
+
+/* The widest radix digit for n events: the bit length of n, at most
+ * MAX_DIGIT_BITS -- about n buckets, so that clearing and scanning the
+ * counts costs no more than moving the events. */
+static int digit_width(int64_t n)
+{
+    int width = 1;
+    while (width < MAX_DIGIT_BITS && (n >> width) > 0)
+        width++;
+    return width;
+}
+
+/* Stable LSD radix sort of the n events of ev by key, in place, so
+ * equal keys keep their input (node) order. Only the bit span in which
+ * some key differs from the first is sorted, in the fewest digits of
+ * at most `width` bits each, ping-ponging through tmp (n events). hist
+ * needs room for 2**width counts per digit of a 64-bit key. */
+static void radix_sort(int64_t n, int width, event_t *ev, event_t *tmp,
+                       int64_t *hist)
+{
+    uint64_t diff = 0, k0 = ev[0].key;
+    int lo = 0, hi = 63, passes, bits, d;
+    int64_t i, buckets, mask;
+    event_t *src = ev, *dst = tmp;
+    for (i = 0; i < n; i++)
+        diff |= ev[i].key ^ k0;
+    if (diff == 0)
+        return;
+    while (!((diff >> lo) & 1))
+        lo++;
+    while (!((diff >> hi) & 1))
+        hi--;
+    passes = (hi - lo + width) / width;
+    bits = (hi - lo + passes) / passes;
+    buckets = (int64_t)1 << bits;
+    mask = buckets - 1;
+    memset(hist, 0, (size_t)(passes * buckets) * sizeof(int64_t));
+    for (i = 0; i < n; i++) {
+        uint64_t k = ev[i].key >> lo;
+        for (d = 0; d < passes; d++)
+            hist[d * buckets + ((k >> (d * bits)) & mask)]++;
+    }
+    for (d = 0; d < passes; d++) {
+        int64_t *h = hist + d * buckets;
+        int shift = lo + d * bits;
+        event_t *swap;
+        int64_t b, sum = 0;
+        for (b = 0; b < buckets; b++) {
+            int64_t c = h[b];
+            h[b] = sum;
+            sum += c;
+        }
+        for (i = 0; i < n; i++)
+            dst[h[(src[i].key >> shift) & mask]++] = src[i];
+        swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != ev)
+        memcpy(ev, src, (size_t)n * sizeof(event_t));
+}
+
+/* The instant 0 as the reference keeps it: the time of its last event
+ * as stored, which may be -0.0 -- the highest-index task starting at 0,
+ * else the highest-index task ending at 0. */
+static double zero_time(int64_t n, const double *start, const double *w)
+{
+    int64_t i;
+    for (i = n - 1; i >= 0; i--) {
+        if (start[i] == 0.0)
+            return start[i];
+    }
+    for (i = n - 1; i >= 0; i--) {
+        if (start[i] + w[i] == 0.0)
+            return start[i] + w[i];
+    }
+    return 0.0;
+}
+
+/* The piecewise-constant memory profile of a schedule: for every
+ * distinct instant (ascending), the resident memory from that instant
+ * on. Task i allocates alloc[i] at start[i] and frees freed[i] at
+ * start[i] + w[i]; at one instant the frees apply first, then the
+ * allocations, each phase in ascending node index, one event at a time
+ * -- the order and the adds of np.cumsum over the stable
+ * lexsort((phase, time)) of the reference. times_out gets the instant
+ * as the reference stores it, levels_out the level after its last
+ * event; both need room for 2n entries. Returns the number of
+ * instants, -1 when the scratch could not be allocated, -2 on a
+ * non-finite start. */
+int64_t memory_profile(int64_t n, const double *start, const double *w,
+                       const double *alloc, const double *freed,
+                       double *times_out, double *levels_out)
+{
+    int width = digit_width(n);
+    event_t *buf, *sev, *eev;
+    int64_t *hist;
+    int64_t i, ia, ib, m;
+    double level;
+    for (i = 0; i < n; i++) {
+        if (!isfinite(start[i]))
+            return -2;
+    }
+    buf = malloc((size_t)(2 * n) * sizeof(event_t) +
+                 ((size_t)(64 + width - 1) / width << width) * sizeof(int64_t));
+    if (!buf)
+        return -1;
+    sev = buf;
+    eev = buf + n;
+    hist = (int64_t *)(buf + 2 * n);
+    for (i = 0; i < n; i++) {
+        sev[i].key = time_key(start[i]);
+        sev[i].delta = alloc[i];
+        eev[i].key = time_key(start[i] + w[i]);
+        eev[i].delta = freed[i];
+    }
+    /* times_out (2n doubles, written only by the merge) is the sorts'
+     * ping-pong buffer of n events */
+    radix_sort(n, width, sev, (event_t *)times_out, hist);
+    radix_sort(n, width, eev, (event_t *)times_out, hist);
+    ia = ib = m = 0;
+    level = -0.0; /* x + -0.0 == x for every x: the first level is the
+                   * first delta, as in cumsum, also for a -0.0 delta */
+    while (ia < n || ib < n) {
+        uint64_t t;
+        if (ib < n && (ia >= n || eev[ib].key <= sev[ia].key))
+            t = eev[ib].key;
+        else
+            t = sev[ia].key;
+        for (; ib < n && eev[ib].key == t; ib++)
+            level -= eev[ib].delta;
+        for (; ia < n && sev[ia].key == t; ia++)
+            level += sev[ia].delta;
+        times_out[m] = t == ZERO_KEY ? zero_time(n, start, w) : key_time(t);
+        levels_out[m] = level;
+        m++;
+    }
+    free(buf);
+    return m;
+}
 """
 
 _F64 = ndpointer(dtype=np.float64, flags=("C_CONTIGUOUS",))
 _I64 = ndpointer(dtype=np.int64, flags=("C_CONTIGUOUS",))
 
-#: compiler flags of the one build
-_FLAGS = ["-O3", "-shared", "-fPIC"]
+#: compiler flags of the one build; ``-ffp-contract=off`` keeps every
+#: floating-point operation separately rounded (see the module docstring)
+_FLAGS = ["-O3", "-ffp-contract=off", "-shared", "-fPIC"]
 
-#: build cache: None = not attempted, else ``(batch fn or None, reason)``
+#: build cache: None = not attempted, else ``(library or None, reason)``
 _BUILD: tuple | None = None
 
 
@@ -543,7 +769,7 @@ def _compile_one(cc: str, lib_path: str) -> str:
 
 
 def _compile() -> tuple:
-    """Build (or reuse) the shared library; ``(batch fn or None, reason)``."""
+    """Build (or reuse) the shared library; ``(library or None, reason)``."""
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
         return None, "no C compiler (cc/gcc/clang) on PATH"
@@ -580,7 +806,21 @@ def _compile() -> tuple:
         _I64,  # status (S x 2)
         _F64,  # resident (S)
     ]
-    return batch, ""
+    # raw addresses: an ndpointer check costs ~6 us per array, a fifth of
+    # the whole profile of a small tree; memory_profile() below hands
+    # over C-contiguous float64 columns only
+    profile = lib.memory_profile
+    profile.restype = ctypes.c_int64
+    profile.argtypes = [
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # start
+        ctypes.c_void_p,  # w
+        ctypes.c_void_p,  # alloc
+        ctypes.c_void_p,  # freed
+        ctypes.c_void_p,  # times_out (2n)
+        ctypes.c_void_p,  # levels_out (2n)
+    ]
+    return lib, ""
 
 
 def _ensure_built() -> tuple:
@@ -644,10 +884,10 @@ def batch_kernel(
     ctypes releases the GIL for the duration, so the whole grid sweeps
     without re-entering Python.
     """
-    batch, reason = _ensure_built()
-    if batch is None:  # pragma: no cover - callers check available() first
+    lib, reason = _ensure_built()
+    if lib is None:  # pragma: no cover - callers check available() first
         raise RuntimeError(f"C kernel unavailable: {reason}")
-    batch(
+    lib.batch_event_sweep(
         parent.shape[0],
         ps.shape[0],
         int(ps.max()) if ps.shape[0] else 1,
@@ -669,3 +909,30 @@ def batch_kernel(
         status,
         resident,
     )
+
+
+def memory_profile(start, w, alloc, freed):
+    """The exact memory profile on the C library: ``(times, levels)``,
+    or None when the library declines (scratch allocation failure or a
+    non-finite start; the caller then takes the reference path).
+
+    Arguments are the ``float64`` columns of one schedule: task start
+    times and durations, the memory each task allocates at start and
+    frees at completion. The results are views of one ``(2, 2n)``
+    output buffer.
+    """
+    lib, reason = _ensure_built()
+    if lib is None:  # pragma: no cover - callers check available() first
+        raise RuntimeError(f"C kernel unavailable: {reason}")
+    cols = [np.ascontiguousarray(c, dtype=np.float64) for c in (start, w, alloc, freed)]
+    n = len(cols[0])
+    if any(len(c) != n for c in cols):
+        raise ValueError("memory_profile needs four columns of one length")
+    out = np.empty((2, 2 * n), dtype=np.float64)
+    times = ctypes.addressof(ctypes.c_char.from_buffer(out))
+    m = lib.memory_profile(
+        n, *(c.ctypes.data for c in cols), times, times + 16 * n
+    )
+    if m < 0:
+        return None
+    return out[0, :m], out[1, :m]

@@ -27,7 +27,8 @@ Two design points make the engine fast on large trees:
   us/task), which defines the schedule semantics. The engine makes
   this choice itself; nothing overrides it. **Both produce
   bit-identical schedules** -- pinned by ``tests/core/test_backends.py``,
-  so perf work can never silently change paper results.
+  so perf work can never silently change paper results. The
+  simulator's memory profile follows the same decision.
 
 Complexity is :math:`O(n \\log n)` (binary heaps for both the running
 set and the ready queue), matching the paper's analysis; the constant
@@ -89,8 +90,11 @@ def probe_backend(*, refresh: bool = False) -> tuple[str, list[tuple[str, str]]]
     """Health-probe the sweep kernels; return this process's decision.
 
     The C kernel is chosen when it builds
-    (:func:`repro.core._ckernel.available`) and a real two-node sweep on
-    it succeeds; otherwise the pure-Python reference loop, after the
+    (:func:`repro.core._ckernel.available`), a real two-node sweep on
+    it succeeds and its memory profile of that schedule is
+    byte-identical to the numpy reference
+    (:func:`repro.core.simulator.memory_profile` dispatches on the same
+    decision); otherwise the pure-Python reference loop, after the
     same two-node sweep. Returns ``(chosen, skipped)``: ``chosen`` is
     ``"c"`` or ``"python"``, and ``skipped`` lists the ``(kernel,
     reason)`` pairs that failed -- the supervised campaign runtime
@@ -123,16 +127,40 @@ def probe_backend(*, refresh: bool = False) -> tuple[str, list[tuple[str, str]]]
             skipped.append((name, _ckernel.unavailable_reason()))
             continue
         try:
-            sweep(SchedulerEngine(_PROBE_TREE, 1, np.arange(2, dtype=np.int64)))
+            schedule = sweep(
+                SchedulerEngine(_PROBE_TREE, 1, np.arange(2, dtype=np.int64))
+            )
         except Exception as exc:
             skipped.append((name, f"{type(exc).__name__}: {exc}"))
             continue
+        if name == "c":
+            mismatch = _probe_memory_profile(schedule)
+            if mismatch:
+                skipped.append((name, mismatch))
+                continue
         if cacheable:
             _PROBE_CACHE[pid] = (name, tuple(skipped))
         return name, skipped
     raise RuntimeError(
         "no usable sweep: " + "; ".join(f"{b}: {reason}" for b, reason in skipped)
     )
+
+
+def _probe_memory_profile(schedule: Schedule) -> str:
+    """Why the C memory profile of the probe schedule differs from the
+    numpy reference (empty string when the two are byte-identical)."""
+    from .simulator import _memory_profile_compiled, _memory_profile_reference
+
+    try:
+        got = _memory_profile_compiled(schedule)
+    except Exception as exc:
+        return f"memory_profile: {type(exc).__name__}: {exc}"
+    want = _memory_profile_reference(schedule)
+    if got is None or any(
+        a.shape != b.shape or a.tobytes() != b.tobytes() for a, b in zip(got, want)
+    ):
+        return "memory_profile differs from the numpy reference on the probe schedule"
+    return ""
 
 
 def resolve_backend() -> str:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ckernel
+from .engine import resolve_backend
 from .schedule import Schedule
 from .tree import TaskTree
 from .validation import validate_schedule
@@ -48,13 +50,6 @@ class SimulationResult:
     peak_memory: float
     times: np.ndarray
     memory: np.ndarray
-
-    def memory_at(self, t: float) -> float:
-        """Resident memory at time ``t`` (right-continuous profile)."""
-        k = int(np.searchsorted(self.times, t, side="right") - 1)
-        if k < 0:
-            return 0.0
-        return float(self.memory[k])
 
 
 def _memory_events(schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +79,32 @@ def memory_profile(schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(times, memory)`` where ``memory[k]`` holds on
     ``[times[k], times[k+1])``. Events at the same timestamp are merged,
     with frees applied before allocations.
+
+    Computed on the compiled library (:func:`repro.core._ckernel.memory_profile`)
+    when this process dispatches to it
+    (:func:`repro.core.engine.resolve_backend`), else -- and whenever
+    the library declines a schedule -- by
+    :func:`_memory_profile_reference`. Both return the same bytes.
     """
+    if resolve_backend() == "c":
+        profile = _memory_profile_compiled(schedule)
+        if profile is not None:
+            return profile
+    return _memory_profile_reference(schedule)
+
+
+def _memory_profile_compiled(schedule: Schedule):
+    """The profile on the C library, or None where it declines (a
+    non-finite start, a failed allocation)."""
+    tree = schedule.tree
+    return _ckernel.memory_profile(
+        schedule.start, tree.w, tree.sizes + tree.f, tree.completion_frees()
+    )
+
+
+def _memory_profile_reference(schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy memory profile: the fallback of :func:`memory_profile`
+    and the oracle of its compiled path."""
     times, deltas = _memory_events(schedule)
     levels = np.cumsum(deltas)
     # Merge runs of equal timestamps keeping the *last* level (frees were

@@ -34,11 +34,6 @@ class MatrixInstance:
         """Number of rows."""
         return int(self.matrix.shape[0])
 
-    @property
-    def nnz_per_row(self) -> float:
-        """Average nonzeros per row (the UFL filter used >= 2.5)."""
-        return float(self.matrix.nnz / self.matrix.shape[0])
-
 
 #: scale name -> characteristic problem size (grid side, band length...).
 SCALES: dict[str, int] = {"tiny": 8, "small": 24, "medium": 48, "large": 96}

@@ -44,10 +44,6 @@ class SymbolicFactorization:
         """Height of the elimination forest."""
         return int(etree_heights(self.parent).max())
 
-    def n_roots(self) -> int:
-        """Number of trees in the elimination forest (1 iff irreducible)."""
-        return int(np.sum(self.parent == -1))
-
 
 def symbolic_cholesky(a: sp.spmatrix) -> SymbolicFactorization:
     """Symbolic Cholesky factorization of a symmetric-pattern matrix.

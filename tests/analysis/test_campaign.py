@@ -449,3 +449,43 @@ class TestRatioRegression:
         r = ScenarioRecord("t", 5, 2, "H", 10.0, 20.0, 10.0, 5.0)
         assert r.memory_ratio == 2.0
         assert r.makespan_ratio == 2.0
+
+
+class TestRecordsMatchReferenceSimulate:
+    """Every record's makespan and peak memory -- measured on this
+    process's dispatch, the C library's profile where it builds -- hold
+    the bytes ``simulate`` gives on the numpy reference profile, on
+    every matrix tree the golden subtree tests draw from."""
+
+    @pytest.mark.parametrize("scale, step", [("tiny", 1), ("small", 16)])
+    def test_golden_matrix_trees(self, scale, step, monkeypatch):
+        import numpy as np
+
+        from repro import registry
+        from repro.core import simulator
+        from repro.workloads.dataset import build_dataset
+
+        instances = build_dataset(scale=scale)[::step]
+        camp = Campaign(
+            algorithms=tuple(registry.names("parallel")),
+            processor_counts=(2, 4),
+            cap_factors=(1.5, 3.0),
+        )
+        records = run_campaign(instances, camp)
+        monkeypatch.setattr(simulator, "resolve_backend", lambda: "python")
+        scenarios = [
+            (inst, sc) for inst in instances for sc in camp.scenarios_for(inst.name)
+        ]
+        assert len(records) == len(scenarios)
+        bits = lambda x: np.float64(x).tobytes()  # noqa: E731
+        checked = 0
+        for record, (inst, sc) in zip(records, scenarios):
+            assert (record.tree, record.heuristic, record.p) == sc.key()
+            if isinstance(record, FailedRecord):  # an infeasible cap
+                continue
+            schedule = registry.run(sc.algorithm, inst.tree, sc.p, **dict(sc.params))
+            sim = simulator.simulate(schedule)
+            assert bits(record.makespan) == bits(sim.makespan), sc
+            assert bits(record.memory) == bits(sim.peak_memory), sc
+            checked += 1
+        assert checked > 0.9 * len(records)

@@ -240,14 +240,17 @@ class TestSerialKernel:
         assert run.outcomes == [] and run.schedules() == []
 
     def test_kernel_source_has_one_serial_entry_point(self):
+        """One serial sweep export, plus the memory profile; no
+        threading and no fused floating-point operations."""
         import re
 
         from repro.core import _ckernel
 
         exported = re.findall(r"^int64_t (\w+)\(", _ckernel._SOURCE, re.MULTILINE)
-        assert exported == ["batch_event_sweep"]
+        assert exported == ["batch_event_sweep", "memory_profile"]
         assert "#pragma omp" not in _ckernel._SOURCE
         assert "-fopenmp" not in _ckernel._FLAGS
+        assert "-ffp-contract=off" in _ckernel._FLAGS
 
     def test_kernel_leaves_pending0_untouched(self):
         """Every kernel run counts down a private copy of the child
@@ -450,7 +453,7 @@ class TestCompileCacheKeys:
         assert _ckernel._lib_path().endswith(f"event_sweep_{key}.so")
 
     def test_build_tuple_is_fn_and_reason(self):
-        """The build cache is a ``(batch fn or None, reason)`` pair, the
+        """The build cache is a ``(library or None, reason)`` pair, the
         format the test suite monkeypatches to simulate no toolchain."""
         from repro.core import _ckernel
 

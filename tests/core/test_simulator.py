@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import registry
+from repro.core import _ckernel
+from repro.core import engine as engine_mod
+from repro.core.engine import resolve_backend
 from repro.core.schedule import Schedule
 from repro.core.simulator import (
+    _memory_profile_compiled,
+    _memory_profile_reference,
     memory_profile,
     peak_memory,
     sequential_peak_memory,
@@ -16,7 +21,8 @@ from repro.core.simulator import (
 from repro.core.tree import NO_PARENT, TaskTree
 from repro.parallel import par_deepest_first
 from repro.sequential.traversal import traversal_peak_memory
-from tests.conftest import random_tree, task_trees
+from repro.testing import faults
+from tests.conftest import parent_vectors, pebble_trees, random_tree, task_trees
 
 
 def resident_memory(schedule, t):
@@ -34,10 +40,26 @@ def resident_memory(schedule, t):
     return float(tree.sizes[execution].sum() + tree.f[output].sum())
 
 
+def memory_at(times, memory, t):
+    """Resident memory at ``t`` read off a right-continuous profile."""
+    k = int(np.searchsorted(times, t, side="right") - 1)
+    return 0.0 if k < 0 else float(memory[k])
+
+
+def same_profile(got, want) -> bool:
+    """Two ``(times, levels)`` profiles hold the same bytes."""
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 def assert_profile_matches_oracle(schedule):
-    times, mem = memory_profile(schedule)
-    assert np.array_equal(times, np.unique(np.concatenate([schedule.start, schedule.end])))
-    assert list(mem) == [resident_memory(schedule, t) for t in times]
+    """Both dispatches -- this process's (the C library where it builds)
+    and the numpy reference -- against the per-file oracle."""
+    for profile in (memory_profile, _memory_profile_reference):
+        times, mem = profile(schedule)
+        assert np.array_equal(
+            times, np.unique(np.concatenate([schedule.start, schedule.end]))
+        )
+        assert list(mem) == [resident_memory(schedule, t) for t in times]
     assert peak_memory(schedule) == max(mem)
 
 
@@ -98,8 +120,8 @@ class TestParallelAccounting:
         # t in [0,1): leaves 1,2 -> 2; [1,2): outputs 1,2 + leaves 3,4 -> 4
         # [2,3): 4 inputs + root output -> 5.
         assert sim.peak_memory == 5.0
-        assert sim.memory_at(0.5) == 2.0
-        assert sim.memory_at(1.5) == 4.0
+        assert memory_at(sim.times, sim.memory, 0.5) == 2.0
+        assert memory_at(sim.times, sim.memory, 1.5) == 4.0
 
     def test_memory_profile_monotone_times(self, paper_example):
         sch = Schedule.sequential(paper_example, paper_example.postorder())
@@ -131,7 +153,7 @@ class TestSimulateResult:
     def test_memory_at_before_start(self, paper_example):
         sch = Schedule.sequential(paper_example, paper_example.postorder())
         sim = simulate(sch)
-        assert sim.memory_at(-1.0) == 0.0
+        assert memory_at(sim.times, sim.memory, -1.0) == 0.0
 
     def test_validate_flag(self, star5):
         # Invalid: root starts before children complete.
@@ -193,6 +215,97 @@ class TestAgainstFileOracle:
     def test_memory_at_reads_the_profile(self, tree):
         sim = simulate(par_deepest_first(tree, 2))
         for k, t in enumerate(sim.times):
-            assert sim.memory_at(t) == sim.memory[k]
+            assert memory_at(sim.times, sim.memory, t) == sim.memory[k]
             if k:
-                assert sim.memory_at((sim.times[k - 1] + t) / 2) == sim.memory[k - 1]
+                mid = (sim.times[k - 1] + t) / 2
+                assert memory_at(sim.times, sim.memory, mid) == sim.memory[k - 1]
+
+
+#: values that make instants collide and sums round: float weights,
+#: zero work, both signed zeros
+_STARTS = st.sampled_from([-0.0, 0.0, 0.1, 1 / 3, 0.5, 1.0, 1.1, 2.0, 1e300])
+_WORK = st.sampled_from([0.0, 0.0, 0.1, 1 / 3, 1.0, 2.0])
+_FILES = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 1 / 3, 1.0, 2.5])
+
+
+@st.composite
+def storm_schedules(draw):
+    """Arbitrary start times (valid or not: the profile does not check
+    precedence) from a handful of values, so many events share an
+    instant, on trees with float weights and zero-work tasks."""
+    parents = draw(parent_vectors(1, 40))
+    n = len(parents)
+    column = lambda values: draw(st.lists(values, min_size=n, max_size=n))  # noqa: E731
+    tree = TaskTree.from_parents(parents, column(_WORK), column(_FILES), column(_FILES))
+    return Schedule(tree, column(_STARTS), np.zeros(n, dtype=np.int64), p=1)
+
+
+class TestCompiledProfile:
+    """The C library's profile holds the bytes of the numpy reference;
+    where this process does not dispatch to it, both sides are the
+    reference and the assertions still hold."""
+
+    @given(storm_schedules())
+    @settings(max_examples=300, deadline=None)
+    @example(
+        Schedule(TaskTree.from_parents([-1], w=0.0, f=1.0, sizes=0.0), [-0.0], [0], p=1)
+    )
+    @example(
+        Schedule(TaskTree.from_parents([-1, 0], w=1.0, f=0.0, sizes=-0.0), [1.0, -0.0], [0, 0], 1)
+    )
+    @example(  # the first level is -0.0: cumsum starts from the first delta
+        Schedule(
+            TaskTree.from_parents([-1, 0], [0.0, 1.0], [-0.0, 0.0], [-0.0, 1.0]),
+            [0.0, 1.0],
+            [0, 0],
+            p=1,
+        )
+    )
+    def test_byte_identical_on_storms(self, schedule):
+        want = _memory_profile_reference(schedule)
+        assert same_profile(memory_profile(schedule), want)
+        if resolve_backend() == "c":
+            got = _memory_profile_compiled(schedule)
+            assert got is not None and same_profile(got, want)
+
+    @given(pebble_trees(max_nodes=60), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_byte_identical_on_unit_schedules(self, tree, p):
+        """Unit weights on many processors: every instant is a storm of
+        simultaneous frees and allocations."""
+        schedule = par_deepest_first(tree, p)
+        assert same_profile(memory_profile(schedule), _memory_profile_reference(schedule))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_takes_the_reference_path(self, star5, bad):
+        start = np.array([1.0, 0.0, bad, 0.0, 0.0])
+        schedule = Schedule(star5, start, np.arange(5) % 2, p=2)
+        if resolve_backend() == "c":
+            assert _memory_profile_compiled(schedule) is None
+        assert same_profile(memory_profile(schedule), _memory_profile_reference(schedule))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda t, m: (t, m + 1.0), id="levels"),
+            pytest.param(lambda t, m: (np.where(t == 0, -0.0, t), m), id="signed-zero"),
+            pytest.param(lambda t, m: None, id="declines"),
+        ],
+    )
+    def test_corrupt_result_makes_the_probe_skip_c(self, corrupt, monkeypatch):
+        """A compiled profile that differs from the reference on the
+        probe schedule -- by value, by the sign of a zero, or by not
+        answering -- sends the whole process to the reference paths,
+        with the reason in the probe's skip list."""
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        monkeypatch.setattr(engine_mod, "_PROBE_CACHE", {})
+        if not _ckernel.available():
+            pytest.skip(f"no C library: {_ckernel.unavailable_reason()}")
+        real = _ckernel.memory_profile
+        monkeypatch.setattr(_ckernel, "memory_profile", lambda *cols: corrupt(*real(*cols)))
+        chosen, skipped = engine_mod.probe_backend()
+        assert chosen == "python"
+        assert skipped == [
+            ("c", "memory_profile differs from the numpy reference on the probe schedule")
+        ]
+        assert resolve_backend() == "python"
