@@ -16,23 +16,38 @@ way the seed ``TaskTree.__post_init__`` did):
   recomputation; now: interleaved-cumsum profiles, array segment
   merges, incremental single-child re-segmentation).
 
-Every timed pair is asserted bit-identical (orders and peaks). Writes
-``BENCH_sequential.json`` (repo root by default), same row format as
-``BENCH_engine.json``, so future PRs have a perf trajectory::
+Every timed pair is asserted bit-identical (orders and peaks).
+
+``--dispatch`` instead times the dispatched path (the compiled library
+where it builds and passes its probe) against the Python path, its
+fallback and oracle: ``optimal_postorder`` (the per-node loop plus the
+closed-form emission) and Algorithm 2's split (a fresh ``SplitPlan``
+and its split for p = 2, 4, 8, 16), at each size and on the 64 trees of
+the paper data set (``build_dataset("small")``). Results must match
+byte for byte (asserted).
+
+``--smoke`` runs both modes at small sizes (CI guard against bit-rot);
+``--append`` appends the payload to an existing trajectory file instead
+of overwriting it (the file then holds a JSON array of entries).
+
+Writes ``BENCH_sequential.json`` (repo root by default), same row format
+as ``BENCH_engine.json``, so future PRs have a perf trajectory::
 
     PYTHONPATH=src python benchmarks/bench_sequential.py
     PYTHONPATH=src python benchmarks/bench_sequential.py --smoke
     PYTHONPATH=src python benchmarks/bench_sequential.py --sizes 1000 10000
+    PYTHONPATH=src python benchmarks/bench_sequential.py --dispatch --append
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import time
 
 import numpy as np
+
+from bench_engine import write_payload
 
 from repro.core.tree import NO_PARENT, TaskTree
 from repro.sequential.liu import liu_optimal_traversal
@@ -309,6 +324,69 @@ def run_bench(sizes, liu_sizes, repeats, seed):
     return rows
 
 
+#: processor counts of the split timings
+SPLIT_PS = (2, 4, 8, 16)
+
+
+def bench_dispatch(sizes, repeats, seed, smoke):
+    """Dispatched versus Python ``optimal_postorder`` and split."""
+    from repro.core.engine import resolve_backend
+    from repro.parallel.split_subtrees import SplitPlan
+    from repro.sequential.postorder import _python_postorder
+    from repro.workloads.dataset import build_dataset
+
+    cases = [(str(n), [random_weighted_tree(int(n), np.random.default_rng(seed))]) for n in sizes]
+    scale = "tiny" if smoke else "small"
+    dataset = [inst.tree for inst in build_dataset(scale)]
+    cases.append((f"{scale} x{len(dataset)}", dataset))
+    backend = resolve_backend()
+
+    def liu(trees, python):
+        if python:
+            return [_python_postorder(t, False) for t in trees]
+        return [(None, optimal_postorder(t)) for t in trees]
+
+    def same_liu(ref, got):
+        return all(
+            np.array_equal(r[1], g[1].order) and r[0][t.root] == g[1].peak_memory
+            for r, g, t in zip(ref, got, trees)
+        )
+
+    def split(trees, works, python):
+        out = []
+        for t, work in zip(trees, works):
+            plan = SplitPlan(t, work)
+            run = plan._split_reference if python else plan.split
+            out.append([run(p) for p in SPLIT_PS])
+        return out
+
+    rows = []
+    for label, trees in cases:
+        works = [t.subtree_work() for t in trees]
+        for kernel, fn, same in (
+            ("optimal_postorder", lambda py: liu(trees, py), same_liu),
+            ("split", lambda py: split(trees, works, py), lambda a, b: a == b),
+        ):
+            t_py, ref = best_of(lambda: fn(True), repeats)
+            t_got, got = best_of(lambda: fn(False), repeats)
+            _check(same(ref, got), f"{kernel} {label}")
+            row = {
+                "kernel": kernel,
+                "case": label,
+                "n": int(sum(t.n for t in trees)),
+                "backend": backend,
+                "python_s": round(t_py, 6),
+                "dispatched_s": round(t_got, 6),
+                "speedup": round(t_py / t_got, 3) if t_got > 0 else float("inf"),
+            }
+            print(
+                f"{kernel:>18s} {label:>10s}  python {row['python_s']:9.4f}s  "
+                f"{backend} {row['dispatched_s']:9.4f}s  speedup {row['speedup']:7.2f}x"
+            )
+            rows.append(row)
+    return rows
+
+
 def _check(ok, what):
     if not ok:
         raise AssertionError(f"{what}: legacy and vectorized paths diverged")
@@ -330,6 +408,17 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=2013)
     parser.add_argument("--output", default="BENCH_sequential.json")
     parser.add_argument(
+        "--dispatch",
+        action="store_true",
+        help="time the dispatched optimal_postorder and split against "
+        "their Python paths instead of the seed comparison",
+    )
+    parser.add_argument(
+        "--append",
+        action="store_true",
+        help="append to the output file instead of overwriting it",
+    )
+    parser.add_argument(
         "--smoke",
         action="store_true",
         help="tiny sizes and one repeat: exercises every timed pair end "
@@ -344,20 +433,24 @@ def main(argv=None):
         if args.liu_sizes is not None
         else [n for n in args.sizes if n <= 10**4]
     )
-    rows = run_bench(args.sizes, liu_sizes, args.repeats, args.seed)
     payload = {
         "benchmark": "sequential",
-        "kernels": ["construction", "optimal_postorder", "liu", "liu_chain"],
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": args.repeats,
         "seed": args.seed,
         "smoke": bool(args.smoke),
-        "results": rows,
     }
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    entries = []
+    if args.dispatch or args.smoke:
+        rows = bench_dispatch(args.sizes, args.repeats, args.seed, args.smoke)
+        entries.append({**payload, "kernels": ["optimal_postorder", "split"], "dispatch": rows})
+    if not args.dispatch:
+        rows = run_bench(args.sizes, liu_sizes, args.repeats, args.seed)
+        kernels = ["construction", "optimal_postorder", "liu", "liu_chain"]
+        entries.append({**payload, "kernels": kernels, "results": rows})
+    for k, entry in enumerate(entries):
+        write_payload(args.output, entry, args.append or k > 0)
     print(f"wrote {args.output}")
     return 0
 

@@ -269,9 +269,9 @@ def _serve(
     faults.install(faults.FaultPlan.from_json(plan_json) if plan_json else None)
     if probed is not None:
         chosen, skipped = probed[0], [tuple(s) for s in probed[1]]
-        # adopt the pool's decision as this process's dispatch (engine
-        # runs read it from the probe cache; a fault plan bypasses it)
-        engine._PROBE_CACHE[os.getpid()] = (chosen, tuple(map(tuple, skipped)))
+        # adopt the pool's decision as this process's dispatch (every
+        # dispatch reads it from the probe cache)
+        engine.adopt_decision(chosen, skipped)
         did_probe = False
     else:
         try:

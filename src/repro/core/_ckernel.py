@@ -1,21 +1,29 @@
 """The compiled library: the C event sweep of
-:class:`repro.core.engine.SchedulerEngine` and the exact memory profile
-of :func:`repro.core.simulator.memory_profile`.
+:class:`repro.core.engine.SchedulerEngine`, the exact memory profile of
+:func:`repro.core.simulator.memory_profile`, Liu's optimal postorder of
+:func:`repro.sequential.postorder.optimal_postorders` and Algorithm 2's
+splitting of :meth:`repro.parallel.split_subtrees.SplitPlan.split`.
 
 The sweep is a line-for-line C translation of the engine's pure-Python
 reference loop (:meth:`~repro.core.engine.SchedulerEngine.run_reference`)
 over typed, C-contiguous numpy arrays -- array-based binary heaps
 instead of ``heapq``, integer node ids instead of tuples, no Python
-objects in the hot loop. The library is compiled on demand with the
+objects in the hot loop; the other exports translate their Python paths
+the same way. The library is compiled on demand with the
 system toolchain (``cc``/``gcc``/``clang``) into a shared library cached
 under the user cache directory (override with ``REPRO_KERNEL_CACHE``)
 and loaded via :mod:`ctypes`. It is strictly optional: when no
 toolchain is available (or the compile fails) :func:`available` returns
-False and the engine sweeps on the reference loop instead, and the
-simulator measures on its numpy reference.
+False and every caller takes its Python path instead: the engine sweeps
+on the reference loop, the simulator measures on its numpy reference,
+Liu's recurrence runs its per-node loop and the split its Python replay.
 
-The library exports two entry points, both serial, and ctypes releases
-the GIL for the duration of either call:
+The library exports four entry points, all serial, and ctypes releases
+the GIL for the duration of each call. Each takes ``int64`` scalars
+and raw addresses: its Python wrapper here checks the dtype, the
+C-contiguity and the shape of every array once (:func:`_address`; the
+memory profile's converts its four columns instead), where an
+``ndpointer`` argtype would cost ~6 us per array and call.
 
 * ``batch_event_sweep``: a loop over the scenarios of a grid against
   one tree, every scenario swept over the same malloc'd scratch arena
@@ -23,6 +31,10 @@ the GIL for the duration of either call:
   single engine run is a grid of one.
 * ``memory_profile``: the piecewise-constant memory profile of one
   schedule (see *Memory profile spec* below).
+* ``postorder_peaks``: Liu's peaks and optimal postorders of one tree,
+  for both tie orders (see *Postorder spec* below).
+* ``split_subtrees``: Algorithm 2's minimum-cost splitting of one tree
+  for one ``p`` (see *Split spec* below).
 
 Sweep kernel spec
 -----------------
@@ -96,6 +108,67 @@ the double add of ``Schedule.end``. The library
 It returns ``-1`` when its scratch cannot be allocated and ``-2`` on a
 non-finite start; the simulator then takes its numpy reference path.
 
+Postorder spec
+--------------
+``postorder_peaks(n, child_ptr, child_idx, post, f, sizes, peaks_asc,
+peaks_desc, order_asc, order_desc) -> code`` (:func:`postorder_peaks`
+here wraps it). ``child_ptr``/``child_idx`` are the tree's CSR
+children (ascending node index within a parent) and ``post`` any
+postorder (children before parents). One bottom-up pass over ``post``
+computes, for both tie orders at once,
+
+1. a leaf's peak ``sizes[i] + f[i]``;
+2. an inner node's children sorted by the key ``M_j - f_j`` descending,
+   equal keys by ascending node index (``*_asc``) or descending
+   (``*_desc``) -- a total order, so the sort algorithm (insertion
+   sort up to 16 children, ``qsort`` beyond) cannot change the result,
+   and it is the order of the Python loop's stable ``sorted(...,
+   reverse=True)``;
+3. its peak with the loop's adds and ``max``: ``acc`` and ``best`` start
+   at ``0.0``; per child ``best = max(best, acc + M_j)`` then ``acc +=
+   f_j``; last ``max(best, (acc + sizes[i]) + f[i])``, where ``max``
+   keeps ``best`` unless the candidate is strictly larger.
+
+Then one top-down pass per tie order emits the optimal postorder: every
+subtree occupies a contiguous range, its children's ranges in sorted
+order, the node itself last. The four ``n``-entry outputs get the
+peaks ``M_i`` and the orders. It returns ``0``, ``-1`` when its scratch
+cannot be allocated and ``-2`` on a non-finite ``f`` or size; the caller
+then takes the Python path.
+
+Split spec
+----------
+``split_subtrees(n, p, child_ptr, child_idx, rank, by_rank, W, w, stop,
+root, roots_out, cost_out, steps_out) -> k`` (:func:`split_subtrees`
+here wraps it). ``rank``/``by_rank`` are the frontier ranks of
+:class:`~repro.parallel.split_subtrees.SplitPlan` (``(W_i, w_i, -i)``
+ascending) and their inverse, ``W`` the subtree work by rank, ``w`` the
+task durations and ``stop`` (one byte per node) the nodes whose subtree
+cannot be split further. The library
+
+1. pops the frontier's heaviest entry (a max-heap of ranks, unique, so
+   the pop order is ``heapq``'s) until the head is a stop node, and
+   after pop ``k`` records the total frontier work ``sum_all[k]`` (``+=
+   W`` of the root, then ``+= -W`` of each pop and ``+= W`` of each of
+   its children in child-index order) and ``head_seq[k]`` (``W`` of the
+   next head plus the running ``+=`` of the popped ``w``);
+2. bounds every later step's cost from below, ``later[k]``: the minimum
+   of ``head_seq`` after ``k`` less the margin ``(3 (m + K) + 8) *
+   2**-51 * W_root`` (``m`` pops, ``K`` children pushed);
+3. replays the pops for ``p``: an ascending array of the ``p``
+   heaviest ranks and a max-heap of the others, ``sum_top`` updated with
+   the adds and subtracts of the Python replay in its order, the cost
+   ``head_seq[k] + (sum_all[k] - sum_top)`` after each pop, stopping
+   once ``later[k]`` exceeds the best cost so far;
+4. takes the first minimum-cost step (``np.argmin``'s tie) and writes
+   its frontier -- the root, or the children of its pops that were not
+   popped themselves -- to ``roots_out`` by descending rank, its cost to
+   ``cost_out`` and the number of steps ``m + 1`` to ``steps_out``.
+
+It returns the number of frontier roots, ``-1`` when its scratch cannot
+be allocated and ``-2`` when the root's ``W`` is not finite; the caller
+then takes the Python replay.
+
 Equivalence contract
 --------------------
 The kernel must produce **bit-identical** outputs to the reference
@@ -119,15 +192,21 @@ The memory profile holds the bytes of the numpy reference
 ``tests/core/test_simulator.py``) for the same reason: the same adds in
 the same order. Its ``level`` starts at ``-0.0``, the additive identity,
 so even a leading ``-0.0`` delta reproduces ``cumsum``'s first element.
+Liu's peaks and orders hold the bytes of the per-node loop
+(``postorder._postorder_peaks_loop``, pinned by
+``tests/sequential/test_postorder.py``) and the splitting those of the
+Python replay (``SplitPlan._split_reference``, pinned by
+``tests/parallel/test_split_subtrees.py``), again by the same
+operations in the same order.
 
-Both exports depend on every floating-point operation being rounded on
+Every export depends on every floating-point operation being rounded on
 its own, as numpy and CPython round it. ``_FLAGS`` therefore pins
 ``-ffp-contract=off``: a compiler may otherwise fuse ``a * b + c`` into
 one fused multiply-add with a single rounding (GCC's default in GNU C
 mode is ``-ffp-contract=fast``, which fuses on any target with FMA
 instructions), which silently changes the last bit of a sum and with
-it a schedule or a peak. No fused operation may enter either
-export.
+it a schedule or a peak (the split's margin is such a product and
+sum). No fused operation may enter any export.
 
 Heap pop order is determined by the key order alone -- ready entries
 are bare ranks (a permutation, hence unique) and running entries carry
@@ -157,13 +236,14 @@ import tempfile
 import time
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
 __all__ = [
     "available",
     "unavailable_reason",
     "batch_kernel",
     "memory_profile",
+    "postorder_peaks",
+    "split_subtrees",
     "cache_dir",
 ]
 
@@ -628,14 +708,310 @@ int64_t memory_profile(int64_t n, const double *start, const double *w,
     free(buf);
     return m;
 }
+
+/* ---- Liu's optimal postorder (see the module docstring) ---- */
+
+/* a child in its parent's sort: Liu's key M_j - f_j and its node */
+typedef struct {
+    double key;
+    int64_t node;
+} kid_t;
+
+/* <0 when a goes first: the larger key, then the smaller node index
+ * (desc = 0) or the larger one (desc = 1). A total order, so every sort
+ * algorithm yields the same sequence. */
+static int kid_cmp(const kid_t *a, const kid_t *b, int desc)
+{
+    if (a->key != b->key)
+        return a->key > b->key ? -1 : 1;
+    if (a->node == b->node)
+        return 0;
+    return ((a->node < b->node) != desc) ? -1 : 1;
+}
+
+static int kid_cmp_asc(const void *a, const void *b)
+{
+    return kid_cmp(a, b, 0);
+}
+
+static int kid_cmp_desc(const void *a, const void *b)
+{
+    return kid_cmp(a, b, 1);
+}
+
+/* Sort the k children of one node and return its peak: Liu's recurrence
+ * with the adds and max of the per-node Python loop. */
+static double liu_node(kid_t *kids, int64_t k, int desc, const double *peaks,
+                       const double *f, double size_i, double f_i)
+{
+    double acc = 0.0, best = 0.0, x;
+    int64_t i, j;
+    if (k > 16) {
+        qsort(kids, (size_t)k, sizeof(kid_t), desc ? kid_cmp_desc : kid_cmp_asc);
+    } else {
+        for (i = 1; i < k; i++) {
+            kid_t c = kids[i];
+            for (j = i; j > 0 && kid_cmp(&c, &kids[j - 1], desc) < 0; j--)
+                kids[j] = kids[j - 1];
+            kids[j] = c;
+        }
+    }
+    for (i = 0; i < k; i++) {
+        x = acc + peaks[kids[i].node];
+        if (x > best)
+            best = x;
+        acc += f[kids[i].node];
+    }
+    x = acc + size_i + f_i;
+    return x > best ? x : best;
+}
+
+/* Liu's peaks M_i and the optimal postorder for both tie orders (0:
+ * tied siblings in ascending node index, 1: descending) in one
+ * bottom-up pass over `post` (children before parents), then one
+ * top-down emission per tie order: every subtree occupies a contiguous
+ * range, its children's ranges in sorted order, the node itself last.
+ * Returns 0, -1 when the scratch could not be allocated, -2 on a
+ * non-finite f or size. */
+int64_t postorder_peaks(int64_t n, const int64_t *ptr, const int64_t *cidx,
+                        const int64_t *post, const double *f,
+                        const double *sizes, double *peaks_asc,
+                        double *peaks_desc, int64_t *order_asc,
+                        int64_t *order_desc)
+{
+    double *peaks[2];
+    int64_t *order[2], *sorted[2], *size, *lo;
+    kid_t *kids;
+    int64_t i, j, t;
+    for (i = 0; i < n; i++) {
+        if (!isfinite(f[i]) || !isfinite(sizes[i]))
+            return -2;
+    }
+    size = malloc((size_t)(4 * n) * sizeof(int64_t) + (size_t)n * sizeof(kid_t));
+    if (!size)
+        return -1;
+    lo = size + n;
+    sorted[0] = lo + n;
+    sorted[1] = sorted[0] + n;
+    kids = (kid_t *)(sorted[1] + n);
+    peaks[0] = peaks_asc;
+    peaks[1] = peaks_desc;
+    order[0] = order_asc;
+    order[1] = order_desc;
+    for (j = 0; j < n; j++) {
+        int64_t v = post[j], k = ptr[v + 1] - ptr[v];
+        size[v] = 1;
+        for (i = 0; i < k; i++)
+            size[v] += size[cidx[ptr[v] + i]];
+        if (k == 0) {
+            peaks_asc[v] = peaks_desc[v] = sizes[v] + f[v];
+            continue;
+        }
+        for (t = 0; t < 2; t++) {
+            for (i = 0; i < k; i++) {
+                int64_t c = cidx[ptr[v] + i];
+                kids[i].key = peaks[t][c] - f[c];
+                kids[i].node = c;
+            }
+            peaks[t][v] = liu_node(kids, k, (int)t, peaks[t], f, sizes[v], f[v]);
+            for (i = 0; i < k; i++)
+                sorted[t][ptr[v] + i] = kids[i].node;
+        }
+    }
+    for (t = 0; t < 2 && n > 0; t++) {
+        lo[post[n - 1]] = 0;
+        for (j = n - 1; j >= 0; j--) {
+            int64_t v = post[j], off = lo[v];
+            for (i = ptr[v]; i < ptr[v + 1]; i++) {
+                lo[sorted[t][i]] = off;
+                off += size[sorted[t][i]];
+            }
+            order[t][lo[v] + size[v] - 1] = v;
+        }
+    }
+    free(size);
+    return 0;
+}
+
+/* ---- Algorithm 2's splitting (see the module docstring) ---- */
+
+static int rank_cmp_desc(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x < y) - (x > y);
+}
+
+/* Insert r into the ascending list top[0..size) (ranks are unique). */
+static void insort(int64_t *top, int64_t size, int64_t r)
+{
+    int64_t i = size;
+    while (i > 0 && top[i - 1] > r) {
+        top[i] = top[i - 1];
+        i--;
+    }
+    top[i] = r;
+}
+
+/* The minimum-cost splitting for p processors: SplitPlan's pop sequence
+ * (a max-heap of frontier ranks, popped until the head is a stop node)
+ * with its cost terms, then split(p)'s top-p replay with its early stop,
+ * then the frontier of the first minimum-cost step, written to roots_out
+ * by descending rank. W is the subtree work by rank. Returns the number
+ * of frontier roots, -1 when the scratch could not be allocated, -2 on
+ * a non-finite W of the root. */
+int64_t split_subtrees(int64_t n, int64_t p, const int64_t *ptr,
+                       const int64_t *cidx, const int64_t *rank,
+                       const int64_t *by_rank, const double *W,
+                       const double *w, const uint8_t *stop, int64_t root,
+                       int64_t *roots_out, double *cost_out,
+                       int64_t *steps_out)
+{
+    int64_t cap = (p < n ? p : n) + 1;
+    int64_t *heads, *heap, *top, hsize, tsize, m, kids_total, k, i, r;
+    int64_t ncost, best_step;
+    double *head_seq, *sum_all, *later, *costs, s, seq, margin, lb, best;
+    uint8_t *split;
+    if (!isfinite(W[rank[root]]))
+        return -2;
+    heads = malloc((size_t)(2 * n + cap) * sizeof(int64_t) +
+                   (size_t)(4 * n + 1) * sizeof(double) + (size_t)n);
+    if (!heads)
+        return -1;
+    heap = heads + n;
+    top = heap + n;
+    head_seq = (double *)(top + cap);
+    sum_all = head_seq + n;
+    later = sum_all + n;
+    costs = later + n;
+    split = (uint8_t *)(costs + n + 1);
+
+    /* the pop sequence; after pop k: sum_all[k] (the frontier work, one
+     * sequential stream of += and -=) and head_seq[k] (W of the next
+     * head plus the sequential work so far) */
+    hsize = 0;
+    push_int(heap, hsize++, -rank[root]);
+    m = kids_total = 0;
+    s = 0.0;
+    s += W[rank[root]];
+    seq = 0.0;
+    for (;;) {
+        int64_t v = by_rank[-heap[0]];
+        if (m > 0)
+            head_seq[m - 1] = W[rank[v]] + seq;
+        if (stop[v])
+            break;
+        pop_int(heap, hsize--);
+        heads[m++] = v;
+        seq += w[v];
+        s += -W[rank[v]];
+        for (i = ptr[v]; i < ptr[v + 1]; i++) {
+            push_int(heap, hsize++, -rank[cidx[i]]);
+            s += W[rank[cidx[i]]];
+        }
+        kids_total += ptr[v + 1] - ptr[v];
+        sum_all[m - 1] = s;
+    }
+    /* later[k] bounds every later step's cost from below (SplitPlan) */
+    margin = (double)(3 * (m + kids_total) + 8) * 0x1p-51 * W[rank[root]];
+    if (m > 0)
+        later[m - 1] = INFINITY;
+    for (k = m - 2, lb = INFINITY; k >= 0; k--) {
+        if (head_seq[k + 1] < lb)
+            lb = head_seq[k + 1];
+        later[k] = lb - margin;
+    }
+
+    /* the top-p replay: top holds the ranks of the (at most p) heaviest
+     * frontier entries in ascending order, heap the others (negated) */
+    top[0] = rank[root];
+    tsize = 1;
+    hsize = 0;
+    s = 0.0 + W[rank[root]]; /* sum_top */
+    costs[0] = W[rank[root]];
+    best = costs[0];
+    ncost = 1;
+    for (k = 0; k < m; k++) {
+        int64_t v = heads[k];
+        double cost;
+        r = top[--tsize];
+        s -= W[r];
+        if (hsize > 0) {
+            r = -pop_int(heap, hsize--);
+            insort(top, tsize++, r);
+            s += W[r];
+        }
+        for (i = ptr[v]; i < ptr[v + 1]; i++) {
+            r = rank[cidx[i]];
+            if (tsize < p) {
+                insort(top, tsize++, r);
+                s += W[r];
+            } else if (r > top[0]) {
+                insort(top, tsize++, r);
+                s += W[r];
+                r = top[0];
+                memmove(top, top + 1, (size_t)(--tsize) * sizeof(int64_t));
+                s -= W[r];
+                push_int(heap, hsize++, -r);
+            } else {
+                push_int(heap, hsize++, -r);
+            }
+        }
+        cost = head_seq[k] + (sum_all[k] - s);
+        costs[ncost++] = cost;
+        if (cost < best)
+            best = cost;
+        if (later[k] > best)
+            break;
+    }
+    for (best_step = 0, i = 1; i < ncost; i++) { /* the first minimum */
+        if (costs[i] < costs[best_step])
+            best_step = i;
+    }
+
+    /* the frontier after best_step pops, by descending rank */
+    if (best_step == 0) {
+        roots_out[0] = root;
+        r = 1;
+    } else {
+        memset(split, 0, (size_t)n);
+        for (k = 0; k < best_step; k++)
+            split[heads[k]] = 1;
+        r = 0;
+        for (k = 0; k < best_step; k++) {
+            for (i = ptr[heads[k]]; i < ptr[heads[k] + 1]; i++) {
+                if (!split[cidx[i]])
+                    heap[r++] = rank[cidx[i]];
+            }
+        }
+        qsort(heap, (size_t)r, sizeof(int64_t), rank_cmp_desc);
+        for (i = 0; i < r; i++)
+            roots_out[i] = by_rank[heap[i]];
+    }
+    *cost_out = costs[best_step];
+    *steps_out = m + 1;
+    free(heads);
+    return r;
+}
 """
 
-_F64 = ndpointer(dtype=np.float64, flags=("C_CONTIGUOUS",))
-_I64 = ndpointer(dtype=np.int64, flags=("C_CONTIGUOUS",))
-
 #: compiler flags of the one build; ``-ffp-contract=off`` keeps every
-#: floating-point operation separately rounded (see the module docstring)
-_FLAGS = ["-O3", "-ffp-contract=off", "-shared", "-fPIC"]
+#: floating-point operation separately rounded (see the module docstring).
+#: ``-O1``: the cold build runs inside a process's first probe, and on a
+#: 2-vCPU x86-64 box with GCC 12 the four exports compile in 0.34 s at
+#: -O1 against 0.61 s at -O3, while the sweep of a 20-scenario n = 1e5
+#: grid ran in 0.44-0.46 s at -O1 against 0.55 s at -O3.
+_FLAGS = ["-O1", "-ffp-contract=off", "-shared", "-fPIC"]
+
+_I, _P = ctypes.c_int64, ctypes.c_void_p
+
+#: every export with its argument types: ``int64`` scalars and raw
+#: addresses (see the specs in the module docstring)
+_EXPORTS = {
+    "batch_event_sweep": [_I] * 3 + [_P] * 17,
+    "memory_profile": [_I] + [_P] * 6,
+    "postorder_peaks": [_I] + [_P] * 9,
+    "split_subtrees": [_I, _I] + [_P] * 7 + [_I] + [_P] * 3,
+}
 
 #: build cache: None = not attempted, else ``(library or None, reason)``
 _BUILD: tuple | None = None
@@ -782,44 +1158,13 @@ def _compile() -> tuple:
         lib = ctypes.CDLL(lib_path)
     except OSError as exc:  # pragma: no cover - corrupt cache entry
         return None, f"could not load {lib_path}: {exc}"
-    batch = lib.batch_event_sweep
-    batch.restype = ctypes.c_int64
-    batch.argtypes = [
-        ctypes.c_int64,  # n
-        ctypes.c_int64,  # nscen
-        ctypes.c_int64,  # max_p
-        _I64,  # parent
-        _I64,  # pending0 (read-only; copied per scenario in C)
-        _F64,  # w
-        _I64,  # ranks (R x n)
-        _I64,  # byranks (R x n)
-        _I64,  # rank_id (S)
-        _I64,  # ps (S)
-        _I64,  # modes (S)
-        _F64,  # cap_eps (S)
-        _F64,  # alloc
-        _F64,  # free_on_end
-        _I64,  # sigmas (K x n)
-        _I64,  # sigma_id (S)
-        _F64,  # start (S x n)
-        _I64,  # proc (S x n)
-        _I64,  # status (S x 2)
-        _F64,  # resident (S)
-    ]
-    # raw addresses: an ndpointer check costs ~6 us per array, a fifth of
-    # the whole profile of a small tree; memory_profile() below hands
-    # over C-contiguous float64 columns only
-    profile = lib.memory_profile
-    profile.restype = ctypes.c_int64
-    profile.argtypes = [
-        ctypes.c_int64,  # n
-        ctypes.c_void_p,  # start
-        ctypes.c_void_p,  # w
-        ctypes.c_void_p,  # alloc
-        ctypes.c_void_p,  # freed
-        ctypes.c_void_p,  # times_out (2n)
-        ctypes.c_void_p,  # levels_out (2n)
-    ]
+    # every export takes raw addresses: an ``ndpointer`` argtype costs ~6
+    # us per array and call, a fifth of a small tree's whole profile; the
+    # wrappers below check each array once in Python instead (_address)
+    for name, argtypes in _EXPORTS.items():
+        fn = getattr(lib, name)
+        fn.restype = ctypes.c_int64
+        fn.argtypes = argtypes
     return lib, ""
 
 
@@ -859,6 +1204,34 @@ def unavailable_reason() -> str:
     return _ensure_built()[1]
 
 
+def _library():
+    """The loaded library (callers check :func:`available` first)."""
+    lib, reason = _ensure_built()
+    if lib is None:  # pragma: no cover - callers check available() first
+        raise RuntimeError(f"C kernel unavailable: {reason}")
+    return lib
+
+
+def _address(arr, dtype, shape: tuple, name: str, out: bool = False) -> int:
+    """The address of ``arr`` once it is checked to be what the C code
+    reads (or, ``out=True``, writes): a C-contiguous ``dtype`` array of
+    ``shape`` (None matches any extent). Raises ``TypeError`` on
+    another type or dtype and ``ValueError`` on a strided, mis-shaped or
+    read-only output array, so nothing malformed reaches C."""
+    if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+        got = arr.dtype if isinstance(arr, np.ndarray) else type(arr).__name__
+        raise TypeError(f"{name}: expected a {np.dtype(dtype)} array, got {got}")
+    if not arr.flags.c_contiguous:
+        raise ValueError(f"{name}: expected a C-contiguous array")
+    if arr.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(arr.shape, shape)
+    ):
+        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
+    if out and not arr.flags.writeable:
+        raise ValueError(f"{name}: the output array is read-only")
+    return arr.ctypes.data
+
+
 def batch_kernel(
     parent,
     pending0,
@@ -879,36 +1252,39 @@ def batch_kernel(
     resident,
 ):
     """Invoke the C kernel (argument order of the kernel spec in the
-    module docstring).
+    module docstring), after checking the dtype, the C-contiguity and
+    the shape of every array (see :func:`_address`).
 
     ctypes releases the GIL for the duration, so the whole grid sweeps
     without re-entering Python.
     """
-    lib, reason = _ensure_built()
-    if lib is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError(f"C kernel unavailable: {reason}")
-    lib.batch_event_sweep(
-        parent.shape[0],
-        ps.shape[0],
-        int(ps.max()) if ps.shape[0] else 1,
-        parent,
-        pending0,
-        w,
-        ranks,
-        byranks,
-        rank_id,
-        ps,
-        modes,
-        cap_eps,
-        alloc,
-        free_on_end,
-        sigmas,
-        sigma_id,
-        start,
-        proc,
-        status,
-        resident,
-    )
+    lib = _library()
+    i64, f64 = np.int64, np.float64
+    n, nscen = len(parent), len(ps)
+    args = [
+        _address(parent, i64, (n,), "parent"),
+        _address(pending0, i64, (n,), "pending0"),
+        _address(w, f64, (n,), "w"),
+        _address(ranks, i64, (None, n), "ranks"),
+        _address(byranks, i64, ranks.shape, "byranks"),
+        _address(rank_id, i64, (nscen,), "rank_id"),
+        _address(ps, i64, (nscen,), "ps"),
+        _address(modes, i64, (nscen,), "modes"),
+        _address(cap_eps, f64, (nscen,), "cap_eps"),
+        _address(alloc, f64, (n,), "alloc"),
+        _address(free_on_end, f64, (n,), "free_on_end"),
+        _address(sigmas, i64, (None, None), "sigmas"),
+        _address(sigma_id, i64, (nscen,), "sigma_id"),
+        _address(start, f64, (nscen, n), "start", out=True),
+        _address(proc, i64, (nscen, n), "proc", out=True),
+        _address(status, i64, (nscen, 2), "status", out=True),
+        _address(resident, f64, (nscen,), "resident", out=True),
+    ]
+    # rows of n activation entries, or the (1, 0) stand-in of a grid
+    # that caps no scenario
+    if sigmas.shape[1] != n and (sigmas.shape != (1, 0) or np.any(sigma_id >= 0)):
+        raise ValueError(f"sigmas: expected shape (None, {n}), got {sigmas.shape}")
+    lib.batch_event_sweep(n, nscen, int(ps.max()) if nscen else 1, *args)
 
 
 def memory_profile(start, w, alloc, freed):
@@ -921,9 +1297,7 @@ def memory_profile(start, w, alloc, freed):
     frees at completion. The results are views of one ``(2, 2n)``
     output buffer.
     """
-    lib, reason = _ensure_built()
-    if lib is None:  # pragma: no cover - callers check available() first
-        raise RuntimeError(f"C kernel unavailable: {reason}")
+    lib = _library()
     cols = [np.ascontiguousarray(c, dtype=np.float64) for c in (start, w, alloc, freed)]
     n = len(cols[0])
     if any(len(c) != n for c in cols):
@@ -936,3 +1310,73 @@ def memory_profile(start, w, alloc, freed):
     if m < 0:
         return None
     return out[0, :m], out[1, :m]
+
+
+def postorder_peaks(child_ptr, child_idx, postorder, f, sizes):
+    """Liu's optimal postorder on the C library, for both tie orders in
+    one pass: ``(peaks_asc, peaks_desc, order_asc, order_desc)``, or None
+    when the library declines (a non-finite ``f`` or size, a failed
+    allocation; the caller then takes the Python path).
+
+    Arguments are the CSR children of one tree, a postorder of it
+    (children before parents) and its ``float64`` memory columns. The
+    results are rows of one peaks and one orders buffer.
+    """
+    lib = _library()
+    n = len(f)
+    i64, f64 = np.int64, np.float64
+    peaks = np.empty((2, n), dtype=f64)
+    orders = np.empty((2, n), dtype=i64)
+    at, it = peaks.ctypes.data, orders.ctypes.data
+    code = lib.postorder_peaks(
+        n,
+        _address(child_ptr, i64, (n + 1,), "child_ptr"),
+        _address(child_idx, i64, (n - 1,), "child_idx"),
+        _address(postorder, i64, (n,), "postorder"),
+        _address(f, f64, (n,), "f"),
+        _address(sizes, f64, (n,), "sizes"),
+        at,
+        at + 8 * n,
+        it,
+        it + 8 * n,
+    )
+    if code < 0:
+        return None
+    return peaks[0], peaks[1], orders[0], orders[1]
+
+
+def split_subtrees(p, child_ptr, child_idx, rank, by_rank, rank_work, w, stop, root):
+    """Algorithm 2's minimum-cost splitting for ``p`` processors on the
+    C library: ``(frontier_roots, cost, steps)``, the frontier by
+    descending rank, or None when the library declines (a non-finite
+    subtree work, a failed allocation; the caller then takes the
+    Python replay).
+
+    Arguments are :class:`~repro.parallel.split_subtrees.SplitPlan`'s:
+    the CSR children, the frontier ranks and their inverse, the subtree
+    work by rank, the task durations, the stop mask and the root.
+    """
+    lib = _library()
+    n = len(rank)
+    i64 = np.int64
+    roots = np.empty(n + 1, dtype=i64)  # the frontier, then the step count
+    cost = np.empty(1, dtype=np.float64)
+    at = roots.ctypes.data
+    k = lib.split_subtrees(
+        n,
+        p,
+        _address(child_ptr, i64, (n + 1,), "child_ptr"),
+        _address(child_idx, i64, (n - 1,), "child_idx"),
+        _address(rank, i64, (n,), "rank"),
+        _address(by_rank, i64, (n,), "by_rank"),
+        _address(rank_work, np.float64, (n,), "rank_work"),
+        _address(w, np.float64, (n,), "w"),
+        _address(stop, np.bool_, (n,), "stop"),
+        root,
+        at,
+        cost.ctypes.data,
+        at + 8 * n,
+    )
+    if k < 0:
+        return None
+    return roots[:k], float(cost[0]), int(roots[n])

@@ -28,7 +28,8 @@ Two design points make the engine fast on large trees:
   this choice itself; nothing overrides it. **Both produce
   bit-identical schedules** -- pinned by ``tests/core/test_backends.py``,
   so perf work can never silently change paper results. The
-  simulator's memory profile follows the same decision.
+  simulator's memory profile, Liu's optimal postorder and Algorithm 2's
+  split follow the same decision.
 
 Complexity is :math:`O(n \\log n)` (binary heaps for both the running
 set and the ready queue), matching the paper's analysis; the constant
@@ -73,47 +74,64 @@ class MemoryCapError(RuntimeError):
     """Raised when no task fits under the cap and none is running."""
 
 
-#: memoised :func:`probe_backend` decisions, keyed by pid. The pid key
-#: makes the cache fork-safe for free: a forked child (a fresh
-#: supervisor worker) sees a miss and probes for itself, while repeated
-#: lookups inside one process (every engine run, the scheduling
-#: service's ``/readyz``) hit the cache instead of re-paying the
-#: two-node sweep.
-_PROBE_CACHE: dict[int, tuple[str, tuple[tuple[str, str], ...]]] = {}
+#: memoised :func:`probe_backend` decisions, keyed by ``(pid, active
+#: fault plan)``. The pid makes the cache fork-safe for free: a forked
+#: child (a fresh supervisor worker) sees a miss and probes for itself,
+#: while repeated lookups inside one process (every engine run, every
+#: Liu pass and split, the scheduling service's ``/readyz``) hit the
+#: cache instead of re-paying the probe. The plan (a frozen, hashable
+#: :class:`~repro.testing.faults.FaultPlan`, or None) keeps a decision
+#: degraded by an injected ``compile_failure`` apart from the plain one;
+#: that fault matches no per-call context, so one decision per plan is
+#: exact.
+_PROBE_CACHE: dict[tuple, tuple[str, tuple[tuple[str, str], ...]]] = {}
 
-#: the two-node instance every probe sweeps, prepared once at import so
+#: the two-node instance every probe runs, prepared once at import so
 #: that a probe never prepares a tree inside a caller's run
 _PROBE_TREE = PreparedTree(TaskTree.from_parents([-1, 0], w=1.0, f=1.0, sizes=0.0))
 
 
-def probe_backend(*, refresh: bool = False) -> tuple[str, list[tuple[str, str]]]:
-    """Health-probe the sweep kernels; return this process's decision.
-
-    The C kernel is chosen when it builds
-    (:func:`repro.core._ckernel.available`), a real two-node sweep on
-    it succeeds and its memory profile of that schedule is
-    byte-identical to the numpy reference
-    (:func:`repro.core.simulator.memory_profile` dispatches on the same
-    decision); otherwise the pure-Python reference loop, after the
-    same two-node sweep. Returns ``(chosen, skipped)``: ``chosen`` is
-    ``"c"`` or ``"python"``, and ``skipped`` lists the ``(kernel,
-    reason)`` pairs that failed -- the supervised campaign runtime
-    records them per worker in its
-    :class:`~repro.analysis.supervisor.RunReport`. Results never depend
-    on the outcome: both sweeps are bit-identical.
-
-    The decision is memoised per pid, so every later engine run (and a
-    health endpoint) costs a dict lookup. The cache is bypassed -- never
-    read, never written -- while a fault plan is active (an injected
-    ``compile_failure`` must keep degrading the decision), and
-    ``refresh=True`` forces a live probe.
-    """
+def _probe_key() -> tuple:
+    """The :data:`_PROBE_CACHE` key of this process in its current state."""
     from repro.testing import faults
 
-    pid = os.getpid()
-    cacheable = faults.active_plan() is None
-    if cacheable and not refresh:
-        hit = _PROBE_CACHE.get(pid)
+    return os.getpid(), faults.active_plan()
+
+
+def adopt_decision(chosen: str, skipped) -> None:
+    """Make ``(chosen, skipped)`` this process's memoised decision, as
+    if :func:`probe_backend` had found it (a supervisor worker adopts
+    its pool's probe this way)."""
+    _PROBE_CACHE[_probe_key()] = (chosen, tuple(map(tuple, skipped)))
+
+
+def probe_backend(*, refresh: bool = False) -> tuple[str, list[tuple[str, str]]]:
+    """Health-probe the compiled library; return this process's decision.
+
+    The library is chosen when it builds
+    (:func:`repro.core._ckernel.available`), a real two-node sweep on
+    it succeeds and every other export reproduces its Python path on
+    that tree byte for byte: the memory profile of the swept schedule
+    (:func:`repro.core.simulator.memory_profile`), Liu's peaks and
+    orders for both tie orders
+    (:func:`repro.sequential.postorder.optimal_postorders`) and
+    Algorithm 2's splitting
+    (:meth:`repro.parallel.split_subtrees.SplitPlan.split`), all of
+    which dispatch on the same decision. Otherwise the pure-Python
+    reference loop, after the same two-node sweep. Returns ``(chosen,
+    skipped)``: ``chosen`` is ``"c"`` or ``"python"``, and ``skipped``
+    lists the ``(kernel, reason)`` pairs that failed -- the supervised
+    campaign runtime records them per worker in its
+    :class:`~repro.analysis.supervisor.RunReport`. Results never depend
+    on the outcome: both paths are bit-identical.
+
+    The decision is memoised per pid and active fault plan (see
+    :data:`_PROBE_CACHE`), so every later dispatch costs a dict lookup;
+    ``refresh=True`` forces a live probe.
+    """
+    key = _probe_key()
+    if not refresh:
+        hit = _PROBE_CACHE.get(key)
         if hit is not None:
             return hit[0], list(hit[1])
     from . import _ckernel
@@ -134,33 +152,73 @@ def probe_backend(*, refresh: bool = False) -> tuple[str, list[tuple[str, str]]]
             skipped.append((name, f"{type(exc).__name__}: {exc}"))
             continue
         if name == "c":
-            mismatch = _probe_memory_profile(schedule)
+            mismatch = _probe_exports(schedule)
             if mismatch:
                 skipped.append((name, mismatch))
                 continue
-        if cacheable:
-            _PROBE_CACHE[pid] = (name, tuple(skipped))
+        _PROBE_CACHE[key] = (name, tuple(skipped))
         return name, skipped
     raise RuntimeError(
         "no usable sweep: " + "; ".join(f"{b}: {reason}" for b, reason in skipped)
     )
 
 
-def _probe_memory_profile(schedule: Schedule) -> str:
-    """Why the C memory profile of the probe schedule differs from the
-    numpy reference (empty string when the two are byte-identical)."""
+def _probe_exports(schedule: Schedule) -> str:
+    """Why an export other than the sweep differs from its Python path
+    on the probe tree and the probe schedule (empty string when every
+    one holds the same bytes)."""
+    from repro.parallel.split_subtrees import SplitPlan
+    from repro.sequential.postorder import _compiled_postorders, _python_postorder
+
     from .simulator import _memory_profile_compiled, _memory_profile_reference
 
-    try:
-        got = _memory_profile_compiled(schedule)
-    except Exception as exc:
-        return f"memory_profile: {type(exc).__name__}: {exc}"
-    want = _memory_profile_reference(schedule)
-    if got is None or any(
-        a.shape != b.shape or a.tobytes() != b.tobytes() for a, b in zip(got, want)
-    ):
-        return "memory_profile differs from the numpy reference on the probe schedule"
+    tree = _PROBE_TREE.tree
+    plan = SplitPlan(tree, tree.subtree_work())
+    checks = (
+        (
+            "memory_profile",
+            "the numpy reference on the probe schedule",
+            lambda: _memory_profile_compiled(schedule),
+            lambda: _memory_profile_reference(schedule),
+        ),
+        (
+            "postorder_peaks",
+            "the per-node loop on the probe tree",
+            lambda: _compiled_postorders(tree),
+            lambda: {d: _python_postorder(tree, d) for d in (False, True)},
+        ),
+        (
+            "split_subtrees",
+            "the Python replay on the probe tree",
+            lambda: [plan._split_compiled(p) for p in (1, 2)],
+            lambda: [plan._split_reference(p) for p in (1, 2)],
+        ),
+    )
+    for export, oracle, compiled, reference in checks:
+        try:
+            got = compiled()
+        except Exception as exc:
+            return f"{export}: {type(exc).__name__}: {exc}"
+        if not _same_bytes(got, reference()):
+            return f"{export} differs from {oracle}"
     return ""
+
+
+def _same_bytes(a, b) -> bool:
+    """True when two results hold the same values, byte for byte in
+    every array and float (so ``-0.0`` differs from ``0.0``)."""
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(map(_same_bytes, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same_bytes(a[k], b[k]) for k in a)
+    if hasattr(a, "__dataclass_fields__") and type(a) is type(b):
+        return all(
+            _same_bytes(getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__
+        )
+    if isinstance(a, (np.ndarray, float)) and isinstance(b, (np.ndarray, float)):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
 
 
 def resolve_backend() -> str:

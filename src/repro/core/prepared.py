@@ -129,7 +129,7 @@ class PreparedTree:
         "_pending0",
         "_alloc",
         "_optimal",
-        "_peaks",
+        "_postorders",
         "_sigma_rank",
         "_wdepths",
         "_exactness",
@@ -152,7 +152,7 @@ class PreparedTree:
         self._pending0 = None
         self._alloc = None
         self._optimal = None
-        self._peaks = None
+        self._postorders: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
         self._sigma_rank = None
         self._wdepths = None
         self._exactness = None
@@ -239,12 +239,28 @@ class PreparedTree:
         every experiment record.
         """
         if self._optimal is None:
-            from repro.sequential.postorder import postorder_from_peaks, postorder_peaks
+            from repro.sequential.traversal import TraversalResult
 
-            # optimal_postorder(tree), keeping its peaks for the subtree family
-            self._peaks = _frozen(postorder_peaks(self.tree))
-            self._optimal = postorder_from_peaks(self.tree, self._peaks)
+            peaks, order = self._postorder(descending_ties=False)
+            self._optimal = TraversalResult(
+                order=order, peak_memory=float(peaks[self.tree.root])
+            )
         return self._optimal
+
+    def _postorder(self, descending_ties: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Liu's ``(peaks, order)`` for one tie order (see
+        :func:`~repro.sequential.postorder.optimal_postorders`), cached;
+        the compiled library fills both tie orders in one call."""
+        hit = self._postorders.get(descending_ties)
+        if hit is None:
+            from repro.sequential.postorder import optimal_postorders
+
+            for ties, (peaks, order) in optimal_postorders(
+                self.tree, (descending_ties,)
+            ).items():
+                self._postorders.setdefault(ties, (_frozen(peaks), order))
+            hit = self._postorders[descending_ties]
+        return hit
 
     def sigma_rank(self) -> np.ndarray:
         """Rank of every node in the optimal postorder (read-only).
@@ -293,30 +309,11 @@ class PreparedTree:
 
     def _subtree_postorder(self) -> None:
         """The descending-tie optimal postorder (see
-        :func:`~repro.sequential.postorder.postorder_from_peaks`): its
-        peaks and order serve every subtree of the tree.
-
-        Tie order only changes the float summation order of the memory
-        weights; when they are non-negative integers with a total below
-        2**52, every sum is exact and the ascending-tie peaks cached by
-        :meth:`optimal` are reused instead of a second bottom-up pass.
-        """
-        from repro.sequential.postorder import postorder_from_peaks, postorder_peaks
-
-        self.optimal()
-        tree = self.tree
-        mem = np.concatenate((tree.f, tree.sizes))
-        if (
-            np.all(np.floor(mem) == mem)
-            and not np.any(np.signbit(mem))
-            and float(mem.sum()) < 2.0**52
-        ):
-            peaks = self._peaks
-        else:
-            peaks = _frozen(postorder_peaks(tree, descending_ties=True))
-        order = postorder_from_peaks(tree, peaks, descending_ties=True).order
-        pos = np.empty(tree.n, dtype=np.int64)
-        pos[order] = np.arange(tree.n, dtype=np.int64)
+        :func:`~repro.sequential.postorder.optimal_postorders`): its
+        peaks and order serve every subtree of the tree."""
+        peaks, order = self._postorder(descending_ties=True)
+        pos = np.empty(self.tree.n, dtype=np.int64)
+        pos[order] = np.arange(self.tree.n, dtype=np.int64)
         # the order is what subtree_order() tests, so it is published last
         self._subtree_peaks = peaks
         self._subtree_pos = _frozen(pos)

@@ -50,23 +50,31 @@ def validate_schedule(schedule: Schedule, tol: float = 1e-9) -> None:
         bad = int(np.flatnonzero(start < -tol)[0])
         raise InvalidScheduleError(f"task {bad} starts at negative time {start[bad]}")
 
-    # Precedence: child must finish before parent starts.
-    for i in range(tree.n):
-        for j in tree.children(i):
-            if end[j] > start[i] + tol:
-                raise InvalidScheduleError(
-                    f"precedence violated: child {j} ends at {end[j]} "
-                    f"after parent {i} starts at {start[i]}"
-                )
+    # Precedence: child must finish before parent starts. The CSR child
+    # order (parents ascending, each one's children ascending) makes the
+    # first offender the one a parent-by-parent scan meets first.
+    kids = tree.child_idx
+    late = np.flatnonzero(end[kids] > start[tree.parent[kids]] + tol)
+    if late.shape[0]:
+        j = kids[late[0]]
+        i = tree.parent[j]
+        raise InvalidScheduleError(
+            f"precedence violated: child {j} ends at {end[j]} "
+            f"after parent {i} starts at {start[i]}"
+        )
 
     # Resource: no overlap per processor. Sort once, check neighbours.
     order = np.lexsort((start, schedule.proc))
-    for a, b in zip(order[:-1], order[1:]):
-        if schedule.proc[a] == schedule.proc[b] and end[a] > start[b] + tol:
-            raise InvalidScheduleError(
-                f"processor {int(schedule.proc[a])} overlap: task {int(a)} "
-                f"[{start[a]}, {end[a]}) and task {int(b)} [{start[b]}, {end[b]})"
-            )
+    a, b = order[:-1], order[1:]
+    clash = np.flatnonzero(
+        (schedule.proc[a] == schedule.proc[b]) & (end[a] > start[b] + tol)
+    )
+    if clash.shape[0]:
+        a, b = a[clash[0]], b[clash[0]]
+        raise InvalidScheduleError(
+            f"processor {int(schedule.proc[a])} overlap: task {int(a)} "
+            f"[{start[a]}, {end[a]}) and task {int(b)} [{start[b]}, {end[b]})"
+        )
 
 
 def is_valid(schedule: Schedule, tol: float = 1e-9) -> bool:

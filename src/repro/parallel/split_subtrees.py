@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import _ckernel
+from repro.core.engine import resolve_backend
 from repro.core.prepared import PreparedTree, as_prepared
 from repro.core.tree import TaskTree
 
@@ -79,18 +81,25 @@ class SplitPlan:
     Frontier entries are ranked by ``(W_i, w_i, -i)`` ascending:
     non-increasing subtree work first, ties by non-increasing node work
     (as in the paper), then by node index for determinism. The plan
-    holds the pop sequence (the heaviest entry is popped until the head
+    holds the ranks and the stop mask; :meth:`split` runs the rest on
+    the compiled library when the engine dispatches there
+    (:func:`repro.core._ckernel.split_subtrees`), else on the Python
+    replay, its fallback and oracle. For the replay the plan also holds
+    the pop sequence (the heaviest entry is popped until the head
     subtree cannot be split further), the ranks of each popped node's
     children in child-index order, and after each pop ``W_head +
     seq_w`` and the total frontier work, accumulated in the same order
-    as an incremental frontier would.
+    as an incremental frontier would -- computed on the first replay.
     """
 
     __slots__ = (
         "tree",
+        "work",
         "by_rank",
+        "rank",
         "root_rank",
         "rank_work",
+        "stop",
         "popped",
         "kid_ptr",
         "kid_ranks",
@@ -101,22 +110,30 @@ class SplitPlan:
 
     def __init__(self, tree: TaskTree, work: np.ndarray) -> None:
         self.tree = tree
+        self.work = work
         n = tree.n
         by_rank = np.lexsort((-np.arange(n), tree.w, work))
         rank = np.empty(n, dtype=np.int64)
         rank[by_rank] = np.arange(n, dtype=np.int64)
         self.by_rank = by_rank
+        self.rank = rank
         self.rank_work = work[by_rank]
         self.root_rank = int(rank[tree.root])
         # Loop condition of Algorithm 2: split while W_head > w_head.
         # Equality means the head subtree is a single node (a leaf, or an
         # inner node whose whole subtree has zero extra work) and further
         # splitting cannot reduce the parallel time.
-        stop = tree.leaf_mask() | (work <= tree.w * (1 + 1e-12) + 1e-12)
+        self.stop = tree.leaf_mask() | (work <= tree.w * (1 + 1e-12) + 1e-12)
+        self.popped = None
+
+    def _plan_replay(self) -> None:
+        """The pop sequence and the per-pop sums of the Python replay."""
+        tree = self.tree
+        work = self.work
         cidx = tree.child_idx
         ptr = tree.child_ptr
-        heads = self._heads(rank, stop)
-        popped = self.popped = heads[:-1]
+        heads = self._heads(self.rank, self.stop)
+        popped = heads[:-1]
         m = popped.shape[0]
 
         cnt = ptr[popped + 1] - ptr[popped]
@@ -124,7 +141,7 @@ class SplitPlan:
         np.cumsum(cnt, out=kid_ptr[1:])
         # the popped nodes' children, pop by pop, each in child-index order
         kids = cidx[np.repeat(ptr[popped] - kid_ptr[:-1], cnt) + np.arange(kid_ptr[-1])]
-        self.kid_ranks = rank[kids]
+        self.kid_ranks = self.rank[kids]
         # The total frontier work: W_root, then per pop -W_popped and +W
         # of each child, as one sequential float stream (np.cumsum
         # accumulates left to right, exactly like ``+=`` / ``-=``).
@@ -143,6 +160,7 @@ class SplitPlan:
         margin = (3 * (m + kid_ptr[-1]) + 8) * 2.0**-51 * float(work[tree.root])
         self.later = np.full(m, np.inf)
         self.later[:-1] = np.minimum.accumulate(self.head_seq[:0:-1])[::-1] - margin
+        self.popped = popped  # published last: it marks the replay planned
 
     def _heads(self, rank: np.ndarray, stop: np.ndarray) -> np.ndarray:
         """The successive frontier heads, from a max-heap of frontier
@@ -161,7 +179,40 @@ class SplitPlan:
                 heapq.heappush(heap, -r)
 
     def split(self, p: int) -> SplitResult:
-        """The minimum-cost splitting for ``p`` processors.
+        """The minimum-cost splitting for ``p`` processors, on the
+        compiled library when the engine dispatches there and it
+        accepts the tree, else on :meth:`_split_reference`; both return
+        the same result."""
+        if p < 1:
+            raise ValueError("p must be positive")
+        if resolve_backend() == "c":
+            got = self._split_compiled(p)
+            if got is not None:
+                return got
+        return self._split_reference(p)
+
+    def _split_compiled(self, p: int) -> SplitResult | None:
+        """:meth:`split` on the compiled library, or None where it
+        declines (a non-finite subtree work)."""
+        tree = self.tree
+        got = _ckernel.split_subtrees(
+            p,
+            tree.child_ptr,
+            tree.child_idx,
+            self.rank,
+            self.by_rank,
+            self.rank_work,
+            tree.w,
+            self.stop,
+            tree.root,
+        )
+        if got is None:
+            return None
+        roots, cost, steps = got
+        return self._result(roots.tolist(), p, cost, steps)
+
+    def _split_reference(self, p: int) -> SplitResult:
+        """:meth:`split` in Python: the fallback and the oracle.
 
         Replays the top-``p`` bookkeeping over the pop sequence: ``top``
         is a sorted (ascending) list of the ranks of the at most ``p``
@@ -172,8 +223,8 @@ class SplitPlan:
         exceeds the best cost so far: none of them can be the first
         minimum, so the result is that of the full replay.
         """
-        if p < 1:
-            raise ValueError("p must be positive")
+        if self.popped is None:
+            self._plan_replay()
         # zero-copy views: indexing yields the same Python floats / ints
         # as lists would, without an O(n) conversion per call
         W = memoryview(self.rank_work)
@@ -213,15 +264,21 @@ class SplitPlan:
                 break
         best_step = int(np.argmin(costs))
 
-        tree = self.tree
         if best_step == 0:
             ranks = np.array([self.root_rank])
         else:
             ranks = self.kid_ranks[: kid_ptr[best_step]]
-            split_mask = np.zeros(tree.n, dtype=bool)
+            split_mask = np.zeros(self.tree.n, dtype=bool)
             split_mask[self.popped[:best_step]] = True
             ranks = np.sort(ranks[~split_mask[self.by_rank[ranks]]])[::-1]
-        all_roots = self.by_rank[ranks].tolist()
+        return self._result(
+            self.by_rank[ranks].tolist(), p, float(costs[best_step]), len(head_seq) + 1
+        )
+
+    def _result(self, all_roots: list[int], p: int, cost: float, steps: int) -> SplitResult:
+        """The :class:`SplitResult` of the frontier ``all_roots`` (by
+        descending rank)."""
+        tree = self.tree
         parallel_roots = tuple(all_roots[:p])
         in_parallel = np.zeros(tree.n, dtype=bool)
         for r in parallel_roots:
@@ -230,8 +287,8 @@ class SplitPlan:
             parallel_roots=parallel_roots,
             frontier_roots=tuple(all_roots),
             seq_nodes=tuple(np.flatnonzero(~in_parallel).tolist()),
-            cost=float(costs[best_step]),
-            steps=len(head_seq) + 1,
+            cost=cost,
+            steps=steps,
         )
 
 

@@ -20,39 +20,33 @@ instances with an average gap of 1%, and it runs in :math:`O(n \\log n)`.
 
 Implementation
 --------------
-The bottom-up recurrence is evaluated **level-synchronously**: all
-children at one depth share a single segmented argsort of
-``peaks - f`` over the CSR child segments (``np.lexsort`` on
-``(-key, segment)``, stable, so ties keep ascending node order exactly
-like the historical per-node ``sorted(..., reverse=True)``), and the
-sequential prefix sums of the recurrence run as row-wise ``np.cumsum``
-over degree-bucketed padded matrices -- per-row accumulation order is
-identical to the per-node Python loop, so every peak is bit-identical
-to the historical implementation (pinned by golden tests). The final
-traversal is emitted without any DFS: with children sorted, each node's
-postorder position follows in closed form from subtree sizes and a
-pointer-doubling root-path sum.
-
-Deep chain-like trees (levels too narrow for numpy sweeps to pay off)
-fall back to the historical per-node loop; all computations are
-iterative, so depths up to tens of thousands never hit Python's
-recursion limit.
+:func:`optimal_postorders` evaluates the recurrence for both tie orders
+of equal-key siblings (ascending and descending node index) in one
+bottom-up pass of the compiled library
+(:func:`repro.core._ckernel.postorder_peaks`) and emits both traversals
+top-down, each subtree a contiguous range with its children's ranges
+in sorted order. It dispatches on the engine's decision
+(:func:`repro.core.engine.resolve_backend`). The Python path, which is
+also the oracle of the compiled one, is the historical per-node loop
+(:func:`_postorder_peaks_loop`: a stable ``sorted(..., reverse=True)``
+per node and the same adds and ``max``) plus a closed-form emission
+(:func:`_emit_postorder`); the two paths return the same bytes, pinned
+by ``tests/sequential/test_postorder.py``. Both are iterative, so
+depths up to tens of thousands never hit Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.tree import (
-    TaskTree,
-    postorder_positions_from_sibling_order,
-    use_level_sweeps,
-)
+from repro.core import _ckernel
+from repro.core.engine import resolve_backend
+from repro.core.tree import TaskTree, postorder_positions_from_sibling_order
 from .traversal import TraversalResult
 
 __all__ = [
     "optimal_postorder",
-    "postorder_from_peaks",
+    "optimal_postorders",
     "postorder_peaks",
     "natural_postorder",
 ]
@@ -61,7 +55,8 @@ __all__ = [
 def _postorder_peaks_loop(
     tree: TaskTree, peaks: np.ndarray, descending_ties: bool
 ) -> np.ndarray:
-    """Per-node fallback (the historical loop) for deep, narrow trees."""
+    """The historical per-node loop: Liu's recurrence on the Python
+    path, and the oracle of the compiled pass."""
     f = tree.f
     sizes = tree.sizes
     leaf = tree.leaf_mask()
@@ -82,124 +77,84 @@ def _postorder_peaks_loop(
     return peaks
 
 
+def _python_postorder(tree: TaskTree, descending_ties: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(peaks, order)`` of one tie order on the Python path."""
+    peaks = np.zeros(tree.n, dtype=np.float64)
+    leaf = tree.leaf_mask()
+    peaks[leaf] = tree.sizes[leaf] + tree.f[leaf]
+    if not bool(leaf.all()):
+        _postorder_peaks_loop(tree, peaks, descending_ties)
+    return peaks, _emit_postorder(tree, peaks, descending_ties)
+
+
+def _compiled_postorders(tree: TaskTree):
+    """``{descending_ties: (peaks, order)}`` for both tie orders on the
+    compiled library, or None where it declines (see the library spec)."""
+    got = _ckernel.postorder_peaks(
+        tree.child_ptr, tree.child_idx, tree.postorder(), tree.f, tree.sizes
+    )
+    if got is None:
+        return None
+    peaks_asc, peaks_desc, order_asc, order_desc = got
+    return {False: (peaks_asc, order_asc), True: (peaks_desc, order_desc)}
+
+
+def optimal_postorders(
+    tree: TaskTree, ties: tuple[bool, ...] = (False, True)
+) -> dict[bool, tuple[np.ndarray, np.ndarray]]:
+    """Liu's peaks ``M_i`` of every subtree and the optimal postorder,
+    per tie order: ``{descending_ties: (peaks, order)}``.
+
+    Siblings with equal ``M_j - f_j`` are visited in ascending node
+    order, or in descending order for ``descending_ties=True`` -- the
+    order in which :meth:`TaskTree.subtree` numbers them, so every
+    subtree then occupies a contiguous slice of the order that is
+    exactly the optimal postorder of the extracted subtree, and its
+    peak equals the extracted subtree's bit for bit (ties only change
+    the float accumulation order of the input sizes).
+
+    The compiled library computes both tie orders in one pass and
+    returns both, whatever ``ties`` asks for; the Python path computes
+    the ones in ``ties``.
+    """
+    if resolve_backend() == "c":
+        both = _compiled_postorders(tree)
+        if both is not None:
+            return both
+    return {d: _python_postorder(tree, d) for d in ties}
+
+
 def postorder_peaks(tree: TaskTree, descending_ties: bool = False) -> np.ndarray:
     """Optimal postorder peak memory ``M_i`` of every subtree.
 
     ``M_i`` is computed bottom-up with the recurrence above; the value at
-    the root is the optimal postorder peak of the whole tree. Siblings
-    with equal ``M_j - f_j`` are visited in ascending node order, or in
-    descending order with ``descending_ties=True`` -- the order in which
-    :meth:`TaskTree.subtree` numbers them, so ``M_r`` then equals the
-    peak of the extracted subtree rooted at ``r`` bit for bit (ties only
-    change the float accumulation order of the input sizes).
+    the root is the optimal postorder peak of the whole tree. Ties as in
+    :func:`optimal_postorders`.
     """
-    n = tree.n
-    f = tree.f
-    sizes = tree.sizes
-    peaks = np.zeros(n, dtype=np.float64)
-    leaf = tree.leaf_mask()
-    peaks[leaf] = sizes[leaf] + f[leaf]
-    if bool(leaf.all()):
-        return peaks
-    depth = tree.depths()
-    height = int(depth.max())
-    if not use_level_sweeps(height, n):
-        return _postorder_peaks_loop(tree, peaks, descending_ties)
-
-    ptr = tree.child_ptr
-    cidx = tree.child_idx
-    internal = np.flatnonzero(~leaf)
-    d_int = depth[internal]
-    by_depth = np.argsort(d_int, kind="stable")
-    level_counts = np.bincount(d_int, minlength=height + 1)
-    pos = internal.shape[0]
-    for c in level_counts[::-1]:  # deepest internal level first
-        c = int(c)
-        if c == 0:
-            continue
-        parents = internal[by_depth[pos - c : pos]]
-        pos -= c
-        cnt = ptr[parents + 1] - ptr[parents]
-        seg_end = np.cumsum(cnt)
-        seg_start = seg_end - cnt
-        total = int(seg_end[-1])
-        seg = np.repeat(np.arange(c, dtype=np.int64), cnt)
-        slot = np.arange(total, dtype=np.int64) - seg_start[seg]
-        kids = cidx[ptr[parents][seg] + slot]
-        key = peaks[kids] - f[kids]
-        # One segmented argsort for the whole level: primary key the
-        # segment, secondary -key; np.lexsort is stable, so equal keys
-        # keep ascending node order -- identical tie-breaking to the
-        # historical stable ``sorted(..., reverse=True)`` per node.
-        if descending_ties:
-            kids = kids[np.lexsort((-kids, -key, seg))]
-        else:
-            kids = kids[np.lexsort((-key, seg))]
-        f_k = f[kids]
-        m_k = peaks[kids]
-        # The recurrence's running sums, bucketed by degree class so the
-        # padded rows waste at most 2x the real entries: row-wise cumsum
-        # accumulates left to right, the exact addition sequence of the
-        # per-node loop (bit-identical partial sums).
-        width_exp = np.zeros(c, dtype=np.int64)
-        tmp = cnt - 1
-        while np.any(tmp):
-            np.add(width_exp, (tmp > 0).astype(np.int64), out=width_exp)
-            tmp >>= 1
-        for u in np.unique(width_exp):
-            rows = np.flatnonzero(width_exp == u)
-            width = 1 << int(u)
-            row_cnt = cnt[rows]
-            cols = np.arange(width, dtype=np.int64)
-            valid = cols[None, :] < row_cnt[:, None]
-            flat = seg_start[rows][:, None] + cols[None, :]
-            padded_f = np.zeros((rows.shape[0], width), dtype=np.float64)
-            padded_f[valid] = f_k[flat[valid]]
-            acc_incl = np.cumsum(padded_f, axis=1)
-            acc_excl = np.empty_like(acc_incl)
-            acc_excl[:, 0] = 0.0
-            acc_excl[:, 1:] = acc_incl[:, :-1]
-            cand = np.full((rows.shape[0], width), -np.inf)
-            cand[valid] = acc_excl[valid] + m_k[flat[valid]]
-            best = cand.max(axis=1)
-            acc_all = acc_incl[np.arange(rows.shape[0]), row_cnt - 1]
-            nodes = parents[rows]
-            peaks[nodes] = np.maximum(best, (acc_all + sizes[nodes]) + f[nodes])
-    return peaks
+    return optimal_postorders(tree, (descending_ties,))[descending_ties][0]
 
 
 def optimal_postorder(tree: TaskTree) -> TraversalResult:
     """Memory-optimal postorder traversal of the whole tree.
 
     Returns the traversal (children of every node visited in
-    non-increasing ``M_j - f_j``) together with its peak memory, which by
-    construction equals ``postorder_peaks(tree)[root]``.
-
-    The order is emitted without a DFS: one global segmented argsort of
-    ``peaks - f`` over the CSR child segments fixes every sibling order,
-    then each node's postorder position is ``preorder position - depth
-    + subtree size - 1`` where the preorder position is a
-    pointer-doubling root-path sum of ``1 + (earlier siblings' subtree
-    sizes)`` -- all integer arithmetic, bit-identical to the historical
-    stack-based emission.
+    non-increasing ``M_j - f_j``, ties in ascending node order) together
+    with its peak memory, which by construction equals
+    ``postorder_peaks(tree)[root]``.
     """
-    return postorder_from_peaks(tree, postorder_peaks(tree))
+    peaks, order = optimal_postorders(tree, (False,))[False]
+    return TraversalResult(order=order, peak_memory=float(peaks[tree.root]))
 
 
-def postorder_from_peaks(
-    tree: TaskTree, peaks: np.ndarray, descending_ties: bool = False
-) -> TraversalResult:
-    """The optimal postorder built on precomputed ``peaks`` (the output
-    of ``postorder_peaks(tree, descending_ties)``), with its peak.
+def _emit_postorder(tree: TaskTree, peaks: np.ndarray, descending_ties: bool) -> np.ndarray:
+    """The optimal postorder on the given ``peaks`` (the Python path's
+    emission).
 
-    Lets a caller that caches the peaks (the prepared tree) emit the
-    order without a second bottom-up pass.
-
-    ``descending_ties=True`` visits tied siblings in descending node
-    order (see :func:`postorder_peaks`). Every subtree then occupies a
-    contiguous slice of the order that is exactly the optimal postorder
-    of the extracted subtree, mapped back to the original node indices
-    (what :meth:`repro.core.prepared.PreparedTree.subtree_order` serves).
+    One global segmented argsort of ``peaks - f`` over the CSR child
+    segments fixes every sibling order, then each node's postorder
+    position is ``preorder position - depth + subtree size - 1`` where
+    the preorder position is a pointer-doubling root-path sum of ``1 +
+    (earlier siblings' subtree sizes)`` -- all integer arithmetic.
     """
     n = tree.n
     order = np.zeros(n, dtype=np.int64)
@@ -214,7 +169,7 @@ def postorder_from_peaks(
             tree.parent, tree.child_ptr, sorted_cidx, tree.subtree_sizes(copy=False), tree.depths()
         )
         order[post] = np.arange(n, dtype=np.int64)
-    return TraversalResult(order=order, peak_memory=float(peaks[tree.root]))
+    return order
 
 
 def natural_postorder(tree: TaskTree) -> TraversalResult:

@@ -47,6 +47,33 @@ def pebble_trees(draw, min_nodes: int = 1, max_nodes: int = 24):
     return TaskTree.pebble_game(draw(parent_vectors(min_nodes, max_nodes)))
 
 
+#: few distinct values, so siblings tie on Liu's key and on subtree work;
+#: zero outputs, zero work and both signed zeros
+_STORM_WORK = st.sampled_from([-0.0, 0.0, 0.0, 0.1, 1 / 3, 1.0, 2.0])
+_STORM_FILES = st.sampled_from([-0.0, 0.0, 0.1, 0.2, 1 / 3, 1.0, 2.5])
+
+
+@st.composite
+def storm_trees(draw, max_nodes: int = 60):
+    """A tree with float weights drawn from a handful of values, shaped
+    as a random tree, a star, a broom or a chain deeper than 64 levels
+    (the old level-sweep threshold): storms of equal-key siblings."""
+    shape = draw(st.sampled_from(["random", "star", "broom", "chain"]))
+    if shape == "random":
+        parents = draw(parent_vectors(1, max_nodes))
+    elif shape == "chain":
+        parents = [NO_PARENT] + list(range(draw(st.integers(64, 150))))
+    else:  # a star, or a broom: a star under a chain of c nodes
+        c = 1 if shape == "star" else draw(st.integers(2, 20))
+        k = draw(st.integers(0, max_nodes - c))
+        parents = [NO_PARENT] + list(range(c - 1)) + [c - 1] * k
+    n = len(parents)
+    column = lambda values: draw(st.lists(values, min_size=n, max_size=n))  # noqa: E731
+    return TaskTree.from_parents(
+        parents, column(_STORM_WORK), column(_STORM_FILES), column(_STORM_FILES)
+    )
+
+
 # ----------------------------------------------------------------------
 # plain fixtures
 # ----------------------------------------------------------------------

@@ -261,9 +261,10 @@ class TestProbeBackend:
         assert probe_backend(refresh=True) == first
         assert len(sweeps) > live  # forced live probe
 
-    def test_probe_cache_bypassed_under_fault_plan(self, fresh_probe):
-        """An active fault plan must keep degrading live probes: cached
-        decisions are neither read nor written while one is installed."""
+    def test_probe_cache_keyed_by_fault_plan(self, fresh_probe):
+        """An active fault plan keeps degrading the decision: the plain
+        decision is not read while the plan is installed, and the
+        plan's decision does not replace the plain one."""
         warm = probe_backend()  # cached (whatever the probe picked)
         faults.install(faults.FaultPlan((faults.Fault(kind="compile_failure"),)))
         try:
@@ -274,6 +275,96 @@ class TestProbeBackend:
         assert "injected compile failure" in dict(skipped)["c"]
         # and the plan-era decision did not poison the cache
         assert probe_backend() == warm
+
+    def test_probe_memoised_under_fault_plan(self, fresh_probe, monkeypatch, star5):
+        """Under an active plan the decision is memoised too, per plan:
+        repeated simulate and optimal() calls probe once, another plan
+        or refresh=True probes again."""
+        from repro.core.simulator import simulate
+
+        probes = []
+        real = SchedulerEngine.run_reference
+
+        def counting(self):
+            if self.prepared is engine_mod._PROBE_TREE:
+                probes.append(self.p)
+            return real(self)
+
+        monkeypatch.setattr(SchedulerEngine, "run_reference", counting)
+        compile_failure = faults.Fault(kind="compile_failure")
+        faults.install(faults.FaultPlan((compile_failure,)))
+        try:
+            for _ in range(3):
+                simulate(registry.run("ParDeepestFirst", star5, 2))
+                PreparedTree(star5).optimal()
+                PreparedTree(star5).split(2)
+            assert len(probes) == 1
+            assert resolve_backend() == "python"
+            faults.install(
+                faults.FaultPlan((compile_failure, faults.Fault(kind="slow", index=99)))
+            )
+            assert resolve_backend() == "python"
+            assert len(probes) == 2
+            probe_backend(refresh=True)
+            assert len(probes) == 3
+        finally:
+            faults.install(None)
+
+    @pytest.mark.parametrize(
+        "export, corrupt, reason",
+        [
+            pytest.param(
+                "postorder_peaks",
+                lambda pa, pd, oa, od: (pa + 1.0, pd, oa, od),
+                "postorder_peaks differs from the per-node loop on the probe tree",
+                id="peaks",
+            ),
+            pytest.param(
+                "postorder_peaks",
+                lambda pa, pd, oa, od: (pa, pd, oa, od[::-1]),
+                "postorder_peaks differs from the per-node loop on the probe tree",
+                id="order",
+            ),
+            pytest.param(
+                "postorder_peaks",
+                lambda *got: None,
+                "postorder_peaks differs from the per-node loop on the probe tree",
+                id="postorder-declines",
+            ),
+            pytest.param(
+                "split_subtrees",
+                lambda roots, cost, steps: (roots, cost + 1.0, steps),
+                "split_subtrees differs from the Python replay on the probe tree",
+                id="cost",
+            ),
+            pytest.param(
+                "split_subtrees",
+                lambda roots, cost, steps: (roots, cost, steps + 1),
+                "split_subtrees differs from the Python replay on the probe tree",
+                id="steps",
+            ),
+            pytest.param(
+                "split_subtrees",
+                lambda *got: None,
+                "split_subtrees differs from the Python replay on the probe tree",
+                id="split-declines",
+            ),
+        ],
+    )
+    def test_corrupt_sequential_export_makes_the_probe_skip_c(
+        self, fresh_probe, monkeypatch, export, corrupt, reason
+    ):
+        """A Liu pass or a split that differs from its Python path on
+        the probe tree -- by value, by order or by not answering --
+        sends the whole process to the Python paths, with the reason."""
+        if not _ckernel.available():
+            pytest.skip(f"no C library: {_ckernel.unavailable_reason()}")
+        real = getattr(_ckernel, export)
+        monkeypatch.setattr(_ckernel, export, lambda *a: corrupt(*real(*a)))
+        chosen, skipped = probe_backend()
+        assert chosen == "python"
+        assert skipped == [("c", reason)]
+        assert resolve_backend() == "python"
 
     def test_no_algorithm_declares_backend(self):
         for algo in registry.algorithms():

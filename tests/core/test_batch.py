@@ -240,14 +240,21 @@ class TestSerialKernel:
         assert run.outcomes == [] and run.schedules() == []
 
     def test_kernel_source_has_one_serial_entry_point(self):
-        """One serial sweep export, plus the memory profile; no
+        """One serial sweep export, plus the memory profile, Liu's
+        postorder and Algorithm 2's split, each declared once; no
         threading and no fused floating-point operations."""
         import re
 
         from repro.core import _ckernel
 
         exported = re.findall(r"^int64_t (\w+)\(", _ckernel._SOURCE, re.MULTILINE)
-        assert exported == ["batch_event_sweep", "memory_profile"]
+        assert exported == [
+            "batch_event_sweep",
+            "memory_profile",
+            "postorder_peaks",
+            "split_subtrees",
+        ]
+        assert list(_ckernel._EXPORTS) == exported
         assert "#pragma omp" not in _ckernel._SOURCE
         assert "-fopenmp" not in _ckernel._FLAGS
         assert "-ffp-contract=off" in _ckernel._FLAGS
@@ -491,3 +498,70 @@ class TestCompileCacheKeys:
             "python", [("c", "simulated: no toolchain")]
         )
         assert resolve_backend() == "python"
+
+
+# ----------------------------------------------------------------------
+# raw addresses: every array is checked in Python before any reaches C
+# ----------------------------------------------------------------------
+class TestKernelArgumentChecks:
+    @pytest.fixture
+    def fake_lib(self, monkeypatch):
+        """A stand-in library that records every call it receives."""
+        from repro.core import _ckernel
+
+        calls = []
+
+        class Recorder:
+            def batch_event_sweep(self, *args):
+                calls.append(args)
+
+        monkeypatch.setattr(_ckernel, "_BUILD", (Recorder(), ""))
+        return calls
+
+    @staticmethod
+    def args(tree: TaskTree) -> dict:
+        from repro.core.engine import batch_arrays
+
+        prepared = PreparedTree(tree)
+        n = tree.n
+        sigmas, sigma_id = stack_unique([None])
+        start, proc, status, resident = batch_arrays(1, n)
+        return dict(
+            parent=tree.parent, pending0=prepared.pending0, w=tree.w,
+            ranks=np.arange(n)[None, :], byranks=np.arange(n)[None, :],
+            rank_id=np.zeros(1, dtype=np.int64), ps=np.array([2]),
+            modes=np.zeros(1, dtype=np.int64), cap_eps=np.zeros(1),
+            alloc=prepared.alloc, free_on_end=prepared.free_on_end,
+            sigmas=sigmas, sigma_id=sigma_id,
+            start=start, proc=proc, status=status, resident=resident,
+        )
+
+    def test_well_formed_arrays_reach_the_library(self, star5, fake_lib):
+        from repro.core import _ckernel
+
+        _ckernel.batch_kernel(**self.args(star5))
+        assert len(fake_lib) == 1
+        assert fake_lib[0][:3] == (5, 1, 2)  # n, scenarios, max p
+
+    @pytest.mark.parametrize(
+        "name, bad, error",
+        [
+            ("w", lambda a: a.astype(np.float32), TypeError),
+            ("parent", lambda a: a.astype(np.int32), TypeError),
+            ("ps", lambda a: [2], TypeError),
+            ("w", lambda a: np.repeat(a, 2)[::2], ValueError),  # strided view
+            ("ranks", lambda a: np.repeat(a, 2, axis=1)[:, ::2], ValueError),  # strided
+            ("alloc", lambda a: a[:-1], ValueError),  # wrong length
+            ("status", lambda a: a.ravel(), ValueError),  # wrong shape
+            ("start", lambda a: np.broadcast_to(a, a.shape), ValueError),  # read-only
+            ("sigmas", lambda a: np.zeros((1, 3), dtype=np.int64), ValueError),
+        ],
+    )
+    def test_malformed_array_raises_before_c(self, star5, fake_lib, name, bad, error):
+        from repro.core import _ckernel
+
+        args = self.args(star5)
+        args[name] = bad(args[name])
+        with pytest.raises(error, match=name):
+            _ckernel.batch_kernel(**args)
+        assert fake_lib == []

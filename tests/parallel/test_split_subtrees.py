@@ -1,10 +1,15 @@
 """Tests for SplitSubtrees (Algorithm 2)."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 
+from repro.core import _ckernel
+from repro.core.engine import resolve_backend
 from repro.core.tree import TaskTree
-from repro.parallel.split_subtrees import split_subtrees
-from tests.conftest import task_trees
+from repro.parallel.split_subtrees import SplitPlan, split_subtrees
+from repro.workloads.synthetic import random_weighted_tree
+from tests.conftest import storm_trees, task_trees
 
 
 class TestKnownSplits:
@@ -98,3 +103,55 @@ class TestSplitProperties:
         """Splitting never selected if worse than sequential processing."""
         res = split_subtrees(tree, 4)
         assert res.cost <= tree.total_work() + 1e-9
+
+
+# ----------------------------------------------------------------------
+# both dispatches: the compiled split against the Python replay
+# ----------------------------------------------------------------------
+def same_split(a, b) -> bool:
+    """Field by field, the cost byte for byte (so -0.0 is not 0.0)."""
+    return a == b and np.float64(a.cost).tobytes() == np.float64(b.cost).tobytes()
+
+
+def assert_both_paths_agree(tree: TaskTree, ps=(1, 2, 3, 4, 8, 1000)) -> None:
+    """The dispatched split, and where this process dispatches to the C
+    library its direct result, equal the Python replay for every p."""
+    plan = SplitPlan(tree, tree.subtree_work())
+    for p in ps:
+        want = plan._split_reference(p)
+        assert same_split(plan.split(p), want), p
+        if resolve_backend() == "c":
+            got = plan._split_compiled(p)
+            assert got is not None and same_split(got, want), p
+
+
+class TestBothDispatches:
+    @given(storm_trees())
+    @settings(max_examples=300, deadline=None)
+    def test_storms(self, tree):
+        """Ties on subtree work and node work, zero-work nodes (the stop
+        test's equality case), -0.0 work, float weights, stars, brooms
+        and chains deeper than 64 levels."""
+        assert_both_paths_agree(tree)
+
+    @given(task_trees(min_nodes=1, max_nodes=60, min_w=0))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_trees(self, tree):
+        assert_both_paths_agree(tree)
+
+    def test_paper_scale_trees(self):
+        """Long pop sequences where the early stop fires."""
+        for n in (500, 5000):
+            assert_both_paths_agree(
+                random_weighted_tree(n, np.random.default_rng(n)), ps=(2, 4, 8, 16, 32)
+            )
+
+    def test_library_declines_non_finite_work(self):
+        if resolve_backend() != "c":
+            pytest.skip("this process does not dispatch to the C library")
+        tree = TaskTree.from_parents([-1, 0, 0], w=1.0)
+        plan = SplitPlan(tree, tree.subtree_work())
+        assert _ckernel.split_subtrees(
+            2, tree.child_ptr, tree.child_idx, plan.rank, plan.by_rank,
+            plan.rank_work * np.inf, tree.w, plan.stop, tree.root,
+        ) is None
