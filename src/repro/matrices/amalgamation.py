@@ -86,57 +86,49 @@ def amalgamate(
     """
     if max_amalgamation < 1:
         raise ValueError("max_amalgamation must be >= 1")
-    parent = symbolic.parent
-    counts = symbolic.counts
     n = symbolic.n
+    if np.any((symbolic.parent != -1) & (symbolic.parent <= np.arange(n))):
+        raise ValueError("etree parents must have larger indices than their children")
+    parent = symbolic.parent.tolist()
+    counts = symbolic.counts.tolist()
 
-    # Union-find over groups; the representative is the *highest*
-    # (largest-index) member since merges always go child -> parent and
-    # etree parents have larger indices.
-    group = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while group[root] != root:
-            root = int(group[root])
-        while group[x] != root:
-            group[x], x = root, int(group[x])
-        return root
-
-    eta = np.ones(n, dtype=np.int64)
+    # Children have smaller indices than parents in an etree, so the
+    # natural order is a valid bottom-up sweep. When ``j`` is swept,
+    # neither ``j`` nor its parent has been merged upward yet, so each
+    # is still the representative (the highest member) of its group,
+    # and a merge is one pointer ``up[j] = p``.
+    up = list(range(n))
+    eta = [1] * n
     if max_amalgamation > 1:
-        # Children have smaller indices than parents in an etree, so the
-        # natural order is a valid bottom-up sweep.
-        for j in range(n):
-            p = int(parent[j])
+        for j, p in enumerate(parent):
             if p == -1:
                 continue
-            gc = find(j)
-            gp = find(p)
-            if gc == gp:
-                continue
-            combined = eta[gc] + eta[gp]
+            combined = eta[j] + eta[p]
             if combined > max_amalgamation:
                 continue
-            nested_len = float(counts[gp] + eta[gp])
-            padding = nested_len - float(counts[gc])
+            nested_len = float(counts[p] + eta[p])
+            padding = nested_len - float(counts[j])
             if padding > relax * nested_len:
                 continue
-            group[gc] = gp
-            eta[gp] = combined
+            up[j] = p
+            eta[p] = combined
 
-    reps = sorted(set(find(j) for j in range(n)))
-    index_of = {r: k for k, r in enumerate(reps)}
-    group_of = np.array([index_of[find(j)] for j in range(n)], dtype=np.int64)
-    m = len(reps)
-    eta_g = np.array([eta[r] for r in reps], dtype=np.int64)
-    mu_g = np.array([counts[r] for r in reps], dtype=np.int64)
+    # Pointers go to larger indices, so a top-down sweep resolves each
+    # node's representative from its pointer's.
+    rep_of = up[:]
+    for j in range(n - 1, -1, -1):
+        rep_of[j] = rep_of[up[j]]
+    rep_of = np.array(rep_of, dtype=np.int64)
+    reps = np.flatnonzero(rep_of == np.arange(n))
+    m = reps.shape[0]
+    index_of = np.empty(n, dtype=np.int64)
+    index_of[reps] = np.arange(m)
+    group_of = index_of[rep_of]
+    eta_g = np.array(eta, dtype=np.int64)[reps]
+    mu_g = symbolic.counts[reps].astype(np.int64)
 
-    a_parent = np.full(m, NO_PARENT, dtype=np.int64)
-    for k, r in enumerate(reps):
-        p = int(parent[r])
-        if p != -1:
-            a_parent[k] = index_of[find(p)]
+    rep_parent = symbolic.parent[reps]
+    a_parent = np.where(rep_parent == -1, NO_PARENT, group_of[rep_parent])
 
     roots = np.flatnonzero(a_parent == NO_PARENT)
     if roots.shape[0] > 1:

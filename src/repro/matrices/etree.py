@@ -20,13 +20,35 @@ import scipy.sparse as sp
 __all__ = ["elimination_tree", "column_counts", "etree_heights"]
 
 
-def _lower_rows(a: sp.csr_matrix):
-    """Yield ``(i, below-diagonal column indices of row i)``."""
+def _lower_rows(a: sp.spmatrix) -> list[list[int]]:
+    """Below-diagonal column indices of each row, as Python lists."""
     a = sp.csr_matrix(a)
-    indptr, indices = a.indptr, a.indices
-    for i in range(a.shape[0]):
-        row = indices[indptr[i] : indptr[i + 1]]
-        yield i, row[row < i]
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    indptr = a.indptr.tolist()
+    indices = a.indices.tolist()
+    return [
+        [k for k in indices[indptr[i] : indptr[i + 1]] if k < i] for i in range(a.shape[0])
+    ]
+
+
+def _etree_list(lower: list[list[int]]) -> list[int]:
+    """Liu's ancestor path compression over the rows of :func:`_lower_rows`."""
+    n = len(lower)
+    parent = [-1] * n
+    ancestor = [-1] * n
+    for i, row in enumerate(lower):
+        for j in row:
+            # Climb with path compression until reaching i's component.
+            nxt = ancestor[j]
+            while nxt != -1 and nxt != i:
+                ancestor[j] = i
+                j = nxt
+                nxt = ancestor[j]
+            if nxt == -1:
+                ancestor[j] = i
+                parent[j] = i
+    return parent
 
 
 def elimination_tree(a: sp.spmatrix) -> np.ndarray:
@@ -36,24 +58,22 @@ def elimination_tree(a: sp.spmatrix) -> np.ndarray:
     roots (the etree is a forest when the matrix is reducible).
     Only the lower triangle of ``a`` is read.
     """
-    a = sp.csr_matrix(a)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    for i, row in _lower_rows(a):
-        for k in row:
-            j = int(k)
-            # Climb with path compression until reaching i's component.
-            while ancestor[j] != -1 and ancestor[j] != i:
-                nxt = int(ancestor[j])
-                ancestor[j] = i
-                j = nxt
-            if ancestor[j] == -1:
-                ancestor[j] = i
-                parent[j] = i
-    return parent
+    return np.array(_etree_list(_lower_rows(a)), dtype=np.int64)
+
+
+def _counts_list(lower: list[list[int]], parent: list[int]) -> list[int]:
+    """Row-subtree column counts over the rows of :func:`_lower_rows`."""
+    n = len(lower)
+    counts = [1] * n  # diagonal entries
+    mark = [-1] * n
+    for i, row in enumerate(lower):
+        mark[i] = i
+        for j in row:
+            while j != -1 and mark[j] != i:
+                counts[j] += 1
+                mark[j] = i
+                j = parent[j]
+    return counts
 
 
 def column_counts(a: sp.spmatrix, parent: np.ndarray | None = None) -> np.ndarray:
@@ -66,21 +86,9 @@ def column_counts(a: sp.spmatrix, parent: np.ndarray | None = None) -> np.ndarra
     the simple ``symbfact`` algorithm, fast enough at our scale and
     verified against dense symbolic elimination in tests.
     """
-    a = sp.csr_matrix(a)
-    n = a.shape[0]
-    if parent is None:
-        parent = elimination_tree(a)
-    counts = np.ones(n, dtype=np.int64)  # diagonal entries
-    mark = np.full(n, -1, dtype=np.int64)
-    for i, row in _lower_rows(a):
-        mark[i] = i
-        for k in row:
-            j = int(k)
-            while j != -1 and mark[j] != i:
-                counts[j] += 1
-                mark[j] = i
-                j = int(parent[j])
-    return counts
+    lower = _lower_rows(a)
+    par = _etree_list(lower) if parent is None else np.asarray(parent).tolist()
+    return np.array(_counts_list(lower, par), dtype=np.int64)
 
 
 def etree_heights(parent: np.ndarray) -> np.ndarray:
@@ -89,10 +97,9 @@ def etree_heights(parent: np.ndarray) -> np.ndarray:
     Computed in one pass over a topological order (children have smaller
     indices than parents in an etree, by definition).
     """
-    n = parent.shape[0]
-    height = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        p = int(parent[j])
+    par = np.asarray(parent).tolist()
+    height = [0] * len(par)
+    for j, p in enumerate(par):
         if p != -1:
             height[p] = max(height[p], height[j] + 1)
-    return height
+    return np.array(height, dtype=np.int64)

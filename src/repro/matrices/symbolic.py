@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .etree import elimination_tree, column_counts, etree_heights
+from .etree import _counts_list, _etree_list, _lower_rows, etree_heights
 
 __all__ = ["SymbolicFactorization", "symbolic_cholesky"]
 
@@ -51,6 +51,9 @@ def symbolic_cholesky(a: sp.spmatrix) -> SymbolicFactorization:
     Equivalent to Matlab's ``symbfact`` outputs used by the paper:
     elimination tree plus per-column factor counts.
     """
-    parent = elimination_tree(a)
-    counts = column_counts(a, parent)
-    return SymbolicFactorization(parent=parent, counts=counts)
+    lower = _lower_rows(a)
+    parent = _etree_list(lower)
+    counts = _counts_list(lower, parent)
+    return SymbolicFactorization(
+        parent=np.array(parent, dtype=np.int64), counts=np.array(counts, dtype=np.int64)
+    )

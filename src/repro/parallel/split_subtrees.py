@@ -58,9 +58,6 @@ class SplitResult:
     frontier_roots:
         roots of *all* subtrees of the selected splitting (used by
         ParSubtreesOptim, which allocates every subtree LPT-style).
-    seq_nodes:
-        the split (popped) nodes, processed sequentially after the
-        parallel phase, in no particular order.
     cost:
         the predicted ParSubtrees makespan :math:`C_{max}(x)` of the
         selected splitting.
@@ -70,7 +67,6 @@ class SplitResult:
 
     parallel_roots: tuple[int, ...]
     frontier_roots: tuple[int, ...]
-    seq_nodes: tuple[int, ...]
     cost: float
     steps: int
 
@@ -278,15 +274,9 @@ class SplitPlan:
     def _result(self, all_roots: list[int], p: int, cost: float, steps: int) -> SplitResult:
         """The :class:`SplitResult` of the frontier ``all_roots`` (by
         descending rank)."""
-        tree = self.tree
-        parallel_roots = tuple(all_roots[:p])
-        in_parallel = np.zeros(tree.n, dtype=bool)
-        for r in parallel_roots:
-            in_parallel[tree.subtree_nodes(r)] = True
         return SplitResult(
-            parallel_roots=parallel_roots,
+            parallel_roots=tuple(all_roots[:p]),
             frontier_roots=tuple(all_roots),
-            seq_nodes=tuple(np.flatnonzero(~in_parallel).tolist()),
             cost=cost,
             steps=steps,
         )

@@ -24,3 +24,19 @@ def dense_symbolic_cholesky(a: sp.spmatrix) -> np.ndarray:
         for idx, i in enumerate(below):
             pattern[below[idx + 1 :], i] = True
     return pattern
+
+
+def reference_etree_and_counts(a):
+    """Derive etree and counts from the dense factor pattern."""
+    L = dense_symbolic_cholesky(a)
+    n = L.shape[0]
+    parent = np.full(n, -1, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    for j in range(n):
+        below = np.flatnonzero(L[:, j])
+        below = below[below >= j]
+        counts[j] = below.shape[0]
+        strict = below[below > j]
+        if strict.shape[0]:
+            parent[j] = strict[0]
+    return parent, counts

@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.matrices.amalgamation import amalgamate
 from repro.matrices.generators import banded, grid2d, random_symmetric
-from repro.matrices.ordering import apply_ordering, nested_dissection
-from repro.matrices.symbolic import symbolic_cholesky
+from repro.matrices.ordering import ORDERINGS, apply_ordering, nested_dissection
+from repro.matrices.symbolic import SymbolicFactorization, symbolic_cholesky
 from repro.matrices.weights import node_weights
+from tests.matrices.amalgamation_reference import amalgamate as reference_amalgamate
+from tests.matrices.patterns import EDGE_CASES, symmetric_patterns
+
+#: the paper's relaxed-amalgamation caps
+CAPS = [1, 2, 4, 16]
 
 
 class TestNoAmalgamation:
@@ -109,3 +116,43 @@ class TestWeightsFormulas:
             node_weights(0, 1)
         with pytest.raises(ValueError):
             node_weights(1, 0)
+
+
+def assert_same_assembly(got, want):
+    for name in ("parent", "w", "f", "sizes"):
+        g, r = getattr(got.tree, name), getattr(want.tree, name)
+        assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), name
+    for name in ("eta", "mu", "group_of"):
+        g, r = getattr(got, name), getattr(want, name)
+        assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), name
+
+
+class TestAgainstReference:
+    """The list-based sweep against the numpy loop it replaced."""
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("name", [k for k in sorted(EDGE_CASES) if EDGE_CASES[k].shape[0]])
+    def test_edge_cases(self, name, cap):
+        sym = symbolic_cholesky(EDGE_CASES[name])
+        assert_same_assembly(amalgamate(sym, cap), reference_amalgamate(sym, cap))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        symmetric_patterns(max_nodes=40),
+        st.sampled_from(["natural", "min-degree", "nested-dissection"]),
+        st.sampled_from([0.0, 0.25, 1.0]),
+    )
+    def test_random_factorizations(self, a, ordering, relax):
+        assume(a.shape[0] > 0)
+        sym = symbolic_cholesky(apply_ordering(a, ORDERINGS[ordering](a)))
+        for cap in CAPS:
+            assert_same_assembly(
+                amalgamate(sym, cap, relax), reference_amalgamate(sym, cap, relax)
+            )
+
+    def test_rejects_parent_below_child(self):
+        sym = SymbolicFactorization(
+            parent=np.array([-1, 0], dtype=np.int64), counts=np.array([1, 2], dtype=np.int64)
+        )
+        with pytest.raises(ValueError, match="larger indices"):
+            amalgamate(sym, 2)

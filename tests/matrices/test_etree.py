@@ -3,26 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
 
 from repro.matrices.etree import column_counts, elimination_tree, etree_heights
 from repro.matrices.generators import banded, grid2d, random_symmetric
-from tests.matrices.dense_symbolic import dense_symbolic_cholesky
-
-
-def reference_etree_and_counts(a):
-    """Derive etree and counts from the dense factor pattern."""
-    L = dense_symbolic_cholesky(a)
-    n = L.shape[0]
-    parent = np.full(n, -1, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        below = np.flatnonzero(L[:, j])
-        below = below[below >= j]
-        counts[j] = below.shape[0]
-        strict = below[below > j]
-        if strict.shape[0]:
-            parent[j] = strict[0]
-    return parent, counts
+from repro.matrices.symbolic import symbolic_cholesky
+from tests.matrices.dense_symbolic import reference_etree_and_counts
+from tests.matrices.patterns import EDGE_CASES, symmetric_patterns
 
 
 class TestKnownMatrices:
@@ -85,3 +72,25 @@ class TestAgainstDenseReference:
         lower = sp.tril(a, format="csc")
         matrix_counts = np.diff(lower.indptr)
         assert np.all(counts >= matrix_counts)
+
+
+def check_against_reference(a):
+    ref_parent, ref_counts = reference_etree_and_counts(a)
+    parent = elimination_tree(a)
+    counts = column_counts(a, parent)
+    sym = symbolic_cholesky(a)
+    for got in (parent, sym.parent):
+        assert got.dtype == np.int64 and got.tolist() == ref_parent.tolist()
+    for got in (counts, column_counts(a), sym.counts):
+        assert got.dtype == np.int64 and got.tolist() == ref_counts.tolist()
+
+
+class TestFuzzAgainstDenseReference:
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_cases(self, name):
+        check_against_reference(EDGE_CASES[name])
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_patterns(max_nodes=30))
+    def test_random_patterns(self, a):
+        check_against_reference(a)

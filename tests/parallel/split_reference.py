@@ -85,15 +85,9 @@ def ref_split_subtrees(tree, p):
             frontier.insert(key(c))
     all_roots = [-k[2] for k in frontier.top] + [k[2] for k in frontier.rest]
     all_roots.sort(key=lambda i: key(i), reverse=True)
-    parallel_roots = tuple(all_roots[:p])
-    in_parallel = np.zeros(tree.n, dtype=bool)
-    for r in parallel_roots:
-        in_parallel[tree.subtree_nodes(r)] = True
-    seq_nodes = tuple(int(i) for i in range(tree.n) if not in_parallel[i])
     return SplitResult(
-        parallel_roots=parallel_roots,
+        parallel_roots=tuple(all_roots[:p]),
         frontier_roots=tuple(all_roots),
-        seq_nodes=seq_nodes,
         cost=float(costs[best_step]),
         steps=len(costs),
     )

@@ -12,12 +12,20 @@ from repro.workloads.synthetic import random_weighted_tree
 from tests.conftest import storm_trees, task_trees
 
 
+def seq_nodes(tree, res) -> set[int]:
+    """The nodes outside the parallel subtrees, processed sequentially."""
+    in_parallel: set[int] = set()
+    for r in res.parallel_roots:
+        in_parallel.update(tree.subtree_nodes(r).tolist())
+    return set(range(tree.n)) - in_parallel
+
+
 class TestKnownSplits:
     def test_single_node(self):
         t = TaskTree.from_parents([-1], w=2.0)
         res = split_subtrees(t, 4)
         assert res.parallel_roots == (0,)
-        assert res.seq_nodes == ()
+        assert seq_nodes(t, res) == set()
         assert res.cost == 2.0
 
     def test_fork_selects_cost1(self, star5):
@@ -25,7 +33,7 @@ class TestKnownSplits:
         res = split_subtrees(star5, 2)
         # cost(0) = 5 (whole tree); cost(1) = 1 + 1 + surplus(2 leaves) = 4
         assert res.cost == 4.0
-        assert 0 in res.seq_nodes
+        assert 0 in seq_nodes(star5, res)
         assert len(res.parallel_roots) == 2
 
     def test_fork_paper_formula(self):
@@ -41,7 +49,7 @@ class TestKnownSplits:
         t = TaskTree.from_parents([-1, 0, 0, 1, 1, 2, 2], w=1.0)
         res = split_subtrees(t, 2)
         assert set(res.parallel_roots) == {1, 2}
-        assert res.seq_nodes == (0,)
+        assert seq_nodes(t, res) == {0}
         assert res.cost == 3.0 + 1.0  # subtree work 3 + root
 
     def test_chain_whole_tree_sequential(self, chain5):
@@ -55,19 +63,24 @@ class TestSplitProperties:
     @given(task_trees(min_nodes=1, max_nodes=40))
     @settings(max_examples=50, deadline=None)
     def test_partition_exact(self, tree):
-        """Parallel subtrees and sequential nodes partition the tree."""
+        """The frontier subtrees are disjoint, so the parallel subtrees
+        and the sequential rest partition the tree; the parallel roots
+        are the first (heaviest) ``p`` of the frontier."""
         for p in (1, 2, 4):
             res = split_subtrees(tree, p)
-            covered = set(res.seq_nodes)
-            for r in res.parallel_roots:
-                covered.update(int(x) for x in tree.subtree_nodes(r))
-            assert covered == set(range(tree.n))
+            assert res.parallel_roots == res.frontier_roots[:p]
             assert len(res.parallel_roots) <= p
+            covered: set[int] = set()
+            for r in res.frontier_roots:
+                nodes = set(tree.subtree_nodes(r).tolist())
+                assert not (nodes & covered)
+                covered |= nodes
 
     @given(task_trees(min_nodes=1, max_nodes=40))
     @settings(max_examples=50, deadline=None)
     def test_subtrees_disjoint_and_maximal(self, tree):
         res = split_subtrees(tree, 3)
+        seq = seq_nodes(tree, res)
         seen: set[int] = set()
         for r in res.parallel_roots:
             nodes = set(int(x) for x in tree.subtree_nodes(r))
@@ -77,7 +90,7 @@ class TestSplitProperties:
         for r in res.frontier_roots:
             parent = int(tree.parent[r])
             if parent >= 0:
-                assert parent in res.seq_nodes
+                assert parent in seq
 
     @given(task_trees(min_nodes=1, max_nodes=30))
     @settings(max_examples=50, deadline=None)
@@ -87,13 +100,13 @@ class TestSplitProperties:
             res = split_subtrees(tree, p)
             work = tree.subtree_work()
             par = max((float(work[r]) for r in res.parallel_roots), default=0.0)
-            seq = float(sum(tree.w[i] for i in res.seq_nodes))
+            seq = float(sum(tree.w[i] for i in seq_nodes(tree, res)))
             surplus = sum(
                 float(work[r])
                 for r in res.frontier_roots
                 if r not in res.parallel_roots
             )
-            # seq_nodes includes surplus subtree nodes; cost decomposition:
+            # the sequential nodes include the surplus subtrees:
             assert abs(res.cost - (par + seq)) < 1e-6
             assert surplus <= seq + 1e-9
 

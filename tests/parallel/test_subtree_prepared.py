@@ -118,7 +118,7 @@ class TestPreparedSplit:
             for p in PROCESSOR_COUNTS:
                 got = prepared.split(p)
                 ref = ref_split_subtrees(inst.tree, p)
-                for field in ("parallel_roots", "frontier_roots", "seq_nodes", "cost", "steps"):
+                for field in ("parallel_roots", "frontier_roots", "cost", "steps"):
                     assert getattr(got, field) == getattr(ref, field), (inst.name, p, field)
                 assert prepared.split(p) is got  # cached per p
 
