@@ -1,12 +1,15 @@
 """The compiled library: the C event sweep of
 :class:`repro.core.engine.SchedulerEngine`, the exact memory profile of
-:func:`repro.core.simulator.memory_profile`, Liu's optimal postorder of
+:func:`repro.core.simulator.memory_profile`, the phase-1 peaks of
+:func:`repro.parallel.memory_aware_subtrees.par_subtrees_memory_aware`,
+Liu's optimal postorder of
 :func:`repro.sequential.postorder.optimal_postorders` and Algorithm 2's
 splitting of :meth:`repro.parallel.split_subtrees.SplitPlan.split`.
 
 The sweep is a line-for-line C translation of the engine's pure-Python
 reference loop (:meth:`~repro.core.engine.SchedulerEngine.run_reference`)
-over typed, C-contiguous numpy arrays -- array-based binary heaps
+over typed, C-contiguous numpy arrays -- a hierarchical bitset over the
+ranks as the ready set and an array-based binary heap of running tasks
 instead of ``heapq``, integer node ids instead of tuples, no Python
 objects in the hot loop; the other exports translate their Python paths
 the same way. The library is compiled on demand with the
@@ -16,21 +19,24 @@ and loaded via :mod:`ctypes`. It is strictly optional: when no
 toolchain is available (or the compile fails) :func:`available` returns
 False and every caller takes its Python path instead: the engine sweeps
 on the reference loop, the simulator measures on its numpy reference,
-Liu's recurrence runs its per-node loop and the split its Python replay.
+Liu's recurrence runs its per-node loop and the split its Python replay;
+MemoryAwareSubtrees builds and measures every concurrency level.
 
-The library exports four entry points, all serial, and ctypes releases
+The library exports five entry points, all serial, and ctypes releases
 the GIL for the duration of each call. Each takes ``int64`` scalars
 and raw addresses: its Python wrapper here checks the dtype, the
-C-contiguity and the shape of every array once (:func:`_address`; the
-memory profile's converts its four columns instead), where an
-``ndpointer`` argtype would cost ~6 us per array and call.
+C-contiguity and the shape of every array once (:func:`_address`),
+where an ``ndpointer`` argtype would cost ~6 us per array and call.
 
 * ``batch_event_sweep``: a loop over the scenarios of a grid against
   one tree, every scenario swept over the same malloc'd scratch arena
-  (heaps plus a private ``pending`` copy refilled per scenario). A
-  single engine run is a grid of one.
+  (the ready bitset, the running heap and a private ``pending`` copy
+  refilled per scenario). A single engine run is a grid of one.
 * ``memory_profile``: the piecewise-constant memory profile of one
   schedule (see *Memory profile spec* below).
+* ``phase1_peaks``: MemoryAwareSubtrees' peak of every concurrency
+  level before its sequential phase, in one pass (see *Phase-1 peaks
+  spec* below).
 * ``postorder_peaks``: Liu's peaks and optimal postorders of one tree,
   for both tie orders (see *Postorder spec* below).
 * ``split_subtrees``: Algorithm 2's minimum-cost splitting of one tree
@@ -107,6 +113,40 @@ the double add of ``Schedule.end``. The library
 
 It returns ``-1`` when its scratch cannot be allocated and ``-2`` on a
 non-finite start; the simulator then takes its numpy reference path.
+
+Phase-1 peaks spec
+------------------
+``phase1_peaks(n, q, m, nodes, group_end, w, alloc, freed, peaks_out)
+-> code`` (:func:`phase1_peaks` here wraps it). ``nodes`` concatenates
+the orders of MemoryAwareSubtrees' ``q`` candidate subtrees, heaviest
+first; candidate ``g`` is ``nodes[group_end[g-1]:group_end[g]]``. The
+concurrency-``k`` schedule runs candidate ``g < k`` back to back from 0
+on processor ``g`` and every other task after ``T1(k)``, the latest end
+of those ``k``. The library
+
+1. places every candidate's tasks with ``t += w`` from ``0.0`` -- the
+   additions of ``_pack_schedule``'s ``cumsum`` -- and takes ``T1(k)``
+   as the running maximum of the candidates' ends (the first of equal
+   ends, as Python's ``max``);
+2. keys and radix-sorts the candidates' start and end events as
+   ``memory_profile`` does, ascending node index within an instant;
+3. merges them as ``memory_profile`` does -- per instant its frees,
+   then its allocations -- but adds each event to the running level of
+   every ``k`` that runs its candidate, one level per ``k`` starting at
+   ``-0.0``;
+4. writes to ``peaks_out[k - 1]`` the highest level of ``k`` after an
+   instant strictly before ``T1(k)`` at which one of its events falls,
+   ``-inf`` when there is none.
+
+Every other event of the concurrency-``k`` schedule comes at or after
+``T1(k)``, so these instants, levels and adds are exactly the prefix of
+``memory_profile`` of that schedule before ``T1(k)``, and
+``peaks_out[k - 1]`` is the highest of those levels: a lower bound of
+the schedule's peak that needs no schedule. It returns ``0``, ``-1`` when its
+scratch cannot be allocated, ``-2`` on a non-finite time and ``-3`` on
+a node out of range or repeated or a ``group_end`` that does not
+partition the ``m`` nodes; MemoryAwareSubtrees then builds and measures
+every level.
 
 Postorder spec
 --------------
@@ -192,6 +232,8 @@ The memory profile holds the bytes of the numpy reference
 ``tests/core/test_simulator.py``) for the same reason: the same adds in
 the same order. Its ``level`` starts at ``-0.0``, the additive identity,
 so even a leading ``-0.0`` delta reproduces ``cumsum``'s first element.
+The phase-1 peaks are a prefix of it, pinned against a numpy oracle by
+``tests/parallel/test_phase1_peaks.py``.
 Liu's peaks and orders hold the bytes of the per-node loop
 (``postorder._postorder_peaks_loop``, pinned by
 ``tests/sequential/test_postorder.py``) and the splitting those of the
@@ -208,10 +250,16 @@ instructions), which silently changes the last bit of a sum and with
 it a schedule or a peak (the split's margin is such a product and
 sum). No fused operation may enter any export.
 
-Heap pop order is determined by the key order alone -- ready entries
-are bare ranks (a permutation, hence unique) and running entries carry
-the node id as tie-break -- so an array-based binary heap reproduces
-``heapq`` exactly without mimicking its internals.
+Pop order is determined by the key order alone, so neither structure
+of the sweep mimics ``heapq``'s internals. Ready entries are bare ranks
+(a permutation, hence unique): the ready set is a 64-ary bitset over
+the ranks ``0..n-1`` (one bit per rank, then one bit per non-empty
+word, up to a single word; ``n/64 + n/4096 + ...`` words), and its
+lowest set bit, found with ``ctz`` from the top word down, is the rank
+``heapq`` would pop. The opportunistic cap (mode 2) scans upwards from
+there for the lowest ready rank that fits, leaving the skipped ranks
+set. Running entries carry the node id as tie-break, so an array-based
+binary heap of them reproduces ``heapq`` exactly.
 
 Build cache
 -----------
@@ -242,6 +290,7 @@ __all__ = [
     "unavailable_reason",
     "batch_kernel",
     "memory_profile",
+    "phase1_peaks",
     "postorder_peaks",
     "split_subtrees",
     "cache_dir",
@@ -254,7 +303,7 @@ _SOURCE = r"""
 #include <string.h>
 
 /* array-based binary min-heaps; pop order == heapq pop order because
- * all keys are unique (ready entries are a rank permutation, running
+ * all keys are unique (split_subtrees' entries are ranks, running
  * entries carry the node id as tie-break) */
 
 static void push_int(int64_t *heap, int64_t size, int64_t val)
@@ -357,8 +406,111 @@ static void pop_run(double *keys, int64_t *nodes, int64_t size,
     *out_v = top_v;
 }
 
-/* One event sweep over caller-provided scratch (heaps sized n and a
- * free-processor stack sized >= p); returns status[0]. */
+/* The sweep's ready set: a hierarchical 64-ary bitset over the ranks
+ * 0..n-1. Level 0 holds one bit per rank; bit i of a level-l word is set
+ * exactly when word i of level l-1 is non-zero; the top level is one
+ * word. Ranks are a permutation, so popping the lowest set bit pops in
+ * the order of any min-structure over them. */
+#define RSET_LEVELS 12 /* ceil(64 / 6) + 1: enough for any int64 n */
+
+typedef struct {
+    uint64_t *word[RSET_LEVELS]; /* word[l]: the words of level l */
+    int64_t nwords[RSET_LEVELS];
+    int top; /* the level of one word */
+} rset_t;
+
+/* The number of words of every level for n ranks (n >= 1). */
+static int64_t rset_words(int64_t n)
+{
+    int64_t total = 0, m = n;
+    do {
+        m = (m + 63) >> 6;
+        total += m;
+    } while (m > 1);
+    return total;
+}
+
+/* Lay the levels out over `words` (rset_words(n) of them), all empty. */
+static void rset_init(rset_t *set, uint64_t *words, int64_t n)
+{
+    int64_t m = n;
+    int l = 0;
+    do {
+        m = (m + 63) >> 6;
+        set->word[l] = words;
+        set->nwords[l] = m;
+        words += m;
+        l++;
+    } while (m > 1);
+    set->top = l - 1;
+    memset(set->word[0], 0, (size_t)(words - set->word[0]) * sizeof(uint64_t));
+}
+
+/* set bit r, and upwards until a word that was already non-empty */
+static void rset_insert(rset_t *set, int64_t r)
+{
+    int l;
+    for (l = 0; l <= set->top; l++) {
+        uint64_t *wd = set->word[l] + (r >> 6);
+        uint64_t was = *wd;
+        *wd = was | (1ULL << (r & 63));
+        if (was)
+            return;
+        r >>= 6;
+    }
+}
+
+/* clear bit r, and upwards while words become empty */
+static void rset_delete(rset_t *set, int64_t r)
+{
+    int l;
+    for (l = 0; l <= set->top; l++) {
+        uint64_t *wd = set->word[l] + (r >> 6);
+        *wd &= ~(1ULL << (r & 63));
+        if (*wd)
+            return;
+        r >>= 6;
+    }
+}
+
+/* the lowest set rank >= r, or -1 when there is none */
+static int64_t rset_next(const rset_t *set, int64_t r)
+{
+    int l = 0;
+    uint64_t bits;
+    for (;;) {
+        if ((r >> 6) >= set->nwords[l])
+            return -1;
+        bits = set->word[l][r >> 6] & (~0ULL << (r & 63));
+        if (bits)
+            break;
+        if (l == set->top)
+            return -1;
+        r = (r >> 6) + 1;
+        l++;
+    }
+    r = (r & ~(int64_t)63) | __builtin_ctzll(bits);
+    while (l > 0) {
+        l--;
+        r = (r << 6) | __builtin_ctzll(set->word[l][r]);
+    }
+    return r;
+}
+
+/* remove and return the lowest set rank (the set must not be empty) */
+static int64_t rset_pop(rset_t *set)
+{
+    int64_t r = 0;
+    int l;
+    for (l = set->top; l >= 0; l--)
+        r = (r << 6) | __builtin_ctzll(set->word[l][r]);
+    rset_delete(set, r);
+    return r;
+}
+
+/* One event sweep over caller-provided scratch (the ready set's
+ * rset_words(n) words, a running heap sized n and a free-processor stack
+ * sized >= p); returns status[0]. */
 static int64_t event_sweep(int64_t n, int64_t p,
                     const int64_t *parent, int64_t *pending,
                     const double *w,
@@ -368,19 +520,23 @@ static int64_t event_sweep(int64_t n, int64_t p,
                     const int64_t *sigma,
                     double *start, int64_t *proc,
                     int64_t *status, double *resident,
-                    int64_t *ready, double *run_key, int64_t *run_node,
-                    int64_t *skipped, int64_t *free_stack)
+                    uint64_t *ready_words, double *run_key,
+                    int64_t *run_node, int64_t *free_stack)
 {
     int64_t free_count, ready_size, run_size, started, next_sigma, i, q;
     double now, mem;
+    rset_t ready;
 
     for (q = 0; q < p; q++)
         free_stack[q] = p - 1 - q; /* pop from the tail => proc 0 first */
     free_count = p;
+    rset_init(&ready, ready_words, n);
     ready_size = 0;
     for (i = 0; i < n; i++) {
-        if (pending[i] == 0)
-            push_int(ready, ready_size++, rank[i]);
+        if (pending[i] == 0) {
+            rset_insert(&ready, rank[i]);
+            ready_size++;
+        }
     }
     run_size = 0;
     now = 0.0;
@@ -393,35 +549,29 @@ static int64_t event_sweep(int64_t n, int64_t p,
             int64_t node;
             double t_end;
             if (mode == 0) {
-                node = byrank[pop_int(ready, ready_size--)];
+                node = byrank[rset_pop(&ready)];
             } else if (mode == 1) {
                 int64_t r;
                 node = sigma[next_sigma];
                 if (pending[node] > 0 || mem + alloc[node] > cap_eps)
                     break;
-                r = pop_int(ready, ready_size--);
+                r = rset_pop(&ready);
                 if (r != rank[node]) {
                     status[0] = 2;
                     status[1] = node;
                     return status[0];
                 }
             } else {
-                int64_t nskip = 0, k;
-                node = -1;
-                while (ready_size > 0) {
-                    int64_t r = pop_int(ready, ready_size--);
-                    int64_t cand = byrank[r];
-                    if (mem + alloc[cand] <= cap_eps) {
-                        node = cand;
-                        break;
-                    }
-                    skipped[nskip++] = r;
-                }
-                for (k = 0; k < nskip; k++)
-                    push_int(ready, ready_size++, skipped[k]);
-                if (node < 0)
+                /* the lowest ready rank that fits: skipped ranks stay set */
+                int64_t r = rset_next(&ready, 0);
+                while (r >= 0 && mem + alloc[byrank[r]] > cap_eps)
+                    r = rset_next(&ready, r + 1);
+                if (r < 0)
                     break;
+                rset_delete(&ready, r);
+                node = byrank[r];
             }
+            ready_size--;
             q = free_stack[--free_count];
             start[node] = now;
             proc[node] = q;
@@ -460,7 +610,8 @@ static int64_t event_sweep(int64_t n, int64_t p,
                 if (par >= 0) {
                     if (pending[par] == 1) {
                         pending[par] = 0;
-                        push_int(ready, ready_size++, rank[par]);
+                        rset_insert(&ready, rank[par]);
+                        ready_size++;
                     } else {
                         pending[par]--;
                     }
@@ -503,13 +654,11 @@ int64_t batch_event_sweep(int64_t n, int64_t nscen, int64_t max_p,
                     int64_t *status, double *resident)
 {
     int64_t *pending = malloc((size_t)n * sizeof(int64_t));
-    int64_t *ready = malloc((size_t)n * sizeof(int64_t));
+    uint64_t *ready = malloc((size_t)rset_words(n) * sizeof(uint64_t));
     double *run_key = malloc((size_t)n * sizeof(double));
     int64_t *run_node = malloc((size_t)n * sizeof(int64_t));
-    int64_t *skipped = malloc((size_t)n * sizeof(int64_t));
     int64_t *free_stack = malloc((size_t)max_p * sizeof(int64_t));
-    int64_t ok = pending && ready && run_key && run_node &&
-                 skipped && free_stack;
+    int64_t ok = pending && ready && run_key && run_node && free_stack;
     int64_t s;
     for (s = 0; s < nscen; s++) {
         if (!ok) {
@@ -525,24 +674,26 @@ int64_t batch_event_sweep(int64_t n, int64_t nscen, int64_t max_p,
                     sigma_id[s] >= 0 ? sigmas + sigma_id[s] * n : sigmas,
                     start + s * n, proc + s * n,
                     status + 2 * s, resident + s,
-                    ready, run_key, run_node, skipped, free_stack);
+                    ready, run_key, run_node, free_stack);
     }
     free(pending);
     free(ready);
     free(run_key);
     free(run_node);
-    free(skipped);
     free(free_stack);
     return !ok;
 }
 
 /* ---- the exact memory profile (see the module docstring) ---- */
 
-/* one event of the profile: the order-preserving key of its instant and
- * the memory it allocates (start list) or frees (end list) */
+/* one event of a profile: the order-preserving key of its instant and
+ * the memory it allocates (start list) or frees (end list), or its task */
 typedef struct {
     uint64_t key;
-    double delta;
+    union {
+        double delta; /* memory_profile: the memory it allocates or frees */
+        int64_t node; /* phase1_peaks: its task */
+    } u;
 } event_t;
 
 #define MAX_DIGIT_BITS 11
@@ -680,9 +831,9 @@ int64_t memory_profile(int64_t n, const double *start, const double *w,
     hist = (int64_t *)(buf + 2 * n);
     for (i = 0; i < n; i++) {
         sev[i].key = time_key(start[i]);
-        sev[i].delta = alloc[i];
+        sev[i].u.delta = alloc[i];
         eev[i].key = time_key(start[i] + w[i]);
-        eev[i].delta = freed[i];
+        eev[i].u.delta = freed[i];
     }
     /* times_out (2n doubles, written only by the merge) is the sorts'
      * ping-pong buffer of n events */
@@ -698,15 +849,149 @@ int64_t memory_profile(int64_t n, const double *start, const double *w,
         else
             t = sev[ia].key;
         for (; ib < n && eev[ib].key == t; ib++)
-            level -= eev[ib].delta;
+            level -= eev[ib].u.delta;
         for (; ia < n && sev[ia].key == t; ia++)
-            level += sev[ia].delta;
+            level += sev[ia].u.delta;
         times_out[m] = t == ZERO_KEY ? zero_time(n, start, w) : key_time(t);
         levels_out[m] = level;
         m++;
     }
     free(buf);
     return m;
+}
+
+/* ---- MemoryAwareSubtrees' phase-1 peaks (see the module docstring) ---- */
+
+/* The highest memory level of every concurrency level's schedule before
+ * its phase 2: candidate g (0 <= g < q) is the order
+ * nodes[group_end[g-1] .. group_end[g]) (group_end[-1] = 0), run
+ * back-to-back from 0 on processor g (start += w, _pack_schedule's
+ * cumsum); level k runs candidates 0..k-1 and its phase 2 starts at
+ * T1(k), the running max of their ends. The events of every candidate
+ * are sorted once with memory_profile's keys and tie order; level k adds
+ * those of its candidates, one at a time, to its own running level, and
+ * peaks_out[k - 1] gets the highest level after an instant strictly
+ * before T1(k) -- the prefix of memory_profile's levels for the level-k
+ * schedule, the same events with the same adds -- or -inf when it has
+ * no such instant. Returns 0, -1 when the scratch could not be
+ * allocated, -2 on a non-finite time, -3 on a node out of range or
+ * repeated or a group_end that is not a partition of the m nodes. */
+int64_t phase1_peaks(int64_t n, int64_t q, int64_t m, const int64_t *nodes,
+                     const int64_t *group_end, const double *w,
+                     const double *alloc, const double *freed,
+                     double *peaks_out)
+{
+    int width = digit_width(m);
+    int64_t *group, *hist;
+    double *start, *level, *peak, t, t1;
+    uint64_t *t1key, stop;
+    event_t *sev, *eev, *tmp;
+    int64_t g, i, k, lo, ia, ib, code = 0;
+    for (k = 0; k < q; k++)
+        peaks_out[k] = -INFINITY;
+    if (q <= 0 || m <= 0)
+        return 0;
+    group = malloc((size_t)n * (sizeof(int64_t) + sizeof(double)) +
+                   (size_t)(3 * m) * sizeof(event_t) +
+                   ((size_t)(64 + width - 1) / width << width) * sizeof(int64_t) +
+                   (size_t)(q + 1) * (2 * sizeof(double) + sizeof(uint64_t)));
+    if (!group)
+        return -1;
+    start = (double *)(group + n);
+    sev = (event_t *)(start + n);
+    eev = sev + m;
+    tmp = eev + m;
+    hist = (int64_t *)(tmp + m);
+    level = (double *)(hist + ((64 + width - 1) / width << width));
+    peak = level + q + 1;
+    t1key = (uint64_t *)(peak + q + 1);
+    for (i = 0; i < n; i++)
+        group[i] = -1;
+    /* the phase-1 starts and every level's T1 */
+    t1 = 0.0;
+    for (g = 0, lo = 0; g < q; g++) {
+        if (group_end[g] < lo || group_end[g] > m || (g == q - 1 && group_end[g] != m)) {
+            code = -3;
+            goto done;
+        }
+        t = 0.0;
+        for (i = lo; i < group_end[g]; i++) {
+            int64_t v = nodes[i];
+            if (v < 0 || v >= n || group[v] >= 0) {
+                code = -3;
+                goto done;
+            }
+            group[v] = g;
+            start[v] = t;
+            t += w[v];
+        }
+        if (!isfinite(t)) {
+            code = -2;
+            goto done;
+        }
+        if (t > t1) /* Python's max(t1, t): the first of equals */
+            t1 = t;
+        t1key[g + 1] = time_key(t1);
+        lo = group_end[g];
+    }
+    /* the events in ascending node index, then sorted stably by instant */
+    for (i = 0, k = 0; i < n; i++) {
+        if (group[i] < 0)
+            continue;
+        sev[k].key = time_key(start[i]);
+        sev[k].u.node = i;
+        eev[k].key = time_key(start[i] + w[i]);
+        eev[k].u.node = i;
+        k++;
+    }
+    radix_sort(m, width, sev, tmp, hist);
+    radix_sort(m, width, eev, tmp, hist);
+    for (k = 1; k <= q; k++) {
+        level[k] = -0.0; /* as in memory_profile */
+        peak[k] = -INFINITY;
+    }
+    /* the merge of memory_profile, each event added to the levels that
+     * run its candidate, up to the last T1 */
+    stop = t1key[q];
+    ia = ib = 0;
+    while (ia < m || ib < m) {
+        uint64_t key;
+        int64_t gmin = q;
+        if (ib < m && (ia >= m || eev[ib].key <= sev[ia].key))
+            key = eev[ib].key;
+        else
+            key = sev[ia].key;
+        if (key >= stop)
+            break;
+        for (; ib < m && eev[ib].key == key; ib++) {
+            int64_t v = eev[ib].u.node;
+            double d = freed[v];
+            g = group[v];
+            if (g < gmin)
+                gmin = g;
+            for (k = g + 1; k <= q; k++)
+                level[k] -= d;
+        }
+        for (; ia < m && sev[ia].key == key; ia++) {
+            int64_t v = sev[ia].u.node;
+            double d = alloc[v];
+            g = group[v];
+            if (g < gmin)
+                gmin = g;
+            for (k = g + 1; k <= q; k++)
+                level[k] += d;
+        }
+        /* an instant of the level-k profile when k runs one of its events */
+        for (k = gmin + 1; k <= q; k++) {
+            if (key < t1key[k] && level[k] > peak[k])
+                peak[k] = level[k];
+        }
+    }
+    for (k = 1; k <= q; k++)
+        peaks_out[k - 1] = peak[k];
+done:
+    free(group);
+    return code;
 }
 
 /* ---- Liu's optimal postorder (see the module docstring) ---- */
@@ -1009,6 +1294,7 @@ _I, _P = ctypes.c_int64, ctypes.c_void_p
 _EXPORTS = {
     "batch_event_sweep": [_I] * 3 + [_P] * 17,
     "memory_profile": [_I] + [_P] * 6,
+    "phase1_peaks": [_I] * 3 + [_P] * 6,
     "postorder_peaks": [_I] + [_P] * 9,
     "split_subtrees": [_I, _I] + [_P] * 7 + [_I] + [_P] * 3,
 }
@@ -1223,8 +1509,9 @@ def _address(arr, dtype, shape: tuple, name: str, out: bool = False) -> int:
         raise TypeError(f"{name}: expected a {np.dtype(dtype)} array, got {got}")
     if not arr.flags.c_contiguous:
         raise ValueError(f"{name}: expected a C-contiguous array")
-    if arr.ndim != len(shape) or any(
-        want is not None and got != want for got, want in zip(arr.shape, shape)
+    if arr.shape != shape and (  # the exact tuple first: the common case
+        arr.ndim != len(shape)
+        or any(want is not None and got != want for got, want in zip(arr.shape, shape))
     ):
         raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
     if out and not arr.flags.writeable:
@@ -1298,18 +1585,54 @@ def memory_profile(start, w, alloc, freed):
     output buffer.
     """
     lib = _library()
-    cols = [np.ascontiguousarray(c, dtype=np.float64) for c in (start, w, alloc, freed)]
-    n = len(cols[0])
-    if any(len(c) != n for c in cols):
-        raise ValueError("memory_profile needs four columns of one length")
-    out = np.empty((2, 2 * n), dtype=np.float64)
-    times = ctypes.addressof(ctypes.c_char.from_buffer(out))
+    n = len(start)
+    f64 = np.float64
+    out = np.empty((2, 2 * n), dtype=f64)
+    times = ctypes.addressof(ctypes.c_char.from_buffer(out))  # cheaper than .ctypes.data
     m = lib.memory_profile(
-        n, *(c.ctypes.data for c in cols), times, times + 16 * n
+        n,
+        _address(start, f64, (n,), "start"),
+        _address(w, f64, (n,), "w"),
+        _address(alloc, f64, (n,), "alloc"),
+        _address(freed, f64, (n,), "freed"),
+        times,
+        times + 16 * n,
     )
     if m < 0:
         return None
     return out[0, :m], out[1, :m]
+
+
+def phase1_peaks(nodes, group_end, w, alloc, freed):
+    """MemoryAwareSubtrees' phase-1 peaks on the C library: a ``float64``
+    array whose entry ``k - 1`` is the highest level of the level-``k``
+    schedule's memory profile at instants strictly before its phase 2
+    (``-inf`` when there is none), or None when the library declines (a
+    non-finite time, malformed groups, a failed allocation).
+
+    ``nodes`` concatenates the candidate subtrees' orders, heaviest
+    first; candidate ``g`` ends at ``group_end[g]``. ``w``, ``alloc``
+    and ``freed`` are the tree's ``float64`` columns (see *Phase-1
+    peaks spec* in the module docstring).
+    """
+    lib = _library()
+    n, q, m = len(w), len(group_end), len(nodes)
+    i64, f64 = np.int64, np.float64
+    peaks = np.empty(q, dtype=f64)
+    code = lib.phase1_peaks(
+        n,
+        q,
+        m,
+        _address(nodes, i64, (m,), "nodes"),
+        _address(group_end, i64, (q,), "group_end"),
+        _address(w, f64, (n,), "w"),
+        _address(alloc, f64, (n,), "alloc"),
+        _address(freed, f64, (n,), "freed"),
+        peaks.ctypes.data,
+    )
+    if code < 0:
+        return None
+    return peaks
 
 
 def postorder_peaks(child_ptr, child_idx, postorder, f, sizes):

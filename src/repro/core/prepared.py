@@ -127,7 +127,6 @@ class PreparedTree:
     __slots__ = (
         "tree",
         "_pending0",
-        "_alloc",
         "_optimal",
         "_postorders",
         "_sigma_rank",
@@ -150,7 +149,6 @@ class PreparedTree:
             raise TypeError(f"PreparedTree wraps a TaskTree, got {type(tree).__name__}")
         self.tree = tree
         self._pending0 = None
-        self._alloc = None
         self._optimal = None
         self._postorders: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
         self._sigma_rank = None
@@ -186,11 +184,9 @@ class PreparedTree:
 
     @property
     def alloc(self) -> np.ndarray:
-        """Memory acquired when each task starts (``sizes + f``),
-        read-only, shared across runs."""
-        if self._alloc is None:
-            self._alloc = _frozen(self.tree.sizes + self.tree.f)
-        return self._alloc
+        """Memory acquired when each task starts (``sizes + f``; cached
+        on the tree itself, already read-only)."""
+        return self.tree.start_allocs()
 
     @property
     def free_on_end(self) -> np.ndarray:

@@ -121,14 +121,15 @@ class Schedule:
         ``order`` must be a topological order of ``tree`` (validated by
         :func:`repro.core.validation.validate_schedule` / the simulator).
         """
-        order = np.asarray(list(order), dtype=np.int64)
-        if order.shape[0] != tree.n:
+        if not isinstance(order, np.ndarray):
+            order = list(order)
+        order = np.asarray(order, dtype=np.int64)
+        if order.shape != (tree.n,):
             raise ValueError("order must contain every task exactly once")
+        # np.cumsum accumulates left to right: the same float additions
+        # as placing the nodes one by one with ``t += w``
         start = np.empty(tree.n, dtype=np.float64)
-        t = 0.0
-        for node in order:
-            start[node] = t
-            t += tree.w[node]
+        start[order] = np.cumsum(np.concatenate(([0.0], tree.w[order])))[:-1]
         return cls(tree, start, np.zeros(tree.n, dtype=np.int64), p)
 
     # ------------------------------------------------------------------

@@ -64,7 +64,7 @@ def _memory_events(schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
     end = schedule.end
     # Each task contributes one allocation event (n_i + f_i at start) and
     # one free event (n_i + sum of children f at end).
-    alloc = tree.sizes + tree.f
+    alloc = tree.start_allocs()
     freed = tree.completion_frees()
     times = np.concatenate([end, start])
     phases = np.concatenate([np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)])
@@ -98,7 +98,7 @@ def _memory_profile_compiled(schedule: Schedule):
     non-finite start, a failed allocation)."""
     tree = schedule.tree
     return _ckernel.memory_profile(
-        schedule.start, tree.w, tree.sizes + tree.f, tree.completion_frees()
+        schedule.start, tree.w, tree.start_allocs(), tree.completion_frees()
     )
 
 

@@ -155,6 +155,9 @@ class TaskTree:
     _completion_frees: np.ndarray = field(
         init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
     )
+    _start_allocs: np.ndarray = field(
+        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
+    )
 
     # ------------------------------------------------------------------
     # construction
@@ -523,6 +526,15 @@ class TaskTree:
             arr.setflags(write=False)
             object.__setattr__(self, "_completion_frees", arr)
         return self._completion_frees
+
+    def start_allocs(self) -> np.ndarray:
+        """Memory allocated when each node starts: its execution file
+        plus its output file, ``sizes + f`` (cached, read-only)."""
+        if self._start_allocs is None:
+            arr = self.sizes + self.f
+            arr.setflags(write=False)
+            object.__setattr__(self, "_start_allocs", arr)
+        return self._start_allocs
 
     def processing_memory(self, i: int) -> float:
         """Memory needed while node ``i`` executes:

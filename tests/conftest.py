@@ -10,6 +10,35 @@ from repro.core.tree import TaskTree, NO_PARENT
 
 
 # ----------------------------------------------------------------------
+# the sanitizer build of the compiled library
+# ----------------------------------------------------------------------
+#: appended to the library's compiler flags by ``--sanitize-kernel``
+SANITIZE_FLAGS = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--sanitize-kernel",
+        action="store_true",
+        help="build the compiled library with AddressSanitizer and "
+        "UndefinedBehaviorSanitizer; run with GCC's libasan and libubsan "
+        "in LD_PRELOAD (and ASAN_OPTIONS=detect_leaks=0: the interpreter "
+        "itself never frees everything)",
+    )
+
+
+def pytest_configure(config):
+    if not config.getoption("--sanitize-kernel"):
+        return
+    from repro.core import _ckernel
+
+    if _ckernel._BUILD is not None:
+        raise pytest.UsageError("--sanitize-kernel: the library is already loaded")
+    # a new cache key, so the sanitized build never replaces the plain one
+    _ckernel._FLAGS.extend(SANITIZE_FLAGS)
+
+
+# ----------------------------------------------------------------------
 # hypothesis strategies
 # ----------------------------------------------------------------------
 @st.composite

@@ -472,6 +472,90 @@ class TestPreparedEquivalence:
 
 
 # ----------------------------------------------------------------------
+# the ready bitset across its word boundaries: every mode
+# ----------------------------------------------------------------------
+#: tree sizes around one 64-bit word of ranks and one level-1 word (4096)
+BOUNDARY_SIZES = (1, 63, 64, 65, 4095, 4096, 4097)
+
+
+def boundary_tree(shape: str, n: int) -> TaskTree:
+    rng = np.random.default_rng(n)
+    if shape == "chain":
+        return shaped_tree(np.arange(-1, n - 1), rng)
+    if shape == "star":
+        return shaped_tree(np.r_[-1, np.zeros(n - 1, dtype=np.int64)], rng)
+    return random_weighted_tree(n, rng)
+
+
+def same_outcome(engine: SchedulerEngine, twin: SchedulerEngine) -> None:
+    """``engine.run()`` and ``twin.run_reference()`` give the same
+    schedule or the same error message."""
+    try:
+        ref = twin.run_reference()
+    except (MemoryCapError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            engine.run()
+        assert str(info.value) == str(exc)
+        return
+    assert_same_schedule(engine.run(), ref)
+
+
+class TestReadyBitset:
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("shape", ["chain", "star", "random"])
+    def test_all_modes_at_word_boundaries(self, shape, n):
+        tree = boundary_tree(shape, n)
+        prepared = PreparedTree(tree)
+        rng = np.random.default_rng(n + 1)
+        shuffled = rng.permutation(n)  # ranks spread over every word
+        opt = optimal_postorder(tree)
+        sigma_rank = np.empty(n, dtype=np.int64)
+        sigma_rank[opt.order] = np.arange(n)
+        for p in (1, 3, 16):
+            same_outcome(
+                SchedulerEngine(prepared, p, shuffled),
+                SchedulerEngine(tree, p, shuffled),
+            )
+            for factor in (1.0, 1.5):
+                cap = factor * opt.peak_memory
+                for mode, rank in (("strict", sigma_rank), ("opportunistic", shuffled)):
+                    kw = dict(cap=cap, order=opt.order, mode=mode)
+                    same_outcome(
+                        SchedulerEngine(prepared, p, rank, **kw),
+                        SchedulerEngine(tree, p, rank, **kw),
+                    )
+
+    def test_opportunistic_scan_crosses_words(self):
+        """Ready ranks 1 and 2 do not fit next to the running rank 0, and
+        ranks 3..4095 belong to a chain that is not ready: the lowest rank
+        that fits, 4096, lies in another 64-bit word and another level-1
+        word, and it starts at time 0 on processor 1."""
+        n = 4200
+        chain = np.arange(4, 4097)  # ranks 3..4095, none ready at first
+        parent = np.zeros(n, dtype=np.int64)
+        parent[0] = -1
+        parent[chain[1:]] = chain[:-1]  # node 4 hangs under the root
+        parent[4097] = 4096  # the chain's leaf
+        rank = np.empty(n, dtype=np.int64)
+        rank[[1, 2, 3]] = [0, 1, 2]  # three large leaves
+        rank[chain] = np.arange(3, 4096)
+        rank[4098:] = np.arange(4096, n - 2)  # small leaves of the root
+        rank[4097] = n - 2
+        rank[0] = n - 1
+        sizes = np.zeros(n)
+        sizes[[1, 2, 3]] = 10.0 * n
+        tree = TaskTree(parent, np.ones(n), np.ones(n), sizes)
+        cap = 11.0 * n  # one large leaf at a time, with anything small
+        order = optimal_postorder(tree).order
+        kw = dict(cap=cap, order=order, mode="opportunistic")
+        got = SchedulerEngine(tree, 2, rank, **kw).run()
+        assert_same_schedule(got, SchedulerEngine(tree, 2, rank, **kw).run_reference())
+        first = np.flatnonzero(got.start == 0.0)
+        assert sorted(rank[first]) == [0, 4096]
+        assert got.proc[rank == 4096] == 1
+
+
+# ----------------------------------------------------------------------
 # fallback edge cases
 # ----------------------------------------------------------------------
 class TestExactnessFallback:

@@ -240,9 +240,10 @@ class TestSerialKernel:
         assert run.outcomes == [] and run.schedules() == []
 
     def test_kernel_source_has_one_serial_entry_point(self):
-        """One serial sweep export, plus the memory profile, Liu's
-        postorder and Algorithm 2's split, each declared once; no
-        threading and no fused floating-point operations."""
+        """One serial sweep export, plus the memory profile,
+        MemoryAwareSubtrees' phase-1 peaks, Liu's postorder and Algorithm
+        2's split, each declared once; no threading and no fused
+        floating-point operations."""
         import re
 
         from repro.core import _ckernel
@@ -251,6 +252,7 @@ class TestSerialKernel:
         assert exported == [
             "batch_event_sweep",
             "memory_profile",
+            "phase1_peaks",
             "postorder_peaks",
             "split_subtrees",
         ]

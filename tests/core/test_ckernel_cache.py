@@ -78,6 +78,21 @@ def _env(cache: str) -> dict:
     return env
 
 
+def _child_cache_key() -> str:
+    """The cache key of a fresh interpreter's build: its own ``_FLAGS``,
+    which ``--sanitize-kernel`` extends in this process only."""
+    code = "from repro.core import _ckernel; print(_ckernel._cache_key())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_env(""),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return proc.stdout.strip()
+
+
 class TestConcurrentFirstCompile:
     def test_simultaneous_cold_cache_compiles_converge(self, tmp_path):
         """Several processes hitting an empty cache at once: every one
@@ -108,7 +123,7 @@ class TestConcurrentFirstCompile:
         compile proceeds instead of waiting out the full window."""
         cache = tmp_path / "cache"
         cache.mkdir()
-        lock = cache / f"event_sweep_{_ckernel._cache_key()}.so.lock"
+        lock = cache / f"event_sweep_{_child_cache_key()}.so.lock"
         lock.write_text("999999\n")
         past = time.time() - (_ckernel._LOCK_STALE_SECONDS + 10)
         os.utime(lock, (past, past))

@@ -24,6 +24,25 @@ class TestSequentialSchedule:
         with pytest.raises(ValueError, match="every task"):
             Schedule.sequential(chain5, [4, 3])
 
+    def test_same_bytes_as_placing_nodes_one_by_one(self, rng):
+        """One cumsum over the ordered durations makes the additions of
+        ``t += w`` node by node: float durations, zeros, any order."""
+        from tests.conftest import random_tree
+
+        tree = random_tree(rng, 3000)
+        tree = tree.with_weights(
+            w=np.where(rng.random(tree.n) < 0.2, 0.0, rng.uniform(0.0, 3.0, tree.n))
+        )
+        order = tree.postorder()[::-1].copy()  # any permutation will do
+        want = np.empty(tree.n)
+        t = 0.0
+        for node in order:
+            want[node] = t
+            t += tree.w[node]
+        for given in (order, order.tolist(), iter(order.tolist())):
+            got = Schedule.sequential(tree, given)
+            assert got.start.tobytes() == want.tobytes()
+
     def test_makespan_weighted(self, paper_example):
         order = paper_example.postorder()
         sch = Schedule.sequential(paper_example, order)

@@ -285,6 +285,25 @@ class TestCompiledProfile:
         assert same_profile(memory_profile(schedule), _memory_profile_reference(schedule))
 
     @pytest.mark.parametrize(
+        "column, bad, error",
+        [
+            (0, np.zeros(5, dtype=np.float32), TypeError),
+            (1, [1.0] * 5, TypeError),
+            (2, np.zeros(4), ValueError),
+            (3, np.zeros(10)[::2], ValueError),
+        ],
+    )
+    def test_compiled_columns_are_checked(self, star5, column, bad, error):
+        """Each column reaching the library is a C-contiguous float64
+        array of one length, or the wrapper raises before the call."""
+        if not _ckernel.available():
+            pytest.skip(f"no C library: {_ckernel.unavailable_reason()}")
+        cols = [np.zeros(5), star5.w, star5.start_allocs(), star5.completion_frees()]
+        cols[column] = bad
+        with pytest.raises(error):
+            _ckernel.memory_profile(*cols)
+
+    @pytest.mark.parametrize(
         "corrupt",
         [
             pytest.param(lambda t, m: (t, m + 1.0), id="levels"),

@@ -20,10 +20,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro import registry
+from repro.core import _ckernel
 from repro.core.prepared import PreparedTree
 from repro.core.schedule import Schedule
 from repro.core.simulator import peak_memory
 from repro.core.tree import TaskTree
+from repro.parallel import memory_aware_subtrees as mas
 from repro.parallel.memory_aware_subtrees import par_subtrees_memory_aware
 from repro.parallel.memory_bounded import MemoryCapError
 from repro.parallel.par_subtrees import par_subtrees
@@ -258,3 +260,113 @@ class TestGoldenSubtreeFamily:
             ref_par_subtrees_memory_aware(paper_example, 2, 0.5 * mseq)
         with pytest.raises(MemoryCapError):
             par_subtrees_memory_aware(PreparedTree(paper_example), 2, 0.5 * mseq)
+
+
+# ----------------------------------------------------------------------
+# MemoryAwareSubtrees over many levels: the phase-1 pass that skips
+# over-cap levels without building them
+# ----------------------------------------------------------------------
+def assert_memory_aware_matches(tree: TaskTree, p: int, cap: float) -> None:
+    """The golden oracle and MemoryAwareSubtrees agree: the same bytes,
+    or both infeasible."""
+    try:
+        ref = ref_par_subtrees_memory_aware(tree, p, cap)
+    except MemoryCapError:
+        with pytest.raises(MemoryCapError):
+            par_subtrees_memory_aware(PreparedTree(tree), p, cap)
+        return
+    assert same_bytes(par_subtrees_memory_aware(PreparedTree(tree), p, cap), ref)
+
+
+class TestMemoryAwareLevels:
+    @pytest.fixture
+    def prefix_peaks(self, monkeypatch):
+        """Every phase-1 peaks array MemoryAwareSubtrees computes."""
+        seen = []
+        real = mas._phase1_peaks
+
+        def spy(prepared, orders):
+            seen.append(real(prepared, orders))
+            return seen[-1]
+
+        monkeypatch.setattr(mas, "_phase1_peaks", spy)
+        return seen
+
+    @pytest.mark.parametrize("n", [200, 700, 2000])
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_many_failing_levels(self, n, p, prefix_peaks):
+        """Caps between the sequential optimum and the widest level's
+        peak: several levels fail, some on their phase-1 prefix."""
+        rng = np.random.default_rng(n + p)
+        tree = random_weighted_tree(n, rng)
+        mseq = optimal_postorder(tree).peak_memory
+        rejected = 0
+        for factor in (1.0, 1.2, 1.5, 2.0, 3.0):
+            cap = factor * mseq
+            prefix_peaks.clear()
+            assert_memory_aware_matches(tree, p, cap)
+            for peaks in prefix_peaks:
+                if peaks is not None:
+                    rejected += int(np.sum(peaks[1:] > cap + 1e-9))
+        if _ckernel.available():
+            assert rejected >= 2
+
+    def test_over_cap_peak_in_phase_two(self):
+        """Leaves 1, 2 and 4 are the three heaviest subtrees; leaf 3
+        needs 51 while it runs. The sequential order runs it first (peak
+        51). Any concurrent level runs it after the concurrent phase,
+        next to the outputs of 1 and 2 (40): its prefix fits a cap of 60
+        and its measured peak (91 or more) does not."""
+        tree = TaskTree.from_parents(
+            [-1, 0, 0, 0, 0],
+            w=[1, 10, 10, 1, 9],
+            f=[0, 20, 20, 1, 1],
+            sizes=[0, 0, 0, 50, 0],
+        )
+        cap = 60.0
+        assert optimal_postorder(tree).peak_memory == 51.0
+        prepared = PreparedTree(tree)
+        assert set(prepared.split(3).frontier_roots) == {1, 2, 3, 4}
+        orders = [prepared.subtree_order(r) for r in (1, 2, 4)]
+        prefix = mas._phase1_peaks(prepared, orders)
+        if prefix is not None:
+            assert prefix[1] <= cap and prefix[2] <= cap
+        for q in (2, 3):
+            built = mas._build(prepared, 3, orders[:q], prepared.optimal().order)
+            assert peak_memory(built) > cap
+        got = par_subtrees_memory_aware(prepared, 3, cap)
+        assert same_bytes(got, ref_par_subtrees_memory_aware(tree, 3, cap))
+        assert got.makespan == tree.total_work()  # the sequential fallback
+
+    def test_zero_duration_candidates_end_at_t1(self):
+        """Candidates 1, 2, 3 end with zero-duration roots of output 30
+        exactly at T1 = 5, where their zero-duration parent 10 -- the
+        first task of the sequential phase -- frees all three outputs.
+        The level after the instant T1 is 2, and the schedule peaks at 4
+        (the sequential optimum is 91). The phase-1 pass must leave the
+        instant T1 out: its candidate events alone would reach 90 there
+        and reject the level a cap of 50 admits."""
+        #        0   1   2   3  4  5  6  7  8  9  10
+        parent = [-1, 10, 10, 10, 1, 2, 3, 0, 0, 0, 0]
+        w = [0, 0, 0, 0, 5, 5, 5, 1, 1, 1, 0]
+        f = [0, 30, 30, 30, 1, 1, 1, 1, 1, 1, 1]
+        tree = TaskTree.from_parents(parent, w=w, f=f, sizes=0.0)
+        prepared = PreparedTree(tree)
+        assert prepared.split(3).frontier_roots == (1, 2, 3, 7, 8, 9)
+        orders = [prepared.subtree_order(r) for r in (1, 2, 3)]
+        prefix = mas._phase1_peaks(prepared, orders)
+        if prefix is not None:
+            assert list(prefix) == [1.0, 2.0, 3.0]
+        got = par_subtrees_memory_aware(prepared, 3, 50.0)
+        assert same_bytes(got, ref_par_subtrees_memory_aware(tree, 3, 50.0))
+        assert got.makespan == 8.0 and peak_memory(got) == 4.0  # level 3
+
+    @given(task_trees(min_nodes=20, max_nodes=120, min_w=0, max_w=2))
+    @settings(max_examples=25, deadline=None)
+    def test_zero_duration_tasks_end_at_t1(self, tree):
+        """Zero-duration tasks, many of which end exactly at the end of
+        the concurrent phase, at caps around the sequential optimum."""
+        mseq = optimal_postorder(tree).peak_memory
+        for p in (4, 8):
+            for factor in (1.0, 1.1, 1.5):
+                assert_memory_aware_matches(tree, p, factor * mseq)
