@@ -41,20 +41,21 @@ def main() -> None:
         print(f"serving on {base}, journal under {root}/jobs/")
 
         try:
-            client = ServiceClient(base)
-            job = client.submit(spec)
-            print(f"submitted job {job['id']} -> {job['state']}")
+            # one keep-alive connection, closed when the block ends
+            with ServiceClient(base) as client:
+                job = client.submit(spec)
+                print(f"submitted job {job['id']} -> {job['state']}")
 
-            # a second POST of the same work is a dedupe, not a new job
-            again = client.submit(spec)
-            assert again["id"] == job["id"]
+                # a second POST of the same work is a dedupe, not a new job
+                again = client.submit(spec)
+                assert again["id"] == job["id"]
 
-            done = client.wait(job["id"], timeout=300)
-            print(f"settled: {done['state']} with {done['records']} records "
-                  f"in {done['elapsed']:.2f}s "
-                  f"(respawns={done['respawns']}, retried={done['retried']})")
+                done = client.wait(job["id"], timeout=300)
+                print(f"settled: {done['state']} with {done['records']} records "
+                      f"in {done['elapsed']:.2f}s "
+                      f"(respawns={done['respawns']}, retried={done['retried']})")
 
-            served = client.fetch_records(job["id"])
+                served = client.fetch_records(job["id"])
         finally:
             httpd.shutdown()
             httpd.server_close()

@@ -1,7 +1,13 @@
 """A stdlib client for the scheduling service (plus a tiny CLI).
 
-:class:`ServiceClient` wraps the JSON API with :mod:`urllib.request`
--- no dependencies, importable anywhere the package is. The module is
+:class:`ServiceClient` wraps the JSON API with :mod:`http.client` --
+no dependencies, importable anywhere the package is. Each thread
+using a client keeps one persistent HTTP/1.1 connection to the
+server. A request on a reused connection that fails before any
+response (the server closed it when idle, or restarted) is retried
+once on a fresh connection; that is safe because every route is
+idempotent (``POST /jobs`` is keyed by content). A failure on a fresh
+connection raises. The module is
 runnable (``python -m repro.service.client``) so shell scripts and the
 CI smoke drill can submit, wait and fetch without writing Python::
 
@@ -13,10 +19,12 @@ CI smoke drill can submit, wait and fetch without writing Python::
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
+import weakref
 from typing import Any
 
 __all__ = ["ServiceClient", "ServiceError", "main"]
@@ -32,14 +40,73 @@ class ServiceError(RuntimeError):
         self.body = body
 
 
+#: how a dropped keep-alive connection shows before any response
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
 class ServiceClient:
-    """Thin JSON-over-HTTP client; one instance per server."""
+    """Thin JSON-over-HTTP client; one instance per server.
+
+    Usable from several threads (one connection each); :meth:`close`
+    or a ``with`` block closes every connection the client opened.
+    """
 
     def __init__(self, base: str, timeout: float = 30.0) -> None:
         self.base = base.rstrip("/")
         self.timeout = timeout
+        url = urllib.parse.urlsplit(self.base)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(f"not an http:// base URL: {base!r}")
+        self._host, self._port, self._prefix = url.hostname, url.port, url.path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._opened: weakref.WeakSet = weakref.WeakSet()
+
+    def close(self) -> None:
+        """Close the open connections (a later request reconnects)."""
+        with self._lock:
+            opened = list(self._opened)
+        for conn in opened:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- plumbing -------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self._host, self._port, timeout=self.timeout
+            )
+            self._local.conn = conn
+            with self._lock:
+                self._opened.add(conn)
+        return conn
+
+    def _exchange(
+        self, method: str, path: str, body: bytes | None, headers: dict
+    ) -> tuple[int, bytes]:
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            try:
+                conn.request(method, self._prefix + path, body, headers)
+                resp = conn.getresponse()
+            except _STALE:
+                if not reused:
+                    raise
+                conn.close()  # dropped while idle: once more, fresh
+                conn.request(method, self._prefix + path, body, headers)
+                resp = conn.getresponse()
+            return resp.status, resp.read()
+        except BaseException:
+            conn.close()  # never reuse a connection in an unknown state
+            raise
+
     def _request(
         self, method: str, path: str, payload: Any = None, *, raw: bool = False
     ):
@@ -48,16 +115,7 @@ class ServiceClient:
         if payload is not None:
             data = json.dumps(payload).encode()
             headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(
-            self.base + path, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                body = resp.read()
-                status = resp.status
-        except urllib.error.HTTPError as exc:
-            body = exc.read()
-            status = exc.code
+        status, body = self._exchange(method, path, data, headers)
         if raw and 200 <= status < 300:
             return body
         try:
@@ -123,7 +181,6 @@ class ServiceClient:
 # ----------------------------------------------------------------------
 def main(argv: list[str] | None = None) -> int:
     import argparse
-    import sys
 
     ap = argparse.ArgumentParser(
         prog="python -m repro.service.client",
@@ -163,7 +220,12 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("ready", help="GET /readyz")
 
     args = ap.parse_args(argv)
-    client = ServiceClient(args.base)
+    with ServiceClient(args.base) as client:
+        return _run(args, client)
+
+
+def _run(args, client: ServiceClient) -> int:
+    import sys
 
     if args.cmd == "spec":
         from .payload import spec_from_dataset

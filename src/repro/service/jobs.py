@@ -9,11 +9,16 @@ Layout (everything under one root directory)::
 
 Durability contract
 -------------------
-* **Creation is atomic and idempotent.** The job directory is staged
-  under a temp name and ``os.rename``-ed into place; the id is the
-  spec's content hash, so a retried ``POST`` of the same work finds
-  the directory already there (the rename fails with
-  ``EEXIST``/``ENOTEMPTY``) and simply adopts the existing job.
+* **Creation is atomic and idempotent.** The spec is canonicalised
+  and serialised once; those bytes are both hashed for the id and
+  written as ``spec.json``. The job directory is staged under a
+  private temp name (``spec.json`` and ``state.json`` written
+  straight into it, each fsynced, then the stage directory fsynced)
+  and ``os.rename``-d into place, followed by an fsync of the jobs
+  directory. Since the id is the spec's content hash, a retried
+  ``POST`` of the same work finds the directory already there (the
+  rename fails with ``EEXIST``/``ENOTEMPTY``) and simply adopts the
+  existing job.
 * **State transitions are atomic.** ``state.json`` is written to a
   temp file, fsynced, ``os.replace``-d over the old one, and the
   directory entry fsynced -- a crash leaves either the old state or
@@ -44,7 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .payload import canonical_spec, job_key
+from .payload import canonical_bytes, content_key
 
 __all__ = ["Job", "JobStore", "TransitionError", "STATES"]
 
@@ -71,6 +76,16 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def _write_new(path: str, payload: bytes, mode: int) -> None:
+    """Create ``path`` (``mode`` before the umask) holding ``payload``,
+    fsynced."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(payload)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
 def _write_atomic(path: str, payload: bytes) -> None:
     d = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".state-", suffix=".tmp")
@@ -87,6 +102,10 @@ def _write_atomic(path: str, payload: bytes) -> None:
             pass
         raise
     _fsync_dir(d)
+
+
+#: read size for scanning ``records.jsonl``
+_CHUNK = 1 << 16
 
 
 @dataclass
@@ -116,8 +135,29 @@ class Job:
     def record_count(self) -> int:
         """Complete (newline-terminated) records on disk right now."""
         try:
-            with open(self.records_path, "rb") as fh:
-                return fh.read().count(b"\n")
+            with open(self.records_path, "rb", buffering=0) as fh:
+                count = 0
+                while chunk := fh.read(_CHUNK):
+                    count += chunk.count(b"\n")
+                return count
+        except FileNotFoundError:
+            return 0
+
+    def records_length(self) -> int:
+        """Bytes of ``records.jsonl`` up to its last complete record
+        (0 when there is none): the file is scanned backwards from its
+        end, so a torn final line costs one chunk, not the whole file."""
+        try:
+            with open(self.records_path, "rb", buffering=0) as fh:
+                end = os.fstat(fh.fileno()).st_size
+                while end > 0:
+                    start = max(0, end - _CHUNK)
+                    fh.seek(start)
+                    last = fh.read(end - start).rfind(b"\n")
+                    if last >= 0:
+                        return start + last + 1
+                    end = start
+                return 0
         except FileNotFoundError:
             return 0
 
@@ -131,6 +171,19 @@ class Job:
             "records": self.record_count(),
             **self.detail,
         }
+
+
+def _job(jid: str, path: str, st: dict) -> Job:
+    """The :class:`Job` snapshot of a ``state.json`` mapping."""
+    return Job(
+        id=jid,
+        path=path,
+        state=st["state"],
+        created=st["created"],
+        updated=st["updated"],
+        error=st.get("error", ""),
+        detail=st.get("detail", {}),
+    )
 
 
 class JobStore:
@@ -148,28 +201,29 @@ class JobStore:
         Idempotent: the id is the spec's content hash, and a lost-race
         or retried creation adopts the existing directory.
         """
-        spec = canonical_spec(spec)
-        jid = job_key(spec)
+        data = canonical_bytes(spec)
+        jid = content_key(data)
         path = os.path.join(self.jobs_dir, jid)
         if not os.path.isdir(path):
             stage = tempfile.mkdtemp(dir=self.jobs_dir, prefix=".new-")
             try:
-                with open(os.path.join(stage, "spec.json"), "w") as fh:
-                    json.dump(spec, fh, sort_keys=True, separators=(",", ":"))
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                _write_new(os.path.join(stage, "spec.json"), data, 0o666)
                 now = time.time()
-                _write_atomic(
+                st = {"state": "queued", "created": now, "updated": now,
+                      "error": "", "detail": {}}
+                # nobody sees the stage directory: no temp file and
+                # replace, the rename below publishes both files at once
+                # (0o600, the mode of every later transition's temp file)
+                _write_new(
                     os.path.join(stage, "state.json"),
-                    json.dumps(
-                        {"state": "queued", "created": now, "updated": now,
-                         "error": "", "detail": {}}
-                    ).encode(),
+                    json.dumps(st).encode(),
+                    0o600,
                 )
+                _fsync_dir(stage)
                 try:
                     os.rename(stage, path)  # atomic publish
                     _fsync_dir(self.jobs_dir)
-                    return self.get(jid), True
+                    return _job(jid, path, st), True
                 except OSError as exc:
                     if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
                         raise
@@ -187,15 +241,7 @@ class JobStore:
         state_path = os.path.join(path, "state.json")
         with open(state_path) as fh:  # FileNotFoundError -> 404 upstream
             st = json.load(fh)
-        return Job(
-            id=jid,
-            path=path,
-            state=st["state"],
-            created=st["created"],
-            updated=st["updated"],
-            error=st.get("error", ""),
-            detail=st.get("detail", {}),
-        )
+        return _job(jid, path, st)
 
     def ids(self) -> list[str]:
         return sorted(
@@ -243,7 +289,7 @@ class JobStore:
         _write_atomic(
             os.path.join(job.path, "state.json"), json.dumps(st).encode()
         )
-        return self.get(jid)
+        return _job(jid, job.path, st)
 
     # -- crash recovery -------------------------------------------------
     def recover(self) -> list[Job]:

@@ -202,9 +202,14 @@ def canonical_bytes(spec: Any) -> bytes:
     ).encode()
 
 
+def content_key(data: bytes) -> str:
+    """The job key of canonical bytes (see :func:`canonical_bytes`)."""
+    return hashlib.sha256(data).hexdigest()[:24]
+
+
 def job_key(spec: Any) -> str:
     """The content hash naming a job: identical work, identical key."""
-    return hashlib.sha256(canonical_bytes(spec)).hexdigest()[:24]
+    return content_key(canonical_bytes(spec))
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +265,7 @@ def _column(values, kind: type) -> list:
     """``values`` as a list of ``kind`` (ints through :func:`_integer`).
     A list that already is one is kept as it is rather than copied
     (specs are read-only data)."""
-    if type(values) is list and all(type(x) is kind for x in values):
+    if type(values) is list and set(map(type, values)) <= {kind}:
         return values
     return [_integer(x) if kind is int else kind(x) for x in values]
 

@@ -225,14 +225,8 @@ class SchedulerService:
             job = self.jobs.get(jid)
         except FileNotFoundError:
             return 404, {"error": f"no such job {jid!r}"}
-        path = job.records_path
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return 200, (path, 0)
         # serve complete records only: crash residue never leaves disk
-        return 200, (path, data.rfind(b"\n") + 1)
+        return 200, (job.records_path, job.records_length())
 
     # -- execution ------------------------------------------------------
     def _pool_for(self) -> SupervisorPool:
@@ -391,12 +385,51 @@ def _iter_file(path: str, length: int, chunk: int = 1 << 16):
 
 
 # -- stdlib front end ---------------------------------------------------
+#: seconds a keep-alive connection may sit idle before the server closes it
+IDLE_TIMEOUT = 60.0
+
+
+def _close_inherited(handler_cls) -> None:
+    """After a fork: close the child's copies of the open connections.
+
+    ``detach`` then ``os.close``: a plain ``close`` waits for the
+    handler's ``rfile`` to let go of the socket, which never happens
+    in a child where the handler thread does not exist.
+    """
+    for sock in list(handler_cls.connections):
+        fd = sock.detach()
+        if fd >= 0:
+            os.close(fd)
+    handler_cls.connections.clear()
+
+
 def _make_handler(service: SchedulerService):
+    """The request handler class for ``service``.
+
+    Connections are HTTP/1.1 keep-alive with Nagle off (a reply's
+    headers and body are two writes; with Nagle the second waits for
+    the client's delayed ACK) and are closed after
+    :data:`IDLE_TIMEOUT` idle seconds. The open ones are tracked so
+    that a forked pool worker closes its inherited copies: otherwise a
+    worker outliving a ``kill -9`` of the server keeps the client's
+    connection open, and the client's next request on it stalls.
+    """
     from http.server import BaseHTTPRequestHandler
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"
+        disable_nagle_algorithm = True
+        timeout = IDLE_TIMEOUT
+        connections: set = set()
+
+        def setup(self) -> None:
+            super().setup()
+            self.connections.add(self.connection)
+
+        def finish(self) -> None:
+            self.connections.discard(self.connection)
+            super().finish()
 
         def log_message(self, fmt, *args):  # quiet by default
             if os.environ.get("REPRO_SERVE_LOG"):
@@ -428,6 +461,7 @@ def _make_handler(service: SchedulerService):
 
         do_GET = do_POST = do_DELETE = _reply
 
+    multiprocessing.util.register_after_fork(Handler, _close_inherited)
     return Handler
 
 

@@ -126,6 +126,7 @@ class TestKillDashNine:
         finally:
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
+            client.close()
         assert proc.returncode == -signal.SIGKILL
 
         # the journal still says running: the crash is visible on disk
@@ -154,6 +155,36 @@ class TestKillDashNine:
             ).read()
             assert on_disk == reference
         finally:
+            client2.close()
+            proc2.terminate()
+            proc2.wait(timeout=30)
+
+
+    def test_keepalive_client_survives_kill9_and_restart(self, spec, tmp_path):
+        """One client across server generations: its parked connection
+        dies with the killed server (the forked pool workers do not keep
+        it open), so the first call to the restarted server reconnects
+        and succeeds without waiting out a timeout."""
+        root = str(tmp_path / "svc")
+        log = str(tmp_path / "serve.log")
+        proc, client = start_server(root, log)
+        try:
+            # the pool forks its workers while this connection is open
+            jid = client.submit(spec)["id"]
+            wait_for_state(client, jid, "done")
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+        port = int(client.base.rsplit(":", 1)[1])
+        proc2, client2 = start_server(root, log, port=port)
+        try:
+            t0 = time.monotonic()
+            st = client.status(jid)
+            assert time.monotonic() - t0 < 10.0
+            assert st["state"] == "done"
+        finally:
+            client.close()
+            client2.close()
             proc2.terminate()
             proc2.wait(timeout=30)
 
@@ -170,6 +201,7 @@ class TestGracefulDrain:
         wait_for_state(client, jid, "running", min_records=1)
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 0  # graceful: exit 0
+        client.close()
 
         st = json.load(open(os.path.join(job_dir(root, jid), "state.json")))
         assert st["state"] == "queued"  # checkpointed, handed to the next server
@@ -179,6 +211,7 @@ class TestGracefulDrain:
             wait_for_state(client2, jid, "done", timeout=180)
             assert client2.fetch_records(jid) == reference
         finally:
+            client2.close()
             proc2.terminate()
             proc2.wait(timeout=30)
 
@@ -198,6 +231,7 @@ class TestChaos:
             wait_for_state(client, jid, "done", timeout=180)
             assert client.fetch_records(jid) == reference
         finally:
+            client.close()
             proc.terminate()
             proc.wait(timeout=30)
 
@@ -214,6 +248,7 @@ class TestChaos:
         proc, client = start_server(root, log, plan=plan)
         jid = client.submit(spec)["id"]
         assert proc.wait(timeout=120) == CRASH_EXIT
+        client.close()
 
         records_path = os.path.join(job_dir(root, jid), "records.jsonl")
         torn = open(records_path, "rb").read()
@@ -226,5 +261,6 @@ class TestChaos:
             assert client2.fetch_records(jid) == reference
             assert open(records_path, "rb").read() == reference
         finally:
+            client2.close()
             proc2.terminate()
             proc2.wait(timeout=30)

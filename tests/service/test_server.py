@@ -3,8 +3,13 @@ byte-identity, idempotency, backpressure, cancel, drain, health."""
 
 from __future__ import annotations
 
+import http.client
 import json
+import multiprocessing
+import os
+import socket
 import threading
+import time
 import urllib.request
 from http.server import ThreadingHTTPServer
 
@@ -14,6 +19,7 @@ import pytest
 from repro.analysis.campaign import run_campaign
 from repro.service import payload as payload_mod
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import main as client_main
 from repro.service.payload import spec_from_instances
 from repro.service.server import SchedulerService, _make_handler
 from repro.testing.faults import ENV_VAR, Fault, FaultPlan, install
@@ -59,11 +65,22 @@ def reference_bytes(spec, tmp_path, name="ref.jsonl") -> bytes:
     return path.read_bytes()
 
 
+class CountingServer(ThreadingHTTPServer):
+    """Counts the connections it accepts."""
+
+    accepted = 0
+
+    def get_request(self):
+        request = super().get_request()
+        self.accepted += 1
+        return request
+
+
 class Harness:
     def __init__(self, tmp_path, **kwargs):
         self.service = SchedulerService(str(tmp_path / "svc"), **kwargs)
         self.service.start()
-        self.httpd = ThreadingHTTPServer(
+        self.httpd = CountingServer(
             ("127.0.0.1", 0), _make_handler(self.service)
         )
         self.thread = threading.Thread(
@@ -74,6 +91,7 @@ class Harness:
         self.client = ServiceClient(self.base, timeout=30.0)
 
     def close(self):
+        self.client.close()
         self.httpd.shutdown()
         self.httpd.server_close()
         self.service.drain()
@@ -117,6 +135,19 @@ class TestLifecycle:
         with pytest.raises(ServiceError) as exc:
             harness.client._request("GET", "/nope")
         assert exc.value.status == 404
+
+    def test_records_file_serves_complete_lines_only(self, harness):
+        job, _ = harness.service.jobs.create(make_spec(seed=61))
+        assert harness.service.records_file(job.id) == (
+            200, (job.records_path, 0)
+        )  # no file yet
+        with open(job.records_path, "wb") as fh:
+            fh.write(b'{"a":1}\n{"b":2}\n{"torn')
+        assert harness.service.records_file(job.id) == (
+            200, (job.records_path, 16)
+        )
+        assert harness.client.fetch_records(job.id) == b'{"a":1}\n{"b":2}\n'
+        assert harness.service.records_file("deadbeefdeadbeef")[0] == 404
 
     def test_health_and_ready(self, harness):
         h = harness.client.health()
@@ -199,6 +230,7 @@ class TestBackpressure:
             assert job["state"] == "queued"
         finally:
             release.cancel()
+            client.close()
             httpd.shutdown()
             httpd.server_close()
 
@@ -269,3 +301,183 @@ class TestJobTimeout:
         finally:
             install(None)
             h.close()
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class RawServer:
+    """A socket server that reads one request per connection, sends
+    ``replies[k]`` on the k-th connection (nothing once they run out)
+    and closes it -- a server that drops connections on purpose."""
+
+    OK = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+          b"Content-Length: 2\r\n\r\n{}")
+
+    def __init__(self, replies=()):
+        self.replies = list(replies)
+        self.accepted = 0
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.base = f"http://127.0.0.1:{self.sock.getsockname()[1]}"
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return  # closed
+            with conn:
+                self.accepted += 1
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    data += chunk
+                if self.replies:
+                    conn.sendall(self.replies.pop(0))
+
+    def close(self):
+        self.sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self.sock.close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+def _report_inherited(pipe, handler_cls, inodes):
+    """Forked child: which parent connection fds still hold their
+    socket, and how many connections the handler still tracks."""
+    alive = []
+    for fd, ino in inodes.items():
+        try:
+            if os.fstat(fd).st_ino == ino:
+                alive.append(fd)
+        except OSError:
+            pass
+    pipe.send((alive, len(handler_cls.connections)))
+    pipe.close()
+
+
+class TestKeepAlive:
+    def test_one_connection_serves_many_requests(self, harness):
+        for _ in range(10):
+            assert harness.client.health()["ok"]
+        with pytest.raises(ServiceError):
+            harness.client.status("deadbeefdeadbeefdeadbeef")  # a 404 too
+        assert harness.client.ready()["ready"]
+        assert harness.httpd.accepted == 1
+
+    def test_each_thread_has_its_own_connection(self, harness):
+        served = threading.Barrier(4)
+        closed = threading.Event()
+
+        def work():
+            for _ in range(5):
+                harness.client.health()
+            served.wait(timeout=30)
+            closed.wait(timeout=30)  # keep this thread's connection
+
+        threads = [threading.Thread(target=work) for _ in range(3)]
+        for t in threads:
+            t.start()
+        try:
+            served.wait(timeout=30)
+            assert harness.httpd.accepted == 3
+            harness.client.close()  # closes all three, from this thread
+            handler = harness.httpd.RequestHandlerClass
+            wait_until(lambda: not handler.connections)
+        finally:
+            closed.set()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+
+    def test_replies_leave_with_nagle_off(self, harness):
+        harness.client.health()
+        (conn,) = harness.httpd.RequestHandlerClass.connections
+        assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_connection_closed_when_idle_reconnects(self, harness):
+        handler = harness.httpd.RequestHandlerClass
+        handler.timeout = 0.2  # the server drops idle connections fast
+        assert harness.client.health()["ok"]
+        wait_until(lambda: not handler.connections)  # closed by the server
+        assert harness.client.health()["ok"]  # transparently reconnected
+        assert harness.httpd.accepted == 2
+
+    def test_failure_on_a_fresh_connection_raises(self):
+        server = RawServer()  # closes every connection unanswered
+        try:
+            with pytest.raises((http.client.RemoteDisconnected,
+                                ConnectionResetError)):
+                ServiceClient(server.base, timeout=5).health()
+            time.sleep(0.2)
+            assert server.accepted == 1  # no retry
+        finally:
+            server.close()
+
+    def test_stale_connection_is_retried_exactly_once(self):
+        server = RawServer([RawServer.OK, RawServer.OK])
+        client = ServiceClient(server.base, timeout=5)
+        try:
+            assert client.health() == {}
+            # the server dropped that connection: retry on a fresh one
+            assert client.health() == {}
+            assert server.accepted == 2
+            # dropped again, and the fresh connection fails too: raise
+            with pytest.raises((http.client.RemoteDisconnected,
+                                ConnectionResetError)):
+                client.health()
+            time.sleep(0.2)
+            assert server.accepted == 3
+        finally:
+            client.close()
+            server.close()
+
+    def test_refused_connection_raises(self):
+        with socket.create_server(("127.0.0.1", 0)) as s:
+            port = s.getsockname()[1]
+        with pytest.raises(ConnectionRefusedError):
+            ServiceClient(f"http://127.0.0.1:{port}", timeout=5).health()
+
+    def test_forked_child_closes_the_open_connections(self, harness):
+        harness.client.health()
+        handler = harness.httpd.RequestHandlerClass
+        inodes = {
+            s.fileno(): os.fstat(s.fileno()).st_ino for s in handler.connections
+        }
+        assert len(inodes) == 1
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        child = ctx.Process(
+            target=_report_inherited, args=(theirs, handler, inodes)
+        )
+        child.start()
+        try:
+            assert ours.poll(30)
+            assert ours.recv() == ([], 0)
+        finally:
+            child.join(timeout=30)
+        assert child.exitcode == 0
+        # the parent's copy is untouched: the same connection still works
+        assert harness.client.health()["ok"]
+        assert harness.httpd.accepted == 1
+
+    def test_cli_closes_its_client(self, harness, capsys):
+        assert client_main(["--base", harness.base, "health"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+        handler = harness.httpd.RequestHandlerClass
+        wait_until(lambda: not handler.connections)
+
+    def test_context_manager_closes(self, harness):
+        handler = harness.httpd.RequestHandlerClass
+        with ServiceClient(harness.base) as client:
+            client.health()
+            assert len(handler.connections) == 1
+        wait_until(lambda: not handler.connections)
