@@ -5,24 +5,21 @@ grid with ~1% quarantined ``FailedRecord`` rows) at 1e5..1e6 records
 and times:
 
 * **write** -- persisting the stream as a JSONL checkpoint
-  (``save_records(..., append=True)``: flush per record, one fsync);
+  (``JsonlStore.append``: flush per record, one fsync);
 * **load** -- materialising :class:`~repro.analysis.store.RecordColumns`
   from the file (``JsonlStore.columns``);
 * **analyze** -- the end-to-end consumer path: load the file, then run
   the vectorised groupby (:func:`~repro.analysis.metrics.group_stats`)
   and Table 1 (:func:`~repro.analysis.metrics.compute_table1_stats`).
-  ``legacy_table1`` is the historical path (``load_records`` into
-  dataclass objects + the per-record reference loop), timed up to
+  ``legacy_table1`` is the historical path (``JsonlStore.iter_records``
+  into dataclass objects + the per-record reference loop), timed up to
   ``legacy_max`` records as the baseline.
 
 The vectorised Table 1 is asserted equal to the reference loop before
 any timing is reported -- the speedup is never allowed to change a
 single statistic.
 
-A separate ``--pareto`` mode times the per-point Pareto front /
-hypervolume loops against their column fast paths (equality asserted).
-
-``--smoke`` runs one tiny size of everything (CI bit-rot guard).
+``--smoke`` runs one tiny size (CI bit-rot guard).
 Appends to the shared perf trajectory by default::
 
     PYTHONPATH=src python benchmarks/bench_records.py --append
@@ -49,18 +46,11 @@ from repro.analysis.metrics import (  # noqa: E402
     compute_table1_stats_reference,
     group_stats,
 )
-from repro.analysis.pareto import (  # noqa: E402
-    ParetoPoint,
-    hypervolume,
-    hypervolume_columns,
-    pareto_front,
-    pareto_front_columns,
-)
 from repro.analysis.store import (  # noqa: E402
-    RecordColumns,
-    load_records,
+    FailedRecord,
+    JsonlStore,
+    ScenarioRecord,
     open_store,
-    save_records,
 )
 
 _HEURISTICS = (
@@ -74,7 +64,9 @@ _HEURISTICS = (
 _PROCS = (2, 4, 8, 16, 32)
 
 
-def synth_columns(n_records: int, seed: int, failed_rate: float = 0.01) -> RecordColumns:
+def synth_records(
+    n_records: int, seed: int, failed_rate: float = 0.01
+) -> list[ScenarioRecord | FailedRecord]:
     """A deterministic campaign-shaped stream of ~``n_records`` rows.
 
     Rounded to whole (tree x heuristic x p) grids, and quarantines hit
@@ -95,19 +87,18 @@ def synth_columns(n_records: int, seed: int, failed_rate: float = 0.01) -> Recor
     mem_lb = rng.uniform(10.0, 100.0, n_records)
     scen = tree_id * len(_PROCS) + slot % len(_PROCS)
     failed = (rng.random(n_trees * len(_PROCS)) < failed_rate)[scen]
-    return RecordColumns(
-        tree=np.char.add("tree-", tree_id.astype(str)),
-        heuristic=heur.copy(),
-        error=np.where(failed, "worker crash: exit code 39", ""),
-        n=n_nodes.astype(np.int64),
-        p=p,
-        attempts=np.where(failed, 3, 0).astype(np.int64),
-        makespan=np.where(failed, np.nan, mk_lb * rng.uniform(1.0, 3.0, n_records)),
-        memory=np.where(failed, np.nan, mem_lb * rng.uniform(1.0, 5.0, n_records)),
-        memory_lb=np.where(failed, np.nan, mem_lb),
-        makespan_lb=np.where(failed, np.nan, mk_lb),
-        failed=failed,
-    )
+    makespan = mk_lb * rng.uniform(1.0, 3.0, n_records)
+    memory = mem_lb * rng.uniform(1.0, 5.0, n_records)
+    return [
+        FailedRecord(f"tree-{t}", n, p_, h, "worker crash: exit code 39", 3)
+        if bad
+        else ScenarioRecord(f"tree-{t}", n, p_, h, mk, mem, m_lb, k_lb)
+        for t, n, p_, h, bad, mk, mem, m_lb, k_lb in zip(
+            tree_id.tolist(), n_nodes.tolist(), p.tolist(), heur.tolist(),
+            failed.tolist(), makespan.tolist(), memory.tolist(),
+            mem_lb.tolist(), mk_lb.tolist(),
+        )
+    ]
 
 
 def timeit(fn, repeats: int):
@@ -133,16 +124,15 @@ def run_records_bench(
 ) -> list[dict]:
     rows = []
     for n in sizes:
-        cols = synth_columns(int(n), seed)
-        n = len(cols)
-        records = cols.to_records(include_failed=True)  # untimed setup
+        records = synth_records(int(n), seed)  # untimed setup
+        n = len(records)
         with tempfile.TemporaryDirectory(prefix="bench-records-") as work:
             jsonl = os.path.join(work, "records.jsonl")
+            store = JsonlStore(jsonl)
 
             def write_jsonl():
-                if os.path.exists(jsonl):
-                    os.unlink(jsonl)
-                save_records(records, jsonl, append=True)
+                store.reset()
+                store.append(records)
 
             t_w, _ = timeit(write_jsonl, repeats)
             t_l, _ = timeit(
@@ -160,7 +150,9 @@ def run_records_bench(
             if n <= legacy_max:
                 # the historical object path, as the baseline
                 def legacy():
-                    return compute_table1_stats_reference(load_records(jsonl))
+                    return compute_table1_stats_reference(
+                        list(open_store(jsonl).iter_records())
+                    )
 
                 t_legacy, ref_stats = timeit(legacy, repeats)
                 assert table1 == ref_stats, "vectorised Table 1 diverged"
@@ -179,40 +171,6 @@ def run_records_bench(
     return rows
 
 
-def run_pareto_bench(sizes, repeats: int, seed: int) -> list[dict]:
-    rows = []
-    for n in sizes:
-        n = int(n)
-        rng = np.random.default_rng(seed)
-        mk = rng.uniform(1.0, 10.0, n)
-        mem = rng.uniform(1.0, 10.0, n)
-        points = [ParetoPoint(a, b, "x") for a, b in zip(mk, mem)]
-        ref = ParetoPoint(11.0, 11.0, "ref")
-
-        t_pf, front = timeit(lambda: pareto_front(points), repeats)
-        t_pfc, idx = timeit(lambda: pareto_front_columns(mk, mem), repeats)
-        assert [ParetoPoint(mk[i], mem[i], "x") for i in idx] == front
-
-        t_hv, hv = timeit(lambda: hypervolume(points, ref), repeats)
-        t_hvc, hvc = timeit(lambda: hypervolume_columns(mk, mem, ref), repeats)
-        assert abs(hv - hvc) <= 1e-9 * abs(hv)
-
-        row = {
-            "points": n,
-            "front_s": round(t_pf, 4),
-            "front_columns_s": round(t_pfc, 4),
-            "front_speedup": round(t_pf / t_pfc, 2) if t_pfc > 0 else None,
-            "hypervolume_s": round(t_hv, 4),
-            "hypervolume_columns_s": round(t_hvc, 4),
-        }
-        print(
-            f"n={n:>8d}  front {t_pf:7.3f}s vs {t_pfc:7.4f}s  "
-            f"hypervolume {t_hv:7.3f}s vs {t_hvc:7.4f}s"
-        )
-        rows.append(row)
-    return rows
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -222,11 +180,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2013)
     parser.add_argument("--output", default="BENCH_engine.json")
     parser.add_argument(
-        "--pareto",
-        action="store_true",
-        help="also time the Pareto front / hypervolume column fast paths",
-    )
-    parser.add_argument(
         "--append",
         action="store_true",
         help="append to the output file instead of overwriting it",
@@ -234,7 +187,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny instance, all modes (CI bit-rot guard)",
+        help="one tiny size (CI bit-rot guard)",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -249,8 +202,6 @@ def main(argv=None) -> int:
         "smoke": bool(args.smoke),
         "records": run_records_bench(args.sizes, args.repeats, args.seed),
     }
-    if args.smoke or args.pareto:
-        payload["pareto"] = run_pareto_bench(args.sizes, args.repeats, args.seed)
     write_payload(args.output, payload, args.append)
     print(f"wrote {args.output}")
     return 0

@@ -66,7 +66,8 @@ def main() -> None:
         ref_path = f"{tmp}/reference.jsonl"
         run_campaign(payload.to_instances(spec), payload.to_campaign(spec),
                      checkpoint=ref_path)
-        reference = open(ref_path, "rb").read()
+        with open(ref_path, "rb") as fh:
+            reference = fh.read()
     assert served == reference, "served records diverged from a direct run"
     print(f"byte-identical to a serverless campaign ({len(served)} bytes)")
     first = json.loads(served.split(b"\n")[0])

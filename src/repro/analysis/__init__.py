@@ -3,9 +3,6 @@
 from .store import (
     FailedRecord,
     ScenarioRecord,
-    save_records,
-    load_records,
-    iter_records,
     RecordColumns,
     JsonlStore,
     open_store,
@@ -17,7 +14,6 @@ from .metrics import (
     GroupStats,
     compute_table1_stats,
     compute_table1_stats_reference,
-    group_by_scenario,
     group_stats,
 )
 from .tables import render_table1, table1_csv, render_group_table
@@ -26,9 +22,7 @@ from .pareto import (
     ParetoPoint,
     dominates,
     pareto_front,
-    pareto_front_columns,
     hypervolume,
-    hypervolume_columns,
 )
 from .shape_stats import ShapeSummary, summarize_shapes, render_shape_table
 from .visualize import render_tree, render_memory_profile
@@ -36,9 +30,6 @@ from .visualize import render_tree, render_memory_profile
 __all__ = [
     "FailedRecord",
     "ScenarioRecord",
-    "save_records",
-    "load_records",
-    "iter_records",
     "RecordColumns",
     "JsonlStore",
     "open_store",
@@ -51,7 +42,6 @@ __all__ = [
     "GroupStats",
     "compute_table1_stats",
     "compute_table1_stats_reference",
-    "group_by_scenario",
     "group_stats",
     "render_table1",
     "table1_csv",
@@ -64,9 +54,7 @@ __all__ = [
     "ParetoPoint",
     "dominates",
     "pareto_front",
-    "pareto_front_columns",
     "hypervolume",
-    "hypervolume_columns",
     "ShapeSummary",
     "summarize_shapes",
     "render_shape_table",

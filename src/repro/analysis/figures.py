@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .store import ScenarioRecord
-from .metrics import _first_appearance_ids, _scenario_ids, group_by_scenario
+from .metrics import Records, _first_appearance_ids, _scenario_ids
 from .store import RecordColumns
 
 __all__ = ["FigureSeries", "Cross", "figure_data", "render_figure", "figure_csv"]
@@ -58,58 +57,21 @@ class FigureSeries:
         )
 
 
-def figure_data(
-    records: Sequence[ScenarioRecord], which: int
-) -> list[FigureSeries]:
+def figure_data(records: Records, which: int) -> list[FigureSeries]:
     """Build the point clouds of Figure ``which`` (6, 7 or 8).
 
     Figure 7 normalises by ParSubtrees (which is therefore omitted from
     the output, being identically (1, 1)); Figure 8 by ParInnerFirst.
+    Failed rows are dropped. Vectorised over the record columns: rows
+    are taken in (scenario first-appearance, stream position) order --
+    scenario by scenario, as the per-record loop of the paper's
+    figures walks them -- and the per-scenario reference row
+    broadcasts through the scenario group ids.
     """
     reference = {6: None, 7: "ParSubtrees", 8: "ParInnerFirst"}.get(which, "missing")
     if reference == "missing":
         raise ValueError("which must be 6, 7 or 8")
-    if isinstance(records, RecordColumns):
-        return _figure_data_columns(records, reference)
-    groups = group_by_scenario(records)
-    series: dict[str, tuple[list[float], list[float]]] = {}
-    for recs in groups.values():
-        if reference is None:
-            ref_mk = ref_mem = None
-        else:
-            ref = next((r for r in recs if r.heuristic == reference), None)
-            if ref is None:
-                raise ValueError(f"records lack reference heuristic {reference}")
-            ref_mk, ref_mem = ref.makespan, ref.memory
-        for r in recs:
-            if r.heuristic == reference:
-                continue
-            if reference is None:
-                x, y = r.makespan_ratio, r.memory_ratio
-            else:
-                x, y = r.makespan / ref_mk, r.memory / ref_mem
-            series.setdefault(r.heuristic, ([], []))
-            series[r.heuristic][0].append(x)
-            series[r.heuristic][1].append(y)
-    return [
-        FigureSeries(name, np.asarray(xs), np.asarray(ys))
-        for name, (xs, ys) in series.items()
-    ]
-
-
-def _figure_data_columns(
-    cols: RecordColumns, reference: str | None
-) -> list[FigureSeries]:
-    """Vectorised :func:`figure_data` over record columns.
-
-    Reproduces the per-record loop exactly (same point order within
-    every series, same series order): records are re-ordered by
-    (scenario first-appearance, stream position) -- the loop's
-    iteration order -- and the per-scenario reference row broadcasts
-    through the scenario group ids instead of a linear search per
-    group.
-    """
-    cols = cols.measured()
+    cols = RecordColumns.of(records).measured()
     if len(cols) == 0:
         return []
     scen_id, n_scen = _scenario_ids(cols)
@@ -126,7 +88,7 @@ def _figure_data_columns(
         ref_mk = np.full(n_scen, np.nan)
         ref_mem = np.full(n_scen, np.nan)
         # reversed assignment: the *first* reference row of a scenario
-        # wins, matching the loop's linear search
+        # wins
         ref_mk[scen[is_ref][::-1]] = mk[is_ref][::-1]
         ref_mem[scen[is_ref][::-1]] = mem[is_ref][::-1]
         if np.isnan(ref_mk).any():

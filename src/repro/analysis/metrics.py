@@ -40,15 +40,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .store import ScenarioRecord
-from .store import RecordColumns
+from .store import RecordColumns, ScenarioRecord
 
 __all__ = [
     "HeuristicStats",
     "GroupStats",
     "compute_table1_stats",
     "compute_table1_stats_reference",
-    "group_by_scenario",
     "group_stats",
 ]
 
@@ -86,10 +84,10 @@ class GroupStats:
     max_memory_ratio: float
 
 
-def group_by_scenario(
+def _group_by_scenario(
     records: Sequence[ScenarioRecord],
 ) -> dict[tuple[str, int], list[ScenarioRecord]]:
-    """Group records by (tree, p) scenario."""
+    """Group records by (tree, p) scenario (for the reference loop)."""
     groups: dict[tuple[str, int], list[ScenarioRecord]] = defaultdict(list)
     for r in records:
         groups[(r.tree, r.p)].append(r)
@@ -97,10 +95,7 @@ def group_by_scenario(
 
 
 def _as_columns(records: Records) -> RecordColumns:
-    if isinstance(records, RecordColumns):
-        cols = records
-    else:
-        cols = RecordColumns.from_records(records)
+    cols = RecordColumns.of(records)
     if cols.failed.any():
         raise ValueError(
             "failed records cannot enter the statistics; "
@@ -205,7 +200,7 @@ def compute_table1_stats_reference(
     """The historical per-record loop (the exactness oracle of
     :func:`compute_table1_stats`; quadratic-ish and list-bound, kept
     for the golden equality test and as executable documentation)."""
-    groups = group_by_scenario(records)
+    groups = _group_by_scenario(records)
     names: list[str] = []
     for r in records:
         if r.heuristic not in names:

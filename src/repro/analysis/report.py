@@ -10,18 +10,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
-
-from repro.analysis.store import ScenarioRecord
 from repro.analysis.figures import figure_data
-from repro.analysis.metrics import compute_table1_stats, group_stats
+from repro.analysis.metrics import Records, compute_table1_stats, group_stats
 from repro.analysis.shape_stats import render_shape_table, summarize_shapes
+from repro.analysis.store import RecordColumns
 from repro.analysis.tables import _PAPER_TABLE1, render_group_table
 from repro.workloads.dataset import TreeInstance
 
 __all__ = ["build_report"]
 
 
-def _table1_section(records: Sequence[ScenarioRecord]) -> str:
+def _table1_section(records: RecordColumns) -> str:
     stats = compute_table1_stats(records)
     lines = [
         "## Table 1 — heuristic comparison",
@@ -56,7 +55,7 @@ def _table1_section(records: Sequence[ScenarioRecord]) -> str:
     return "\n".join(lines)
 
 
-def _group_section(records: Sequence[ScenarioRecord]) -> str:
+def _group_section(records: RecordColumns) -> str:
     """The campaign groupby -- per (algorithm, n, p, cap) cell, how far
     each heuristic sits from the two lower bounds (vectorised over
     columns; scales to million-record stores)."""
@@ -70,7 +69,7 @@ def _group_section(records: Sequence[ScenarioRecord]) -> str:
     return "\n".join(lines)
 
 
-def _figure_section(records: Sequence[ScenarioRecord], which: int) -> str:
+def _figure_section(records: RecordColumns, which: int) -> str:
     titles = {
         6: "Figure 6 — comparison to lower bounds",
         7: "Figure 7 — comparison to ParSubtrees",
@@ -92,10 +91,10 @@ def _figure_section(records: Sequence[ScenarioRecord], which: int) -> str:
     return "\n".join(lines)
 
 
-def build_report(
-    records: Sequence[ScenarioRecord], instances: Sequence[TreeInstance]
-) -> str:
-    """Assemble the full EXPERIMENTS.md body from a campaign."""
+def build_report(records: Records, instances: Sequence[TreeInstance]) -> str:
+    """Assemble the full EXPERIMENTS.md body from a campaign (a record
+    list is converted to columns once, for every section)."""
+    records = RecordColumns.of(records)
     parts = [
         "# EXPERIMENTS — paper vs measured",
         "",

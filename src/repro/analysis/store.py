@@ -12,18 +12,15 @@ records themselves come from one runner,
 ``run_campaign(instances, Campaign(algorithms=tuple(HEURISTICS),
 processor_counts=...))``.
 
-``save_records`` / ``load_records`` support both the historical JSON
-array format and append-friendly JSON Lines, and both write paths are
-crash-safe: array writes go through a temp file plus atomic rename,
-JSONL appends flush after every record.
-
-A campaign's checkpoint is one JSON Lines file, one record per line.
-:class:`JsonlStore` is the checkpoint the campaign runtime appends to
-and resumes from; its appends go through :func:`save_records`, so
-fault injection, the per-record flush and the final fsync are one code
-path. Every read of a JSONL file -- resume, ``load_records``,
-``iter_records`` and :meth:`JsonlStore.columns` -- goes through
-:func:`_scan_jsonl`, so they share one set of recovery rules:
+A campaign's records live in one JSON Lines file, one record per line:
+the checkpoint the campaign runtime appends to and resumes from, and
+the file ``table1`` / ``report --records`` read back. :class:`JsonlStore`
+(reached through :func:`open_store`) is the one record-file API; its
+:meth:`~JsonlStore.append` is the one write path (fault-injection seam,
+a flush per record, one fsync per call). Every read -- resume,
+:meth:`~JsonlStore.iter_records` and :meth:`~JsonlStore.columns` --
+goes through :func:`_scan_jsonl`, so they share one set of recovery
+rules:
 
 * an unterminated final line is the residue of an interrupted flush
   and is dropped (a resumed checkpoint is truncated there, so the
@@ -33,8 +30,8 @@ path. Every read of a JSONL file -- resume, ``load_records``,
   ``ValueError``.
 
 Analysis reads a file as :class:`RecordColumns`, parallel numpy
-columns that the vectorised Table 1, groupby, figure and Pareto paths
-consume without building one object per record.
+columns: the one form the Table 1, groupby and figure code works on
+(a record list is converted once, by :meth:`RecordColumns.of`).
 """
 
 from __future__ import annotations
@@ -52,9 +49,6 @@ from repro.testing import faults
 __all__ = [
     "FailedRecord",
     "ScenarioRecord",
-    "save_records",
-    "load_records",
-    "iter_records",
     "RecordColumns",
     "JsonlStore",
     "open_store",
@@ -117,106 +111,6 @@ def _record_of_row(row: dict) -> ScenarioRecord | FailedRecord:
     return FailedRecord(**row) if row.get("failed") else ScenarioRecord(**row)
 
 
-def save_records(
-    records: Sequence[ScenarioRecord], path: str, append: bool = False
-) -> None:
-    """Serialise records for later analysis / plotting (crash-safe).
-
-    Paths ending in ``.jsonl`` are written as JSON Lines (one record per
-    line), which supports ``append=True`` for chunked streaming; any
-    other path gets the historical indented JSON array. Fresh writes go
-    through a temp file in the same directory followed by an atomic
-    rename, so a crash mid-write never destroys an existing file;
-    appends flush after every record, so a crash leaves at most one
-    truncated final line (which :func:`load_records` and the campaign
-    resume path recover from).
-    """
-    jsonl = str(path).endswith(".jsonl")
-    if not jsonl and append:
-        raise ValueError("append mode requires a .jsonl path")
-    if jsonl and append:
-        with open(path, "a") as fh:
-            for r in records:
-                line = json.dumps(asdict(r)) + "\n"
-                faults.maybe_truncate_write(fh, line)
-                fh.write(line)
-                fh.flush()
-            os.fsync(fh.fileno())
-        return
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            if jsonl:
-                for r in records:
-                    fh.write(json.dumps(asdict(r)))
-                    fh.write("\n")
-            else:
-                json.dump([asdict(r) for r in records], fh, indent=1)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _fsync_dir(path: str) -> None:
-    """fsync the directory containing ``path``, so the atomic rename
-    itself is durable (best-effort: directory fds are a POSIX notion)."""
-    parent = os.path.dirname(os.path.abspath(path))
-    try:
-        fd = os.open(parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - non-POSIX / restricted dirs
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
-    finally:
-        os.close(fd)
-
-
-def load_records(
-    path: str, include_failed: bool = False
-) -> list[ScenarioRecord | FailedRecord]:
-    """Load records written by :func:`save_records` (JSON or JSONL).
-
-    ``.jsonl`` files are read by :func:`_scan_jsonl`: a truncated *final* line -- the
-    possible residue of a crashed streaming run -- is dropped, and a
-    complete line that is not a record raises ``ValueError``. Any other
-    path holds the historical JSON array.
-
-    Quarantined scenarios (:class:`FailedRecord` rows, marked by their
-    ``failed`` key) are skipped by default so every analysis consumer
-    keeps seeing only measured records; pass ``include_failed=True`` to
-    get them interleaved at their stream positions.
-    """
-    return list(iter_records(path, include_failed=include_failed))
-
-
-def iter_records(path: str, include_failed: bool = False):
-    """Stream records from ``path`` without materialising the file.
-
-    The generator twin of :func:`load_records` (same recovery and
-    ``include_failed`` semantics): a JSONL checkpoint streams line by
-    line and never builds the full list in memory. Historical
-    JSON-array files fall back to a whole-file parse (the format is not
-    line-delimited).
-    """
-    if str(path).endswith(".jsonl") or os.path.isdir(path):
-        yield from open_store(path).iter_records(include_failed=include_failed)
-        return
-    with open(path) as fh:
-        rows = json.load(fh)
-    for row in rows:
-        if include_failed or not row.get("failed"):
-            yield _record_of_row(row)
-
-
 #: the record schema, column-major. ``error``/``attempts``/``failed``
 #: carry :class:`FailedRecord` rows; metric columns are NaN there (the
 #: NaN never reaches a caller -- failed rows materialise as
@@ -243,8 +137,7 @@ class RecordColumns:
     """A record stream as parallel numpy columns (the analysis currency).
 
     Row order is the stream order -- :class:`FailedRecord` rows keep
-    their positions (``failed`` mask), so ``to_records(include_failed=
-    True)`` reproduces the interleaving of ``load_records`` exactly.
+    their positions (``failed`` mask).
     """
 
     tree: np.ndarray
@@ -261,6 +154,16 @@ class RecordColumns:
 
     def __len__(self) -> int:
         return int(self.tree.shape[0])
+
+    @staticmethod
+    def of(
+        records: "RecordColumns | Iterable[ScenarioRecord | FailedRecord]",
+    ) -> "RecordColumns":
+        """``records`` as columns: columns pass through, records are
+        converted (the one entry conversion of the analysis layer)."""
+        if isinstance(records, RecordColumns):
+            return records
+        return RecordColumns.from_records(records)
 
     @staticmethod
     def from_records(
@@ -324,38 +227,6 @@ class RecordColumns:
         np.divide(self.makespan, self.makespan_lb, out=out, where=ok)
         return out
 
-    def to_records(
-        self, include_failed: bool = False
-    ) -> list[ScenarioRecord | FailedRecord]:
-        out: list[ScenarioRecord | FailedRecord] = []
-        for i in range(len(self)):
-            if self.failed[i]:
-                if include_failed:
-                    out.append(
-                        FailedRecord(
-                            tree=str(self.tree[i]),
-                            n=int(self.n[i]),
-                            p=int(self.p[i]),
-                            heuristic=str(self.heuristic[i]),
-                            error=str(self.error[i]),
-                            attempts=int(self.attempts[i]),
-                        )
-                    )
-            else:
-                out.append(
-                    ScenarioRecord(
-                        tree=str(self.tree[i]),
-                        n=int(self.n[i]),
-                        p=int(self.p[i]),
-                        heuristic=str(self.heuristic[i]),
-                        makespan=float(self.makespan[i]),
-                        memory=float(self.memory[i]),
-                        memory_lb=float(self.memory_lb[i]),
-                        makespan_lb=float(self.makespan_lb[i]),
-                    )
-                )
-        return out
-
 
 def _is_record_row(row) -> bool:
     """Does ``row`` have exactly the fields of one record kind?"""
@@ -372,7 +243,7 @@ def _scan_jsonl(
     This is the one JSONL reader (see the module doc for its rules).
     An unterminated final line is dropped -- unless ``lenient_tail``
     and it is a whole record (a hand-written file without a trailing
-    newline), which ``load_records`` accepts.
+    newline), which :meth:`JsonlStore.iter_records` accepts.
     """
 
     def malformed(lineno: int) -> ValueError:
@@ -447,9 +318,15 @@ class JsonlStore:
         open(self.path, "w").close()
 
     def append(self, records: Sequence[ScenarioRecord | FailedRecord]) -> None:
-        # the one JSONL append path (fault seam, flush per record, fsync
-        # at the end): byte-identity with save_records by construction
-        save_records(records, self.path, append=True)
+        """Append ``records``, one line each: a flush after every line,
+        one fsync before returning (the fault plan may tear a line)."""
+        with open(self.path, "a") as fh:
+            for r in records:
+                line = json.dumps(asdict(r)) + "\n"
+                faults.maybe_truncate_write(fh, line)
+                fh.write(line)
+                fh.flush()
+            os.fsync(fh.fileno())
 
     def recover(self) -> Iterator[ScenarioRecord | FailedRecord]:
         """Stream the completely-written records (strict: a final line
@@ -460,7 +337,10 @@ class JsonlStore:
     def iter_records(
         self, include_failed: bool = False
     ) -> Iterator[ScenarioRecord | FailedRecord]:
-        """Stream records with ``load_records`` semantics."""
+        """Stream the records (measured ones only unless
+        ``include_failed``); lenient where :meth:`recover` is strict: a
+        final line without its newline is kept when it is a whole
+        record (a hand-written file)."""
         for row, _ in _scan_jsonl(self.path, lenient_tail=True):
             if include_failed or not row.get("failed"):
                 yield _record_of_row(row)

@@ -6,8 +6,10 @@ Every experiment subcommand (``run``, ``campaign``, ``table1``,
 :func:`~repro.analysis.campaign.run_campaign` and only formats the
 records. A bad grid option (an unknown algorithm, ``p < 1``, a bad cap,
 ``--limit < 0``, ``--workers < 1``, a foreign ``--resume`` checkpoint,
-a missing or corrupt ``--records`` file) prints one line on stderr and
-exits 2.
+a missing or corrupt ``--records`` file, an ``--output`` that is not
+the run's one ``.jsonl`` record file) prints one line on stderr and
+exits 2. Records reach disk once, as they are computed: a ``.jsonl``
+``--output`` of ``table1`` / ``campaign`` is the run's checkpoint.
 
 Examples
 --------
@@ -28,6 +30,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 __all__ = ["main"]
@@ -163,23 +166,25 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.analysis import compute_table1_stats, render_table1, save_records, table1_csv
+    from repro.analysis import compute_table1_stats, render_table1, table1_csv
 
+    checkpoint = args.output if args.output and args.output.endswith(".jsonl") else None
     if args.records:
+        if checkpoint:
+            raise _BadInput(
+                f"table1: --output {args.output}: a .jsonl --output records a "
+                f"fresh run; the records are already in {args.records}"
+            )
         records = _records_file(args)
         print(
             f"loaded {len(records)} records from {args.records}", file=sys.stderr
         )
     else:
-        records = _run_grid(args, _heuristics())
+        records = _run_grid(args, _heuristics(), checkpoint=checkpoint)
     stats = compute_table1_stats(records)
     print(render_table1(stats))
     if args.output:
-        if args.output.endswith(".json"):
-            if not isinstance(records, list):
-                records = records.to_records()
-            save_records(records, args.output)
-        else:
+        if checkpoint is None:
             with open(args.output, "w") as fh:
                 fh.write(table1_csv(stats) + "\n")
         print(f"wrote {args.output}", file=sys.stderr)
@@ -317,7 +322,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         records = _records_file(args)
     else:
         records = _run_grid(args, _heuristics(), instances=instances)
-    text = build_report(records, instances)
+    try:
+        text = build_report(records, instances)
+    except ValueError as exc:  # e.g. a --records file without the figures' reference
+        if not args.records:
+            raise
+        raise _BadInput(f"report: --records: {args.records}: {exc}") from None
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -374,9 +384,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         or fault_plan is not None
         or args.report
     )
-    checkpoint = args.resume or (
-        args.output if args.output and args.output.endswith(".jsonl") else None
-    )
+    if args.output and not args.output.endswith(".jsonl"):
+        raise _BadInput(
+            f"campaign: --output must be a .jsonl path (the records stream "
+            f"there as they are computed), got {args.output!r}"
+        )
+    if args.output and args.resume and (
+        os.path.abspath(args.output) != os.path.abspath(args.resume)
+    ):
+        raise _BadInput(
+            f"campaign: --output {args.output} and --resume {args.resume} name "
+            "two files; the records are written once, to the checkpoint"
+        )
+    checkpoint = args.resume or args.output
     note = (
         (f" -> {checkpoint}" + (" (resumable)" if args.resume else "") if checkpoint else "")
         + (" [supervised]" if supervise else "")
@@ -445,11 +465,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "--retry-failed to heal)",
             file=sys.stderr,
         )
-    if args.output and args.output != checkpoint:
-        from repro.analysis import save_records
-
-        save_records(records, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 
@@ -570,7 +585,11 @@ def main(argv: list[str] | None = None) -> int:
         help="run a declarative (algorithms x p x caps) grid, resumable",
     )
     add_grid(sp, limit=0)
-    add_output(sp, "the records (.json, or .jsonl: also the checkpoint)")
+    add_output(
+        sp,
+        "the records as they are computed (a .jsonl checkpoint; with "
+        "--resume, the same file)",
+    )
     sp.add_argument(
         "--algos",
         default="all",
@@ -635,7 +654,11 @@ def main(argv: list[str] | None = None) -> int:
 
     sp = sub.add_parser("table1", help="regenerate Table 1")
     add_grid(sp)
-    add_output(sp, "the records (.json) or the table (CSV)")
+    add_output(
+        sp,
+        "the records as they are computed (a .jsonl path; not with "
+        "--records), or the table (CSV, any other path)",
+    )
     add_records(sp)
     sp.set_defaults(func=_cmd_table1)
 

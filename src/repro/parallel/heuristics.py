@@ -22,9 +22,10 @@ from repro.core.tree import TaskTree
 
 __all__ = ["HEURISTICS", "HeuristicResult", "evaluate", "run_all"]
 
-#: The four heuristics of Section 5, in the paper's presentation order.
+#: The four heuristics of Section 5, in the paper's presentation order,
+#: each its registry entry's ``run``.
 HEURISTICS: dict[str, Callable[[TaskTree, int], Schedule]] = {
-    name: registry.get(name).fn
+    name: registry.get(name).run
     for name in ("ParSubtrees", "ParSubtreesOptim", "ParInnerFirst", "ParDeepestFirst")
 }
 

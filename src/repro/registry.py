@@ -174,15 +174,10 @@ def _populate() -> None:
     _populated = True
     from repro.core.engine import BatchScenario
     from repro.parallel.par_subtrees import par_subtrees, par_subtrees_optim
-    from repro.parallel.par_inner_first import par_inner_first, par_inner_first_rank
-    from repro.parallel.par_deepest_first import (
-        par_deepest_first,
-        par_deepest_first_rank,
-    )
+    from repro.parallel.par_inner_first import par_inner_first_rank
+    from repro.parallel.par_deepest_first import par_deepest_first_rank
     from repro.parallel.variants import (
-        par_hop_deepest_first,
         par_hop_deepest_first_rank,
-        par_inner_first_naive_order,
         par_inner_first_naive_rank,
     )
     from repro.sequential.postorder import natural_postorder, optimal_postorder
@@ -221,27 +216,22 @@ def _populate() -> None:
             mode=mode,
         )
 
-    # The list schedulers all run on the unified engine. Each registers
-    # its megabatch sweep spec, so campaign grids collapse to one
-    # batched kernel call per tree (see repro.core.engine.sweep_batch).
-    for name, fn, rank_fn, doc in (
-        ("ParInnerFirst", par_inner_first, par_inner_first_rank,
+    # The list schedulers all run on the unified engine and are
+    # described by their megabatch sweep spec alone: run() sweeps it,
+    # and campaign grids collapse to one batched kernel call per tree
+    # (see repro.core.engine.sweep_batch).
+    for name, rank_fn, doc in (
+        ("ParInnerFirst", par_inner_first_rank,
          "parallel postorder: inner nodes first (Section 5.2)"),
-        ("ParDeepestFirst", par_deepest_first, par_deepest_first_rank,
+        ("ParDeepestFirst", par_deepest_first_rank,
          "critical-path list scheduling (Section 5.3)"),
-        ("ParInnerFirst/naiveO", par_inner_first_naive_order,
-         par_inner_first_naive_rank, "ablation: naive postorder as O"),
-        ("ParDeepestFirst/hops", par_hop_deepest_first,
-         par_hop_deepest_first_rank, "ablation: hop-count depth"),
+        ("ParInnerFirst/naiveO", par_inner_first_naive_rank,
+         "ablation: naive postorder as O"),
+        ("ParDeepestFirst/hops", par_hop_deepest_first_rank,
+         "ablation: hop-count depth"),
     ):
         register(
-            Algorithm(
-                name=name,
-                kind="parallel",
-                fn=fn,
-                doc=doc,
-                sweep_spec=_rank_spec(rank_fn),
-            )
+            Algorithm(name=name, kind="parallel", doc=doc, sweep_spec=_rank_spec(rank_fn))
         )
     register(
         Algorithm(

@@ -4,20 +4,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import pytest
 
 from repro.analysis.campaign import Campaign, Scenario, run_campaign
 from repro.analysis.supervisor import SupervisorPool
-from repro.analysis.store import (
-    FailedRecord,
-    ScenarioRecord,
-    load_records,
-    save_records,
-)
+from repro.analysis.store import FailedRecord, ScenarioRecord
 from repro.workloads.dataset import TreeInstance
 from repro.workloads.synthetic import random_weighted_tree
+from tests.analysis.record_files import read_jsonl, write_jsonl
 
 
 @pytest.fixture
@@ -155,10 +150,9 @@ class TestRunCampaign:
         with SupervisorPool(workers=workers) as pool:
             split = run_campaign(instances[:1], campaign, runtime=pool)
         assert split == serial
-        a, b = str(tmp_path / "serial.json"), str(tmp_path / "split.json")
-        save_records(serial, a)
-        save_records(split, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert write_jsonl(serial, tmp_path / "serial.jsonl") == write_jsonl(
+            split, tmp_path / "split.jsonl"
+        )
 
     def test_no_runtime_runs_in_process(self, instances, campaign, monkeypatch):
         with SupervisorPool(workers=3) as pool:
@@ -256,7 +250,7 @@ class TestRunCampaign:
         path = str(tmp_path / "campaign.jsonl")
         with SupervisorPool(workers=2) as pool:
             records = run_campaign(instances, campaign, checkpoint=path, runtime=pool)
-        assert load_records(path) == records
+        assert read_jsonl(path) == records
 
 
 class TestResume:
@@ -378,65 +372,31 @@ class TestCrashSafeSerialization:
         base.update(kw)
         return ScenarioRecord(**base)
 
-    def test_atomic_overwrite_preserves_old_content_on_failure(
-        self, tmp_path, monkeypatch
-    ):
-        path = str(tmp_path / "records.json")
-        save_records([self.record()], path)
-        before = open(path, "rb").read()
-        import repro.analysis.store as store_mod
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("disk full")
-
-        monkeypatch.setattr(store_mod.json, "dump", boom)
-        with pytest.raises(RuntimeError, match="disk full"):
-            save_records([self.record(makespan=99.0)], path)
-        assert open(path, "rb").read() == before  # old file intact
-        assert os.listdir(tmp_path) == ["records.json"]  # no temp residue
-
-    def test_fresh_jsonl_write_is_atomic_too(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "records.jsonl")
-        save_records([self.record()], path)
-        before = open(path, "rb").read()
-        import repro.analysis.store as store_mod
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("disk full")
-
-        monkeypatch.setattr(store_mod.json, "dumps", boom)
-        with pytest.raises(RuntimeError):
-            save_records([self.record(makespan=99.0)], path)
-        assert open(path, "rb").read() == before
-        assert os.listdir(tmp_path) == ["records.jsonl"]
-
-    def test_load_records_recovers_truncated_final_line(self, tmp_path):
-        path = str(tmp_path / "records.jsonl")
+    def test_iter_records_recovers_truncated_final_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
         records = [self.record(), self.record(p=4)]
-        save_records(records, path)
-        blob = open(path, "rb").read()
-        with open(path, "wb") as fh:
-            fh.write(blob[:-20])  # cut into the final record
-        assert load_records(path) == records[:1]
+        blob = write_jsonl(records, path)
+        path.write_bytes(blob[:-20])  # cut into the final record
+        assert read_jsonl(path) == records[:1]
 
-    def test_load_records_rejects_terminated_malformed_final_line(self, tmp_path):
+    def test_iter_records_rejects_terminated_malformed_final_line(self, tmp_path):
         # crash residue is always an *unterminated* tail (record + "\n"
         # goes out in one buffer); a newline-terminated bad line is real
         # corruption and must not be silently dropped
-        path = str(tmp_path / "records.jsonl")
-        save_records([self.record()], path)
+        path = tmp_path / "records.jsonl"
+        write_jsonl([self.record()], path)
         with open(path, "a") as fh:
             fh.write("{broken\n")
         with pytest.raises(ValueError, match="malformed"):
-            load_records(path)
+            read_jsonl(path)
 
-    def test_load_records_rejects_corrupt_interior_line(self, tmp_path):
+    def test_iter_records_rejects_corrupt_interior_line(self, tmp_path):
         path = str(tmp_path / "records.jsonl")
         with open(path, "w") as fh:
             fh.write("{broken\n")
             fh.write(json.dumps(vars(self.record())) + "\n")
         with pytest.raises(ValueError, match="malformed"):
-            load_records(path)
+            read_jsonl(path)
 
 
 class TestRatioRegression:

@@ -1,17 +1,14 @@
-"""Tests for the paper's campaign grid and record serialization."""
+"""Tests for the paper's campaign grid and its record files."""
 
 import pytest
 
 from repro.analysis.campaign import Campaign, run_campaign
 from repro.analysis.supervisor import SupervisorPool
-from repro.analysis.store import (
-    ScenarioRecord,
-    load_records,
-    save_records,
-)
+from repro.analysis.store import JsonlStore, ScenarioRecord
 from repro.parallel import HEURISTICS
 from repro.workloads.dataset import TreeInstance
 from repro.workloads.synthetic import random_weighted_tree
+from tests.analysis.record_files import read_jsonl, write_jsonl
 
 
 def paper_grid(
@@ -71,10 +68,9 @@ class TestBatchPipeline:
         serial = paper_grid(instances, (2, 4))
         fanned = paper_grid(instances, (2, 4), workers=3)
         assert fanned == serial
-        a, b = str(tmp_path / "serial.json"), str(tmp_path / "fanned.json")
-        save_records(serial, a)
-        save_records(fanned, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert write_jsonl(serial, tmp_path / "serial.jsonl") == write_jsonl(
+            fanned, tmp_path / "fanned.jsonl"
+        )
 
     def test_two_workers_paper_dataset_tier(self, tmp_path):
         """The paper-campaign pipeline end to end: dataset tier trees on
@@ -85,10 +81,9 @@ class TestBatchPipeline:
         serial = paper_grid(instances, (2, 4))
         fanned = paper_grid(instances, (2, 4), workers=2)
         assert fanned == serial
-        a, b = str(tmp_path / "serial.json"), str(tmp_path / "fanned.json")
-        save_records(serial, a)
-        save_records(fanned, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert write_jsonl(serial, tmp_path / "serial.jsonl") == write_jsonl(
+            fanned, tmp_path / "fanned.jsonl"
+        )
 
     def test_three_workers_paper_dataset_tier_streamed(self, tmp_path):
         """Three workers streaming to JSONL: the stream and the returned
@@ -101,7 +96,7 @@ class TestBatchPipeline:
             instances, (2, 8), workers=3, checkpoint=str(tmp_path / "stream.jsonl")
         )
         assert fanned == serial
-        assert load_records(str(tmp_path / "stream.jsonl")) == serial
+        assert read_jsonl(tmp_path / "stream.jsonl") == serial
 
     def test_registry_algorithms_accepted(self, instances):
         records = paper_grid(
@@ -113,9 +108,9 @@ class TestBatchPipeline:
         }
 
     def test_streaming_jsonl(self, instances, tmp_path):
-        path = str(tmp_path / "stream.jsonl")
-        records = paper_grid(instances, (2,), workers=2, checkpoint=path)
-        assert load_records(path) == records
+        path = tmp_path / "stream.jsonl"
+        records = paper_grid(instances, (2,), workers=2, checkpoint=str(path))
+        assert read_jsonl(path) == records
 
     def test_streaming_requires_jsonl(self, instances, tmp_path):
         with pytest.raises(ValueError, match="jsonl"):
@@ -124,29 +119,29 @@ class TestBatchPipeline:
 
 class TestSerialization:
     def test_roundtrip(self, instances, tmp_path):
-        records = paper_grid(instances, (2,))
-        path = str(tmp_path / "records.json")
-        save_records(records, path)
-        loaded = load_records(path)
-        assert loaded == records
+        """The grid's checkpoint reads back as the records it returned,
+        and rewriting them gives the checkpoint's bytes."""
+        path = tmp_path / "stream.jsonl"
+        records = paper_grid(instances, (2,), checkpoint=str(path))
+        assert read_jsonl(path, include_failed=True) == records
+        assert write_jsonl(records, tmp_path / "again.jsonl") == path.read_bytes()
 
     def test_jsonl_roundtrip(self, instances, tmp_path):
         records = paper_grid(instances, (2,))
-        path = str(tmp_path / "records.jsonl")
-        save_records(records, path)
-        assert load_records(path) == records
+        path = tmp_path / "records.jsonl"
+        write_jsonl(records, path)
+        assert read_jsonl(path) == records
 
     def test_jsonl_append(self, instances, tmp_path):
         records = paper_grid(instances, (2,))
-        path = str(tmp_path / "records.jsonl")
-        save_records(records[:3], path)
-        save_records(records[3:], path, append=True)
-        assert load_records(path) == records
+        path = tmp_path / "records.jsonl"
+        write_jsonl(records[:3], path)
+        JsonlStore(str(path)).append(records[3:])
+        assert read_jsonl(path) == records
 
     def test_append_requires_jsonl(self, tmp_path):
-        r = ScenarioRecord("t", 5, 2, "H", 10.0, 20.0, 10.0, 5.0)
         with pytest.raises(ValueError, match="jsonl"):
-            save_records([r], str(tmp_path / "records.json"), append=True)
+            JsonlStore(str(tmp_path / "records.json"))
 
     def test_ratios(self):
         r = ScenarioRecord("t", 5, 2, "H", 10.0, 20.0, 10.0, 5.0)

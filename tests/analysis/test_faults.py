@@ -21,7 +21,6 @@ import filecmp
 import json
 import os
 import signal
-import stat
 import subprocess
 import sys
 import time
@@ -29,13 +28,7 @@ import time
 import pytest
 
 from repro.analysis.campaign import Campaign, run_campaign
-from repro.analysis.store import (
-    FailedRecord,
-    JsonlStore,
-    ScenarioRecord,
-    load_records,
-    save_records,
-)
+from repro.analysis.store import FailedRecord, JsonlStore, ScenarioRecord
 import repro.analysis.supervisor as supervisor_mod
 from repro.analysis.supervisor import SupervisorPool
 from repro.testing.faults import (
@@ -379,16 +372,17 @@ class TestQuarantine:
         path = tmp_path / "mixed.jsonl"
         ok = ScenarioRecord("t", 5, 2, "A", 1.0, 2.0, 1.0, 1.0)
         bad = FailedRecord("t", 5, 2, "B", "MemoryCapError: infeasible", 1)
-        save_records([ok, bad], str(path), append=True)
+        JsonlStore(str(path)).append([ok, bad])
         assert list(JsonlStore(str(path)).recover()) == [ok, bad]
 
-    def test_load_records_filters_failed_by_default(self, tmp_path):
+    def test_iter_records_filters_failed_by_default(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         ok = ScenarioRecord("t", 5, 2, "A", 1.0, 2.0, 1.0, 1.0)
         bad = FailedRecord("t", 5, 2, "B", "boom", 2)
-        save_records([ok, bad], str(path), append=True)
-        assert load_records(str(path)) == [ok]
-        assert load_records(str(path), include_failed=True) == [ok, bad]
+        store = JsonlStore(str(path))
+        store.append([ok, bad])
+        assert list(store.iter_records()) == [ok]
+        assert list(store.iter_records(include_failed=True)) == [ok, bad]
 
 
 # ----------------------------------------------------------------------
@@ -407,22 +401,11 @@ class TestDurability:
             return real(fd)
 
         monkeypatch.setattr(os, "fsync", spy)
-        save_records(self.records(), str(tmp_path / "r.jsonl"), append=True)
+        store = JsonlStore(str(tmp_path / "r.jsonl"))
+        store.append(self.records())
         assert calls, "append path returned without fsync"
-
-    def test_fresh_write_fsyncs_file_and_directory(self, tmp_path, monkeypatch):
-        synced: list[tuple[int, bool]] = []
-        real = os.fsync
-
-        def spy(fd):
-            synced.append((fd, stat.S_ISDIR(os.fstat(fd).st_mode)))
-            return real(fd)
-
-        monkeypatch.setattr(os, "fsync", spy)
-        save_records(self.records(), str(tmp_path / "r.json"))
-        kinds = [is_dir for _fd, is_dir in synced]
-        assert False in kinds, "file contents not fsynced"
-        assert True in kinds, "containing directory not fsynced after rename"
+        store.append(self.records() * 3)
+        assert len(calls) == 2, "one fsync per append call"
 
 
 # ----------------------------------------------------------------------

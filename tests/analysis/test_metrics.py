@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.store import ScenarioRecord
-from repro.analysis.metrics import compute_table1_stats, group_by_scenario
+from repro.analysis.metrics import _group_by_scenario, compute_table1_stats
 
 
 def rec(tree, p, heuristic, makespan, memory, mem_lb=10.0, mk_lb=1.0):
@@ -18,7 +18,7 @@ class TestGrouping:
             rec("a", 4, "H1", 3, 25),
             rec("a", 4, "H2", 3, 25),
         ]
-        groups = group_by_scenario(records)
+        groups = _group_by_scenario(records)
         assert set(groups) == {("a", 2), ("a", 4)}
         assert len(groups[("a", 2)]) == 2
 

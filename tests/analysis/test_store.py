@@ -1,12 +1,13 @@
 """JSONL record files, their one scanner, and the analysis columns.
 
-Every read of a checkpoint -- campaign resume, ``load_records``,
-``iter_records``, :meth:`JsonlStore.columns` -- goes through one
-scanner, so each must reject the same corrupt lines with the same
-``ValueError``, and each must name the removal when pointed at a
-retired columnar store directory. On top of that, the vectorised
-analysis paths (table 1, groupby, figures, Pareto) must agree with
-their per-record reference loops on the same columns.
+Every read of a checkpoint -- campaign resume,
+:meth:`JsonlStore.iter_records`, :meth:`JsonlStore.recover`,
+:meth:`JsonlStore.columns` -- goes through one scanner, so each must
+reject the same corrupt lines with the same ``ValueError``, and each
+must name the removal when pointed at a retired columnar store
+directory. On top of that, the vectorised analysis paths (table 1,
+groupby, figures) must agree with their per-record reference loops on
+the same columns.
 """
 
 from __future__ import annotations
@@ -15,34 +16,25 @@ import dataclasses
 import filecmp
 import json
 import os
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from repro.analysis.campaign import Campaign, run_campaign
-from repro.analysis.figures import figure_data
+from repro.analysis.figures import FigureSeries, figure_data
 from repro.analysis.metrics import (
     compute_table1_stats,
     compute_table1_stats_reference,
     group_stats,
     split_label,
 )
-from repro.analysis.pareto import (
-    ParetoPoint,
-    hypervolume,
-    hypervolume_columns,
-    pareto_front,
-    pareto_front_columns,
-)
 from repro.analysis.store import (
     FailedRecord,
     JsonlStore,
     RecordColumns,
     ScenarioRecord,
-    iter_records,
-    load_records,
     open_store,
-    save_records,
 )
 from repro.cli import main
 from repro.workloads.dataset import TreeInstance
@@ -59,6 +51,17 @@ def mixed_records() -> list[ScenarioRecord | FailedRecord]:
         FailedRecord("t1", 40, 2, "MemoryBounded@cap0.1", "MemoryCapError: infeasible", 1),
         ScenarioRecord("t1", 40, 4, "ParSubtrees", 11.0, 6.5, 6.0, 3.0),
     ]
+
+
+def measured(records):
+    return [r for r in records if not isinstance(r, FailedRecord)]
+
+
+def assert_same_columns(got: RecordColumns, want: RecordColumns) -> None:
+    """Equal row for row in every column (NaN equals NaN)."""
+    assert len(got) == len(want)
+    for name in (f.name for f in dataclasses.fields(RecordColumns)):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.fixture
@@ -94,14 +97,22 @@ def reference(instances, campaign, tmp_path):
 # RecordColumns: the analysis currency
 # ----------------------------------------------------------------------
 class TestRecordColumns:
-    def test_round_trip_preserves_failed_interleaving(self):
+    def test_round_trip_preserves_failed_interleaving(self, tmp_path):
+        """A JSONL file keeps FailedRecord rows where they were in the
+        stream, and its columns mark them in the same rows."""
         records = mixed_records()
-        cols = RecordColumns.from_records(records)
+        store = JsonlStore(str(tmp_path / "mixed.jsonl"))
+        store.reset()
+        store.append(records)
+        assert list(store.recover()) == records
+        cols = store.columns()
         assert len(cols) == len(records)
-        assert cols.to_records(include_failed=True) == records
-        assert cols.to_records() == [
-            r for r in records if not isinstance(r, FailedRecord)
-        ]
+        assert_same_columns(cols, RecordColumns.from_records(records))
+        assert cols.failed.tolist() == [isinstance(r, FailedRecord) for r in records]
+        assert_same_columns(
+            store.columns(include_failed=False),
+            RecordColumns.from_records(measured(records)),
+        )
 
     def test_measured_drops_failed_rows(self):
         cols = RecordColumns.from_records(mixed_records())
@@ -112,7 +123,7 @@ class TestRecordColumns:
 
     def test_ratios_match_scalar_properties(self):
         cols = RecordColumns.from_records(mixed_records()).measured()
-        for i, r in enumerate(cols.to_records()):
+        for i, r in enumerate(measured(mixed_records())):
             assert cols.makespan_ratio()[i] == r.makespan_ratio
             assert cols.memory_ratio()[i] == r.memory_ratio
 
@@ -123,24 +134,33 @@ class TestRecordColumns:
         assert cols.memory_ratio()[0] == np.inf
         assert cols.makespan_ratio()[0] == np.inf
 
+    def test_of_passes_columns_through(self):
+        cols = RecordColumns.from_records(mixed_records())
+        assert RecordColumns.of(cols) is cols
+        assert_same_columns(RecordColumns.of(mixed_records()), cols)
+
     def test_take(self):
         cols = RecordColumns.from_records(mixed_records())
-        assert cols.take(np.arange(len(cols))).to_records(True) == cols.to_records(True)
-        assert cols.take(np.arange(0)).to_records(True) == []
+        assert_same_columns(cols.take(np.arange(len(cols))), cols)
+        assert len(cols.take(np.arange(0))) == 0
 
     def test_take_boolean_mask(self):
         records = mixed_records()
         cols = RecordColumns.from_records(records)
-        assert cols.take(~cols.failed).to_records(True) == cols.to_records()
-        assert cols.take(cols.failed).to_records(True) == [
-            r for r in records if isinstance(r, FailedRecord)
-        ]
+        assert_same_columns(
+            cols.take(~cols.failed), RecordColumns.from_records(measured(records))
+        )
+        assert_same_columns(
+            cols.take(cols.failed),
+            RecordColumns.from_records(
+                [r for r in records if isinstance(r, FailedRecord)]
+            ),
+        )
 
     def test_empty_stream(self):
         cols = RecordColumns.from_records([])
         assert len(cols) == 0
         assert len(cols.measured()) == 0
-        assert cols.to_records(include_failed=True) == []
         for name in ("tree", "heuristic", "error"):
             assert getattr(cols, name).dtype.itemsize > 0  # never '<U0'
 
@@ -161,14 +181,18 @@ class TestJsonlStore:
         store.append(records[3:])
         assert list(store.recover()) == records
 
-    def test_append_bytes_identical_to_save_records(self, tmp_path):
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
+    def test_append_writes_one_json_line_per_record(self, tmp_path):
+        """The checkpoint format, whatever the batching of the appends:
+        ``json.dumps`` of the record's fields, one line each."""
         records = mixed_records()
-        save_records(records, str(a), append=True)
+        want = "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in records)
+        a = tmp_path / "a.jsonl"
+        JsonlStore(str(a)).append(records)
+        b = tmp_path / "b.jsonl"
         store = JsonlStore(str(b))
         for r in records:
             store.append([r])
+        assert a.read_text() == want
         assert filecmp.cmp(str(a), str(b), shallow=False)
 
     def test_recover_drops_torn_tail_iter_records_is_lenient(self, tmp_path):
@@ -179,7 +203,7 @@ class TestJsonlStore:
             fh.write(b'{"tree": "t9", "heuri')  # torn crash residue
         assert len(list(store.recover())) == 2  # strict: residue dropped
         # a *parseable* unterminated last line is a hand-written file,
-        # not crash residue: iter_records keeps it (load_records rules)
+        # not crash residue: iter_records keeps it
         good = json.dumps(
             {"tree": "t9", "n": 5, "p": 2, "heuristic": "A",
              "makespan": 1.0, "memory": 2.0, "memory_lb": 1.0,
@@ -210,7 +234,7 @@ class TestJsonlStore:
     def test_truncate_drops_crash_residue(self, tmp_path):
         ref = tmp_path / "ref.jsonl"
         records = mixed_records()
-        save_records(records, str(ref), append=True)
+        JsonlStore(str(ref)).append(records)
         path = tmp_path / "r.jsonl"
         store = JsonlStore(str(path))
         store.append(records)
@@ -242,12 +266,10 @@ class TestJsonlStore:
         store = JsonlStore(str(tmp_path / "r.jsonl"))
         store.append(records)
         want = RecordColumns.from_records(records)
-        got = store.columns(include_failed=True)
-        for name in (f.name for f in dataclasses.fields(RecordColumns)):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        measured = store.columns(include_failed=False)
-        assert len(measured) == 4
-        assert measured.to_records() == want.to_records()
+        assert_same_columns(store.columns(include_failed=True), want)
+        good = store.columns(include_failed=False)
+        assert len(good) == 4
+        assert_same_columns(good, want.measured())
 
     def test_open_store_is_the_jsonl_store(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
@@ -265,10 +287,21 @@ _READERS = {
     "run_campaign-resume": lambda path, instances, campaign: run_campaign(
         instances, campaign, checkpoint=path, resume=True
     ),
-    "load_records": lambda path, *_: load_records(path),
-    "iter_records": lambda path, *_: list(iter_records(path)),
+    "JsonlStore.iter_records": lambda path, *_: list(open_store(path).iter_records()),
     "JsonlStore.columns": lambda path, *_: JsonlStore(path).columns(),
     "JsonlStore.recover": lambda path, *_: list(JsonlStore(path).recover()),
+    "cli-table1-records": lambda path, *_: _exit_2_as_value_error(
+        ["table1", "--records", path]
+    ),
+}
+# The report also reads the file through the scanner, but its figures
+# need every heuristic of the paper's grid: it joins the corrupt-line
+# check only (the reference stream has two heuristics).
+_CORRUPT_LINE_READERS = {
+    **_READERS,
+    "cli-report-records": lambda path, *_: _exit_2_as_value_error(
+        ["report", "--scale", "tiny", "--records", path]
+    ),
 }
 
 _MISSING_FIELD = (
@@ -282,7 +315,7 @@ _MISSING_FIELD = (
     ["{broken", '{"foo": 1}', "[1, 2]", _MISSING_FIELD],
     ids=["bad-json", "unknown-key", "not-an-object", "missing-field"],
 )
-@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("reader", sorted(_CORRUPT_LINE_READERS))
 def test_malformed_complete_line_raises(
     reader, bad, instances, campaign, reference, tmp_path
 ):
@@ -293,7 +326,7 @@ def test_malformed_complete_line_raises(
     path = tmp_path / "bad.jsonl"
     path.write_bytes(first + bad.encode() + b"\n" + second)
     with pytest.raises(ValueError, match="malformed record on a complete line.*corrupt"):
-        _READERS[reader](str(path), instances, campaign)
+        _CORRUPT_LINE_READERS[reader](str(path), instances, campaign)
 
 
 @pytest.mark.parametrize("reader", sorted(_READERS))
@@ -301,7 +334,8 @@ def test_torn_final_line_is_dropped(
     reader, instances, campaign, reference, tmp_path
 ):
     """An unterminated final line is crash residue: every reader drops
-    it; only the resuming campaign rewrites the file (healing it)."""
+    it (a CLI reader prints what it prints for the clean file); only the
+    resuming campaign rewrites the file (healing it)."""
     records, ref_path = reference
     blob = ref_path.read_bytes()
     torn = blob + b'{"tree": "t0", "heu'
@@ -309,33 +343,25 @@ def test_torn_final_line_is_dropped(
     path.write_bytes(torn)
     got = _READERS[reader](str(path), instances, campaign)
     if isinstance(got, RecordColumns):
-        got = got.to_records(include_failed=True)
-    assert got == records
+        assert_same_columns(got, RecordColumns.from_records(records))
+    elif isinstance(got, str):
+        assert got == _READERS[reader](str(ref_path), instances, campaign)
+    else:
+        assert got == records
     healed = reader == "run_campaign-resume"
     assert path.read_bytes() == (blob if healed else torn)
 
 
 # ----------------------------------------------------------------------
-# iter_records / load_records
+# JsonlStore.iter_records
 # ----------------------------------------------------------------------
 class TestExperimentsDispatch:
     def test_iter_records_streams_jsonl(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        save_records(mixed_records(), str(path), append=True)
-        assert list(iter_records(str(path))) == load_records(str(path))
-        assert (
-            list(iter_records(str(path), include_failed=True))
-            == load_records(str(path), include_failed=True)
-        )
-
-    def test_json_array_round_trip(self, tmp_path):
-        records = mixed_records()
-        path = str(tmp_path / "r.json")
-        save_records(records, path)
-        good = [r for r in records if not isinstance(r, FailedRecord)]
-        assert load_records(path) == good
-        assert load_records(path, include_failed=True) == records
-        assert list(iter_records(path, include_failed=True)) == records
+        path = str(tmp_path / "r.jsonl")
+        JsonlStore(path).append(mixed_records())
+        store = open_store(path)
+        assert list(store.iter_records()) == measured(mixed_records())
+        assert list(store.iter_records(include_failed=True)) == mixed_records()
 
 
 # ----------------------------------------------------------------------
@@ -343,8 +369,6 @@ class TestExperimentsDispatch:
 # ----------------------------------------------------------------------
 _DIR_ENTRY_POINTS = {
     "open_store": lambda d, instances, campaign: open_store(d),
-    "load_records": lambda d, *_: load_records(d),
-    "iter_records": lambda d, *_: list(iter_records(d)),
     "run_campaign": lambda d, instances, campaign: run_campaign(
         instances, campaign, checkpoint=d
     ),
@@ -359,19 +383,20 @@ _DIR_ENTRY_POINTS = {
 }
 
 
-def _exit_2_as_value_error(argv):
+def _exit_2_as_value_error(argv) -> str:
     """Run a grid subcommand, which reports a bad checkpoint or records
     file as its last stderr line and exit code 2; raise that line as
-    ``ValueError``."""
+    ``ValueError``. On success, return what it printed to stdout."""
     import contextlib
     import io
 
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     if code == 2:
         raise ValueError(err.getvalue().splitlines()[-1])
-    return code
+    assert code == 0, err.getvalue()
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("entry", sorted(_DIR_ENTRY_POINTS))
@@ -412,12 +437,12 @@ class TestVectorizedAnalysis:
         records = run_campaign(instances, camp)
         cols = RecordColumns.from_records(records)
         for which in (6, 7, 8):
-            a = figure_data(records, which)
-            b = figure_data(cols, which)
-            assert [s.heuristic for s in a] == [s.heuristic for s in b]
-            for sa, sb in zip(a, b):
-                np.testing.assert_array_equal(sa.x, sb.x)
-                np.testing.assert_array_equal(sa.y, sb.y)
+            want = figure_data_loop(records, which)
+            for got in (figure_data(cols, which), figure_data(records, which)):
+                assert [s.heuristic for s in got] == [s.heuristic for s in want]
+                for sa, sb in zip(want, got):
+                    np.testing.assert_array_equal(sa.x, sb.x)
+                    np.testing.assert_array_equal(sa.y, sb.y)
 
     def test_group_stats_cells(self):
         records = [
@@ -444,28 +469,33 @@ class TestVectorizedAnalysis:
         with pytest.raises(ValueError, match="failed records"):
             group_stats(mixed_records())
 
-    def test_pareto_front_columns_matches_reference(self, rng):
-        for _ in range(25):
-            mk = rng.uniform(1, 10, size=40)
-            mem = rng.uniform(1, 10, size=40)
-            points = [ParetoPoint(m, q, "x") for m, q in zip(mk, mem)]
-            ref = pareto_front(points)
-            idx = pareto_front_columns(mk, mem)
-            got = [ParetoPoint(mk[i], mem[i], "x") for i in idx]
-            assert got == ref
 
-    def test_hypervolume_columns_matches_reference(self, rng):
-        for _ in range(25):
-            mk = rng.uniform(1, 10, size=30)
-            mem = rng.uniform(1, 10, size=30)
-            points = [ParetoPoint(m, q, "x") for m, q in zip(mk, mem)]
-            ref_point = ParetoPoint(11.0, 11.0, "ref")
-            a = hypervolume(points, ref_point)
-            b = hypervolume_columns(mk, mem, ref_point)
-            assert b == pytest.approx(a, rel=1e-12)
-
-    def test_hypervolume_columns_rejects_bad_reference(self):
-        with pytest.raises(ValueError, match="weakly worse"):
-            hypervolume_columns(
-                np.array([1.0, 5.0]), np.array([2.0, 1.0]), (4.0, 4.0)
-            )
+def figure_data_loop(records, which):
+    """The per-record loop of Figures 6-8 (the oracle of
+    :func:`figure_data`): scenario by scenario in first-appearance
+    order, each record normalised by the lower bounds (Figure 6) or by
+    the scenario's first ParSubtrees / ParInnerFirst record."""
+    reference = {6: None, 7: "ParSubtrees", 8: "ParInnerFirst"}[which]
+    groups = defaultdict(list)
+    for r in records:
+        groups[(r.tree, r.p)].append(r)
+    series: dict[str, tuple[list[float], list[float]]] = {}
+    for recs in groups.values():
+        if reference is not None:
+            ref = next((r for r in recs if r.heuristic == reference), None)
+            if ref is None:
+                raise ValueError(f"records lack reference heuristic {reference}")
+        for r in recs:
+            if r.heuristic == reference:
+                continue
+            if reference is None:
+                x, y = r.makespan_ratio, r.memory_ratio
+            else:
+                x, y = r.makespan / ref.makespan, r.memory / ref.memory
+            xs, ys = series.setdefault(r.heuristic, ([], []))
+            xs.append(x)
+            ys.append(y)
+    return [
+        FigureSeries(name, np.asarray(xs), np.asarray(ys))
+        for name, (xs, ys) in series.items()
+    ]

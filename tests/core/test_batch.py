@@ -425,14 +425,13 @@ class TestCampaignMegabatch:
 
     def test_megabatch_checkpoint_bytes_identical(self, setup, tmp_path):
         from repro.analysis.campaign import run_campaign
-        from repro.analysis.store import save_records
+        from tests.analysis.record_files import write_jsonl
 
         instances, campaign = setup
-        on = str(tmp_path / "on.jsonl")
-        ref = str(tmp_path / "ref.jsonl")
-        run_campaign(instances, campaign, checkpoint=on)
-        save_records(self.reference_records(instances, campaign), ref)
-        assert open(on, "rb").read() == open(ref, "rb").read()
+        on = tmp_path / "on.jsonl"
+        run_campaign(instances, campaign, checkpoint=str(on))
+        ref = write_jsonl(self.reference_records(instances, campaign), tmp_path / "ref.jsonl")
+        assert on.read_bytes() == ref
 
     def test_megabatch_resume_is_byte_identical(self, setup, tmp_path):
         from repro.analysis.campaign import run_campaign

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 import urllib.error
+from pathlib import Path
 
 import pytest
 
@@ -43,27 +44,27 @@ def start_server(root, log_path, *, plan: FaultPlan | None = None, workers=2,
     env.pop(ENV_VAR, None)
     if plan is not None:
         env[ENV_VAR] = plan.to_json()
-    log = open(log_path, "ab")
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve", root,
-            "--port", str(port), "--workers", str(workers),
-        ],
-        env=env,
-        stdout=log,
-        stderr=log,
-    )
+    with open(log_path, "ab") as log:  # the child keeps its own copy
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", root,
+                "--port", str(port), "--workers", str(workers),
+            ],
+            env=env,
+            stdout=log,
+            stderr=log,
+        )
     deadline = time.monotonic() + 120
     client = None
     while time.monotonic() < deadline:
         if proc.poll() is not None:
             raise AssertionError(
                 f"server died at startup (exit {proc.returncode}); "
-                f"log:\n{open(log_path).read()}"
+                f"log:\n{Path(log_path).read_text()}"
             )
         if os.path.exists(info_path):
             try:
-                base = json.load(open(info_path))["serving"]
+                base = json.loads(Path(info_path).read_bytes())["serving"]
                 candidate = ServiceClient(base, timeout=10.0)
                 if candidate.health()["ok"]:
                     client = candidate
@@ -130,11 +131,9 @@ class TestKillDashNine:
         assert proc.returncode == -signal.SIGKILL
 
         # the journal still says running: the crash is visible on disk
-        st = json.load(open(os.path.join(job_dir(root, jid), "state.json")))
+        st = json.loads(Path(job_dir(root, jid), "state.json").read_bytes())
         assert st["state"] == "running"
-        partial = open(
-            os.path.join(job_dir(root, jid), "records.jsonl"), "rb"
-        ).read()
+        partial = Path(job_dir(root, jid), "records.jsonl").read_bytes()
         assert 0 < partial.count(b"\n") < reference.count(b"\n")
         # every complete line is a reference prefix line
         head = partial[: partial.rfind(b"\n") + 1]
@@ -150,9 +149,7 @@ class TestKillDashNine:
             assert st["records"] == reference.count(b"\n")
             got = client2.fetch_records(jid)
             assert got == reference
-            on_disk = open(
-                os.path.join(job_dir(root, jid), "records.jsonl"), "rb"
-            ).read()
+            on_disk = Path(job_dir(root, jid), "records.jsonl").read_bytes()
             assert on_disk == reference
         finally:
             client2.close()
@@ -203,7 +200,7 @@ class TestGracefulDrain:
         assert proc.wait(timeout=60) == 0  # graceful: exit 0
         client.close()
 
-        st = json.load(open(os.path.join(job_dir(root, jid), "state.json")))
+        st = json.loads(Path(job_dir(root, jid), "state.json").read_bytes())
         assert st["state"] == "queued"  # checkpointed, handed to the next server
 
         proc2, client2 = start_server(root, log)
@@ -251,7 +248,7 @@ class TestChaos:
         client.close()
 
         records_path = os.path.join(job_dir(root, jid), "records.jsonl")
-        torn = open(records_path, "rb").read()
+        torn = Path(records_path).read_bytes()
         assert not torn.endswith(b"\n")  # the torn fourth line
         assert torn.count(b"\n") == 3
 
@@ -259,7 +256,7 @@ class TestChaos:
         try:
             wait_for_state(client2, jid, "done", timeout=180)
             assert client2.fetch_records(jid) == reference
-            assert open(records_path, "rb").read() == reference
+            assert Path(records_path).read_bytes() == reference
         finally:
             client2.close()
             proc2.terminate()

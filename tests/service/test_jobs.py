@@ -41,9 +41,8 @@ class TestCreate:
         assert created_a and not created_b
         assert a.id == b.id
         assert a.state == "queued"
-        assert json.load(open(a.spec_path))["campaign"]["algorithms"] == [
-            "ParSubtrees"
-        ]
+        with open(a.spec_path) as fh:
+            assert json.load(fh)["campaign"]["algorithms"] == ["ParSubtrees"]
 
     def test_distinct_work_distinct_jobs(self, store):
         a, _ = store.create(tiny_spec())

@@ -84,7 +84,9 @@ class Harness:
             ("127.0.0.1", 0), _make_handler(self.service)
         )
         self.thread = threading.Thread(
-            target=self.httpd.serve_forever, daemon=True
+            target=self.httpd.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
         )
         self.thread.start()
         self.base = f"http://127.0.0.1:{self.httpd.server_address[1]}"
@@ -181,7 +183,9 @@ class TestBackpressure:
         httpd = ThreadingHTTPServer(
             ("127.0.0.1", 0), _make_handler(service)
         )
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
         base = f"http://127.0.0.1:{httpd.server_address[1]}"
         try:
             for seed in (1, 2):
@@ -216,7 +220,9 @@ class TestBackpressure:
         httpd = ThreadingHTTPServer(
             ("127.0.0.1", 0), _make_handler(service)
         )
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
         client = ServiceClient(
             f"http://127.0.0.1:{httpd.server_address[1]}"
         )

@@ -85,14 +85,40 @@ class TestCli:
         assert "Figure 6" in text
         assert "(paper)" in text
 
-    def test_records_json_output(self, tmp_path, capsys):
-        out_path = str(tmp_path / "records.json")
-        main(["table1", "--scale", "tiny", "--processors", "2", "--output", out_path])
+    def test_table1_jsonl_output_is_the_campaign_checkpoint(self, tmp_path, capsys):
+        """A .jsonl ``--output`` of table1 is its grid's checkpoint: the
+        bytes of the same grid run by ``campaign``."""
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        grid = ["--scale", "tiny", "--processors", "2"]
+        assert main(["table1", *grid, "--output", str(a)]) == 0
+        algos = "ParSubtrees,ParSubtreesOptim,ParInnerFirst,ParDeepestFirst"
+        assert main(["campaign", *grid, "--algos", algos, "--output", str(b)]) == 0
         capsys.readouterr()
-        from repro.analysis import load_records
+        assert a.read_bytes() and a.read_bytes() == b.read_bytes()
 
-        records = load_records(out_path)
-        assert records
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--scale", "tiny", "--output", "x.json"],
+            ["table1", "--records", "RECORDS", "--output", "y.jsonl"],
+            ["campaign", "--scale", "tiny", "--resume", "c.jsonl", "--output", "d.jsonl"],
+        ],
+        ids=["campaign-json-output", "table1-records-jsonl-output", "campaign-two-files"],
+    )
+    def test_bad_record_output_is_one_line_exit_2(self, argv, tmp_path, capsys, monkeypatch):
+        """Records are written once, to one .jsonl file: any other
+        ``--output`` is bad input, and no file is written."""
+        from tests.analysis.record_files import write_jsonl
+
+        records = tmp_path / "records"
+        records.mkdir()
+        write_jsonl([], records / "in.jsonl")
+        monkeypatch.chdir(tmp_path)
+        argv = [str(records / "in.jsonl") if a == "RECORDS" else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--output" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records"]
 
     def test_campaign(self, tmp_path, capsys):
         ckpt = str(tmp_path / "campaign.jsonl")
@@ -117,41 +143,29 @@ class TestCli:
         assert "MemoryBounded@cap1.5" in out
         assert "ParDeepestFirst" in out
         blob = open(ckpt, "rb").read()
-        from repro.analysis import load_records
+        from tests.analysis.record_files import read_jsonl
 
-        assert len(load_records(ckpt)) == 2 * 2 * 3  # trees x p x labels
+        assert len(read_jsonl(ckpt)) == 2 * 2 * 3  # trees x p x labels
         # re-running the same command resumes and leaves the bytes alone
         assert main(argv) == 0
         capsys.readouterr()
         assert open(ckpt, "rb").read() == blob
 
     def test_campaign_resume_with_separate_output(self, tmp_path, capsys):
-        ckpt = str(tmp_path / "ckpt.jsonl")
-        out = str(tmp_path / "results.jsonl")
-        assert (
-            main(
-                [
-                    "campaign",
-                    "--scale",
-                    "tiny",
-                    "--algos",
-                    "ParSubtrees",
-                    "--processors",
-                    "2",
-                    "--limit",
-                    "1",
-                    "--resume",
-                    ckpt,
-                    "--output",
-                    out,
-                ]
-            )
-            == 0
-        )
+        """``--output`` may name the ``--resume`` checkpoint itself (the
+        records are written once, there); another file is bad input."""
+        ckpt = tmp_path / "ckpt.jsonl"
+        argv = ["campaign", "--scale", "tiny", "--algos", "ParSubtrees",
+                "--processors", "2", "--limit", "1", "--resume", str(ckpt)]
+        assert main(argv + ["--output", str(tmp_path / "results.jsonl")]) == 2
+        assert "two files" in capsys.readouterr().err
+        assert not ckpt.exists()
+        assert main(argv + ["--output", str(ckpt)]) == 0
         capsys.readouterr()
-        from repro.analysis import load_records
+        from tests.analysis.record_files import read_jsonl
 
-        assert load_records(out) == load_records(ckpt)
+        assert len(read_jsonl(ckpt)) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.jsonl"]
 
     def test_campaign_supervised_report_and_fault_plan(self, tmp_path, capsys):
         """--supervise + hidden --fault-plan: the injected compile
@@ -383,9 +397,9 @@ class TestOneGridPath:
         argv = GRID_COMMANDS["campaign"] + ["--processors", "3", "--output", str(out)]
         assert main(argv) == 0
         capsys.readouterr()
-        from repro.analysis import load_records
+        from tests.analysis.record_files import read_jsonl
 
-        assert {r.p for r in load_records(str(out))} == {3}
+        assert {r.p for r in read_jsonl(out)} == {3}
 
     @pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
     def test_bad_processors_is_one_line_exit_2(self, command, capsys):
@@ -459,6 +473,20 @@ class TestOneGridPath:
         assert msg in err and "Traceback" not in err and err.count("\n") == 1
         if kind in ("empty", "all-quarantined"):
             assert str(path) in err
+
+    def test_report_records_without_reference_heuristic_is_exit_2(self, tmp_path, capsys):
+        """The report's figures compare every heuristic with a reference
+        one; a records file without it is bad input, not a traceback."""
+        path = str(tmp_path / "two.jsonl")
+        argv = ["campaign", "--scale", "tiny", "--limit", "1", "--processors", "2",
+                "--algos", "ParSubtrees,ParDeepestFirst", "--output", path]
+        assert main(argv) == 0
+        assert main(["table1", "--records", path]) == 0
+        capsys.readouterr()
+        assert main(["report", "--scale", "tiny", "--records", path]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert path in err and "lack reference heuristic" in err
 
     def test_infeasible_cap_same_checkpoint_on_both_runtimes(self, tmp_path, capsys):
         """An infeasible cap is a quarantined scenario, not a crash, in

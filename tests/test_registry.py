@@ -30,8 +30,9 @@ class TestCatalogue:
         assert "liu_optimal_traversal" in names
 
     def test_heuristics_view_is_registry_backed(self):
-        for name, fn in HEURISTICS.items():
-            assert registry.get(name).fn is fn
+        for name, run in HEURISTICS.items():
+            assert run.__self__ is registry.get(name)
+            assert run.__func__ is registry.Algorithm.run
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="known:"):
