@@ -15,9 +15,9 @@
 
 import numpy as np
 
+from repro import registry
 from repro.core.simulator import simulate
-from repro.parallel import par_deepest_first, par_inner_first, par_subtrees
-from repro.parallel.variants import par_hop_deepest_first, par_inner_first_naive_order
+from repro.parallel import par_subtrees
 from repro.parallel.split_subtrees import split_subtrees
 from repro.sequential import (
     liu_optimal_traversal,
@@ -105,7 +105,7 @@ def test_a3_amalgamation_granularity(benchmark, dataset, artifact_dir):
                 mseq = optimal_postorder(inst.tree).peak_memory
                 mem_sub.append(simulate(par_subtrees(inst.tree, p)).peak_memory / mseq)
                 mem_inner.append(
-                    simulate(par_inner_first(inst.tree, p)).peak_memory / mseq
+                    simulate(registry.run("ParInnerFirst", inst.tree, p)).peak_memory / mseq
                 )
             out[cap] = (float(np.mean(mem_sub)), float(np.mean(mem_inner)))
         return out
@@ -129,11 +129,11 @@ def test_a4_priority_details(benchmark, dataset, artifact_dir):
         mem_ratio, mk_ratio = [], []
         for inst in sample:
             tree = inst.tree
-            base_mem = simulate(par_inner_first(tree, p)).peak_memory
-            naive_mem = simulate(par_inner_first_naive_order(tree, p)).peak_memory
+            base_mem = simulate(registry.run("ParInnerFirst", tree, p)).peak_memory
+            naive_mem = simulate(registry.run("ParInnerFirst/naiveO", tree, p)).peak_memory
             mem_ratio.append(naive_mem / base_mem)
-            base_mk = simulate(par_deepest_first(tree, p)).makespan
-            hop_mk = simulate(par_hop_deepest_first(tree, p)).makespan
+            base_mk = simulate(registry.run("ParDeepestFirst", tree, p)).makespan
+            hop_mk = simulate(registry.run("ParDeepestFirst/hops", tree, p)).makespan
             mk_ratio.append(hop_mk / base_mk)
         return (
             float(np.mean(mem_ratio)),

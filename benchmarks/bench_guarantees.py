@@ -10,8 +10,9 @@
 
 import numpy as np
 
+from repro import registry
 from repro.core.simulator import simulate
-from repro.parallel import par_deepest_first, par_inner_first, par_subtrees
+from repro.parallel import par_subtrees
 from repro.sequential import optimal_postorder
 from .conftest import bench_processors, save_artifact
 
@@ -45,8 +46,8 @@ def test_graham_bound(benchmark, dataset, artifact_dir):
             W = inst.tree.total_work()
             CP = inst.tree.critical_path()
             for p in bench_processors():
-                for fn in (par_inner_first, par_deepest_first):
-                    sch = fn(inst.tree, p)
+                for name in ("ParInnerFirst", "ParDeepestFirst"):
+                    sch = registry.run(name, inst.tree, p)
                     bound = W / p + (1 - 1 / p) * CP
                     assert sch.makespan <= bound + 1e-6
                     lb = max(W / p, CP)
@@ -72,10 +73,10 @@ def test_memory_ratio_spread(benchmark, dataset, artifact_dir):
             mseq = optimal_postorder(inst.tree).peak_memory
             for p in bench_processors():
                 ratios["ParInnerFirst"].append(
-                    simulate(par_inner_first(inst.tree, p)).peak_memory / mseq
+                    simulate(registry.run("ParInnerFirst", inst.tree, p)).peak_memory / mseq
                 )
                 ratios["ParDeepestFirst"].append(
-                    simulate(par_deepest_first(inst.tree, p)).peak_memory / mseq
+                    simulate(registry.run("ParDeepestFirst", inst.tree, p)).peak_memory / mseq
                 )
         return {k: (float(np.mean(v)), float(np.max(v))) for k, v in ratios.items()}
 

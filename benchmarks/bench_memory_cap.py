@@ -8,8 +8,9 @@ says cannot be approximated simultaneously -- but can be *navigated*.
 """
 
 
+from repro import registry
 from repro.core.simulator import simulate
-from repro.parallel import memory_bounded_schedule, par_deepest_first
+from repro.parallel import memory_bounded_schedule
 from repro.sequential import optimal_postorder
 from .conftest import save_artifact
 
@@ -30,7 +31,7 @@ def test_memory_cap_tradeoff(benchmark, dataset, artifact_dir):
                 sim = simulate(sch)
                 assert sim.peak_memory <= factor * mseq + 1e-6
                 spans.append(sim.makespan)
-            free = simulate(par_deepest_first(inst.tree, p)).makespan
+            free = simulate(registry.run("ParDeepestFirst", inst.tree, p)).makespan
             rows.append((inst.name, mseq, spans, free))
         return rows
 

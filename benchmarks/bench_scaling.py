@@ -9,13 +9,8 @@ exact algorithm at O(n^2)).
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    par_deepest_first,
-    par_inner_first,
-    par_subtrees,
-    par_subtrees_optim,
-    split_subtrees,
-)
+from repro import registry
+from repro.parallel import HEURISTICS, split_subtrees
 from repro.sequential import liu_optimal_traversal, optimal_postorder
 from repro.workloads.synthetic import random_weighted_tree
 
@@ -40,11 +35,7 @@ def test_scaling_split_subtrees(benchmark, tree5k):
     assert result.cost <= tree5k.total_work() + 1e-9
 
 
-@pytest.mark.parametrize(
-    "heuristic",
-    [par_subtrees, par_subtrees_optim, par_inner_first, par_deepest_first],
-    ids=["ParSubtrees", "ParSubtreesOptim", "ParInnerFirst", "ParDeepestFirst"],
-)
-def test_scaling_heuristics(benchmark, tree5k, heuristic):
-    schedule = benchmark(heuristic, tree5k, 16)
+@pytest.mark.parametrize("name", list(HEURISTICS))
+def test_scaling_heuristics(benchmark, tree5k, name):
+    schedule = benchmark(registry.run, name, tree5k, 16)
     assert schedule.makespan >= tree5k.critical_path() - 1e-9

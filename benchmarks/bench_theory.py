@@ -8,8 +8,8 @@ the paper. The timing measures the cost of the construction + schedule
 
 import numpy as np
 
+from repro import registry
 from repro.core.simulator import simulate
-from repro.parallel import par_deepest_first, par_inner_first, par_subtrees
 from repro.pebble import (
     build_gadget,
     decide_gadget,
@@ -80,7 +80,7 @@ def test_fork_figure3(benchmark, artifact_dir):
         out = []
         for k in (4, 16, 64):
             t = fork_tree(p, k)
-            sim = simulate(par_subtrees(t, p))
+            sim = simulate(registry.run("ParSubtrees", t, p))
             out.append((k, sim.makespan, k + 1))
         return out
 
@@ -107,7 +107,7 @@ def test_inner_first_memory_figure4(benchmark, artifact_dir):
         for k in (4, 8, 16):
             t = inner_first_memory_tree(p, k)
             seq = optimal_postorder(t).peak_memory
-            sim = simulate(par_inner_first(t, p))
+            sim = simulate(registry.run("ParInnerFirst", t, p))
             out.append((k, seq, sim.peak_memory))
         return out
 
@@ -131,7 +131,7 @@ def test_deepest_first_memory_figure5(benchmark, artifact_dir):
         for chains in (4, 8, 16, 32):
             t = deepest_first_memory_tree(chains, 6)
             seq = optimal_postorder(t).peak_memory
-            sim = simulate(par_deepest_first(t, chains))
+            sim = simulate(registry.run("ParDeepestFirst", t, chains))
             out.append((chains, seq, sim.peak_memory))
         return out
 

@@ -10,6 +10,7 @@ unconstrained level and prints the resulting Pareto-style curve.
 Run:  python examples/memory_cap_tradeoff.py
 """
 
+from repro import registry
 from repro.core import memory_lower_bound, simulate
 from repro.matrices import (
     amalgamate,
@@ -18,7 +19,7 @@ from repro.matrices import (
     minimum_degree,
     symbolic_cholesky,
 )
-from repro.parallel import memory_bounded_schedule, par_deepest_first
+from repro.parallel import memory_bounded_schedule
 
 
 def main() -> None:
@@ -27,7 +28,7 @@ def main() -> None:
     tree = amalgamate(symbolic, max_amalgamation=4).tree
     p = 8
     mseq = memory_lower_bound(tree)
-    free = simulate(par_deepest_first(tree, p))
+    free = simulate(registry.run("ParDeepestFirst", tree, p))
     print(f"assembly tree: {tree.n} nodes; p = {p}")
     print(f"sequential memory optimum M_seq = {mseq:.4g}")
     print(f"unconstrained ParDeepestFirst: makespan {free.makespan:.5g}, "

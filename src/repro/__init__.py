@@ -5,13 +5,13 @@ Public API tour
 ---------------
 * :mod:`repro.core` -- task trees, schedules, the unified event-driven
   scheduling engine, the execution simulator, lower bounds;
-* :mod:`repro.registry` -- the central algorithm registry
-  (``registry.run("ParDeepestFirst", tree, p)``);
+* :mod:`repro.registry` -- the central algorithm registry: run any
+  scheduler by name (``registry.run("ParDeepestFirst", tree, p)``);
 * :mod:`repro.sequential` -- memory-optimal sequential traversals
   (optimal postorder, Liu's exact algorithm);
 * :mod:`repro.parallel` -- the paper's heuristics (ParSubtrees,
   ParSubtreesOptim, ParInnerFirst, ParDeepestFirst) and the
-  memory-capped extension;
+  memory-capped extension, registered under those names;
 * :mod:`repro.pebble` -- Pebble-Game complexity gadgets (Theorems 1-2,
   Figures 1-5);
 * :mod:`repro.matrices` -- sparse-matrix substrate: orderings, symbolic
@@ -22,10 +22,10 @@ Public API tour
 
 Quickstart
 ----------
+>>> from repro import registry
 >>> from repro.core import TaskTree, simulate
->>> from repro.parallel import par_subtrees
 >>> tree = TaskTree.from_parents([-1, 0, 0, 1, 1], w=1.0, f=1.0)
->>> result = simulate(par_subtrees(tree, p=2))
+>>> result = simulate(registry.run("ParDeepestFirst", tree, p=2))
 >>> result.makespan > 0
 True
 """
@@ -44,8 +44,6 @@ from repro.sequential import optimal_postorder, liu_optimal_traversal
 from repro.parallel import (
     par_subtrees,
     par_subtrees_optim,
-    par_inner_first,
-    par_deepest_first,
     memory_bounded_schedule,
     HEURISTICS,
 )
@@ -62,8 +60,6 @@ __all__ = [
     "liu_optimal_traversal",
     "par_subtrees",
     "par_subtrees_optim",
-    "par_inner_first",
-    "par_deepest_first",
     "memory_bounded_schedule",
     "HEURISTICS",
 ]

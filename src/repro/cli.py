@@ -212,8 +212,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_theory(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from repro import registry
     from repro.core import simulate
-    from repro.parallel import par_deepest_first, par_inner_first, par_subtrees
     from repro.pebble import (
         build_gadget,
         decide_gadget,
@@ -249,7 +249,7 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     for k in (4, 16, 64):
         p = 4
         t = fork_tree(p, k)
-        sim = simulate(par_subtrees(t, p))
+        sim = simulate(registry.run("ParSubtrees", t, p))
         print(
             f"p={p} k={k}: ParSubtrees {sim.makespan:g} "
             f"(paper p(k-1)+2 = {p * (k - 1) + 2}), optimal {k + 1}, "
@@ -260,7 +260,7 @@ def _cmd_theory(args: argparse.Namespace) -> int:
         p = 4
         t = inner_first_memory_tree(p, k)
         seq = optimal_postorder(t).peak_memory
-        sim = simulate(par_inner_first(t, p))
+        sim = simulate(registry.run("ParInnerFirst", t, p))
         print(
             f"p={p} k={k}: M_seq={seq:g} (paper p+1={p + 1}), "
             f"ParInnerFirst {sim.peak_memory:g} "
@@ -270,7 +270,7 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     for c in (4, 8, 16):
         t = deepest_first_memory_tree(c, 6)
         seq = optimal_postorder(t).peak_memory
-        sim = simulate(par_deepest_first(t, c))
+        sim = simulate(registry.run("ParDeepestFirst", t, c))
         print(
             f"chains={c}: M_seq={seq:g} (paper 3), "
             f"ParDeepestFirst {sim.peak_memory:g} ~ chains"

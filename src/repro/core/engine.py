@@ -4,11 +4,11 @@ Every list-style scheduler of this repository -- ParInnerFirst,
 ParDeepestFirst, their ablation variants, and the memory-capped
 extension -- is an instance of the same event sweep: whenever a task
 finishes, its parent may become ready; every idle processor is then
-handed the most urgent ready task the start policy allows. Historically
-that sweep was implemented twice (``parallel/list_scheduling.py`` and
-``parallel/memory_bounded.py``); this module is the single home of the
-event loop, and both entry points are thin configurations of
-:class:`SchedulerEngine`.
+handed the most urgent ready task the start policy allows. This module
+is the single home of that event loop: each of those schedulers is a
+registry entry whose ``sweep_spec`` describes one
+:class:`SchedulerEngine` configuration (:class:`BatchScenario`), and
+``registry.run`` sweeps it.
 
 Two design points make the engine fast on large trees:
 
@@ -39,6 +39,7 @@ factor is what the C kernel changes.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from dataclasses import dataclass
 
@@ -269,9 +270,9 @@ class SchedulerEngine:
         e.g. from :func:`lex_rank`); the ready task with the smallest
         rank starts first.
     cap:
-        optional memory budget. When set, the engine accounts resident
-        file sizes exactly as the simulator does and never starts a
-        task that would exceed the cap.
+        optional memory budget (NaN is rejected). When set, the engine
+        accounts resident file sizes exactly as the simulator does and
+        never starts a task that would exceed the cap.
     order:
         activation order :math:`\\sigma` used by the memory modes
         (default: the memory-optimal sequential postorder). Ignored
@@ -333,6 +334,9 @@ class SchedulerEngine:
         self.p = p
         self.rank = rank
         self.cap = None if cap is None else float(cap)
+        if self.cap is not None and math.isnan(self.cap):
+            # every comparison with NaN is False: the cap would never bind
+            raise ValueError("cap must not be NaN")
         self.mode = mode
         # the cap plus the feasibility epsilon, shared by both sweeps
         self._cap_eps = None if self.cap is None else self.cap + 1e-9
@@ -352,7 +356,7 @@ class SchedulerEngine:
     def run(self) -> Schedule:
         """Execute the event sweep and return the resulting schedule.
 
-        Both :func:`repro.parallel.list_schedule` and
+        Every engine-backed ``registry.run`` and
         :func:`repro.parallel.memory_bounded_schedule` end up here. The
         C kernel runs when this process chose it (:func:`resolve_backend`)
         and the tree is kernel-exact: integral weights let the reference

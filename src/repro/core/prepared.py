@@ -32,12 +32,12 @@ tree, so a schedule never depends on how often its bundle was reused
 
 :class:`PreparedTree` is the one input form of the parallel
 algorithms: every engine entry point
-(:class:`~repro.core.engine.SchedulerEngine`, ``list_schedule``, the
-list heuristics and their ranks, ``memory_bounded_schedule``) and the
-subtree family call :func:`as_prepared` once on their ``tree``
-argument (so a bare :class:`TaskTree` still works, prepared on the
-fly), and ``registry.Algorithm.run`` hands every parallel algorithm the
-prepared tree. The sequential traversals take the underlying tree
+(:class:`~repro.core.engine.SchedulerEngine`, the list heuristics'
+rank builders, ``memory_bounded_schedule``) and the subtree family
+call :func:`as_prepared` once on their ``tree`` argument (so a bare
+:class:`TaskTree` still works, prepared on the fly), and
+``registry.Algorithm.run`` hands every parallel algorithm the prepared
+tree. The sequential traversals take the underlying tree
 (:func:`tree_of`).
 
 A :class:`PreparedTree` is cheap to construct (everything is lazy); it
@@ -356,8 +356,8 @@ class PreparedTree:
         ``builder`` runs once per key; the resulting rank is frozen,
         its inverse permutation is precomputed (so the engine skips the
         per-run ``byrank`` scatter), and every later request returns
-        the same array. Keys identify the *priority spec* -- e.g. the
-        registry name of a heuristic with its default reference order.
+        the same array. Keys identify the *priority spec* -- the
+        registry name of the heuristic.
         """
         rank = self._ranks.get(key)
         if rank is None:

@@ -1,40 +1,31 @@
 """Parallel scheduling heuristics (Section 5 of the paper).
 
-All list-style heuristics here are thin configurations of the unified
-event engine in :mod:`repro.core.engine`; the canonical catalogue of
-every algorithm (with metadata) is :mod:`repro.registry`.
+Every algorithm here is run through the central registry,
+``registry.run(name, tree, p)`` (:mod:`repro.registry`). The list
+heuristics (ParInnerFirst, ParDeepestFirst, their ablation variants and
+the memory-capped extension) are priority ranks for the unified event
+engine in :mod:`repro.core.engine`; this package holds their rank
+builders and the subtree-splitting family.
 """
 
-from .list_scheduling import list_schedule, postorder_ranks
 from .split_subtrees import SplitResult, split_subtrees
 from .par_subtrees import par_subtrees, par_subtrees_optim
-from .par_inner_first import par_inner_first, par_inner_first_rank
-from .par_deepest_first import par_deepest_first, par_deepest_first_rank
+from .par_inner_first import par_inner_first_rank
+from .par_deepest_first import par_deepest_first_rank
 from .memory_bounded import MemoryCapError, memory_bounded_schedule
 from .memory_aware_subtrees import par_subtrees_memory_aware, predicted_parallel_memory
-from .heuristics import HEURISTICS, HeuristicResult, evaluate, run_all
-from .variants import VARIANTS, par_inner_first_naive_order, par_hop_deepest_first
+from .heuristics import HEURISTICS
 
 __all__ = [
-    "list_schedule",
-    "postorder_ranks",
     "SplitResult",
     "split_subtrees",
     "par_subtrees",
     "par_subtrees_optim",
-    "par_inner_first",
     "par_inner_first_rank",
-    "par_deepest_first",
     "par_deepest_first_rank",
     "MemoryCapError",
     "memory_bounded_schedule",
     "par_subtrees_memory_aware",
     "predicted_parallel_memory",
     "HEURISTICS",
-    "HeuristicResult",
-    "evaluate",
-    "run_all",
-    "VARIANTS",
-    "par_inner_first_naive_order",
-    "par_hop_deepest_first",
 ]

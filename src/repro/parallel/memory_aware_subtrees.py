@@ -109,7 +109,7 @@ def par_subtrees_memory_aware(
         when even the fully sequential fallback exceeds ``cap`` (i.e.
         ``cap`` is below the sequential optimum of ``sequential_order``).
     """
-    if cap <= 0:
+    if not cap > 0:  # also rejects NaN
         raise ValueError("cap must be positive")
     prepared = as_prepared(tree)
     roots = list(prepared.split(p).frontier_roots)

@@ -13,6 +13,7 @@ node of the critical path. Priorities:
 The priority is built as vectorized numpy key columns collapsed into a
 single integer rank per node (:func:`repro.core.engine.lex_rank`), so
 the setup is one numpy sweep and the event loop stays integer-only.
+Run it as ``registry.run("ParDeepestFirst", tree, p)``.
 
 Focusing entirely on the makespan, its memory usage is unbounded
 relative to the sequential optimum (Figure 5, reproduced in the theory
@@ -26,49 +27,25 @@ import numpy as np
 
 from repro.core.engine import lex_rank
 from repro.core.prepared import PreparedTree, as_prepared
-from repro.core.schedule import Schedule
 from repro.core.tree import TaskTree
-from .list_scheduling import list_schedule, postorder_ranks
 
-__all__ = ["par_deepest_first", "par_deepest_first_rank"]
-
-
-def _build_rank(prepared: PreparedTree, order: np.ndarray | None) -> np.ndarray:
-    ranks = postorder_ranks(prepared, order)
-    leaf = prepared.tree.leaf_mask()
-    return lex_rank(-prepared.weighted_depths(), leaf.astype(np.int64), ranks)
+__all__ = ["par_deepest_first_rank"]
 
 
-def par_deepest_first_rank(
-    tree: TaskTree | PreparedTree, order: np.ndarray | None = None
-) -> np.ndarray:
+def par_deepest_first_rank(tree: TaskTree | PreparedTree) -> np.ndarray:
     """Priority rank of every node under the ParDeepestFirst order.
 
     Equivalent to the historical per-node key
-    ``(-wdepth, is_leaf, rank_in_O)``. With the default reference order
-    the rank is built once per prepared tree and cached under the
+    ``(-wdepth, is_leaf, rank_in_O)``, with ``O`` Liu's optimal
+    postorder. Built once per prepared tree and cached under the
     priority spec ``"ParDeepestFirst"``.
     """
     prepared = as_prepared(tree)
-    if order is None:
-        return prepared.rank_for("ParDeepestFirst", lambda: _build_rank(prepared, None))
-    return _build_rank(prepared, order)
 
+    def build() -> np.ndarray:
+        leaf = prepared.tree.leaf_mask()
+        return lex_rank(
+            -prepared.weighted_depths(), leaf.astype(np.int64), prepared.sigma_rank()
+        )
 
-def par_deepest_first(
-    tree: TaskTree | PreparedTree,
-    p: int,
-    order: np.ndarray | None = None,
-) -> Schedule:
-    """Schedule ``tree`` on ``p`` processors with ParDeepestFirst.
-
-    Parameters
-    ----------
-    tree, p:
-        the instance.
-    order:
-        the reference sequential order ``O`` used to break ties among
-        equal-depth leaves (default: Liu's optimal postorder).
-    """
-    prepared = as_prepared(tree)
-    return list_schedule(prepared, p, par_deepest_first_rank(prepared, order))
+    return prepared.rank_for("ParDeepestFirst", build)

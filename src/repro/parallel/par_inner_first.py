@@ -13,6 +13,7 @@ depth; (b) leaves in the order of a reference sequential postorder ``O``
 The priority is built as vectorized numpy key columns collapsed into a
 single integer rank per node (:func:`repro.core.engine.lex_rank`), so
 the setup is one numpy sweep and the event loop stays integer-only.
+Run it as ``registry.run("ParInnerFirst", tree, p)``.
 
 With one processor this reproduces ``O`` exactly (tested); with ``p``
 processors it is a list schedule, hence a :math:`(2-1/p)`-approximation
@@ -26,55 +27,32 @@ import numpy as np
 
 from repro.core.engine import lex_rank
 from repro.core.prepared import PreparedTree, as_prepared
-from repro.core.schedule import Schedule
 from repro.core.tree import TaskTree
-from .list_scheduling import list_schedule, postorder_ranks
 
-__all__ = ["par_inner_first", "par_inner_first_rank"]
+__all__ = ["par_inner_first_rank"]
 
 
-def _build_rank(prepared: PreparedTree, order: np.ndarray | None) -> np.ndarray:
-    ranks = postorder_ranks(prepared, order)
-    t = prepared.tree
-    depth = t.depths()
-    leaf = t.leaf_mask()
+def _build_rank(tree: TaskTree, o_rank: np.ndarray) -> np.ndarray:
+    """The ParInnerFirst rank for the reference order whose rank per
+    node is ``o_rank`` (also the naive-``O`` ablation's builder)."""
+    depth = tree.depths()
+    leaf = tree.leaf_mask()
     return lex_rank(
         leaf.astype(np.int64),  # inner nodes before leaves
-        np.where(leaf, ranks, -depth),  # leaves in O; inner by depth
-        np.where(leaf, np.arange(t.n, dtype=np.int64), ranks),
+        np.where(leaf, o_rank, -depth),  # leaves in O; inner by depth
+        np.where(leaf, np.arange(tree.n, dtype=np.int64), o_rank),
     )
 
 
-def par_inner_first_rank(
-    tree: TaskTree | PreparedTree, order: np.ndarray | None = None
-) -> np.ndarray:
+def par_inner_first_rank(tree: TaskTree | PreparedTree) -> np.ndarray:
     """Priority rank of every node under the ParInnerFirst order.
 
     Equivalent to the historical per-node key: leaves sort as
-    ``(1, rank_in_O, node)``, inner nodes as ``(0, -depth, rank_in_O)``.
-    With the default reference order the rank is built once per
-    prepared tree and cached under the priority spec ``"ParInnerFirst"``.
+    ``(1, rank_in_O, node)``, inner nodes as ``(0, -depth, rank_in_O)``,
+    with ``O`` Liu's optimal postorder. Built once per prepared tree and
+    cached under the priority spec ``"ParInnerFirst"``.
     """
     prepared = as_prepared(tree)
-    if order is None:
-        return prepared.rank_for("ParInnerFirst", lambda: _build_rank(prepared, None))
-    return _build_rank(prepared, order)
-
-
-def par_inner_first(
-    tree: TaskTree | PreparedTree,
-    p: int,
-    order: np.ndarray | None = None,
-) -> Schedule:
-    """Schedule ``tree`` on ``p`` processors with ParInnerFirst.
-
-    Parameters
-    ----------
-    tree, p:
-        the instance.
-    order:
-        the reference sequential order ``O`` (default: Liu's optimal
-        postorder, as in the paper).
-    """
-    prepared = as_prepared(tree)
-    return list_schedule(prepared, p, par_inner_first_rank(prepared, order))
+    return prepared.rank_for(
+        "ParInnerFirst", lambda: _build_rank(prepared.tree, prepared.sigma_rank())
+    )

@@ -4,13 +4,14 @@ Section 5 makes two low-key design remarks that deserve measurement:
 
 * ParInnerFirst's leaf order "needs to be a sequential postorder. It
   makes heuristic sense that this postorder is an *optimal* sequential
-  postorder" -- :func:`par_inner_first_naive_order` drops the optimality
-  and uses the arbitrary (index-order) postorder instead;
+  postorder" -- ``ParInnerFirst/naiveO`` drops the optimality and uses
+  the arbitrary (index-order) postorder instead;
 * ParDeepestFirst's depth is "the *w-weighted* length of the path" --
-  :func:`par_hop_deepest_first` uses plain hop counts instead, degrading
-  the critical-path awareness on heterogeneous trees.
+  ``ParDeepestFirst/hops`` uses plain hop counts instead, degrading the
+  critical-path awareness on heterogeneous trees.
 
-Both variants reuse the same list-scheduling engine, so any performance
+Both variants are registry entries on the same list-scheduling engine
+(``registry.run("ParInnerFirst/naiveO", tree, p)``), so any performance
 difference is attributable to the ablated choice alone.
 """
 
@@ -20,39 +21,26 @@ import numpy as np
 
 from repro.core.engine import lex_rank
 from repro.core.prepared import PreparedTree, as_prepared
-from repro.core.schedule import Schedule
 from repro.core.tree import TaskTree
-from .list_scheduling import list_schedule, postorder_ranks
+from .par_inner_first import _build_rank as _inner_first_rank
 
-__all__ = [
-    "par_inner_first_naive_order",
-    "par_inner_first_naive_rank",
-    "par_hop_deepest_first",
-    "par_hop_deepest_first_rank",
-    "VARIANTS",
-]
+__all__ = ["par_inner_first_naive_rank", "par_hop_deepest_first_rank"]
 
 
 def par_inner_first_naive_rank(tree: TaskTree | PreparedTree) -> np.ndarray:
-    """Priority rank of the naive-postorder ParInnerFirst variant
-    (cached on the prepared tree under the variant's registry key)."""
-    from .par_inner_first import par_inner_first_rank
-
+    """Priority rank of ParInnerFirst with the index-order postorder as
+    ``O`` (cached on the prepared tree under the variant's registry key)."""
     prepared = as_prepared(tree)
+    t = prepared.tree
     return prepared.rank_for(
-        "ParInnerFirst/naiveO",
-        lambda: par_inner_first_rank(prepared, prepared.tree.postorder()),
+        "ParInnerFirst/naiveO", lambda: _inner_first_rank(t, t.postorder_positions())
     )
 
 
-def par_inner_first_naive_order(tree: TaskTree | PreparedTree, p: int) -> Schedule:
-    """ParInnerFirst with a naive (index-order) postorder as ``O``."""
-    prepared = as_prepared(tree)
-    return list_schedule(prepared, p, par_inner_first_naive_rank(prepared))
-
-
-def par_hop_deepest_first(tree: TaskTree | PreparedTree, p: int) -> Schedule:
-    """ParDeepestFirst with hop-count depth instead of w-weighted depth.
+def par_hop_deepest_first_rank(tree: TaskTree | PreparedTree) -> np.ndarray:
+    """Priority rank of ParDeepestFirst with hop-count depth instead of
+    w-weighted depth (cached on the prepared tree under the variant's
+    registry key).
 
     An inner node counts one hop deeper than its edge depth: hop depth
     ignores the work still ahead of a ready node, so without the boost a
@@ -65,25 +53,11 @@ def par_hop_deepest_first(tree: TaskTree | PreparedTree, p: int) -> Schedule:
     ``0 if leaf else 0`` -- a no-op; pinned by a regression test.)
     """
     prepared = as_prepared(tree)
-    return list_schedule(prepared, p, par_hop_deepest_first_rank(prepared))
-
-
-def par_hop_deepest_first_rank(tree: TaskTree | PreparedTree) -> np.ndarray:
-    """Priority rank of the hop-depth ParDeepestFirst variant (cached
-    on the prepared tree under the variant's registry key)."""
-    prepared = as_prepared(tree)
 
     def build() -> np.ndarray:
         t = prepared.tree
         leaf = t.leaf_mask()
         eff_depth = t.depths() + np.where(leaf, 0, 1)
-        return lex_rank(-eff_depth, leaf.astype(np.int64), postorder_ranks(prepared))
+        return lex_rank(-eff_depth, leaf.astype(np.int64), prepared.sigma_rank())
 
     return prepared.rank_for("ParDeepestFirst/hops", build)
-
-
-#: variant name -> (base heuristic name, variant callable)
-VARIANTS = {
-    "ParInnerFirst/naiveO": ("ParInnerFirst", par_inner_first_naive_order),
-    "ParDeepestFirst/hops": ("ParDeepestFirst", par_hop_deepest_first),
-}

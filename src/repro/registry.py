@@ -1,11 +1,10 @@
 """Central algorithm registry: one catalogue of every scheduler.
 
-Historically the algorithm catalogue was scattered: the four paper
-heuristics lived in ``parallel/heuristics.py::HEURISTICS``, the ablation
-variants in ``parallel/variants.py::VARIANTS``, and the sequential
-traversals plus the memory-capped extension were wired into the CLI by
-ad-hoc per-command imports. This module is now the single source of
-truth; the old names remain as thin views over it.
+This module is the single source of truth for the algorithm catalogue
+and the one front end of every scheduler: the CLI, campaigns, the
+service and the benchmarks all run an algorithm as
+``registry.run(name, tree, p)``. The paper's four heuristics
+(``parallel/heuristics.py::HEURISTICS``) are a view over it.
 
 Every entry is an :class:`Algorithm` with metadata (name, kind, tunable
 parameters with defaults, one-line doc) and a uniform ``run(tree, p)``
@@ -64,8 +63,8 @@ class Algorithm:
         ``sweep_spec``) or ``"sequential"`` (``fn(tree, **params)`` ->
         TraversalResult).
     fn:
-        the underlying callable; optional for a parallel algorithm with
-        a ``sweep_spec``, which :meth:`run` uses instead.
+        the underlying callable. A parallel algorithm has exactly one
+        of ``fn`` and ``sweep_spec``.
     params:
         tunable keyword parameters with their defaults; ``run`` accepts
         overrides for exactly these keys.
@@ -93,6 +92,9 @@ class Algorithm:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.fn is None and (self.kind == "sequential" or self.sweep_spec is None):
             raise ValueError(f"{self.name} needs an fn or a sweep_spec")
+        if self.fn is not None and self.sweep_spec is not None:
+            # run() sweeps the spec and would never call fn
+            raise ValueError(f"{self.name} has both an fn and a sweep_spec")
 
     def run(
         self, tree: TaskTree | PreparedTree, p: int = 1, **overrides: Any
@@ -174,6 +176,7 @@ def _populate() -> None:
     _populated = True
     from repro.core.engine import BatchScenario
     from repro.parallel.par_subtrees import par_subtrees, par_subtrees_optim
+    from repro.parallel.memory_bounded import memory_bounded_spec
     from repro.parallel.par_inner_first import par_inner_first_rank
     from repro.parallel.par_deepest_first import par_deepest_first_rank
     from repro.parallel.variants import (
@@ -198,24 +201,6 @@ def _populate() -> None:
 
         return spec
 
-    def _capped_spec(
-        tree: PreparedTree, p: int, cap_factor: float = 2.0, mode: str = "strict"
-    ) -> BatchScenario:
-        """Memory-capped list scheduling at ``cap_factor`` x the
-        sequential optimal-postorder peak (the natural scale-free
-        parameterisation): the shared optimal postorder as sigma, its
-        rank permutation as priority."""
-        import numpy as np
-
-        res = tree.optimal()
-        return BatchScenario(
-            rank=tree.sigma_rank(),
-            p=p,
-            cap=cap_factor * res.peak_memory,
-            order=np.asarray(res.order, dtype=np.int64),
-            mode=mode,
-        )
-
     # The list schedulers all run on the unified engine and are
     # described by their megabatch sweep spec alone: run() sweeps it,
     # and campaign grids collapse to one batched kernel call per tree
@@ -239,7 +224,7 @@ def _populate() -> None:
             kind="parallel",
             params={"cap_factor": 2.0, "mode": "strict"},
             doc="event scheduler under a peak-memory cap (future-work extension)",
-            sweep_spec=_capped_spec,
+            sweep_spec=memory_bounded_spec,
         )
     )
     register(

@@ -128,8 +128,10 @@ def reference_run(name: str, tree, p: int, **params) -> Schedule:
 
 
 def reference_capped(tree, p: int, cap: float, order, mode: str) -> Schedule:
-    """``memory_bounded_schedule(tree, p, cap, order, mode)`` swept on
-    the reference loop."""
+    """Capped list scheduling with activation order ``order`` (its rank
+    as the priority) swept on the reference loop: with the optimal
+    postorder as ``order``, ``memory_bounded_schedule(tree, p, cap,
+    mode)``."""
     order = np.asarray(order, dtype=np.int64)
     rank = np.empty(tree_of(tree).n, dtype=np.int64)
     rank[order] = np.arange(tree_of(tree).n)
@@ -394,11 +396,11 @@ class TestBackendEquivalence:
                     ref = reference_capped(tree, p, cap, res.order, mode)
                 except MemoryCapError as exc:
                     with pytest.raises(MemoryCapError, match="infeasible") as info:
-                        memory_bounded_schedule(tree, p, cap, order=res.order, mode=mode)
+                        memory_bounded_schedule(tree, p, cap, mode=mode)
                     # identical failure point, identical message
                     assert str(info.value) == str(exc)
                     continue
-                got = memory_bounded_schedule(tree, p, cap, order=res.order, mode=mode)
+                got = memory_bounded_schedule(tree, p, cap, mode=mode)
                 assert_same_schedule(got, ref)
 
     def test_sweep_spec_outputs_bit_identical(self, tree):
@@ -604,11 +606,9 @@ class TestPropertyEquivalence:
             ref = reference_capped(tree, p, cap, res.order, "opportunistic")
         except MemoryCapError:
             with pytest.raises(MemoryCapError):
-                memory_bounded_schedule(
-                    tree, p, cap, order=res.order, mode="opportunistic"
-                )
+                memory_bounded_schedule(tree, p, cap, mode="opportunistic")
             return
-        got = memory_bounded_schedule(tree, p, cap, order=res.order, mode="opportunistic")
+        got = memory_bounded_schedule(tree, p, cap, mode="opportunistic")
         assert_same_schedule(got, ref)
 
 

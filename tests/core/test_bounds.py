@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings
 
+from repro import registry
 from repro.core.bounds import makespan_lower_bound, memory_lower_bound
-from repro.parallel.heuristics import run_all
+from repro.core.simulator import simulate
+from repro.parallel.heuristics import HEURISTICS
 from tests.conftest import task_trees
 
 
@@ -39,6 +41,7 @@ class TestBoundsHold:
         mem_lb = memory_lower_bound(tree, "exact")
         for p in (1, 3):
             mk_lb = makespan_lower_bound(tree, p)
-            for name, r in run_all(tree, p, validate=True).items():
+            for name in HEURISTICS:
+                r = simulate(registry.run(name, tree, p), validate=True)
                 assert r.makespan >= mk_lb - 1e-9, name
                 assert r.peak_memory >= mem_lb - 1e-9, name

@@ -69,6 +69,21 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="permutation"):
             SchedulerEngine(star5, 2, np.asarray([-1, 1, 2, 3, 4]))
 
+    def test_nan_cap_rejected(self, star5):
+        """A NaN cap would never bind (every comparison with it is
+        False), so the engine rejects it, and with it every capped
+        front end."""
+        from repro import registry
+        from repro.parallel.memory_bounded import memory_bounded_schedule
+
+        nan = float("nan")
+        with pytest.raises(ValueError, match="NaN"):
+            SchedulerEngine(star5, 2, np.arange(5), cap=nan)
+        with pytest.raises(ValueError, match="NaN"):
+            memory_bounded_schedule(star5, 2, nan)
+        with pytest.raises(ValueError, match="NaN"):
+            registry.run("MemoryBounded", star5, 2, cap_factor=nan)
+
     def test_bad_order_length(self, star5):
         with pytest.raises(ValueError, match="every task"):
             SchedulerEngine(star5, 2, np.arange(5), cap=10.0, order=np.arange(3))

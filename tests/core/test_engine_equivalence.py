@@ -23,7 +23,6 @@ from repro.core.schedule import Schedule
 from repro.core.simulator import simulate
 from repro.core.tree import NO_PARENT
 from repro.parallel.memory_bounded import MemoryCapError, memory_bounded_schedule
-from repro.parallel.list_scheduling import postorder_ranks
 from repro.sequential.postorder import optimal_postorder
 from repro.workloads.synthetic import random_weighted_tree
 
@@ -164,8 +163,17 @@ def seed_memory_bounded_schedule(tree, p, cap, order=None, mode="strict"):
 # ----------------------------------------------------------------------
 # seed priority closures (verbatim from the pre-refactor heuristics)
 # ----------------------------------------------------------------------
+def seed_postorder_ranks(tree, order=None):
+    """Rank of every node in ``order`` (default: the optimal postorder)."""
+    if order is None:
+        order = optimal_postorder(tree).order
+    ranks = np.empty(tree.n, dtype=np.int64)
+    ranks[np.asarray(order, dtype=np.int64)] = np.arange(tree.n)
+    return ranks
+
+
 def seed_par_inner_first(tree, p, order=None):
-    ranks = postorder_ranks(tree, order)
+    ranks = seed_postorder_ranks(tree, order)
     depth = tree.depths()
 
     def priority(i):
@@ -177,7 +185,7 @@ def seed_par_inner_first(tree, p, order=None):
 
 
 def seed_par_deepest_first(tree, p, order=None):
-    ranks = postorder_ranks(tree, order)
+    ranks = seed_postorder_ranks(tree, order)
     wdepth = tree.weighted_depths()
 
     def priority(i):
@@ -194,7 +202,7 @@ def seed_par_hop_deepest_first(tree, p):
     """Hop-depth variant *with the intended leaf tie-break* (the seed's
     ``- (0 if leaf else 0)`` term was a no-op; the closure below encodes
     the fixed semantics the vectorized variant must reproduce)."""
-    ranks = postorder_ranks(tree)
+    ranks = seed_postorder_ranks(tree)
     depth = tree.depths()
 
     def priority(i):

@@ -16,7 +16,6 @@ import pytest
 from repro import registry
 from repro.core import PreparedTree, SchedulerEngine, as_prepared, tree_of
 from repro.core.tree import TaskTree
-from repro.parallel.list_scheduling import list_schedule, postorder_ranks
 from repro.parallel.memory_bounded import memory_bounded_schedule
 from repro.parallel.par_deepest_first import par_deepest_first_rank
 from repro.parallel.par_inner_first import par_inner_first_rank
@@ -144,16 +143,6 @@ class TestRankCache:
             assert key in prepared._ranks
             assert np.array_equal(got, fn(tree))
 
-    def test_explicit_order_bypasses_cache(self, tree, prepared):
-        naive = par_deepest_first_rank(prepared, tree.postorder())
-        cached = par_deepest_first_rank(prepared)
-        assert naive is not cached
-        assert np.array_equal(naive, par_deepest_first_rank(tree, tree.postorder()))
-
-    def test_postorder_ranks_prepared_is_sigma(self, tree, prepared):
-        assert postorder_ranks(prepared) is prepared.sigma_rank()
-        assert np.array_equal(postorder_ranks(prepared), postorder_ranks(tree))
-
 
 class TestEngineIntegration:
     def test_engine_accepts_prepared(self, tree, prepared):
@@ -171,10 +160,10 @@ class TestEngineIntegration:
         second = SchedulerEngine(prepared, 4, rank).run()
         assert same_schedule(first, second)
 
-    def test_list_schedule(self, tree, prepared):
+    def test_registry_run_matches_engine_on_bare_tree(self, tree, prepared):
         rank = par_inner_first_rank(tree)
-        ref = list_schedule(tree, 3, rank)
-        got = list_schedule(prepared, 3, par_inner_first_rank(prepared))
+        ref = SchedulerEngine(tree, 3, rank).run()
+        got = registry.run("ParInnerFirst", prepared, 3)
         assert same_schedule(got, ref)
 
     def test_memory_bounded_prepared(self, tree, prepared):
@@ -194,14 +183,6 @@ class TestEngineIntegration:
                         # then both paths must fail identically
                         outcomes.append(("err", str(exc)))
                 assert outcomes[0] == outcomes[1], (mode, factor)
-
-    def test_memory_bounded_explicit_foreign_order(self, tree, prepared):
-        order = tree.postorder()
-        ref = memory_bounded_schedule(tree, 2, 1e18, order=order)
-        got = memory_bounded_schedule(prepared, 2, 1e18, order=order)
-        assert same_schedule(got, ref)
-        # a custom order must not force the optimal-postorder computation
-        assert prepared._optimal is None
 
     def test_invalid_rank_still_rejected(self, prepared):
         bad = np.zeros(prepared.n, dtype=np.int64)

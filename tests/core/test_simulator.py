@@ -19,7 +19,6 @@ from repro.core.simulator import (
     simulate,
 )
 from repro.core.tree import NO_PARENT, TaskTree
-from repro.parallel import par_deepest_first
 from repro.sequential.traversal import traversal_peak_memory
 from repro.testing import faults
 from tests.conftest import parent_vectors, pebble_trees, random_tree, task_trees
@@ -190,7 +189,7 @@ class TestAgainstFileOracle:
     def test_zero_duration_tasks(self, tree):
         """Tasks that start and end at the same instant hold no execution
         file; their outputs appear at that instant."""
-        assert_profile_matches_oracle(par_deepest_first(tree, 3))
+        assert_profile_matches_oracle(registry.run("ParDeepestFirst", tree, 3))
 
     @given(task_trees(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -213,7 +212,7 @@ class TestAgainstFileOracle:
     @given(task_trees())
     @settings(max_examples=40, deadline=None)
     def test_memory_at_reads_the_profile(self, tree):
-        sim = simulate(par_deepest_first(tree, 2))
+        sim = simulate(registry.run("ParDeepestFirst", tree, 2))
         for k, t in enumerate(sim.times):
             assert memory_at(sim.times, sim.memory, t) == sim.memory[k]
             if k:
@@ -273,7 +272,7 @@ class TestCompiledProfile:
     def test_byte_identical_on_unit_schedules(self, tree, p):
         """Unit weights on many processors: every instant is a storm of
         simultaneous frees and allocations."""
-        schedule = par_deepest_first(tree, p)
+        schedule = registry.run("ParDeepestFirst", tree, p)
         assert same_profile(memory_profile(schedule), _memory_profile_reference(schedule))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

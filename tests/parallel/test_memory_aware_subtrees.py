@@ -33,6 +33,16 @@ class TestCapRespected:
         with pytest.raises(ValueError):
             par_subtrees_memory_aware(star5, 2, cap=0.0)
 
+    def test_nan_cap(self, star5):
+        """NaN compares False with everything: rejected like a cap <= 0
+        instead of a cap that never binds."""
+        from repro import registry
+
+        with pytest.raises(ValueError, match="positive"):
+            par_subtrees_memory_aware(star5, 2, cap=float("nan"))
+        with pytest.raises(ValueError, match="positive"):
+            registry.run("MemoryAwareSubtrees", star5, 2, cap_factor=float("nan"))
+
 
 class TestAdaptiveConcurrency:
     def test_tight_cap_degenerates_to_sequential(self):

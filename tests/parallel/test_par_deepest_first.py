@@ -2,10 +2,10 @@
 
 from hypothesis import given, settings
 
+from repro import registry
 from repro.core.simulator import simulate
 from repro.core.tree import TaskTree
 from repro.core.validation import validate_schedule
-from repro.parallel.par_deepest_first import par_deepest_first
 from repro.pebble.counterexamples import deepest_first_memory_tree
 from repro.sequential.postorder import optimal_postorder
 from tests.conftest import task_trees
@@ -16,7 +16,7 @@ class TestPriorities:
         """The start of the weighted critical path runs first."""
         #  0 <- 1 <- 2 (deep chain), 0 <- 3 (shallow leaf)
         t = TaskTree.from_parents([-1, 0, 1, 0], w=[1, 1, 5, 1])
-        sch = par_deepest_first(t, 1)
+        sch = registry.run("ParDeepestFirst", t, 1)
         assert sch.start[2] == 0.0  # w-depth 7: deepest
         assert sch.start[3] > 0.0
 
@@ -24,7 +24,7 @@ class TestPriorities:
         """A heavy shallow leaf beats a light deep leaf."""
         # leaf 3 at depth 1 with w=10 (w-depth 11); chain 1<-2 w-depth 3.
         t = TaskTree.from_parents([-1, 0, 1, 0], w=[1, 1, 1, 10])
-        sch = par_deepest_first(t, 1)
+        sch = registry.run("ParDeepestFirst", t, 1)
         assert sch.start[3] == 0.0
 
 
@@ -34,7 +34,7 @@ class TestMakespanGuarantee:
     def test_graham_bound(self, tree):
         W, CP = tree.total_work(), tree.critical_path()
         for p in (2, 4, 8):
-            sch = par_deepest_first(tree, p)
+            sch = registry.run("ParDeepestFirst", tree, p)
             validate_schedule(sch)
             assert sch.makespan <= W / p + (1 - 1 / p) * CP + 1e-9
 
@@ -51,7 +51,7 @@ class TestMakespanGuarantee:
                     nxt.append(len(parents) - 1)
             frontier = nxt
         t = TaskTree.from_parents(parents)
-        sch = par_deepest_first(t, 16)
+        sch = registry.run("ParDeepestFirst", t, 16)
         assert sch.makespan == t.critical_path()
 
 
@@ -61,5 +61,5 @@ class TestMemoryBlowUp:
         for chains in (4, 8, 16):
             t = deepest_first_memory_tree(chains, 6)
             assert optimal_postorder(t).peak_memory == 3.0
-            sim = simulate(par_deepest_first(t, chains))
+            sim = simulate(registry.run("ParDeepestFirst", t, chains))
             assert sim.peak_memory >= chains  # unbounded vs Mseq = 3

@@ -2,9 +2,9 @@
 
 from hypothesis import given, settings
 
+from repro import registry
 from repro.core.simulator import simulate
 from repro.core.validation import validate_schedule
-from repro.parallel.par_inner_first import par_inner_first
 from repro.pebble.counterexamples import inner_first_memory_tree
 from repro.sequential.postorder import optimal_postorder
 from tests.conftest import task_trees
@@ -17,7 +17,7 @@ class TestSequentialEquivalence:
         """With one processor the parallel postorder rules reduce to the
         reference sequential postorder, so the memory matches."""
         po = optimal_postorder(tree)
-        sim = simulate(par_inner_first(tree, 1))
+        sim = simulate(registry.run("ParInnerFirst", tree, 1))
         assert abs(sim.peak_memory - po.peak_memory) < 1e-9
         assert sim.makespan == tree.total_work()
 
@@ -28,7 +28,7 @@ class TestMakespanGuarantee:
     def test_graham_bound(self, tree):
         W, CP = tree.total_work(), tree.critical_path()
         for p in (2, 4, 8):
-            sch = par_inner_first(tree, p)
+            sch = registry.run("ParInnerFirst", tree, p)
             validate_schedule(sch)
             assert sch.makespan <= W / p + (1 - 1 / p) * CP + 1e-9
 
@@ -42,14 +42,14 @@ class TestMemoryBlowUp:
             t = inner_first_memory_tree(p, k)
             mseq = optimal_postorder(t).peak_memory
             assert mseq == p + 1
-            sim = simulate(par_inner_first(t, p))
+            sim = simulate(registry.run("ParInnerFirst", t, p))
             assert sim.peak_memory >= (k - 1) * (p - 1) + 1 - 1e-9
             ratios.append(sim.peak_memory / mseq)
         assert ratios[0] < ratios[1] < ratios[2]  # unbounded growth
 
     def test_inner_nodes_prioritized(self, star5):
         """Once the root is ready it runs before any pending leaf would."""
-        sch = par_inner_first(star5, 2)
+        sch = registry.run("ParInnerFirst", star5, 2)
         validate_schedule(sch)
         # star: leaves 2 by 2, then root
         assert sch.makespan == 3.0

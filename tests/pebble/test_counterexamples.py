@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import registry
 from repro.core.simulator import simulate
-from repro.parallel import par_deepest_first, par_inner_first, par_subtrees
+from repro.parallel import par_subtrees
 from repro.pebble.counterexamples import (
     deepest_first_memory_tree,
     fork_tree,
@@ -76,7 +77,7 @@ class TestFigure4:
     @pytest.mark.parametrize("p,k", [(2, 6), (4, 6)])
     def test_inner_first_blow_up(self, p, k):
         t = inner_first_memory_tree(p, k)
-        sim = simulate(par_inner_first(t, p))
+        sim = simulate(registry.run("ParInnerFirst", t, p))
         assert sim.peak_memory >= (k - 1) * (p - 1) + 1
 
     def test_rejects_degenerate(self):
@@ -101,7 +102,7 @@ class TestFigure5:
     def test_deepest_first_blow_up(self):
         for chains in (4, 8, 16):
             t = deepest_first_memory_tree(chains, 5)
-            sim = simulate(par_deepest_first(t, chains))
+            sim = simulate(registry.run("ParDeepestFirst", t, chains))
             assert sim.peak_memory >= chains
 
     def test_rejects_degenerate(self):

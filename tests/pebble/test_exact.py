@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, settings
 
+from repro import registry
 from repro.core.simulator import simulate
 from repro.core.tree import TaskTree
 from repro.core.validation import validate_schedule
-from repro.parallel import run_all
+from repro.parallel import HEURISTICS
 from tests.pebble.exact import (
     EXACT_MAX_NODES,
     decide_bi_objective,
@@ -66,7 +67,8 @@ class TestParetoFront:
             front = exact_pareto_front(tree, p)
             best_mk = min(mk for mk, _, _ in front)
             best_mem = min(mem for _, mem, _ in front)
-            for r in run_all(tree, p, validate=True).values():
+            for name in HEURISTICS:
+                r = simulate(registry.run(name, tree, p), validate=True)
                 assert r.makespan >= best_mk - 1e-9
                 assert r.peak_memory >= best_mem - 1e-9
                 # not strictly better than every front point in both axes

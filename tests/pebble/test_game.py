@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings
 
+from repro import registry
 from repro.core.simulator import simulate
 from repro.core.tree import TaskTree
-from repro.parallel import par_deepest_first, par_inner_first
 from tests.pebble.game import PebbleGame, PebbleGameError, pebbling_from_schedule
 from tests.conftest import pebble_trees
 
@@ -64,8 +64,8 @@ class TestBridgeToScheduling:
     def test_game_peak_equals_simulator_peak(self, tree):
         """The two formalisms agree: pebbles in play == resident files."""
         for p in (1, 2, 4):
-            for heuristic in (par_inner_first, par_deepest_first):
-                schedule = heuristic(tree, p)
+            for name in ("ParInnerFirst", "ParDeepestFirst"):
+                schedule = registry.run(name, tree, p)
                 game = pebbling_from_schedule(schedule)
                 sim = simulate(schedule)
                 assert game.max_pebbles() == sim.peak_memory

@@ -78,11 +78,11 @@ class TestMemoryEquivalence:
         assert abs(out_tree_peak_memory(ot, rev) - peak_memory(sch)) < 1e-9
 
     def test_parallel_schedule_equivalence(self, paper_example):
-        from repro.parallel import par_deepest_first
+        from repro import registry
 
         ot = random_out_tree(paper_example)
         it = out_tree_to_in_tree(ot)
-        sch = par_deepest_first(it, 3)
+        sch = registry.run("ParDeepestFirst", it, 3)
         rev = reverse_schedule(sch)
         assert abs(out_tree_peak_memory(ot, rev) - peak_memory(sch)) < 1e-9
 

@@ -9,6 +9,7 @@ instances.
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 
+from repro import registry
 from repro.core.bounds import makespan_lower_bound, memory_lower_bound
 from repro.core.schedule import Schedule
 from repro.core.simulator import peak_memory, simulate
@@ -16,8 +17,6 @@ from repro.core.validation import validate_schedule
 from repro.parallel import (
     HEURISTICS,
     memory_bounded_schedule,
-    par_inner_first,
-    par_subtrees,
 )
 from repro.sequential import (
     liu_optimal_traversal,
@@ -41,7 +40,7 @@ class TestSequentialHierarchy:
         memory at p=1 (which realises the same postorder)."""
         exact = liu_optimal_traversal(tree).peak_memory
         postorder = optimal_postorder(tree).peak_memory
-        inner = simulate(par_inner_first(tree, 1)).peak_memory
+        inner = simulate(registry.run("ParInnerFirst", tree, 1)).peak_memory
         assert exact <= postorder + 1e-9
         assert abs(postorder - inner) < 1e-9
 
@@ -89,8 +88,8 @@ class TestBiObjectiveStructure:
         assert memory_lower_bound(tree, "exact") <= memory_lower_bound(tree) + 1e-9
         lb1 = makespan_lower_bound(tree, 1)
         assert abs(lb1 - tree.total_work()) < 1e-9
-        for fn in (par_subtrees, par_inner_first):
-            assert abs(simulate(fn(tree, 1)).makespan - lb1) < 1e-9
+        for name in ("ParSubtrees", "ParInnerFirst"):
+            assert abs(simulate(registry.run(name, tree, 1)).makespan - lb1) < 1e-9
 
     @given(task_trees(min_nodes=2, max_nodes=25))
     @settings(**_SETTINGS)

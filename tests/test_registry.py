@@ -7,7 +7,6 @@ from repro import registry
 from repro.cli import main
 from repro.core.validation import validate_schedule
 from repro.parallel.heuristics import HEURISTICS
-from repro.parallel.variants import VARIANTS
 from repro.workloads.synthetic import random_weighted_tree
 
 
@@ -21,7 +20,7 @@ class TestCatalogue:
         assert registry.names("parallel")[:4] == list(HEURISTICS)
 
     def test_variants_registered(self):
-        for name in VARIANTS:
+        for name in ("ParInnerFirst/naiveO", "ParDeepestFirst/hops"):
             assert registry.get(name).kind == "parallel"
 
     def test_sequential_traversals_registered(self):
@@ -54,6 +53,13 @@ class TestCatalogue:
         # only a parallel algorithm may be described by its sweep spec alone
         with pytest.raises(ValueError, match="needs an fn or a sweep_spec"):
             registry.Algorithm(name="x", kind=kind, sweep_spec=spec)
+
+    def test_fn_and_sweep_spec_rejected(self):
+        # run() sweeps the spec, so an fn beside it would never be called
+        with pytest.raises(ValueError, match="both an fn and a sweep_spec"):
+            registry.Algorithm(
+                name="x", kind="parallel", fn=lambda t, p: None, sweep_spec=lambda t, p: None
+            )
 
     def test_metadata_present(self):
         for algo in registry.algorithms():

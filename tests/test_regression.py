@@ -10,11 +10,21 @@ values *after* confirming the new behaviour is correct.
 """
 
 
+from repro import registry
+from repro.core.simulator import simulate
 from repro.core.tree import TaskTree
 from repro.matrices import amalgamate, apply_ordering, grid2d, minimum_degree, symbolic_cholesky
-from repro.parallel import run_all
+from repro.parallel import HEURISTICS
 from repro.sequential import liu_optimal_traversal, optimal_postorder
 from repro.workloads import build_dataset
+
+
+def heuristic_results(tree, p, validate=False):
+    """The simulated result of each of the paper's four heuristics."""
+    return {
+        name: simulate(registry.run(name, tree, p), validate=validate)
+        for name in HEURISTICS
+    }
 
 
 class TestSequentialGolden:
@@ -42,7 +52,7 @@ class TestHeuristicGolden:
         tree = deepest_first_memory_tree(8, 4)
         results = {
             name: (r.makespan, r.peak_memory)
-            for name, r in run_all(tree, 4, validate=True).items()
+            for name, r in heuristic_results(tree, 4, validate=True).items()
         }
         assert results["ParDeepestFirst"] == (19.0, 12.0)
         assert results["ParSubtrees"] == (38.0, 9.0)
@@ -59,7 +69,7 @@ class TestHeuristicGolden:
             f=[0, 3, 2, 4, 1, 5, 2, 2, 1, 3],
             sizes=[1, 0, 2, 0, 1, 0, 3, 1, 0, 2],
         )
-        results = run_all(tree, 2, validate=True)
+        results = heuristic_results(tree, 2, validate=True)
         pinned = {
             "ParSubtrees": (13.0, 19.0),
             "ParSubtreesOptim": (13.0, 19.0),
@@ -83,11 +93,11 @@ class TestDatasetGolden:
         a = [
             (r.makespan, r.peak_memory)
             for inst in instances
-            for r in run_all(inst.tree, 4).values()
+            for r in heuristic_results(inst.tree, 4).values()
         ]
         b = [
             (r.makespan, r.peak_memory)
             for inst in instances
-            for r in run_all(inst.tree, 4).values()
+            for r in heuristic_results(inst.tree, 4).values()
         ]
         assert a == b
