@@ -212,8 +212,8 @@ def run_backend_bench(sizes, p: int, repeats: int, seed: int) -> list[dict]:
 # ----------------------------------------------------------------------
 
 #: the (8-algorithm) axis of the grid: every engine-based list scheduler
-#: plus a strict memory-cap sweep (strict mode is feasible at any factor
-#: >= 1, so the grid never raises)
+#: plus a memory-cap sweep (feasible at any factor >= 1, so the grid
+#: never raises)
 GRID_ALGOS: list[tuple[str, dict]] = [
     ("ParInnerFirst", {}),
     ("ParDeepestFirst", {}),

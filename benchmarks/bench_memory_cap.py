@@ -44,7 +44,7 @@ def test_memory_cap_tradeoff(benchmark, dataset, artifact_dir):
         cells = " ".join(f"{s / free:6.3f}" for s in spans)
         lines.append(f"{name:<28s} {cells}    1.000")
     save_artifact(artifact_dir, "memory_cap_tradeoff.txt", "\n".join(lines))
-    # Loosening the cap never slows the strict-mode scheduler, and even
+    # Loosening the cap never slows the memory-capped scheduler, and even
     # its tightest setting cannot exceed fully sequential processing.
     for name, _, spans, free in rows:
         assert spans[-1] <= spans[0] + 1e-6, name

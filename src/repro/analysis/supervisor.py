@@ -528,8 +528,9 @@ class SupervisorPool:
         ``timeout`` also covers the unit's batched sweep, which the
         first scenario of a unit carries. Once the pool's ``abort`` is
         set, the run raises :class:`CampaignAborted` at the next loop
-        turn (in-flight workers finish their unit in the background and
-        the epoch filter discards the stale results). Returns the
+        turn or before it emits the next tree group (in-flight workers
+        finish their unit in the background and the epoch filter
+        discards the stale results). Returns the
         :class:`RunReport`, also kept as ``self.report``. Raises
         ``RuntimeError`` if no worker can find a usable backend or the
         respawn budget is exhausted.
@@ -606,6 +607,10 @@ class SupervisorPool:
             pending.extend(([s], False) for s in seqs)
             pending.sort(key=lambda unit: unit[0][0])
 
+        def check_abort() -> None:
+            if abort is not None and abort.is_set():
+                raise CampaignAborted(f"run aborted after {cursor}/{n} scenario(s)")
+
         pool = self._pool
         try:
             # Re-enlist the survivors of previous runs and top the pool
@@ -630,10 +635,7 @@ class SupervisorPool:
             report.workers = len(pool)
 
             while cursor < n:
-                if abort is not None and abort.is_set():
-                    raise CampaignAborted(
-                        f"run aborted after {cursor}/{n} scenario(s)"
-                    )
+                check_abort()
                 now = time.monotonic()
 
                 # 1. hand each ready worker a runnable unit, and a second
@@ -763,11 +765,13 @@ class SupervisorPool:
                         report.respawns += 1
 
                 # 5. advance the write cursor: emit the settled prefix in
-                #    order, one call per tree group it spans
+                #    order, one call per tree group it spans (an abort set
+                #    by an earlier call stops the run before the next group)
                 while cursor < n and outcome[cursor] is not None:
                     gi, end = tasks[cursor][0], cursor + 1
                     while end < n and outcome[end] is not None and tasks[end][0] == gi:
                         end += 1
+                    check_abort()
                     emit(gi, outcome[cursor:end])
                     cursor = end
         finally:

@@ -65,13 +65,11 @@ Stacked per-scenario parameters (``S`` scenarios):
     (``byrank[rank[i]] == i``); scenario ``s`` reads row ``rank_id[s]``.
 ``ps``
     processor counts.
-``modes`` / ``cap_eps``
-    0 = no memory cap; 1 = strict activation order; 2 = opportunistic.
-    ``cap_eps`` is the cap plus the engine's feasibility epsilon.
-``sigmas`` / ``sigma_id``
-    ``(K, n)`` stack of activation orders; scenario ``s`` reads row
-    ``sigma_id[s]``, or none when uncapped (``sigma_id[s] < 0``;
-    ``sigmas`` always holds at least one row).
+``capped`` / ``cap_eps``
+    1 = memory-capped, 0 = not; ``cap_eps`` is the cap plus the
+    engine's feasibility epsilon. A capped scenario starts its tasks
+    exactly in rank order (the activation order is ``byrank``), each
+    once it is ready and its allocation fits under ``cap_eps``.
 
 Stacked outputs, row ``s`` belonging to scenario ``s``
 (:func:`repro.core.engine.batch_arrays` allocates them) -- the schedule
@@ -81,9 +79,9 @@ itself, 16 bytes per (scenario, task), and nothing of how it was built:
     start time and processor of every task (both must be initialised
     to -1).
 ``status`` (``int64[2]`` per scenario)
-    ``status[0]``: 0 = ok, 1 = memory cap infeasible, 2 = strict-mode
-    rank/activation mismatch, 3 = deadlock (defensive), 4 = scratch
-    allocation failure; ``status[1]``: the offending node for codes 1-2.
+    ``status[0]``: 0 = ok, 1 = memory cap infeasible, 3 = deadlock
+    (defensive), 4 = scratch allocation failure; ``status[1]``: the
+    offending node for code 1.
 ``resident`` (``float64`` per scenario)
     resident memory when the sweep stopped (codes 0-1); the
     infeasible-cap message reports it.
@@ -256,10 +254,8 @@ of the sweep mimics ``heapq``'s internals. Ready entries are bare ranks
 the ranks ``0..n-1`` (one bit per rank, then one bit per non-empty
 word, up to a single word; ``n/64 + n/4096 + ...`` words), and its
 lowest set bit, found with ``ctz`` from the top word down, is the rank
-``heapq`` would pop. The opportunistic cap (mode 2) scans upwards from
-there for the lowest ready rank that fits, leaving the skipped ranks
-set. Running entries carry the node id as tie-break, so an array-based
-binary heap of them reproduces ``heapq`` exactly.
+``heapq`` would pop. Running entries carry the node id as tie-break,
+so an array-based binary heap of them reproduces ``heapq`` exactly.
 
 Build cache
 -----------
@@ -415,7 +411,6 @@ static void pop_run(double *keys, int64_t *nodes, int64_t size,
 
 typedef struct {
     uint64_t *word[RSET_LEVELS]; /* word[l]: the words of level l */
-    int64_t nwords[RSET_LEVELS];
     int top; /* the level of one word */
 } rset_t;
 
@@ -438,7 +433,6 @@ static void rset_init(rset_t *set, uint64_t *words, int64_t n)
     do {
         m = (m + 63) >> 6;
         set->word[l] = words;
-        set->nwords[l] = m;
         words += m;
         l++;
     } while (m > 1);
@@ -473,30 +467,6 @@ static void rset_delete(rset_t *set, int64_t r)
     }
 }
 
-/* the lowest set rank >= r, or -1 when there is none */
-static int64_t rset_next(const rset_t *set, int64_t r)
-{
-    int l = 0;
-    uint64_t bits;
-    for (;;) {
-        if ((r >> 6) >= set->nwords[l])
-            return -1;
-        bits = set->word[l][r >> 6] & (~0ULL << (r & 63));
-        if (bits)
-            break;
-        if (l == set->top)
-            return -1;
-        r = (r >> 6) + 1;
-        l++;
-    }
-    r = (r & ~(int64_t)63) | __builtin_ctzll(bits);
-    while (l > 0) {
-        l--;
-        r = (r << 6) | __builtin_ctzll(set->word[l][r]);
-    }
-    return r;
-}
-
 /* remove and return the lowest set rank (the set must not be empty) */
 static int64_t rset_pop(rset_t *set)
 {
@@ -515,9 +485,8 @@ static int64_t event_sweep(int64_t n, int64_t p,
                     const int64_t *parent, int64_t *pending,
                     const double *w,
                     const int64_t *rank, const int64_t *byrank,
-                    int64_t mode, double cap_eps,
+                    int64_t capped, double cap_eps,
                     const double *alloc, const double *free_on_end,
-                    const int64_t *sigma,
                     double *start, int64_t *proc,
                     int64_t *status, double *resident,
                     uint64_t *ready_words, double *run_key,
@@ -548,28 +517,16 @@ static int64_t event_sweep(int64_t n, int64_t p,
         while (free_count > 0 && ready_size > 0) {
             int64_t node;
             double t_end;
-            if (mode == 0) {
-                node = byrank[rset_pop(&ready)];
-            } else if (mode == 1) {
-                int64_t r;
-                node = sigma[next_sigma];
+            if (capped) {
+                /* the next task of the activation order (the rank order)
+                 * is the smallest ready rank once it is ready */
+                node = byrank[next_sigma];
                 if (pending[node] > 0 || mem + alloc[node] > cap_eps)
                     break;
-                r = rset_pop(&ready);
-                if (r != rank[node]) {
-                    status[0] = 2;
-                    status[1] = node;
-                    return status[0];
-                }
+                rset_pop(&ready);
+                next_sigma++;
             } else {
-                /* the lowest ready rank that fits: skipped ranks stay set */
-                int64_t r = rset_next(&ready, 0);
-                while (r >= 0 && mem + alloc[byrank[r]] > cap_eps)
-                    r = rset_next(&ready, r + 1);
-                if (r < 0)
-                    break;
-                rset_delete(&ready, r);
-                node = byrank[r];
+                node = byrank[rset_pop(&ready)];
             }
             ready_size--;
             q = free_stack[--free_count];
@@ -579,17 +536,13 @@ static int64_t event_sweep(int64_t n, int64_t p,
             push_run(run_key, run_node, run_size++, t_end, node);
             mem += alloc[node];
             started++;
-            if (mode != 0) {
-                while (next_sigma < n && start[sigma[next_sigma]] >= 0.0)
-                    next_sigma++;
-            }
         }
         if (run_size == 0) {
             if (started >= n)
                 break;
-            if (mode != 0) {
+            if (capped) {
                 status[0] = 1;
-                status[1] = sigma[next_sigma];
+                status[1] = byrank[next_sigma];
                 *resident = mem;
                 return status[0];
             }
@@ -636,20 +589,18 @@ static int64_t event_sweep(int64_t n, int64_t p,
 /* The batched kernel spec (see the module docstring): one
  * call sweeps every scenario of a grid against the same tree, in
  * scenario order, over one scratch arena. Scenario s reads rank row
- * rank_id[s] of the (R x n) ranks/byranks stacks and (when capped,
- * sigma_id[s] >= 0) sigma row sigma_id[s] of the (K x n) sigmas stack,
- * and writes row s of the (S x n) start/proc stacks plus its status pair
- * and resident memory. Returns 1 when the scratch arena could not be
+ * rank_id[s] of the (R x n) ranks/byranks stacks and writes row s of
+ * the (S x n) start/proc stacks plus its status pair and resident
+ * memory. Returns 1 when the scratch arena could not be
  * allocated (every status row then says 4). */
 int64_t batch_event_sweep(int64_t n, int64_t nscen, int64_t max_p,
                     const int64_t *parent, const int64_t *pending0,
                     const double *w,
                     const int64_t *ranks, const int64_t *byranks,
                     const int64_t *rank_id,
-                    const int64_t *ps, const int64_t *modes,
+                    const int64_t *ps, const int64_t *capped,
                     const double *cap_eps,
                     const double *alloc, const double *free_on_end,
-                    const int64_t *sigmas, const int64_t *sigma_id,
                     double *start, int64_t *proc,
                     int64_t *status, double *resident)
 {
@@ -670,8 +621,7 @@ int64_t batch_event_sweep(int64_t n, int64_t nscen, int64_t max_p,
         event_sweep(n, ps[s], parent, pending, w,
                     ranks + rank_id[s] * n,
                     byranks + rank_id[s] * n,
-                    modes[s], cap_eps[s], alloc, free_on_end,
-                    sigma_id[s] >= 0 ? sigmas + sigma_id[s] * n : sigmas,
+                    capped[s], cap_eps[s], alloc, free_on_end,
                     start + s * n, proc + s * n,
                     status + 2 * s, resident + s,
                     ready, run_key, run_node, free_stack);
@@ -1292,7 +1242,7 @@ _I, _P = ctypes.c_int64, ctypes.c_void_p
 #: every export with its argument types: ``int64`` scalars and raw
 #: addresses (see the specs in the module docstring)
 _EXPORTS = {
-    "batch_event_sweep": [_I] * 3 + [_P] * 17,
+    "batch_event_sweep": [_I] * 3 + [_P] * 15,
     "memory_profile": [_I] + [_P] * 6,
     "phase1_peaks": [_I] * 3 + [_P] * 6,
     "postorder_peaks": [_I] + [_P] * 9,
@@ -1527,12 +1477,10 @@ def batch_kernel(
     byranks,
     rank_id,
     ps,
-    modes,
+    capped,
     cap_eps,
     alloc,
     free_on_end,
-    sigmas,
-    sigma_id,
     start,
     proc,
     status,
@@ -1556,21 +1504,15 @@ def batch_kernel(
         _address(byranks, i64, ranks.shape, "byranks"),
         _address(rank_id, i64, (nscen,), "rank_id"),
         _address(ps, i64, (nscen,), "ps"),
-        _address(modes, i64, (nscen,), "modes"),
+        _address(capped, i64, (nscen,), "capped"),
         _address(cap_eps, f64, (nscen,), "cap_eps"),
         _address(alloc, f64, (n,), "alloc"),
         _address(free_on_end, f64, (n,), "free_on_end"),
-        _address(sigmas, i64, (None, None), "sigmas"),
-        _address(sigma_id, i64, (nscen,), "sigma_id"),
         _address(start, f64, (nscen, n), "start", out=True),
         _address(proc, i64, (nscen, n), "proc", out=True),
         _address(status, i64, (nscen, 2), "status", out=True),
         _address(resident, f64, (nscen,), "resident", out=True),
     ]
-    # rows of n activation entries, or the (1, 0) stand-in of a grid
-    # that caps no scenario
-    if sigmas.shape[1] != n and (sigmas.shape != (1, 0) or np.any(sigma_id >= 0)):
-        raise ValueError(f"sigmas: expected shape (None, {n}), got {sigmas.shape}")
     lib.batch_event_sweep(n, nscen, int(ps.max()) if nscen else 1, *args)
 
 

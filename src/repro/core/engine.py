@@ -14,9 +14,10 @@ Two design points make the engine fast on large trees:
 
 * **Vectorized priorities.** Heuristics supply numpy key columns
   (structure of arrays) that :func:`lex_rank` collapses into a single
-  integer rank per node with one ``np.lexsort``. The ready heap
-  then holds plain integer ranks, so the event loop performs O(log n)
-  integer heap operations only -- no closure calls, no float tuple
+  integer rank per node with one ``np.lexsort``. The ready set then
+  holds plain integer ranks (a ``heapq`` list in the reference loop, a
+  64-ary rank bitset in the C kernel), so the event loop performs
+  integer set operations only -- no closure calls, no float tuple
   comparisons, no numpy scalar indexing.
 * **One sweep dispatch.** The sweep runs on the C kernel
   (:mod:`repro.core._ckernel`, built on demand with the system
@@ -31,8 +32,9 @@ Two design points make the engine fast on large trees:
   simulator's memory profile, Liu's optimal postorder and Algorithm 2's
   split follow the same decision.
 
-Complexity is :math:`O(n \\log n)` (binary heaps for both the running
-set and the ready queue), matching the paper's analysis; the constant
+Complexity is :math:`O(n \\log n)` (a binary heap for the running set;
+the ready set costs O(log n) per operation as a heap and O(log_64 n)
+as the kernel's bitset), matching the paper's analysis; the constant
 factor is what the C kernel changes.
 """
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prepared import PreparedTree, as_prepared, stack_unique
+from .prepared import PreparedTree, as_prepared
 from .schedule import Schedule, processor_count
 from .tree import TaskTree, NO_PARENT
 
@@ -272,18 +274,17 @@ class SchedulerEngine:
     cap:
         optional memory budget (NaN is rejected). When set, the engine
         accounts resident file sizes exactly as the simulator does and
-        never starts a task that would exceed the cap.
-    order:
-        activation order :math:`\\sigma` used by the memory modes
-        (default: the memory-optimal sequential postorder). Ignored
-        without a cap.
-    mode:
-        ``"strict"`` -- tasks start exactly in :math:`\\sigma` order
-        (``rank`` must then equal the :math:`\\sigma` rank); any cap at
-        least the sequential peak of :math:`\\sigma` is feasible.
-        ``"opportunistic"`` -- any ready task that fits may start,
-        preferring the smallest rank; a tight cap may become infeasible,
-        raising :class:`MemoryCapError`.
+        never starts a task that would exceed the cap, and the rank is
+        the *activation order* :math:`\\sigma` (the task of rank ``k``
+        is :math:`\\sigma[k]`): tasks start exactly in rank order, each
+        as soon as a processor is free and its allocation fits. The rank
+        must then be a topological order (every child ranks before its
+        parent; a rank from outside the prepared bundle is checked,
+        ``ValueError`` otherwise). When nothing runs, the resident
+        memory is the sequential state of :math:`\\sigma` before its
+        next task, so any cap at least the sequential peak of that order
+        is feasible; below it the sweep may get stuck and raises
+        :class:`MemoryCapError`.
 
     :meth:`run` sweeps on the C kernel or the reference loop (see the
     module docstring) and returns only the :class:`Schedule`, the start
@@ -300,20 +301,23 @@ class SchedulerEngine:
         rank: np.ndarray,
         *,
         cap: float | None = None,
-        order: np.ndarray | None = None,
-        mode: str = "strict",
     ) -> None:
         p = processor_count(p)
-        if mode not in ("strict", "opportunistic"):
-            raise ValueError(f"unknown mode {mode!r}")
+        cap = None if cap is None else float(cap)
+        if cap is not None and math.isnan(cap):
+            # every comparison with NaN is False: the cap would never bind
+            raise ValueError("cap must not be NaN")
         prepared = as_prepared(tree)
         tree = prepared.tree
         rank = np.ascontiguousarray(rank, dtype=np.int64)
         if rank.shape[0] != tree.n:
             raise ValueError("rank must have one entry per task")
         # Ranks minted by the prepared bundle are permutations by
-        # construction (their inverse is already cached); externally
-        # supplied ranks are validated as before.
+        # construction (their inverse is already cached) and skip these
+        # checks; externally supplied ranks are validated. (A capped
+        # rank that is not topological can never start the parent it
+        # ranks before a child, so the sweep gets stuck and raises
+        # MemoryCapError; it never returns a schedule.)
         byrank = prepared.byrank_for(rank)
         if byrank is None:
             if (
@@ -329,26 +333,20 @@ class SchedulerEngine:
             # store bare integer ranks (fastest possible heap entries).
             byrank = np.empty(tree.n, dtype=np.int64)
             byrank[rank] = np.arange(tree.n, dtype=np.int64)
+            if cap is not None:
+                has_parent = tree.parent != NO_PARENT
+                if np.any(rank[has_parent] >= rank[tree.parent[has_parent]]):
+                    raise ValueError(
+                        "under a memory cap, rank must be a topological order "
+                        "(every child ranked before its parent)"
+                    )
         self.prepared = prepared
         self.tree = tree
         self.p = p
         self.rank = rank
-        self.cap = None if cap is None else float(cap)
-        if self.cap is not None and math.isnan(self.cap):
-            # every comparison with NaN is False: the cap would never bind
-            raise ValueError("cap must not be NaN")
-        self.mode = mode
+        self.cap = cap
         # the cap plus the feasibility epsilon, shared by both sweeps
         self._cap_eps = None if self.cap is None else self.cap + 1e-9
-        if self.cap is not None:
-            if order is None:
-                order = prepared.optimal().order
-            order = np.ascontiguousarray(order, dtype=np.int64)
-            if order.shape[0] != tree.n:
-                raise ValueError("order must contain every task exactly once")
-            self.order = order
-        else:
-            self.order = None
         self._byrank = byrank
         self.backend_used: str | None = None  # populated by run()
 
@@ -372,19 +370,15 @@ class SchedulerEngine:
         return self.run_reference()
 
     # ------------------------------------------------------------------
-    def _mode_args(self) -> tuple[int, float]:
-        """``(mode code, cap_eps)`` for the kernel spec."""
-        if self._cap_eps is None:
-            return 0, 0.0
-        return (1 if self.mode == "strict" else 2), self._cap_eps
-
     def _cap_error(self, node: int, mem: float) -> MemoryCapError:
         """The infeasible-cap error of both sweeps: ``node`` is the next
-        task of the activation order, ``mem`` the resident memory."""
+        task of the activation order, ``mem`` the resident memory. The
+        wording, ``mode=strict`` clause included, stays fixed: failed
+        records store it, and pinned checkpoint digests cover it."""
         return MemoryCapError(
             f"cap {self.cap:g} infeasible: task {node} needs "
             f"{mem + float(self.prepared.alloc[node]):g} with nothing running "
-            f"(mode={self.mode}; sequential peak of the activation "
+            f"(mode=strict; sequential peak of the activation "
             f"order is a feasible cap in strict mode)"
         )
 
@@ -402,10 +396,6 @@ class SchedulerEngine:
         code = int(status[0])
         if code == 1:
             raise self._cap_error(int(status[1]), float(resident))
-        if code == 2:
-            raise ValueError(
-                "strict mode requires rank to follow the activation order"
-            )
         if code == 4:  # pragma: no cover - C kernel scratch malloc failed
             raise MemoryError(
                 f"C sweep kernel could not allocate scratch heaps for n={self.tree.n}"
@@ -443,12 +433,9 @@ class SchedulerEngine:
         pending = pending0.tolist()
 
         capped = self.cap is not None
-        strict = self.mode == "strict"
+        cap_eps = self._cap_eps
         alloc = prepared.alloc_list()
         free_on_end = prepared.free_list()
-        if capped:
-            cap_eps = self._cap_eps
-            sigma = self.order.tolist()
 
         start = [-1.0] * n
         proc = [-1] * n
@@ -468,32 +455,17 @@ class SchedulerEngine:
         while True:
             # Start every task the policy allows on the idle processors.
             while free_procs and ready:
-                if not capped:
-                    node = byrank[pop(ready)]
-                elif strict:
-                    node = sigma[next_sigma]
+                if capped:
+                    # The activation order is the rank order: the next
+                    # task is the smallest rank not started, so once it
+                    # is ready it is the smallest ready rank.
+                    node = byrank[next_sigma]
                     if pending[node] > 0 or mem + alloc[node] > cap_eps:
                         break
-                    # The next sigma task is necessarily the smallest
-                    # rank present (ranks follow the activation order).
-                    if pop(ready) != rank[node]:
-                        raise ValueError(
-                            "strict mode requires rank to follow the activation order"
-                        )
+                    pop(ready)
+                    next_sigma += 1
                 else:
-                    skipped: list[int] = []
-                    node = -1
-                    while ready:
-                        r = pop(ready)
-                        cand = byrank[r]
-                        if mem + alloc[cand] <= cap_eps:
-                            node = cand
-                            break
-                        skipped.append(r)
-                    for item in skipped:
-                        push(ready, item)
-                    if node < 0:
-                        break
+                    node = byrank[pop(ready)]
                 q = free_pop()
                 start[node] = now
                 proc[node] = q
@@ -501,14 +473,11 @@ class SchedulerEngine:
                 push(running, end * n + node if int_keys else (end, node))
                 mem += alloc[node]
                 started += 1
-                if capped:
-                    while next_sigma < n and start[sigma[next_sigma]] >= 0:
-                        next_sigma += 1
             if not running:
                 if started >= n:
                     break
                 if capped:
-                    raise self._cap_error(sigma[next_sigma], mem)
+                    raise self._cap_error(byrank[next_sigma], mem)
                 raise RuntimeError(  # pragma: no cover - defensive
                     "deadlock: tasks left but no event pending"
                 )
@@ -561,24 +530,21 @@ class BatchScenario:
     """One scenario of a megabatch grid against a shared tree.
 
     The fields mirror the :class:`SchedulerEngine` constructor minus the
-    tree: a priority ``rank`` permutation, the processor count ``p``,
-    and the optional memory configuration (``cap``, activation
-    ``order``, ``mode``). Registered heuristics expose a
-    ``batch_spec`` builder (see :mod:`repro.registry`) so campaign grids
-    never have to assemble these by hand.
+    tree: a priority ``rank`` permutation, the processor count ``p`` and
+    the optional memory ``cap``, under which the rank is the activation
+    order (any cap at least that order's sequential peak is feasible).
+    Registered heuristics expose a ``batch_spec`` builder (see
+    :mod:`repro.registry`) so campaign grids never have to assemble
+    these by hand.
     """
 
     rank: np.ndarray
     p: int
     cap: float | None = None
-    order: np.ndarray | None = None
-    mode: str = "strict"
 
     def engine(self, tree: TaskTree | PreparedTree) -> SchedulerEngine:
         """The :class:`SchedulerEngine` running this scenario on ``tree``."""
-        return SchedulerEngine(
-            tree, self.p, self.rank, cap=self.cap, order=self.order, mode=self.mode
-        )
+        return SchedulerEngine(tree, self.p, self.rank, cap=self.cap)
 
 
 @dataclass
@@ -625,9 +591,9 @@ def _kernel_sweep(
 ) -> tuple[np.ndarray, ...]:
     """Sweep engines of one kernel-exact tree in a single C kernel call.
 
-    Stacks the per-scenario parameters (p, memory mode, rank ids, sigma
-    ids) and returns the :func:`batch_arrays` outputs ``(start, proc,
-    status, resident)``, entry ``j`` belonging to ``engines[j]``
+    Stacks the per-scenario parameters (p, cap, rank ids) and returns
+    the :func:`batch_arrays` outputs ``(start, proc, status,
+    resident)``, entry ``j`` belonging to ``engines[j]``
     (interpret it with :meth:`SchedulerEngine._finish_kernel`).
     """
     n = prepared.tree.n
@@ -641,7 +607,7 @@ def _kernel_sweep(
     rank_map: dict[int, int] = {}
     rank_id = np.empty(nscen, dtype=np.int64)
     ps = np.empty(nscen, dtype=np.int64)
-    modes = np.empty(nscen, dtype=np.int64)
+    capped = np.empty(nscen, dtype=np.int64)
     cap_eps = np.empty(nscen, dtype=np.float64)
     for j, e in enumerate(engines):
         rid = rank_map.get(id(e.rank))
@@ -652,13 +618,10 @@ def _kernel_sweep(
             byrank_rows.append(e._byrank)
         rank_id[j] = rid
         ps[j] = e.p
-        modes[j], cap_eps[j] = e._mode_args()
+        capped[j] = e._cap_eps is not None
+        cap_eps[j] = 0.0 if e._cap_eps is None else e._cap_eps
     ranks = np.ascontiguousarray(np.stack(rank_rows))
     byranks = np.ascontiguousarray(np.stack(byrank_rows))
-    # e.order is None exactly for uncapped scenarios, so stack_unique
-    # assigns them the -1 sentinel (the kernels never read their sigma)
-    # and deduplicates the shared activation orders.
-    sigmas, sigma_id = stack_unique([e.order for e in engines])
     out = batch_arrays(nscen, n)
     from . import _ckernel
 
@@ -670,12 +633,10 @@ def _kernel_sweep(
         byranks,
         rank_id,
         ps,
-        modes,
+        capped,
         cap_eps,
         prepared.alloc,
         prepared.free_on_end,
-        sigmas,
-        sigma_id,
         *out,
     )
     return out
@@ -686,8 +647,8 @@ def sweep_batch(
 ) -> BatchRun:
     """Sweep a whole scenario grid against one tree in one kernel call.
 
-    Stacks the per-scenario parameters (p, memory mode, rank ids, sigma
-    ids) and dispatches a single batched C kernel call that sweeps the
+    Stacks the per-scenario parameters (p, cap, rank ids) and
+    dispatches a single batched C kernel call that sweeps the
     scenarios one after another. Per-scenario results are
     **bit-identical** to running each scenario through
     :class:`SchedulerEngine` individually: scenarios share only

@@ -8,7 +8,7 @@ those runs derives the identical state from the :class:`TaskTree`:
 * the memory columns (``alloc = sizes + f`` acquired at start,
   ``completion_frees`` released at completion),
 * the memory-optimal sequential postorder (ParInnerFirst's leaf order,
-  ParDeepestFirst's tie-break, the capped modes' activation order, and
+  ParDeepestFirst's tie-break, MemoryBounded's activation order, and
   the memory lower bound of every record),
 * the per-algorithm priority rank permutations (one ``lex_rank`` sweep
   each -- identical for every ``p`` and every cap),
@@ -54,47 +54,13 @@ import numpy as np
 
 from .tree import TaskTree
 
-__all__ = ["PreparedTree", "as_prepared", "stack_unique", "tree_of"]
+__all__ = ["PreparedTree", "as_prepared", "tree_of"]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """Mark an array read-only and return it (cache hygiene)."""
     arr.setflags(write=False)
     return arr
-
-
-def stack_unique(rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-scenario rows deduplicated by array identity.
-
-    The megabatch kernel spec takes per-scenario *ids* into shared row
-    stacks (rank permutations, activation orders) rather than one row
-    per scenario: grids reuse a handful of arrays cached on the
-    prepared bundle, so identity dedup keeps the stacks tiny.
-
-    Returns ``(stack, ids)`` where ``ids[i]`` is the row index of
-    ``rows[i]`` in ``stack``, or ``-1`` where ``rows[i]`` is None (an
-    uncapped scenario has no activation order). When every row is None
-    the stack is a ``(1, 0)`` int64 dummy, so kernels can still slice
-    an empty row of it.
-    """
-    ids = np.empty(len(rows), dtype=np.int64)
-    unique: list[np.ndarray] = []
-    index: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        if row is None:
-            ids[i] = -1
-            continue
-        k = index.get(id(row))
-        if k is None:
-            k = len(unique)
-            index[id(row)] = k
-            unique.append(row)
-        ids[i] = k
-    if unique:
-        stack = np.ascontiguousarray(np.stack(unique))
-    else:
-        stack = np.zeros((1, 0), dtype=np.int64)
-    return stack, ids
 
 
 class PreparedTree:
@@ -230,8 +196,8 @@ class PreparedTree:
 
         This single cache carries most of the grid win: the optimal
         postorder is the reference order of ParInnerFirst and
-        ParDeepestFirst, the default activation order and cap baseline
-        of the memory-bounded modes, and the memory lower bound of
+        ParDeepestFirst, the activation order and cap baseline of
+        ``MemoryBounded``, and the memory lower bound of
         every experiment record.
         """
         if self._optimal is None:
@@ -261,9 +227,9 @@ class PreparedTree:
     def sigma_rank(self) -> np.ndarray:
         """Rank of every node in the optimal postorder (read-only).
 
-        ``sigma_rank()[optimal().order] == arange(n)`` -- the priority
-        permutation of the memory-bounded modes and the shared
-        tie-break column of the list heuristics.
+        ``sigma_rank()[optimal().order] == arange(n)`` -- the
+        activation order of ``MemoryBounded`` and the shared tie-break
+        column of the list heuristics.
         """
         if self._sigma_rank is None:
             order = self.optimal().order

@@ -121,7 +121,7 @@ class Algorithm:
 
         Returns the :class:`~repro.core.engine.BatchScenario`
         equivalent to ``run(tree, p, **overrides)`` -- same rank
-        permutation, cap, activation order and mode, so sweeping the
+        permutation and cap, so sweeping the
         scenario through :func:`~repro.core.engine.sweep_batch` is
         bit-identical to the unbatched call. Algorithms without a
         registered ``sweep_spec`` return None (callers fall back to
@@ -222,7 +222,7 @@ def _populate() -> None:
         Algorithm(
             name="MemoryBounded",
             kind="parallel",
-            params={"cap_factor": 2.0, "mode": "strict"},
+            params={"cap_factor": 2.0},
             doc="event scheduler under a peak-memory cap (future-work extension)",
             sweep_spec=memory_bounded_spec,
         )

@@ -137,7 +137,7 @@ class TestRunCampaign:
         assert capped, "cap grid missing"
         for r in capped:
             factor = float(r.heuristic.split("@cap")[1])
-            # strict mode never exceeds the cap
+            # the capped scheduler never exceeds the cap
             assert r.memory <= factor * r.memory_lb + 1e-9
 
     @pytest.mark.parametrize("workers", [2, 3])

@@ -5,8 +5,8 @@ its health probe, and on the pure-Python reference loop
 (:meth:`SchedulerEngine.run_reference`) otherwise. The contract is *bit
 identity*: ``run()`` must produce byte-for-byte the same
 :class:`~repro.core.schedule.Schedule` (or the same error message) as
-``run_reference()`` for every registered heuristic and both memory
-modes -- so perf work can never silently change paper results. This
+``run_reference()`` for every registered heuristic, uncapped and under
+a memory cap -- so perf work can never silently change paper results. This
 suite pins that contract, plus the dispatch decision and its
 degradation when the kernel cannot build.
 
@@ -27,6 +27,7 @@ from repro.core import engine as engine_mod
 from repro.core.engine import (
     MemoryCapError,
     SchedulerEngine,
+    lex_rank,
     probe_backend,
     resolve_backend,
 )
@@ -52,7 +53,7 @@ ENGINE_HEURISTICS = [
     a.name for a in registry.algorithms("parallel") if a.sweep_spec is not None
 ]
 
-#: the uncapped ones (the capped one is pinned per cap and mode below)
+#: the uncapped ones (the capped one is pinned per cap below)
 LIST_HEURISTICS = [name for name in ENGINE_HEURISTICS if name != "MemoryBounded"]
 
 
@@ -122,22 +123,16 @@ def reference_run(name: str, tree, p: int, **params) -> Schedule:
     """``registry.run(name, tree, p, **params)`` swept on the reference
     loop (through the algorithm's registered sweep spec)."""
     spec = registry.get(name).batch_spec(tree, p, **params)
-    return SchedulerEngine(
-        tree, spec.p, spec.rank, cap=spec.cap, order=spec.order, mode=spec.mode
-    ).run_reference()
+    return SchedulerEngine(tree, spec.p, spec.rank, cap=spec.cap).run_reference()
 
 
-def reference_capped(tree, p: int, cap: float, order, mode: str) -> Schedule:
-    """Capped list scheduling with activation order ``order`` (its rank
-    as the priority) swept on the reference loop: with the optimal
-    postorder as ``order``, ``memory_bounded_schedule(tree, p, cap,
-    mode)``."""
-    order = np.asarray(order, dtype=np.int64)
+def reference_capped(tree, p: int, cap: float, order) -> Schedule:
+    """Capped list scheduling with activation order ``order`` (its rank)
+    swept on the reference loop: with the optimal postorder as
+    ``order``, ``memory_bounded_schedule(tree, p, cap)``."""
     rank = np.empty(tree_of(tree).n, dtype=np.int64)
-    rank[order] = np.arange(tree_of(tree).n)
-    return SchedulerEngine(
-        tree, p, rank, cap=cap, order=order, mode=mode
-    ).run_reference()
+    rank[np.asarray(order, dtype=np.int64)] = np.arange(tree_of(tree).n)
+    return SchedulerEngine(tree, p, rank, cap=cap).run_reference()
 
 
 @pytest.fixture
@@ -376,7 +371,7 @@ class TestProbeBackend:
 
 
 # ----------------------------------------------------------------------
-# golden equivalence: every heuristic, both memory modes
+# golden equivalence: every heuristic, uncapped and capped
 # ----------------------------------------------------------------------
 class TestBackendEquivalence:
     @pytest.mark.parametrize("name", sorted(LIST_HEURISTICS))
@@ -386,36 +381,37 @@ class TestBackendEquivalence:
             got = registry.run(name, tree, p)
             assert_same_schedule(got, ref)
 
-    @pytest.mark.parametrize("mode", ["strict", "opportunistic"])
-    def test_memory_modes_bit_identical(self, tree, mode):
+    def test_memory_cap_bit_identical(self, tree):
         res = optimal_postorder(tree)
         for p in (1, 2, 4):
-            for factor in (1.0, 1.5, 3.0):
+            for factor in (0.8, 1.0, 1.5, 3.0):
                 cap = factor * res.peak_memory
                 try:
-                    ref = reference_capped(tree, p, cap, res.order, mode)
+                    ref = reference_capped(tree, p, cap, res.order)
                 except MemoryCapError as exc:
                     with pytest.raises(MemoryCapError, match="infeasible") as info:
-                        memory_bounded_schedule(tree, p, cap, mode=mode)
+                        memory_bounded_schedule(tree, p, cap)
                     # identical failure point, identical message
                     assert str(info.value) == str(exc)
                     continue
-                got = memory_bounded_schedule(tree, p, cap, mode=mode)
+                got = memory_bounded_schedule(tree, p, cap)
                 assert_same_schedule(got, ref)
 
     def test_sweep_spec_outputs_bit_identical(self, tree):
         """The kernel spec's outputs -- the schedule, or the infeasible-cap
         error with its resident memory -- match the reference loop for a
-        critical-path rank swept uncapped and under an opportunistic cap
-        (the other capped tests rank by the activation order)."""
-        rank = par_deepest_first_rank(tree)
-        for cap in (None, 2.0 * optimal_postorder(tree).peak_memory):
-            # ranks must follow sigma in strict mode, so the capped case
-            # uses the opportunistic policy (which may be infeasible --
-            # then both sweeps must fail identically)
-            mode = "strict" if cap is None else "opportunistic"
-            ref_eng = SchedulerEngine(tree, 4, rank, cap=cap, mode=mode)
-            got_eng = SchedulerEngine(tree, 4, rank, cap=cap, mode=mode)
+        critical-path rank swept uncapped, and under a cap for a
+        topological rank that is not the optimal postorder's (deepest
+        first, ties by that postorder; its own sequential peak may exceed
+        the cap, and then both sweeps must fail identically)."""
+        sigma_rank = np.empty(tree.n, dtype=np.int64)
+        sigma_rank[optimal_postorder(tree).order] = np.arange(tree.n)
+        for rank, cap in (
+            (par_deepest_first_rank(tree), None),
+            (lex_rank(-tree.depths(), sigma_rank), 2.0 * optimal_postorder(tree).peak_memory),
+        ):
+            ref_eng = SchedulerEngine(tree, 4, rank, cap=cap)
+            got_eng = SchedulerEngine(tree, 4, rank, cap=cap)
             try:
                 ref_schedule = ref_eng.run_reference()
             except MemoryCapError as exc:
@@ -428,7 +424,7 @@ class TestBackendEquivalence:
 
 
 # ----------------------------------------------------------------------
-# prepared-path golden equivalence: every heuristic, both memory modes
+# prepared-path golden equivalence: every heuristic, uncapped and capped
 # (the PreparedTree refactor's acceptance contract)
 # ----------------------------------------------------------------------
 class TestPreparedEquivalence:
@@ -453,8 +449,7 @@ class TestPreparedEquivalence:
             assert_same_schedule(registry.run(name, prepared, p), ref)
 
     @pytest.mark.parametrize("sweep", ["run", "reference"])
-    @pytest.mark.parametrize("mode", ["strict", "opportunistic"])
-    def test_memory_modes_bit_identical(self, tree, mode, sweep):
+    def test_memory_cap_bit_identical(self, tree, sweep):
         prepared = PreparedTree(tree)
         res = optimal_postorder(tree)
         for p in (1, 2, 4):
@@ -464,17 +459,17 @@ class TestPreparedEquivalence:
                 for target in (tree, prepared):
                     try:
                         if sweep == "reference":
-                            s = reference_capped(target, p, cap, res.order, mode)
+                            s = reference_capped(target, p, cap, res.order)
                         else:
-                            s = memory_bounded_schedule(target, p, cap, mode=mode)
+                            s = memory_bounded_schedule(target, p, cap)
                         outcomes.append(("ok", s.start.tobytes(), s.proc.tobytes()))
                     except MemoryCapError as exc:
                         outcomes.append(("err", str(exc)))
-                assert outcomes[0] == outcomes[1], (mode, p, factor)
+                assert outcomes[0] == outcomes[1], (p, factor)
 
 
 # ----------------------------------------------------------------------
-# the ready bitset across its word boundaries: every mode
+# the ready bitset across its word boundaries: uncapped and capped
 # ----------------------------------------------------------------------
 #: tree sizes around one 64-bit word of ranks and one level-1 word (4096)
 BOUNDARY_SIZES = (1, 63, 64, 65, 4095, 4096, 4097)
@@ -520,41 +515,10 @@ class TestReadyBitset:
             )
             for factor in (1.0, 1.5):
                 cap = factor * opt.peak_memory
-                for mode, rank in (("strict", sigma_rank), ("opportunistic", shuffled)):
-                    kw = dict(cap=cap, order=opt.order, mode=mode)
-                    same_outcome(
-                        SchedulerEngine(prepared, p, rank, **kw),
-                        SchedulerEngine(tree, p, rank, **kw),
-                    )
-
-    def test_opportunistic_scan_crosses_words(self):
-        """Ready ranks 1 and 2 do not fit next to the running rank 0, and
-        ranks 3..4095 belong to a chain that is not ready: the lowest rank
-        that fits, 4096, lies in another 64-bit word and another level-1
-        word, and it starts at time 0 on processor 1."""
-        n = 4200
-        chain = np.arange(4, 4097)  # ranks 3..4095, none ready at first
-        parent = np.zeros(n, dtype=np.int64)
-        parent[0] = -1
-        parent[chain[1:]] = chain[:-1]  # node 4 hangs under the root
-        parent[4097] = 4096  # the chain's leaf
-        rank = np.empty(n, dtype=np.int64)
-        rank[[1, 2, 3]] = [0, 1, 2]  # three large leaves
-        rank[chain] = np.arange(3, 4096)
-        rank[4098:] = np.arange(4096, n - 2)  # small leaves of the root
-        rank[4097] = n - 2
-        rank[0] = n - 1
-        sizes = np.zeros(n)
-        sizes[[1, 2, 3]] = 10.0 * n
-        tree = TaskTree(parent, np.ones(n), np.ones(n), sizes)
-        cap = 11.0 * n  # one large leaf at a time, with anything small
-        order = optimal_postorder(tree).order
-        kw = dict(cap=cap, order=order, mode="opportunistic")
-        got = SchedulerEngine(tree, 2, rank, **kw).run()
-        assert_same_schedule(got, SchedulerEngine(tree, 2, rank, **kw).run_reference())
-        first = np.flatnonzero(got.start == 0.0)
-        assert sorted(rank[first]) == [0, 4096]
-        assert got.proc[rank == 4096] == 1
+                same_outcome(
+                    SchedulerEngine(prepared, p, sigma_rank, cap=cap),
+                    SchedulerEngine(tree, p, sigma_rank, cap=cap),
+                )
 
 
 # ----------------------------------------------------------------------
@@ -598,17 +562,22 @@ class TestPropertyEquivalence:
         assert_same_schedule(got, ref)
 
     @settings(max_examples=40, deadline=None)
-    @given(tree=task_trees(max_nodes=30, max_w=3, max_f=3), p=st.integers(1, 4))
-    def test_capped_agreement_including_infeasibility(self, tree, p):
+    @given(
+        tree=task_trees(max_nodes=30, max_w=3, max_f=3),
+        p=st.integers(1, 4),
+        factor=st.sampled_from([0.9, 1.0, 1.2]),
+    )
+    def test_capped_agreement_including_infeasibility(self, tree, p, factor):
         res = optimal_postorder(tree)
-        cap = 1.2 * res.peak_memory
+        cap = factor * res.peak_memory
         try:
-            ref = reference_capped(tree, p, cap, res.order, "opportunistic")
-        except MemoryCapError:
-            with pytest.raises(MemoryCapError):
-                memory_bounded_schedule(tree, p, cap, mode="opportunistic")
+            ref = reference_capped(tree, p, cap, res.order)
+        except MemoryCapError as exc:
+            with pytest.raises(MemoryCapError) as info:
+                memory_bounded_schedule(tree, p, cap)
+            assert str(info.value) == str(exc)
             return
-        got = memory_bounded_schedule(tree, p, cap, mode="opportunistic")
+        got = memory_bounded_schedule(tree, p, cap)
         assert_same_schedule(got, ref)
 
 

@@ -4,7 +4,7 @@ The batched entry point (:func:`repro.core.engine.sweep_batch`) stacks
 an (algorithm x p x cap) grid into one serial kernel call. Its
 acceptance contract extends the golden tests of ``test_backends.py``:
 per-scenario results must be **byte-identical** to the unbatched
-reference loop for every registered heuristic x memory mode, whether
+reference loop for every registered heuristic x cap, whether
 the grid sweeps on the C kernel or (the kernel unavailable) on the
 reference loop -- including error outcomes (an infeasible cap raises
 the same message at the same slice position) and the integral-weight
@@ -24,7 +24,7 @@ from repro.core.engine import (
     resolve_backend,
     sweep_batch,
 )
-from repro.core.prepared import PreparedTree, stack_unique
+from repro.core.prepared import PreparedTree
 from repro.core.tree import TaskTree
 from repro.testing import faults
 from repro.workloads.synthetic import random_weighted_tree
@@ -43,17 +43,16 @@ BATCHABLE = [a.name for a in registry.algorithms("parallel") if a.sweep_spec]
 
 def grid(prepared: PreparedTree) -> tuple[list, list]:
     """The full test grid over one tree: every batchable heuristic at
-    several p, the memory-capped modes at loose and tight caps."""
+    several p, the memory-capped one at loose and tight caps."""
     specs, labels = [], []
     for name in BATCHABLE:
         algo = registry.get(name)
         if "cap_factor" in algo.params:
             for cap_factor in (1.25, 2.0):
-                for mode in ("strict", "opportunistic"):
-                    for p in (2, 4):
-                        kw = {"cap_factor": cap_factor, "mode": mode}
-                        specs.append(algo.batch_spec(prepared, p, **kw))
-                        labels.append((name, p, kw))
+                for p in (2, 4):
+                    kw = {"cap_factor": cap_factor}
+                    specs.append(algo.batch_spec(prepared, p, **kw))
+                    labels.append((name, p, kw))
         else:
             for p in (1, 2, 4, 8):
                 specs.append(algo.batch_spec(prepared, p))
@@ -98,7 +97,7 @@ def assert_outcomes_match(run, refs, labels) -> None:
 
 
 # ----------------------------------------------------------------------
-# the bit-identity matrix: heuristic x sweep x memory mode
+# the bit-identity matrix: heuristic x sweep x cap
 # ----------------------------------------------------------------------
 class TestBitIdentityMatrix:
     @pytest.mark.parametrize("tree_index", range(N_TREES))
@@ -140,20 +139,14 @@ class TestBitIdentityMatrix:
         algo = registry.get("MemoryBounded")
         specs = [
             algo.batch_spec(prepared, 2),
-            algo.batch_spec(prepared, 4, cap_factor=1.0, mode="opportunistic"),
+            algo.batch_spec(prepared, 4, cap_factor=0.5),  # below M_seq: infeasible
         ]
         run = sweep_batch(prepared, specs)
-        try:
-            registry.run(
-                "MemoryBounded", prepared, 4, cap_factor=1.0, mode="opportunistic"
-            )
-        except MemoryCapError as exc:
-            expected = str(exc)
-            with pytest.raises(MemoryCapError) as err:
-                run.schedules()
-            assert str(err.value) == expected
-        else:  # the cap happens to be feasible on this tree
-            assert len(run.schedules()) == 2
+        with pytest.raises(MemoryCapError) as exc:
+            registry.run("MemoryBounded", prepared, 4, cap_factor=0.5)
+        with pytest.raises(MemoryCapError) as err:
+            run.schedules()
+        assert str(err.value) == str(exc.value)
 
     @settings(max_examples=25, deadline=None)
     @given(tree=task_trees(max_nodes=40, max_w=2, max_f=1), p=st.integers(1, 5))
@@ -203,25 +196,6 @@ class TestExactnessFallback:
         finally:
             faults.install(None)
         assert run.backend == "python"
-
-
-# ----------------------------------------------------------------------
-# stacking helpers
-# ----------------------------------------------------------------------
-class TestStackingHelpers:
-    def test_stack_unique_dedups_by_identity(self):
-        a = np.arange(4, dtype=np.int64)
-        b = np.arange(4, dtype=np.int64)[::-1].copy()
-        stack, ids = stack_unique([a, b, a, None, b])
-        assert stack.shape == (2, 4)
-        assert ids.tolist() == [0, 1, 0, -1, 1]
-        assert np.array_equal(stack[0], a) and np.array_equal(stack[1], b)
-
-    def test_stack_unique_all_none_yields_dummy(self):
-        stack, ids = stack_unique([None, None])
-        assert stack.shape == (1, 0) and stack.dtype == np.int64
-        assert ids.tolist() == [-1, -1]
-        assert stack[0][:0].shape == (0,)  # the kernels' empty sigma slice
 
 
 # ----------------------------------------------------------------------
@@ -339,13 +313,12 @@ class TestRegistrySpecs:
 
     def test_specs_share_prepared_rank_arrays(self):
         """Scenario stacking dedups by identity, so specs built off one
-        prepared tree must reuse the cached rank/order objects."""
+        prepared tree must reuse the cached rank objects."""
         prepared = PreparedTree(tree_spread()[2])
         algo = registry.get("MemoryBounded")
         s1 = algo.batch_spec(prepared, 2, cap_factor=1.5)
         s2 = algo.batch_spec(prepared, 8, cap_factor=3.0)
         assert s1.rank is s2.rank
-        assert s1.order is s2.order
         p1 = registry.get("ParDeepestFirst").batch_spec(prepared, 2)
         p2 = registry.get("ParDeepestFirst").batch_spec(prepared, 16)
         assert p1.rank is p2.rank
@@ -525,15 +498,13 @@ class TestKernelArgumentChecks:
 
         prepared = PreparedTree(tree)
         n = tree.n
-        sigmas, sigma_id = stack_unique([None])
         start, proc, status, resident = batch_arrays(1, n)
         return dict(
             parent=tree.parent, pending0=prepared.pending0, w=tree.w,
             ranks=np.arange(n)[None, :], byranks=np.arange(n)[None, :],
             rank_id=np.zeros(1, dtype=np.int64), ps=np.array([2]),
-            modes=np.zeros(1, dtype=np.int64), cap_eps=np.zeros(1),
+            capped=np.zeros(1, dtype=np.int64), cap_eps=np.zeros(1),
             alloc=prepared.alloc, free_on_end=prepared.free_on_end,
-            sigmas=sigmas, sigma_id=sigma_id,
             start=start, proc=proc, status=status, resident=resident,
         )
 
@@ -555,7 +526,6 @@ class TestKernelArgumentChecks:
             ("alloc", lambda a: a[:-1], ValueError),  # wrong length
             ("status", lambda a: a.ravel(), ValueError),  # wrong shape
             ("start", lambda a: np.broadcast_to(a, a.shape), ValueError),  # read-only
-            ("sigmas", lambda a: np.zeros((1, 3), dtype=np.int64), ValueError),
         ],
     )
     def test_malformed_array_raises_before_c(self, star5, fake_lib, name, bad, error):

@@ -51,10 +51,6 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="positive"):
             SchedulerEngine(star5, 0, np.arange(5))
 
-    def test_bad_mode(self, star5):
-        with pytest.raises(ValueError, match="unknown mode"):
-            SchedulerEngine(star5, 2, np.arange(5), cap=10.0, mode="yolo")
-
     def test_bad_rank_length(self, star5):
         with pytest.raises(ValueError, match="one entry per task"):
             SchedulerEngine(star5, 2, np.arange(4))
@@ -84,17 +80,15 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="NaN"):
             registry.run("MemoryBounded", star5, 2, cap_factor=nan)
 
-    def test_bad_order_length(self, star5):
-        with pytest.raises(ValueError, match="every task"):
-            SchedulerEngine(star5, 2, np.arange(5), cap=10.0, order=np.arange(3))
-
-    def test_strict_rank_must_follow_order(self, star5):
-        # sigma wants leaf 4 first, but the rank array prefers leaf 1;
-        # with several ready leaves the mismatch trips immediately.
-        rank = np.asarray([4, 0, 1, 2, 3])
-        order = np.asarray([4, 3, 2, 1, 0])
-        with pytest.raises(ValueError, match="activation order"):
-            SchedulerEngine(star5, 1, rank, cap=100.0, order=order).run()
+    def test_capped_rank_must_be_topological(self, star5):
+        """Under a cap the rank is the activation order, so it must rank
+        every child before its parent; both sweeps reject one that
+        does not up front. Without a cap any permutation is a priority."""
+        rank = np.arange(5)  # the root ranks before its leaves
+        for sweep in (SchedulerEngine.run, SchedulerEngine.run_reference):
+            with pytest.raises(ValueError, match="topological"):
+                sweep(SchedulerEngine(star5, 2, rank, cap=100.0))
+            validate_schedule(sweep(SchedulerEngine(star5, 2, rank)))
 
 
 class TestEngineRun:
@@ -121,11 +115,9 @@ class TestEngineRun:
         res = optimal_postorder(star5)
         rank = np.empty(5, dtype=np.int64)
         rank[res.order] = np.arange(5)
-        schedule = SchedulerEngine(
-            star5, 4, rank, cap=res.peak_memory, order=res.order
-        ).run()
+        schedule = SchedulerEngine(star5, 4, rank, cap=res.peak_memory).run()
         assert simulate(schedule).peak_memory <= res.peak_memory + 1e-9
 
     def test_infeasible_cap_raises(self, star5):
         with pytest.raises(MemoryCapError, match="infeasible"):
-            SchedulerEngine(star5, 2, np.arange(5), cap=0.5).run()
+            SchedulerEngine(star5, 2, np.asarray([4, 0, 1, 2, 3]), cap=0.5).run()

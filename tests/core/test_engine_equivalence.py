@@ -75,9 +75,7 @@ def seed_list_schedule(tree, p, priority):
     return Schedule(tree, start, proc, p)
 
 
-def seed_memory_bounded_schedule(tree, p, cap, order=None, mode="strict"):
-    if mode not in ("strict", "opportunistic"):
-        raise ValueError(f"unknown mode {mode!r}")
+def seed_memory_bounded_schedule(tree, p, cap, order=None):
     if p < 1:
         raise ValueError("p must be positive")
     if order is None:
@@ -111,25 +109,11 @@ def seed_memory_bounded_schedule(tree, p, cap, order=None, mode="strict"):
     def try_start():
         nonlocal mem, started, next_sigma
         while free_procs and ready:
-            if mode == "strict":
-                node = int(order[next_sigma])
-                if pending_children[node] > 0 or mem + alloc[node] > cap + 1e-9:
-                    return
-                popped = heapq.heappop(ready)
-                assert popped[1] == node
-            else:
-                skipped = []
-                node = -1
-                while ready:
-                    r, cand = heapq.heappop(ready)
-                    if mem + alloc[cand] <= cap + 1e-9:
-                        node = cand
-                        break
-                    skipped.append((r, cand))
-                for item in skipped:
-                    heapq.heappush(ready, item)
-                if node < 0:
-                    return
+            node = int(order[next_sigma])
+            if pending_children[node] > 0 or mem + alloc[node] > cap + 1e-9:
+                return
+            popped = heapq.heappop(ready)
+            assert popped[1] == node
             q = free_procs.pop()
             start[node] = now
             proc[node] = q
@@ -260,8 +244,7 @@ class TestListHeuristicEquivalence:
 
 class TestMemoryBoundedEquivalence:
     @pytest.mark.parametrize("target", ["memory_bounded_schedule", "registry"])
-    @pytest.mark.parametrize("mode", ["strict", "opportunistic"])
-    def test_bit_identical_schedules(self, tree, mode, target):
+    def test_bit_identical_schedules(self, tree, target):
         """Both entry points -- the function and the registry's
         ``MemoryBounded``, which runs its sweep spec -- equal the seed."""
         mseq = optimal_postorder(tree).peak_memory
@@ -271,13 +254,11 @@ class TestMemoryBoundedEquivalence:
 
                 def run():
                     if target == "registry":
-                        return registry.run(
-                            "MemoryBounded", tree, p, cap_factor=factor, mode=mode
-                        )
-                    return memory_bounded_schedule(tree, p, cap, mode=mode)
+                        return registry.run("MemoryBounded", tree, p, cap_factor=factor)
+                    return memory_bounded_schedule(tree, p, cap)
 
                 try:
-                    ref = seed_memory_bounded_schedule(tree, p, cap, mode=mode)
+                    ref = seed_memory_bounded_schedule(tree, p, cap)
                 except MemoryCapError:
                     with pytest.raises(MemoryCapError):
                         run()

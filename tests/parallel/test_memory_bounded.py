@@ -27,18 +27,12 @@ class TestFeasibility:
     @given(task_trees(min_nodes=1, max_nodes=30))
     @settings(max_examples=30, deadline=None)
     def test_cap_always_respected(self, tree):
-        """Whatever the cap and mode, a returned schedule never exceeds it."""
+        """Whatever the cap at least M_seq, the scheduler never fails and
+        its schedule never exceeds the cap."""
         mseq = optimal_postorder(tree).peak_memory
-        for mode in ("strict", "opportunistic"):
-            for factor in (1.0, 1.5, 3.0):
-                try:
-                    sch = memory_bounded_schedule(
-                        tree, 3, factor * mseq, mode=mode
-                    )
-                except MemoryCapError:
-                    assert mode == "opportunistic"  # strict must not fail
-                    continue
-                assert simulate(sch).peak_memory <= factor * mseq + 1e-9
+        for factor in (1.0, 1.5, 3.0):
+            sch = memory_bounded_schedule(tree, 3, factor * mseq)
+            assert simulate(sch).peak_memory <= factor * mseq + 1e-9
 
     def test_infeasible_cap_raises(self, star5):
         with pytest.raises(MemoryCapError, match="infeasible"):
@@ -50,12 +44,11 @@ class TestTradeOff:
     @settings(max_examples=30, deadline=None)
     def test_larger_cap_never_slower(self, tree):
         """The makespan is non-increasing in the cap (more memory can
-        only enable more parallelism) -- checked in strict mode where the
-        start order is fixed."""
+        only enable more parallelism): the start order is fixed."""
         mseq = optimal_postorder(tree).peak_memory
         spans = []
         for factor in (1.0, 2.0, 8.0):
-            sch = memory_bounded_schedule(tree, 4, factor * mseq, mode="strict")
+            sch = memory_bounded_schedule(tree, 4, factor * mseq)
             spans.append(sch.makespan)
         assert spans[0] >= spans[1] - 1e-9
         assert spans[1] >= spans[2] - 1e-9
@@ -70,16 +63,11 @@ class TestTradeOff:
         assert abs(sch.makespan - tree.total_work()) < 1e-9
 
 
-class TestModes:
-    def test_opportunistic_at_least_as_parallel(self, star5):
-        """With a generous cap both modes parallelise the star fully."""
-        for mode in ("strict", "opportunistic"):
-            sch = memory_bounded_schedule(star5, 4, cap=100.0, mode=mode)
-            assert sch.makespan == 2.0
-
-    def test_unknown_mode_rejected(self, star5):
-        with pytest.raises(ValueError, match="unknown mode"):
-            memory_bounded_schedule(star5, 2, 10.0, mode="yolo")
+class TestInputs:
+    def test_generous_cap_parallelises_the_star(self, star5):
+        """With a generous cap the four leaves run at once."""
+        sch = memory_bounded_schedule(star5, 4, cap=100.0)
+        assert sch.makespan == 2.0
 
     def test_bad_p_rejected(self, star5):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Smoke tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro import registry
@@ -150,6 +152,19 @@ class TestCli:
         assert main(argv) == 0
         capsys.readouterr()
         assert open(ckpt, "rb").read() == blob
+
+    def test_parity_smoke_checkpoint_bytes_are_pinned(self, tmp_path, capsys):
+        """The grid of CI's runtime parity smoke writes these exact bytes,
+        including the MemoryCapError message of every infeasible-cap
+        (cap 0.5 x M_seq) scenario in its failed records."""
+        ckpt = tmp_path / "parity.jsonl"
+        argv = ["campaign", "--scale", "tiny", "--algos", "ParDeepestFirst,MemoryBounded",
+                "--caps", "0.5,2.0", "--processors", "2", "4", "--resume", str(ckpt)]
+        assert main(argv) == 0
+        assert "\nquarantined: 120 scenario(s)" in capsys.readouterr().err
+        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == (
+            "2d914ae87a977e7b9204ab4ec2fb09023d4b04fe562d127f9c4cc3f7713579d7"
+        )
 
     def test_campaign_resume_with_separate_output(self, tmp_path, capsys):
         """``--output`` may name the ``--resume`` checkpoint itself (the
