@@ -63,8 +63,10 @@ def validate_schedule(schedule: Schedule, tol: float = 1e-9) -> None:
             f"after parent {i} starts at {start[i]}"
         )
 
-    # Resource: no overlap per processor. Sort once, check neighbours.
-    order = np.lexsort((start, schedule.proc))
+    # Resource: no overlap per processor. Sort once, check neighbours
+    # (ties in start by end, so a zero-length task that finished at the
+    # instant the next one started on its processor sorts before it).
+    order = np.lexsort((end, start, schedule.proc))
     a, b = order[:-1], order[1:]
     clash = np.flatnonzero(
         (schedule.proc[a] == schedule.proc[b]) & (end[a] > start[b] + tol)

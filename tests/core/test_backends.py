@@ -33,10 +33,13 @@ from repro.core.engine import (
 )
 from repro.core.prepared import PreparedTree, tree_of
 from repro.core.schedule import Schedule
+from repro.core.simulator import simulate
 from repro.core.tree import TaskTree
 from repro.parallel.memory_bounded import memory_bounded_schedule
 from repro.parallel.par_deepest_first import par_deepest_first_rank
-from repro.sequential.postorder import optimal_postorder
+from repro.sequential.liu import liu_optimal_traversal
+from repro.sequential.postorder import natural_postorder, optimal_postorder
+from repro.sequential.traversal import traversal_peak_memory
 from repro.testing import faults
 from repro.workloads.synthetic import (
     caterpillar,
@@ -133,6 +136,27 @@ def reference_capped(tree, p: int, cap: float, order) -> Schedule:
     rank = np.empty(tree_of(tree).n, dtype=np.int64)
     rank[np.asarray(order, dtype=np.int64)] = np.arange(tree_of(tree).n)
     return SchedulerEngine(tree, p, rank, cap=cap).run_reference()
+
+
+#: topological activation orders other than the optimal postorder's
+ACTIVATIONS = ("deepest", "liu", "natural")
+
+
+def activation_rank(tree: TaskTree, kind: str) -> tuple[np.ndarray, float]:
+    """A topological rank (its node order as the activation order) and
+    the sequential peak of that order: deepest first with ties by the
+    optimal postorder, Liu's optimal traversal (not a postorder), or
+    the natural postorder."""
+    if kind == "deepest":
+        sigma_rank = np.empty(tree.n, dtype=np.int64)
+        sigma_rank[optimal_postorder(tree).order] = np.arange(tree.n)
+        rank = lex_rank(-tree.depths(), sigma_rank)
+    else:
+        traversal = {"liu": liu_optimal_traversal, "natural": natural_postorder}[kind]
+        rank = np.empty(tree.n, dtype=np.int64)
+        rank[traversal(tree).order] = np.arange(tree.n)
+    order = np.argsort(rank)
+    return rank, traversal_peak_memory(tree, order, check=True)
 
 
 @pytest.fixture
@@ -397,6 +421,30 @@ class TestBackendEquivalence:
                 got = memory_bounded_schedule(tree, p, cap)
                 assert_same_schedule(got, ref)
 
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_capped_activation_orders_bit_identical(self, tree, activation):
+        """A capped rank that is not the optimal postorder's sweeps to the
+        same schedule or the same infeasible-cap message on both sweeps,
+        and any cap at least its own order's sequential peak is
+        feasible."""
+        rank, seq_peak = activation_rank(tree, activation)
+        for p in (1, 2, 4):
+            for factor in (0.8, 1.0, 1.5, 3.0):
+                cap = factor * seq_peak
+                engine = SchedulerEngine(tree, p, rank, cap=cap)
+                twin = SchedulerEngine(tree, p, rank, cap=cap)
+                try:
+                    ref = twin.run_reference()
+                except MemoryCapError as exc:
+                    assert factor < 1.0, (p, factor)
+                    with pytest.raises(MemoryCapError, match="infeasible") as info:
+                        engine.run()
+                    assert str(info.value) == str(exc)
+                    continue
+                got = engine.run()
+                assert_same_schedule(got, ref)
+                assert simulate(got).peak_memory <= cap + 1e-9
+
     def test_sweep_spec_outputs_bit_identical(self, tree):
         """The kernel spec's outputs -- the schedule, or the infeasible-cap
         error with its resident memory -- match the reference loop for a
@@ -468,6 +516,27 @@ class TestPreparedEquivalence:
                 assert outcomes[0] == outcomes[1], (p, factor)
 
 
+    @pytest.mark.parametrize("sweep", ["run", "reference"])
+    def test_capped_activation_orders_bit_identical(self, tree, sweep):
+        """Bare vs prepared tree under a cap, for topological ranks that
+        the prepared bundle did not mint (so both are checked up front)."""
+        prepared = PreparedTree(tree)
+        for activation in ACTIVATIONS:
+            rank, seq_peak = activation_rank(tree, activation)
+            for p in (1, 2, 4):
+                for factor in (0.8, 1.0, 1.5):
+                    cap = factor * seq_peak
+                    outcomes = []
+                    for target in (tree, prepared):
+                        engine = SchedulerEngine(target, p, rank, cap=cap)
+                        try:
+                            s = engine.run_reference() if sweep == "reference" else engine.run()
+                            outcomes.append(("ok", s.start.tobytes(), s.proc.tobytes()))
+                        except MemoryCapError as exc:
+                            outcomes.append(("err", str(exc)))
+                    assert outcomes[0] == outcomes[1], (activation, p, factor)
+
+
 # ----------------------------------------------------------------------
 # the ready bitset across its word boundaries: uncapped and capped
 # ----------------------------------------------------------------------
@@ -518,6 +587,23 @@ class TestReadyBitset:
                 same_outcome(
                     SchedulerEngine(prepared, p, sigma_rank, cap=cap),
                     SchedulerEngine(tree, p, sigma_rank, cap=cap),
+                )
+
+
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("shape", ["chain", "star", "random"])
+    def test_capped_deepest_rank_at_word_boundaries(self, shape, n):
+        """A capped deepest-first rank puts the leaves in the low words
+        and the root in the last one; both sweeps agree at every p."""
+        tree = boundary_tree(shape, n)
+        prepared = PreparedTree(tree)
+        rank, seq_peak = activation_rank(tree, "deepest")
+        for p in (1, 3, 16):
+            for factor in (0.9, 1.0, 1.5):
+                cap = factor * seq_peak
+                same_outcome(
+                    SchedulerEngine(prepared, p, rank, cap=cap),
+                    SchedulerEngine(tree, p, rank, cap=cap),
                 )
 
 

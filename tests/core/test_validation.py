@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro import registry
 from repro.core.schedule import Schedule
+from repro.core.tree import TaskTree
 from repro.core.validation import InvalidScheduleError, is_valid, validate_schedule
 from tests.conftest import task_trees
 from tests.core.validation_reference import ref_validate_schedule
@@ -46,6 +47,19 @@ class TestResources:
         sch = make(star5, start, [0, 0, 0, 1, 1], 2)  # 1 and 2 overlap on P0
         with pytest.raises(InvalidScheduleError, match="overlap"):
             validate_schedule(sch)
+
+    def test_zero_length_task_at_a_shared_start_ok(self):
+        """A zero-length task that starts and ends at the instant another
+        task starts on its processor does not overlap it, whichever of
+        the two has the lower index."""
+        tree = TaskTree.from_parents([-1, 0, 0], w=[1.0, 2.0, 0.0], f=1.0)
+        for proc in ([0, 0, 0], [0, 1, 1]):
+            for check in (validate_schedule, ref_validate_schedule):
+                check(make(tree, [2.0, 0.0, 0.0], proc, 2))
+        bad = make(tree, [2.0, 0.0, 1.0], [0, 1, 1], 2)  # inside task 1
+        for check in (validate_schedule, ref_validate_schedule):
+            with pytest.raises(InvalidScheduleError, match="overlap"):
+                check(bad)
 
     def test_processor_out_of_range_rejected(self, star5):
         start = [1.0, 0.0, 0.0, 0.0, 0.0]

@@ -35,8 +35,9 @@ def ref_validate_schedule(schedule, tol: float = 1e-9) -> None:
                     f"after parent {i} starts at {start[i]}"
                 )
 
-    # Resource: no overlap per processor. Sort once, check neighbours.
-    order = np.lexsort((start, schedule.proc))
+    # Resource: no overlap per processor. Sort once (ties in start by
+    # end), check neighbours.
+    order = np.lexsort((end, start, schedule.proc))
     for a, b in zip(order[:-1], order[1:]):
         if schedule.proc[a] == schedule.proc[b] and end[a] > start[b] + tol:
             raise InvalidScheduleError(
