@@ -18,6 +18,8 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # the compiled library's C source, built on demand by repro.core._ckernel
+    package_data={"repro.core": ["kernel.c"]},
     install_requires=[
         "numpy",
         "scipy",

@@ -279,8 +279,7 @@ class SchedulerEngine:
         is :math:`\\sigma[k]`): tasks start exactly in rank order, each
         as soon as a processor is free and its allocation fits. The rank
         must then be a topological order (every child ranks before its
-        parent; a rank from outside the prepared bundle is checked,
-        ``ValueError`` otherwise). When nothing runs, the resident
+        parent; ``ValueError`` otherwise). When nothing runs, the resident
         memory is the sequential state of :math:`\\sigma` before its
         next task, so any cap at least the sequential peak of that order
         is feasible; below it the sweep may get stuck and raises
@@ -313,11 +312,8 @@ class SchedulerEngine:
         if rank.shape[0] != tree.n:
             raise ValueError("rank must have one entry per task")
         # Ranks minted by the prepared bundle are permutations by
-        # construction (their inverse is already cached) and skip these
-        # checks; externally supplied ranks are validated. (A capped
-        # rank that is not topological can never start the parent it
-        # ranks before a child, so the sweep gets stuck and raises
-        # MemoryCapError; it never returns a schedule.)
+        # construction (their inverse is already cached) and skip the
+        # permutation check; externally supplied ranks are validated.
         byrank = prepared.byrank_for(rank)
         if byrank is None:
             if (
@@ -333,13 +329,16 @@ class SchedulerEngine:
             # store bare integer ranks (fastest possible heap entries).
             byrank = np.empty(tree.n, dtype=np.int64)
             byrank[rank] = np.arange(tree.n, dtype=np.int64)
-            if cap is not None:
-                has_parent = tree.parent != NO_PARENT
-                if np.any(rank[has_parent] >= rank[tree.parent[has_parent]]):
-                    raise ValueError(
-                        "under a memory cap, rank must be a topological order "
-                        "(every child ranked before its parent)"
-                    )
+        if cap is not None:
+            # every capped rank, minted or not: a rank that is not
+            # topological can never start the parent it ranks before a
+            # child, so the sweep would get stuck and blame the cap
+            has_parent = tree.parent != NO_PARENT
+            if np.any(rank[has_parent] >= rank[tree.parent[has_parent]]):
+                raise ValueError(
+                    "under a memory cap, rank must be a topological order "
+                    "(every child ranked before its parent)"
+                )
         self.prepared = prepared
         self.tree = tree
         self.p = p
@@ -373,13 +372,12 @@ class SchedulerEngine:
     def _cap_error(self, node: int, mem: float) -> MemoryCapError:
         """The infeasible-cap error of both sweeps: ``node`` is the next
         task of the activation order, ``mem`` the resident memory. The
-        wording, ``mode=strict`` clause included, stays fixed: failed
-        records store it, and pinned checkpoint digests cover it."""
+        wording stays fixed: failed records store it, and pinned
+        checkpoint digests cover it."""
         return MemoryCapError(
             f"cap {self.cap:g} infeasible: task {node} needs "
             f"{mem + float(self.prepared.alloc[node]):g} with nothing running "
-            f"(mode=strict; sequential peak of the activation "
-            f"order is a feasible cap in strict mode)"
+            f"(the sequential peak of the activation order is a feasible cap)"
         )
 
     def _run_kernel(self) -> Schedule:
@@ -576,8 +574,8 @@ def batch_arrays(nscen: int, n: int) -> tuple[np.ndarray, ...]:
     """Freshly initialised output arrays for one batched kernel call over
     ``nscen`` scenarios, ``(start, proc, status, resident)``: entry
     ``s`` of each is scenario ``s``'s output (its schedule rows, status
-    pair and final resident memory; see the kernel spec in
-    :mod:`repro.core._ckernel`)."""
+    pair and final resident memory; see the spec of
+    ``batch_event_sweep`` in ``repro/core/kernel.c``)."""
     return (
         np.full((nscen, n), -1.0, dtype=np.float64),
         np.full((nscen, n), -1, dtype=np.int64),

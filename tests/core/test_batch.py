@@ -13,6 +13,10 @@ exactness fallback.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,7 +226,9 @@ class TestSerialKernel:
 
         from repro.core import _ckernel
 
-        exported = re.findall(r"^int64_t (\w+)\(", _ckernel._SOURCE, re.MULTILINE)
+        with open(_ckernel._KERNEL_C) as fh:
+            source = fh.read()
+        exported = re.findall(r"^int64_t (\w+)\(", source, re.MULTILINE)
         assert exported == [
             "batch_event_sweep",
             "memory_profile",
@@ -231,7 +237,7 @@ class TestSerialKernel:
             "split_subtrees",
         ]
         assert list(_ckernel._EXPORTS) == exported
-        assert "#pragma omp" not in _ckernel._SOURCE
+        assert "#pragma omp" not in source
         assert "-fopenmp" not in _ckernel._FLAGS
         assert "-ffp-contract=off" in _ckernel._FLAGS
 
@@ -442,7 +448,7 @@ class TestCompileCacheKeys:
         assert isinstance(reason, str)
         assert (fn is None) == bool(reason)
 
-    def test_cache_key_covers_flags(self, monkeypatch):
+    def test_cache_key_covers_flags(self, monkeypatch, tmp_path):
         """A change of compiler flags or of the kernel source moves the
         artifact, so a stale .so can never shadow a rebuilt one."""
         from repro.core import _ckernel
@@ -451,7 +457,10 @@ class TestCompileCacheKeys:
         monkeypatch.setattr(_ckernel, "_FLAGS", [*_ckernel._FLAGS, "-g"])
         flagged = _ckernel._cache_key()
         assert flagged != key
-        monkeypatch.setattr(_ckernel, "_SOURCE", _ckernel._SOURCE + "\n")
+        edited = tmp_path / "kernel.c"
+        with open(_ckernel._KERNEL_C, "rb") as fh:
+            edited.write_bytes(fh.read() + b"\n")
+        monkeypatch.setattr(_ckernel, "_KERNEL_C", str(edited))
         assert _ckernel._cache_key() not in (key, flagged)
         monkeypatch.undo()
         assert _ckernel._cache_key() == key
@@ -472,6 +481,37 @@ class TestCompileCacheKeys:
             "python", [("c", "simulated: no toolchain")]
         )
         assert resolve_backend() == "python"
+
+    def test_missing_source_degrades_to_python(self, monkeypatch, tmp_path):
+        """An install without ``kernel.c`` (its package data) leaves the
+        library unavailable with a reason naming the path; every
+        dispatch then takes the Python path instead of raising."""
+        from repro.core import _ckernel
+        from repro.core import engine as engine_mod
+
+        missing = str(tmp_path / "kernel.c")
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        monkeypatch.setattr(engine_mod, "_PROBE_CACHE", {})
+        monkeypatch.setattr(_ckernel, "_KERNEL_C", missing)
+        monkeypatch.setattr(_ckernel, "_BUILD", None)
+        assert not _ckernel.available()
+        reason = _ckernel.unavailable_reason()
+        assert reason == f"kernel source missing: {missing}"
+        assert engine_mod.probe_backend(refresh=True) == ("python", [("c", reason)])
+
+    def test_setup_build_ships_the_source(self, tmp_path):
+        """``setup.py build`` copies ``kernel.c`` into the package as
+        package data, so an installed library can still be compiled."""
+        root = Path(__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "setup.py", "-q", "build", "--build-base", str(tmp_path)],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "lib" / "repro" / "core" / "kernel.c").is_file()
 
 
 # ----------------------------------------------------------------------

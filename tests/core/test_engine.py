@@ -8,6 +8,7 @@ from repro.core.engine import (
     SchedulerEngine,
     lex_rank,
 )
+from repro.core.prepared import PreparedTree
 from repro.core.tree import TaskTree
 from repro.core.validation import validate_schedule
 
@@ -89,6 +90,18 @@ class TestEngineConfig:
             with pytest.raises(ValueError, match="topological"):
                 sweep(SchedulerEngine(star5, 2, rank, cap=100.0))
             validate_schedule(sweep(SchedulerEngine(star5, 2, rank)))
+
+    def test_capped_bundle_rank_must_be_topological(self, star5):
+        """A rank minted by the prepared bundle skips the permutation
+        check, but under a cap it is checked for topology like any
+        other: a ValueError up front, not an infeasible-cap error."""
+        prepared = PreparedTree(star5)
+        rank = prepared.rank_for("root-first", lambda: np.arange(5))
+        assert prepared.byrank_for(rank) is not None
+        for sweep in (SchedulerEngine.run, SchedulerEngine.run_reference):
+            with pytest.raises(ValueError, match="topological"):
+                sweep(SchedulerEngine(prepared, 2, rank, cap=100.0))
+            validate_schedule(sweep(SchedulerEngine(prepared, 2, rank)))
 
 
 class TestEngineRun:

@@ -163,7 +163,7 @@ class TestCli:
         assert main(argv) == 0
         assert "\nquarantined: 120 scenario(s)" in capsys.readouterr().err
         assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == (
-            "2d914ae87a977e7b9204ab4ec2fb09023d4b04fe562d127f9c4cc3f7713579d7"
+            "e2cd75b160a0b88f6968f5f24d75b7651ec00bcd26cf84768f766f5895103d27"
         )
 
     def test_campaign_resume_with_separate_output(self, tmp_path, capsys):
