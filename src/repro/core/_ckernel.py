@@ -159,7 +159,9 @@ def _compile_one(cc: str, lib_path: str) -> str:
     winner's artifact instead of compiling alongside it (the
     first-compile race of two pool workers starting on a cold cache).
     A waiting process whose winner never delivers (crash; stale lock)
-    falls back to compiling itself.
+    falls back to compiling itself. ``kernel.c`` is hashed again
+    before the rename, so a source edited mid-build never lands under
+    the old source's key.
     """
     directory = os.path.dirname(lib_path)
     tmp_lib = None
@@ -189,6 +191,10 @@ def _compile_one(cc: str, lib_path: str) -> str:
         if proc.returncode != 0:
             detail = (proc.stderr or proc.stdout).strip().splitlines()
             return f"{cc} failed: {detail[-1] if detail else 'unknown error'}"
+        if _lib_path() != lib_path:
+            # kernel.c was edited while cc read it: the library is not
+            # the source its name hashes, so it must not enter the cache
+            return "kernel build failed: kernel.c changed during the build"
         os.replace(tmp_lib, lib_path)  # atomic: racers converge
         tmp_lib = None
         return ""

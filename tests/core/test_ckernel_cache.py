@@ -58,6 +58,30 @@ class TestBuildLock:
         assert os.path.exists(lib)
         assert not os.path.exists(lib + ".lock")
 
+    def test_source_edited_mid_build_is_not_cached(self, tmp_path, monkeypatch):
+        """A ``kernel.c`` saved while ``cc`` reads it would publish a
+        library under the old source's key: the build re-hashes the
+        source, drops the library and reports the build failed."""
+        source = tmp_path / "kernel.c"
+        shutil.copyfile(_ckernel._KERNEL_C, source)
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(cache))
+        monkeypatch.setattr(_ckernel, "_KERNEL_C", str(source))
+        lib = _ckernel._lib_path()
+        run = subprocess.run
+
+        def compile_then_edit(*args, **kwargs):
+            proc = run(*args, **kwargs)
+            with open(source, "ab") as fh:
+                fh.write(b"\n")
+            return proc
+
+        monkeypatch.setattr(_ckernel.subprocess, "run", compile_then_edit)
+        cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+        error = _ckernel._compile_one(cc, lib)
+        assert error == "kernel build failed: kernel.c changed during the build"
+        assert os.listdir(cache) == []
+
 
 _PROBE = """
 import sys

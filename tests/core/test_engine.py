@@ -81,27 +81,22 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="NaN"):
             registry.run("MemoryBounded", star5, 2, cap_factor=nan)
 
-    def test_capped_rank_must_be_topological(self, star5):
+    @pytest.mark.parametrize("minted", [False, True], ids=["bare", "bundle"])
+    def test_capped_rank_must_be_topological(self, star5, minted):
         """Under a cap the rank is the activation order, so it must rank
         every child before its parent; both sweeps reject one that
-        does not up front. Without a cap any permutation is a priority."""
-        rank = np.arange(5)  # the root ranks before its leaves
+        does not up front, a rank minted by the prepared bundle too
+        (not an infeasible-cap error). Without a cap any permutation is
+        a priority."""
+        tree, rank = star5, np.arange(5)  # the root ranks before its leaves
+        if minted:
+            tree = PreparedTree(star5)
+            rank = tree.rank_for("root-first", lambda: np.arange(5))
+            assert tree.byrank_for(rank) is not None
         for sweep in (SchedulerEngine.run, SchedulerEngine.run_reference):
             with pytest.raises(ValueError, match="topological"):
-                sweep(SchedulerEngine(star5, 2, rank, cap=100.0))
-            validate_schedule(sweep(SchedulerEngine(star5, 2, rank)))
-
-    def test_capped_bundle_rank_must_be_topological(self, star5):
-        """A rank minted by the prepared bundle skips the permutation
-        check, but under a cap it is checked for topology like any
-        other: a ValueError up front, not an infeasible-cap error."""
-        prepared = PreparedTree(star5)
-        rank = prepared.rank_for("root-first", lambda: np.arange(5))
-        assert prepared.byrank_for(rank) is not None
-        for sweep in (SchedulerEngine.run, SchedulerEngine.run_reference):
-            with pytest.raises(ValueError, match="topological"):
-                sweep(SchedulerEngine(prepared, 2, rank, cap=100.0))
-            validate_schedule(sweep(SchedulerEngine(prepared, 2, rank)))
+                sweep(SchedulerEngine(tree, 2, rank, cap=100.0))
+            validate_schedule(sweep(SchedulerEngine(tree, 2, rank)))
 
 
 class TestEngineRun:
